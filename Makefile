@@ -51,15 +51,18 @@ test:
 # The smoke run: every key datapath bench must complete (-benchtime 1x,
 # -count 2), then benchdiff -check fails on panics / FAILs /
 # 0-iteration rows and prints the delta vs the committed baseline.
-# The cached-vs-uncached pair gate needs real timings, so it reruns
-# BenchmarkManyFlows measured (-benchtime 20000x) and fails if the flow
-# cache is a net tax on ANY workload — same-run siblings, so the gate
-# holds on any hardware. The whole-repo sweep then proves every other
+# The same-run ratio gates (benchdiff -pair-check) need real timings, so
+# the pair pass reruns BenchmarkManyFlows measured (-benchtime 20000x)
+# and fails if the flow cache is a net tax on ANY workload, and runs
+# BenchmarkE2_ChainBurst and fails if the full HARMLESS chain forwards
+# at less than 1/6 of the bare switch — same-run siblings, so the gates
+# hold on any hardware. The whole-repo sweep then proves every other
 # bench still runs too.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count 2 $(BENCH_PKGS) 2>&1 | tee bench.txt
 	$(GO) run ./cmd/benchdiff -bench bench.txt -baseline BENCH_BASELINE.json -check
 	$(GO) test -run '^$$' -bench 'BenchmarkManyFlows' -benchtime 20000x ./internal/softswitch 2>&1 | tee bench-pairs.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x . 2>&1 | tee -a bench-pairs.txt
 	$(GO) run ./cmd/benchdiff -bench bench-pairs.txt -check -pair-check
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... 2>&1 | tee bench-full.txt
 	$(GO) run ./cmd/benchdiff -bench bench-full.txt -check > /dev/null

@@ -7,7 +7,9 @@ package harmless_test
 //
 // BenchmarkE2_Throughput regenerates the frame-size throughput sweep
 // (bare software switch vs the full HARMLESS chain, generic vs
-// specialized datapath); BenchmarkE3_PathLatency measures per-packet
+// specialized datapath); BenchmarkE2_ChainBurst is the same comparison
+// in 32-frame bursts into a counting sink, the pair cmd/benchdiff
+// gates (chain >= 1/6 of bare); BenchmarkE3_PathLatency measures per-packet
 // forwarding latency of the same paths; BenchmarkE8_TableScaling
 // regenerates the flow-table scaling series (pipeline lookup cost vs
 // rule count and vs access-port count).
@@ -32,17 +34,43 @@ var benchFrameSizes = []int{64, 128, 256, 512, 1024, 1500}
 
 // --- E2: throughput vs frame size -------------------------------------
 
+// benchFrame builds the host 1 -> host 2 UDP frame of the given wire
+// size that every E2/E3 path forwards.
+func benchFrame(b testing.TB, size int) []byte {
+	b.Helper()
+	payloadLen := size - pkt.EthernetHeaderLen - pkt.IPv4MinHeaderLen - pkt.UDPHeaderLen
+	if payloadLen < 0 {
+		payloadLen = 0
+	}
+	payload := make(pkt.Payload, payloadLen)
+	f, err := pkt.Serialize(
+		&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
+		&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP, Src: fabric.HostIP(1), Dst: fabric.HostIP(2)},
+		&pkt.UDP{SrcPort: 7777, DstPort: 8888},
+		&payload,
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return f
+}
+
+// benchArenaSlots is the injector ring of the E2/E3 loops: every link
+// is synchronous, so one burst is all that is ever in flight.
+const benchArenaSlots = 256
+
 // bareSwitchPath builds a 2-port software switch with one exact flow
-// and returns an injector that pushes one frame through it.
-func bareSwitchPath(b *testing.B, specialize bool) (inject func([]byte), cleanup func()) {
+// and returns the port to inject into; *delivered counts the frames
+// that came out of the other side.
+func bareSwitchPath(b *testing.B, specialize bool) (in *netem.Port, delivered *int, cleanup func()) {
 	b.Helper()
 	sw := softswitch.New("bare", 0xbb, softswitch.WithSpecialization(specialize))
 	l1 := netem.NewLink(netem.LinkConfig{})
 	l2 := netem.NewLink(netem.LinkConfig{})
 	sw.AttachNetPort(1, "in", l1.A())
 	sw.AttachNetPort(2, "out", l2.A())
-	sink := 0
-	l2.B().SetReceiver(func([]byte) { sink++ })
+	delivered = new(int)
+	l2.B().SetReceiver(func([]byte) { *delivered++ })
 	m := openflow.Match{}
 	m.WithInPort(1)
 	if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
@@ -54,13 +82,12 @@ func bareSwitchPath(b *testing.B, specialize bool) (inject func([]byte), cleanup
 	}); err != nil {
 		b.Fatal(err)
 	}
-	return func(f []byte) { _ = l1.B().Send(f) }, func() { l1.Close(); l2.Close() }
+	return l1.B(), delivered, func() { l1.Close(); l2.Close() }
 }
 
 // harmlessPath builds the full chain (legacy switch + S4 + learning
-// controller), pre-warms the flows, and returns an injector sending a
-// frame from host 1 towards host 2.
-func harmlessPath(b *testing.B, specialize bool) (inject func([]byte), frameFor func(int) []byte, cleanup func()) {
+// controller) and pre-warms the flows between hosts 1 and 2.
+func harmlessPath(b testing.TB, specialize bool) *fabric.Deployment {
 	b.Helper()
 	d, err := fabric.BuildDeployment(fabric.DeployConfig{
 		NumPorts:   4,
@@ -80,25 +107,7 @@ func harmlessPath(b *testing.B, specialize bool) (inject func([]byte), frameFor 
 	if err := d.Hosts[1].Ping(d.Hosts[2].IP, 2*time.Second); err != nil {
 		b.Fatal(err)
 	}
-	h1 := d.Hosts[1]
-	frameFor = func(size int) []byte {
-		payloadLen := size - pkt.EthernetHeaderLen - pkt.IPv4MinHeaderLen - pkt.UDPHeaderLen
-		if payloadLen < 0 {
-			payloadLen = 0
-		}
-		payload := make(pkt.Payload, payloadLen)
-		f, err := pkt.Serialize(
-			&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
-			&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP, Src: fabric.HostIP(1), Dst: fabric.HostIP(2)},
-			&pkt.UDP{SrcPort: 7777, DstPort: 8888},
-			&payload,
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return f
-	}
-	return h1.SendRaw, frameFor, d.Close
+	return d
 }
 
 func BenchmarkE2_Throughput(b *testing.B) {
@@ -115,39 +124,70 @@ func BenchmarkE2_Throughput(b *testing.B) {
 		for _, size := range benchFrameSizes {
 			b.Run(fmt.Sprintf("%s/frame=%d", path.name, size), func(b *testing.B) {
 				var inject func([]byte)
-				var cleanup func()
-				var frame []byte
 				if path.harmless {
-					var frameFor func(int) []byte
-					inject, frameFor, cleanup = harmlessPath(b, path.specialize)
-					frame = frameFor(size)
+					d := harmlessPath(b, path.specialize)
+					defer d.Close()
+					inject = d.Hosts[1].SendRaw
 				} else {
-					inject, cleanup = bareSwitchPath(b, path.specialize)
-					payloadLen := size - pkt.EthernetHeaderLen - pkt.IPv4MinHeaderLen - pkt.UDPHeaderLen
-					payload := make(pkt.Payload, payloadLen)
-					var err error
-					frame, err = pkt.Serialize(
-						&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
-						&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP, Src: fabric.HostIP(1), Dst: fabric.HostIP(2)},
-						&pkt.UDP{SrcPort: 7777, DstPort: 8888},
-						&payload,
-					)
-					if err != nil {
-						b.Fatal(err)
-					}
+					in, _, cleanup := bareSwitchPath(b, path.specialize)
+					defer cleanup()
+					inject = func(f []byte) { _ = in.Send(f) }
 				}
-				defer cleanup()
+				frame := benchFrame(b, size)
+				arena := fabric.NewArena(benchArenaSlots, size)
 				b.SetBytes(int64(size))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					// The sync fabric consumes the frame in-line; the
-					// legacy switch re-tags a copy, so the original can
-					// be resent.
-					inject(frame)
+					// The path owns what it is sent and re-tags it in
+					// place: every iteration injects a fresh copy.
+					inject(arena.Copy(frame))
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkE2_ChainBurst is the paper's claim as a same-run pair: the
+// same 64-byte frames in 32-frame bursts through the bare software
+// switch and through the full HARMLESS chain, each into a counting
+// sink (no decoding host in the measured path). cmd/benchdiff
+// -pair-check gates chain >= 1/6 of bare.
+func BenchmarkE2_ChainBurst(b *testing.B) {
+	const burst, size = 32, 64
+	for _, path := range []string{"bare", "chain"} {
+		b.Run(path, func(b *testing.B) {
+			var in *netem.Port
+			delivered := new(int)
+			if path == "chain" {
+				d := harmlessPath(b, false)
+				defer d.Close()
+				// Links[i] serves access port i+1; its B end is the host's.
+				in = d.Links[0].B()
+				d.Links[1].B().SetReceiver(func([]byte) { *delivered++ })
+			} else {
+				var cleanup func()
+				in, delivered, cleanup = bareSwitchPath(b, false)
+				defer cleanup()
+			}
+			frame := benchFrame(b, size)
+			arena := fabric.NewArena(benchArenaSlots, size)
+			vec := make([][]byte, burst)
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += burst {
+				for i := range vec {
+					vec[i] = arena.Copy(frame)
+				}
+				_ = in.SendBatch(vec)
+			}
+			b.StopTimer()
+			if sent := (b.N + burst - 1) / burst * burst; *delivered != sent {
+				b.Fatalf("sink counted %d of %d frames", *delivered, sent)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
+		})
 	}
 }
 
@@ -269,24 +309,27 @@ func BenchmarkE2_TranslatorOnly(b *testing.B) {
 // BenchmarkE3_PathLatency measures one traversal of each path with
 // sync links: ns/op IS the processing latency added per packet.
 func BenchmarkE3_PathLatency(b *testing.B) {
+	const size = 256
 	b.Run("bare-softswitch", func(b *testing.B) {
-		inject, cleanup := bareSwitchPath(b, false)
+		in, _, cleanup := bareSwitchPath(b, false)
 		defer cleanup()
-		frame := fabric.NewUDPGenerator(256, 1, 1).CopyNext()
+		frame := benchFrame(b, size)
+		arena := fabric.NewArena(benchArenaSlots, size)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			inject(frame)
+			_ = in.Send(arena.Copy(frame))
 		}
 	})
 	b.Run("harmless-chain", func(b *testing.B) {
-		inject, frameFor, cleanup := harmlessPath(b, false)
-		defer cleanup()
-		frame := frameFor(256)
+		d := harmlessPath(b, false)
+		defer d.Close()
+		frame := benchFrame(b, size)
+		arena := fabric.NewArena(benchArenaSlots, size)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			inject(frame)
+			d.Hosts[1].SendRaw(arena.Copy(frame))
 		}
 	})
 }

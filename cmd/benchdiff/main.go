@@ -16,13 +16,16 @@
 // slowdown beyond the threshold fatal too, for runs where baseline
 // and current share hardware.
 //
-// -pair-check enforces the cache acceptance invariant WITHIN a single
-// run, so it is hardware-independent: every `X/cached` benchmark with
-// an `X/uncached` sibling must deliver at least (1 - pair-tolerance)
-// of the sibling's throughput. The two-tier flow cache must never be
-// a tax — not even on the adversarial thrash workload it used to lose
-// badly on. Run it against a measured pass (-benchtime 20000x), not
-// the 1x smoke rows, which are single-iteration noise.
+// -pair-check enforces the declared same-run ratio gates (ratioGates):
+// both sides of a gate come from one run on one machine, so the gates
+// are hardware-independent. Every `X/cached` benchmark must deliver at
+// least 0.85 of its `X/uncached` sibling's throughput — the two-tier
+// flow cache must never be a tax, not even on the adversarial thrash
+// workload it used to lose badly on — and every `X/chain` benchmark at
+// least 1/6 of its `X/bare` sibling's: the paper's claim, a legacy
+// switch behind HARMLESS forwards like the software switch alone. Run
+// it against a measured pass (-benchtime 20000x or more), not the 1x
+// smoke rows, which are single-iteration noise.
 package main
 
 import (
@@ -148,8 +151,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.30, "relative slowdown that flags a benchmark in the table")
 	check := flag.Bool("check", false, "exit non-zero on panics, FAILs, zero-iteration results, or an empty bench run")
 	failOver := flag.Bool("fail-over", false, "with -baseline: also exit non-zero when any flagged metric regresses past the threshold")
-	pairs := flag.Bool("pair-check", false, "exit non-zero unless every X/cached benchmark keeps at least (1 - pair-tolerance) of its X/uncached sibling's throughput")
-	pairTol := flag.Float64("pair-tolerance", 0.15, "relative shortfall allowed by -pair-check before cached-vs-uncached fails")
+	pairs := flag.Bool("pair-check", false, "exit non-zero unless every same-run sibling pair meets its declared ratio gate (cached >= 0.85 x uncached, chain >= 1/6 x bare)")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -189,7 +191,7 @@ func main() {
 	}
 
 	if *pairs {
-		bad += pairCheck(results, *pairTol)
+		bad += pairCheck(results, ratioGates)
 	}
 
 	if *writePath != "" {
@@ -239,47 +241,67 @@ func throughput(res *Result) float64 {
 	return 0
 }
 
-// pairCheck walks every `<base>/cached` result whose `<base>/uncached`
-// sibling appears in the same run and fails those where the cached
-// throughput drops below (1 - tol) of the uncached one. Comparing
-// same-run siblings makes the gate independent of the runner: both
-// sides saw identical hardware, load and ruleset. Returns the number
-// of failing pairs.
-func pairCheck(results map[string]*Result, tol float64) int {
+// ratioGate is one same-run sibling gate: every `<base>/<Num>` result
+// with a `<base>/<Den>` sibling in the run must deliver at least Min
+// times the sibling's throughput.
+type ratioGate struct {
+	Num, Den string
+	Min      float64
+	Broken   string // what a failing pair means
+}
+
+// ratioGates is the declared table -pair-check enforces.
+var ratioGates = []ratioGate{
+	{Num: "cached", Den: "uncached", Min: 0.85, Broken: "the cache is a net tax on this workload"},
+	{Num: "chain", Den: "bare", Min: 1.0 / 6, Broken: "the HARMLESS chain costs more than six bare switches"},
+}
+
+// pairCheck walks every gate's `<base>/<Num>` results whose
+// `<base>/<Den>` sibling appears in the same run and fails those whose
+// throughput ratio drops below the gate's Min. Comparing same-run
+// siblings makes the gates independent of the runner: both sides saw
+// identical hardware and load. A gate that finds no pair at all fails
+// too — silently passing because the benchmarks were renamed is exactly
+// the regression the gates exist to catch. Returns the number of
+// failures.
+func pairCheck(results map[string]*Result, gates []ratioGate) int {
 	names := make([]string, 0, len(results))
 	for name := range results {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	checked, bad := 0, 0
-	for _, name := range names {
-		base, ok := strings.CutSuffix(name, "/cached")
-		if !ok {
-			continue
+	bad := 0
+	for _, g := range gates {
+		found := false
+		for _, name := range names {
+			base, ok := strings.CutSuffix(name, "/"+g.Num)
+			if !ok {
+				continue
+			}
+			den := results[base+"/"+g.Den]
+			if den == nil {
+				continue
+			}
+			found = true
+			np, dp := throughput(results[name]), throughput(den)
+			if np == 0 || dp == 0 {
+				fmt.Printf("PAIR FAIL: %s vs %s: missing pps and ns/op metrics\n", name, g.Den)
+				bad++
+				continue
+			}
+			ratio := np / dp
+			if ratio < g.Min {
+				fmt.Printf("PAIR FAIL: %s %s < %s %s x %.2f (ratio %.3f): %s\n",
+					name, fmtVal(np), fmtVal(dp), g.Den, g.Min, ratio, g.Broken)
+				bad++
+			} else {
+				fmt.Printf("PAIR OK:   %s %s vs %s %s (ratio %.2fx, gate %.2fx)\n", name, fmtVal(np), g.Den, fmtVal(dp), ratio, g.Min)
+			}
 		}
-		unc := results[base+"/uncached"]
-		if unc == nil {
-			continue
-		}
-		cp, up := throughput(results[name]), throughput(unc)
-		if cp == 0 || up == 0 {
-			fmt.Printf("PAIR FAIL: %s vs uncached: missing pps and ns/op metrics\n", name)
+		if !found {
+			fmt.Printf("PAIR FAIL: no %s/%s benchmark pairs found in this run\n", g.Num, g.Den)
 			bad++
-			continue
 		}
-		checked++
-		ratio := cp / up
-		if ratio < 1-tol {
-			fmt.Printf("PAIR FAIL: %s %s < %s uncached x %.2f (ratio %.3f): the cache is a net tax on this workload\n",
-				name, fmtVal(cp), fmtVal(up), 1-tol, ratio)
-			bad++
-		} else {
-			fmt.Printf("PAIR OK:   %s %s vs uncached %s (ratio %.2fx)\n", name, fmtVal(cp), fmtVal(up), ratio)
-		}
-	}
-	if checked == 0 && bad == 0 {
-		fmt.Println("PAIR FAIL: no cached/uncached benchmark pairs found in this run")
-		bad++
 	}
 	return bad
 }

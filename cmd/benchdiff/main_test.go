@@ -86,23 +86,50 @@ func res(metrics map[string]float64) *Result {
 	return &Result{Iterations: 1, Metrics: metrics}
 }
 
+var cacheGate = []ratioGate{{Num: "cached", Den: "uncached", Min: 0.85, Broken: "tax"}}
+
 func TestPairCheck(t *testing.T) {
 	results := map[string]*Result{
 		// Clear win: 2x the uncached throughput.
 		"BenchmarkManyFlows/uniform/cached":   res(map[string]float64{"pps": 2.0e6}),
 		"BenchmarkManyFlows/uniform/uncached": res(map[string]float64{"pps": 1.0e6}),
-		// Within tolerance: 92% of uncached passes at tol=0.15.
+		// Above the gate: 92% of uncached passes at 0.85.
 		"BenchmarkManyFlows/thrash/cached":   res(map[string]float64{"pps": 0.92e6}),
 		"BenchmarkManyFlows/thrash/uncached": res(map[string]float64{"pps": 1.0e6}),
 		// No sibling: ignored, not failed.
 		"BenchmarkSingleFlow/cached": res(map[string]float64{"pps": 3.0e6}),
 	}
-	if bad := pairCheck(results, 0.15); bad != 0 {
+	if bad := pairCheck(results, cacheGate); bad != 0 {
 		t.Errorf("pairCheck = %d failures, want 0", bad)
 	}
-	// Tighten the tolerance below the thrash ratio: one failure.
-	if bad := pairCheck(results, 0.05); bad != 1 {
-		t.Errorf("pairCheck(tol=0.05) = %d failures, want 1", bad)
+	// Raise the gate above the thrash ratio: one failure.
+	tight := []ratioGate{{Num: "cached", Den: "uncached", Min: 0.95}}
+	if bad := pairCheck(results, tight); bad != 1 {
+		t.Errorf("pairCheck(min=0.95) = %d failures, want 1", bad)
+	}
+}
+
+func TestPairCheckDeclaredGates(t *testing.T) {
+	// The declared table: the cache pair and the chain/bare pair, each
+	// with its own minimum.
+	results := map[string]*Result{
+		"BenchmarkManyFlows/zipf/cached":   res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkManyFlows/zipf/uncached": res(map[string]float64{"pps": 1.0e6}),
+		"BenchmarkE2_ChainBurst/chain":     res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkE2_ChainBurst/bare":      res(map[string]float64{"pps": 8.0e6}),
+	}
+	if bad := pairCheck(results, ratioGates); bad != 0 {
+		t.Errorf("pairCheck = %d failures on a 4x chain, want 0", bad)
+	}
+	// 7.5x, the chain before it kept bursts together: fails its gate.
+	results["BenchmarkE2_ChainBurst/chain"] = res(map[string]float64{"pps": 8.0e6 / 7.5})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on a 7.5x chain, want 1", bad)
+	}
+	// A declared gate with no pair in the run fails by itself.
+	delete(results, "BenchmarkE2_ChainBurst/chain")
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures with the chain pair missing, want 1", bad)
 	}
 }
 
@@ -113,7 +140,7 @@ func TestPairCheckDerivesFromNsOp(t *testing.T) {
 		"BenchmarkX/cached":   res(map[string]float64{"ns/op": 500}),
 		"BenchmarkX/uncached": res(map[string]float64{"ns/op": 1000}),
 	}
-	if bad := pairCheck(results, 0.15); bad != 0 {
+	if bad := pairCheck(results, cacheGate); bad != 0 {
 		t.Errorf("pairCheck on ns/op-only results = %d failures, want 0", bad)
 	}
 }
@@ -125,7 +152,7 @@ func TestPairCheckEmptyRunFails(t *testing.T) {
 	results := map[string]*Result{
 		"BenchmarkLonely": res(map[string]float64{"pps": 1e6}),
 	}
-	if bad := pairCheck(results, 0.15); bad != 1 {
+	if bad := pairCheck(results, cacheGate); bad != 1 {
 		t.Errorf("pairCheck on pairless run = %d failures, want 1", bad)
 	}
 }

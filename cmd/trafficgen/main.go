@@ -222,12 +222,20 @@ func measureHARMLESS(size int, d time.Duration, specialize bool, batch, workers 
 	if err := dep.WaitConnected(5 * time.Second); err != nil {
 		fatal("controller: %v", err)
 	}
+	// The chain owns every frame it is sent and re-tags it in place, so
+	// each send injects fresh copies from an arena. On synchronous links
+	// one vector is all that is in flight; with workers, frames also
+	// wait in the RX rings, and a slot must not come round again before
+	// its frame has left them.
+	const workerRing = 1024
+	arenaSlots := 2 * batch
 	// With workers, trunk rx into SS_1 goes through the RSS-sharded
 	// pool instead of running inline on the injecting goroutine — the
 	// same interposition harmlessd -workers performs.
 	var pool *ssruntime.Pool
 	if workers > 0 {
-		pool = ssruntime.New(dep.S4.SS1, ssruntime.Config{Workers: workers})
+		pool = ssruntime.New(dep.S4.SS1, ssruntime.Config{Workers: workers, RingSize: workerRing})
+		arenaSlots += 2 * workers * workerRing
 		pool.Start()
 		defer pool.Stop()
 		trunk := dep.TrunkLink.B()
@@ -255,18 +263,15 @@ func measureHARMLESS(size int, d time.Duration, specialize bool, batch, workers 
 		fatal("frame: %v", err)
 	}
 	h1 := dep.Hosts[1]
-	// Distinct buffers per batch slot: frames of one vector must not
-	// alias (ownership of each transfers to the chain). Resending the
-	// same buffers across iterations is fine for this chain — like the
-	// E2 bench, the legacy switch re-tags a copy, never the original.
+	arena := fabric.NewArena(arenaSlots, len(frame))
 	vec := make([][]byte, batch)
-	for i := range vec {
-		vec[i] = append([]byte{}, frame...)
-	}
 	send := func() {
 		if batch == 1 {
-			h1.SendRaw(frame)
+			h1.SendRaw(arena.Copy(frame))
 			return
+		}
+		for i := range vec {
+			vec[i] = arena.Copy(frame)
 		}
 		h1.SendRawBatch(vec)
 	}

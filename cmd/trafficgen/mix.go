@@ -73,7 +73,11 @@ func runMix(cfg mixConfig) {
 		exp = telemetry.TeeExporter{col, udp}
 		fmt.Printf("exporting IPFIX records to udp://%s\n", cfg.export)
 	}
-	agg := telemetry.NewAggregator(tab, exp, 500*time.Millisecond)
+	// The window is also how often the drain ring is emptied, and 1-in-N
+	// samples share the ring with the flow records: at -sample-rate 16 a
+	// 500 ms window overflows it past 2.6 Mpps and records are lost. At
+	// 100 ms the ring holds out to 10 Mpps.
+	agg := telemetry.NewAggregator(tab, exp, 100*time.Millisecond)
 	agg.Start()
 	defer agg.Stop()
 

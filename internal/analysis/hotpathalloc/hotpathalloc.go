@@ -14,8 +14,9 @@
 //
 //   - any function annotated //harmless:hotpath is checked;
 //   - the known zero-alloc entry points (Required below: the microflow
-//     cache probe/lookup, the ReceiveBatch dispatch, ObserveBatch, the
-//     Ring/TypedRing push/pop) MUST carry the annotation, so nobody
+//     cache probe/lookup, the ReceiveBatch dispatch, the legacy bridge's
+//     burst forward and FDB step, the owned VLAN mutators, ObserveBatch,
+//     the Ring/TypedRing push/pop) MUST carry the annotation, so nobody
 //     quietly drops a hot path out of enforcement.
 //
 // A cold branch inside a hot function — the megaflow install path on a
@@ -55,6 +56,14 @@ var Required = map[string][]string{
 		"Switch.ReceiveMixedBatch",
 		"Switch.processBatch",
 		"Switch.classifyAndRun",
+	},
+	"github.com/harmless-sdn/harmless/internal/legacy": {
+		"Switch.forward",
+		"FDB.stepLocked",
+	},
+	"github.com/harmless-sdn/harmless/internal/pkt": {
+		"PushVLANOwned",
+		"PopVLANOwned",
 	},
 	"github.com/harmless-sdn/harmless/internal/telemetry": {
 		"Table.Observe",

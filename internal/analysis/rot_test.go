@@ -55,6 +55,7 @@ func TestDirectiveRot(t *testing.T) {
 		{"allow-alloc", "hotpathalloc"},
 		{"allow-copy", "shardlock"},
 		{"allow-retain", "frameown"},
+		{"allow-unclipped", "frameown"},
 		{"allow-maporder", "detorder"},
 		{"allow-plain", "atomicmix"},
 		{"allow-droperr", "errdrop"},

@@ -17,6 +17,11 @@
 //     only borrowed for the duration of the call. The callee must not
 //     retain it; the caller may reuse it — refilling it with fresh
 //     frames — as soon as the call returns.
+//  3. A frame is owned together with the SPARE CAPACITY behind it
+//     (cap - len): the datapath grows frames in place (VLAN push).
+//     A frame cut out of a larger live buffer must therefore be
+//     clipped with a full slice expression — buf[i:j:j], or
+//     buf[i:j:j+room] for tailroom that really is the frame's.
 //
 // Rule 2 is what makes per-batch amortization free of per-batch
 // allocation: one [][]byte vector can carry every batch of a run.

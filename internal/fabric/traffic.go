@@ -172,6 +172,44 @@ func (g *Generator) CopyBatch(into [][]byte, n int) [][]byte {
 // Len returns the number of distinct frames.
 func (g *Generator) Len() int { return len(g.frames) }
 
+// ArenaTailroom is the spare capacity an Arena leaves behind every
+// frame: room for eight 802.1Q tags pushed in place along the path.
+const ArenaTailroom = 32
+
+// Arena hands out private copies of frames from a ring of preallocated
+// slots, as a NIC's descriptor ring does for a driver. The datapath
+// owns every frame it is sent and rewrites it in place (VLAN push and
+// pop, set-field), so a load loop must not send the same buffer twice;
+// copying the template into the next slot costs a memcpy and no
+// allocation. A slot is handed out again after `slots` further copies:
+// size the ring above the number of frames that can be in flight at
+// once — on synchronous links, one burst.
+type Arena struct {
+	buf    []byte
+	stride int
+	slot   int
+}
+
+// NewArena creates a ring of `slots` buffers for frames of up to
+// maxFrame bytes.
+func NewArena(slots, maxFrame int) *Arena {
+	stride := (maxFrame + ArenaTailroom + 63) &^ 63
+	return &Arena{buf: make([]byte, slots*stride), stride: stride}
+}
+
+// Copy returns a copy of frame in the next slot. The copy's capacity
+// ends with the slot, so growing it in place cannot reach the next
+// frame.
+func (a *Arena) Copy(frame []byte) []byte {
+	off := a.slot
+	if a.slot += a.stride; a.slot == len(a.buf) {
+		a.slot = 0
+	}
+	f := a.buf[off : off+len(frame) : off+a.stride]
+	copy(f, frame)
+	return f
+}
+
 // MixGenerator emits the long-lived/short-lived flow mix telemetry
 // planes face in production: a small set of heavy-hitter "elephant"
 // flows carrying most of the packets, over a churning population of

@@ -26,9 +26,12 @@ type Entry struct {
 	HardTimeout  uint16
 	Flags        uint16
 
-	instrs   atomic.Pointer[[]openflow.Instruction] // set by Modify; nil = Instructions
-	created  time.Time
-	lastUsed atomic.Int64 // unix nanos
+	instrs  atomic.Pointer[[]openflow.Instruction] // set by Modify; nil = Instructions
+	created time.Time
+	// lastUsed is the clock reading (unix nanos) of the latest dispatch
+	// that matched the entry — read once per dispatch, not per packet,
+	// so it trails the packet's own arrival by at most one dispatch.
+	lastUsed atomic.Int64
 	packets  atomic.Uint64
 	bytes    atomic.Uint64
 }
@@ -52,11 +55,14 @@ func (e *Entry) Bytes() uint64 { return e.bytes.Load() }
 // Created returns the installation time.
 func (e *Entry) Created() time.Time { return e.created }
 
-// Hit accounts one matched packet of n bytes.
-func (e *Entry) Hit(n int, now time.Time) {
+// Hit accounts one matched packet of n bytes at clock reading now
+// (unix nanos).
+//
+//harmless:hotpath
+func (e *Entry) Hit(n int, now int64) {
 	e.packets.Add(1)
 	e.bytes.Add(uint64(n))
-	e.lastUsed.Store(now.UnixNano())
+	e.lastUsed.Store(now)
 }
 
 // expired reports whether the entry has timed out, and the reason.
@@ -209,7 +215,7 @@ func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
 	t.mu.RUnlock()
 	if hit != nil {
 		t.matched.Add(1)
-		hit.Hit(size, t.clock.Now())
+		hit.Hit(size, t.clock.Now().UnixNano())
 	}
 	return hit
 }
@@ -217,11 +223,15 @@ func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
 // CreditHit accounts a cache-hit forwarding decision against the table
 // and entry counters exactly as the Lookup that produced the cached
 // decision would have: one lookup, one match, one entry hit (which
-// also refreshes the idle-timeout clock).
-func (t *Table) CreditHit(e *Entry, size int) {
+// also refreshes the idle-timeout clock). now is the caller's clock
+// reading in unix nanos — the datapath takes one per dispatch and
+// credits every hit of the dispatch with it.
+//
+//harmless:hotpath
+func (t *Table) CreditHit(e *Entry, size int, now int64) {
 	t.lookups.Add(1)
 	t.matched.Add(1)
-	e.Hit(size, t.clock.Now())
+	e.Hit(size, now)
 }
 
 // Add installs a flow per OFPFC_ADD semantics: an entry with identical

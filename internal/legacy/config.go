@@ -70,6 +70,20 @@ func (pc *PortConfig) allows(vlan uint16) bool {
 	return false
 }
 
+// classify is 802.1Q ingress classification: the VLAN a frame arriving
+// on the port belongs to, given its outermost tag (vid, tagged), or
+// ok=false when the port does not admit it. An access port takes
+// untagged frames into its PVID and accepts a tagged frame only for
+// that same VLAN (common vendor behaviour); a trunk takes untagged
+// frames into its native VLAN and tagged ones into any allowed VLAN.
+func (pc *PortConfig) classify(vid uint16, tagged bool) (vlan uint16, ok bool) {
+	vlan = pc.PVID
+	if tagged {
+		vlan = vid
+	}
+	return vlan, pc.allows(vlan)
+}
+
 // AllowedList returns the sorted trunk allowed VLANs (nil = all).
 func (pc *PortConfig) AllowedList() []uint16 {
 	if pc.Allowed == nil {

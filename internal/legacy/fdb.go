@@ -26,10 +26,14 @@ import (
 const DefaultFDBAging = 300 * time.Second
 
 // fdbKey identifies a learned entry: learning is per (VLAN, MAC) as in
-// an IVL (independent VLAN learning) bridge.
-type fdbKey struct {
-	vlan uint16
-	mac  pkt.MAC
+// an IVL (independent VLAN learning) bridge. The pair is packed into
+// one word — VLAN above the 48 address bits — so the table is a map
+// keyed by uint64, which the runtime hashes and compares as a word.
+type fdbKey uint64
+
+func makeFDBKey(vlan uint16, mac pkt.MAC) fdbKey {
+	return fdbKey(vlan)<<48 | fdbKey(mac[0])<<40 | fdbKey(mac[1])<<32 | fdbKey(mac[2])<<24 |
+		fdbKey(mac[3])<<16 | fdbKey(mac[4])<<8 | fdbKey(mac[5])
 }
 
 // FDBEntry is one visible forwarding-database entry.
@@ -73,13 +77,17 @@ func NewFDB(aging time.Duration, max int, clock netem.Clock) *FDB {
 // are never displaced by learning. Learning a full table is a no-op
 // (as in hardware, where the entry simply isn't installed).
 func (f *FDB) Learn(vlan uint16, mac pkt.MAC, port int) {
+	now := f.clock.Now()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.learnLocked(now, vlan, mac, port)
+}
+
+func (f *FDB) learnLocked(now time.Time, vlan uint16, mac pkt.MAC, port int) {
 	if !mac.IsUnicast() {
 		return // never learn multicast/broadcast sources
 	}
-	now := f.clock.Now()
-	k := fdbKey{vlan, mac}
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	k := makeFDBKey(vlan, mac)
 	if e, ok := f.entries[k]; ok {
 		if e.Static {
 			return
@@ -101,7 +109,7 @@ func (f *FDB) Learn(vlan uint16, mac pkt.MAC, port int) {
 func (f *FDB) AddStatic(vlan uint16, mac pkt.MAC, port int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.entries[fdbKey{vlan, mac}] = &FDBEntry{
+	f.entries[makeFDBKey(vlan, mac)] = &FDBEntry{
 		VLAN: vlan, MAC: mac, Port: port, Static: true, LastSeen: f.clock.Now(),
 	}
 }
@@ -112,15 +120,34 @@ func (f *FDB) Lookup(vlan uint16, mac pkt.MAC) (port int, ok bool) {
 	now := f.clock.Now()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	e, ok := f.entries[fdbKey{vlan, mac}]
+	return f.lookupLocked(now, makeFDBKey(vlan, mac))
+}
+
+func (f *FDB) lookupLocked(now time.Time, k fdbKey) (port int, ok bool) {
+	e, ok := f.entries[k]
 	if !ok {
 		return 0, false
 	}
 	if !e.Static && now.Sub(e.LastSeen) > f.aging {
-		delete(f.entries, fdbKey{vlan, mac})
+		delete(f.entries, k)
 		return 0, false
 	}
 	return e.Port, true
+}
+
+// stepLocked is the bridge's per-frame use of the table: learn the
+// source on the ingress port, then resolve the destination, both at the
+// caller's clock reading now. known is false for a group address and
+// for a unicast address that is unknown or has aged out — the frame
+// floods. Caller holds f.mu (the dataplane takes it once per burst).
+//
+//harmless:hotpath
+func (f *FDB) stepLocked(now time.Time, vlan uint16, src pkt.MAC, in int, dst pkt.MAC) (out int, known bool) {
+	f.learnLocked(now, vlan, src, in)
+	if !dst.IsUnicast() {
+		return 0, false
+	}
+	return f.lookupLocked(now, makeFDBKey(vlan, dst))
 }
 
 // evictExpiredLocked removes one expired entry if any exists.

@@ -15,23 +15,36 @@ import (
 // configuration goes through the management API used by the CLI, the
 // SNMP agent and the HARMLESS manager.
 //
-// Locking discipline: the configuration lock is held only while
-// classifying and learning; it is released before any frame is
-// transmitted so hairpinned frames can re-enter the switch on the same
-// goroutine (see the netem package comment).
+// Locking discipline: the configuration lock is held while a burst is
+// classified, learned and its egress frames are built; it is released
+// before any frame is transmitted so hairpinned frames can re-enter the
+// switch on the same goroutine (see the netem package comment).
 type Switch struct {
 	mu    sync.Mutex
 	cfg   *Config
-	ports map[int]*netem.Port
+	ports []port // indexed by port number; ports[0] is unused
 	fdb   *FDB
 	clock netem.Clock
 
-	// per-port dataplane counters, separate from the netem link
-	// counters so the SNMP ifTable can expose switch-side numbers
-	counters map[int]*stats.PortCounters
+	// scratch pools the per-burst egress queues (*egressScratch). A
+	// hairpinned burst re-enters forward while the outer call still
+	// holds its scratch, so each call draws its own.
+	scratch sync.Pool
 
 	bootTime time.Time
 	model    string
+}
+
+// port is the dataplane's view of one physical port.
+type port struct {
+	// pc is cfg.Ports[n]: the management API rewrites the struct in
+	// place under mu and never replaces it.
+	pc *PortConfig
+	np *netem.Port // attached link end; nil until AttachPort
+	// counters are the switch-side numbers, separate from the netem
+	// link counters so the SNMP ifTable can expose them. They are
+	// atomics: the dataplane adds to them without holding mu.
+	counters stats.PortCounters
 }
 
 // Option configures a Switch at construction time.
@@ -53,11 +66,10 @@ func WithModel(m string) Option { return func(s *Switch) { s.model = m } }
 // configuration (all access, VLAN 1).
 func NewSwitch(hostname string, n int, opts ...Option) *Switch {
 	s := &Switch{
-		cfg:      NewDefaultConfig(hostname, n),
-		ports:    make(map[int]*netem.Port, n),
-		counters: make(map[int]*stats.PortCounters, n),
-		clock:    netem.RealClock{},
-		model:    "LGS-2400 Series L2 Switch",
+		cfg:   NewDefaultConfig(hostname, n),
+		ports: make([]port, n+1),
+		clock: netem.RealClock{},
+		model: "LGS-2400 Series L2 Switch",
 	}
 	for _, o := range opts {
 		o(s)
@@ -67,179 +79,192 @@ func NewSwitch(hostname string, n int, opts ...Option) *Switch {
 	}
 	s.bootTime = s.clock.Now()
 	for i := 1; i <= n; i++ {
-		s.counters[i] = &stats.PortCounters{}
+		s.ports[i].pc = s.cfg.Ports[i]
 	}
+	s.scratch.New = func() any { return &egressScratch{queues: make([]egressQueue, n+1)} }
 	return s
 }
+
+// hasPort reports whether n is a physical port number of this switch.
+func (s *Switch) hasPort(n int) bool { return n >= 1 && n < len(s.ports) }
 
 // AttachPort connects physical port number n (1-based) to one end of a
 // netem link. It panics on an unknown port number — attaching is
 // topology construction, not runtime input.
 func (s *Switch) AttachPort(n int, p *netem.Port) {
-	s.mu.Lock()
-	if _, ok := s.cfg.Ports[n]; !ok {
-		s.mu.Unlock()
-		panic(fmt.Sprintf("legacy: switch %q has no port %d", s.cfg.Hostname, n))
+	if !s.hasPort(n) {
+		panic(fmt.Sprintf("legacy: switch %q has no port %d", s.Hostname(), n))
 	}
-	s.ports[n] = p
+	s.mu.Lock()
+	s.ports[n].np = p
 	s.mu.Unlock()
 	p.SetReceiver(func(frame []byte) { s.receive(n, frame) })
+	p.SetBatchReceiver(func(frames [][]byte) { s.forward(n, frames) })
 }
 
-// receive implements the bridge forwarding process for a frame
-// arriving on port in.
+// receive is the one-frame wrapper over forward, so the per-frame and
+// the burst entry cannot diverge.
 func (s *Switch) receive(in int, frame []byte) {
-	if len(frame) < pkt.EthernetHeaderLen {
-		s.mu.Lock()
-		if c := s.counters[in]; c != nil {
-			c.RxErrors.Inc()
-		}
-		s.mu.Unlock()
-		return
+	one := [1][]byte{frame}
+	s.forward(in, one[:])
+}
+
+// egressQueue is the frames one burst sends out of one port.
+type egressQueue struct {
+	np     *netem.Port
+	frames [][]byte
+}
+
+// egressScratch coalesces one burst's egress per port. queues is
+// indexed by port number; active lists the ports holding frames, in
+// the order the burst first used them.
+type egressScratch struct {
+	queues []egressQueue
+	active []int
+}
+
+// add queues frame for transmission on port p, whose attached link end
+// is np.
+func (sc *egressScratch) add(p int, np *netem.Port, frame []byte) {
+	q := &sc.queues[p]
+	if len(q.frames) == 0 {
+		q.np = np
+		sc.active = append(sc.active, p)
 	}
+	q.frames = append(q.frames, frame)
+}
+
+// forward implements the bridge forwarding process for a burst of
+// frames arriving on port in. The whole burst is classified, learned
+// and resolved under one hold of the configuration lock, one hold of
+// the FDB lock and one clock reading; egress frames are built in place
+// (the switch owns every frame it is handed, spare capacity included)
+// and coalesced per port, then transmitted outside the locks, one
+// SendBatch per egress port. Frames leave each port in arrival order.
+//
+//harmless:hotpath
+func (s *Switch) forward(in int, frames [][]byte) {
+	sc := s.scratch.Get().(*egressScratch)
+	now := s.fdb.clock.Now() // learning and aging run on the FDB's clock
+	var rxBytes uint64
+	var rxFrames, rxDropped, rxErrors uint64
 
 	s.mu.Lock()
-	pc, ok := s.cfg.Ports[in]
-	if !ok || pc.Shutdown {
-		s.mu.Unlock()
-		return
-	}
-	s.counters[in].RecordRx(len(frame))
+	pc := s.ports[in].pc
+	s.fdb.mu.Lock()
+	for _, frame := range frames {
+		if len(frame) < pkt.EthernetHeaderLen {
+			rxErrors++
+			continue
+		}
+		if pc.Shutdown {
+			continue
+		}
+		rxFrames++
+		rxBytes += uint64(len(frame))
 
-	// Ingress classification.
-	vid, tagged := pkt.VLANID(frame)
-	var vlan uint16
-	switch pc.Mode {
-	case ModeAccess:
-		if tagged {
-			// Access ports accept a tagged frame only for their own
-			// VLAN (common vendor behaviour); anything else is dropped.
-			if vid != pc.PVID {
-				s.counters[in].RxDropped.Inc()
-				s.mu.Unlock()
-				return
+		vid, tagged := pkt.VLANID(frame)
+		vlan, ok := pc.classify(vid, tagged)
+		if !ok {
+			rxDropped++
+			continue
+		}
+
+		var src, dst pkt.MAC
+		copy(dst[:], frame[0:6])
+		copy(src[:], frame[6:12])
+		out, known := s.fdb.stepLocked(now, vlan, src, in, dst)
+		switch {
+		case !known:
+			s.floodLocked(sc, in, vlan, tagged, frame)
+		case out != in && s.hasPort(out):
+			// A known address on the ingress port itself is filtered.
+			if ep := &s.ports[out]; ep.carriesLocked(vlan) {
+				sc.add(out, ep.np, egressFrame(frame, tagged, vlan, ep.pc))
 			}
-			vlan = vid
-		} else {
-			vlan = pc.PVID
-		}
-	case ModeTrunk:
-		if tagged {
-			vlan = vid
-		} else {
-			vlan = pc.PVID // native VLAN
-		}
-		if !pc.allows(vlan) {
-			s.counters[in].RxDropped.Inc()
-			s.mu.Unlock()
-			return
 		}
 	}
-
-	// Learning.
-	var src, dst pkt.MAC
-	copy(dst[:], frame[0:6])
-	copy(src[:], frame[6:12])
-	s.fdb.Learn(vlan, src, in)
-
-	// Forwarding decision: either a single known port or a flood set.
-	var out []egressTarget
-	if dst.IsUnicast() {
-		if p, ok := s.fdb.Lookup(vlan, dst); ok {
-			// Known address on the ingress port itself: filter (drop).
-			if p != in {
-				if epc, ok := s.cfg.Ports[p]; ok && !epc.Shutdown && epc.allows(vlan) {
-					if np := s.ports[p]; np != nil {
-						out = append(out, egressTarget{p, np, epc})
-					}
-				}
-			}
-		} else {
-			out = s.floodSetLocked(in, vlan)
-		}
-	} else {
-		out = s.floodSetLocked(in, vlan)
-	}
+	s.fdb.mu.Unlock()
 	s.mu.Unlock()
 
-	// Transmit outside the lock. Each egress gets its own copy only
-	// when needed (retag); the last recipient can take ownership.
-	for _, e := range out {
-		txFrame := s.egressFrame(frame, vlan, e.pc)
-		if txFrame == nil {
+	c := &s.ports[in].counters
+	if rxFrames > 0 {
+		c.RxPackets.Add(rxFrames)
+		c.RxBytes.Add(rxBytes)
+	}
+	if rxDropped > 0 {
+		c.RxDropped.Add(rxDropped)
+	}
+	if rxErrors > 0 {
+		c.RxErrors.Add(rxErrors)
+	}
+	for _, p := range sc.active {
+		q := &sc.queues[p]
+		var txBytes uint64
+		for _, f := range q.frames {
+			txBytes += uint64(len(f))
+		}
+		tc := &s.ports[p].counters
+		tc.TxPackets.Add(uint64(len(q.frames)))
+		tc.TxBytes.Add(txBytes)
+		_ = q.np.SendBatch(q.frames) // a closed link counts its own drops
+		clear(q.frames)
+		q.np, q.frames = nil, q.frames[:0]
+	}
+	sc.active = sc.active[:0]
+	s.scratch.Put(sc)
+}
+
+// carriesLocked reports whether the port can transmit traffic of vlan:
+// attached, administratively up and a member. Caller holds s.mu.
+func (p *port) carriesLocked(vlan uint16) bool {
+	return p.np != nil && !p.pc.Shutdown && p.pc.allows(vlan)
+}
+
+// floodLocked queues frame on every port that carries vlan except the
+// ingress, walking the ports in number order. Every recipient but the
+// last gets a copy, made before the last rewrites the frame itself.
+// Caller holds s.mu.
+func (s *Switch) floodLocked(sc *egressScratch, in int, vlan uint16, tagged bool, frame []byte) {
+	last := 0
+	for p := 1; p < len(s.ports); p++ {
+		if p == in || !s.ports[p].carriesLocked(vlan) {
 			continue
 		}
-		s.countTx(e.port, len(txFrame))
-		_ = e.np.Send(txFrame)
+		if last != 0 {
+			lp := &s.ports[last]
+			sc.add(last, lp.np, egressFrame(cloneFrame(frame), tagged, vlan, lp.pc))
+		}
+		last = p
+	}
+	if last != 0 {
+		lp := &s.ports[last]
+		sc.add(last, lp.np, egressFrame(frame, tagged, vlan, lp.pc))
 	}
 }
 
-// egressTarget is one (port, link, config) tuple in a forwarding
-// decision.
-type egressTarget struct {
-	port int
-	np   *netem.Port
-	pc   *PortConfig
+// cloneFrame copies a frame for one more recipient, with room behind it
+// for one VLAN tag so a later push stays in place.
+func cloneFrame(frame []byte) []byte {
+	return append(make([]byte, 0, len(frame)+pkt.Dot1QHeaderLen), frame...)
 }
 
-// floodSetLocked computes the flood set for vlan excluding the ingress
-// port. Caller holds s.mu.
-func (s *Switch) floodSetLocked(in int, vlan uint16) []egressTarget {
-	var out []egressTarget
-	for p, epc := range s.cfg.Ports {
-		if p == in || epc.Shutdown || !epc.allows(vlan) {
-			continue
-		}
-		np := s.ports[p]
-		if np == nil {
-			continue
-		}
-		out = append(out, egressTarget{p, np, epc})
-	}
-	return out
-}
-
-// egressFrame produces the frame to transmit on a port with config pc
-// for traffic in vlan: access ports and the trunk native VLAN send
-// untagged, trunks send tagged. A fresh slice is returned whenever the
-// frame must differ from the ingress frame.
-func (s *Switch) egressFrame(frame []byte, vlan uint16, pc *PortConfig) []byte {
-	_, tagged := pkt.VLANID(frame)
+// egressFrame rewrites an owned frame into what a port with config pc
+// transmits for traffic in vlan: access ports and the trunk native VLAN
+// send untagged, trunks send tagged.
+func egressFrame(frame []byte, tagged bool, vlan uint16, pc *PortConfig) []byte {
 	wantTagged := pc.Mode == ModeTrunk && vlan != pc.PVID
+	// Neither mutator can fail here: ingress admitted only frames with a
+	// full Ethernet header, and tagged means VLANID found a whole tag.
 	switch {
-	case tagged && wantTagged:
-		// Copy so parallel egress ports don't share mutable bytes.
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		if err := pkt.SetVLANID(out, vlan); err != nil {
-			return nil
-		}
-		return out
 	case tagged && !wantTagged:
-		out, err := pkt.PopVLAN(frame)
-		if err != nil {
-			return nil
-		}
-		return out
+		frame, _ = pkt.PopVLANOwned(frame)
 	case !tagged && wantTagged:
-		out, err := pkt.PushVLAN(frame, pkt.EtherTypeDot1Q, vlan)
-		if err != nil {
-			return nil
-		}
-		return out
-	default:
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		return out
+		frame, _ = pkt.PushVLANOwned(frame, pkt.EtherTypeDot1Q, vlan)
 	}
-}
-
-func (s *Switch) countTx(port, n int) {
-	s.mu.Lock()
-	if c := s.counters[port]; c != nil {
-		c.RecordTx(n)
-	}
-	s.mu.Unlock()
+	// tagged && wantTagged: the tag already names vlan — ingress
+	// classification read it from there.
+	return frame
 }
 
 // --- Management API ------------------------------------------------
@@ -260,11 +285,7 @@ func (s *Switch) Uptime() time.Duration {
 }
 
 // NumPorts returns the number of physical ports.
-func (s *Switch) NumPorts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.cfg.Ports)
-}
+func (s *Switch) NumPorts() int { return len(s.ports) - 1 }
 
 // Config returns a deep copy of the running configuration.
 func (s *Switch) Config() *Config {
@@ -374,16 +395,20 @@ func (s *Switch) SetPortShutdown(n int, down bool) error {
 // PortCounters returns the dataplane counters of port n (nil if the
 // port does not exist).
 func (s *Switch) PortCounters(n int) *stats.PortCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[n]
+	if !s.hasPort(n) {
+		return nil
+	}
+	return &s.ports[n].counters
 }
 
 // PortAttached reports whether a link is attached to port n.
 func (s *Switch) PortAttached(n int) bool {
+	if !s.hasPort(n) {
+		return false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.ports[n] != nil
+	return s.ports[n].np != nil
 }
 
 // FDB exposes the forwarding database for the management planes.

@@ -61,6 +61,98 @@ func FuzzVLANPushPop(f *testing.F) {
 	})
 }
 
+// FuzzVLANOwned holds the in-place mutators to an independent
+// reference and to their copying forms, byte for byte, at every spare
+// capacity from 0 to 8 — both sides of the "allocate only when
+// cap-len < 4" branch — and checks the ownership boundary: nothing
+// behind the frame's capacity is ever written, so a frame clipped out of
+// a larger buffer (f[:n:n]) cannot reach its neighbour.
+func FuzzVLANOwned(f *testing.F) {
+	base, _ := Serialize(
+		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
+		&IPv4Header{TTL: 64, Protocol: IPProtoUDP, Src: MustIPv4("10.0.0.1"), Dst: MustIPv4("10.0.0.2")},
+		&UDP{SrcPort: 1, DstPort: 2},
+	)
+	tagged, _ := PushVLAN(base, EtherTypeDot1Q, 101)
+	f.Add(base, uint16(101))
+	f.Add(tagged, uint16(102))
+	f.Add(base[:EthernetHeaderLen], uint16(1))
+	f.Add(tagged[:EthernetHeaderLen+Dot1QHeaderLen-1], uint16(1))
+	f.Add([]byte{}, uint16(0))
+
+	const guard = 16
+	// owned lays data out as a frame with the given spare capacity inside
+	// a larger buffer whose remaining bytes are a sentinel.
+	owned := func(data []byte, spare int) (frame, buf []byte) {
+		buf = bytes.Repeat([]byte{0xa5}, len(data)+spare+guard)
+		copy(buf, data)
+		return buf[: len(data) : len(data)+spare], buf
+	}
+	intact := func(t *testing.T, op string, buf []byte, n, spare int) {
+		t.Helper()
+		if tail := buf[n+spare:]; !bytes.Equal(tail, bytes.Repeat([]byte{0xa5}, len(tail))) {
+			t.Fatalf("%s with %d spare bytes wrote behind the frame's capacity: %x", op, spare, tail)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, vid uint16) {
+		var wantPush, wantPop []byte
+		var pushErr, popErr error
+		if len(data) < EthernetHeaderLen {
+			pushErr = ErrTooShort
+		} else {
+			wantPush = append(append([]byte{}, data[:12]...), byte(EtherTypeDot1Q>>8), byte(EtherTypeDot1Q&0xff), byte(vid>>8)&0x0f, byte(vid))
+			wantPush = append(wantPush, data[12:]...)
+		}
+		switch {
+		case len(data) < EthernetHeaderLen+Dot1QHeaderLen:
+			popErr = ErrTooShort
+		case !HasVLAN(data):
+			popErr = ErrNoVLAN
+		default:
+			wantPop = append(append([]byte{}, data[:12]...), data[16:]...)
+		}
+
+		orig := append([]byte{}, data...)
+		got, err := PushVLAN(data, EtherTypeDot1Q, vid)
+		if err != pushErr || !bytes.Equal(got, wantPush) {
+			t.Fatalf("PushVLAN = %x, %v; want %x, %v", got, err, wantPush, pushErr)
+		}
+		got, err = PopVLAN(data)
+		if err != popErr || !bytes.Equal(got, wantPop) {
+			t.Fatalf("PopVLAN = %x, %v; want %x, %v", got, err, wantPop, popErr)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatal("a copying form modified its input")
+		}
+
+		for spare := 0; spare <= 8; spare++ {
+			frame, buf := owned(data, spare)
+			got, err := PushVLANOwned(frame, EtherTypeDot1Q, vid)
+			if err != pushErr || !bytes.Equal(got, wantPush) {
+				t.Fatalf("PushVLANOwned with %d spare bytes = %x, %v; want %x, %v", spare, got, err, wantPush, pushErr)
+			}
+			intact(t, "PushVLANOwned", buf, len(data), spare)
+			if err == nil {
+				if inPlace := &got[0] == &buf[0]; inPlace != (spare >= Dot1QHeaderLen) {
+					t.Fatalf("PushVLANOwned with %d spare bytes: in place = %v", spare, inPlace)
+				}
+			}
+
+			frame, buf = owned(data, spare)
+			got, err = PopVLANOwned(frame)
+			if err != popErr || !bytes.Equal(got, wantPop) {
+				t.Fatalf("PopVLANOwned with %d spare bytes = %x, %v; want %x, %v", spare, got, err, wantPop, popErr)
+			}
+			intact(t, "PopVLANOwned", buf, len(data), spare)
+			if err == nil {
+				if &got[0] != &buf[Dot1QHeaderLen] || cap(got)-len(got) != spare {
+					t.Fatalf("PopVLANOwned with %d spare bytes moved the frame or lost its spare capacity (%d left)", spare, cap(got)-len(got))
+				}
+			}
+		}
+	})
+}
+
 func FuzzDNSDecode(f *testing.F) {
 	msg, _ := Serialize(&DNS{ID: 7, QR: true, Questions: []DNSQuestion{{Name: "x.y", Type: DNSTypeA, Class: DNSClassIN}},
 		Answers: []DNSAnswer{{Name: "x.y", Type: DNSTypeA, Class: DNSClassIN, TTL: 1, A: IPv4{1, 2, 3, 4}}}})

@@ -34,34 +34,65 @@ func VLANID(frame []byte) (uint16, bool) {
 	return binary.BigEndian.Uint16(frame[14:16]) & 0x0fff, true
 }
 
-// PushVLAN inserts a new outermost 802.1Q tag with the given VID
-// (priority 0) and returns the new frame. The input slice is not
-// modified; the result is a fresh allocation sized for the tag.
-func PushVLAN(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
-	if len(frame) < EthernetHeaderLen {
+// PushVLANOwned inserts a new outermost 802.1Q tag with the given VID
+// (priority 0) into a frame the caller owns, together with whatever
+// capacity lies behind it: with at least Dot1QHeaderLen bytes of spare
+// capacity the payload slides back into them and nothing is allocated;
+// otherwise the result is a fresh allocation sized for the tag. Either
+// way the input slice is dead after the call.
+//
+//harmless:hotpath
+func PushVLANOwned(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
+	n := len(frame)
+	if n < EthernetHeaderLen {
 		return nil, ErrTooShort
 	}
-	out := make([]byte, len(frame)+Dot1QHeaderLen)
-	copy(out[0:12], frame[0:12])
+	var out []byte
+	if cap(frame)-n >= Dot1QHeaderLen {
+		out = frame[:n+Dot1QHeaderLen]
+	} else {
+		out = make([]byte, n+Dot1QHeaderLen) //harmless:allow-alloc no room behind the frame: the copying form, and frames that arrive without tailroom
+		copy(out[0:12], frame[0:12])
+	}
+	copy(out[16:], frame[12:n]) // old EtherType becomes the tag's inner type
 	binary.BigEndian.PutUint16(out[12:14], tpid)
 	binary.BigEndian.PutUint16(out[14:16], vid&0x0fff)
-	copy(out[16:], frame[12:]) // old EtherType becomes the tag's inner type
 	return out, nil
 }
 
-// PopVLAN removes the outermost VLAN tag and returns the new frame
-// (fresh allocation).
-func PopVLAN(frame []byte) ([]byte, error) {
+// PushVLAN is the copying form of PushVLANOwned: the input slice is not
+// modified and the result is a fresh allocation sized for the tag.
+func PushVLAN(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
+	// Clipped to its length the frame has no spare capacity, so the
+	// owned form takes its allocating branch and only reads the input.
+	return PushVLANOwned(frame[:len(frame):len(frame)], tpid, vid)
+}
+
+// PopVLANOwned removes the outermost VLAN tag of a frame the caller
+// owns: the two MAC addresses slide forward over the tag and the result
+// is the input re-sliced past its first Dot1QHeaderLen bytes — O(12)
+// whatever the frame size, and the spare capacity behind the frame is
+// kept. The input slice is dead after the call.
+//
+//harmless:hotpath
+func PopVLANOwned(frame []byte) ([]byte, error) {
 	if len(frame) < EthernetHeaderLen+Dot1QHeaderLen {
 		return nil, ErrTooShort
 	}
 	if !HasVLAN(frame) {
 		return nil, ErrNoVLAN
 	}
-	out := make([]byte, len(frame)-Dot1QHeaderLen)
-	copy(out[0:12], frame[0:12])
-	copy(out[12:], frame[16:]) // inner EtherType slides into place
-	return out, nil
+	copy(frame[Dot1QHeaderLen:Dot1QHeaderLen+12], frame[0:12])
+	return frame[Dot1QHeaderLen:], nil
+}
+
+// PopVLAN is the copying form of PopVLANOwned: the input slice is not
+// modified and the result is a fresh allocation.
+func PopVLAN(frame []byte) ([]byte, error) {
+	if _, tagged := VLANID(frame); tagged {
+		frame = append([]byte(nil), frame...) // only a frame that will be rewritten is cloned
+	}
+	return PopVLANOwned(frame)
 }
 
 // SetVLANID rewrites the outermost tag's VID in place, preserving PCP

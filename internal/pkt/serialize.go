@@ -28,8 +28,10 @@ func NewSerializeBufferSize(capacity int) *SerializeBuffer {
 	return &SerializeBuffer{buf: make([]byte, capacity), start: capacity}
 }
 
-// Bytes returns the serialized packet so far.
-func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:] }
+// Bytes returns the serialized packet so far. The packet ends where the
+// buffer does, so the result has no spare capacity: a datapath that
+// owns it cannot grow it in place into bytes the buffer still uses.
+func (b *SerializeBuffer) Bytes() []byte { return b.buf[b.start:len(b.buf):len(b.buf)] }
 
 // Len returns the number of valid bytes.
 func (b *SerializeBuffer) Len() int { return len(b.buf) - b.start }

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/harmless-sdn/harmless/internal/dataplane"
+	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/telemetry"
 )
@@ -42,15 +43,37 @@ type patchWork struct {
 	frames [][]byte
 }
 
-// txContext coalesces one batch's egress per port and carries the
-// iterative patch-delivery worklist. ports/frames are parallel;
-// flushed slot buffers are kept (or returned via recycle) so steady
-// state dispatch does not allocate.
+// txContext is what a dispatch threads through every function it
+// calls: it coalesces one batch's egress per port, carries the
+// iterative patch-delivery worklist and holds the dispatch's one clock
+// reading. ports/frames are parallel; flushed slot buffers are kept (or
+// returned via recycle) so steady state dispatch does not allocate.
 type txContext struct {
 	ports  []*swPort
 	frames [][][]byte
 	spare  [][][]byte // recycled slot buffers
 	work   []patchWork
+
+	// clock is the clock nowNs was read from; nil until the dispatch
+	// first asks for the time.
+	clock netem.Clock
+	nowNs int64
+}
+
+// now returns the dispatch's reading of clock c in unix nanos, taken
+// the first time anything in the dispatch asks for it: every flow-entry
+// credit, specialized lookup and telemetry observation of the dispatch
+// — across the whole patch worklist, SS_1 -> SS_2 -> SS_1 included —
+// carries the same instant. Idle timeouts are whole seconds; a reading
+// that is one burst old is all they need. A switch on a different clock
+// (tests mix manual and real ones) gets its own reading.
+//
+//harmless:hotpath
+func (tx *txContext) now(c netem.Clock) int64 {
+	if tx.clock != c {
+		tx.clock, tx.nowNs = c, c.Now().UnixNano()
+	}
+	return tx.nowNs
 }
 
 // add coalesces one frame onto the egress vector of port p.
@@ -143,6 +166,13 @@ func (st *dispatchState) grow(n int) {
 
 var dispatchPool = sync.Pool{New: func() any { return new(dispatchState) }}
 
+// release ends a dispatch. The clock reading goes with it: the next
+// dispatch to draw this state from the pool takes its own.
+func (st *dispatchState) release() {
+	st.tx.clock = nil
+	dispatchPool.Put(st)
+}
+
 // runWork drains the patch worklist: each entry is a still-grouped
 // batch entering a peer switch, which may append further entries —
 // the iterative replacement for per-frame cross-switch recursion.
@@ -169,7 +199,7 @@ func (s *Switch) ReceiveBatch(inPort uint32, frames [][]byte) {
 	st := dispatchPool.Get().(*dispatchState)
 	s.processBatch(inPort, frames, st, nil)
 	runWork(st)
-	dispatchPool.Put(st)
+	st.release()
 }
 
 // ReceiveMixedBatch dispatches a dataplane.Batch whose frames may have
@@ -206,7 +236,7 @@ func (s *Switch) ReceiveMixedBatch(b *dataplane.Batch) {
 		lo = hi
 	}
 	runWork(st)
-	dispatchPool.Put(st)
+	st.release()
 }
 
 // Receive runs one frame through the datapath starting at table 0: the
@@ -218,7 +248,7 @@ func (s *Switch) Receive(inPort uint32, frame []byte) {
 	s.processBatch(inPort, st.one[:1], st, nil)
 	runWork(st)
 	st.one[0] = nil
-	dispatchPool.Put(st)
+	st.release()
 }
 
 // processBatch classifies and executes one batch on one switch,
@@ -239,7 +269,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 	tel := s.telemetry.Load()
 	var now int64
 	if tel != nil {
-		now = s.clock.Now().UnixNano()
+		now = st.tx.now(s.clock)
 	}
 	// Pin the entry pool for the dispatch's duration: cache entries
 	// held in st.mfs (or in locals of classifyAndRun) cannot be

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/harmless-sdn/harmless/internal/dataplane"
 	"github.com/harmless-sdn/harmless/internal/fabric"
@@ -451,5 +452,119 @@ func TestRingBackend(t *testing.T) {
 	}
 	if rb.Dropped.Load() != 4 {
 		t.Errorf("dropped = %d, want 4", rb.Dropped.Load())
+	}
+}
+
+// countingClock counts how often the datapath asks for the time.
+type countingClock struct {
+	*netem.ManualClock
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.ManualClock.Now()
+}
+
+// TestOneClockReadPerDispatch pins the per-dispatch clock: a burst that
+// crosses patched switches — every frame credited against a flow entry
+// on each — costs one clock reading per clock change along the way,
+// whatever the burst size: one in all when the switches share a clock.
+// Idle timeouts keep working off that reading.
+func TestOneClockReadPerDispatch(t *testing.T) {
+	shared := &countingClock{ManualClock: netem.NewManualClock()}
+	other := &countingClock{ManualClock: netem.NewManualClock()}
+	clocks := []*countingClock{shared, other, shared}
+	sws := make([]*softswitch.Switch, len(clocks))
+	for i, c := range clocks {
+		sws[i] = softswitch.New(fmt.Sprintf("clk%d", i), uint64(0x300+i), softswitch.WithClock(c))
+	}
+	for i := 0; i+1 < len(sws); i++ {
+		softswitch.ConnectPatch(sws[i], 2, sws[i+1], 1)
+	}
+	sink := &depthBackend{}
+	sws[len(sws)-1].AttachPort(2, "sink", sink)
+	// forwardFlow installs in -> out with a 10 s idle timeout.
+	forwardFlow := func(sw *softswitch.Switch, in, out uint32) {
+		t.Helper()
+		m := openflow.Match{}
+		m.WithInPort(in)
+		if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
+			TableID: 0, Command: openflow.FlowAdd, Priority: 10, IdleTimeout: 10,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+			Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+				Actions: []openflow.Action{&openflow.ActionOutput{Port: out, MaxLen: 0xffff}},
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, sw := range sws {
+		forwardFlow(sw, 1, 2)
+	}
+	gen := fabric.NewUDPGenerator(64, 4, 5)
+	send := func(n int) {
+		batch := make([][]byte, n)
+		for i := range batch {
+			batch[i] = gen.CopyNext()
+		}
+		if n == 1 {
+			sws[0].Receive(1, batch[0])
+		} else {
+			sws[0].ReceiveBatch(1, batch)
+		}
+	}
+	send(8) // fill the caches: the slow path reads the tables' clocks itself
+	for _, n := range []int{1, 32} {
+		shared.reads, other.reads = 0, 0
+		send(n)
+		// shared -> other -> shared: the reading is kept per clock, so
+		// going back to the first clock after the second reads it again.
+		if shared.reads != 2 || other.reads != 1 {
+			t.Errorf("burst of %d across three switches: %d + %d clock reads, want 2 + 1", n, shared.reads, other.reads)
+		}
+	}
+	if len(sink.frames) != 8+1+32 {
+		t.Fatalf("sink got %d frames", len(sink.frames))
+	}
+
+	// Same clock on every hop: one reading for the whole worklist.
+	one := &countingClock{ManualClock: netem.NewManualClock()}
+	a := softswitch.New("a", 0x310, softswitch.WithClock(one))
+	b := softswitch.New("b", 0x311, softswitch.WithClock(one))
+	softswitch.ConnectPatch(a, 2, b, 1)
+	softswitch.ConnectPatch(b, 2, a, 3) // back into a, as SS_2 hands back to SS_1
+	back := &depthBackend{}
+	a.AttachPort(4, "out", back)
+	forwardFlow(a, 1, 2)
+	forwardFlow(b, 1, 2)
+	forwardFlow(a, 3, 4)
+	burst := func(n int) {
+		batch := make([][]byte, n)
+		for i := range batch {
+			batch[i] = gen.CopyNext()
+		}
+		a.ReceiveBatch(1, batch)
+	}
+	burst(8)
+	one.reads = 0
+	burst(32)
+	if one.reads != 1 {
+		t.Errorf("a -> b -> a on one clock: %d clock reads for a 32-frame burst, want 1", one.reads)
+	}
+	// The reading refreshes idle timeouts: a hit 6 s in keeps the 10 s
+	// entries alive at 12 s, and without one they expire.
+	one.Advance(6 * time.Second)
+	burst(4)
+	one.Advance(6 * time.Second)
+	if removed := a.Table(0).ExpireEntries(); len(removed) != 0 {
+		t.Errorf("entries hit 6 s ago expired: %v", removed)
+	}
+	one.Advance(11 * time.Second)
+	if removed := a.Table(0).ExpireEntries(); len(removed) != 2 {
+		t.Errorf("%d idle entries expired after 11 quiet seconds, want 2", len(removed))
+	}
+	if len(back.frames) != 8+32+4 {
+		t.Errorf("%d frames came back out of a, want %d", len(back.frames), 8+32+4)
 	}
 }

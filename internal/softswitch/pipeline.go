@@ -25,7 +25,7 @@ func (s *Switch) replayMicroflow(mf *CacheEntry, inPort uint32, frame []byte, tx
 		op := &mf.ops[i]
 		switch op.kind {
 		case opCredit:
-			op.table.CreditHit(op.entry, len(frame))
+			op.table.CreditHit(op.entry, len(frame), tx.now(s.clock))
 			continue
 		case opMeter:
 			if !s.meters.Pass(op.meterID, len(frame)) {
@@ -76,7 +76,7 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 			rev = s.tables[tableID].Version()
 			rec.mask = rec.mask.Union(s.tables[tableID].ConsultMask())
 		}
-		entry := s.lookup(tableID, key, len(frame))
+		entry := s.lookup(tableID, key, len(frame), tx)
 		if entry == nil {
 			// OpenFlow 1.3 table-miss without a miss entry: drop. Not
 			// cached — a later flow-add must see the packet's key again.
@@ -156,8 +156,9 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 }
 
 // lookup consults the fast path when specialization is enabled,
-// falling back to (and recompiling from) the generic table.
-func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int) *flowtable.Entry {
+// falling back to (and recompiling from) the generic table. A
+// specialized hit is credited at the dispatch's clock reading.
+func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int, tx *txContext) *flowtable.Entry {
 	t := s.tables[tableID]
 	if !s.specialize {
 		return t.Lookup(key, size)
@@ -178,7 +179,7 @@ func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int) *flowtable.Entry 
 	}
 	e := st.fp.Lookup(key)
 	if e != nil {
-		e.Hit(size, s.clock.Now())
+		e.Hit(size, tx.now(s.clock))
 	}
 	return e
 }
@@ -253,22 +254,24 @@ const (
 	applyDropped                     // frame dropped by a per-packet condition
 )
 
-// applyActions executes an action list on the frame. It returns the
-// (possibly reallocated) frame and applyRetained if the caller keeps
-// ownership; otherwise the frame was consumed or dropped. entry may be
-// nil (action-set execution).
+// applyActions executes an action list on the frame, which the switch
+// owns together with the spare capacity behind it: set-field, VLAN pop
+// and — given room for the tag — VLAN push rewrite it in place. It
+// returns the (re-sliced or reallocated) frame and applyRetained if the
+// caller keeps ownership; otherwise the frame was consumed or dropped.
+// entry may be nil (action-set execution).
 func (s *Switch) applyActions(actions []openflow.Action, inPort uint32, frame []byte, tableID uint8, entry *flowtable.Entry, tx *txContext) ([]byte, applyResult) {
 	for i, a := range actions {
 		switch act := a.(type) {
 		case *openflow.ActionPushVLAN:
-			nf, err := pkt.PushVLAN(frame, act.EtherType, 0)
+			nf, err := pkt.PushVLANOwned(frame, act.EtherType, 0)
 			if err != nil {
 				s.drops.Inc()
 				return nil, applyDropped
 			}
 			frame = nf
 		case *openflow.ActionPopVLAN:
-			nf, err := pkt.PopVLAN(frame)
+			nf, err := pkt.PopVLANOwned(frame)
 			if err != nil {
 				s.drops.Inc()
 				return nil, applyDropped
@@ -408,18 +411,21 @@ func ownedCopy(frame []byte, canTransfer bool) []byte {
 	return cp
 }
 
-// flood replicates the frame to every port except the ingress.
+// flood replicates the frame to every port except the ingress, in
+// ascending port order; the last recipient takes the frame itself.
 func (s *Switch) flood(inPort uint32, frame []byte, tx *txContext) {
-	s.portMu.RLock()
-	targets := make([]*swPort, 0, len(s.ports))
-	for no, p := range s.ports {
-		if no != inPort {
-			targets = append(targets, p)
+	var last *swPort
+	for _, p := range s.ports.Load().all {
+		if p.no == inPort {
+			continue
 		}
+		if last != nil {
+			s.transmit(last, ownedCopy(frame, false), tx)
+		}
+		last = p
 	}
-	s.portMu.RUnlock()
-	for i, p := range targets {
-		s.transmit(p, ownedCopy(frame, i == len(targets)-1), tx)
+	if last != nil {
+		s.transmit(last, frame, tx)
 	}
 }
 
@@ -448,7 +454,7 @@ func (s *Switch) sendPacketIn(inPort uint32, frame []byte, maxLen uint16, tableI
 	data := frame
 	if maxLen != 0xffff && int(maxLen) < len(frame) {
 		bufferID = s.buffers.store(frame)
-		data = frame[:maxLen]
+		data = frame[:maxLen:maxLen] // the rest of the frame is not the excerpt's to grow into
 	}
 	match := openflow.Match{}
 	match.WithInPort(inPort)
@@ -466,7 +472,8 @@ func (s *Switch) sendPacketIn(inPort uint32, frame []byte, maxLen uint16, tableI
 // InjectPacketOut realizes a controller PACKET_OUT: resolve the buffer
 // (if referenced) and run the actions through a full dispatch, so its
 // outputs coalesce and patch deliveries stay iterative like any other
-// ingress.
+// ingress. The switch takes ownership of po.Data (openflow.Parse hands
+// out a private copy).
 func (s *Switch) InjectPacketOut(po *openflow.PacketOut) {
 	frame := po.Data
 	if po.BufferID != openflow.NoBuffer {
@@ -483,5 +490,5 @@ func (s *Switch) InjectPacketOut(po *openflow.PacketOut) {
 	}
 	s.flushTx(&st.tx)
 	runWork(st)
-	dispatchPool.Put(st)
+	st.release()
 }

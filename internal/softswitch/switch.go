@@ -68,8 +68,8 @@ type Switch struct {
 	groups *flowtable.GroupTable
 	meters *flowtable.MeterTable
 
-	portMu sync.RWMutex
-	ports  map[uint32]*swPort
+	portMu sync.Mutex // serializes AttachPort; readers load ports
+	ports  atomic.Pointer[portTable]
 
 	specialize bool
 	fast       []atomic.Pointer[fastState]
@@ -92,6 +92,52 @@ type Switch struct {
 
 	pktIns stats.Counter
 	drops  stats.Counter
+}
+
+// portTable is one immutable snapshot of the attached ports, replaced
+// wholesale on every AttachPort so the datapath's per-output lookup is
+// a load and an index — no lock, no map on the usual small numbers.
+type portTable struct {
+	dense  []*swPort          // indexed by port number, nil where none
+	sparse map[uint32]*swPort // numbers beyond maxDensePort
+	all    []*swPort          // every port, ascending by number
+}
+
+// maxDensePort bounds the directly indexed part of a portTable; the
+// HARMLESS numbering (trunk 1, patch ports from 1000) sits well inside.
+const maxDensePort = 4095
+
+func (pt *portTable) get(no uint32) *swPort {
+	if no < uint32(len(pt.dense)) {
+		return pt.dense[no]
+	}
+	return pt.sparse[no]
+}
+
+// with returns a copy of the table with sp added, replacing any port of
+// the same number.
+func (pt *portTable) with(sp *swPort) *portTable {
+	next := &portTable{all: make([]*swPort, 0, len(pt.all)+1)}
+	i := sort.Search(len(pt.all), func(i int) bool { return pt.all[i].no >= sp.no })
+	next.all = append(append(next.all, pt.all[:i]...), sp)
+	if i < len(pt.all) && pt.all[i].no == sp.no {
+		i++ // replaced
+	}
+	next.all = append(next.all, pt.all[i:]...)
+	for _, p := range next.all {
+		if p.no > maxDensePort {
+			if next.sparse == nil {
+				next.sparse = make(map[uint32]*swPort)
+			}
+			next.sparse[p.no] = p
+			continue
+		}
+		if int(p.no) >= len(next.dense) {
+			next.dense = append(next.dense, make([]*swPort, int(p.no)+1-len(next.dense))...)
+		}
+		next.dense[p.no] = p
+	}
+	return next
 }
 
 // fastState caches one table's compilation attempt.
@@ -166,12 +212,12 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 		dpid:           dpid,
 		clock:          netem.RealClock{},
 		groups:         flowtable.NewGroupTable(),
-		ports:          make(map[uint32]*swPort),
 		buffers:        newBufferPool(256),
 		cacheSize:      DefaultMicroflowCacheSize,
 		megaflow:       true,
 		adaptiveBypass: true,
 	}
+	s.ports.Store(&portTable{})
 	for _, o := range opts {
 		o(s)
 	}
@@ -287,7 +333,7 @@ func (s *Switch) CacheLen() int {
 func (s *Switch) AttachPort(no uint32, name string, be PortBackend) {
 	sp := &swPort{no: no, name: name, backend: be, hwAddr: portMAC(s.dpid, no)}
 	s.portMu.Lock()
-	s.ports[no] = sp
+	s.ports.Store(s.ports.Load().with(sp))
 	s.portMu.Unlock()
 	s.notifyPortStatus(openflow.PortReasonAdd, sp)
 }
@@ -316,21 +362,17 @@ func portMAC(dpid uint64, port uint32) pkt.MAC {
 }
 
 // getPort looks up a datapath port.
-func (s *Switch) getPort(no uint32) *swPort {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	return s.ports[no]
-}
+//
+//harmless:hotpath
+func (s *Switch) getPort(no uint32) *swPort { return s.ports.Load().get(no) }
 
 // PortNumbers returns the attached port numbers in ascending order.
 func (s *Switch) PortNumbers() []uint32 {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	out := make([]uint32, 0, len(s.ports))
-	for no := range s.ports {
-		out = append(out, no)
+	all := s.ports.Load().all
+	out := make([]uint32, 0, len(all))
+	for _, p := range all {
+		out = append(out, p.no)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -344,16 +386,14 @@ func (s *Switch) PortCounters(no uint32) *stats.PortCounters {
 
 // PortDescs renders the OpenFlow port descriptions.
 func (s *Switch) PortDescs() []openflow.PortDesc {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	out := make([]openflow.PortDesc, 0, len(s.ports))
-	for _, p := range s.ports {
+	all := s.ports.Load().all
+	out := make([]openflow.PortDesc, 0, len(all))
+	for _, p := range all {
 		out = append(out, openflow.PortDesc{
 			PortNo: p.no, HWAddr: p.hwAddr, Name: p.name,
 			State: openflow.PortStateLive, CurrSpeed: 1e6, MaxSpeed: 1e6,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PortNo < out[j].PortNo })
 	return out
 }
 
@@ -508,10 +548,9 @@ func (s *Switch) FlowStats(tableID uint8) []openflow.FlowStats {
 
 // PortStats renders current port statistics.
 func (s *Switch) PortStats() []openflow.PortStats {
-	s.portMu.RLock()
-	defer s.portMu.RUnlock()
-	out := make([]openflow.PortStats, 0, len(s.ports))
-	for _, p := range s.ports {
+	all := s.ports.Load().all
+	out := make([]openflow.PortStats, 0, len(all))
+	for _, p := range all {
 		out = append(out, openflow.PortStats{
 			PortNo:    p.no,
 			RxPackets: p.counters.RxPackets.Load(),
@@ -523,7 +562,6 @@ func (s *Switch) PortStats() []openflow.PortStats {
 			RxErrors:  p.counters.RxErrors.Load(),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PortNo < out[j].PortNo })
 	return out
 }
 
