@@ -10,7 +10,7 @@ BENCH_PKGS    := ./internal/softswitch ./internal/softswitch/runtime
 
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all lint lint-baseline fuzz-smoke test bench bench-baseline fleetsim-smoke migrate-smoke ci
+.PHONY: all lint lint-baseline loc fuzz-smoke test bench bench-baseline fleetsim-smoke migrate-smoke ci
 
 all: ci
 
@@ -27,6 +27,20 @@ lint:
 	else \
 		echo "staticcheck not installed, skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; fi
 	$(MAKE) fuzz-smoke
+	$(MAKE) loc
+
+# Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
+# numbers ROADMAP aim 2 tracks ("should fall"). Informational — it
+# prints, it never fails.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' -print0 \
+		| xargs -0 wc -l | awk '$$2 != "total" { \
+			n = split($$2, p, "/"); \
+			t = n == 2 ? "." : (p[2] == "internal" ? p[2] "/" p[3] : p[2]); \
+			loc[t] += $$1; if (p[2] != "bench") sum += $$1 } \
+		END { for (t in loc) printf "%7d %s\n", loc[t], t | "sort -k2"; close("sort -k2"); \
+			printf "%7d total outside bench/\n", sum }'
+	@wc -l DESIGN.md
 
 # Refresh lint-baseline.json (commit the result deliberately). The
 # baseline should normally be empty: burn a finding in only while its

@@ -23,9 +23,9 @@
 // packages failed to load or typecheck.
 //
 // The passes encode invariants the compiler cannot see — clock
-// injection, zero-alloc hot paths, shard/lock ownership, frame buffer
-// ownership, map-iteration-order-free output, module-wide atomic
-// discipline, and no dropped errors on teardown paths; see
+// injection, zero-alloc hot paths, frame buffer ownership,
+// map-iteration-order-free output, module-wide atomic discipline, and
+// no dropped errors on teardown paths; see
 // internal/analysis and DESIGN.md. Findings are suppressed only with
 // an explained //harmless: directive, and the analyzers themselves
 // flag unexplained or unused directives, so a clean run means every
@@ -47,7 +47,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/analysis/errdrop"
 	"github.com/harmless-sdn/harmless/internal/analysis/frameown"
 	"github.com/harmless-sdn/harmless/internal/analysis/hotpathalloc"
-	"github.com/harmless-sdn/harmless/internal/analysis/shardlock"
 )
 
 // report is the JSON document -json and -out emit.
@@ -83,7 +82,6 @@ func main() {
 	analyzers := []*analysis.Analyzer{
 		clockinject.Analyzer,
 		hotpathalloc.Analyzer,
-		shardlock.Analyzer,
 		frameown.Analyzer,
 		detorder.Analyzer,
 		atomicmix.Analyzer,

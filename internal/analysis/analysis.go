@@ -5,13 +5,13 @@
 //
 // The repo's performance and determinism claims rest on invariants the
 // compiler cannot see — injected clocks, zero-alloc hot paths,
-// single-writer stats shards, borrowed dataplane frames, map-order-free
-// digests. The analyzers built on this framework (clockinject,
-// hotpathalloc, shardlock, frameown, detorder, atomicmix, errdrop —
-// one package each next to this one) turn those conventions into
-// mechanical gates; cmd/harmlesslint is the multichecker that runs
-// them, and `make lint` / CI fail on any diagnostic not burned into
-// the committed baseline (see Baseline).
+// borrowed dataplane frames, map-order-free digests. The analyzers
+// built on this framework (clockinject, hotpathalloc, frameown,
+// detorder, atomicmix, errdrop — one package each next to this one)
+// turn those conventions into mechanical gates; lock and shard copies
+// are left to go vet's copylocks. cmd/harmlesslint is the multichecker
+// that runs them, and `make lint` / CI fail on any diagnostic not
+// burned into the committed baseline (see Baseline).
 //
 // # Directives
 //
@@ -22,7 +22,6 @@
 //	    for the known hot paths, required by hotpathalloc).
 //	//harmless:allow-wallclock <reason>
 //	//harmless:allow-alloc <reason>
-//	//harmless:allow-copy <reason>
 //	//harmless:allow-retain <reason>
 //	//harmless:allow-maporder <reason>
 //	//harmless:allow-plain <reason>

@@ -6,18 +6,17 @@
 // be touched through sync/atomic everywhere. A plain write races every
 // atomic reader; a plain read may see a value the race detector only
 // catches on schedules that interleave, and both are bugs that sit
-// silent until a production core count shakes them out. The old
-// shardlock pass checked plain *writes* within one package; this pass
-// widens the net on both axes: reads count too, and access from a
-// *different* package than the atomic ops (the classic leak, because
-// nothing on the screen hints at the discipline) is caught by keying
-// fields on their declaration position, which is identical no matter
-// which package's typecheck resolved the selector.
+// silent until a production core count shakes them out. Reads count
+// as much as writes, and access from a *different* package than the
+// atomic ops (the classic leak, because nothing on the screen hints at
+// the discipline) is caught by keying fields on their declaration
+// position, which is identical no matter which package's typecheck
+// resolved the selector.
 //
 // Typed atomics (atomic.Uint64 and friends) are the structurally safe
 // alternative — plain access to them does not compile — so this pass
 // only tracks fields reached through the function-style API. Copies of
-// typed atomics remain shardlock's department.
+// typed atomics are go vet's department (copylocks).
 //
 // Construction-time initialization before a struct is published is the
 // legitimate exception; it carries //harmless:allow-plain <reason>.

@@ -13,7 +13,7 @@
 // Two directions keep the contract honest:
 //
 //   - any function annotated //harmless:hotpath is checked;
-//   - the known zero-alloc entry points (Required below: the microflow
+//   - the known zero-alloc entry points (Required below: the flow
 //     cache probe/lookup, the ReceiveBatch dispatch, the legacy bridge's
 //     burst forward and FDB step, the owned VLAN mutators, ObserveBatch,
 //     the Ring/TypedRing push/pop) MUST carry the annotation, so nobody
@@ -45,13 +45,11 @@ var Analyzer = &analysis.Analyzer{
 // "hotpathalloc/required" key is the analyzer's own test fixture.
 var Required = map[string][]string{
 	"github.com/harmless-sdn/harmless/internal/softswitch": {
-		"cacheChain.lookup",
-		"cacheChain.probeBatch",
-		"microflowTier.Lookup",
-		"microflowTier.ProbeBatch",
-		"megaflowTier.Lookup",
-		"megaflowTier.probe",
-		"megaflowTier.ProbeBatch",
+		"flowCache.lookup",
+		"flowCache.probeBatch",
+		"flowCache.probeClasses",
+		"flowStore.lookup",
+		"flowStore.probeBatch",
 		"Switch.ReceiveBatch",
 		"Switch.ReceiveMixedBatch",
 		"Switch.processBatch",

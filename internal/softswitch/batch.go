@@ -15,7 +15,7 @@ import (
 // per-packet costs once per batch instead of once per frame:
 //
 //   - keys are extracted for the whole vector in one pass;
-//   - the cache chain is probed tier by tier, the exact tier grouped
+//   - the flow cache is probed tier by tier, the exact tier grouped
 //     by shard so each shard read-lock is taken once per batch
 //     (probeBatch);
 //   - only the residue of misses walks the full pipeline;
@@ -138,9 +138,8 @@ func (s *Switch) flushTx(tx *txContext) {
 // the batch's telemetry resolution (flow record and egress port per
 // frame) to the single ObserveBatch call at the end of the dispatch —
 // the zero-alloc batch-level hook, as opposed to a per-frame callback.
-// exact[i] marks cache hits from an exact-match tier, whose entries
-// may carry the flow's telemetry record; sc is the probe scratch the
-// cache chain and its tiers share.
+// exact[i] marks cache hits from the exact tier, whose entries may
+// carry the flow's telemetry record; sc is the cache's probe scratch.
 type dispatchState struct {
 	tx    txContext
 	keys  []pkt.Key
@@ -149,7 +148,7 @@ type dispatchState struct {
 	exact []bool
 	recs  []*telemetry.Record
 	outs  []uint32
-	sc    ProbeScratch
+	sc    probeScratch
 	one   [1][]byte // single-frame vector for the Receive wrapper
 }
 
@@ -281,18 +280,15 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 	n := len(frames)
 	if n == 1 {
 		// One frame: the classic per-frame walk, minus the batch-probe
-		// bookkeeping. The key lives in the pooled scratch, not on the
-		// stack: it crosses the CacheTier interface, which would
-		// otherwise force a heap allocation per packet.
-		st.grow(1)
+		// bookkeeping.
 		v := dataplane.VerdictDropped
 		var rec *telemetry.Record
 		var out uint32
-		key := &st.keys[0]
-		if err := pkt.ExtractKey(frames[0], inPort, key); err != nil {
+		var key pkt.Key
+		if err := pkt.ExtractKey(frames[0], inPort, &key); err != nil {
 			s.drops.Inc()
 		} else {
-			v, rec, out = s.classifyAndRun(key, inPort, frames[0], tel, &st.tx)
+			v, rec, out = s.classifyAndRun(&key, inPort, frames[0], tel, &st.tx)
 		}
 		if meta != nil {
 			meta[0].Verdict = v
@@ -333,13 +329,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 			if mf := mfs[i]; mf != nil {
 				mfs[i] = nil
 				if tel != nil {
-					if exact[i] {
-						recs[i] = mf.telRecord(tel, &keys[i])
-					} else {
-						// Wildcard-tier hit: the shared entry serves many
-						// flows, so resolve this packet's record directly.
-						recs[i] = tel.Lookup(&keys[i])
-					}
+					recs[i] = mf.telRecord(tel, &keys[i], exact[i])
 					outs[i] = mf.outPort
 				}
 				s.replayMicroflow(mf, inPort, f, &st.tx)
@@ -367,7 +357,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 }
 
 // classifyAndRun is the per-frame decision shared by every entry
-// point: serve from the cache chain, or walk the pipeline and record
+// point: serve from the flow cache, or walk the pipeline and record
 // a new cache entry. It returns the verdict plus the frame's
 // telemetry resolution — the flow record to account it against (nil
 // when tel is nil or the frame was not classified) and the resolved
@@ -380,36 +370,25 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 //harmless:hotpath
 func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (dataplane.Verdict, *telemetry.Record, uint32) {
 	ch := s.cache
-	if ch == nil {
-		var trec *telemetry.Record
-		if tel != nil {
-			trec = tel.Lookup(key)
-		}
-		s.runPipelineKeyed(key, inPort, frame, 0, nil, tx)
-		return dataplane.VerdictSlowPath, trec, 0
+	var mf *CacheEntry
+	var exactHit, record bool
+	if ch != nil {
+		mf, exactHit, record = ch.lookup(key)
 	}
-	mf, exactHit, record := ch.lookup(key)
+	var trec *telemetry.Record
 	if mf != nil {
-		var trec *telemetry.Record
 		if tel != nil {
-			if exactHit {
-				trec = mf.telRecord(tel, key)
-			} else {
-				// Wildcard-tier hit: the shared entry serves many flows,
-				// so resolve this packet's record directly.
-				trec = tel.Lookup(key)
-			}
+			trec = mf.telRecord(tel, key, exactHit)
 		}
 		s.replayMicroflow(mf, inPort, frame, tx)
 		return dataplane.VerdictCacheHit, trec, mf.outPort
 	}
+	if tel != nil {
+		trec = tel.Lookup(key)
+	}
 	if !record {
-		// Adaptive bypass: the shard's hit rate collapsed, so skip both
-		// the recording and the install — a pure slow-path walk.
-		var trec *telemetry.Record
-		if tel != nil {
-			trec = tel.Lookup(key)
-		}
+		// No cache, or adaptive bypass (the shard's hit rate collapsed):
+		// skip both the recording and the install — a pure slow-path walk.
 		s.runPipelineKeyed(key, inPort, frame, 0, nil, tx)
 		return dataplane.VerdictSlowPath, trec, 0
 	}
@@ -419,11 +398,7 @@ func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *
 	rec := ch.pool.acquire()
 	s.runPipelineKeyed(key, inPort, frame, 0, rec, tx)
 	rec.resolveOutPort()
-	var trec *telemetry.Record
-	if tel != nil {
-		trec = tel.Lookup(key)
-		rec.tel.Store(trec)
-	}
+	rec.tel.Store(trec)
 	out := rec.outPort
 	if rec.uncacheable {
 		ch.pool.giveBack(rec)
@@ -432,9 +407,7 @@ func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *
 			rec.groups = s.groups
 			rec.groupRev = groupRev
 		}
-		if !ch.install(key, rec) {
-			ch.pool.giveBack(rec)
-		}
+		ch.install(key, rec)
 	}
 	return dataplane.VerdictSlowPath, trec, out
 }

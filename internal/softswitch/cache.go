@@ -19,16 +19,17 @@ import (
 // entries to credit for counters and idle timeouts, and the MatchMask
 // union of every consulted table. The program installs into two tiers:
 //
-//   - the exact-match microflow tier (this file) maps the packet's
-//     full header key to the program — the cheapest possible hit;
-//   - the wildcard megaflow tier (megaflow.go) maps the key PROJECTED
+//   - the exact-match microflow tier maps the packet's full header
+//     key to the program — the cheapest possible hit;
+//   - the wildcard megaflow tier maps the key PROJECTED
 //     through the recorded mask, so one entry serves every flow whose
 //     consulted fields agree — the OVS megaflow idea, built on the
 //     same flowtable.MatchMask algebra the specializer uses.
 //
 // Subsequent packets replay the program directly, skipping
-// re-classification against every table. Tier composition, admission
-// (adaptive bypass) and the entry pool live in tier.go.
+// re-classification against every table. This file holds the cached
+// program and the sharded store both tiers are built from; the tiers,
+// admission (adaptive bypass) and the entry pool are in flowcache.go.
 //
 // Correctness rests on revision validation, not on synchronous
 // invalidation: each entry records the revision (Table.Version) of
@@ -80,7 +81,7 @@ type microOp struct {
 // recorder the pipeline walk fills in, and is shared between tiers —
 // the same entry is mapped by the exact tier under the full key and
 // by the megaflow tier under the mask-projected key. Entries are
-// pooled (tier.go): refs counts the tiers currently mapping the
+// pooled (flowcache.go): refs counts the stores currently mapping the
 // entry, and reset must return the struct to a reusable zero state
 // while keeping slice capacity.
 type CacheEntry struct {
@@ -103,13 +104,11 @@ type CacheEntry struct {
 
 	// tel caches the flow's telemetry record so an exact-tier hit
 	// accounts telemetry with a pointer chase instead of a map
-	// lookup. Only exact-tier paths read or write it: a megaflow hit
-	// serves many flows from one entry, so the dispatch resolves
-	// those records per packet instead (see classifyAndRun).
+	// lookup. Only exact-tier paths read or write it (see telRecord).
 	tel atomic.Pointer[telemetry.Record]
 
-	// refs counts the tiers mapping this entry, maintained by the
-	// chain on install and the pool on release. It is touched only on
+	// refs counts the stores mapping this entry, maintained by the
+	// cache on install and the pool on release. It is touched only on
 	// install/unpublish slow paths, never per packet.
 	refs atomic.Int32
 
@@ -166,13 +165,17 @@ func (mf *CacheEntry) resolveOutPort() {
 	}
 }
 
-// telRecord returns the flow's telemetry record, resolving and caching
-// it on first touch — valid only for exact-tier hits, where the
-// packet's key IS the entry's flow. A cached pointer minted by a
-// different table (SetTelemetry swapped the plane out mid-flight) is
-// re-resolved, so a stale record is never indexed into the wrong
-// table's shards.
-func (mf *CacheEntry) telRecord(t *telemetry.Table, key *pkt.Key) *telemetry.Record {
+// telRecord returns the telemetry record of the packet a cache hit on
+// this entry served. On an exact-tier hit the packet's key IS the
+// entry's flow, so the record is resolved once and cached on the entry;
+// a cached pointer minted by a different table (SetTelemetry swapped
+// the plane out mid-flight) is re-resolved, so a stale record is never
+// indexed into the wrong table's shards. A megaflow hit serves many
+// flows from one entry, so the packet's record is looked up directly.
+func (mf *CacheEntry) telRecord(t *telemetry.Table, key *pkt.Key, exact bool) *telemetry.Record {
+	if !exact {
+		return t.Lookup(key)
+	}
 	if rec := mf.tel.Load(); t.Owns(rec) {
 		return rec
 	}
@@ -198,91 +201,81 @@ func (mf *CacheEntry) usesGroups() bool {
 	return false
 }
 
-// cacheShard is one independently locked slice of a tier's storage.
-type cacheShard struct {
-	mu    sync.RWMutex
-	flows map[pkt.Key]*CacheEntry
-}
-
-// microflowTier is the sharded exact-match tier: full header key ->
-// program. The cheapest hit in the chain, probed first.
-type microflowTier struct {
-	shards [cacheShards]cacheShard
-	cap    int // per-shard entry cap
-	pool   *entryPool
-	stats  stats.CacheCounters
-}
-
-// newMicroflowTier sizes an exact-match tier for totalCap entries.
-func newMicroflowTier(totalCap int, pool *entryPool) *microflowTier {
-	perShard := totalCap / cacheShards
-	if perShard < 1 {
-		perShard = 1
+// flowStore is the sharded key -> program map, and the only owner of
+// one: the exact tier is a flowStore keyed by the full header key, each
+// mask class (flowcache.go) one keyed by the projected key. Entries it
+// unpublishes — replaced, evicted, stale, swept, flushed — go to the
+// pool's release, which retires them once no store maps them.
+type flowStore struct {
+	shards [cacheShards]struct {
+		mu    sync.RWMutex
+		flows map[pkt.Key]*CacheEntry
 	}
-	c := &microflowTier{cap: perShard, pool: pool}
-	for i := range c.shards {
-		c.shards[i].flows = make(map[pkt.Key]*CacheEntry)
-	}
-	return c
+	cap   int // per-shard entry cap
+	pool  *entryPool
+	stats *stats.CacheCounters // the owning tier's counters
 }
 
-// Name implements CacheTier.
-func (c *microflowTier) Name() string { return "microflow" }
+// init sizes the store for totalCap entries.
+func (st *flowStore) init(totalCap int, pool *entryPool, counters *stats.CacheCounters) {
+	st.cap = max(totalCap/cacheShards, 1)
+	st.pool, st.stats = pool, counters
+	for i := range st.shards {
+		st.shards[i].flows = make(map[pkt.Key]*CacheEntry)
+	}
+}
 
-// Exact implements CacheTier: a hit's key equals the installed key.
-func (c *microflowTier) Exact() bool { return true }
-
-// Counters implements CacheTier.
-func (c *microflowTier) Counters() *stats.CacheCounters { return &c.stats }
-
-// Lookup returns a still-valid entry for the key, or nil. Stale
-// entries are removed on the way out; hit/miss/invalidation counters
-// are maintained here.
+// lookup returns the still-valid entry for the key (hash is k.Hash()),
+// counting the hit, or nil. With evict set a stale entry is removed and
+// counted as an invalidation on the way out; the batch probes pass
+// false and leave that to the per-frame path. Misses are the caller's
+// to count: a tier with several stores misses once, not once per store.
 //
 //harmless:hotpath
-func (c *microflowTier) Lookup(k *pkt.Key, hash uint64) *CacheEntry {
-	sh := &c.shards[uint32(hash)&(cacheShards-1)]
+func (st *flowStore) lookup(k *pkt.Key, hash uint64, evict bool) *CacheEntry {
+	sh := &st.shards[shardOf(hash)]
 	sh.mu.RLock()
 	mf := sh.flows[*k]
 	sh.mu.RUnlock()
 	if mf == nil {
-		c.stats.Misses.Inc()
 		return nil
 	}
-	if !mf.valid() {
+	if mf.valid() {
+		st.stats.Hits.Inc()
+		return mf
+	}
+	if evict {
 		sh.mu.Lock()
 		// Only remove the exact entry we saw: a racing walk may have
 		// installed a fresher replacement already.
 		if sh.flows[*k] == mf {
 			delete(sh.flows, *k)
 			sh.mu.Unlock()
-			c.pool.release(mf)
+			st.pool.release(mf)
 		} else {
 			sh.mu.Unlock()
 		}
-		c.stats.Invalidations.Inc()
-		c.stats.Misses.Inc()
-		return nil
+		st.stats.Invalidations.Inc()
 	}
-	c.stats.Hits.Inc()
-	return mf
+	return nil
 }
 
-// ProbeBatch consumes the chain-prepared per-shard frame chains: each
-// shard's read lock is taken ONCE and all of its keys probed under it
-// — the per-batch amortization of the per-frame lock in Lookup.
-// Stale entries are left nil (no removal) for the slow path.
+// probeBatch fills out[i] for the frames on sc's per-shard chains,
+// taking each shard's read lock ONCE and probing all of its keys under
+// it — the per-batch amortization of the per-frame lock in lookup. Only
+// hits are counted; stale entries are left nil (no removal) for the
+// per-frame path.
 //
 //harmless:hotpath
-func (c *microflowTier) ProbeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, sc *ProbeScratch) {
-	for si := range c.shards {
-		i := sc.Heads[si]
+func (st *flowStore) probeBatch(keys []pkt.Key, out []*CacheEntry, sc *probeScratch) {
+	for si := range st.shards {
+		i := sc.heads[si]
 		if i < 0 {
 			continue
 		}
-		sh := &c.shards[si]
+		sh := &st.shards[si]
 		sh.mu.RLock()
-		for ; i >= 0; i = sc.Next[i] {
+		for ; i >= 0; i = sc.next[i] {
 			out[i] = sh.flows[keys[i]]
 		}
 		sh.mu.RUnlock()
@@ -295,27 +288,24 @@ func (c *microflowTier) ProbeBatch(keys []pkt.Key, skip []bool, out []*CacheEntr
 		if out[i].valid() {
 			hits++
 		} else {
-			// Leave removal and the invalidation/miss accounting to the
-			// slow path's per-frame lookup.
 			out[i] = nil
 		}
 	}
 	if hits > 0 {
-		c.stats.Hits.Add(hits)
+		st.stats.Hits.Add(hits)
 	}
 }
 
-// Install publishes a recorded entry, evicting an arbitrary entry of
-// the same shard when the shard is at capacity (map iteration order
-// gives a cheap pseudo-random victim, which is how the OVS microflow
-// cache handles thrash: constant-time displacement, no LRU tracking).
-func (c *microflowTier) Install(k *pkt.Key, mf *CacheEntry) bool {
-	sh := &c.shards[uint32(k.Hash())&(cacheShards-1)]
-	var victim, old *CacheEntry
+// put publishes a recorded entry, evicting an arbitrary entry of the
+// same shard when the shard is at capacity (map iteration order gives a
+// cheap pseudo-random victim, which is how the OVS microflow cache
+// handles thrash: constant-time displacement, no LRU tracking).
+func (st *flowStore) put(k *pkt.Key, hash uint64, mf *CacheEntry) {
+	sh := &st.shards[shardOf(hash)]
+	var victim *CacheEntry
 	sh.mu.Lock()
-	if prev, exists := sh.flows[*k]; exists {
-		old = prev
-	} else if len(sh.flows) >= c.cap {
+	old := sh.flows[*k]
+	if old == nil && len(sh.flows) >= st.cap {
 		for vk, v := range sh.flows {
 			delete(sh.flows, vk)
 			victim = v
@@ -325,64 +315,45 @@ func (c *microflowTier) Install(k *pkt.Key, mf *CacheEntry) bool {
 	sh.flows[*k] = mf
 	sh.mu.Unlock()
 	if old != nil {
-		c.pool.release(old)
+		st.pool.release(old)
 	}
 	if victim != nil {
-		c.pool.release(victim)
-		c.stats.Evictions.Inc()
+		st.pool.release(victim)
+		st.stats.Evictions.Inc()
 	}
-	c.stats.Inserts.Inc()
-	return true
+	st.stats.Inserts.Inc()
 }
 
-// Invalidate implements CacheTier: drop everything.
-func (c *microflowTier) Invalidate() int {
+// prune unpublishes every entry (all) or only those whose recorded
+// revisions went stale, so a quiet cache does not hold dead table
+// references. It returns the number removed, counted as invalidations.
+func (st *flowStore) prune(all bool) int {
 	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
+	for i := range st.shards {
+		sh := &st.shards[i]
 		sh.mu.Lock()
 		for k, mf := range sh.flows {
-			delete(sh.flows, k)
-			c.pool.release(mf)
-			n++
-		}
-		sh.mu.Unlock()
-	}
-	if n > 0 {
-		c.stats.Invalidations.Add(uint64(n))
-	}
-	return n
-}
-
-// Sweep implements CacheTier: remove entries whose recorded revisions
-// went stale, so a quiet cache does not hold dead table references.
-func (c *microflowTier) Sweep() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, mf := range sh.flows {
-			if !mf.valid() {
+			if all || !mf.valid() {
 				delete(sh.flows, k)
-				c.pool.release(mf)
+				st.pool.release(mf)
 				n++
 			}
 		}
 		sh.mu.Unlock()
 	}
 	if n > 0 {
-		c.stats.Invalidations.Add(uint64(n))
+		st.stats.Invalidations.Add(uint64(n))
 	}
 	return n
 }
 
-// Len returns the number of cached entries (diagnostics only).
-func (c *microflowTier) Len() int {
+// len returns the number of published entries (diagnostics only).
+func (st *flowStore) len() int {
 	n := 0
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		n += len(c.shards[i].flows)
-		c.shards[i].mu.RUnlock()
+	for i := range st.shards {
+		st.shards[i].mu.RLock()
+		n += len(st.shards[i].flows)
+		st.shards[i].mu.RUnlock()
 	}
 	return n
 }

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
+	"github.com/harmless-sdn/harmless/internal/stats"
 )
 
 func flowMod(cmd uint8, table uint8, priority uint16, m openflow.Match, instrs ...openflow.Instruction) *openflow.FlowMod {
@@ -197,7 +199,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 func TestCacheEvictionUnderThrash(t *testing.T) {
 	// Capacity of one entry per shard per tier: distinct flows fight
 	// for slots, forwarding must stay correct throughout. Bypass is off
-	// so the chain keeps installing however bad the hit rate gets. The
+	// so the cache keeps installing however bad the hit rate gets. The
 	// never-matched src-port entry widens table 0's consult mask to
 	// include l4_src, so the 200 flows land in 200 distinct megaflow
 	// classes rather than collapsing into one match-anything entry.
@@ -320,5 +322,141 @@ func TestConcurrentReceiveFlowMod(t *testing.T) {
 	rx := sw.PortCounters(2).TxPackets.Load() // frames that left port 2
 	if rx+sw.Drops() != uint64(writers*packets) {
 		t.Errorf("conservation: tx=%d drops=%d, want sum %d", rx, sw.Drops(), writers*packets)
+	}
+}
+
+// TestFlowStoreWaysOut drives the one shard store through every way an
+// entry leaves it — replaced under the same key, evicted at capacity,
+// removed stale on lookup, swept, flushed — as the exact tier and as a
+// mask class, and checks each way out hands the entry to the pool.
+func TestFlowStoreWaysOut(t *testing.T) {
+	const shard = 7 // put/lookup take the hash, so the test picks the shard
+	k1, k2 := pkt.Key{InPort: 1}, pkt.Key{InPort: 2}
+
+	type fixture struct {
+		st       *flowStore
+		counters *stats.CacheCounters
+		pool     *entryPool
+		tables   [2]*flowtable.Table
+	}
+	// entry records a program depending on f.tables[dep]; bump makes
+	// every such entry stale.
+	entry := func(f *fixture, dep int) *CacheEntry {
+		e := f.pool.acquire()
+		e.deps = append(e.deps, tableDep{table: f.tables[dep], rev: f.tables[dep].Version()})
+		e.refs.Add(1)
+		return e
+	}
+	bump := func(t *testing.T, f *fixture, dep int) {
+		t.Helper()
+		if err := f.tables[dep].Add(&flowtable.Entry{Priority: uint16(f.tables[dep].Version())}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stores := []struct {
+		name string
+		pick func(c *flowCache) (*flowStore, *stats.CacheCounters)
+	}{
+		{"exact", func(c *flowCache) (*flowStore, *stats.CacheCounters) { return &c.exact, &c.micro }},
+		{"maskClass", func(c *flowCache) (*flowStore, *stats.CacheCounters) {
+			return &c.class(flowtable.MaskInPort).store, &c.mega
+		}},
+	}
+	ways := []struct {
+		name string
+		// run starts from a store holding entry a (valid, on table 0)
+		// under k1 and returns the entries that must have left it.
+		run                  func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry
+		wantLen              int
+		wantEvict, wantInval uint64
+	}{
+		{name: "replace-same-key", wantLen: 1,
+			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+				b := entry(f, 0)
+				f.st.put(&k1, shard, b)
+				if got := f.st.lookup(&k1, shard, true); got != b {
+					t.Errorf("lookup after replace = %p, want the new entry %p", got, b)
+				}
+				return []*CacheEntry{a}
+			}},
+		{name: "capacity-eviction", wantLen: 1, wantEvict: 1,
+			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+				b := entry(f, 0)
+				f.st.put(&k2, shard, b) // per-shard cap is 1: a must go
+				if f.st.lookup(&k1, shard, true) != nil || f.st.lookup(&k2, shard, true) != b {
+					t.Error("full shard kept the old entry or lost the new one")
+				}
+				return []*CacheEntry{a}
+			}},
+		{name: "stale-on-lookup", wantLen: 0, wantInval: 1,
+			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+				bump(t, f, 0)
+				if f.st.lookup(&k1, shard, false) != nil {
+					t.Error("stale entry served")
+				}
+				if f.st.len() != 1 || a.refs.Load() != 1 {
+					t.Error("lookup without evict removed the stale entry")
+				}
+				if f.st.lookup(&k1, shard, true) != nil {
+					t.Error("stale entry served")
+				}
+				return []*CacheEntry{a}
+			}},
+		{name: "sweep", wantLen: 1, wantInval: 1,
+			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+				b := entry(f, 1)
+				f.st.put(&k2, shard+1, b)
+				bump(t, f, 1)
+				if n := f.st.prune(false); n != 1 {
+					t.Errorf("sweep removed %d, want 1", n)
+				}
+				if f.st.lookup(&k1, shard, true) != a {
+					t.Error("sweep removed a valid entry")
+				}
+				return []*CacheEntry{b}
+			}},
+		{name: "flush", wantLen: 0, wantInval: 2,
+			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+				b := entry(f, 1)
+				f.st.put(&k2, shard+1, b)
+				if n := f.st.prune(true); n != 2 {
+					t.Errorf("flush removed %d, want 2", n)
+				}
+				return []*CacheEntry{a, b}
+			}},
+	}
+	for _, store := range stores {
+		for _, way := range ways {
+			t.Run(store.name+"/"+way.name, func(t *testing.T) {
+				c := newFlowCache(cacheShards, false) // one entry per shard
+				f := &fixture{pool: &c.pool}
+				f.st, f.counters = store.pick(c)
+				for i := range f.tables {
+					f.tables[i] = flowtable.NewTable(uint8(i), netem.RealClock{})
+				}
+				a := entry(f, 0)
+				f.st.put(&k1, shard, a)
+
+				gone := way.run(t, f, a)
+				for _, e := range gone {
+					if e.refs.Load() != 0 {
+						t.Errorf("entry left the store still holding %d refs", e.refs.Load())
+					}
+				}
+				if got := int(c.pool.limboN.Load()); got != len(gone) {
+					t.Errorf("pool received %d entries, want %d", got, len(gone))
+				}
+				if got := f.st.len(); got != way.wantLen {
+					t.Errorf("len = %d, want %d", got, way.wantLen)
+				}
+				if got := f.counters.Evictions.Load(); got != way.wantEvict {
+					t.Errorf("evictions = %d, want %d", got, way.wantEvict)
+				}
+				if got := f.counters.Invalidations.Load(); got != way.wantInval {
+					t.Errorf("invalidations = %d, want %d", got, way.wantInval)
+				}
+			})
+		}
 	}
 }

@@ -1,0 +1,570 @@
+package softswitch
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"github.com/harmless-sdn/harmless/internal/flowtable"
+	"github.com/harmless-sdn/harmless/internal/pkt"
+	"github.com/harmless-sdn/harmless/internal/stats"
+)
+
+// The datapath flow cache: the exact tier (one flowStore keyed by the
+// full header key) probed first, then the megaflow tier — one flowStore
+// per mask class, keyed by the key projected through the class's mask.
+// Both tiers map the same pooled entries; the cache owns
+// what they share: the per-packet admission decision (adaptive bypass),
+// the entry pool that makes the install path allocation-free, and the
+// miss/insert accounting.
+//
+// A megaflow entry serves every flow whose consulted fields agree: the
+// recorder accumulates the ConsultMask union of every table a walk
+// traverses (pipeline.go), and any later packet agreeing on those
+// fields — whatever its other header values — projects to the same key
+// and replays the same program. That is sound because no traversed
+// table could have told the two packets apart (see MatchMask.Apply and
+// Table.ConsultMask for the per-table argument; the walk-level one is
+// induction over the goto chain: equal projections select equal
+// entries, so equal instructions, so the same next table). Per-packet
+// operations (meters, SELECT group hashing) are re-run at replay, so
+// sharing one entry across many flows does not blur them.
+
+const (
+	// cacheShards is the number of independently locked shards a
+	// flowStore divides its map into — also the granularity of the
+	// adaptive-bypass hit-rate tracking. A power of two (shard
+	// selection is a mask) and at most 32 (the batch probe carries a
+	// per-shard bypass bitmask in a uint32).
+	cacheShards = 32
+
+	// DefaultMicroflowCacheSize is the default capacity of the exact
+	// tier and of each mask class, in cache entries.
+	DefaultMicroflowCacheSize = 1 << 15
+
+	// maxMaskClasses bounds the class list: each class adds a
+	// projection+hash+probe to the miss path, so a pathological ruleset
+	// churning masks falls back to declining installs rather than
+	// degrading every lookup.
+	maxMaskClasses = 16
+)
+
+// shardOf maps a key hash to its shard (store shard and bypass shard
+// alike).
+func shardOf(hash uint64) uint32 { return uint32(hash) & (cacheShards - 1) }
+
+// maskClass is one mask-equivalence class of the megaflow tier: an
+// exact-match store over keys projected through mask (tuple-space
+// style, the megaflow analogue of the specializer's templates).
+type maskClass struct {
+	mask  flowtable.MatchMask
+	store flowStore
+}
+
+// probeScratch is the shared state of one batch probe: per-frame key
+// hashes, the per-shard intrusive frame chains the exact tier consumes
+// (shard = low hash bits & cacheShards-1), and the bypass shard set. It
+// lives in the pooled dispatch state, so batch probes allocate nothing.
+type probeScratch struct {
+	// hash[i] is keys[i].Hash(), valid where skip[i] is false.
+	hash []uint64
+	// heads/next chain frame indices per shard: heads[s] is the first
+	// frame of shard s (-1 = none), next[i] the following one. Shards
+	// in bypass have their chains emptied before the tiers run.
+	heads [cacheShards]int32
+	next  []int32
+	// bypassed has bit s set when shard s is bypassed this batch.
+	bypassed uint32
+
+	wins [cacheShards]uint32 // per-shard hits<<16|lookups accumulator
+}
+
+// grow sizes the per-frame slices for a batch of n.
+func (sc *probeScratch) grow(n int) {
+	if cap(sc.hash) < n {
+		sc.hash = make([]uint64, n)
+		sc.next = make([]int32, n)
+	}
+	sc.hash = sc.hash[:n]
+	sc.next = sc.next[:n]
+}
+
+// entryPool recycles CacheEntry recorder state so the install path is
+// allocation-free in steady state. Reclamation is epoch-style: every
+// dispatch pins the pool for its duration, an entry unmapped from all
+// tiers goes to a limbo list, and limbo drains to the free list only
+// at a moment provably after every dispatch that could still hold a
+// reference:
+//
+//	holder's pin -> shard RLock -> remover's shard Lock -> limbo push
+//	-> reclaimer's limbo Lock -> pins load
+//
+// The reclaimer drains limbo FIRST and checks pins SECOND: any
+// dispatch that might hold a drained entry pinned before that entry
+// was pushed to limbo (it found it in a shard map), so at drain time
+// it either still shows in pins (the batch is put back) or it has
+// unpinned and can no longer touch the entry. Pins that show up after
+// the check belong to dispatches that started after the entries were
+// already unreachable.
+type entryPool struct {
+	pins atomic.Int64 // in-flight dispatches
+
+	freeMu sync.Mutex
+	free   []*CacheEntry
+
+	limboMu sync.Mutex
+	limbo   []*CacheEntry
+	spare   []*CacheEntry // recycled limbo buffer (nil when in use)
+	limboN  atomic.Int32  // len(limbo), readable without the lock
+
+	max int // free-list cap; overflow falls to the GC
+}
+
+const limboMax = 1 << 14 // backlog cap under sustained concurrency
+
+// pin marks a dispatch in flight. Must precede the first tier probe.
+func (p *entryPool) pin() { p.pins.Add(1) }
+
+// unpin ends a dispatch; the last one out drains limbo.
+func (p *entryPool) unpin() {
+	if p.pins.Add(-1) == 0 && p.limboN.Load() > 0 {
+		p.reclaim()
+	}
+}
+
+// acquire returns a reset entry, reusing a reclaimed one when
+// available.
+func (p *entryPool) acquire() *CacheEntry {
+	p.freeMu.Lock()
+	if n := len(p.free); n > 0 {
+		e := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.freeMu.Unlock()
+		return e
+	}
+	p.freeMu.Unlock()
+	return &CacheEntry{}
+}
+
+// giveBack returns an entry that was never published (uncacheable
+// walk, every tier declined): no other goroutine can hold it, so it
+// goes straight back to the free list.
+func (p *entryPool) giveBack(e *CacheEntry) {
+	e.reset()
+	p.freeMu.Lock()
+	if len(p.free) < p.max {
+		p.free = append(p.free, e)
+	}
+	p.freeMu.Unlock()
+}
+
+// release drops one tier's reference; the entry is retired to limbo
+// when no tier maps it anymore.
+func (p *entryPool) release(e *CacheEntry) {
+	if e.refs.Add(-1) == 0 {
+		p.retire(e)
+	}
+}
+
+// retire parks an unmapped entry in limbo until reclaim proves no
+// dispatch can still hold it.
+func (p *entryPool) retire(e *CacheEntry) {
+	p.limboMu.Lock()
+	if len(p.limbo) >= limboMax {
+		// Dispatches never quiesced long enough to drain: hand the
+		// backlog to the GC (always safe; holders keep their own
+		// references) instead of growing without bound.
+		clear(p.limbo)
+		p.limbo = p.limbo[:0]
+		p.limboN.Store(0)
+	}
+	p.limbo = append(p.limbo, e)
+	p.limboN.Add(1)
+	p.limboMu.Unlock()
+}
+
+// reclaim moves limbo to the free list if no dispatch is in flight.
+// Drain-then-check: see the type comment for why this order is what
+// makes reuse safe.
+func (p *entryPool) reclaim() {
+	p.limboMu.Lock()
+	batch := p.limbo
+	if p.spare != nil {
+		p.limbo = p.spare[:0]
+		p.spare = nil
+	} else {
+		p.limbo = nil
+	}
+	p.limboN.Store(0)
+	p.limboMu.Unlock()
+
+	if len(batch) != 0 && p.pins.Load() != 0 {
+		// A dispatch pinned between our unpin and the drain. It cannot
+		// reach these entries (they were unmapped before it started),
+		// but the proof above only covers pins==0 — put them back.
+		p.limboMu.Lock()
+		p.limbo = append(p.limbo, batch...)
+		p.limboN.Add(int32(len(batch)))
+		p.limboMu.Unlock()
+		return
+	}
+
+	for _, e := range batch {
+		e.reset()
+	}
+	p.freeMu.Lock()
+	keep := p.max - len(p.free)
+	if keep < 0 {
+		keep = 0
+	}
+	if keep > len(batch) {
+		keep = len(batch)
+	}
+	p.free = append(p.free, batch[:keep]...)
+	p.freeMu.Unlock()
+
+	clear(batch)
+	p.limboMu.Lock()
+	if p.spare == nil {
+		p.spare = batch[:0]
+	}
+	p.limboMu.Unlock()
+}
+
+// Adaptive bypass: per-shard hit-rate tracking over sliding windows
+// of lookups. A shard whose hit rate collapses (thrash: every flow is
+// new, installs buy nothing) stops consulting and feeding the cache
+// entirely — packets take the plain uncached walk, which the
+// BenchmarkManyFlows baseline shows is ~2x cheaper than paying the
+// install path for zero hits. Bypassed shards periodically re-admit a
+// probation window of packets; if those hit well (the workload became
+// cacheable again), the shard returns to active.
+//
+//	ACTIVE --(bypassLowStreak consecutive windows below
+//	          1/bypassEnterDen hit rate)--> BYPASS
+//	BYPASS --(every bypassRetry skipped packets)--> PROBE
+//	PROBE  --(probe window >= 1/bypassExitDen)--> ACTIVE
+//	PROBE  --(below)--> BYPASS
+//
+// Hits from EITHER tier feed the windows, so a workload served by the
+// megaflow tier alone never trips bypass. All transitions are
+// heuristic: counters are racy-by-design (plain atomics, no CAS
+// loops), a lost sample only defers a window roll.
+const (
+	bypassWindow    = 256  // lookups per ACTIVE evaluation window
+	bypassProbeSpan = 64   // lookups per PROBE window
+	bypassLowStreak = 2    // low windows in a row before bypassing
+	bypassRetry     = 8192 // skipped packets between probation windows
+	bypassEnterDen  = 16   // enter when hits < lookups/16 (6.25%)
+	bypassExitDen   = 8    // exit when hits >= lookups/8 (12.5%)
+)
+
+// bypassShard mode values.
+const (
+	modeActive uint32 = iota
+	modeBypass
+	modeProbe
+)
+
+// bypassShard is the admission state of one cache shard.
+type bypassShard struct {
+	win     atomic.Uint64 // hits<<32 | lookups of the current window
+	mode    atomic.Uint32
+	low     atomic.Uint32 // consecutive low ACTIVE windows
+	skipped atomic.Uint32 // packets skipped since the last probe
+}
+
+// admit reports whether the cache should be consulted (and fed) for a
+// packet of this shard.
+func (b *bypassShard) admit() bool {
+	if b.mode.Load() != modeBypass {
+		return true
+	}
+	if b.skipped.Add(1) >= bypassRetry {
+		b.skipped.Store(0)
+		b.win.Store(0)
+		b.mode.Store(modeProbe)
+		return true
+	}
+	return false
+}
+
+// note feeds lookups/hits into the current window and rolls it when
+// full.
+func (b *bypassShard) note(lookups, hits uint32) {
+	w := b.win.Add(uint64(hits)<<32 | uint64(lookups))
+	span := uint32(bypassWindow)
+	if b.mode.Load() == modeProbe {
+		span = bypassProbeSpan
+	}
+	if uint32(w) >= span {
+		b.roll(uint32(w>>32), uint32(w))
+	}
+}
+
+// roll evaluates one full window and advances the state machine.
+func (b *bypassShard) roll(hits, lookups uint32) {
+	b.win.Store(0)
+	switch b.mode.Load() {
+	case modeActive:
+		if hits*bypassEnterDen < lookups {
+			if b.low.Add(1) >= bypassLowStreak {
+				b.low.Store(0)
+				b.skipped.Store(0)
+				b.mode.Store(modeBypass)
+			}
+		} else {
+			b.low.Store(0)
+		}
+	case modeProbe:
+		if hits*bypassExitDen >= lookups {
+			b.low.Store(0)
+			b.mode.Store(modeActive)
+		} else {
+			b.skipped.Store(0)
+			b.mode.Store(modeBypass)
+		}
+	}
+}
+
+// flowCache is the two-tier flow cache described at the top of this
+// file: the exact store, the mask classes, and what they share.
+type flowCache struct {
+	exact flowStore
+
+	classes atomic.Pointer[[]*maskClass] // RCU: append-only under classMu
+	classMu sync.Mutex                   // serializes class creation
+	size    int                          // capacity of each store
+
+	pool entryPool
+
+	bypassOn bool
+	bypass   [cacheShards]bypassShard
+
+	// micro and mega are the tiers' own counters (hits, invalidations,
+	// evictions, per-tier misses and inserts), the mega ones shared by
+	// every mask class. misses (no tier hit), inserts (one per
+	// installed program, however many stores took it) and bypassed
+	// (packets not admitted) are the cache's; statsSnapshot folds both
+	// views.
+	micro, mega stats.CacheCounters
+	misses      stats.Counter
+	inserts     stats.Counter
+	bypassed    stats.Counter
+}
+
+func newFlowCache(totalCap int, adaptiveBypass bool) *flowCache {
+	c := &flowCache{size: totalCap, bypassOn: adaptiveBypass}
+	c.pool.max = 2*totalCap + 1024
+	c.exact.init(totalCap, &c.pool, &c.micro)
+	c.classes.Store(new([]*maskClass))
+	return c
+}
+
+// lookup probes the exact tier, then the mask classes, for one frame.
+// exact reports whether the hit came from the exact tier (telemetry
+// record attribution); record is false when the shard is bypassed — the
+// caller must walk uncached and must not install.
+//
+//harmless:hotpath
+func (c *flowCache) lookup(k *pkt.Key) (e *CacheEntry, exact, record bool) {
+	h := k.Hash()
+	b := &c.bypass[shardOf(h)]
+	if c.bypassOn && !b.admit() {
+		c.bypassed.Inc()
+		return nil, false, false
+	}
+	e = c.exact.lookup(k, h, true)
+	exact = e != nil
+	if e == nil {
+		c.micro.Misses.Inc()
+		if e = c.probeClasses(k, true); e == nil {
+			c.misses.Inc()
+		}
+	}
+	if c.bypassOn {
+		var hits uint32
+		if e != nil {
+			hits = 1
+		}
+		b.note(1, hits)
+	}
+	return e, exact, true
+}
+
+// probeClasses scans the mask classes in insertion order and takes the
+// first valid hit — when two classes hold valid entries for the same
+// packet, both were recorded against identical table revisions, so
+// their programs are interchangeable. slow selects the per-frame
+// contract (count the miss, remove stale entries); the batch probe
+// passes false and leaves both to the per-frame path.
+//
+//harmless:hotpath
+func (c *flowCache) probeClasses(k *pkt.Key, slow bool) *CacheEntry {
+	for _, g := range *c.classes.Load() {
+		pk := g.mask.Apply(k)
+		if mf := g.store.lookup(&pk, pk.Hash(), slow); mf != nil {
+			return mf
+		}
+	}
+	if slow {
+		c.mega.Misses.Inc()
+	}
+	return nil
+}
+
+// probeBatch probes a whole batch: the exact tier grouped by shard,
+// then the mask classes per frame over the residue (the class list is
+// usually tiny, one class per distinct ruleset shape, so grouping would
+// not pay). out[i] is filled, and exact[i] set for exact-tier hits, for
+// every frame with skip[i] false and a shard not in bypass. Only hits
+// are accounted and only valid entries returned: misses and stale
+// entries stay nil for classifyAndRun, which does the exact accounting
+// (and can legitimately hit an entry an earlier frame of the same batch
+// installed). Frames of bypassed shards are likewise left nil without
+// accounting: classifyAndRun's per-frame admit does the
+// bypass/probation bookkeeping exactly once.
+//
+//harmless:hotpath
+func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, exact []bool, sc *probeScratch) {
+	n := len(keys)
+	sc.grow(n)
+	for i := range sc.heads {
+		sc.heads[i] = -1
+	}
+	sc.bypassed = 0
+	for i := n - 1; i >= 0; i-- {
+		out[i] = nil
+		if skip[i] {
+			continue
+		}
+		h := keys[i].Hash()
+		sc.hash[i] = h
+		sh := shardOf(h)
+		sc.next[i] = sc.heads[sh]
+		sc.heads[sh] = int32(i)
+	}
+	if c.bypassOn {
+		for si := range sc.heads {
+			if sc.heads[si] >= 0 && c.bypass[si].mode.Load() == modeBypass {
+				sc.bypassed |= 1 << si
+				sc.heads[si] = -1
+			}
+		}
+	}
+	c.exact.probeBatch(keys, out, sc)
+	classes := len(*c.classes.Load()) != 0
+	for i := range keys {
+		exact[i] = out[i] != nil
+		if classes && !exact[i] && !skip[i] && sc.bypassed&(1<<shardOf(sc.hash[i])) == 0 {
+			out[i] = c.probeClasses(&keys[i], false)
+		}
+	}
+	if !c.bypassOn {
+		return
+	}
+	// Feed the per-shard windows, one atomic add per touched shard.
+	// Frames the batch probe missed are probed again per frame on the
+	// slow path and counted there too; that skews bypassed-rate
+	// tracking toward the miss side, which only makes bypass engage
+	// marginally sooner under thrash — acceptable for a heuristic.
+	for i := 0; i < n; i++ {
+		if skip[i] {
+			continue
+		}
+		sh := shardOf(sc.hash[i])
+		if sc.bypassed&(1<<sh) != 0 {
+			continue
+		}
+		w := uint32(1)
+		if out[i] != nil {
+			w |= 1 << 16
+		}
+		sc.wins[sh] += w
+	}
+	for sh := range sc.wins {
+		if w := sc.wins[sh]; w != 0 {
+			sc.wins[sh] = 0
+			c.bypass[sh].note(w&0xffff, w>>16)
+		}
+	}
+}
+
+// class returns the store of a mask class, creating it on first use
+// (nil when the class list is full).
+func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
+	for _, g := range *c.classes.Load() {
+		if g.mask == mask {
+			return g
+		}
+	}
+	c.classMu.Lock()
+	defer c.classMu.Unlock()
+	cur := *c.classes.Load()
+	for _, g := range cur {
+		if g.mask == mask {
+			return g
+		}
+	}
+	if len(cur) >= maxMaskClasses {
+		return nil
+	}
+	g := &maskClass{mask: mask}
+	g.store.init(c.size, &c.pool, &c.mega)
+	next := append(slices.Clip(cur), g) // clipped: append copies, readers keep cur
+	c.classes.Store(&next)
+	return g
+}
+
+// install publishes a recorded entry under its full key in the exact
+// tier and under its projected key in its mask class (skipped when the
+// class list is full). Each reference is pinned before the store sees
+// the entry, so a racing invalidation can never retire it while the
+// other store still expects it live.
+func (c *flowCache) install(k *pkt.Key, e *CacheEntry) {
+	e.refs.Add(1)
+	c.exact.put(k, k.Hash(), e)
+	if g := c.class(e.mask); g != nil {
+		pk := e.mask.Apply(k)
+		e.refs.Add(1)
+		g.store.put(&pk, pk.Hash(), e)
+	}
+	c.inserts.Inc()
+}
+
+// sweep unpublishes the revision-stale entries of both tiers. The class
+// list itself stays: empty classes are cheap to probe and reappear with
+// the same masks anyway.
+func (c *flowCache) sweep() int {
+	n := c.exact.prune(false)
+	for _, g := range *c.classes.Load() {
+		n += g.store.prune(false)
+	}
+	return n
+}
+
+// tierLens returns the published entries of the exact tier and of the
+// mask classes together (diagnostics).
+func (c *flowCache) tierLens() (micro, mega int) {
+	for _, g := range *c.classes.Load() {
+		mega += g.store.len()
+	}
+	return c.exact.len(), mega
+}
+
+// statsSnapshot folds the cache-level and per-tier counters into one
+// point-in-time CacheCounters view: hits/invalidations/evictions are
+// summed over the tiers, misses/inserts/bypassed are the cache's own
+// (a packet missing both tiers counts one miss; a program installed in
+// both counts one insert).
+func (c *flowCache) statsSnapshot() *stats.CacheCounters {
+	out := &stats.CacheCounters{}
+	out.Hits.Add(c.micro.Hits.Load() + c.mega.Hits.Load())
+	out.Invalidations.Add(c.micro.Invalidations.Load() + c.mega.Invalidations.Load())
+	out.Evictions.Add(c.micro.Evictions.Load() + c.mega.Evictions.Load())
+	out.Misses.Add(c.misses.Load())
+	out.Inserts.Add(c.inserts.Load())
+	out.Bypassed.Add(c.bypassed.Load())
+	return out
+}

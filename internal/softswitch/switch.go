@@ -11,11 +11,11 @@
 // vector; Receive is its one-frame wrapper. The datapath layers four
 // lookup modes, fastest first:
 //
-//  1. a microflow cache (cache.go) — an OVS-style sharded exact-match
+//  1. the flow cache's exact tier (cache.go) — an OVS-style sharded
 //     map from the packet's header key to a pre-resolved program,
 //     revalidated against table revisions on every hit, enabled by
 //     default;
-//  2. a wildcard megaflow cache (megaflow.go) — one entry per
+//  2. the flow cache's megaflow tier (flowcache.go) — one entry per
 //     mask-equivalence class, probed on the packet key projected
 //     through the union of the consulted tables' match masks, so a
 //     churn of short-lived flows sharing a ruleset shape still hits;
@@ -24,8 +24,8 @@
 //     WithSpecialization;
 //  4. the generic priority scan of internal/flowtable.
 //
-// Tiers 1 and 2 compose behind the CacheTier interface (tier.go) as an
-// ordered chain with pooled entries and per-shard adaptive bypass.
+// Modes 1 and 2 are one concrete type, flowCache, with pooled entries
+// and per-shard adaptive bypass.
 //
 // See DESIGN.md for the full datapath walk and the cache's
 // invalidation rules.
@@ -71,14 +71,13 @@ type Switch struct {
 	portMu sync.Mutex // serializes AttachPort; readers load ports
 	ports  atomic.Pointer[portTable]
 
+	numTables  int // WithNumTables; the tables are built once every option ran
 	specialize bool
 	fast       []atomic.Pointer[fastState]
 
-	cacheSize      int  // per-tier cache capacity; <=0 disables the chain
-	megaflow       bool // wildcard megaflow tier on top of the exact tier
+	cacheSize      int  // capacity of the exact tier and of each mask class; <=0 disables the cache
 	adaptiveBypass bool // per-shard hit-rate bypass
-	injectedTiers  []CacheTier
-	cache          *cacheChain
+	cache          *flowCache
 
 	// telemetry, when non-nil, receives per-flow accounting from the
 	// batch dispatch path. Atomic so it can be attached to a running
@@ -155,8 +154,8 @@ func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
 // WithSpecialization enables the ESwitch-style compiled fast path.
 func WithSpecialization(on bool) Option { return func(s *Switch) { s.specialize = on } }
 
-// WithMicroflowCache switches the exact-match microflow cache on or
-// off (on by default).
+// WithMicroflowCache switches the flow cache (both tiers) on or off
+// (on by default).
 func WithMicroflowCache(on bool) Option {
 	return func(s *Switch) {
 		if on {
@@ -167,27 +166,15 @@ func WithMicroflowCache(on bool) Option {
 	}
 }
 
-// WithMicroflowCacheSize bounds each cache tier to roughly n entries
-// (n <= 0 disables the cache chain).
+// WithMicroflowCacheSize bounds the exact tier and each mask class to
+// roughly n entries (n <= 0 disables the cache).
 func WithMicroflowCacheSize(n int) Option { return func(s *Switch) { s.cacheSize = n } }
 
-// WithMegaflowCache switches the wildcard megaflow tier on or off (on
-// by default; the exact-match tier is governed by WithMicroflowCache).
-func WithMegaflowCache(on bool) Option { return func(s *Switch) { s.megaflow = on } }
-
 // WithAdaptiveBypass switches the per-shard hit-rate bypass on or off
-// (on by default). With it off the chain records and installs on every
+// (on by default). With it off the cache records and installs on every
 // miss, whatever the hit rate — the right setting for alloc-profile
 // tests and workloads known to be cache-friendly.
 func WithAdaptiveBypass(on bool) Option { return func(s *Switch) { s.adaptiveBypass = on } }
-
-// WithCacheTiers replaces the default tier stack (exact microflow +
-// wildcard megaflow) with an explicit ordered chain — the injection
-// point for custom CacheTier implementations and for tests. The
-// chain's capacity, bypass and pooling machinery still apply.
-func WithCacheTiers(tiers ...CacheTier) Option {
-	return func(s *Switch) { s.injectedTiers = tiers }
-}
 
 // WithTelemetry attaches a flow-telemetry table at construction time
 // (SetTelemetry attaches one to a running switch).
@@ -195,15 +182,8 @@ func WithTelemetry(t *telemetry.Table) Option {
 	return func(s *Switch) { s.telemetry.Store(t) }
 }
 
-// WithNumTables sets the pipeline depth.
-func WithNumTables(n int) Option {
-	return func(s *Switch) {
-		s.tables = nil
-		for i := 0; i < n; i++ {
-			s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
-		}
-	}
-}
+// WithNumTables sets the pipeline depth (n <= 0 keeps the default).
+func WithNumTables(n int) Option { return func(s *Switch) { s.numTables = n } }
 
 // New creates a switch with the given datapath id.
 func New(name string, dpid uint64, opts ...Option) *Switch {
@@ -214,22 +194,24 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 		groups:         flowtable.NewGroupTable(),
 		buffers:        newBufferPool(256),
 		cacheSize:      DefaultMicroflowCacheSize,
-		megaflow:       true,
 		adaptiveBypass: true,
 	}
 	s.ports.Store(&portTable{})
 	for _, o := range opts {
 		o(s)
 	}
-	if s.tables == nil {
-		for i := 0; i < DefaultNumTables; i++ {
-			s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
-		}
+	// Everything that reads the clock is built here, after every option
+	// ran, so WithClock works wherever it sits in the option list.
+	if s.numTables <= 0 {
+		s.numTables = DefaultNumTables
+	}
+	for i := 0; i < s.numTables; i++ {
+		s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
 	}
 	s.meters = flowtable.NewMeterTable(s.clock)
 	s.fast = make([]atomic.Pointer[fastState], len(s.tables))
 	if s.cacheSize > 0 {
-		s.cache = newCacheChain(s.cacheSize, s.megaflow, s.adaptiveBypass, s.injectedTiers)
+		s.cache = newFlowCache(s.cacheSize, s.adaptiveBypass)
 	}
 	return s
 }
@@ -272,9 +254,9 @@ func (s *Switch) SetTelemetry(t *telemetry.Table) { s.telemetry.Store(t) }
 // Telemetry returns the attached flow-telemetry table (nil if none).
 func (s *Switch) Telemetry() *telemetry.Table { return s.telemetry.Load() }
 
-// CacheStats returns a point-in-time snapshot of the cache chain's
+// CacheStats returns a point-in-time snapshot of the flow cache's
 // aggregated counters (hits summed over tiers, misses and bypasses at
-// chain level), or nil when the cache is disabled.
+// cache level), or nil when the cache is disabled.
 func (s *Switch) CacheStats() *stats.CacheCounters {
 	if s.cache == nil {
 		return nil
@@ -295,36 +277,37 @@ type CacheTierStats struct {
 	Evictions     uint64 `json:"evictions"`
 }
 
-// CacheTierStats snapshots each tier of the cache chain in probe order
-// (nil when the cache is disabled).
+// CacheTierStats snapshots the two tiers of the flow cache in probe
+// order (nil when the cache is disabled).
 func (s *Switch) CacheTierStats() []CacheTierStats {
 	if s.cache == nil {
 		return nil
 	}
-	out := make([]CacheTierStats, 0, len(s.cache.tiers))
-	for _, t := range s.cache.tiers {
-		c := t.Counters()
-		out = append(out, CacheTierStats{
-			Name:          t.Name(),
-			Exact:         t.Exact(),
-			Len:           t.Len(),
+	row := func(name string, exact bool, n int, c *stats.CacheCounters) CacheTierStats {
+		return CacheTierStats{
+			Name: name, Exact: exact, Len: n,
 			Hits:          c.Hits.Load(),
 			Misses:        c.Misses.Load(),
 			Inserts:       c.Inserts.Load(),
 			Invalidations: c.Invalidations.Load(),
 			Evictions:     c.Evictions.Load(),
-		})
+		}
 	}
-	return out
+	micro, mega := s.cache.tierLens()
+	return []CacheTierStats{
+		row("microflow", true, micro, &s.cache.micro),
+		row("megaflow", false, mega, &s.cache.mega),
+	}
 }
 
-// CacheLen returns the number of cached entries across all tiers (0
+// CacheLen returns the number of cached entries across both tiers (0
 // when disabled).
 func (s *Switch) CacheLen() int {
 	if s.cache == nil {
 		return 0
 	}
-	return s.cache.len()
+	micro, mega := s.cache.tierLens()
+	return micro + mega
 }
 
 // AttachPort binds an arbitrary PortBackend as datapath port no. The

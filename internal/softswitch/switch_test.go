@@ -460,6 +460,33 @@ func TestFlowModDeleteAndStats(t *testing.T) {
 	}
 }
 
+// TestOptionOrderIndependent: the tables must run on the injected clock
+// wherever WithClock sits relative to WithNumTables.
+func TestOptionOrderIndependent(t *testing.T) {
+	for name, order := range map[string]func(netem.Clock) []Option{
+		"clock-first":  func(c netem.Clock) []Option { return []Option{WithClock(c), WithNumTables(2)} },
+		"tables-first": func(c netem.Clock) []Option { return []Option{WithNumTables(2), WithClock(c)} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			clk := netem.NewManualClock()
+			sw := New("order", 0x1, order(clk)...)
+			if sw.NumTables() != 2 {
+				t.Fatalf("NumTables = %d, want 2", sw.NumTables())
+			}
+			fm := flowMod(openflow.FlowAdd, 0, 10, openflow.Match{}, apply(out(2)))
+			fm.HardTimeout = 5
+			if _, err := sw.ApplyFlowMod(fm); err != nil {
+				t.Fatal(err)
+			}
+			clk.Advance(10 * time.Second)
+			sw.SweepExpired()
+			if n := sw.Table(0).Len(); n != 0 {
+				t.Errorf("5 s hard-timeout entry survived a 10 s manual-clock advance (%d left)", n)
+			}
+		})
+	}
+}
+
 func TestFlowModBadTable(t *testing.T) {
 	r := newRig(t, 1)
 	_, err := r.sw.ApplyFlowMod(&openflow.FlowMod{
