@@ -49,12 +49,17 @@ loc:
 lint-baseline:
 	$(GO) run ./cmd/harmlesslint -write-baseline lint-baseline.json ./...
 
-# ~10s per openflow fuzz target (keep in sync with the lint job in
+# ~10s per fuzz target (keep in sync with the lint job in
 # .github/workflows/ci.yml): catches wire decoders that panic on
-# near-valid frames as soon as a new codec lands.
+# near-valid frames as soon as a new codec lands, and a flow-table
+# lookup that stops answering like the priority scan.
+FUZZ_PKGS := ./internal/openflow ./internal/flowtable
+
 fuzz-smoke:
-	@for target in $$($(GO) test -list 'Fuzz.*' ./internal/openflow | grep '^Fuzz'); do \
-		$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s ./internal/openflow || exit 1; \
+	@for pkg in $(FUZZ_PKGS); do \
+		for target in $$($(GO) test -list 'Fuzz.*' $$pkg | grep '^Fuzz'); do \
+			$(GO) test -run "^$$target$$" -fuzz "^$$target$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
 	done
 
 test:

@@ -6,8 +6,8 @@ package harmless_test
 //	go test -bench=. -benchmem .
 //
 // BenchmarkE2_Throughput regenerates the frame-size throughput sweep
-// (bare software switch vs the full HARMLESS chain, generic vs
-// specialized datapath); BenchmarkE2_ChainBurst is the same comparison
+// (bare software switch vs the full HARMLESS chain);
+// BenchmarkE2_ChainBurst is the same comparison
 // in 32-frame bursts into a counting sink, the pair cmd/benchdiff
 // gates (chain >= 1/6 of bare); BenchmarkE3_PathLatency measures per-packet
 // forwarding latency of the same paths; BenchmarkE8_TableScaling
@@ -62,9 +62,9 @@ const benchArenaSlots = 256
 // bareSwitchPath builds a 2-port software switch with one exact flow
 // and returns the port to inject into; *delivered counts the frames
 // that came out of the other side.
-func bareSwitchPath(b *testing.B, specialize bool) (in *netem.Port, delivered *int, cleanup func()) {
+func bareSwitchPath(b *testing.B) (in *netem.Port, delivered *int, cleanup func()) {
 	b.Helper()
-	sw := softswitch.New("bare", 0xbb, softswitch.WithSpecialization(specialize))
+	sw := softswitch.New("bare", 0xbb)
 	l1 := netem.NewLink(netem.LinkConfig{})
 	l2 := netem.NewLink(netem.LinkConfig{})
 	sw.AttachNetPort(1, "in", l1.A())
@@ -87,12 +87,11 @@ func bareSwitchPath(b *testing.B, specialize bool) (in *netem.Port, delivered *i
 
 // harmlessPath builds the full chain (legacy switch + S4 + learning
 // controller) and pre-warms the flows between hosts 1 and 2.
-func harmlessPath(b testing.TB, specialize bool) *fabric.Deployment {
+func harmlessPath(b testing.TB) *fabric.Deployment {
 	b.Helper()
 	d, err := fabric.BuildDeployment(fabric.DeployConfig{
-		NumPorts:   4,
-		Apps:       []controller.App{&apps.Learning{Table: 0}},
-		Specialize: specialize,
+		NumPorts: 4,
+		Apps:     []controller.App{&apps.Learning{Table: 0}},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -111,25 +110,16 @@ func harmlessPath(b testing.TB, specialize bool) *fabric.Deployment {
 }
 
 func BenchmarkE2_Throughput(b *testing.B) {
-	paths := []struct {
-		name       string
-		specialize bool
-		harmless   bool
-	}{
-		{"bare-softswitch", false, false},
-		{"harmless-generic", false, true},
-		{"harmless-specialized", true, true},
-	}
-	for _, path := range paths {
+	for _, path := range []string{"bare-softswitch", "harmless-chain"} {
 		for _, size := range benchFrameSizes {
-			b.Run(fmt.Sprintf("%s/frame=%d", path.name, size), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/frame=%d", path, size), func(b *testing.B) {
 				var inject func([]byte)
-				if path.harmless {
-					d := harmlessPath(b, path.specialize)
+				if path == "harmless-chain" {
+					d := harmlessPath(b)
 					defer d.Close()
 					inject = d.Hosts[1].SendRaw
 				} else {
-					in, _, cleanup := bareSwitchPath(b, path.specialize)
+					in, _, cleanup := bareSwitchPath(b)
 					defer cleanup()
 					inject = func(f []byte) { _ = in.Send(f) }
 				}
@@ -160,14 +150,14 @@ func BenchmarkE2_ChainBurst(b *testing.B) {
 			var in *netem.Port
 			delivered := new(int)
 			if path == "chain" {
-				d := harmlessPath(b, false)
+				d := harmlessPath(b)
 				defer d.Close()
 				// Links[i] serves access port i+1; its B end is the host's.
 				in = d.Links[0].B()
 				d.Links[1].B().SetReceiver(func([]byte) { *delivered++ })
 			} else {
 				var cleanup func()
-				in, delivered, cleanup = bareSwitchPath(b, false)
+				in, delivered, cleanup = bareSwitchPath(b)
 				defer cleanup()
 			}
 			frame := benchFrame(b, size)
@@ -246,61 +236,53 @@ func BenchmarkE2_BatchSweep(b *testing.B) {
 // --- E2 ablation: translator hop alone --------------------------------
 
 func BenchmarkE2_TranslatorOnly(b *testing.B) {
-	for _, specialize := range []bool{false, true} {
-		name := "generic"
-		if specialize {
-			name = "specialized"
-		}
-		b.Run(name, func(b *testing.B) {
-			plan, err := harmless.PlanMigration(harmless.PlanConfig{
-				Hostname: "bench", NumPorts: 24,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s4, err := harmless.BuildS4(plan, harmless.S4Config{Specialize: specialize})
-			if err != nil {
-				b.Fatal(err)
-			}
-			trunk := netem.NewLink(netem.LinkConfig{})
-			defer trunk.Close()
-			s4.AttachTrunk(trunk.B())
-			// SS_2 bounces logical 1 -> logical 2.
-			m := openflow.Match{}
-			m.WithInPort(1)
-			if _, err := s4.SS2.ApplyFlowMod(&openflow.FlowMod{
-				TableID: 0, Command: openflow.FlowAdd, Priority: 10,
-				BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-				Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
-					Actions: []openflow.Action{&openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
-				}},
-			}); err != nil {
-				b.Fatal(err)
-			}
-			trunk.A().SetReceiver(func([]byte) {})
-			payload := pkt.Payload(make([]byte, 100))
-			inner, err := pkt.Serialize(
-				&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
-				&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP, Src: fabric.HostIP(1), Dst: fabric.HostIP(2)},
-				&pkt.UDP{SrcPort: 1, DstPort: 2},
-				&payload,
-			)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tagged, err := pkt.PushVLAN(inner, pkt.EtherTypeDot1Q, 101)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(tagged)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cp := make([]byte, len(tagged))
-				copy(cp, tagged)
-				_ = trunk.A().Send(cp)
-			}
-		})
+	plan, err := harmless.PlanMigration(harmless.PlanConfig{
+		Hostname: "bench", NumPorts: 24,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s4, err := harmless.BuildS4(plan, harmless.S4Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	trunk := netem.NewLink(netem.LinkConfig{})
+	defer trunk.Close()
+	s4.AttachTrunk(trunk.B())
+	// SS_2 bounces logical 1 -> logical 2.
+	m := openflow.Match{}
+	m.WithInPort(1)
+	if _, err := s4.SS2.ApplyFlowMod(&openflow.FlowMod{
+		TableID: 0, Command: openflow.FlowAdd, Priority: 10,
+		BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+		Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+			Actions: []openflow.Action{&openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
+		}},
+	}); err != nil {
+		b.Fatal(err)
+	}
+	trunk.A().SetReceiver(func([]byte) {})
+	payload := pkt.Payload(make([]byte, 100))
+	inner, err := pkt.Serialize(
+		&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
+		&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP, Src: fabric.HostIP(1), Dst: fabric.HostIP(2)},
+		&pkt.UDP{SrcPort: 1, DstPort: 2},
+		&payload,
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tagged, err := pkt.PushVLAN(inner, pkt.EtherTypeDot1Q, 101)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(tagged)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cp := make([]byte, len(tagged))
+		copy(cp, tagged)
+		_ = trunk.A().Send(cp)
 	}
 }
 
@@ -311,7 +293,7 @@ func BenchmarkE2_TranslatorOnly(b *testing.B) {
 func BenchmarkE3_PathLatency(b *testing.B) {
 	const size = 256
 	b.Run("bare-softswitch", func(b *testing.B) {
-		in, _, cleanup := bareSwitchPath(b, false)
+		in, _, cleanup := bareSwitchPath(b)
 		defer cleanup()
 		frame := benchFrame(b, size)
 		arena := fabric.NewArena(benchArenaSlots, size)
@@ -322,7 +304,7 @@ func BenchmarkE3_PathLatency(b *testing.B) {
 		}
 	})
 	b.Run("harmless-chain", func(b *testing.B) {
-		d := harmlessPath(b, false)
+		d := harmlessPath(b)
 		defer d.Close()
 		frame := benchFrame(b, size)
 		arena := fabric.NewArena(benchArenaSlots, size)
@@ -337,55 +319,49 @@ func BenchmarkE3_PathLatency(b *testing.B) {
 // --- E8: flow-table scaling -------------------------------------------
 
 func BenchmarkE8_TableScaling(b *testing.B) {
-	for _, specialize := range []bool{false, true} {
-		mode := "generic"
-		if specialize {
-			mode = "specialized"
-		}
-		for _, rules := range []int{16, 256, 4096, 16384} {
-			b.Run(fmt.Sprintf("%s/rules=%d", mode, rules), func(b *testing.B) {
-				sw := softswitch.New("scale", 0xcc, softswitch.WithSpecialization(specialize))
-				in := netem.NewLink(netem.LinkConfig{})
-				out := netem.NewLink(netem.LinkConfig{})
-				defer in.Close()
-				defer out.Close()
-				sw.AttachNetPort(1, "in", in.A())
-				sw.AttachNetPort(2, "out", out.A())
-				out.B().SetReceiver(func([]byte) {})
-				// Exact-match rules over destination IPs.
-				for i := 0; i < rules; i++ {
-					m := openflow.Match{}
-					m.WithEthType(pkt.EtherTypeIPv4).
-						WithIPv4Dst(pkt.IPv4FromUint32(0x0a000000 + uint32(i)))
-					if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
-						TableID: 0, Command: openflow.FlowAdd, Priority: 100,
-						BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-						Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
-							Actions: []openflow.Action{&openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
-						}},
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				// Hit the median rule.
-				payload := pkt.Payload(make([]byte, 26))
-				frame, err := pkt.Serialize(
-					&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
-					&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP,
-						Src: fabric.HostIP(1), Dst: pkt.IPv4FromUint32(0x0a000000 + uint32(rules/2))},
-					&pkt.UDP{SrcPort: 1, DstPort: 2},
-					&payload,
-				)
-				if err != nil {
+	for _, rules := range []int{16, 256, 4096, 16384} {
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			sw := softswitch.New("scale", 0xcc)
+			in := netem.NewLink(netem.LinkConfig{})
+			out := netem.NewLink(netem.LinkConfig{})
+			defer in.Close()
+			defer out.Close()
+			sw.AttachNetPort(1, "in", in.A())
+			sw.AttachNetPort(2, "out", out.A())
+			out.B().SetReceiver(func([]byte) {})
+			// Exact-match rules over destination IPs.
+			for i := 0; i < rules; i++ {
+				m := openflow.Match{}
+				m.WithEthType(pkt.EtherTypeIPv4).
+					WithIPv4Dst(pkt.IPv4FromUint32(0x0a000000 + uint32(i)))
+				if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
+					TableID: 0, Command: openflow.FlowAdd, Priority: 100,
+					BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+					Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+						Actions: []openflow.Action{&openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
+					}},
+				}); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = in.B().Send(frame)
-				}
-			})
-		}
+			}
+			// Hit the median rule.
+			payload := pkt.Payload(make([]byte, 26))
+			frame, err := pkt.Serialize(
+				&pkt.Ethernet{Src: fabric.HostMAC(1), Dst: fabric.HostMAC(2), EtherType: pkt.EtherTypeIPv4},
+				&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP,
+					Src: fabric.HostIP(1), Dst: pkt.IPv4FromUint32(0x0a000000 + uint32(rules/2))},
+				&pkt.UDP{SrcPort: 1, DstPort: 2},
+				&payload,
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = in.B().Send(frame)
+			}
+		})
 	}
 }
 
@@ -400,7 +376,7 @@ func BenchmarkE8_PortScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s4, err := harmless.BuildS4(plan, harmless.S4Config{Specialize: true})
+			s4, err := harmless.BuildS4(plan, harmless.S4Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -16,7 +16,7 @@ func TestChainDatapathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	d := harmlessPath(t, false) // warmed: the legacy FDB and the learned flows are in place
+	d := harmlessPath(t) // warmed: the legacy FDB and the learned flows are in place
 	defer d.Close()
 	// Links[i] serves access port i+1; its B end is the host's. A
 	// counting sink replaces host 2, whose stack decodes (and allocates).

@@ -45,7 +45,6 @@ import (
 
 func main() {
 	duration := flag.Duration("duration", 500*time.Millisecond, "measurement time per cell (or total time in -flows mode)")
-	specialize := flag.Bool("specialize", true, "enable the ESwitch-style fast path")
 	batch := flag.Int("batch", 1, "frames per ReceiveBatch vector (1 = per-frame Receive)")
 	workers := flag.Int("workers", 0, "poll-mode workers (and producers) driving the datapath (0 = single caller thread)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -75,7 +74,7 @@ func main() {
 		runMix(mixConfig{
 			flows: *flows, elephants: *elephants, mouseLife: *mouseLife,
 			duration: *duration, workers: *workers, batch: *batch,
-			sampleRate: *sampleRate, specialize: *specialize, export: *export,
+			sampleRate: *sampleRate, export: *export,
 		})
 		return
 	}
@@ -85,11 +84,11 @@ func main() {
 	for _, size := range fabric.FrameSizes {
 		var barePPS float64
 		if *workers > 0 {
-			barePPS = measureBareWorkers(size, *duration, *specialize, *workers)
+			barePPS = measureBareWorkers(size, *duration, *workers)
 		} else {
-			barePPS = measureBare(size, *duration, *specialize, *batch)
+			barePPS = measureBare(size, *duration, *batch)
 		}
-		harmPPS := measureHARMLESS(size, *duration, *specialize, *batch, *workers)
+		harmPPS := measureHARMLESS(size, *duration, *batch, *workers)
 		penalty := 1 - harmPPS/barePPS
 		fmt.Printf("%-8d %10.0f pps %5.2f Gb/s %10.0f pps %5.2f Gb/s %8.1f%%\n",
 			size,
@@ -103,8 +102,8 @@ func gbps(pps float64, size int) float64 { return pps * float64(size) * 8 / 1e9 
 
 // measureBare drives a two-port switch with the ring egress backend:
 // nothing but the datapath in the measured loop.
-func measureBare(size int, d time.Duration, specialize bool, batch int) float64 {
-	sw := softswitch.New("bare", 1, softswitch.WithSpecialization(specialize))
+func measureBare(size int, d time.Duration, batch int) float64 {
+	sw := softswitch.New("bare", 1)
 	in := netem.NewLink(netem.LinkConfig{})
 	defer in.Close()
 	sw.AttachNetPort(1, "in", in.A())
@@ -157,8 +156,8 @@ func (db *discardBackend) TransmitBatch(fs [][]byte) {
 // worker pool: `workers` producer goroutines dispatch flows into the
 // RSS-sharded rings, `workers` run-to-completion workers drain them.
 // Reported pps is aggregate frames processed over wall time.
-func measureBareWorkers(size int, d time.Duration, specialize bool, workers int) float64 {
-	sw := softswitch.New("bare", 1, softswitch.WithSpecialization(specialize))
+func measureBareWorkers(size int, d time.Duration, workers int) float64 {
+	sw := softswitch.New("bare", 1)
 	sink := &discardBackend{}
 	sw.AttachPort(2, "out", sink)
 	m := openflow.Match{}
@@ -209,11 +208,10 @@ func measureBareWorkers(size int, d time.Duration, specialize bool, workers int)
 	return float64(pool.Stats().Frames-base) / elapsed.Seconds()
 }
 
-func measureHARMLESS(size int, d time.Duration, specialize bool, batch, workers int) float64 {
+func measureHARMLESS(size int, d time.Duration, batch, workers int) float64 {
 	dep, err := fabric.BuildDeployment(fabric.DeployConfig{
-		NumPorts:   4,
-		Apps:       []controller.App{&apps.Learning{Table: 0}},
-		Specialize: specialize,
+		NumPorts: 4,
+		Apps:     []controller.App{&apps.Learning{Table: 0}},
 	})
 	if err != nil {
 		fatal("deploy: %v", err)

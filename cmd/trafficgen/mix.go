@@ -24,16 +24,13 @@ type mixConfig struct {
 	workers    int
 	batch      int
 	sampleRate int
-	specialize bool
 	export     string
 }
 
 // mixSwitch builds the bare forwarding switch (port 1 -> port 2
 // discard) used by the mix run.
-func mixSwitch(cfg mixConfig, tab *telemetry.Table) *softswitch.Switch {
-	sw := softswitch.New("mix", 1,
-		softswitch.WithSpecialization(cfg.specialize),
-		softswitch.WithTelemetry(tab))
+func mixSwitch(tab *telemetry.Table) *softswitch.Switch {
+	sw := softswitch.New("mix", 1, softswitch.WithTelemetry(tab))
 	sw.AttachPort(2, "out", &discardBackend{})
 	m := openflow.Match{}
 	m.WithInPort(1)
@@ -81,7 +78,7 @@ func runMix(cfg mixConfig) {
 	agg.Start()
 	defer agg.Stop()
 
-	sw := mixSwitch(cfg, tab)
+	sw := mixSwitch(tab)
 	gen := fabric.NewMixGenerator(64, cfg.elephants, cfg.flows, cfg.mouseLife, 0.8, 42)
 	fmt.Printf("mix: %d elephants (80%% of packets) + %d active mice over a pool of %d flows, %s\n",
 		cfg.elephants, cfg.flows, gen.DistinctFlows(), cfg.duration)

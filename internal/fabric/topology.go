@@ -44,8 +44,6 @@ type DeployConfig struct {
 	Apps []controller.App
 	// Dialect of the legacy switch CLI.
 	Dialect legacy.Dialect
-	// Specialize enables the compiled fast path on SS_1/SS_2.
-	Specialize bool
 	// LinkConfig template for the host and trunk links (Name is
 	// overridden per link).
 	LinkConfig netem.LinkConfig
@@ -158,7 +156,6 @@ func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
 	d.Manager = harmless.NewManager(driver, nil, harmless.ManagerConfig{
 		TrunkPort:     trunkPort,
 		AccessPorts:   cfg.AccessPorts,
-		Specialize:    cfg.Specialize,
 		SweepInterval: cfg.SweepInterval,
 		ControlPlane:  cfg.ControlPlane,
 		Clock:         cfg.Clock,

@@ -100,43 +100,6 @@ func TestFromOXMRejectsUnknownField(t *testing.T) {
 	}
 }
 
-func TestSpecializeICMPAndARPTemplates(t *testing.T) {
-	tbl := NewTable(0, nil)
-	_ = tbl.Add(&Entry{Priority: 50, Match: &Match{
-		EthTypeSet: true, EthType: pkt.EtherTypeIPv4,
-		IPProtoSet: true, IPProto: pkt.IPProtoICMP,
-		ICMPTypeSet: true, ICMPType: 8,
-	}, Instructions: outputTo(1)})
-	_ = tbl.Add(&Entry{Priority: 40, Match: &Match{
-		EthTypeSet: true, EthType: pkt.EtherTypeARP,
-		ARPOpSet: true, ARPOp: 1,
-	}, Instructions: outputTo(2)})
-	fp, ok := Compile(tbl)
-	if !ok {
-		t.Fatal("icmp/arp table must compile")
-	}
-	icmpK := &pkt.Key{EthType: pkt.EtherTypeIPv4, HasIPv4: true, IPProto: pkt.IPProtoICMP, HasICMP: true, ICMPType: 8}
-	if e := fp.Lookup(icmpK); e == nil || e.Priority != 50 {
-		t.Errorf("icmp lookup: %v", e)
-	}
-	arpK := &pkt.Key{EthType: pkt.EtherTypeARP, HasARP: true, ARPOp: 1}
-	if e := fp.Lookup(arpK); e == nil || e.Priority != 40 {
-		t.Errorf("arp lookup: %v", e)
-	}
-	// A UDP packet misses both templates.
-	if e := fp.Lookup(udpKey(1, hostA, hostB, ipA, ipB, 1, 2)); e != nil {
-		t.Errorf("udp should miss, got %v", e)
-	}
-}
-
-func TestSpecializeRejectsRareFields(t *testing.T) {
-	tbl := NewTable(0, nil)
-	_ = tbl.Add(&Entry{Priority: 1, Match: &Match{VLANPCPSet: true, VLANPCP: 3}})
-	if _, ok := Compile(tbl); ok {
-		t.Error("PCP-matching table compiled")
-	}
-}
-
 func TestGroupCounters(t *testing.T) {
 	g := &Group{ID: 1, Type: openflow.GroupTypeAll, Buckets: []openflow.Bucket{{}}}
 	g.Hit(100)

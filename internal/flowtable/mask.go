@@ -6,9 +6,8 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// MatchMask is the field-level wildcard algebra shared by the
-// dataplane specializer (specialize.go) and the softswitch megaflow
-// cache: a bitmask with one bit per matchable header field. It answers
+// MatchMask is the field-level wildcard algebra shared by the table's
+// lookup index (index.go) and the softswitch megaflow cache: a bitmask with one bit per matchable header field. It answers
 // the question "which fields can influence a lookup decision?" without
 // carrying the per-bit precision of a full OXM mask — a field matched
 // through a prefix (e.g. nw_dst=10.0.0.0/8) sets the whole field's

@@ -1,16 +1,17 @@
 // Package flowtable implements the OpenFlow 1.3 table semantics the
 // software switch executes: priority-ordered flow tables with
-// idle/hard timeouts and counters, a multi-table pipeline, group and
-// meter tables, and an ESwitch-style dataplane specializer that
-// compiles tables of exact-match templates into hash lookups
-// (see specialize.go).
+// idle/hard timeouts and counters, a multi-table pipeline, and group
+// and meter tables. A table answers lookups from an ESwitch-style
+// index it keeps with every flow-mod — exact-match entries in one hash
+// table per field signature, the rest in a short ordered list — and
+// returns what a scan of its priority-ordered entries would
+// (see index.go).
 //
 // Every Table (and the GroupTable) carries a revision counter, bumped
-// on each flow-mod, group-mod, and expiry. Datapath caches — the
-// specializer and the softswitch microflow cache — record the
-// revisions their decisions were derived from and revalidate on every
-// use, which is what keeps cached forwarding coherent with the rules
-// (see DESIGN.md for the invalidation rules).
+// on each flow-mod, group-mod, and expiry. The softswitch flow cache
+// records the revisions its decisions were derived from and
+// revalidates on every use, which is what keeps cached forwarding
+// coherent with the rules (see DESIGN.md for the invalidation rules).
 //
 // The package separates protocol encoding (internal/openflow) from
 // matching semantics: Match here is the evaluated form, convertible

@@ -2,7 +2,6 @@ package flowtable
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,6 +26,7 @@ type Entry struct {
 	Flags        uint16
 
 	instrs  atomic.Pointer[[]openflow.Instruction] // set by Modify; nil = Instructions
+	seq     uint64                                 // install order within the table; a replacement inherits it
 	created time.Time
 	// lastUsed is the clock reading (unix nanos) of the latest dispatch
 	// that matched the entry — read once per dispatch, not per packet,
@@ -126,21 +126,17 @@ type Table struct {
 	maxFlows int // 0 = unlimited
 
 	mu      sync.RWMutex
-	entries []*Entry // sorted by priority descending
+	entries []*Entry // scan order: priority descending, then install order
+	lastSeq uint64
 
-	version atomic.Uint64 // bumped on every modification (specializer invalidation)
+	// The lookup index over entries (index.go), kept under mu.
+	templates []*template // exact-match entries by signature, maxPrio descending
+	residual  []*Entry    // every other entry, in scan order
+	consult   atomic.Uint32
+
+	version atomic.Uint64 // bumped on every modification (cache invalidation)
 	lookups atomic.Uint64
 	matched atomic.Uint64
-
-	// consult caches the union MaskOf over all entries, keyed by the
-	// version it was computed at (see ConsultMask).
-	consult atomic.Pointer[consultState]
-}
-
-// consultState is one cached ConsultMask computation.
-type consultState struct {
-	version uint64
-	mask    MatchMask
 }
 
 // NewTable creates an empty table.
@@ -159,9 +155,8 @@ func (t *Table) ID() uint8 { return t.id }
 
 // Version returns the table's revision counter. It is bumped on every
 // flow-mod (add, modify, delete) and on entry expiry, and is what the
-// datapath caches — the ESwitch specializer and the softswitch
-// microflow cache — validate against so a cached forwarding decision
-// never outlives the rules it was derived from.
+// softswitch flow cache validates against so a cached forwarding
+// decision never outlives the rules it was derived from.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Len returns the number of installed entries.
@@ -180,52 +175,40 @@ func (t *Table) Stats() (lookups, matched uint64) {
 // the set of header fields a lookup against this table can possibly
 // consult. Two keys whose ConsultMask projections are equal
 // (mask.Apply) select the same entry here — the per-table step of the
-// megaflow soundness argument (see Apply). The result is cached per
-// revision, so the steady-state cost on the slow path is one atomic
-// load; it is recomputed (under the read lock, so the version and the
-// entry set are consistent) only after a flow-mod or expiry.
-func (t *Table) ConsultMask() MatchMask {
-	if c := t.consult.Load(); c != nil && c.version == t.version.Load() {
-		return c.mask
-	}
-	t.mu.RLock()
-	v := t.version.Load()
-	var mm MatchMask
-	for _, e := range t.entries {
-		mm = mm.Union(MaskOf(e.Match))
-	}
-	t.mu.RUnlock()
-	t.consult.Store(&consultState{version: v, mask: mm})
-	return mm
+// megaflow soundness argument (see Apply). It is a read of what the
+// lookup index keeps: one atomic load. A flow-mod publishes the new
+// mask before it bumps the version, so a caller that reads Version
+// first never pairs a new revision with an old mask.
+func (t *Table) ConsultMask() MatchMask { return MatchMask(t.consult.Load()) }
+
+// Lookup returns the highest-priority matching entry — of several at
+// that priority, the first installed — and accounts counters (nil on
+// table miss). size is the frame length for byte counters. It stamps
+// the hit with the table's own clock; the datapath, which takes one
+// reading per dispatch, calls LookupAt.
+func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
+	return t.LookupAt(k, size, t.clock.Now().UnixNano())
 }
 
-// Lookup returns the highest-priority matching entry and accounts
-// counters (nil on table miss). size is the frame length for byte
-// counters.
-func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
-	t.lookups.Add(1)
+// LookupAt is Lookup at the caller's clock reading (unix nanos).
+func (t *Table) LookupAt(k *pkt.Key, size int, now int64) *Entry {
 	t.mu.RLock()
-	var hit *Entry
-	for _, e := range t.entries {
-		if e.Match.Matches(k) {
-			hit = e
-			break // entries are priority-sorted
-		}
-	}
+	hit := t.find(k)
 	t.mu.RUnlock()
-	if hit != nil {
-		t.matched.Add(1)
-		hit.Hit(size, t.clock.Now().UnixNano())
+	if hit == nil {
+		t.lookups.Add(1)
+		return nil
 	}
+	t.CreditHit(hit, size, now)
 	return hit
 }
 
-// CreditHit accounts a cache-hit forwarding decision against the table
-// and entry counters exactly as the Lookup that produced the cached
-// decision would have: one lookup, one match, one entry hit (which
-// also refreshes the idle-timeout clock). now is the caller's clock
-// reading in unix nanos — the datapath takes one per dispatch and
-// credits every hit of the dispatch with it.
+// CreditHit accounts a forwarding decision against the table and entry
+// counters — a lookup's own hit, or a cache hit exactly as the Lookup
+// that produced the cached decision would have: one lookup, one match,
+// one entry hit (which also refreshes the idle-timeout clock). now is
+// the caller's clock reading in unix nanos — the datapath takes one
+// per dispatch and credits every hit of the dispatch with it.
 //
 //harmless:hotpath
 func (t *Table) CreditHit(e *Entry, size int, now int64) {
@@ -248,21 +231,21 @@ func (t *Table) Add(e *Entry) error {
 	defer t.version.Add(1)
 	for i, old := range t.entries {
 		if old.Priority == e.Priority && old.Match.Equal(e.Match) {
+			e.seq = old.seq
 			t.entries[i] = e
+			t.index(e, old)
 			return nil
 		}
 	}
 	if t.maxFlows > 0 && len(t.entries) >= t.maxFlows {
 		return ErrTableFull
 	}
-	// Insert keeping priority-descending order; new entries go after
-	// existing entries of the same priority.
-	i := sort.Search(len(t.entries), func(i int) bool {
-		return t.entries[i].Priority < e.Priority
-	})
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
+	t.lastSeq++
+	e.seq = t.lastSeq
+	// Priority-descending order; the new entry goes after existing
+	// entries of the same priority.
+	t.entries = insertInOrder(t.entries, e)
+	t.index(e, nil)
 	return nil
 }
 
@@ -321,6 +304,7 @@ func (t *Table) Delete(match *Match, priority uint16, strict bool, outPort uint3
 	}
 	t.entries = kept
 	if len(removed) > 0 {
+		t.reindex()
 		t.version.Add(1)
 	}
 	return removed
@@ -344,6 +328,7 @@ func (t *Table) ExpireEntries() []Removed {
 	}
 	t.entries = kept
 	if len(removed) > 0 {
+		t.reindex()
 		t.version.Add(1)
 	}
 	return removed

@@ -37,8 +37,6 @@ type ManagerConfig struct {
 	BaseVLAN uint16
 	// DatapathID for SS_2 (0 = default).
 	DatapathID uint64
-	// Specialize enables the compiled fast path.
-	Specialize bool
 	// SweepInterval for flow expiry on SS_2 (0 = disabled).
 	SweepInterval time.Duration
 	// ControlPlane tunes SS_2's controller channels (keepalive,
@@ -116,7 +114,6 @@ func (m *Manager) Deploy(trunkPort *netem.Port, controllers []controlplane.Endpo
 	s4, err := BuildS4(plan, S4Config{
 		Name:       facts.Hostname,
 		DatapathID: m.cfg.DatapathID,
-		Specialize: m.cfg.Specialize,
 		Clock:      m.cfg.Clock,
 	})
 	if err != nil {

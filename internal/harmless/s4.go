@@ -31,9 +31,6 @@ type S4Config struct {
 	// DatapathID for SS_2, the identity the controller sees. SS_1
 	// gets DatapathID+1 (it never talks to the controller).
 	DatapathID uint64
-	// Specialize enables the ESwitch-style fast path on both
-	// instances.
-	Specialize bool
 	// Clock injection for tests.
 	Clock netem.Clock
 }
@@ -50,9 +47,6 @@ func BuildS4(plan *Plan, cfg S4Config) (*S4, error) {
 		cfg.DatapathID = 0x00004e554c4c0001 // arbitrary non-zero default
 	}
 	var opts []softswitch.Option
-	if cfg.Specialize {
-		opts = append(opts, softswitch.WithSpecialization(true))
-	}
 	if cfg.Clock != nil {
 		opts = append(opts, softswitch.WithClock(cfg.Clock))
 	}

@@ -7,8 +7,7 @@ import (
 
 // Key is the set of OpenFlow-matchable header fields extracted from a
 // frame in one pass. It is a comparable value type so it can serve
-// directly as the key of an exact-match fast-path map (the ESwitch-style
-// specialization in internal/flowtable relies on this).
+// directly as a map key (the softswitch flow cache relies on this).
 //
 // Fields that are not present in the frame are left at their zero
 // values and the corresponding Valid* bit is cleared.

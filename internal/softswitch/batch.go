@@ -62,9 +62,9 @@ type txContext struct {
 
 // now returns the dispatch's reading of clock c in unix nanos, taken
 // the first time anything in the dispatch asks for it: every flow-entry
-// credit, specialized lookup and telemetry observation of the dispatch
-// — across the whole patch worklist, SS_1 -> SS_2 -> SS_1 included —
-// carries the same instant. Idle timeouts are whole seconds; a reading
+// credit (a table lookup's or a cache hit's) and telemetry observation
+// of the dispatch — across the whole patch worklist, SS_1 -> SS_2 ->
+// SS_1 included — carries the same instant. Idle timeouts are whole seconds; a reading
 // that is one burst old is all they need. A switch on a different clock
 // (tests mix manual and real ones) gets its own reading.
 //

@@ -24,7 +24,7 @@ import (
 //   - the wildcard megaflow tier maps the key PROJECTED
 //     through the recorded mask, so one entry serves every flow whose
 //     consulted fields agree — the OVS megaflow idea, built on the
-//     same flowtable.MatchMask algebra the specializer uses.
+//     same flowtable.MatchMask algebra the tables' lookup index uses.
 //
 // Subsequent packets replay the program directly, skipping
 // re-classification against every table. This file holds the cached

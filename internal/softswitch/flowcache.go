@@ -55,7 +55,7 @@ func shardOf(hash uint64) uint32 { return uint32(hash) & (cacheShards - 1) }
 
 // maskClass is one mask-equivalence class of the megaflow tier: an
 // exact-match store over keys projected through mask (tuple-space
-// style, the megaflow analogue of the specializer's templates).
+// style, the megaflow analogue of the flow tables' templates).
 type maskClass struct {
 	mask  flowtable.MatchMask
 	store flowStore
@@ -247,17 +247,25 @@ func (p *entryPool) reclaim() {
 //	PROBE  --(probe window >= 1/bypassExitDen)--> ACTIVE
 //	PROBE  --(below)--> BYPASS
 //
+// Probation is rare on purpose. What its windows install outlives them,
+// and on a thrashing workload that trickle fills the shared megaflow
+// tier until a few shards find all their flows there and stay active —
+// at a hit rate that, with a table walk about the price of a hit
+// and a miss paying probe, recording and install, is a net tax (the
+// repo benchmark's ACL-miss workload: 3.7 Mframes/s with every shard
+// bypassed, 2.7 with a quarter of them active at 75% hits).
+//
 // Hits from EITHER tier feed the windows, so a workload served by the
 // megaflow tier alone never trips bypass. All transitions are
 // heuristic: counters are racy-by-design (plain atomics, no CAS
 // loops), a lost sample only defers a window roll.
 const (
-	bypassWindow    = 256  // lookups per ACTIVE evaluation window
-	bypassProbeSpan = 64   // lookups per PROBE window
-	bypassLowStreak = 2    // low windows in a row before bypassing
-	bypassRetry     = 8192 // skipped packets between probation windows
-	bypassEnterDen  = 16   // enter when hits < lookups/16 (6.25%)
-	bypassExitDen   = 8    // exit when hits >= lookups/8 (12.5%)
+	bypassWindow    = 256   // lookups per ACTIVE evaluation window
+	bypassProbeSpan = 64    // lookups per PROBE window
+	bypassLowStreak = 2     // low windows in a row before bypassing
+	bypassRetry     = 65536 // skipped packets between probation windows
+	bypassEnterDen  = 16    // enter when hits < lookups/16 (6.25%)
+	bypassExitDen   = 8     // exit when hits >= lookups/8 (12.5%)
 )
 
 // bypassShard mode values.

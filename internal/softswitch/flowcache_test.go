@@ -50,7 +50,7 @@ func TestMegaflowSharesMaskClass(t *testing.T) {
 }
 
 // TestMegaflowInvalidationOnRevisionChange: a megaflow entry must die
-// the moment any table it specialized from changes revision. The
+// the moment any table it was derived from changes revision. The
 // ruleset consults only in_port, so the first walk records a
 // match-anything program; adding a higher-priority UDP-dst entry would
 // be masked by that program if revision validation failed.

@@ -76,7 +76,7 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 			rev = s.tables[tableID].Version()
 			rec.mask = rec.mask.Union(s.tables[tableID].ConsultMask())
 		}
-		entry := s.lookup(tableID, key, len(frame), tx)
+		entry := s.tables[tableID].LookupAt(key, len(frame), tx.now(s.clock))
 		if entry == nil {
 			// OpenFlow 1.3 table-miss without a miss entry: drop. Not
 			// cached — a later flow-add must see the packet's key again.
@@ -153,35 +153,6 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 	} else if rec != nil && res == applyDropped {
 		rec.uncacheable = true
 	}
-}
-
-// lookup consults the fast path when specialization is enabled,
-// falling back to (and recompiling from) the generic table. A
-// specialized hit is credited at the dispatch's clock reading.
-func (s *Switch) lookup(tableID uint8, key *pkt.Key, size int, tx *txContext) *flowtable.Entry {
-	t := s.tables[tableID]
-	if !s.specialize {
-		return t.Lookup(key, size)
-	}
-	st := s.fast[tableID].Load()
-	if st == nil || (st.fp == nil && st.failedVersion != t.Version()+1) || (st.fp != nil && !st.fp.Valid(t)) {
-		// (Re)compile. failedVersion is stored +1 so the zero value
-		// never suppresses compilation.
-		if fp, ok := flowtable.Compile(t); ok {
-			st = &fastState{fp: fp}
-		} else {
-			st = &fastState{failedVersion: t.Version() + 1}
-		}
-		s.fast[tableID].Store(st)
-	}
-	if st.fp == nil {
-		return t.Lookup(key, size)
-	}
-	e := st.fp.Lookup(key)
-	if e != nil {
-		e.Hit(size, tx.now(s.clock))
-	}
-	return e
 }
 
 // mergeActionSet implements write-actions semantics: one action per

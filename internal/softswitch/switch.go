@@ -8,7 +8,7 @@
 //
 // The hot-path entry point is ReceiveBatch (batch.go), which amortizes
 // key extraction, cache shard locks and egress flushes over a frame
-// vector; Receive is its one-frame wrapper. The datapath layers four
+// vector; Receive is its one-frame wrapper. The datapath layers three
 // lookup modes, fastest first:
 //
 //  1. the flow cache's exact tier (cache.go) — an OVS-style sharded
@@ -19,10 +19,10 @@
 //     mask-equivalence class, probed on the packet key projected
 //     through the union of the consulted tables' match masks, so a
 //     churn of short-lived flows sharing a ruleset shape still hits;
-//  3. the ESwitch-style compiled fast path (flowtable.Compile),
-//     rebuilt lazily whenever the table version changes, opt-in via
-//     WithSpecialization;
-//  4. the generic priority scan of internal/flowtable.
+//  3. the flow tables' own lookup (flowtable.Table.LookupAt): an
+//     ESwitch-style index each table keeps with every flow-mod — one
+//     hash probe per exact-match field signature, then the few masked
+//     entries in priority order.
 //
 // Modes 1 and 2 are one concrete type, flowCache, with pooled entries
 // and per-shard adaptive bypass.
@@ -71,9 +71,7 @@ type Switch struct {
 	portMu sync.Mutex // serializes AttachPort; readers load ports
 	ports  atomic.Pointer[portTable]
 
-	numTables  int // WithNumTables; the tables are built once every option ran
-	specialize bool
-	fast       []atomic.Pointer[fastState]
+	numTables int // WithNumTables; the tables are built once every option ran
 
 	cacheSize      int  // capacity of the exact tier and of each mask class; <=0 disables the cache
 	adaptiveBypass bool // per-shard hit-rate bypass
@@ -139,20 +137,11 @@ func (pt *portTable) with(sp *swPort) *portTable {
 	return next
 }
 
-// fastState caches one table's compilation attempt.
-type fastState struct {
-	fp            *flowtable.FastPath
-	failedVersion uint64 // version at which compilation last failed (+1 offset)
-}
-
 // Option configures a Switch.
 type Option func(*Switch)
 
 // WithClock injects a clock for deterministic timeout tests.
 func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
-
-// WithSpecialization enables the ESwitch-style compiled fast path.
-func WithSpecialization(on bool) Option { return func(s *Switch) { s.specialize = on } }
 
 // WithMicroflowCache switches the flow cache (both tiers) on or off
 // (on by default).
@@ -209,7 +198,6 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 		s.tables = append(s.tables, flowtable.NewTable(uint8(i), s.clock))
 	}
 	s.meters = flowtable.NewMeterTable(s.clock)
-	s.fast = make([]atomic.Pointer[fastState], len(s.tables))
 	if s.cacheSize > 0 {
 		s.cache = newFlowCache(s.cacheSize, s.adaptiveBypass)
 	}

@@ -383,46 +383,84 @@ func TestPatchPorts(t *testing.T) {
 	}
 }
 
-func TestSpecializedMatchesGeneric(t *testing.T) {
-	// The same flow program must forward identically with and without
-	// specialization.
-	run := func(specialize bool) int {
-		r := newRig(t, 3, WithSpecialization(specialize))
-		for vid := uint16(101); vid <= 102; vid++ {
+// TestTableLookupFollowsFlowMods: the tables' lookup, with the flow
+// cache in front of it or alone, forwards by the program as it stands —
+// per-VLAN rows each to their port, and a replaced row from the very
+// next frame.
+func TestTableLookupFollowsFlowMods(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"cached":   nil,
+		"uncached": {WithMicroflowCache(false)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, 3, opts...)
+			for vid := uint16(101); vid <= 102; vid++ {
+				m := openflow.Match{}
+				m.WithInPort(1).WithVLAN(vid)
+				addFlow(t, r.sw, 0, 100, m, apply(&openflow.ActionPopVLAN{}, out(uint32(vid-99))))
+			}
+			tagged := func(vid uint16) []byte {
+				f, err := pkt.PushVLAN(udpFrame(t, macA, macB, ipA, ipB, 1, 2, "s"), pkt.EtherTypeDot1Q, vid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f
+			}
+			r.inject(t, 1, tagged(101))
+			r.inject(t, 1, tagged(102))
+			if r.hosts[2].count() != 1 || r.hosts[3].count() != 1 {
+				t.Fatalf("per-VLAN rows: port2=%d port3=%d, want 1 and 1", r.hosts[2].count(), r.hosts[3].count())
+			}
+			// Replace the vlan-101 row: same match and priority, now to port 3.
 			m := openflow.Match{}
-			m.WithInPort(1).WithVLAN(vid)
-			addFlow(t, r.sw, 0, 100, m, apply(&openflow.ActionPopVLAN{}, out(uint32(vid-99))))
-		}
-		base := udpFrame(t, macA, macB, ipA, ipB, 1, 2, "s")
-		tagged101, _ := pkt.PushVLAN(base, pkt.EtherTypeDot1Q, 101)
-		tagged102, _ := pkt.PushVLAN(base, pkt.EtherTypeDot1Q, 102)
-		r.inject(t, 1, tagged101)
-		r.inject(t, 1, tagged102)
-		return r.hosts[2].count()*10 + r.hosts[3].count()
-	}
-	if g, s := run(false), run(true); g != s || g != 11 {
-		t.Errorf("generic=%d specialized=%d", g, s)
+			m.WithInPort(1).WithVLAN(101)
+			addFlow(t, r.sw, 0, 100, m, apply(&openflow.ActionPopVLAN{}, out(3)))
+			r.inject(t, 1, tagged(101))
+			if r.hosts[2].count() != 1 || r.hosts[3].count() != 2 {
+				t.Errorf("stale lookup after the replace: port2=%d port3=%d, want 1 and 2", r.hosts[2].count(), r.hosts[3].count())
+			}
+		})
 	}
 }
 
-func TestSpecializationInvalidatedByFlowMod(t *testing.T) {
-	r := newRig(t, 3, WithSpecialization(true))
-	m := openflow.Match{}
-	m.WithInPort(1)
-	addFlow(t, r.sw, 0, 10, m, apply(out(2)))
-	r.inject(t, 1, udpFrame(t, macA, macB, ipA, ipB, 1, 2, "a"))
-	// Redirect to port 3.
-	_, err := r.sw.ApplyFlowMod(&openflow.FlowMod{
-		TableID: 0, Command: openflow.FlowAdd, Priority: 10,
-		BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-		Match: m, Instructions: []openflow.Instruction{apply(out(3))},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.inject(t, 1, udpFrame(t, macA, macB, ipA, ipB, 1, 2, "b"))
-	if r.hosts[2].count() != 1 || r.hosts[3].count() != 1 {
-		t.Errorf("stale fast path: port2=%d port3=%d", r.hosts[2].count(), r.hosts[3].count())
+// TestTableCountersWhicheverStructureAnswers: a table counts one lookup
+// per packet it is consulted for and one match per hit — the same in
+// Table.Stats and in the OFPMP_TABLE reply whether the hit entry is
+// filed in the index's hash templates or in its residual list, and
+// whether the flow cache or the table itself answered.
+func TestTableCountersWhicheverStructureAnswers(t *testing.T) {
+	indexed, residual := openflow.Match{}, openflow.Match{}
+	indexed.WithEthDst(macB)
+	residual.WithEthDstMasked(macB, pkt.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}) // macB, not macA
+	for _, c := range []struct {
+		name  string
+		match openflow.Match
+		opts  []Option
+	}{
+		{"indexed/uncached", indexed, []Option{WithMicroflowCache(false)}},
+		{"residual/uncached", residual, []Option{WithMicroflowCache(false)}},
+		{"indexed/cached", indexed, nil},
+		{"residual/cached", residual, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := newRig(t, 2, c.opts...)
+			fc := startFakeController(t, r.sw)
+			addFlow(t, r.sw, 0, 10, c.match, apply(out(2)))
+			for i := 0; i < 3; i++ {
+				r.inject(t, 1, udpFrame(t, macA, macB, ipA, ipB, 1, 2, "hit"))
+			}
+			for i := 0; i < 2; i++ {
+				r.inject(t, 1, udpFrame(t, macB, macA, ipB, ipA, 2, 1, "miss"))
+			}
+			if lookups, matched := r.sw.Table(0).Stats(); lookups != 5 || matched != 3 {
+				t.Errorf("Table.Stats = %d lookups / %d matched, want 5 / 3", lookups, matched)
+			}
+			_ = fc.conn.Send(&openflow.MultipartRequest{MPType: openflow.MultipartTable})
+			reply := <-fc.mpReplies
+			if ts := reply.Tables[0]; ts.LookupCount != 5 || ts.MatchedCount != 3 || ts.ActiveCount != 1 {
+				t.Errorf("OFPMP_TABLE row 0 = %+v, want 5 lookups / 3 matched / 1 active", ts)
+			}
+		})
 	}
 }
 
@@ -713,31 +751,25 @@ func TestAgentRejectsBadFlowMod(t *testing.T) {
 	}
 }
 
+// BenchmarkPipelineForward times the table walk alone: cache off, one
+// in_port row.
 func BenchmarkPipelineForward(b *testing.B) {
-	for _, spec := range []struct {
-		name string
-		on   bool
-	}{{"generic", false}, {"specialized", true}} {
-		b.Run(spec.name, func(b *testing.B) {
-			// Cache off: this benchmark compares the two walk modes.
-			sw := New("bench", 1, WithSpecialization(spec.on), WithMicroflowCache(false))
-			l1 := netem.NewLink(netem.LinkConfig{})
-			defer l1.Close()
-			l2 := netem.NewLink(netem.LinkConfig{})
-			defer l2.Close()
-			sw.AttachNetPort(1, "in", l1.A())
-			sw.AttachNetPort(2, "out", l2.A())
-			l2.B().SetReceiver(func([]byte) {})
-			m := openflow.Match{}
-			m.WithInPort(1)
-			addFlow(b, sw, 0, 10, m, apply(out(2)))
-			frame := udpFrame(b, macA, macB, ipA, ipB, 1, 2, "bench-payload")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sw.Receive(1, frame)
-			}
-		})
+	sw := New("bench", 1, WithMicroflowCache(false))
+	l1 := netem.NewLink(netem.LinkConfig{})
+	defer l1.Close()
+	l2 := netem.NewLink(netem.LinkConfig{})
+	defer l2.Close()
+	sw.AttachNetPort(1, "in", l1.A())
+	sw.AttachNetPort(2, "out", l2.A())
+	l2.B().SetReceiver(func([]byte) {})
+	m := openflow.Match{}
+	m.WithInPort(1)
+	addFlow(b, sw, 0, 10, m, apply(out(2)))
+	frame := udpFrame(b, macA, macB, ipA, ipB, 1, 2, "bench-payload")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sw.Receive(1, frame)
 	}
 }
 
