@@ -76,7 +76,9 @@ test:
 # BenchmarkE2_ChainBurst and fails if the full HARMLESS chain forwards
 # at less than 1/6 of the bare switch — same-run siblings, so the gates
 # hold on any hardware. The whole-repo sweep then proves every other
-# bench still runs too.
+# bench still runs too. bench.txt, bench-pairs.txt and bench-full.txt
+# are outputs, rewritten by every run (CI uploads them as artifacts):
+# .gitignore lists them and they are never committed.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count 2 $(BENCH_PKGS) 2>&1 | tee bench.txt
 	$(GO) run ./cmd/benchdiff -bench bench.txt -baseline BENCH_BASELINE.json -check

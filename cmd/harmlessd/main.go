@@ -81,12 +81,13 @@ func main() {
 		},
 	}
 	// Channel lifecycle diagnostics (dial failures, backoff, dead
-	// peers) go to stderr — a daemon silently redialing a typoed
+	// peers) and the in-process controller's (rejected flow-mods, app
+	// panics) go to stderr — a daemon silently redialing a typoed
 	// controller address forever would be undebuggable.
 	cpCfg := controlplane.Config{Logger: log.New(os.Stderr, "harmlessd: ", log.LstdFlags)}
+	cfg.ControlPlane = cpCfg
 	if len(ctrlAddrs) > 0 || *ofListen != "" {
 		cfg.SweepInterval = time.Second
-		cfg.ControlPlane = cpCfg
 	}
 	for _, a := range ctrlAddrs {
 		cfg.Controllers = append(cfg.Controllers, controlplane.Endpoint{Addr: a})

@@ -530,7 +530,7 @@ func timeoutFor(allowed bool) time.Duration {
 	return 300 * time.Millisecond
 }
 
-// fence flushes pending controller->switch messages.
+// fence returns once the switch has applied what the apps sent it.
 func fence(t *testing.T, d *fabric.Deployment) {
 	t.Helper()
 	h, ok := d.Ctrl.Switch(d.S4.SS2.DatapathID())
@@ -540,7 +540,6 @@ func fence(t *testing.T, d *fabric.Deployment) {
 	if err := h.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
 }
 
 // pingRetry pings up to attempts times (cutovers race with control-

@@ -12,9 +12,12 @@ package harmless_test
 import (
 	"context"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/harmless-sdn/harmless/internal/controller"
+	"github.com/harmless-sdn/harmless/internal/controller/apps"
 	"github.com/harmless-sdn/harmless/internal/controlplane"
 	"github.com/harmless-sdn/harmless/internal/fabric"
 	"github.com/harmless-sdn/harmless/internal/openflow"
@@ -58,11 +61,12 @@ func TestControllerFailoverZeroLoss(t *testing.T) {
 	defer ctrlB.Close()
 
 	// Role election: A is master at epoch 1, B standby slave.
-	if role, _, err := ctrlA.RequestRole(reqCtx(t), openflow.RoleMaster, 1); err != nil || role != openflow.RoleMaster {
-		t.Fatalf("A promotion: role=%v err=%v", role, err)
+	pair, err := controlplane.Elect(reqCtx(t), ctrlA, ctrlB)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if role, _, err := ctrlB.RequestRole(reqCtx(t), openflow.RoleSlave, 1); err != nil || role != openflow.RoleSlave {
-		t.Fatalf("B demotion: role=%v err=%v", role, err)
+	if role, _, err := ctrlB.RequestRole(reqCtx(t), openflow.RoleNoChange, 0); err != nil || role != openflow.RoleSlave {
+		t.Fatalf("B after election: role=%v err=%v", role, err)
 	}
 
 	// The slave's writes bounce with OFPBRC_IS_SLAVE before promotion.
@@ -125,8 +129,11 @@ func TestControllerFailoverZeroLoss(t *testing.T) {
 	if _, _, err := ctrlB.RequestRole(reqCtx(t), openflow.RoleMaster, 0); err == nil {
 		t.Fatal("stale generation_id accepted during failover")
 	}
-	role, gen, err := ctrlB.RequestRole(reqCtx(t), openflow.RoleMaster, 2)
-	if err != nil || role != openflow.RoleMaster || gen != 2 {
+	if err := pair.Failover(reqCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	role, gen, err := ctrlB.RequestRole(reqCtx(t), openflow.RoleNoChange, 0)
+	if err != nil || pair.Master != ctrlB || role != openflow.RoleMaster || gen != 2 {
 		t.Fatalf("B promotion: role=%v gen=%d err=%v", role, gen, err)
 	}
 
@@ -177,6 +184,131 @@ func TestControllerFailoverZeroLoss(t *testing.T) {
 		t.Fatalf("trunk rx stalled across failover: %d -> %d", trunkRxBefore, trunkRxAfter)
 	}
 	ping("post-promotion", 3)
+}
+
+// TestControllerFailoverWithLearningApps is the same takeover with the
+// demo's own app on both controllers: two controller.Controllers, each
+// running its own learning switch, share one HARMLESS-S4. A is master
+// and learns the hosts; B, the slave, is shown no PACKET_IN. A's
+// transport dies while h1 and h2 are exchanging traffic; B takes over
+// at generation 2. The established flows lose nothing, and a host pair
+// only B's app ever hears of is learned and served by B.
+func TestControllerFailoverWithLearningApps(t *testing.T) {
+	pingsAfter := 50
+	if testing.Short() {
+		pingsAfter = 10
+	}
+	learnA, learnB := &apps.Learning{Table: 0}, &apps.Learning{Table: 0}
+	type attached struct {
+		h   *controller.SwitchHandle
+		err error
+	}
+	attach := func(l *apps.Learning) (net.Conn, net.Conn, <-chan attached) {
+		swSide, ctrlSide := net.Pipe()
+		done := make(chan attached, 1)
+		go func() {
+			h, err := controller.New([]controller.App{l}).AttachConn(ctrlSide)
+			done <- attached{h, err}
+		}()
+		return swSide, ctrlSide, done
+	}
+	swA, transportA, doneA := attach(learnA)
+	swB, _, doneB := attach(learnB)
+	dep, err := fabric.BuildDeployment(fabric.DeployConfig{
+		NumPorts:    5,
+		Controllers: []controlplane.Endpoint{{Conn: swA}, {Conn: swB}},
+	})
+	if err != nil {
+		swA.Close()
+		swB.Close()
+		t.Fatal(err)
+	}
+	defer dep.Close()
+	a, b := <-doneA, <-doneB
+	if a.err != nil || b.err != nil {
+		t.Fatalf("attach: A %v, B %v", a.err, b.err)
+	}
+	pair, err := controlplane.Elect(reqCtx(t), a.h.Controller, b.h.Controller)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pair.Close()
+	dpid := dep.S4.SS2.DatapathID()
+
+	h1, h2 := dep.Hosts[1], dep.Hosts[2]
+	if err := h1.Ping(h2.IP, 2*time.Second); err != nil {
+		t.Fatalf("h1->h2 under master A: %v", err)
+	}
+	if p, ok := learnA.Lookup(dpid, h1.MAC); !ok || p != 1 {
+		t.Fatalf("master's app did not learn h1 (port %d, %v)", p, ok)
+	}
+	if seen := learnB.MACTable(dpid); len(seen) != 0 {
+		t.Fatalf("slave's app was shown PACKET_INs: %v", seen)
+	}
+
+	// Traffic on the established flows, across the whole takeover.
+	var pings atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := h1.Ping(h2.IP, 2*time.Second); err != nil {
+				t.Errorf("established flow lost a frame after %d pings: %v", pings.Load(), err)
+				return
+			}
+			pings.Add(1)
+		}
+	}()
+	waitPings := func(n int64) {
+		t.Helper()
+		for target, deadline := pings.Load()+n, time.Now().Add(10*time.Second); pings.Load() < target; {
+			if time.Now().After(deadline) || t.Failed() {
+				t.Fatalf("traffic stalled at %d pings", pings.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitPings(3)
+	pktInsBefore := dep.S4.SS2.PacketIns()
+	transportA.Close()
+	select {
+	case <-a.h.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("controller A's session outlived its transport")
+	}
+	waitPings(3) // headless: the flows are switch state
+	if err := pair.Failover(reqCtx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if role, gen, err := b.h.RequestRole(reqCtx(t), openflow.RoleNoChange, 0); err != nil || role != openflow.RoleMaster || gen != 2 {
+		t.Fatalf("B after takeover: role=%v gen=%d err=%v", role, gen, err)
+	}
+	waitPings(int64(pingsAfter))
+	if n := dep.S4.SS2.PacketIns(); n != pktInsBefore {
+		t.Errorf("established flows fell back to the controller: %d PACKET_INs during the takeover", n-pktInsBefore)
+	}
+
+	// A pair only B has ever heard of.
+	h3, h4 := dep.Hosts[3], dep.Hosts[4]
+	if err := h3.Ping(h4.IP, 2*time.Second); err != nil {
+		t.Fatalf("h3->h4 under new master B: %v", err)
+	}
+	if p, ok := learnB.Lookup(dpid, h3.MAC); !ok || p != 3 {
+		t.Fatalf("new master's app did not learn h3 (port %d, %v)", p, ok)
+	}
+	if _, ok := learnA.Lookup(dpid, h3.MAC); ok {
+		t.Fatal("dead controller's app learned h3")
+	}
+	close(stop)
+	<-stopped
+	if d := dep.S4.SS1.Drops() + dep.S4.SS2.Drops(); d != 0 {
+		t.Fatalf("datapath dropped %d frames across the takeover", d)
+	}
 }
 
 // TestControllerReconnectBackoffE2E: a deployment dialing an external

@@ -1,28 +1,36 @@
-// Package controller implements the SDN controller HARMLESS connects
-// SS_2 to: a small OpenFlow 1.3 controller core (connection handling,
-// handshake, event dispatch, send helpers) plus the network
-// applications the paper demos — an L2 learning switch, the
-// source-IP load balancer, the DMZ access-policy app, and the
-// parental-control app (package apps).
+// Package controller hosts the network applications the paper demos
+// on SS_2 — an L2 learning switch, the source-IP load balancer, the
+// DMZ access-policy app and the parental-control app (package apps).
+// Every switch session is a controlplane.Controller; this package adds
+// the App contract, the install helpers, a registry of connected
+// switches by datapath id and a failure policy for panicking apps.
 package controller
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"log"
 	"net"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
+	"time"
 
+	"github.com/harmless-sdn/harmless/internal/controlplane"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 )
 
 // App is a controller application. Implementations receive switch
 // lifecycle and asynchronous events; embed BaseApp for no-op defaults.
+// SwitchConnected runs before any event of that switch is delivered and
+// the callbacks of one switch never overlap. Events are delivered on
+// the session's read loop: there, a callback that waits for a reply
+// (Barrier, Multipart, RequestRole) must hand off to another goroutine.
 type App interface {
 	// Name identifies the app in logs.
 	Name() string
 	// SwitchConnected fires after the handshake; proactive apps
-	// install their flows here.
+	// install their flows here and may Barrier them.
 	SwitchConnected(sw *SwitchHandle)
 	// PacketIn delivers a packet sent to the controller.
 	PacketIn(sw *SwitchHandle, pi *openflow.PacketIn)
@@ -47,43 +55,23 @@ func (BaseApp) FlowRemoved(*SwitchHandle, *openflow.FlowRemoved) {}
 // PortStatus implements App.
 func (BaseApp) PortStatus(*SwitchHandle, *openflow.PortStatus) {}
 
-// SwitchHandle is the controller's view of one connected switch.
+// SwitchHandle is an app's view of one connected switch: the
+// controlplane session itself (DPID, FlowMod, Send, RequestRole,
+// Multipart, Done, Err, ...) plus the install helpers the apps share.
 type SwitchHandle struct {
-	conn     *openflow.Conn
-	features *openflow.FeaturesReply
+	*controlplane.Controller
 
+	// The gate that keeps SwitchConnected ahead of the switch's events:
+	// until live is set they queue in held, under mu.
+	live atomic.Bool
 	mu   sync.Mutex
-	data map[string]any // per-switch app state, keyed by app name
-}
-
-// DPID returns the switch's datapath id.
-func (h *SwitchHandle) DPID() uint64 { return h.features.DatapathID }
-
-// Features returns the handshake features.
-func (h *SwitchHandle) Features() *openflow.FeaturesReply { return h.features }
-
-// Send transmits any message to the switch.
-func (h *SwitchHandle) Send(m openflow.Message) error { return h.conn.Send(m) }
-
-// FlowMod sends a flow-mod.
-func (h *SwitchHandle) FlowMod(fm *openflow.FlowMod) error {
-	if fm.BufferID == 0 {
-		fm.BufferID = openflow.NoBuffer
-	}
-	if fm.OutPort == 0 {
-		fm.OutPort = openflow.PortAny
-	}
-	if fm.OutGroup == 0 {
-		fm.OutGroup = openflow.GroupAny
-	}
-	return h.conn.Send(fm)
+	held []func()
 }
 
 // InstallFlow is the common proactive install helper.
 func (h *SwitchHandle) InstallFlow(table uint8, priority uint16, match openflow.Match, instrs ...openflow.Instruction) error {
 	return h.FlowMod(&openflow.FlowMod{
 		TableID: table, Command: openflow.FlowAdd, Priority: priority,
-		BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
 		Match: match, Instructions: instrs,
 	})
 }
@@ -96,15 +84,9 @@ func (h *SwitchHandle) InstallTableMiss(table uint8) error {
 		}})
 }
 
-// InstallGotoMiss installs a priority-0 goto-table entry (pipeline
-// chaining between apps).
-func (h *SwitchHandle) InstallGotoMiss(table, next uint8) error {
-	return h.InstallFlow(table, 0, openflow.Match{}, &openflow.InstrGotoTable{TableID: next})
-}
-
 // PacketOut injects a frame into the switch.
 func (h *SwitchHandle) PacketOut(inPort uint32, data []byte, actions ...openflow.Action) error {
-	return h.conn.Send(&openflow.PacketOut{
+	return h.Send(&openflow.PacketOut{
 		BufferID: openflow.NoBuffer, InPort: inPort, Actions: actions, Data: data,
 	})
 }
@@ -114,52 +96,80 @@ func (h *SwitchHandle) FloodPacket(inPort uint32, data []byte) error {
 	return h.PacketOut(inPort, data, &openflow.ActionOutput{Port: openflow.PortFlood, MaxLen: 0xffff})
 }
 
-// AppData returns per-switch storage for an app, creating it with
-// init on first use.
-func (h *SwitchHandle) AppData(app string, init func() any) any {
+// Barrier returns once the switch has processed everything sent before
+// it. The bound is wall-clock whatever timebase the session runs on: a
+// switch that never replies must not wedge an app.
+func (h *SwitchHandle) Barrier() error {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return h.AwaitBarrier(ctx)
+}
+
+// gated wraps one Events callback in the handle's gate. Once the gate
+// is open an event costs one atomic load; the closure is built only for
+// an event that has to wait.
+func gated[M any](h *SwitchHandle, deliver func(M)) func(M) {
+	return func(m M) {
+		if !h.live.Load() {
+			h.mu.Lock()
+			if !h.live.Load() {
+				h.held = append(h.held, func() { deliver(m) })
+				h.mu.Unlock()
+				return
+			}
+			h.mu.Unlock()
+		}
+		deliver(m)
+	}
+}
+
+// release replays the held events in arrival order, then opens the
+// gate. The lock is dropped around each callback so the read loop can
+// keep queueing behind it, and resolving the replies a callback may be
+// waiting for. A session an app panic has killed drops the rest.
+func (h *SwitchHandle) release() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if v, ok := h.data[app]; ok {
-		return v
+	for len(h.held) > 0 && h.Err() == nil {
+		ev := h.held[0]
+		h.held = h.held[1:]
+		h.mu.Unlock()
+		ev()
+		h.mu.Lock()
 	}
-	v := init()
-	h.data[app] = v
-	return v
+	h.held = nil
+	h.live.Store(true)
 }
 
-// Barrier sends a barrier request (the reply is consumed by the event
-// loop; this is a write-side ordering fence).
-func (h *SwitchHandle) Barrier() error {
-	return h.conn.Send(&openflow.BarrierRequest{})
-}
-
-// Controller is the OpenFlow controller core.
+// Controller hosts the apps and keeps the registry of the switches
+// attached to it.
 type Controller struct {
-	apps []App
-	log  *log.Logger
+	apps     []App
+	cfg      controlplane.Config
+	switches sync.Map // dpid -> *SwitchHandle, while the session lives
 
-	mu       sync.Mutex
-	switches map[uint64]*SwitchHandle
+	// AppPanics counts app callbacks that panicked; SwitchErrors counts
+	// ERROR messages that answered no request (e.g. a rejected
+	// flow-mod). Both are also logged to the session's Config.Logger.
+	AppPanics, SwitchErrors atomic.Uint64
 }
-
-// Option configures the controller.
-type Option func(*Controller)
-
-// WithLogger directs controller diagnostics to l.
-func WithLogger(l *log.Logger) Option { return func(c *Controller) { c.log = l } }
 
 // New creates a controller running the given apps. Event dispatch
-// order follows the app order (filters first, forwarding last).
-func New(apps []App, opts ...Option) *Controller {
-	c := &Controller{
-		apps:     apps,
-		switches: make(map[uint64]*SwitchHandle),
-		log:      log.New(io.Discard, "", 0),
-	}
-	for _, o := range opts {
-		o(c)
+// order follows the app order (filters first, forwarding last). Its
+// sessions take clock, keepalive and logger from cfg (at most one;
+// none means the controlplane defaults).
+func New(apps []App, cfg ...controlplane.Config) *Controller {
+	c := &Controller{apps: apps}
+	if len(cfg) > 0 {
+		c.cfg = cfg[0]
 	}
 	return c
+}
+
+func (c *Controller) logf(format string, args ...any) {
+	if c.cfg.Logger != nil {
+		c.cfg.Logger.Printf(format, args...)
+	}
 }
 
 // Serve accepts switch connections on l until it closes.
@@ -171,97 +181,77 @@ func (c *Controller) Serve(l net.Listener) error {
 		}
 		go func() {
 			if _, err := c.AttachConn(conn); err != nil {
-				c.log.Printf("controller: attach: %v", err)
+				c.logf("controller: attach: %v", err)
 			}
 		}()
 	}
 }
 
-// AttachConn runs the handshake on an established transport and
-// starts the event loop. It returns once the handshake is complete.
+// AttachConn opens a session on an established transport, runs every
+// app's SwitchConnected, replays the events that arrived meanwhile and
+// registers the switch. It fails if the handshake does or the session
+// dies before the apps have seen the switch.
 func (c *Controller) AttachConn(rw io.ReadWriteCloser) (*SwitchHandle, error) {
-	conn := openflow.NewConn(rw)
-	h := &SwitchHandle{conn: conn, data: make(map[string]any)}
-	var early []openflow.Message
-	features, err := conn.Handshake(func(m openflow.Message) { early = append(early, m) })
+	h := &SwitchHandle{}
+	cp, err := controlplane.Connect(rw, c.cfg, controlplane.Events{
+		PacketIn:    gated(h, func(m *openflow.PacketIn) { c.each(h, func(a App) { a.PacketIn(h, m) }) }),
+		FlowRemoved: gated(h, func(m *openflow.FlowRemoved) { c.each(h, func(a App) { a.FlowRemoved(h, m) }) }),
+		PortStatus:  gated(h, func(m *openflow.PortStatus) { c.each(h, func(a App) { a.PortStatus(h, m) }) }),
+		SwitchError: gated(h, func(e *openflow.Error) {
+			c.logf("controller: switch %#x error: %v", h.DPID(), e)
+			c.SwitchErrors.Add(1)
+		}),
+	})
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("controller: handshake: %w", err)
+		return nil, fmt.Errorf("controller: %w", err)
 	}
-	h.features = features
-	c.mu.Lock()
-	c.switches[features.DatapathID] = h
-	c.mu.Unlock()
-	c.log.Printf("controller: switch %#x connected (%d tables)", features.DatapathID, features.NTables)
-
-	for _, app := range c.apps {
-		app.SwitchConnected(h)
+	h.Controller = cp
+	c.each(h, func(a App) { a.SwitchConnected(h) })
+	h.release()
+	if err := h.Err(); err != nil {
+		return nil, err
 	}
-	for _, m := range early {
-		c.dispatch(h, m)
-	}
-	go c.eventLoop(h)
+	c.switches.Store(h.DPID(), h)
+	go func() {
+		<-h.Done()
+		c.switches.CompareAndDelete(h.DPID(), h)
+	}()
 	return h, nil
+}
+
+// each makes one callback into every app, in order, and is where the
+// failure policy lives: a panicking app is recovered at this dispatch
+// boundary, logged and counted, and costs its switch the session — Err
+// reports the panic — while other sessions and the datapath carry on.
+func (c *Controller) each(h *SwitchHandle, call func(App)) {
+	defer func() {
+		if r := recover(); r != nil {
+			err := fmt.Errorf("controller: app panic on switch %#x: %v", h.DPID(), r)
+			c.logf("%v\n%s", err, debug.Stack())
+			c.AppPanics.Add(1)
+			h.CloseWithError(err) // the panic is the error that matters, not the transport's
+		}
+	}()
+	for _, app := range c.apps {
+		call(app)
+	}
 }
 
 // Switch returns the handle for a datapath id.
 func (c *Controller) Switch(dpid uint64) (*SwitchHandle, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.switches[dpid]
-	return h, ok
+	h, ok := c.switches.Load(dpid)
+	if !ok {
+		return nil, false
+	}
+	return h.(*SwitchHandle), true
 }
 
 // Switches returns all connected switch handles.
 func (c *Controller) Switches() []*SwitchHandle {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*SwitchHandle, 0, len(c.switches))
-	for _, h := range c.switches {
-		out = append(out, h)
-	}
+	var out []*SwitchHandle
+	c.switches.Range(func(_, h any) bool {
+		out = append(out, h.(*SwitchHandle))
+		return true
+	})
 	return out
-}
-
-func (c *Controller) eventLoop(h *SwitchHandle) {
-	defer func() {
-		h.conn.Close()
-		c.mu.Lock()
-		if c.switches[h.DPID()] == h {
-			delete(c.switches, h.DPID())
-		}
-		c.mu.Unlock()
-	}()
-	for {
-		m, err := h.conn.Recv()
-		if err != nil {
-			c.log.Printf("controller: switch %#x disconnected: %v", h.DPID(), err)
-			return
-		}
-		c.dispatch(h, m)
-	}
-}
-
-func (c *Controller) dispatch(h *SwitchHandle, m openflow.Message) {
-	switch t := m.(type) {
-	case *openflow.EchoRequest:
-		_ = h.conn.Send(&openflow.EchoReply{Data: t.Data})
-	case *openflow.PacketIn:
-		for _, app := range c.apps {
-			app.PacketIn(h, t)
-		}
-	case *openflow.FlowRemoved:
-		for _, app := range c.apps {
-			app.FlowRemoved(h, t)
-		}
-	case *openflow.PortStatus:
-		for _, app := range c.apps {
-			app.PortStatus(h, t)
-		}
-	case *openflow.Error:
-		c.log.Printf("controller: switch %#x error: %v", h.DPID(), t)
-	case *openflow.BarrierReply, *openflow.MultipartReply, *openflow.EchoReply, *openflow.Hello:
-		// Consumed silently; synchronous readers are not supported in
-		// the event loop (use ofctl for interactive stats).
-	}
 }

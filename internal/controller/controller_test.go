@@ -95,11 +95,6 @@ func (r *rig) barrier(t *testing.T) {
 	if err := h.Barrier(); err != nil {
 		t.Fatal(err)
 	}
-	// The barrier reply is consumed by the event loop; give the
-	// agent's synchronous apply a moment by polling table state via a
-	// short wait.
-	waitFor(t, "barrier settle", func() bool { return true })
-	time.Sleep(20 * time.Millisecond)
 }
 
 func (r *rig) inject(t *testing.T, port uint32, frame []byte) {

@@ -26,8 +26,8 @@ type Events struct {
 
 // Controller is the typed northbound client: the controller side of
 // one OpenFlow channel with request/await-reply plumbing correlated by
-// transaction id. It replaces the raw openflow.Conn loops the manager,
-// daemons and tests used to hand-roll.
+// transaction id. It is the tree's only controller-side session; the
+// app controller (package controller) and Pair are built on it.
 type Controller struct {
 	cfg      Config
 	events   Events
@@ -92,13 +92,13 @@ func (c *Controller) Err() error {
 // Close tears the channel down and returns the transport's close
 // error, if any.
 func (c *Controller) Close() error {
-	return c.teardown(nil)
+	return c.CloseWithError(nil)
 }
 
-// teardown shuts the controller down once, recording err as the
-// terminal cause. It returns the transport's close error (nil when a
-// prior teardown already ran).
-func (c *Controller) teardown(err error) error {
+// CloseWithError shuts the controller down once, recording err as the
+// terminal cause Err reports. It returns the transport's close error
+// (nil when a prior shutdown already ran).
+func (c *Controller) CloseWithError(err error) error {
 	var cerr error
 	c.closeOnce.Do(func() {
 		c.mu.Lock()
@@ -173,9 +173,8 @@ func (c *Controller) Request(ctx context.Context, m openflow.Message) (openflow.
 	}
 }
 
-// AwaitBarrier sends a BARRIER_REQUEST and blocks until its reply: a
-// real write-side fence, unlike the fire-and-forget barrier the old
-// raw-conn path offered.
+// AwaitBarrier sends a BARRIER_REQUEST and blocks until its reply: the
+// switch has processed everything sent before it.
 func (c *Controller) AwaitBarrier(ctx context.Context) error {
 	_, err := c.Request(ctx, &openflow.BarrierRequest{})
 	return err
@@ -253,7 +252,7 @@ func (c *Controller) readLoop() {
 	for {
 		m, err := c.conn.Recv()
 		if err != nil {
-			c.teardown(fmt.Errorf("controlplane: channel read: %w", err))
+			c.CloseWithError(fmt.Errorf("controlplane: channel read: %w", err))
 			return
 		}
 		c.lastRx.Store(c.cfg.Clock.Now().UnixNano())
@@ -322,7 +321,7 @@ func (c *Controller) keepalive() {
 		case <-t.C:
 			idle := c.cfg.Clock.Now().Sub(time.Unix(0, c.lastRx.Load()))
 			if idle > c.cfg.EchoTimeout {
-				c.teardown(fmt.Errorf("controlplane: switch dead (%v since last rx)", idle))
+				c.CloseWithError(fmt.Errorf("controlplane: switch dead (%v since last rx)", idle))
 				return
 			}
 			_ = c.conn.Send(&openflow.EchoRequest{})

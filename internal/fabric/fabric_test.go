@@ -2,14 +2,19 @@ package fabric
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"net"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/harmless-sdn/harmless/internal/controller"
 	"github.com/harmless-sdn/harmless/internal/controller/apps"
 	"github.com/harmless-sdn/harmless/internal/netem"
+	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
@@ -337,5 +342,65 @@ func TestMixGeneratorShape(t *testing.T) {
 	}
 	if g.Churned() == 0 {
 		t.Fatal("Churned() = 0")
+	}
+}
+
+// pipeGoroutines counts goroutines parked in a net.Pipe read or write.
+func pipeGoroutines() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("net.(*pipe).")) {
+			n++
+		}
+	}
+	return n
+}
+
+// A deployment whose manager fails (here: an access port the switch
+// does not have) must close what it had already built: the CLI session
+// and the controller's half-done handshake both sit on net.Pipe ends.
+func TestBuildDeploymentFailureClosesWhatItBuilt(t *testing.T) {
+	before := pipeGoroutines()
+	_, err := BuildDeployment(DeployConfig{
+		NumPorts:    4,
+		AccessPorts: []int{9},
+		Apps:        []controller.App{&apps.Learning{Table: 0}},
+	})
+	if err == nil {
+		t.Fatal("deployment with an out-of-range access port accepted")
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for pipeGoroutines() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutine(s) still blocked on the deployment's pipes", pipeGoroutines()-before)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// A control transport that dies mid-handshake is reported by
+// WaitConnected as the handshake error, at once — not as a timeout
+// with the cause gone.
+func TestWaitConnectedReturnsAttachError(t *testing.T) {
+	ctrl := controller.New([]controller.App{&apps.Learning{Table: 0}})
+	d := &Deployment{clock: netem.RealClock{}, attached: make(chan struct{})}
+	swSide, ctrlSide := net.Pipe()
+	go func() {
+		d.handle, d.attachErr = ctrl.AttachConn(ctrlSide)
+		close(d.attached)
+	}()
+	if _, err := openflow.ReadMessage(swSide); err != nil { // the controller's HELLO
+		t.Fatal(err)
+	}
+	swSide.Close()
+	start := time.Now()
+	err := d.WaitConnected(5 * time.Second)
+	if err == nil || errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "handshake") {
+		t.Fatalf("WaitConnected = %v, want the handshake error", err)
+	}
+	if waited := time.Since(start); waited > time.Second {
+		t.Fatalf("WaitConnected took %v to report a dead transport", waited)
 	}
 }

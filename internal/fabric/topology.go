@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"time"
 
@@ -28,7 +29,14 @@ type Deployment struct {
 	Links     []*netem.Link
 	TrunkLink *netem.Link
 
-	clock netem.Clock // timebase for WaitConnected polling
+	clock   netem.Clock // timebase for WaitConnected's timeout
+	closers []io.Closer // management session and the controller pipe's switch end
+
+	// The in-process controller's attach: handle and attachErr are set
+	// before attached closes (nil when there is no such controller).
+	attached  chan struct{}
+	handle    *controller.SwitchHandle
+	attachErr error
 }
 
 // DeployConfig parameterizes BuildDeployment.
@@ -63,7 +71,8 @@ type DeployConfig struct {
 	// addresses or established transports) on top of — or instead of —
 	// the in-process controller.
 	Controllers []controlplane.Endpoint
-	// ControlPlane tunes SS_2's controller channels (keepalive,
+	// ControlPlane tunes SS_2's controller channels and the in-process
+	// controller's session at their other end (clock, keepalive,
 	// backoff, logger). Zero = defaults.
 	ControlPlane controlplane.Config
 }
@@ -80,12 +89,18 @@ func HostIP(port int) pkt.IPv4 { return pkt.IPv4{10, 0, 0, byte(port)} }
 
 // BuildDeployment assembles the complete testbed and runs the manager
 // end to end (CLI-driver configuration, S4 bring-up, controller
-// connection over an in-memory pipe).
-func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
+// connection over an in-memory pipe). On error everything built so far
+// is closed again.
+func BuildDeployment(cfg DeployConfig) (_ *Deployment, err error) {
 	if cfg.NumPorts < 2 {
 		return nil, fmt.Errorf("fabric: need >= 2 ports")
 	}
 	d := &Deployment{Hosts: make(map[int]*Host), clock: cfg.Clock}
+	defer func() {
+		if err != nil {
+			d.Close()
+		}
+	}()
 	if d.clock == nil {
 		d.clock = netem.RealClock{}
 	}
@@ -129,7 +144,11 @@ func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
 
 	// Management: CLI over an in-memory TCP-like pipe.
 	mgmtClient, mgmtServer := net.Pipe()
-	go func() { _ = d.CLI.ServeConn(mgmtServer) }()
+	d.closers = append(d.closers, mgmtClient)
+	go func() {
+		_ = d.CLI.ServeConn(mgmtServer)
+		mgmtServer.Close()
+	}()
 	vendor := "ciscoish"
 	if cfg.Dialect == legacy.DialectAristaish {
 		vendor = "aristaish"
@@ -143,13 +162,20 @@ func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
 	if cfg.Controller != nil {
 		d.Ctrl = cfg.Controller
 	} else {
-		d.Ctrl = controller.New(cfg.Apps)
+		d.Ctrl = controller.New(cfg.Apps, cfg.ControlPlane)
 	}
 	endpoints := append([]controlplane.Endpoint(nil), cfg.Controllers...)
 	if len(cfg.Apps) > 0 || cfg.Controller != nil {
 		swSide, ctrlSide := net.Pipe()
 		endpoints = append(endpoints, controlplane.Endpoint{Conn: swSide})
-		go func() { _, _ = d.Ctrl.AttachConn(ctrlSide) }()
+		d.closers = append(d.closers, swSide)
+		// The attach (handshake, then every app's SwitchConnected) runs
+		// alongside the manager's deploy; WaitConnected collects it.
+		d.attached = make(chan struct{})
+		go func() {
+			d.handle, d.attachErr = d.Ctrl.AttachConn(ctrlSide)
+			close(d.attached)
+		}()
 	}
 
 	// Manager deploy.
@@ -161,18 +187,21 @@ func BuildDeployment(cfg DeployConfig) (*Deployment, error) {
 		Clock:         cfg.Clock,
 		DatapathID:    cfg.DatapathID,
 	})
-	s4, err := d.Manager.Deploy(d.TrunkLink.B(), endpoints)
-	if err != nil {
+	if d.S4, err = d.Manager.Deploy(d.TrunkLink.B(), endpoints); err != nil {
 		return nil, err
 	}
-	d.S4 = s4
 	return d, nil
 }
 
-// Close releases all links and the controller channel.
+// Close releases the controller channel, the management session and
+// all links.
 func (d *Deployment) Close() {
 	if d.S4 != nil {
 		d.S4.Stop()
+	}
+	for _, c := range d.closers {
+		//harmless:allow-droperr in-memory pipe ends; closing one twice or after its peer is the only failure and means it is closed
+		c.Close()
 	}
 	for _, l := range d.Links {
 		l.Close()
@@ -182,25 +211,21 @@ func (d *Deployment) Close() {
 	}
 }
 
-// WaitConnected blocks until the controller has registered SS_2 and
-// its SwitchConnected hooks have installed their flows. The poll runs
-// on the deployment's injected clock (DeployConfig.Clock), so under a
-// virtual timebase the wait consumes simulated, not wall, time.
+// WaitConnected blocks until the in-process controller has attached to
+// SS_2, its apps' SwitchConnected hooks have run, and a barrier has
+// confirmed the flows they sent are installed. It returns the attach
+// error if there was one. The timeout runs on the deployment's injected
+// clock (DeployConfig.Clock).
 func (d *Deployment) WaitConnected(timeout time.Duration) error {
-	sleep := func(dur time.Duration) {
-		t := netem.NewTimer(d.clock, dur)
-		<-t.C
+	t := netem.NewTimer(d.clock, timeout)
+	defer t.Stop()
+	select {
+	case <-d.attached:
+	case <-t.C:
+		return fmt.Errorf("fabric: controller never attached to the switch: %w", ErrTimeout)
 	}
-	deadline := d.clock.Now().Add(timeout)
-	dpid := d.S4.SS2.DatapathID()
-	for d.clock.Now().Before(deadline) {
-		if h, ok := d.Ctrl.Switch(dpid); ok {
-			// Fence with a barrier so proactive flows are in place.
-			_ = h.Barrier()
-			sleep(10 * time.Millisecond)
-			return nil
-		}
-		sleep(2 * time.Millisecond)
+	if d.attachErr != nil {
+		return d.attachErr
 	}
-	return fmt.Errorf("fabric: controller never saw switch %#x: %w", dpid, ErrTimeout)
+	return d.handle.Barrier()
 }

@@ -2,7 +2,6 @@ package harmless
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/harmless-sdn/harmless/internal/controlplane"
@@ -38,7 +37,7 @@ type S4Config struct {
 // BuildS4 instantiates SS_1 and SS_2, wires the patch ports for every
 // logical port of the plan, and installs the translator program.
 // The caller attaches the trunk with AttachTrunk and connects the
-// controller with ConnectController.
+// controller with ConnectControllers.
 func BuildS4(plan *Plan, cfg S4Config) (*S4, error) {
 	if cfg.Name == "" {
 		cfg.Name = "harmless"
@@ -73,18 +72,13 @@ func (s *S4) AttachTrunk(p *netem.Port) {
 	s.SS1.AttachNetPort(SS1TrunkPort, "trunk", p)
 }
 
-// ConnectController starts SS_2's OpenFlow agent over one established
-// transport. sweepInterval controls periodic flow-expiry checks
-// (0 disables; tests sweep manually).
-func (s *S4) ConnectController(rw io.ReadWriteCloser, sweepInterval time.Duration) {
-	s.ConnectControllers([]controlplane.Endpoint{{Conn: rw}}, controlplane.Config{}, sweepInterval)
-}
-
 // ConnectControllers brings SS_2's control plane up towards every
 // endpoint: Addr endpoints are dialed actively with backoff redial
 // across controller restarts, Conn endpoints serve an established
-// transport. Calling it again adds channels to the running agent
-// (cfg and sweepInterval apply only to the first call).
+// transport. sweepInterval controls periodic flow-expiry checks (0
+// disables; tests sweep manually). Calling it again adds channels to
+// the running agent (cfg and sweepInterval apply only to the first
+// call).
 func (s *S4) ConnectControllers(endpoints []controlplane.Endpoint, cfg controlplane.Config, sweepInterval time.Duration) {
 	if s.agent == nil {
 		s.agent = s.SS2.NewAgent(cfg, sweepInterval)
@@ -99,7 +93,7 @@ func (s *S4) ConnectControllers(endpoints []controlplane.Endpoint, cfg controlpl
 	}
 }
 
-// Agent returns SS_2's OpenFlow agent (nil before ConnectController).
+// Agent returns SS_2's OpenFlow agent (nil before ConnectControllers).
 func (s *S4) Agent() *softswitch.Agent { return s.agent }
 
 // Stop tears down the controller channel.

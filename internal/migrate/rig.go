@@ -16,7 +16,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/sim"
-	"github.com/harmless-sdn/harmless/internal/softswitch"
 )
 
 // Traffic rides UDP between paired hosts on these ports.
@@ -45,9 +44,8 @@ type switchRig struct {
 	links  []*netem.Link
 	hosts  []*fabric.Host // index p-1 for access port p; nil if unpaired
 
-	mgr           *harmless.Manager
-	master, slave *controlplane.Controller
-	gen           uint64
+	mgr  *harmless.Manager
+	ctrl *controlplane.Pair // master/slave controller pair; nil when none is up
 
 	deployed    bool
 	serverAlive bool
@@ -166,20 +164,10 @@ func (r *switchRig) deploy(clock netem.Clock) error {
 		sPipeB.Close()
 		return err
 	}
-	if r.master, err = controlplane.Connect(mPipeB, cpCfg, controlplane.Events{}); err != nil {
-		return fmt.Errorf("migrate: %s: master connect: %w", r.spec.Name, err)
-	}
-	if r.slave, err = controlplane.Connect(sPipeB, cpCfg, controlplane.Events{}); err != nil {
-		return fmt.Errorf("migrate: %s: slave connect: %w", r.spec.Name, err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	r.gen = 1
-	if _, _, err := r.master.RequestRole(ctx, openflow.RoleMaster, r.gen); err != nil {
-		return fmt.Errorf("migrate: %s: master role: %w", r.spec.Name, err)
-	}
-	if _, _, err := r.slave.RequestRole(ctx, openflow.RoleSlave, r.gen); err != nil {
-		return fmt.Errorf("migrate: %s: slave role: %w", r.spec.Name, err)
+	if r.ctrl, err = controlplane.ConnectPair(ctx, mPipeB, sPipeB, cpCfg); err != nil {
+		return fmt.Errorf("migrate: %s: controller pair: %w", r.spec.Name, err)
 	}
 	// Proactive forwarding: one dst-MAC flow per host, installed over
 	// the wire through the master and barriered before any traffic
@@ -199,11 +187,11 @@ func (r *switchRig) deploy(clock netem.Clock) error {
 				}},
 			},
 		}
-		if err := r.master.FlowMod(fm); err != nil {
+		if err := r.ctrl.Master.FlowMod(fm); err != nil {
 			return fmt.Errorf("migrate: %s: flow for port %d: %w", r.spec.Name, p, err)
 		}
 	}
-	if err := r.master.AwaitBarrier(ctx); err != nil {
+	if err := r.ctrl.Master.AwaitBarrier(ctx); err != nil {
 		return fmt.Errorf("migrate: %s: barrier: %w", r.spec.Name, err)
 	}
 	r.deployed = true
@@ -218,13 +206,15 @@ func (r *switchRig) deploy(clock netem.Clock) error {
 func (r *switchRig) killServer() {
 	r.serverAlive = false
 	r.trunk.B().SetReceiver(func([]byte) { r.deadTrunkRx++ })
-	if r.master != nil {
-		r.master.Close()
-		r.master = nil
-	}
-	if r.slave != nil {
-		r.slave.Close()
-		r.slave = nil
+	r.dropControllers()
+}
+
+// dropControllers abandons the controller sessions, if any are up.
+func (r *switchRig) dropControllers() {
+	if r.ctrl != nil {
+		//harmless:allow-droperr the OF transports are abandoned (dead server, or a rollback that restoredExactly verifies byte for byte); a close error changes nothing
+		r.ctrl.Close()
+		r.ctrl = nil
 	}
 }
 
@@ -232,20 +222,14 @@ func (r *switchRig) killServer() {
 // promotes with a bumped generation and proves ownership with a
 // barrier. Runs inside the fault's virtual-time callback.
 func (r *switchRig) failover() error {
-	if r.master == nil || r.slave == nil {
+	if r.ctrl == nil {
 		return fmt.Errorf("migrate: %s: no controller pair to fail over", r.spec.Name)
 	}
-	r.master.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), opTimeout)
 	defer cancel()
-	r.gen++
-	if _, _, err := r.slave.RequestRole(ctx, openflow.RoleMaster, r.gen); err != nil {
-		return fmt.Errorf("migrate: %s: promote: %w", r.spec.Name, err)
+	if err := r.ctrl.Failover(ctx); err != nil {
+		return fmt.Errorf("migrate: %s: %w", r.spec.Name, err)
 	}
-	if err := r.slave.AwaitBarrier(ctx); err != nil {
-		return fmt.Errorf("migrate: %s: post-promote barrier: %w", r.spec.Name, err)
-	}
-	r.master, r.slave = r.slave, nil
 	return nil
 }
 
@@ -304,16 +288,7 @@ func (r *switchRig) conforms() (bool, string) {
 // still administratively down from an in-flight flap would spoil the
 // comparison until the flap ends.
 func (r *switchRig) rollback() error {
-	if r.master != nil {
-		//harmless:allow-droperr rollback abandons the OF transport; a close error cannot affect restoration, which restoredExactly verifies byte for byte
-		r.master.Close()
-		r.master = nil
-	}
-	if r.slave != nil {
-		//harmless:allow-droperr abandoned like the master transport above
-		r.slave.Close()
-		r.slave = nil
-	}
+	r.dropControllers()
 	if r.mgr != nil {
 		if err := r.mgr.Rollback(); err != nil {
 			return err
@@ -334,23 +309,12 @@ func (r *switchRig) restoredExactly() (bool, error) {
 	return post == r.preConfig, nil
 }
 
-// s4Switch exposes SS_2 (nil before deploy), for counter cross-checks.
-func (r *switchRig) s4Switch() *softswitch.Switch {
-	if r.mgr == nil || r.mgr.S4() == nil {
-		return nil
-	}
-	return r.mgr.S4().SS2
-}
-
 // close tears the rig down regardless of errors; the returned error
 // aggregates transport and driver close failures.
 func (r *switchRig) close() error {
 	var errs []error
-	if r.master != nil {
-		errs = append(errs, r.master.Close())
-	}
-	if r.slave != nil {
-		errs = append(errs, r.slave.Close())
+	if r.ctrl != nil {
+		errs = append(errs, r.ctrl.Close())
 	}
 	if r.mgr != nil && r.mgr.S4() != nil {
 		r.mgr.S4().Stop()

@@ -48,9 +48,7 @@ type PacketSim struct {
 	managedSw *softswitch.Switch
 	managedID int
 	agent     *softswitch.Agent
-	master    *controlplane.Controller
-	slave     *controlplane.Controller
-	gen       uint64
+	ctrl      *controlplane.Pair
 
 	res       Result
 	eventHash uint64
@@ -184,7 +182,7 @@ func (s *PacketSim) installRoutes() error {
 				},
 			}
 			if swID == s.managedID {
-				if err := s.master.FlowMod(fm); err != nil {
+				if err := s.ctrl.Master.FlowMod(fm); err != nil {
 					return fmt.Errorf("sim: flow-mod via master: %w", err)
 				}
 				continue
@@ -194,10 +192,10 @@ func (s *PacketSim) installRoutes() error {
 			}
 		}
 	}
-	if s.master != nil {
+	if s.ctrl != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := s.master.AwaitBarrier(ctx); err != nil {
+		if err := s.ctrl.Master.AwaitBarrier(ctx); err != nil {
 			return fmt.Errorf("sim: barrier after route install: %w", err)
 		}
 	}
@@ -214,50 +212,33 @@ func (s *PacketSim) setupFailoverRig() error {
 	cfg := controlplane.Config{EchoInterval: -1}
 	s.agent = s.managedSw.NewAgent(cfg, 0)
 
-	connect := func() (*controlplane.Controller, error) {
-		a, b := net.Pipe()
-		s.agent.Attach(a)
-		return controlplane.Connect(b, cfg, controlplane.Events{})
-	}
-	var err error
-	if s.master, err = connect(); err != nil {
-		return fmt.Errorf("sim: master connect: %w", err)
-	}
-	if s.slave, err = connect(); err != nil {
-		return fmt.Errorf("sim: slave connect: %w", err)
-	}
+	mSw, mCtrl := net.Pipe()
+	sSw, sCtrl := net.Pipe()
+	s.agent.Attach(mSw)
+	s.agent.Attach(sSw)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	s.gen = 1
-	if _, _, err := s.master.RequestRole(ctx, openflow.RoleMaster, s.gen); err != nil {
-		return fmt.Errorf("sim: master role: %w", err)
+	pair, err := controlplane.ConnectPair(ctx, mCtrl, sCtrl, cfg)
+	if err != nil {
+		return fmt.Errorf("sim: controller pair: %w", err)
 	}
-	if _, _, err := s.slave.RequestRole(ctx, openflow.RoleSlave, s.gen); err != nil {
-		return fmt.Errorf("sim: slave role: %w", err)
-	}
+	s.ctrl = pair
 	return nil
 }
 
 // failover kills the master and promotes the slave — PR 5's
 // generation-bumped role takeover — then proves the new master owns
-// the datapath with a barriered no-op FlowMod. Runs inside the fault's
+// the datapath with a barrier. Runs inside the fault's
 // virtual-time callback; the datapath is quiescent while it blocks.
 func (s *PacketSim) failover(idx int) {
 	now := s.eng.Elapsed()
 	s.res.Convergence[idx].At = Duration{now}
-	s.master.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	s.gen++
-	if _, _, err := s.slave.RequestRole(ctx, openflow.RoleMaster, s.gen); err != nil {
-		s.res.Failures = append(s.res.Failures, fmt.Sprintf("failover promote: %v", err))
+	if err := s.ctrl.Failover(ctx); err != nil {
+		s.res.Failures = append(s.res.Failures, fmt.Sprintf("failover: %v", err))
 		return
 	}
-	if err := s.slave.AwaitBarrier(ctx); err != nil {
-		s.res.Failures = append(s.res.Failures, fmt.Sprintf("failover barrier: %v", err))
-		return
-	}
-	s.master, s.slave = s.slave, nil
 	s.eventHash = mix64(s.eventHash, uint64(now))
 	s.eventHash = mix64(s.eventHash, faultCode(FaultCtrlFailover))
 }
@@ -385,9 +366,6 @@ func (s *PacketSim) finish(st RunStats, wallStart time.Time) {
 	r.Digest = r.digest()
 }
 
-// HostRx exposes one host's received-packet count for cross-checks.
-func (s *PacketSim) HostRx(hostIdx int) uint64 { return s.hostRx[s.topo.HostIDs[hostIdx]] }
-
 // Switch exposes a datapath by node name for counter cross-checks.
 func (s *PacketSim) Switch(name string) *softswitch.Switch {
 	id, ok := s.topo.NodeByName(name)
@@ -401,11 +379,8 @@ func (s *PacketSim) Switch(name string) *softswitch.Switch {
 // error aggregates controller transport close failures.
 func (s *PacketSim) Close() error {
 	var errs []error
-	if s.master != nil {
-		errs = append(errs, s.master.Close())
-	}
-	if s.slave != nil {
-		errs = append(errs, s.slave.Close())
+	if s.ctrl != nil {
+		errs = append(errs, s.ctrl.Close())
 	}
 	if s.agent != nil {
 		s.agent.Stop()
