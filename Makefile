@@ -10,7 +10,7 @@ BENCH_PKGS    := ./internal/softswitch ./internal/softswitch/runtime
 
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all lint lint-baseline loc fuzz-smoke test bench bench-baseline fleetsim-smoke migrate-smoke ci
+.PHONY: all lint lint-baseline loc fuzz-smoke test bench fleetsim-smoke migrate-smoke ci
 
 all: ci
 
@@ -69,7 +69,7 @@ test:
 
 # The smoke run: every key datapath bench must complete (-benchtime 1x,
 # -count 2), then benchdiff -check fails on panics / FAILs /
-# 0-iteration rows and prints the delta vs the committed baseline.
+# 0-iteration rows and prints the results as a table.
 # The same-run ratio gates (benchdiff -pair-check) need real timings, so
 # the pair pass reruns BenchmarkManyFlows measured (-benchtime 20000x)
 # and fails if the flow cache is a net tax on ANY workload, and runs
@@ -81,20 +81,12 @@ test:
 # .gitignore lists them and they are never committed.
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count 2 $(BENCH_PKGS) 2>&1 | tee bench.txt
-	$(GO) run ./cmd/benchdiff -bench bench.txt -baseline BENCH_BASELINE.json -check
+	$(GO) run ./cmd/benchdiff -bench bench.txt -check
 	$(GO) test -run '^$$' -bench 'BenchmarkManyFlows' -benchtime 20000x ./internal/softswitch 2>&1 | tee bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x . 2>&1 | tee -a bench-pairs.txt
 	$(GO) run ./cmd/benchdiff -bench bench-pairs.txt -check -pair-check
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... 2>&1 | tee bench-full.txt
 	$(GO) run ./cmd/benchdiff -bench bench-full.txt -check > /dev/null
-
-# Refresh BENCH_BASELINE.json on the current machine (commit the
-# result deliberately). Same -benchtime 1x regime as the smoke run so
-# deltas compare like with like; more -count samples for stability.
-bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count 5 $(BENCH_PKGS) 2>&1 | tee bench.txt
-	$(GO) run ./cmd/benchdiff -bench bench.txt -write BENCH_BASELINE.json \
-		-note "make bench-baseline snapshot (-benchtime 1x -count 5); deltas vs different hardware are informational"
 
 # Mirror of the fleetsim-smoke CI job: 1040 switches and 1M flow
 # arrivals on virtual time, run twice; the digests must match bitwise

@@ -210,7 +210,7 @@ func BenchmarkE2_BatchSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			gen := fabric.NewUDPGenerator(64, 1024, 7)
-			// Warm the microflow cache.
+			// Warm the flow cache.
 			for i := 0; i < gen.Len(); i++ {
 				sw.Receive(1, gen.Next())
 			}

@@ -1,36 +1,31 @@
-// Command benchdiff turns `go test -bench` output into a regression
-// tripwire. It parses benchmark result lines, optionally snapshots
-// them as a JSON baseline, and renders a markdown delta table against
-// a committed baseline — the bench-smoke CI job pipes its output here
-// and pastes the table into the job summary.
+// Command benchdiff turns `go test -bench` output into a tripwire. It
+// parses benchmark result lines and renders them as a markdown table —
+// the bench-smoke CI job pipes its output here and pastes the table
+// into the job summary.
 //
 //	go test -run '^$' -bench . -benchtime 1x ./... | tee bench.txt
-//	benchdiff -bench bench.txt -write BENCH_BASELINE.json   # snapshot
-//	benchdiff -bench bench.txt -baseline BENCH_BASELINE.json -check
+//	benchdiff -bench bench.txt -check
 //
 // -check makes benchdiff exit non-zero on the failure modes a smoke
 // run must catch regardless of hardware: panics, FAILed packages,
 // benchmarks that report zero iterations, or no benchmarks at all.
-// Deltas themselves are informational by default (CI runners differ
-// from the machine that wrote the baseline); -fail-over makes a
-// slowdown beyond the threshold fatal too, for runs where baseline
-// and current share hardware.
+// Absolute figures gate nothing: a snapshot from other hardware says
+// nothing about this run. What is gated is ratios inside one run.
 //
 // -pair-check enforces the declared same-run ratio gates (ratioGates):
 // both sides of a gate come from one run on one machine, so the gates
 // are hardware-independent. Every `X/cached` benchmark must deliver at
-// least 0.85 of its `X/uncached` sibling's throughput — the two-tier
-// flow cache must never be a tax, not even on the adversarial thrash
-// workload it used to lose badly on — and every `X/chain` benchmark at
-// least 1/6 of its `X/bare` sibling's: the paper's claim, a legacy
-// switch behind HARMLESS forwards like the software switch alone. Run
-// it against a measured pass (-benchtime 20000x or more), not the 1x
-// smoke rows, which are single-iteration noise.
+// least 0.85 of its `X/uncached` sibling's throughput — the flow cache
+// must never be a tax, not even on the adversarial thrash workload it
+// used to lose badly on — and every `X/chain` benchmark at least 1/6 of
+// its `X/bare` sibling's: the paper's claim, a legacy switch behind
+// HARMLESS forwards like the software switch alone. Run it against a
+// measured pass (-benchtime 20000x or more), not the 1x smoke rows,
+// which are single-iteration noise.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -43,20 +38,9 @@ import (
 
 // Result is one benchmark's parsed metrics, averaged over -count runs.
 type Result struct {
-	Iterations uint64             `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"` // unit -> value
+	Iterations uint64
+	Metrics    map[string]float64 // unit -> value
 	runs       int
-}
-
-// Baseline is the committed snapshot format.
-type Baseline struct {
-	Note       string             `json:"note,omitempty"`
-	Benchmarks map[string]*Result `json:"benchmarks"`
-}
-
-// lowerIsBetter reports whether a metric improves downwards.
-func lowerIsBetter(unit string) bool {
-	return strings.HasSuffix(unit, "/op")
 }
 
 // parseBench parses `go test -bench` output. It returns the results
@@ -130,27 +114,9 @@ func normalizeName(name string) string {
 	return name
 }
 
-// delta returns the relative change current vs base, signed so that
-// POSITIVE means regression for the given unit.
-func delta(unit string, base, cur float64) float64 {
-	if base == 0 {
-		return 0
-	}
-	d := (cur - base) / base
-	if !lowerIsBetter(unit) {
-		d = -d
-	}
-	return d
-}
-
 func main() {
 	benchPath := flag.String("bench", "-", "bench output file ('-' = stdin)")
-	baselinePath := flag.String("baseline", "", "baseline JSON to diff against")
-	writePath := flag.String("write", "", "write the parsed results as a new baseline JSON to this path and exit")
-	note := flag.String("note", "", "note stored in a written baseline")
-	threshold := flag.Float64("threshold", 0.30, "relative slowdown that flags a benchmark in the table")
 	check := flag.Bool("check", false, "exit non-zero on panics, FAILs, zero-iteration results, or an empty bench run")
-	failOver := flag.Bool("fail-over", false, "with -baseline: also exit non-zero when any flagged metric regresses past the threshold")
 	pairs := flag.Bool("pair-check", false, "exit non-zero unless every same-run sibling pair meets its declared ratio gate (cached >= 0.85 x uncached, chain >= 1/6 x bare)")
 	flag.Parse()
 
@@ -194,35 +160,7 @@ func main() {
 		bad += pairCheck(results, ratioGates)
 	}
 
-	if *writePath != "" {
-		b := Baseline{Note: *note, Benchmarks: results}
-		data, err := json.MarshalIndent(&b, "", "  ")
-		if err != nil {
-			fatal("marshal: %v", err)
-		}
-		if err := os.WriteFile(*writePath, append(data, '\n'), 0o644); err != nil {
-			fatal("write: %v", err)
-		}
-		fmt.Printf("benchdiff: wrote %d benchmarks to %s\n", len(results), *writePath)
-	}
-
-	if *baselinePath != "" {
-		data, err := os.ReadFile(*baselinePath)
-		if err != nil {
-			fatal("baseline: %v", err)
-		}
-		var base Baseline
-		if err := json.Unmarshal(data, &base); err != nil {
-			fatal("baseline: %v", err)
-		}
-		regressed := printDelta(&base, results, *threshold)
-		if *failOver && regressed > 0 {
-			fmt.Printf("benchdiff: %d metric(s) regressed past %.0f%%\n", regressed, *threshold*100)
-			bad += regressed
-		}
-	} else if *writePath == "" {
-		printTable(results)
-	}
+	printTable(results)
 
 	if bad > 0 {
 		os.Exit(1)
@@ -306,59 +244,7 @@ func pairCheck(results map[string]*Result, gates []ratioGate) int {
 	return bad
 }
 
-// printDelta renders the markdown comparison table and returns how
-// many metrics regressed past the threshold.
-func printDelta(base *Baseline, cur map[string]*Result, threshold float64) int {
-	names := make([]string, 0, len(cur))
-	for name := range cur {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fmt.Println("| benchmark | metric | baseline | current | delta |")
-	fmt.Println("|---|---|---:|---:|---:|")
-	regressed := 0
-	for _, name := range names {
-		res := cur[name]
-		bres := base.Benchmarks[name]
-		units := make([]string, 0, len(res.Metrics))
-		for u := range res.Metrics {
-			units = append(units, u)
-		}
-		sort.Strings(units)
-		for _, u := range units {
-			v := res.Metrics[u]
-			if u != "ns/op" && u != "pps" {
-				continue // keep the table to the headline metrics
-			}
-			if bres == nil {
-				fmt.Printf("| %s | %s | — | %s | new |\n", name, u, fmtVal(v))
-				continue
-			}
-			bv, ok := bres.Metrics[u]
-			if !ok {
-				fmt.Printf("| %s | %s | — | %s | new |\n", name, u, fmtVal(v))
-				continue
-			}
-			d := delta(u, bv, v)
-			marker := ""
-			if d >= threshold {
-				marker = " ⚠️"
-				regressed++
-			} else if d <= -threshold {
-				marker = " 🚀"
-			}
-			fmt.Printf("| %s | %s | %s | %s | %+.1f%%%s |\n", name, u, fmtVal(bv), fmtVal(v), d*100, marker)
-		}
-	}
-	for name := range base.Benchmarks {
-		if _, ok := cur[name]; !ok {
-			fmt.Printf("| %s | | | | missing from this run |\n", name)
-		}
-	}
-	return regressed
-}
-
-// printTable renders the parsed results alone (no baseline).
+// printTable renders the parsed results as a markdown table.
 func printTable(results map[string]*Result) {
 	names := make([]string, 0, len(results))
 	for name := range results {

@@ -65,23 +65,6 @@ FAIL	github.com/harmless-sdn/harmless/internal/netem	0.1s
 	}
 }
 
-func TestDeltaDirection(t *testing.T) {
-	// ns/op: up is a regression.
-	if d := delta("ns/op", 100, 150); d != 0.5 {
-		t.Errorf("ns/op delta = %v, want +0.5", d)
-	}
-	// pps: down is a regression.
-	if d := delta("pps", 1000, 500); d != 0.5 {
-		t.Errorf("pps delta = %v, want +0.5", d)
-	}
-	if d := delta("pps", 1000, 2000); d != -1.0 {
-		t.Errorf("pps improvement delta = %v, want -1.0", d)
-	}
-	if d := delta("ns/op", 0, 100); d != 0 {
-		t.Errorf("zero baseline delta = %v, want 0", d)
-	}
-}
-
 func res(metrics map[string]float64) *Result {
 	return &Result{Iterations: 1, Metrics: metrics}
 }

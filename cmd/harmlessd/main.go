@@ -229,12 +229,10 @@ func main() {
 		defer l.Close()
 		mux := telemetry.NewMux(tel, agg, func() map[string]any {
 			extra := map[string]any{
-				"ss1_cache":       d.S4.SS1.CacheStats().String(),
-				"ss1_cache_tiers": d.S4.SS1.CacheTierStats(),
-				"ss1_flows":       d.S4.SS1.CacheLen(),
-				"ss2_cache":       d.S4.SS2.CacheStats().String(),
-				"ss2_cache_tiers": d.S4.SS2.CacheTierStats(),
-				"packet_ins":      d.S4.SS2.PacketIns(),
+				"ss1_cache":  d.S4.SS1.CacheStats().String(),
+				"ss1_flows":  d.S4.SS1.CacheLen(),
+				"ss2_cache":  d.S4.SS2.CacheStats().String(),
+				"packet_ins": d.S4.SS2.PacketIns(),
 			}
 			pkts, bytes := telCol.Totals()
 			extra["exported_totals"] = map[string]uint64{"packets": pkts, "bytes": bytes}
@@ -345,7 +343,7 @@ func printStatus(d *fabric.Deployment) {
 		d.S4.SS1.PortCounters(1).TxPackets.Load(),
 		lookups0, matched0, d.S4.SS2.PacketIns(), d.S4.SS2.Drops())
 	if c1, c2 := d.S4.SS1.CacheStats(), d.S4.SS2.CacheStats(); c1 != nil && c2 != nil {
-		fmt.Printf("status: microflow cache SS_1 %s (%d flows) | SS_2 %s (%d flows)\n",
+		fmt.Printf("status: flow cache SS_1 %s (%d flows) | SS_2 %s (%d flows)\n",
 			c1, d.S4.SS1.CacheLen(), c2, d.S4.SS2.CacheLen())
 	}
 }

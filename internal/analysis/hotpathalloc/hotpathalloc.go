@@ -2,7 +2,7 @@
 //
 // The repo's headline performance claims are bench-gated at 0
 // allocs/op on the cache hit path (TestTelemetryZeroAllocCacheHit,
-// BENCH_BASELINE.json). Benchmarks only catch regressions on the
+// TestChainDatapathZeroAlloc). Benchmarks only catch regressions on the
 // workloads they run; this analyzer catches them at review time on
 // every path through a function annotated //harmless:hotpath by
 // flagging the constructs that allocate (or may): map and slice
@@ -19,8 +19,8 @@
 //     the Ring/TypedRing push/pop) MUST carry the annotation, so nobody
 //     quietly drops a hot path out of enforcement.
 //
-// A cold branch inside a hot function — the megaflow install path on a
-// cache miss, say — is excused line by line with
+// A cold branch inside a hot function — the cache install path on a
+// miss, say — is excused line by line with
 // //harmless:allow-alloc <reason>.
 package hotpathalloc
 
@@ -47,7 +47,6 @@ var Required = map[string][]string{
 	"github.com/harmless-sdn/harmless/internal/softswitch": {
 		"flowCache.lookup",
 		"flowCache.probeBatch",
-		"flowCache.probeClasses",
 		"flowStore.lookup",
 		"flowStore.probeBatch",
 		"Switch.ReceiveBatch",

@@ -1,13 +1,19 @@
 package apps
 
 import (
+	"net"
 	"testing"
+	"time"
 
+	"github.com/harmless-sdn/harmless/internal/controller"
+	"github.com/harmless-sdn/harmless/internal/controlplane"
+	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
 // End-to-end behaviour of these apps is covered by the controller and
-// root experiment suites; this file unit-tests the pure policy logic.
+// root experiment suites; this file unit-tests the pure policy logic
+// and the apps' own bookkeeping of connected switches.
 
 func TestDMZNormalizePair(t *testing.T) {
 	a, b := pkt.MustIPv4("10.0.0.1"), pkt.MustIPv4("10.0.0.2")
@@ -89,5 +95,96 @@ func TestLearningLookupEmpty(t *testing.T) {
 	}
 	if l.Name() == "" || (&DMZ{}).Name() == "" || (&ParentalControl{}).Name() == "" || (&LoadBalancer{}).Name() == "" {
 		t.Error("empty app names")
+	}
+}
+
+// attachScripted connects a minimal scripted switch with the given dpid
+// to ctrl: it answers the handshake and every BARRIER_REQUEST, and
+// passes the FLOW_MODs it receives to the returned channel. kill drops
+// the switch's end of the channel.
+func attachScripted(t *testing.T, ctrl *controller.Controller, dpid uint64) (h *controller.SwitchHandle, flowMods <-chan *openflow.FlowMod, kill func()) {
+	t.Helper()
+	swSide, ctrlSide := net.Pipe()
+	conn := openflow.NewConn(swSide)
+	t.Cleanup(func() { conn.Close() })
+	mods := make(chan *openflow.FlowMod, 64) // more than any step of the test sends
+	go func() {
+		defer close(mods)
+		_ = conn.Send(&openflow.Hello{}) // a failed send shows as a failed AttachConn
+		for {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			switch m := m.(type) {
+			case *openflow.FeaturesRequest:
+				reply := &openflow.FeaturesReply{DatapathID: dpid, NTables: 2}
+				reply.SetXID(m.XID())
+				_ = conn.Send(reply)
+			case *openflow.BarrierRequest:
+				reply := &openflow.BarrierReply{}
+				reply.SetXID(m.XID())
+				_ = conn.Send(reply)
+			case *openflow.FlowMod:
+				mods <- m
+			}
+		}
+	}()
+	h, err := ctrl.AttachConn(ctrlSide)
+	if err != nil {
+		t.Fatalf("attach %#x: %v", dpid, err)
+	}
+	return h, mods, func() { conn.Close() }
+}
+
+// flowModsUntilBarrier returns how many FLOW_MODs the switch received
+// up to a barrier sent now.
+func flowModsUntilBarrier(t *testing.T, h *controller.SwitchHandle, mods <-chan *openflow.FlowMod) int {
+	t.Helper()
+	if err := h.Barrier(); err != nil {
+		t.Fatalf("barrier: %v", err)
+	}
+	n := 0
+	for {
+		select {
+		case <-mods:
+			n++
+		default:
+			return n
+		}
+	}
+}
+
+// TestDeadHandlesAreDropped: a switch that reconnects arrives as a new
+// handle; the handle of its dead first session must leave the apps'
+// lists, so each policy change programs the switch exactly once.
+func TestDeadHandlesAreDropped(t *testing.T) {
+	dmz := &DMZ{Table: 0, NextTable: 1}
+	pc := &ParentalControl{Table: 0, NextTable: 1}
+	ctrl := controller.New([]controller.App{dmz, pc}, controlplane.Config{EchoInterval: -1})
+
+	first, _, kill := attachScripted(t, ctrl, 0x51)
+	second, mods, _ := attachScripted(t, ctrl, 0x51)
+	kill()
+	select {
+	case <-first.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("first session never ended")
+	}
+	flowModsUntilBarrier(t, second, mods) // discard the SwitchConnected programming
+
+	a, b := pkt.MustIPv4("10.0.0.1"), pkt.MustIPv4("10.0.0.2")
+	dmz.Permit(a, b)
+	if n := flowModsUntilBarrier(t, second, mods); n != 2 {
+		t.Errorf("Permit sent %d FLOW_MODs to the live switch, want 2 (one per direction)", n)
+	}
+	pc.BlockIP(a, b)
+	if n := flowModsUntilBarrier(t, second, mods); n != 1 {
+		t.Errorf("BlockIP sent %d FLOW_MODs to the live switch, want 1", n)
+	}
+	for name, list := range map[string][]*controller.SwitchHandle{"dmz": dmz.switches, "parentalcontrol": pc.switches} {
+		if len(list) != 1 || list[0] != second {
+			t.Errorf("%s holds %d handles after the reconnect, want only the live one", name, len(list))
+		}
 	}
 }

@@ -46,7 +46,7 @@ func (d *DMZ) Permit(a, b pkt.IPv4) {
 		d.pairs = make(map[HostPair]bool)
 	}
 	d.pairs[normalizePair(a, b)] = true
-	switches := append([]*controller.SwitchHandle{}, d.switches...)
+	switches := liveSwitches(&d.switches)
 	d.mu.Unlock()
 	for _, sw := range switches {
 		d.installPair(sw, a, b)
@@ -57,7 +57,7 @@ func (d *DMZ) Permit(a, b pkt.IPv4) {
 func (d *DMZ) Revoke(a, b pkt.IPv4) {
 	d.mu.Lock()
 	delete(d.pairs, normalizePair(a, b))
-	switches := append([]*controller.SwitchHandle{}, d.switches...)
+	switches := liveSwitches(&d.switches)
 	d.mu.Unlock()
 	for _, sw := range switches {
 		for _, dir := range [][2]pkt.IPv4{{a, b}, {b, a}} {

@@ -76,7 +76,7 @@ func (pc *ParentalControl) BlockIP(user, site pkt.IPv4) {
 		pc.ipBlocks[user] = make(map[pkt.IPv4]bool)
 	}
 	pc.ipBlocks[user][site] = true
-	switches := append([]*controller.SwitchHandle{}, pc.switches...)
+	switches := liveSwitches(&pc.switches)
 	pc.mu.Unlock()
 	for _, sw := range switches {
 		pc.installIPBlock(sw, user, site)
@@ -87,7 +87,7 @@ func (pc *ParentalControl) BlockIP(user, site pkt.IPv4) {
 func (pc *ParentalControl) UnblockIP(user, site pkt.IPv4) {
 	pc.mu.Lock()
 	delete(pc.ipBlocks[user], site)
-	switches := append([]*controller.SwitchHandle{}, pc.switches...)
+	switches := liveSwitches(&pc.switches)
 	pc.mu.Unlock()
 	for _, sw := range switches {
 		match := openflow.Match{}
@@ -120,7 +120,7 @@ func (pc *ParentalControl) RateLimitUser(user pkt.IPv4, pktPerSec uint32) {
 		}
 	}
 	meterID := pc.meterIDs[user]
-	switches := append([]*controller.SwitchHandle{}, pc.switches...)
+	switches := liveSwitches(&pc.switches)
 	pc.mu.Unlock()
 
 	for _, sw := range switches {

@@ -35,7 +35,7 @@ type Verdict uint8
 const (
 	// VerdictPending marks a frame not yet classified.
 	VerdictPending Verdict = iota
-	// VerdictCacheHit marks a frame served by the microflow cache.
+	// VerdictCacheHit marks a frame served by the flow cache.
 	VerdictCacheHit
 	// VerdictSlowPath marks a frame that took the full pipeline walk.
 	VerdictSlowPath

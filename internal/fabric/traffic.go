@@ -118,7 +118,7 @@ func NewZipfGenerator(size, nFlows int, s float64, seed int64) *Generator {
 // NewThrashGenerator builds adversarial cache-thrash traffic: nFlows
 // distinct flows visited round-robin, so with nFlows larger than an
 // exact-match cache's capacity every packet misses and displaces a
-// cached entry — the worst case for a microflow-cached datapath.
+// cached entry — the worst case for a flow-cached datapath.
 func NewThrashGenerator(size, nFlows int, seed int64) *Generator {
 	return NewUDPGenerator(size, nFlows, seed)
 }

@@ -145,7 +145,7 @@ func extractARPKey(b []byte, k *Key) {
 }
 
 // Hash returns a well-mixed 64-bit hash of the key, cheap enough to
-// call per packet. The softswitch microflow cache uses it to pick a
+// call per packet. The softswitch flow cache uses it to pick a
 // shard; flow-affinity hashing (group SELECT buckets) has its own hash
 // in internal/flowtable. Only the fields that commonly differ between
 // flows are mixed in — two keys that collide here still compare

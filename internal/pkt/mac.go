@@ -17,8 +17,7 @@
 // building layer objects at all, and the in-place mutators in mutate.go
 // that implement OpenFlow set-field/push/pop actions with incremental
 // checksum fixup. Key is a comparable value type with a cheap Hash, so
-// it serves directly as the lookup key of the softswitch's exact-match
-// microflow cache.
+// it serves directly as the lookup key of the softswitch's flow cache.
 package pkt
 
 import (

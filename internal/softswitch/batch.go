@@ -15,8 +15,8 @@ import (
 // per-packet costs once per batch instead of once per frame:
 //
 //   - keys are extracted for the whole vector in one pass;
-//   - the flow cache is probed tier by tier, the exact tier grouped
-//     by shard so each shard read-lock is taken once per batch
+//   - the flow cache is probed class by class, the keys grouped by
+//     shard so each shard read-lock is taken once per batch
 //     (probeBatch);
 //   - only the residue of misses walks the full pipeline;
 //   - egress is coalesced per port (txContext) and every port backend
@@ -138,18 +138,16 @@ func (s *Switch) flushTx(tx *txContext) {
 // the batch's telemetry resolution (flow record and egress port per
 // frame) to the single ObserveBatch call at the end of the dispatch —
 // the zero-alloc batch-level hook, as opposed to a per-frame callback.
-// exact[i] marks cache hits from the exact tier, whose entries may
-// carry the flow's telemetry record; sc is the cache's probe scratch.
+// sc is the cache's probe scratch.
 type dispatchState struct {
-	tx    txContext
-	keys  []pkt.Key
-	mfs   []*CacheEntry
-	skip  []bool
-	exact []bool
-	recs  []*telemetry.Record
-	outs  []uint32
-	sc    probeScratch
-	one   [1][]byte // single-frame vector for the Receive wrapper
+	tx   txContext
+	keys []pkt.Key
+	mfs  []*CacheEntry
+	skip []bool
+	recs []*telemetry.Record
+	outs []uint32
+	sc   probeScratch
+	one  [1][]byte // single-frame vector for the Receive wrapper
 }
 
 func (st *dispatchState) grow(n int) {
@@ -157,7 +155,6 @@ func (st *dispatchState) grow(n int) {
 		st.keys = make([]pkt.Key, n)
 		st.mfs = make([]*CacheEntry, n)
 		st.skip = make([]bool, n)
-		st.exact = make([]bool, n)
 		st.recs = make([]*telemetry.Record, n)
 		st.outs = make([]uint32, n)
 	}
@@ -304,7 +301,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 	}
 
 	st.grow(n)
-	keys, skip, mfs, exact := st.keys[:n], st.skip[:n], st.mfs[:n], st.exact[:n]
+	keys, skip, mfs := st.keys[:n], st.skip[:n], st.mfs[:n]
 	bad := 0
 	for i, f := range frames {
 		skip[i] = false
@@ -317,7 +314,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 		s.drops.Add(uint64(bad))
 	}
 	if ch != nil {
-		ch.probeBatch(keys, skip, mfs, exact, &st.sc)
+		ch.probeBatch(keys, skip, mfs, &st.sc)
 	} else {
 		clear(mfs)
 	}
@@ -329,10 +326,10 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 			if mf := mfs[i]; mf != nil {
 				mfs[i] = nil
 				if tel != nil {
-					recs[i] = mf.telRecord(tel, &keys[i], exact[i])
+					recs[i] = tel.Lookup(&keys[i])
 					outs[i] = mf.outPort
 				}
-				s.replayMicroflow(mf, inPort, f, &st.tx)
+				s.replay(mf, inPort, f, &st.tx)
 				v = dataplane.VerdictCacheHit
 			} else {
 				// Batch probe missed: classifyAndRun re-probes per frame
@@ -371,20 +368,17 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (dataplane.Verdict, *telemetry.Record, uint32) {
 	ch := s.cache
 	var mf *CacheEntry
-	var exactHit, record bool
+	var record bool
 	if ch != nil {
-		mf, exactHit, record = ch.lookup(key)
+		mf, record = ch.lookup(key)
 	}
 	var trec *telemetry.Record
-	if mf != nil {
-		if tel != nil {
-			trec = mf.telRecord(tel, key, exactHit)
-		}
-		s.replayMicroflow(mf, inPort, frame, tx)
-		return dataplane.VerdictCacheHit, trec, mf.outPort
-	}
 	if tel != nil {
 		trec = tel.Lookup(key)
+	}
+	if mf != nil {
+		s.replay(mf, inPort, frame, tx)
+		return dataplane.VerdictCacheHit, trec, mf.outPort
 	}
 	if !record {
 		// No cache, or adaptive bypass (the shard's hit rate collapsed):
@@ -398,8 +392,7 @@ func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *
 	rec := ch.pool.acquire()
 	s.runPipelineKeyed(key, inPort, frame, 0, rec, tx)
 	rec.resolveOutPort()
-	rec.tel.Store(trec)
-	out := rec.outPort
+	out := rec.outPort // read before the entry is given away
 	if rec.uncacheable {
 		ch.pool.giveBack(rec)
 	} else {

@@ -108,8 +108,8 @@ func TestBatchCounterExactness(t *testing.T) {
 		evictions bool
 	}{
 		{"cached", nil, false},
-		{"uncached", []softswitch.Option{softswitch.WithMicroflowCache(false)}, false},
-		{"tiny-cache", []softswitch.Option{softswitch.WithMicroflowCacheSize(4)}, true},
+		{"uncached", []softswitch.Option{softswitch.WithFlowCache(false)}, false},
+		{"tiny-cache", []softswitch.Option{softswitch.WithFlowCacheSize(4)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			single := exactnessSwitch(t, tc.opts...)

@@ -1,6 +1,6 @@
 package softswitch_test
 
-// Microflow-cache benchmarks: cached vs uncached datapath on a
+// Flow-cache benchmarks: cached vs uncached datapath on a
 // realistic two-table ruleset (64 entries per table), under
 // single-flow, uniform many-flow, Zipf many-flow, and adversarial
 // cache-thrash traffic. Run with
@@ -99,7 +99,7 @@ func BenchmarkSingleFlow(b *testing.B) {
 		name string
 		opts []softswitch.Option
 	}{
-		{"uncached", []softswitch.Option{softswitch.WithMicroflowCache(false)}},
+		{"uncached", []softswitch.Option{softswitch.WithFlowCache(false)}},
 		{"cached", nil},
 	} {
 		b.Run(v.name, func(b *testing.B) {
@@ -139,9 +139,9 @@ func BenchmarkReceiveBatch(b *testing.B) {
 }
 
 // wildcardFlows builds flows that differ only in fields the bench
-// ruleset never consults (MACs, source IP, source port): the exact
-// tier sees 4096 distinct keys, but every packet projects onto ONE
-// megaflow mask-class entry.
+// ruleset never consults (MACs, source IP, source port): 4096
+// distinct header keys, but every packet projects onto ONE mask-class
+// entry.
 func wildcardFlows(n int) []fabric.FlowSpec {
 	flows := make([]fabric.FlowSpec, n)
 	for i := range flows {
@@ -172,21 +172,21 @@ func BenchmarkManyFlows(b *testing.B) {
 		// packet misses and evicts (the adversarial worst case; the
 		// warm count lets adaptive bypass converge on every shard).
 		{"thrash", func() frameSource { return fabric.NewThrashGenerator(64, 4096, 7) },
-			[]softswitch.Option{softswitch.WithMicroflowCacheSize(256)}, 24576},
+			[]softswitch.Option{softswitch.WithFlowCacheSize(256)}, 24576},
 		// Elephant/mouse mix: 32 long-lived flows carry 80% of the
 		// packets over a churning population of short-lived mice —
 		// the production profile a pure exact-match cache thrashes on.
 		{"churn", func() frameSource { return fabric.NewMixGenerator(64, 32, 256, 16, 0.8, 7) },
-			[]softswitch.Option{softswitch.WithMicroflowCacheSize(512)}, 16384},
-		// 4096 flows varying only unconsulted header fields: the
-		// megaflow tier folds them into one wildcard entry.
+			[]softswitch.Option{softswitch.WithFlowCacheSize(512)}, 16384},
+		// 4096 flows varying only unconsulted header fields: their mask
+		// class folds them into one wildcard entry.
 		{"wildcard", func() frameSource { return fabric.NewFlowGenerator(64, wildcardFlows(4096)) },
-			[]softswitch.Option{softswitch.WithMicroflowCacheSize(256)}, 8192},
+			[]softswitch.Option{softswitch.WithFlowCacheSize(256)}, 8192},
 	}
 	for _, w := range workloads {
 		for _, cached := range []bool{true, false} {
 			name := w.name + "/uncached"
-			opts := []softswitch.Option{softswitch.WithMicroflowCache(false)}
+			opts := []softswitch.Option{softswitch.WithFlowCache(false)}
 			if cached {
 				name = w.name + "/cached"
 				opts = w.opts

@@ -2,33 +2,27 @@ package softswitch
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/stats"
-	"github.com/harmless-sdn/harmless/internal/telemetry"
 )
 
-// The flow cache: an OVS-style two-tier fast path in front of the
-// full pipeline walk. The first packet of a flow traverses the tables
+// The flow cache: an OVS-megaflow-style fast path in front of the full
+// pipeline walk. The first packet of a flow traverses the tables
 // normally while a recorder captures the resulting program — the flat
 // sequence of datapath operations the walk performed (meter checks,
 // apply-actions lists, the final ordered action set), the table
 // entries to credit for counters and idle timeouts, and the MatchMask
-// union of every consulted table. The program installs into two tiers:
-//
-//   - the exact-match microflow tier maps the packet's full header
-//     key to the program — the cheapest possible hit;
-//   - the wildcard megaflow tier maps the key PROJECTED
-//     through the recorded mask, so one entry serves every flow whose
-//     consulted fields agree — the OVS megaflow idea, built on the
-//     same flowtable.MatchMask algebra the tables' lookup index uses.
+// union of every consulted table. The program is installed under the
+// packet's key PROJECTED through that mask, so one entry serves every
+// flow whose consulted fields agree — built on the same
+// flowtable.MatchMask algebra the tables' lookup index uses.
 //
 // Subsequent packets replay the program directly, skipping
 // re-classification against every table. This file holds the cached
-// program and the sharded store both tiers are built from; the tiers,
+// program and the sharded store each mask class is; the class list,
 // admission (adaptive bypass) and the entry pool are in flowcache.go.
 //
 // Correctness rests on revision validation, not on synchronous
@@ -78,11 +72,8 @@ type microOp struct {
 
 // CacheEntry is one cached flow program: the dependency set to
 // revalidate and the operation sequence to replay. It doubles as the
-// recorder the pipeline walk fills in, and is shared between tiers —
-// the same entry is mapped by the exact tier under the full key and
-// by the megaflow tier under the mask-projected key. Entries are
-// pooled (flowcache.go): refs counts the stores currently mapping the
-// entry, and reset must return the struct to a reusable zero state
+// recorder the pipeline walk fills in. Entries are pooled
+// (flowcache.go): reset must return the struct to a reusable zero state
 // while keeping slice capacity.
 type CacheEntry struct {
 	deps     []tableDep
@@ -92,8 +83,8 @@ type CacheEntry struct {
 
 	// mask is the union ConsultMask of every table the walk
 	// traversed: the fields that could have influenced the decision.
-	// The megaflow tier keys its storage by the packet key projected
-	// through this mask.
+	// The entry is stored under the packet key projected through this
+	// mask, in the mask's class.
 	mask flowtable.MatchMask
 
 	// outPort is the first concrete egress port the recorded program
@@ -101,16 +92,6 @@ type CacheEntry struct {
 	// egressInterface, resolved once at record time so cache hits
 	// never re-scan the program.
 	outPort uint32
-
-	// tel caches the flow's telemetry record so an exact-tier hit
-	// accounts telemetry with a pointer chase instead of a map
-	// lookup. Only exact-tier paths read or write it (see telRecord).
-	tel atomic.Pointer[telemetry.Record]
-
-	// refs counts the stores mapping this entry, maintained by the
-	// cache on install and the pool on release. It is touched only on
-	// install/unpublish slow paths, never per packet.
-	refs atomic.Int32
 
 	// uncacheable marks recorder state that must not be installed: the
 	// walk ended in a table miss (a later flow-add must see the key
@@ -131,8 +112,6 @@ func (mf *CacheEntry) reset() {
 	mf.groupRev = 0
 	mf.mask = 0
 	mf.outPort = 0
-	mf.tel.Store(nil)
-	mf.refs.Store(0)
 	mf.uncacheable = false
 }
 
@@ -165,31 +144,12 @@ func (mf *CacheEntry) resolveOutPort() {
 	}
 }
 
-// telRecord returns the telemetry record of the packet a cache hit on
-// this entry served. On an exact-tier hit the packet's key IS the
-// entry's flow, so the record is resolved once and cached on the entry;
-// a cached pointer minted by a different table (SetTelemetry swapped
-// the plane out mid-flight) is re-resolved, so a stale record is never
-// indexed into the wrong table's shards. A megaflow hit serves many
-// flows from one entry, so the packet's record is looked up directly.
-func (mf *CacheEntry) telRecord(t *telemetry.Table, key *pkt.Key, exact bool) *telemetry.Record {
-	if !exact {
-		return t.Lookup(key)
-	}
-	if rec := mf.tel.Load(); t.Owns(rec) {
-		return rec
-	}
-	rec := t.Lookup(key)
-	mf.tel.Store(rec)
-	return rec
-}
-
 // usesGroups reports whether any recorded action executes a group.
 // Group contents are resolved live at replay time (applyGroup looks
 // the group up per packet), so the revision dependency this feeds is
 // defense-in-depth rather than load-bearing: it additionally forces a
 // fresh walk after any group-mod, at the cost of re-recording the
-// affected megaflows.
+// affected entries.
 func (mf *CacheEntry) usesGroups() bool {
 	for i := range mf.ops {
 		for _, a := range mf.ops[i].acts {
@@ -202,10 +162,9 @@ func (mf *CacheEntry) usesGroups() bool {
 }
 
 // flowStore is the sharded key -> program map, and the only owner of
-// one: the exact tier is a flowStore keyed by the full header key, each
-// mask class (flowcache.go) one keyed by the projected key. Entries it
-// unpublishes — replaced, evicted, stale, swept, flushed — go to the
-// pool's release, which retires them once no store maps them.
+// one: each mask class (flowcache.go) is a flowStore keyed by the
+// projected key. Entries it unpublishes — replaced, evicted, stale,
+// swept, flushed — are retired to the pool.
 type flowStore struct {
 	shards [cacheShards]struct {
 		mu    sync.RWMutex
@@ -213,7 +172,7 @@ type flowStore struct {
 	}
 	cap   int // per-shard entry cap
 	pool  *entryPool
-	stats *stats.CacheCounters // the owning tier's counters
+	stats *stats.CacheCounters // the cache's counters
 }
 
 // init sizes the store for totalCap entries.
@@ -226,13 +185,12 @@ func (st *flowStore) init(totalCap int, pool *entryPool, counters *stats.CacheCo
 }
 
 // lookup returns the still-valid entry for the key (hash is k.Hash()),
-// counting the hit, or nil. With evict set a stale entry is removed and
-// counted as an invalidation on the way out; the batch probes pass
-// false and leave that to the per-frame path. Misses are the caller's
-// to count: a tier with several stores misses once, not once per store.
+// counting the hit, or nil. A stale entry is removed and counted as an
+// invalidation on the way out. Misses are the caller's to count: a
+// packet misses once, not once per class.
 //
 //harmless:hotpath
-func (st *flowStore) lookup(k *pkt.Key, hash uint64, evict bool) *CacheEntry {
+func (st *flowStore) lookup(k *pkt.Key, hash uint64) *CacheEntry {
 	sh := &st.shards[shardOf(hash)]
 	sh.mu.RLock()
 	mf := sh.flows[*k]
@@ -244,23 +202,22 @@ func (st *flowStore) lookup(k *pkt.Key, hash uint64, evict bool) *CacheEntry {
 		st.stats.Hits.Inc()
 		return mf
 	}
-	if evict {
-		sh.mu.Lock()
-		// Only remove the exact entry we saw: a racing walk may have
-		// installed a fresher replacement already.
-		if sh.flows[*k] == mf {
-			delete(sh.flows, *k)
-			sh.mu.Unlock()
-			st.pool.release(mf)
-		} else {
-			sh.mu.Unlock()
-		}
-		st.stats.Invalidations.Inc()
+	sh.mu.Lock()
+	// Only remove the exact entry we saw: a racing walk may have
+	// installed a fresher replacement already.
+	if sh.flows[*k] == mf {
+		delete(sh.flows, *k)
+		sh.mu.Unlock()
+		st.pool.retire(mf)
+	} else {
+		sh.mu.Unlock()
 	}
+	st.stats.Invalidations.Inc()
 	return nil
 }
 
-// probeBatch fills out[i] for the frames on sc's per-shard chains,
+// probeBatch fills out[i] for the frames on sc's per-shard chains (and
+// touches no other frame: an earlier class's hit stays as it is),
 // taking each shard's read lock ONCE and probing all of its keys under
 // it — the per-batch amortization of the per-frame lock in lookup. Only
 // hits are counted; stale entries are left nil (no removal) for the
@@ -268,27 +225,27 @@ func (st *flowStore) lookup(k *pkt.Key, hash uint64, evict bool) *CacheEntry {
 //
 //harmless:hotpath
 func (st *flowStore) probeBatch(keys []pkt.Key, out []*CacheEntry, sc *probeScratch) {
+	var hits uint64
 	for si := range st.shards {
-		i := sc.heads[si]
-		if i < 0 {
+		head := sc.heads[si]
+		if head < 0 {
 			continue
 		}
 		sh := &st.shards[si]
 		sh.mu.RLock()
-		for ; i >= 0; i = sc.next[i] {
+		for i := head; i >= 0; i = sc.next[i] {
 			out[i] = sh.flows[keys[i]]
 		}
 		sh.mu.RUnlock()
-	}
-	var hits uint64
-	for i := range out {
-		if out[i] == nil {
-			continue
-		}
-		if out[i].valid() {
-			hits++
-		} else {
-			out[i] = nil
+		for i := head; i >= 0; i = sc.next[i] {
+			if out[i] == nil {
+				continue
+			}
+			if out[i].valid() {
+				hits++
+			} else {
+				out[i] = nil
+			}
 		}
 	}
 	if hits > 0 {
@@ -298,7 +255,7 @@ func (st *flowStore) probeBatch(keys []pkt.Key, out []*CacheEntry, sc *probeScra
 
 // put publishes a recorded entry, evicting an arbitrary entry of the
 // same shard when the shard is at capacity (map iteration order gives a
-// cheap pseudo-random victim, which is how the OVS microflow cache
+// cheap pseudo-random victim, which is how the OVS exact-match cache
 // handles thrash: constant-time displacement, no LRU tracking).
 func (st *flowStore) put(k *pkt.Key, hash uint64, mf *CacheEntry) {
 	sh := &st.shards[shardOf(hash)]
@@ -315,10 +272,10 @@ func (st *flowStore) put(k *pkt.Key, hash uint64, mf *CacheEntry) {
 	sh.flows[*k] = mf
 	sh.mu.Unlock()
 	if old != nil {
-		st.pool.release(old)
+		st.pool.retire(old)
 	}
 	if victim != nil {
-		st.pool.release(victim)
+		st.pool.retire(victim)
 		st.stats.Evictions.Inc()
 	}
 	st.stats.Inserts.Inc()
@@ -335,7 +292,7 @@ func (st *flowStore) prune(all bool) int {
 		for k, mf := range sh.flows {
 			if all || !mf.valid() {
 				delete(sh.flows, k)
-				st.pool.release(mf)
+				st.pool.retire(mf)
 				n++
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
-	"github.com/harmless-sdn/harmless/internal/stats"
 )
 
 func flowMod(cmd uint8, table uint8, priority uint16, m openflow.Match, instrs ...openflow.Instruction) *openflow.FlowMod {
@@ -20,7 +19,7 @@ func flowMod(cmd uint8, table uint8, priority uint16, m openflow.Match, instrs .
 	}
 }
 
-func TestMicroflowCacheHitCounters(t *testing.T) {
+func TestFlowCacheHitCounters(t *testing.T) {
 	r := newRig(t, 2)
 	m := openflow.Match{}
 	m.WithInPort(1)
@@ -40,9 +39,8 @@ func TestMicroflowCacheHitCounters(t *testing.T) {
 	if cs.Misses.Load() != 1 || cs.Hits.Load() != 4 || cs.Inserts.Load() != 1 {
 		t.Errorf("cache stats: %s", cs)
 	}
-	// One program, two tiers: the exact-match entry plus the megaflow
-	// entry for its mask class.
-	if r.sw.CacheLen() != 2 {
+	// One program, one entry in its mask class.
+	if r.sw.CacheLen() != 1 {
 		t.Errorf("cache len = %d", r.sw.CacheLen())
 	}
 	// Flow counters must account every packet, cached or not.
@@ -171,7 +169,7 @@ func TestCacheInvalidationOnGroupMod(t *testing.T) {
 // identical packet for packet.
 func TestCachedMatchesUncached(t *testing.T) {
 	run := func(cached bool) [2]int {
-		r := newRig(t, 3, WithMicroflowCache(cached))
+		r := newRig(t, 3, WithFlowCache(cached))
 		m := openflow.Match{}
 		m.WithInPort(1)
 		addFlow(t, r.sw, 0, 10, m,
@@ -197,13 +195,14 @@ func TestCachedMatchesUncached(t *testing.T) {
 }
 
 func TestCacheEvictionUnderThrash(t *testing.T) {
-	// Capacity of one entry per shard per tier: distinct flows fight
-	// for slots, forwarding must stay correct throughout. Bypass is off
-	// so the cache keeps installing however bad the hit rate gets. The
+	// Capacity of one entry per shard: distinct flows fight for slots,
+	// forwarding must stay correct throughout. Bypass is off so the
+	// cache keeps installing however bad the hit rate gets. The
 	// never-matched src-port entry widens table 0's consult mask to
-	// include l4_src, so the 200 flows land in 200 distinct megaflow
-	// classes rather than collapsing into one match-anything entry.
-	r := newRig(t, 2, WithMicroflowCacheSize(cacheShards), WithAdaptiveBypass(false))
+	// include l4_src, so the 200 flows project to 200 distinct keys
+	// rather than collapsing into one match-anything entry.
+	r := newRig(t, 2, WithFlowCacheSize(cacheShards))
+	r.sw.cache.bypassOn = false
 	distract := openflow.Match{}
 	distract.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(9999)
 	addFlow(t, r.sw, 0, 5, distract, apply(out(2)))
@@ -222,7 +221,7 @@ func TestCacheEvictionUnderThrash(t *testing.T) {
 	if cs.Evictions.Load() == 0 {
 		t.Errorf("no evictions under thrash: %s", cs)
 	}
-	if r.sw.CacheLen() > 2*cacheShards {
+	if r.sw.CacheLen() > cacheShards {
 		t.Errorf("cache grew past capacity: %d", r.sw.CacheLen())
 	}
 }
@@ -327,24 +326,22 @@ func TestConcurrentReceiveFlowMod(t *testing.T) {
 
 // TestFlowStoreWaysOut drives the one shard store through every way an
 // entry leaves it — replaced under the same key, evicted at capacity,
-// removed stale on lookup, swept, flushed — as the exact tier and as a
-// mask class, and checks each way out hands the entry to the pool.
+// removed stale on lookup, swept, flushed — and checks each way out
+// hands the entry to the pool.
 func TestFlowStoreWaysOut(t *testing.T) {
 	const shard = 7 // put/lookup take the hash, so the test picks the shard
 	k1, k2 := pkt.Key{InPort: 1}, pkt.Key{InPort: 2}
 
 	type fixture struct {
-		st       *flowStore
-		counters *stats.CacheCounters
-		pool     *entryPool
-		tables   [2]*flowtable.Table
+		st     *flowStore
+		pool   *entryPool
+		tables [2]*flowtable.Table
 	}
 	// entry records a program depending on f.tables[dep]; bump makes
 	// every such entry stale.
 	entry := func(f *fixture, dep int) *CacheEntry {
 		e := f.pool.acquire()
 		e.deps = append(e.deps, tableDep{table: f.tables[dep], rev: f.tables[dep].Version()})
-		e.refs.Add(1)
 		return e
 	}
 	bump := func(t *testing.T, f *fixture, dep int) {
@@ -354,15 +351,6 @@ func TestFlowStoreWaysOut(t *testing.T) {
 		}
 	}
 
-	stores := []struct {
-		name string
-		pick func(c *flowCache) (*flowStore, *stats.CacheCounters)
-	}{
-		{"exact", func(c *flowCache) (*flowStore, *stats.CacheCounters) { return &c.exact, &c.micro }},
-		{"maskClass", func(c *flowCache) (*flowStore, *stats.CacheCounters) {
-			return &c.class(flowtable.MaskInPort).store, &c.mega
-		}},
-	}
 	ways := []struct {
 		name string
 		// run starts from a store holding entry a (valid, on table 0)
@@ -375,7 +363,7 @@ func TestFlowStoreWaysOut(t *testing.T) {
 			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
 				b := entry(f, 0)
 				f.st.put(&k1, shard, b)
-				if got := f.st.lookup(&k1, shard, true); got != b {
+				if got := f.st.lookup(&k1, shard); got != b {
 					t.Errorf("lookup after replace = %p, want the new entry %p", got, b)
 				}
 				return []*CacheEntry{a}
@@ -384,7 +372,7 @@ func TestFlowStoreWaysOut(t *testing.T) {
 			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
 				b := entry(f, 0)
 				f.st.put(&k2, shard, b) // per-shard cap is 1: a must go
-				if f.st.lookup(&k1, shard, true) != nil || f.st.lookup(&k2, shard, true) != b {
+				if f.st.lookup(&k1, shard) != nil || f.st.lookup(&k2, shard) != b {
 					t.Error("full shard kept the old entry or lost the new one")
 				}
 				return []*CacheEntry{a}
@@ -392,13 +380,7 @@ func TestFlowStoreWaysOut(t *testing.T) {
 		{name: "stale-on-lookup", wantLen: 0, wantInval: 1,
 			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
 				bump(t, f, 0)
-				if f.st.lookup(&k1, shard, false) != nil {
-					t.Error("stale entry served")
-				}
-				if f.st.len() != 1 || a.refs.Load() != 1 {
-					t.Error("lookup without evict removed the stale entry")
-				}
-				if f.st.lookup(&k1, shard, true) != nil {
+				if f.st.lookup(&k1, shard) != nil {
 					t.Error("stale entry served")
 				}
 				return []*CacheEntry{a}
@@ -411,7 +393,7 @@ func TestFlowStoreWaysOut(t *testing.T) {
 				if n := f.st.prune(false); n != 1 {
 					t.Errorf("sweep removed %d, want 1", n)
 				}
-				if f.st.lookup(&k1, shard, true) != a {
+				if f.st.lookup(&k1, shard) != a {
 					t.Error("sweep removed a valid entry")
 				}
 				return []*CacheEntry{b}
@@ -426,37 +408,29 @@ func TestFlowStoreWaysOut(t *testing.T) {
 				return []*CacheEntry{a, b}
 			}},
 	}
-	for _, store := range stores {
-		for _, way := range ways {
-			t.Run(store.name+"/"+way.name, func(t *testing.T) {
-				c := newFlowCache(cacheShards, false) // one entry per shard
-				f := &fixture{pool: &c.pool}
-				f.st, f.counters = store.pick(c)
-				for i := range f.tables {
-					f.tables[i] = flowtable.NewTable(uint8(i), netem.RealClock{})
-				}
-				a := entry(f, 0)
-				f.st.put(&k1, shard, a)
+	for _, way := range ways {
+		t.Run("maskClass/"+way.name, func(t *testing.T) {
+			c := newFlowCache(cacheShards) // one entry per shard
+			f := &fixture{pool: &c.pool, st: &c.class(flowtable.MaskInPort).store}
+			for i := range f.tables {
+				f.tables[i] = flowtable.NewTable(uint8(i), netem.RealClock{})
+			}
+			a := entry(f, 0)
+			f.st.put(&k1, shard, a)
 
-				gone := way.run(t, f, a)
-				for _, e := range gone {
-					if e.refs.Load() != 0 {
-						t.Errorf("entry left the store still holding %d refs", e.refs.Load())
-					}
-				}
-				if got := int(c.pool.limboN.Load()); got != len(gone) {
-					t.Errorf("pool received %d entries, want %d", got, len(gone))
-				}
-				if got := f.st.len(); got != way.wantLen {
-					t.Errorf("len = %d, want %d", got, way.wantLen)
-				}
-				if got := f.counters.Evictions.Load(); got != way.wantEvict {
-					t.Errorf("evictions = %d, want %d", got, way.wantEvict)
-				}
-				if got := f.counters.Invalidations.Load(); got != way.wantInval {
-					t.Errorf("invalidations = %d, want %d", got, way.wantInval)
-				}
-			})
-		}
+			gone := way.run(t, f, a)
+			if got := int(c.pool.limboN.Load()); got != len(gone) {
+				t.Errorf("pool received %d entries, want %d", got, len(gone))
+			}
+			if got := f.st.len(); got != way.wantLen {
+				t.Errorf("len = %d, want %d", got, way.wantLen)
+			}
+			if got := c.stats.Evictions.Load(); got != way.wantEvict {
+				t.Errorf("evictions = %d, want %d", got, way.wantEvict)
+			}
+			if got := c.stats.Invalidations.Load(); got != way.wantInval {
+				t.Errorf("invalidations = %d, want %d", got, way.wantInval)
+			}
+		})
 	}
 }

@@ -10,15 +10,13 @@ import (
 	"github.com/harmless-sdn/harmless/internal/stats"
 )
 
-// The datapath flow cache: the exact tier (one flowStore keyed by the
-// full header key) probed first, then the megaflow tier — one flowStore
-// per mask class, keyed by the key projected through the class's mask.
-// Both tiers map the same pooled entries; the cache owns
-// what they share: the per-packet admission decision (adaptive bypass),
-// the entry pool that makes the install path allocation-free, and the
-// miss/insert accounting.
+// The datapath flow cache: one flowStore per mask class, keyed by the
+// packet key projected through the class's mask. The cache owns what
+// the classes share: the per-packet admission decision (adaptive
+// bypass), the entry pool that makes the install path allocation-free,
+// and the counters.
 //
-// A megaflow entry serves every flow whose consulted fields agree: the
+// A cache entry serves every flow whose consulted fields agree: the
 // recorder accumulates the ConsultMask union of every table a walk
 // traverses (pipeline.go), and any later packet agreeing on those
 // fields — whatever its other header values — projects to the same key
@@ -34,18 +32,18 @@ const (
 	// cacheShards is the number of independently locked shards a
 	// flowStore divides its map into — also the granularity of the
 	// adaptive-bypass hit-rate tracking. A power of two (shard
-	// selection is a mask) and at most 32 (the batch probe carries a
-	// per-shard bypass bitmask in a uint32).
+	// selection is a mask) that fits a uint8 with room for noShard (the
+	// batch probe keeps each frame's bypass shard in one).
 	cacheShards = 32
 
-	// DefaultMicroflowCacheSize is the default capacity of the exact
-	// tier and of each mask class, in cache entries.
-	DefaultMicroflowCacheSize = 1 << 15
+	// DefaultFlowCacheSize is the default capacity of each mask class,
+	// in cache entries.
+	DefaultFlowCacheSize = 1 << 15
 
 	// maxMaskClasses bounds the class list: each class adds a
 	// projection+hash+probe to the miss path, so a pathological ruleset
-	// churning masks falls back to declining installs rather than
-	// degrading every lookup.
+	// churning masks falls back to declining installs (the walk's entry
+	// goes straight back to the pool) rather than degrading every lookup.
 	maxMaskClasses = 16
 )
 
@@ -53,46 +51,54 @@ const (
 // alike).
 func shardOf(hash uint64) uint32 { return uint32(hash) & (cacheShards - 1) }
 
-// maskClass is one mask-equivalence class of the megaflow tier: an
-// exact-match store over keys projected through mask (tuple-space
-// style, the megaflow analogue of the flow tables' templates).
+// maskClass is one mask-equivalence class: an exact-match store over
+// keys projected through mask (tuple-space style, the cache's analogue
+// of the flow tables' templates).
 type maskClass struct {
 	mask  flowtable.MatchMask
 	store flowStore
 }
 
-// probeScratch is the shared state of one batch probe: per-frame key
-// hashes, the per-shard intrusive frame chains the exact tier consumes
-// (shard = low hash bits & cacheShards-1), and the bypass shard set. It
+// probeScratch is the shared state of one batch probe: the per-frame
+// bypass shard, the keys projected through the class being probed, and
+// the per-shard intrusive frame chains flowStore.probeBatch consumes. It
 // lives in the pooled dispatch state, so batch probes allocate nothing.
 type probeScratch struct {
-	// hash[i] is keys[i].Hash(), valid where skip[i] is false.
-	hash []uint64
-	// heads/next chain frame indices per shard: heads[s] is the first
-	// frame of shard s (-1 = none), next[i] the following one. Shards
-	// in bypass have their chains emptied before the tiers run.
+	// shard[i] is shardOf(keys[i].Hash()) — the frame's bypass shard —
+	// or noShard for a frame the probe leaves alone (skipped, or of a
+	// shard in bypass).
+	shard []uint8
+	// proj[i] is keys[i] projected through the current class's mask,
+	// valid for the frames on the chains.
+	proj []pkt.Key
+	// heads/next chain frame indices per store shard of the projected
+	// key: heads[s] is the first frame of shard s (-1 = none), next[i]
+	// the following one. Rebuilt for every class.
 	heads [cacheShards]int32
 	next  []int32
-	// bypassed has bit s set when shard s is bypassed this batch.
-	bypassed uint32
 
 	wins [cacheShards]uint32 // per-shard hits<<16|lookups accumulator
 }
 
+// noShard marks a frame the batch probe does not look up.
+const noShard = cacheShards
+
 // grow sizes the per-frame slices for a batch of n.
 func (sc *probeScratch) grow(n int) {
-	if cap(sc.hash) < n {
-		sc.hash = make([]uint64, n)
+	if cap(sc.shard) < n {
+		sc.shard = make([]uint8, n)
+		sc.proj = make([]pkt.Key, n)
 		sc.next = make([]int32, n)
 	}
-	sc.hash = sc.hash[:n]
+	sc.shard = sc.shard[:n]
+	sc.proj = sc.proj[:n]
 	sc.next = sc.next[:n]
 }
 
 // entryPool recycles CacheEntry recorder state so the install path is
 // allocation-free in steady state. Reclamation is epoch-style: every
-// dispatch pins the pool for its duration, an entry unmapped from all
-// tiers goes to a limbo list, and limbo drains to the free list only
+// dispatch pins the pool for its duration, an entry its store unmaps
+// goes to a limbo list, and limbo drains to the free list only
 // at a moment provably after every dispatch that could still hold a
 // reference:
 //
@@ -122,7 +128,7 @@ type entryPool struct {
 
 const limboMax = 1 << 14 // backlog cap under sustained concurrency
 
-// pin marks a dispatch in flight. Must precede the first tier probe.
+// pin marks a dispatch in flight. Must precede the first cache probe.
 func (p *entryPool) pin() { p.pins.Add(1) }
 
 // unpin ends a dispatch; the last one out drains limbo.
@@ -148,8 +154,8 @@ func (p *entryPool) acquire() *CacheEntry {
 }
 
 // giveBack returns an entry that was never published (uncacheable
-// walk, every tier declined): no other goroutine can hold it, so it
-// goes straight back to the free list.
+// walk, class list full): no other goroutine can hold it, so it goes
+// straight back to the free list.
 func (p *entryPool) giveBack(e *CacheEntry) {
 	e.reset()
 	p.freeMu.Lock()
@@ -159,16 +165,9 @@ func (p *entryPool) giveBack(e *CacheEntry) {
 	p.freeMu.Unlock()
 }
 
-// release drops one tier's reference; the entry is retired to limbo
-// when no tier maps it anymore.
-func (p *entryPool) release(e *CacheEntry) {
-	if e.refs.Add(-1) == 0 {
-		p.retire(e)
-	}
-}
-
-// retire parks an unmapped entry in limbo until reclaim proves no
-// dispatch can still hold it.
+// retire parks an entry its store just unmapped in limbo until reclaim
+// proves no dispatch can still hold it. An entry is mapped by exactly
+// one store under one key, so unpublishing it is retiring it.
 func (p *entryPool) retire(e *CacheEntry) {
 	p.limboMu.Lock()
 	if len(p.limbo) >= limboMax {
@@ -248,17 +247,18 @@ func (p *entryPool) reclaim() {
 //	PROBE  --(below)--> BYPASS
 //
 // Probation is rare on purpose. What its windows install outlives them,
-// and on a thrashing workload that trickle fills the shared megaflow
-// tier until a few shards find all their flows there and stay active —
+// and on a thrashing workload that trickle fills the shared mask
+// classes until a few shards find all their flows there and stay active —
 // at a hit rate that, with a table walk about the price of a hit
 // and a miss paying probe, recording and install, is a net tax (the
 // repo benchmark's ACL-miss workload: 3.7 Mframes/s with every shard
 // bypassed, 2.7 with a quarter of them active at 75% hits).
 //
-// Hits from EITHER tier feed the windows, so a workload served by the
-// megaflow tier alone never trips bypass. All transitions are
-// heuristic: counters are racy-by-design (plain atomics, no CAS
-// loops), a lost sample only defers a window roll.
+// The bypass shard is picked by the hash of the FULL key, not the
+// projected one: many flows share one cache entry, and it is the flows,
+// not the entries, whose hit rate says whether probing pays. All
+// transitions are heuristic: counters are racy-by-design (plain
+// atomics, no CAS loops), a lost sample only defers a window roll.
 const (
 	bypassWindow    = 256   // lookups per ACTIVE evaluation window
 	bypassProbeSpan = 64    // lookups per PROBE window
@@ -336,97 +336,67 @@ func (b *bypassShard) roll(hits, lookups uint32) {
 	}
 }
 
-// flowCache is the two-tier flow cache described at the top of this
-// file: the exact store, the mask classes, and what they share.
+// flowCache is the flow cache described at the top of this file: the
+// mask classes and what they share.
 type flowCache struct {
-	exact flowStore
-
 	classes atomic.Pointer[[]*maskClass] // RCU: append-only under classMu
 	classMu sync.Mutex                   // serializes class creation
-	size    int                          // capacity of each store
+	size    int                          // capacity of each class
 
 	pool entryPool
 
-	bypassOn bool
+	bypassOn bool // always true outside tests
 	bypass   [cacheShards]bypassShard
 
-	// micro and mega are the tiers' own counters (hits, invalidations,
-	// evictions, per-tier misses and inserts), the mega ones shared by
-	// every mask class. misses (no tier hit), inserts (one per
-	// installed program, however many stores took it) and bypassed
-	// (packets not admitted) are the cache's; statsSnapshot folds both
-	// views.
-	micro, mega stats.CacheCounters
-	misses      stats.Counter
-	inserts     stats.Counter
-	bypassed    stats.Counter
+	// stats is shared by every class store (hits, inserts,
+	// invalidations, evictions); misses and bypassed packets are counted
+	// here, once per packet however many classes were probed.
+	stats stats.CacheCounters
 }
 
-func newFlowCache(totalCap int, adaptiveBypass bool) *flowCache {
-	c := &flowCache{size: totalCap, bypassOn: adaptiveBypass}
+func newFlowCache(totalCap int) *flowCache {
+	c := &flowCache{size: totalCap, bypassOn: true}
 	c.pool.max = 2*totalCap + 1024
-	c.exact.init(totalCap, &c.pool, &c.micro)
 	c.classes.Store(new([]*maskClass))
 	return c
 }
 
-// lookup probes the exact tier, then the mask classes, for one frame.
-// exact reports whether the hit came from the exact tier (telemetry
-// record attribution); record is false when the shard is bypassed — the
+// lookup probes the mask classes for one frame, in insertion order, and
+// takes the first valid hit — when two classes hold valid entries for
+// the same packet, both were recorded against identical table
+// revisions, so their programs are interchangeable. Stale entries met on
+// the way are removed. record is false when the shard is bypassed — the
 // caller must walk uncached and must not install.
 //
 //harmless:hotpath
-func (c *flowCache) lookup(k *pkt.Key) (e *CacheEntry, exact, record bool) {
-	h := k.Hash()
-	b := &c.bypass[shardOf(h)]
+func (c *flowCache) lookup(k *pkt.Key) (e *CacheEntry, record bool) {
+	b := &c.bypass[shardOf(k.Hash())]
 	if c.bypassOn && !b.admit() {
-		c.bypassed.Inc()
-		return nil, false, false
+		c.stats.Bypassed.Inc()
+		return nil, false
 	}
-	e = c.exact.lookup(k, h, true)
-	exact = e != nil
-	if e == nil {
-		c.micro.Misses.Inc()
-		if e = c.probeClasses(k, true); e == nil {
-			c.misses.Inc()
-		}
-	}
-	if c.bypassOn {
-		var hits uint32
-		if e != nil {
-			hits = 1
-		}
-		b.note(1, hits)
-	}
-	return e, exact, true
-}
-
-// probeClasses scans the mask classes in insertion order and takes the
-// first valid hit — when two classes hold valid entries for the same
-// packet, both were recorded against identical table revisions, so
-// their programs are interchangeable. slow selects the per-frame
-// contract (count the miss, remove stale entries); the batch probe
-// passes false and leaves both to the per-frame path.
-//
-//harmless:hotpath
-func (c *flowCache) probeClasses(k *pkt.Key, slow bool) *CacheEntry {
+	var hits uint32
 	for _, g := range *c.classes.Load() {
 		pk := g.mask.Apply(k)
-		if mf := g.store.lookup(&pk, pk.Hash(), slow); mf != nil {
-			return mf
+		if e = g.store.lookup(&pk, pk.Hash()); e != nil {
+			hits = 1
+			break
 		}
 	}
-	if slow {
-		c.mega.Misses.Inc()
+	if e == nil {
+		c.stats.Misses.Inc()
 	}
-	return nil
+	if c.bypassOn {
+		b.note(1, hits)
+	}
+	return e, true
 }
 
-// probeBatch probes a whole batch: the exact tier grouped by shard,
-// then the mask classes per frame over the residue (the class list is
-// usually tiny, one class per distinct ruleset shape, so grouping would
-// not pay). out[i] is filled, and exact[i] set for exact-tier hits, for
-// every frame with skip[i] false and a shard not in bypass. Only hits
+// probeBatch probes a whole batch, class by class: the keys still
+// unresolved are projected through the class's mask and chained by the
+// projected key's store shard, so each shard read-lock is taken once per
+// class per batch (flowStore.probeBatch). out[i] is filled for every
+// frame with skip[i] false and a bypass shard not in bypass. Only hits
 // are accounted and only valid entries returned: misses and stale
 // entries stay nil for classifyAndRun, which does the exact accounting
 // (and can legitimately hit an entry an earlier frame of the same batch
@@ -435,39 +405,33 @@ func (c *flowCache) probeClasses(k *pkt.Key, slow bool) *CacheEntry {
 // bypass/probation bookkeeping exactly once.
 //
 //harmless:hotpath
-func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, exact []bool, sc *probeScratch) {
-	n := len(keys)
-	sc.grow(n)
-	for i := range sc.heads {
-		sc.heads[i] = -1
-	}
-	sc.bypassed = 0
-	for i := n - 1; i >= 0; i-- {
-		out[i] = nil
+func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, sc *probeScratch) {
+	clear(out)
+	sc.grow(len(keys))
+	for i := range keys {
+		sc.shard[i] = noShard
 		if skip[i] {
 			continue
 		}
-		h := keys[i].Hash()
-		sc.hash[i] = h
-		sh := shardOf(h)
-		sc.next[i] = sc.heads[sh]
-		sc.heads[sh] = int32(i)
+		sh := shardOf(keys[i].Hash())
+		if !c.bypassOn || c.bypass[sh].mode.Load() != modeBypass {
+			sc.shard[i] = uint8(sh)
+		}
 	}
-	if c.bypassOn {
-		for si := range sc.heads {
-			if sc.heads[si] >= 0 && c.bypass[si].mode.Load() == modeBypass {
-				sc.bypassed |= 1 << si
-				sc.heads[si] = -1
+	for _, g := range *c.classes.Load() {
+		for i := range sc.heads {
+			sc.heads[i] = -1
+		}
+		for i := len(keys) - 1; i >= 0; i-- {
+			if sc.shard[i] == noShard || out[i] != nil {
+				continue
 			}
+			sc.proj[i] = g.mask.Apply(&keys[i])
+			sh := shardOf(sc.proj[i].Hash())
+			sc.next[i] = sc.heads[sh]
+			sc.heads[sh] = int32(i)
 		}
-	}
-	c.exact.probeBatch(keys, out, sc)
-	classes := len(*c.classes.Load()) != 0
-	for i := range keys {
-		exact[i] = out[i] != nil
-		if classes && !exact[i] && !skip[i] && sc.bypassed&(1<<shardOf(sc.hash[i])) == 0 {
-			out[i] = c.probeClasses(&keys[i], false)
-		}
+		g.store.probeBatch(sc.proj, out, sc)
 	}
 	if !c.bypassOn {
 		return
@@ -477,12 +441,8 @@ func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, e
 	// slow path and counted there too; that skews bypassed-rate
 	// tracking toward the miss side, which only makes bypass engage
 	// marginally sooner under thrash — acceptable for a heuristic.
-	for i := 0; i < n; i++ {
-		if skip[i] {
-			continue
-		}
-		sh := shardOf(sc.hash[i])
-		if sc.bypassed&(1<<sh) != 0 {
+	for i, sh := range sc.shard {
+		if sh == noShard {
 			continue
 		}
 		w := uint32(1)
@@ -519,60 +479,42 @@ func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
 		return nil
 	}
 	g := &maskClass{mask: mask}
-	g.store.init(c.size, &c.pool, &c.mega)
+	g.store.init(c.size, &c.pool, &c.stats)
 	next := append(slices.Clip(cur), g) // clipped: append copies, readers keep cur
 	c.classes.Store(&next)
 	return g
 }
 
-// install publishes a recorded entry under its full key in the exact
-// tier and under its projected key in its mask class (skipped when the
-// class list is full). Each reference is pinned before the store sees
-// the entry, so a racing invalidation can never retire it while the
-// other store still expects it live.
+// install publishes a recorded entry under its projected key in its
+// mask class. When the class list is full the recording is declined:
+// the entry was never published, so it goes straight back to the pool
+// and no insert is counted.
 func (c *flowCache) install(k *pkt.Key, e *CacheEntry) {
-	e.refs.Add(1)
-	c.exact.put(k, k.Hash(), e)
-	if g := c.class(e.mask); g != nil {
-		pk := e.mask.Apply(k)
-		e.refs.Add(1)
-		g.store.put(&pk, pk.Hash(), e)
+	g := c.class(e.mask)
+	if g == nil {
+		c.pool.giveBack(e)
+		return
 	}
-	c.inserts.Inc()
+	pk := e.mask.Apply(k)
+	g.store.put(&pk, pk.Hash(), e)
 }
 
-// sweep unpublishes the revision-stale entries of both tiers. The class
+// sweep unpublishes the revision-stale entries of every class. The class
 // list itself stays: empty classes are cheap to probe and reappear with
 // the same masks anyway.
 func (c *flowCache) sweep() int {
-	n := c.exact.prune(false)
+	n := 0
 	for _, g := range *c.classes.Load() {
 		n += g.store.prune(false)
 	}
 	return n
 }
 
-// tierLens returns the published entries of the exact tier and of the
-// mask classes together (diagnostics).
-func (c *flowCache) tierLens() (micro, mega int) {
+// len returns the published entries of all classes (diagnostics).
+func (c *flowCache) len() int {
+	n := 0
 	for _, g := range *c.classes.Load() {
-		mega += g.store.len()
+		n += g.store.len()
 	}
-	return c.exact.len(), mega
-}
-
-// statsSnapshot folds the cache-level and per-tier counters into one
-// point-in-time CacheCounters view: hits/invalidations/evictions are
-// summed over the tiers, misses/inserts/bypassed are the cache's own
-// (a packet missing both tiers counts one miss; a program installed in
-// both counts one insert).
-func (c *flowCache) statsSnapshot() *stats.CacheCounters {
-	out := &stats.CacheCounters{}
-	out.Hits.Add(c.micro.Hits.Load() + c.mega.Hits.Load())
-	out.Invalidations.Add(c.micro.Invalidations.Load() + c.mega.Invalidations.Load())
-	out.Evictions.Add(c.micro.Evictions.Load() + c.mega.Evictions.Load())
-	out.Misses.Add(c.misses.Load())
-	out.Inserts.Add(c.inserts.Load())
-	out.Bypassed.Add(c.bypassed.Load())
-	return out
+	return n
 }

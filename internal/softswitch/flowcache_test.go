@@ -7,22 +7,10 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// tierStats finds one tier's snapshot by name.
-func tierStats(t *testing.T, sw *Switch, name string) CacheTierStats {
-	t.Helper()
-	for _, ts := range sw.CacheTierStats() {
-		if ts.Name == name {
-			return ts
-		}
-	}
-	t.Fatalf("no tier named %q in %+v", name, sw.CacheTierStats())
-	return CacheTierStats{}
-}
-
 // TestMegaflowSharesMaskClass: with a ruleset that only consults
-// in_port, the walk of the first flow must produce a wildcard entry
-// that a second, entirely different 5-tuple hits — while a repeat of
-// the first flow still hits the exact tier.
+// in_port, the walk of the first flow must produce one wildcard entry
+// that a second, entirely different 5-tuple and a repeat of the first
+// flow both hit.
 func TestMegaflowSharesMaskClass(t *testing.T) {
 	r := newRig(t, 2)
 	m := openflow.Match{}
@@ -31,21 +19,18 @@ func TestMegaflowSharesMaskClass(t *testing.T) {
 
 	fA := udpFrame(t, macA, macB, ipA, ipB, 1111, 80, "a")
 	fB := udpFrame(t, macB, macA, ipB, ipA, 2222, 53, "b")
-	r.inject(t, 1, fA) // miss: walk, installs exact + megaflow entries
-	r.inject(t, 1, fB) // different flow, same mask class: megaflow hit
-	r.inject(t, 1, fA) // exact-tier hit
+	r.inject(t, 1, fA) // miss: walk, installs the class's one entry
+	r.inject(t, 1, fB) // different flow, same mask class: hit
+	r.inject(t, 1, fA) // the walking flow again: hit, same entry
 	if r.hosts[2].count() != 3 {
 		t.Fatalf("forwarded %d of 3", r.hosts[2].count())
 	}
-	if mega := tierStats(t, r.sw, "megaflow"); mega.Hits != 1 {
-		t.Errorf("megaflow hits = %d, want 1 (%+v)", mega.Hits, mega)
-	}
-	if micro := tierStats(t, r.sw, "microflow"); micro.Hits != 1 {
-		t.Errorf("microflow hits = %d, want 1 (%+v)", micro.Hits, micro)
-	}
 	cs := r.sw.CacheStats()
-	if cs.Hits.Load() != 2 || cs.Misses.Load() != 1 {
+	if cs.Hits.Load() != 2 || cs.Misses.Load() != 1 || cs.Inserts.Load() != 1 {
 		t.Errorf("cache stats: %s", cs)
+	}
+	if r.sw.CacheLen() != 1 {
+		t.Errorf("cache len = %d, want 1 entry for the one program", r.sw.CacheLen())
 	}
 }
 
@@ -78,8 +63,8 @@ func TestMegaflowInvalidationOnRevisionChange(t *testing.T) {
 		t.Fatalf("after flow-add: port2=%d port3=%d, want 2/1",
 			r.hosts[2].count(), r.hosts[3].count())
 	}
-	if mega := tierStats(t, r.sw, "megaflow"); mega.Invalidations == 0 {
-		t.Errorf("revision change produced no megaflow invalidation: %+v", mega)
+	if cs := r.sw.CacheStats(); cs.Invalidations.Load() == 0 {
+		t.Errorf("revision change produced no invalidation: %s", cs)
 	}
 }
 
@@ -87,9 +72,9 @@ func TestMegaflowInvalidationOnRevisionChange(t *testing.T) {
 // 256-entry cache: 4096 single-packet flows distinguished by a field
 // the consult mask includes (the never-matched src-port entry widens
 // it to l4_src).
-func thrashRig(t *testing.T, opts ...Option) (*Switch, [][]byte) {
+func thrashRig(t *testing.T) (*Switch, [][]byte) {
 	t.Helper()
-	sw := New("thrash", 0x7a, append([]Option{WithMicroflowCacheSize(256)}, opts...)...)
+	sw := New("thrash", 0x7a, WithFlowCacheSize(256))
 	sw.AttachPort(2, "out", &discardBackend{})
 	distract := openflow.Match{}
 	distract.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(60001)
@@ -109,7 +94,8 @@ func TestInstallPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
 	}
-	sw, frames := thrashRig(t, WithAdaptiveBypass(false))
+	sw, frames := thrashRig(t)
+	sw.cache.bypassOn = false
 	for cycle := 0; cycle < 3; cycle++ {
 		for _, f := range frames {
 			sw.Receive(1, f)
@@ -153,5 +139,103 @@ func TestAdaptiveBypassEngagesAndRecovers(t *testing.T) {
 	}
 	if !recovered {
 		t.Errorf("shard never recovered from bypass: %s", sw.CacheStats())
+	}
+}
+
+// TestMaskClassCapDeclinesInstalls is the failure policy of the one
+// bounded resource a recording can be refused by: with more distinct
+// consult masks than maxMaskClasses, the walks of the surplus masks are
+// not cached — their entries go straight back to the pool, no insert is
+// counted — while every frame keeps forwarding exactly as on a switch
+// with no cache at all.
+func TestMaskClassCapDeclinesInstalls(t *testing.T) {
+	const masks = maxMaskClasses + 3
+	// Table 0 sends in-port p to table p, whose never-matching entry
+	// consults the p-th subset of five fields: the walk from port p
+	// records in_port plus that subset, a mask no other port shares.
+	fields := []func(*openflow.Match){
+		func(m *openflow.Match) { m.WithEthDst(macA) },
+		func(m *openflow.Match) { m.WithEthSrc(macB) },
+		func(m *openflow.Match) { m.WithIPv4Src(ipB) },
+		func(m *openflow.Match) { m.WithIPv4Dst(ipA) },
+		func(m *openflow.Match) { m.WithIPProto(pkt.IPProtoTCP) },
+	}
+	build := func(opts ...Option) (*Switch, *discardBackend) {
+		sw := New("cap", 0xca, append(opts, WithNumTables(masks+1))...)
+		sink := &discardBackend{}
+		sw.AttachPort(100, "out", sink)
+		for p := 1; p <= masks; p++ {
+			in := openflow.Match{}
+			in.WithInPort(uint32(p))
+			addFlow(t, sw, 0, 10, in, &openflow.InstrGotoTable{TableID: uint8(p)})
+			never := openflow.Match{}
+			never.WithEthType(pkt.EtherTypeIPv4)
+			for bit, set := range fields {
+				if p&(1<<bit) != 0 {
+					set(&never)
+				}
+			}
+			addFlow(t, sw, uint8(p), 10, never, apply(out(99)))
+			addFlow(t, sw, uint8(p), 1, openflow.Match{}, apply(out(100)))
+		}
+		return sw, sink
+	}
+	cached, cachedSink := build(WithFlowCacheSize(256))
+	cached.cache.bypassOn = false // every refused walk must reach install, every round
+	plain, plainSink := build(WithFlowCache(false))
+	frame := udpFrame(t, macA, macB, ipA, ipB, 1000, 80, "cap")
+
+	round := func() {
+		for p := uint32(1); p <= masks; p++ {
+			cached.Receive(p, frame)
+			plain.Receive(p, frame)
+		}
+		// The last port's mask came too late for a class: its frames are
+		// refused on the batch path's per-frame fall-through too.
+		cached.ReceiveBatch(masks, [][]byte{frame, frame, frame})
+		plain.ReceiveBatch(masks, [][]byte{frame, frame, frame})
+	}
+	round()
+	cs := cached.CacheStats()
+	if got := cs.Inserts.Load(); got != maxMaskClasses {
+		t.Fatalf("inserts after one round = %d, want %d: %s", got, maxMaskClasses, cs)
+	}
+	if got := len(cached.cache.pool.free); got == 0 {
+		t.Error("a refused entry did not return to the pool's free list")
+	}
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	if got := cs.Inserts.Load(); got != maxMaskClasses {
+		t.Errorf("inserts kept growing past the class cap: %s", cs)
+	}
+	if got := cached.CacheLen(); got != maxMaskClasses {
+		t.Errorf("cache len = %d, want %d (one entry per class)", got, maxMaskClasses)
+	}
+	if got := len(*cached.cache.classes.Load()); got != maxMaskClasses {
+		t.Errorf("%d mask classes, cap is %d", got, maxMaskClasses)
+	}
+	if want := uint64(3 * maxMaskClasses); cs.Hits.Load() != want {
+		t.Errorf("hits = %d, want %d (the cached masks, three repeat rounds): %s", cs.Hits.Load(), want, cs)
+	}
+	if cachedSink.frames != plainSink.frames || cachedSink.frames != 4*(masks+3) {
+		t.Errorf("forwarded %d cached vs %d uncached, want %d", cachedSink.frames, plainSink.frames, 4*(masks+3))
+	}
+	for id := 0; id <= masks; id++ {
+		cl, cm := cached.Table(uint8(id)).Stats()
+		pl, pm := plain.Table(uint8(id)).Stats()
+		if cl != pl || cm != pm {
+			t.Errorf("table %d lookups/matched: cached %d/%d, uncached %d/%d", id, cl, cm, pl, pm)
+		}
+	}
+	if cached.Drops() != 0 || plain.Drops() != 0 {
+		t.Errorf("drops: cached %d, uncached %d", cached.Drops(), plain.Drops())
+	}
+
+	if raceEnabled {
+		return // alloc counts are meaningless under the race detector
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { cached.Receive(masks, frame) }); allocs != 0 {
+		t.Errorf("a refused install allocates %.1f per packet, want 0 (the entry must cycle through the pool)", allocs)
 	}
 }

@@ -10,17 +10,17 @@ import (
 
 // The per-frame entry point Receive and the vector entry point
 // ReceiveBatch live in batch.go; both funnel into the walk below with
-// a txContext that coalesces egress per port. With the microflow cache
+// a txContext that coalesces egress per port. With the flow cache
 // enabled (the default) a frame's header key is first probed against
-// the cache; a valid hit replays the pre-resolved megaflow program, a
-// miss takes the full pipeline walk and records a new megaflow.
+// the cache; a valid hit replays the pre-resolved program, a miss takes
+// the full pipeline walk and records a new cache entry.
 
-// replayMicroflow executes a cached megaflow's operation program.
+// replay executes a cache entry's operation program.
 // Credits, meters, groups, TTL checks and packet-ins are re-executed
 // per packet in recorded order, so their per-packet semantics — which
 // tables get credited before a meter drop, with which frame size —
 // are identical to the pipeline walk that was recorded.
-func (s *Switch) replayMicroflow(mf *CacheEntry, inPort uint32, frame []byte, tx *txContext) {
+func (s *Switch) replay(mf *CacheEntry, inPort uint32, frame []byte, tx *txContext) {
 	for i := range mf.ops {
 		op := &mf.ops[i]
 		switch op.kind {
@@ -63,7 +63,7 @@ func (s *Switch) runPipeline(inPort uint32, frame []byte, startTable uint8, tx *
 // (with its pre-lookup revision) and every executed operation is
 // recorded so the walk's decision can be cached; the table's consult
 // mask is folded into rec.mask at the same point, so the recording
-// also captures the minimal wildcard mask the megaflow tier needs.
+// also captures the minimal wildcard mask the entry is stored under.
 // The revision is read *before* the lookup: a flow-mod racing the
 // walk then leaves the recording stale-by-revision rather than
 // wrongly valid.
@@ -211,7 +211,7 @@ func orderActionSet(set []openflow.Action) []openflow.Action {
 }
 
 // applyResult classifies how an action list left the frame. The
-// distinction between consumed and dropped matters to the microflow
+// distinction between consumed and dropped matters to the cache
 // recorder: consumption by output/group is decided by the program
 // structure alone (every packet of the flow ends there), while a drop
 // is a per-packet condition (TTL reached zero, malformed tag) after

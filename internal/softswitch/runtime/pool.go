@@ -6,13 +6,13 @@
 // # Flow sharding (RSS)
 //
 // Ingress frames are dispatched to workers by pkt.Key.Hash, so every
-// frame of a given microflow lands on the SAME worker, always:
+// frame of a given flow lands on the SAME worker, always:
 //
 //   - per-flow frame order is preserved (one worker, one FIFO ring,
 //     run-to-completion draining — no cross-worker reordering within a
 //     flow);
-//   - the flow's microflow-cache entry, flow-table entry counters and
-//     megaflow dependencies stay hot in one core's cache.
+//   - the flow's telemetry record and flow-table entry counters stay
+//     hot in one core's cache.
 //
 // Frames whose key cannot be extracted (malformed) are sharded by
 // ingress port instead, so they still traverse the datapath and are

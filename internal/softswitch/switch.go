@@ -8,24 +8,20 @@
 //
 // The hot-path entry point is ReceiveBatch (batch.go), which amortizes
 // key extraction, cache shard locks and egress flushes over a frame
-// vector; Receive is its one-frame wrapper. The datapath layers three
+// vector; Receive is its one-frame wrapper. The datapath layers two
 // lookup modes, fastest first:
 //
-//  1. the flow cache's exact tier (cache.go) — an OVS-style sharded
-//     map from the packet's header key to a pre-resolved program,
-//     revalidated against table revisions on every hit, enabled by
-//     default;
-//  2. the flow cache's megaflow tier (flowcache.go) — one entry per
-//     mask-equivalence class, probed on the packet key projected
-//     through the union of the consulted tables' match masks, so a
-//     churn of short-lived flows sharing a ruleset shape still hits;
-//  3. the flow tables' own lookup (flowtable.Table.LookupAt): an
+//  1. the flow cache (cache.go, flowcache.go) — one sharded map per
+//     mask-equivalence class from the packet key, projected through the
+//     union of the consulted tables' match masks, to a pre-resolved
+//     program, revalidated against table revisions on every hit; a
+//     churn of short-lived flows sharing a ruleset shape still hits.
+//     Enabled by default, with pooled entries and per-shard adaptive
+//     bypass;
+//  2. the flow tables' own lookup (flowtable.Table.LookupAt): an
 //     ESwitch-style index each table keeps with every flow-mod — one
 //     hash probe per exact-match field signature, then the few masked
 //     entries in priority order.
-//
-// Modes 1 and 2 are one concrete type, flowCache, with pooled entries
-// and per-shard adaptive bypass.
 //
 // See DESIGN.md for the full datapath walk and the cache's
 // invalidation rules.
@@ -73,9 +69,8 @@ type Switch struct {
 
 	numTables int // WithNumTables; the tables are built once every option ran
 
-	cacheSize      int  // capacity of the exact tier and of each mask class; <=0 disables the cache
-	adaptiveBypass bool // per-shard hit-rate bypass
-	cache          *flowCache
+	cacheSize int // capacity of each mask class; <=0 disables the cache
+	cache     *flowCache
 
 	// telemetry, when non-nil, receives per-flow accounting from the
 	// batch dispatch path. Atomic so it can be attached to a running
@@ -143,27 +138,20 @@ type Option func(*Switch)
 // WithClock injects a clock for deterministic timeout tests.
 func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
 
-// WithMicroflowCache switches the flow cache (both tiers) on or off
-// (on by default).
-func WithMicroflowCache(on bool) Option {
+// WithFlowCache switches the flow cache on or off (on by default).
+func WithFlowCache(on bool) Option {
 	return func(s *Switch) {
 		if on {
-			s.cacheSize = DefaultMicroflowCacheSize
+			s.cacheSize = DefaultFlowCacheSize
 		} else {
 			s.cacheSize = 0
 		}
 	}
 }
 
-// WithMicroflowCacheSize bounds the exact tier and each mask class to
-// roughly n entries (n <= 0 disables the cache).
-func WithMicroflowCacheSize(n int) Option { return func(s *Switch) { s.cacheSize = n } }
-
-// WithAdaptiveBypass switches the per-shard hit-rate bypass on or off
-// (on by default). With it off the cache records and installs on every
-// miss, whatever the hit rate — the right setting for alloc-profile
-// tests and workloads known to be cache-friendly.
-func WithAdaptiveBypass(on bool) Option { return func(s *Switch) { s.adaptiveBypass = on } }
+// WithFlowCacheSize bounds each mask class of the flow cache to roughly
+// n entries (n <= 0 disables the cache).
+func WithFlowCacheSize(n int) Option { return func(s *Switch) { s.cacheSize = n } }
 
 // WithTelemetry attaches a flow-telemetry table at construction time
 // (SetTelemetry attaches one to a running switch).
@@ -177,13 +165,12 @@ func WithNumTables(n int) Option { return func(s *Switch) { s.numTables = n } }
 // New creates a switch with the given datapath id.
 func New(name string, dpid uint64, opts ...Option) *Switch {
 	s := &Switch{
-		name:           name,
-		dpid:           dpid,
-		clock:          netem.RealClock{},
-		groups:         flowtable.NewGroupTable(),
-		buffers:        newBufferPool(256),
-		cacheSize:      DefaultMicroflowCacheSize,
-		adaptiveBypass: true,
+		name:      name,
+		dpid:      dpid,
+		clock:     netem.RealClock{},
+		groups:    flowtable.NewGroupTable(),
+		buffers:   newBufferPool(256),
+		cacheSize: DefaultFlowCacheSize,
 	}
 	s.ports.Store(&portTable{})
 	for _, o := range opts {
@@ -199,7 +186,7 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 	}
 	s.meters = flowtable.NewMeterTable(s.clock)
 	if s.cacheSize > 0 {
-		s.cache = newFlowCache(s.cacheSize, s.adaptiveBypass)
+		s.cache = newFlowCache(s.cacheSize)
 	}
 	return s
 }
@@ -242,60 +229,21 @@ func (s *Switch) SetTelemetry(t *telemetry.Table) { s.telemetry.Store(t) }
 // Telemetry returns the attached flow-telemetry table (nil if none).
 func (s *Switch) Telemetry() *telemetry.Table { return s.telemetry.Load() }
 
-// CacheStats returns a point-in-time snapshot of the flow cache's
-// aggregated counters (hits summed over tiers, misses and bypasses at
-// cache level), or nil when the cache is disabled.
+// CacheStats returns the flow cache's live counters, or nil when the
+// cache is disabled.
 func (s *Switch) CacheStats() *stats.CacheCounters {
 	if s.cache == nil {
 		return nil
 	}
-	return s.cache.statsSnapshot()
+	return &s.cache.stats
 }
 
-// CacheTierStats is one tier's identity and counters, snapshotted for
-// diagnostics (/stats in harmlessd).
-type CacheTierStats struct {
-	Name          string `json:"name"`
-	Exact         bool   `json:"exact"`
-	Len           int    `json:"len"`
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Inserts       uint64 `json:"inserts"`
-	Invalidations uint64 `json:"invalidations"`
-	Evictions     uint64 `json:"evictions"`
-}
-
-// CacheTierStats snapshots the two tiers of the flow cache in probe
-// order (nil when the cache is disabled).
-func (s *Switch) CacheTierStats() []CacheTierStats {
-	if s.cache == nil {
-		return nil
-	}
-	row := func(name string, exact bool, n int, c *stats.CacheCounters) CacheTierStats {
-		return CacheTierStats{
-			Name: name, Exact: exact, Len: n,
-			Hits:          c.Hits.Load(),
-			Misses:        c.Misses.Load(),
-			Inserts:       c.Inserts.Load(),
-			Invalidations: c.Invalidations.Load(),
-			Evictions:     c.Evictions.Load(),
-		}
-	}
-	micro, mega := s.cache.tierLens()
-	return []CacheTierStats{
-		row("microflow", true, micro, &s.cache.micro),
-		row("megaflow", false, mega, &s.cache.mega),
-	}
-}
-
-// CacheLen returns the number of cached entries across both tiers (0
-// when disabled).
+// CacheLen returns the number of cached entries (0 when disabled).
 func (s *Switch) CacheLen() int {
 	if s.cache == nil {
 		return 0
 	}
-	micro, mega := s.cache.tierLens()
-	return micro + mega
+	return s.cache.len()
 }
 
 // AttachPort binds an arbitrary PortBackend as datapath port no. The
@@ -442,8 +390,8 @@ func (s *Switch) SweepExpired() []flowtable.Removed {
 	}
 	// A flow-table expiry ends the flows the entries carried: flush
 	// exactly those flows' telemetry records so the finals (and the
-	// byte/packet deltas the microflow cache accumulated since the
-	// last export) reach the exporter now — exported totals stay in
+	// byte/packet deltas accumulated since the last export) reach the
+	// exporter now — exported totals stay in
 	// step with the datapath counters instead of trailing by an idle
 	// timeout, and unrelated flows keep their windows.
 	if len(expired) > 0 {

@@ -390,7 +390,7 @@ func TestPatchPorts(t *testing.T) {
 func TestTableLookupFollowsFlowMods(t *testing.T) {
 	for name, opts := range map[string][]Option{
 		"cached":   nil,
-		"uncached": {WithMicroflowCache(false)},
+		"uncached": {WithFlowCache(false)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, 3, opts...)
@@ -437,8 +437,8 @@ func TestTableCountersWhicheverStructureAnswers(t *testing.T) {
 		match openflow.Match
 		opts  []Option
 	}{
-		{"indexed/uncached", indexed, []Option{WithMicroflowCache(false)}},
-		{"residual/uncached", residual, []Option{WithMicroflowCache(false)}},
+		{"indexed/uncached", indexed, []Option{WithFlowCache(false)}},
+		{"residual/uncached", residual, []Option{WithFlowCache(false)}},
 		{"indexed/cached", indexed, nil},
 		{"residual/cached", residual, nil},
 	} {
@@ -754,7 +754,7 @@ func TestAgentRejectsBadFlowMod(t *testing.T) {
 // BenchmarkPipelineForward times the table walk alone: cache off, one
 // in_port row.
 func BenchmarkPipelineForward(b *testing.B) {
-	sw := New("bench", 1, WithMicroflowCache(false))
+	sw := New("bench", 1, WithFlowCache(false))
 	l1 := netem.NewLink(netem.LinkConfig{})
 	defer l1.Close()
 	l2 := netem.NewLink(netem.LinkConfig{})

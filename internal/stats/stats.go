@@ -103,16 +103,15 @@ func (p *PortCounters) String() string {
 		p.RxDropped.Load(), p.TxDropped.Load(), p.RxErrors.Load())
 }
 
-// CacheCounters aggregates the statistics of a datapath flow cache —
-// one softswitch cache tier (exact-match microflow or wildcard
-// megaflow), or the whole tier chain: how often a packet was served
-// from the cache, how often it had to take the slow pipeline walk,
-// and how much churn the cache saw. All fields are atomic, so the
-// record path stays allocation- and lock-free.
+// CacheCounters aggregates the statistics of the softswitch's flow
+// cache: how often a packet was served from the cache, how often it
+// had to take the slow pipeline walk, and how much churn the cache saw.
+// All fields are atomic, so the record path stays allocation- and
+// lock-free.
 type CacheCounters struct {
-	Hits          Counter // packet served from a valid cached megaflow
+	Hits          Counter // packet served from a valid cache entry
 	Misses        Counter // packet took the full pipeline walk
-	Inserts       Counter // megaflows installed after a walk
+	Inserts       Counter // entries installed after a walk
 	Invalidations Counter // hits discarded because a revision moved
 	Evictions     Counter // entries displaced by capacity pressure
 	Bypassed      Counter // packets that skipped the cache entirely (adaptive bypass)

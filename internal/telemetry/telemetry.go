@@ -16,12 +16,11 @@
 // datapaths, HTTP snapshots and management flushes are safe from any
 // goroutine; the lock is simply free in the pinned configuration.
 //
-// The hot-path contract: once a flow's record exists, observing a
-// packet is a pointer chase off the microflow-cache entry plus a few
-// field updates under the (uncontended) shard lock, taken once per
-// batch per shard — no per-packet map lookup, no allocation. New
-// flows allocate exactly one Record on the slow path, where the
-// pipeline walk already dominates.
+// The hot-path contract: the datapath resolves a packet's record with
+// one Lookup (a map probe under the shard lock), and observing it is a
+// few field updates under the (uncontended) shard lock, taken once per
+// batch per shard — no allocation. New flows allocate exactly one
+// Record, on their first packet.
 //
 // # Export pipeline
 //
@@ -32,10 +31,9 @@
 // management goroutine via Sweep/FlushAll. A sweep applies the
 // active/idle timers: active flows export a delta and keep counting;
 // idle flows export a final record and leave the table. Removed
-// records are marked dead but keep their identity, so a microflow
-// cache entry that still points at one revives it on the flow's next
-// packet — the pointer stays valid forever and counters are never
-// lost.
+// records are marked dead but keep their identity, so a dispatch that
+// resolved one just before the sweep revives it when it observes — the
+// pointer stays valid forever and counters are never lost.
 package telemetry
 
 import (
@@ -144,7 +142,7 @@ func (k FlowKey) String() string {
 
 // Record is the live accounting state of one flow. All fields are
 // guarded by the owning shard's mutex; the datapath holds a *Record
-// (hung off the microflow-cache entry) and updates it through
+// for the length of one dispatch and updates it through
 // Table.Observe/ObserveBatch only.
 //
 // Packets/Bytes are DELTAS since the last export, per IPFIX delta
@@ -299,10 +297,8 @@ func (t *Table) shardFor(hash uint64) int32 {
 }
 
 // Lookup returns the live record for the packet key, creating it if
-// absent — the slow-path half of the hot-path contract: the caller
-// (the pipeline walk) hangs the returned pointer off its microflow so
-// subsequent cache hits skip the map entirely. Counters are NOT
-// updated here; Observe/ObserveBatch do that uniformly.
+// absent; the datapath calls it once per classified frame. Counters
+// are NOT updated here; Observe/ObserveBatch do that uniformly.
 func (t *Table) Lookup(k *pkt.Key) *Record {
 	si := t.shardFor(k.Hash())
 	sh := &t.shards[si]
@@ -316,10 +312,9 @@ func (t *Table) Lookup(k *pkt.Key) *Record {
 	return rec
 }
 
-// Owns reports whether rec belongs to this table. The datapath checks
-// it when resolving a cached record pointer, so a record minted by a
-// previously attached table is re-resolved instead of being indexed
-// into the wrong table's shards.
+// Owns reports whether rec belongs to this table: records are
+// table-scoped, and one minted by another table must not be observed
+// through this one (it would index into the wrong table's shards).
 func (t *Table) Owns(rec *Record) bool { return rec != nil && rec.owner == t }
 
 // insertLocked creates and installs a fresh record, evicting a victim
@@ -335,10 +330,10 @@ func (t *Table) insertLocked(sh *shard, si int32, fk FlowKey) *Record {
 }
 
 // evictLocked exports and removes a pseudo-random victim (map
-// iteration order, like the microflow cache's capacity eviction). The
+// iteration order, like the flow cache's capacity eviction). The
 // victim's deltas are exported first so totals stay exact; its Record
-// stays valid for any cache entry still holding it and revives on the
-// flow's next packet.
+// stays valid for any dispatch still holding it and revives when
+// observed.
 func (t *Table) evictLocked(sh *shard) {
 	for _, victim := range sh.flows {
 		t.exportLocked(victim, EndForced)
@@ -521,8 +516,8 @@ func (t *Table) Sweep(now int64) {
 
 // FlushAll force-exports a final record for every live flow and
 // empties the table. The datapath keeps working throughout: records
-// still referenced by microflow-cache entries are revived with fresh
-// windows by their next packet. Called on worker pool shutdown, at
+// a dispatch in flight still holds are revived with fresh windows when
+// it observes them. Called on worker pool shutdown, at
 // daemon exit, and by tests.
 func (t *Table) FlushAll(now int64) {
 	t.FlushWhere(nil, now)

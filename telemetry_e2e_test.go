@@ -4,8 +4,7 @@ package harmless_test
 // the acceptance check that the in-process collector's exported
 // byte/packet totals equal SS_1's datapath counters after real mixed
 // traffic (ARP, ICMP pings, UDP bursts) has crossed the migrated
-// switch — through trunk ingress, both patch hops, and the microflow
-// cache.
+// switch — through trunk ingress, both patch hops, and the flow cache.
 
 import (
 	"testing"
