@@ -5,7 +5,7 @@
 GO ?= go
 
 # Keep in sync with the bench-smoke job in .github/workflows/ci.yml.
-BENCH_PATTERN := BenchmarkSingleFlow|BenchmarkReceiveBatch|BenchmarkManyFlows|BenchmarkWorkerScaling|BenchmarkDispatch|BenchmarkTelemetryOverhead
+BENCH_PATTERN := BenchmarkSingleFlow|BenchmarkReceiveBatch|BenchmarkManyFlows|BenchmarkWorkerScaling|BenchmarkTelemetryOverhead
 BENCH_PKGS    := ./internal/softswitch ./internal/softswitch/runtime
 
 SHELL := /bin/bash -o pipefail
@@ -72,10 +72,12 @@ test:
 # 0-iteration rows and prints the results as a table.
 # The same-run ratio gates (benchdiff -pair-check) need real timings, so
 # the pair pass reruns BenchmarkManyFlows measured (-benchtime 20000x)
-# and fails if the flow cache is a net tax on ANY workload, and runs
+# and fails if the flow cache is a net tax on ANY workload, runs
 # BenchmarkE2_ChainBurst and fails if the full HARMLESS chain forwards
-# at less than 1/6 of the bare switch — same-run siblings, so the gates
-# hold on any hardware. The whole-repo sweep then proves every other
+# at less than 1/6 of the bare switch, and runs BenchmarkReceiveBatch
+# and fails if a 32-frame burst forwards at less than 2.08x the
+# frame-at-a-time rate — same-run siblings, so the gates hold on any
+# hardware. The whole-repo sweep then proves every other
 # bench still runs too. bench.txt, bench-pairs.txt and bench-full.txt
 # are outputs, rewritten by every run (CI uploads them as artifacts):
 # .gitignore lists them and they are never committed.
@@ -83,6 +85,7 @@ bench:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x -count 2 $(BENCH_PKGS) 2>&1 | tee bench.txt
 	$(GO) run ./cmd/benchdiff -bench bench.txt -check
 	$(GO) test -run '^$$' -bench 'BenchmarkManyFlows' -benchtime 20000x ./internal/softswitch 2>&1 | tee bench-pairs.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkReceiveBatch' -benchtime 300000x ./internal/softswitch 2>&1 | tee -a bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x . 2>&1 | tee -a bench-pairs.txt
 	$(GO) run ./cmd/benchdiff -bench bench-pairs.txt -check -pair-check
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... 2>&1 | tee bench-full.txt

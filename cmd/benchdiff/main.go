@@ -19,8 +19,10 @@
 // must never be a tax, not even on the adversarial thrash workload it
 // used to lose badly on — and every `X/chain` benchmark at least 1/6 of
 // its `X/bare` sibling's: the paper's claim, a legacy switch behind
-// HARMLESS forwards like the software switch alone. Run it against a
-// measured pass (-benchtime 20000x or more), not the 1x smoke rows,
+// HARMLESS forwards like the software switch alone; and every
+// `X/batch=32` at least 2.08x its `X/batch=1` sibling: a burst shares
+// one cache probe per run of frames and one credit per flow entry.
+// Run it against a measured pass (-benchtime 20000x or more), not the 1x smoke rows,
 // which are single-iteration noise.
 package main
 
@@ -192,6 +194,9 @@ type ratioGate struct {
 var ratioGates = []ratioGate{
 	{Num: "cached", Den: "uncached", Min: 0.85, Broken: "the cache is a net tax on this workload"},
 	{Num: "chain", Den: "bare", Min: 1.0 / 6, Broken: "the HARMLESS chain costs more than six bare switches"},
+	// 0.8 x the lowest of five BenchmarkReceiveBatch runs at -benchtime
+	// 300000x (2.60-3.68x; 1.4-2.1x before bursts shared their work).
+	{Num: "batch=32", Den: "batch=1", Min: 2.08, Broken: "a burst no longer amortises the probe and the credits"},
 }
 
 // pairCheck walks every gate's `<base>/<Num>` results whose

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -93,13 +95,17 @@ func TestPairCheck(t *testing.T) {
 }
 
 func TestPairCheckDeclaredGates(t *testing.T) {
-	// The declared table: the cache pair and the chain/bare pair, each
-	// with its own minimum.
+	// The declared table: the cache pair, the chain/bare pair and the
+	// burst pair, each with its own minimum.
 	results := map[string]*Result{
-		"BenchmarkManyFlows/zipf/cached":   res(map[string]float64{"pps": 2.0e6}),
-		"BenchmarkManyFlows/zipf/uncached": res(map[string]float64{"pps": 1.0e6}),
-		"BenchmarkE2_ChainBurst/chain":     res(map[string]float64{"pps": 2.0e6}),
-		"BenchmarkE2_ChainBurst/bare":      res(map[string]float64{"pps": 8.0e6}),
+		"BenchmarkManyFlows/zipf/cached":    res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkManyFlows/zipf/uncached":  res(map[string]float64{"pps": 1.0e6}),
+		"BenchmarkE2_ChainBurst/chain":      res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkE2_ChainBurst/bare":       res(map[string]float64{"pps": 8.0e6}),
+		"BenchmarkReceiveBatch/batch=32":    res(map[string]float64{"ns/op": 117}),
+		"BenchmarkReceiveBatch/batch=1":     res(map[string]float64{"ns/op": 345}),
+		"BenchmarkReceiveBatch/batch=256":   res(map[string]float64{"ns/op": 107}), // no gate on this row
+		"BenchmarkSomethingElse/batch=32/x": res(map[string]float64{"ns/op": 1}),
 	}
 	if bad := pairCheck(results, ratioGates); bad != 0 {
 		t.Errorf("pairCheck = %d failures on a 4x chain, want 0", bad)
@@ -109,6 +115,13 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 	if bad := pairCheck(results, ratioGates); bad != 1 {
 		t.Errorf("pairCheck = %d failures on a 7.5x chain, want 1", bad)
 	}
+	results["BenchmarkE2_ChainBurst/chain"] = res(map[string]float64{"pps": 2.0e6})
+	// 1.75x, a burst that probes and credits frame by frame: fails its gate.
+	results["BenchmarkReceiveBatch/batch=32"] = res(map[string]float64{"ns/op": 345 / 1.75})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on a 1.75x burst, want 1", bad)
+	}
+	results["BenchmarkReceiveBatch/batch=32"] = res(map[string]float64{"ns/op": 117})
 	// A declared gate with no pair in the run fails by itself.
 	delete(results, "BenchmarkE2_ChainBurst/chain")
 	if bad := pairCheck(results, ratioGates); bad != 1 {
@@ -148,6 +161,21 @@ func TestNormalizeName(t *testing.T) {
 	} {
 		if got := normalizeName(in); got != want {
 			t.Errorf("normalizeName(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// TestBenchHistoryParses keeps BENCH_HISTORY.json, the per-PR record of
+// bench/run.sh medians, valid JSON with all five workloads per entry.
+func TestBenchHistoryParses(t *testing.T) {
+	var history []struct{ Workloads map[string]map[string]any }
+	raw, err := os.ReadFile("../../BENCH_HISTORY.json")
+	if err != nil || json.Unmarshal(raw, &history) != nil || len(history) == 0 {
+		t.Fatalf("BENCH_HISTORY.json: %v, %d entries", err, len(history))
+	}
+	for i, h := range history {
+		if len(h.Workloads) != 5 {
+			t.Errorf("entry %d holds %d workloads, want 5", i, len(h.Workloads))
 		}
 	}
 }

@@ -14,9 +14,10 @@
 //
 //   - any function annotated //harmless:hotpath is checked;
 //   - the known zero-alloc entry points (Required below: the flow
-//     cache probe/lookup, the ReceiveBatch dispatch, the legacy bridge's
-//     burst forward and FDB step, the owned VLAN mutators, ObserveBatch,
-//     the Ring/TypedRing push/pop) MUST carry the annotation, so nobody
+//     cache probe/lookup, the ReceiveBatch dispatch and its per-burst
+//     credit, the legacy bridge's burst forward and FDB step, the owned
+//     VLAN mutators and the key packing, ObserveBatch, the
+//     Ring/TypedRing push/pop) MUST carry the annotation, so nobody
 //     quietly drops a hot path out of enforcement.
 //
 // A cold branch inside a hot function — the cache install path on a
@@ -53,6 +54,8 @@ var Required = map[string][]string{
 		"Switch.ReceiveMixedBatch",
 		"Switch.processBatch",
 		"Switch.classifyAndRun",
+		"txContext.credit",
+		"txContext.flushCredits",
 	},
 	"github.com/harmless-sdn/harmless/internal/legacy": {
 		"Switch.forward",
@@ -61,6 +64,7 @@ var Required = map[string][]string{
 	"github.com/harmless-sdn/harmless/internal/pkt": {
 		"PushVLANOwned",
 		"PopVLANOwned",
+		"Key.FlatInto",
 	},
 	"github.com/harmless-sdn/harmless/internal/telemetry": {
 		"Table.Observe",

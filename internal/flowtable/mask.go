@@ -7,7 +7,8 @@ import (
 )
 
 // MatchMask is the field-level wildcard algebra shared by the table's
-// lookup index (index.go) and the softswitch megaflow cache: a bitmask with one bit per matchable header field. It answers
+// lookup index (index.go) and the softswitch flow cache: a bitmask with
+// one bit per matchable header field. It answers
 // the question "which fields can influence a lookup decision?" without
 // carrying the per-bit precision of a full OXM mask — a field matched
 // through a prefix (e.g. nw_dst=10.0.0.0/8) sets the whole field's
@@ -19,8 +20,8 @@ import (
 //   - Union merges the fields of several matches (e.g. every entry of
 //     a table, or every table of a pipeline walk);
 //   - Covers orders masks by wildcard breadth;
-//   - Apply projects a pkt.Key onto a mask, zeroing every field the
-//     mask does not consult. Two keys with equal projections are
+//   - Words projects a packed pkt.Key onto a mask, zeroing every field
+//     the mask does not consult. Two keys with equal projections are
 //     indistinguishable to any match whose fields are within the mask,
 //     which is the soundness property megaflow caching rests on.
 type MatchMask uint32
@@ -117,74 +118,50 @@ func (mm MatchMask) Union(o MatchMask) MatchMask { return mm | o }
 // mm, i.e. mm is at least as specific as o.
 func (mm MatchMask) Covers(o MatchMask) bool { return mm&o == o }
 
-// Apply projects a key onto the mask: value fields outside the mask
-// are zeroed, value fields inside it are copied verbatim. The
-// presence bits (HasVLAN, HasIPv4, ...) are always retained — Match
-// prerequisites branch on packet shape even for wildcarded fields, so
-// keys of one equivalence class must agree on shape, not only on the
-// consulted values. (IPTOS has no matchable field and is always
-// projected away.)
+// Words returns the mask over a pkt.FlatKey: all ones under every field
+// mm consults, and under the presence bits (HasVLAN, HasIPv4, ...)
+// always — Match prerequisites branch on packet shape even for
+// wildcarded fields, so keys of one equivalence class must agree on
+// shape, not only on the consulted values. ANDing a flat key with it
+// (FlatKey.And) projects the key onto the mask.
 //
-// The resulting key is canonical for the packet's class under this
-// mask: for any Match m with mm.Covers(MaskOf(&m)), and any two keys
-// a, b with mm.Apply(a) == mm.Apply(b), m.Matches(a) == m.Matches(b).
-func (mm MatchMask) Apply(k *pkt.Key) pkt.Key {
-	var p pkt.Key
-	p.HasVLAN = k.HasVLAN
-	p.HasIPv4 = k.HasIPv4
-	p.HasIPv6 = k.HasIPv6
-	p.HasARP = k.HasARP
-	p.HasL4 = k.HasL4
-	p.HasICMP = k.HasICMP
-	if mm&MaskInPort != 0 {
-		p.InPort = k.InPort
+// The projection is canonical for the packet's class under this mask:
+// for any Match m with mm.Covers(MaskOf(&m)), and any two keys a, b
+// whose projections are equal, m.Matches(a) == m.Matches(b).
+func (mm MatchMask) Words() pkt.FlatKey {
+	// The packed form of a key with every consulted field all ones, so
+	// the layout stays pkt's alone.
+	k := pkt.Key{
+		HasVLAN: true, HasIPv4: true, HasIPv6: true, HasARP: true, HasL4: true, HasICMP: true,
+		InPort:   ones(mm, MaskInPort, ^uint32(0)),
+		EthDst:   ones(mm, MaskEthDst, onesMAC),
+		EthSrc:   ones(mm, MaskEthSrc, onesMAC),
+		EthType:  ones(mm, MaskEthType, ^uint16(0)),
+		VLANID:   ones(mm, MaskVLAN, ^uint16(0)),
+		VLANPCP:  ones(mm, MaskVLANPCP, ^uint8(0)),
+		IPProto:  ones(mm, MaskIPProto, ^uint8(0)),
+		IPSrc:    ones(mm, MaskIPSrc, onesIPv4),
+		IPDst:    ones(mm, MaskIPDst, onesIPv4),
+		L4Src:    ones(mm, MaskL4Src, ^uint16(0)),
+		L4Dst:    ones(mm, MaskL4Dst, ^uint16(0)),
+		ICMPType: ones(mm, MaskICMPType, ^uint8(0)),
+		ICMPCode: ones(mm, MaskICMPCode, ^uint8(0)),
+		ARPOp:    ones(mm, MaskARPOp, ^uint16(0)),
+		ARPSPA:   ones(mm, MaskARPSPA, onesIPv4),
+		ARPTPA:   ones(mm, MaskARPTPA, onesIPv4),
 	}
-	if mm&MaskEthDst != 0 {
-		p.EthDst = k.EthDst
+	var w pkt.FlatKey
+	k.FlatInto(&w)
+	return w
+}
+
+// ones returns all (a field's all-ones value) when mm consults the
+// field, its zero value otherwise.
+func ones[T any](mm, field MatchMask, all T) (none T) {
+	if mm&field != 0 {
+		return all
 	}
-	if mm&MaskEthSrc != 0 {
-		p.EthSrc = k.EthSrc
-	}
-	if mm&MaskEthType != 0 {
-		p.EthType = k.EthType
-	}
-	if mm&MaskVLAN != 0 {
-		p.VLANID = k.VLANID
-	}
-	if mm&MaskVLANPCP != 0 {
-		p.VLANPCP = k.VLANPCP
-	}
-	if mm&MaskIPProto != 0 {
-		p.IPProto = k.IPProto
-	}
-	if mm&MaskIPSrc != 0 {
-		p.IPSrc = k.IPSrc
-	}
-	if mm&MaskIPDst != 0 {
-		p.IPDst = k.IPDst
-	}
-	if mm&MaskL4Src != 0 {
-		p.L4Src = k.L4Src
-	}
-	if mm&MaskL4Dst != 0 {
-		p.L4Dst = k.L4Dst
-	}
-	if mm&MaskICMPType != 0 {
-		p.ICMPType = k.ICMPType
-	}
-	if mm&MaskICMPCode != 0 {
-		p.ICMPCode = k.ICMPCode
-	}
-	if mm&MaskARPOp != 0 {
-		p.ARPOp = k.ARPOp
-	}
-	if mm&MaskARPSPA != 0 {
-		p.ARPSPA = k.ARPSPA
-	}
-	if mm&MaskARPTPA != 0 {
-		p.ARPTPA = k.ARPTPA
-	}
-	return p
+	return none
 }
 
 // String renders the consulted field names for diagnostics.

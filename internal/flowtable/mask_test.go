@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/harmless-sdn/harmless/internal/netem"
@@ -89,6 +90,70 @@ func TestMaskUnionCovers(t *testing.T) {
 	}
 }
 
+// Apply is the reference projection the packed one (Words, FlatKey.And)
+// is checked against, field by field on the struct key: value fields
+// outside the mask are zeroed, value fields inside it are copied
+// verbatim, the presence bits are always retained and IPTOS, which has
+// no matchable field, is always projected away.
+func (mm MatchMask) Apply(k *pkt.Key) pkt.Key {
+	var p pkt.Key
+	p.HasVLAN = k.HasVLAN
+	p.HasIPv4 = k.HasIPv4
+	p.HasIPv6 = k.HasIPv6
+	p.HasARP = k.HasARP
+	p.HasL4 = k.HasL4
+	p.HasICMP = k.HasICMP
+	if mm&MaskInPort != 0 {
+		p.InPort = k.InPort
+	}
+	if mm&MaskEthDst != 0 {
+		p.EthDst = k.EthDst
+	}
+	if mm&MaskEthSrc != 0 {
+		p.EthSrc = k.EthSrc
+	}
+	if mm&MaskEthType != 0 {
+		p.EthType = k.EthType
+	}
+	if mm&MaskVLAN != 0 {
+		p.VLANID = k.VLANID
+	}
+	if mm&MaskVLANPCP != 0 {
+		p.VLANPCP = k.VLANPCP
+	}
+	if mm&MaskIPProto != 0 {
+		p.IPProto = k.IPProto
+	}
+	if mm&MaskIPSrc != 0 {
+		p.IPSrc = k.IPSrc
+	}
+	if mm&MaskIPDst != 0 {
+		p.IPDst = k.IPDst
+	}
+	if mm&MaskL4Src != 0 {
+		p.L4Src = k.L4Src
+	}
+	if mm&MaskL4Dst != 0 {
+		p.L4Dst = k.L4Dst
+	}
+	if mm&MaskICMPType != 0 {
+		p.ICMPType = k.ICMPType
+	}
+	if mm&MaskICMPCode != 0 {
+		p.ICMPCode = k.ICMPCode
+	}
+	if mm&MaskARPOp != 0 {
+		p.ARPOp = k.ARPOp
+	}
+	if mm&MaskARPSPA != 0 {
+		p.ARPSPA = k.ARPSPA
+	}
+	if mm&MaskARPTPA != 0 {
+		p.ARPTPA = k.ARPTPA
+	}
+	return p
+}
+
 func TestMaskApply(t *testing.T) {
 	full := pkt.Key{
 		InPort: 7,
@@ -154,6 +219,105 @@ func TestMaskApply(t *testing.T) {
 			t.Fatalf("sanity: match should accept the key")
 		}
 	})
+}
+
+// randKey draws a key of the given presence-bit shape (bit i of shape is
+// the i-th Has* flag) with every value field random.
+func randKey(rng *rand.Rand, shape int) pkt.Key {
+	k := pkt.Key{
+		InPort: rng.Uint32(), EthType: uint16(rng.Uint32()),
+		HasVLAN: shape&1 != 0, HasIPv4: shape&2 != 0, HasIPv6: shape&4 != 0,
+		HasARP: shape&8 != 0, HasL4: shape&16 != 0, HasICMP: shape&32 != 0,
+		VLANID: uint16(rng.Intn(4096)), VLANPCP: uint8(rng.Intn(8)),
+		IPProto: uint8(rng.Uint32()), IPTOS: uint8(rng.Uint32()),
+		ARPOp: uint16(rng.Uint32()), L4Src: uint16(rng.Uint32()), L4Dst: uint16(rng.Uint32()),
+		ICMPType: uint8(rng.Uint32()), ICMPCode: uint8(rng.Uint32()),
+	}
+	rng.Read(k.EthDst[:])
+	rng.Read(k.EthSrc[:])
+	rng.Read(k.IPSrc[:])
+	rng.Read(k.IPDst[:])
+	rng.Read(k.ARPSPA[:])
+	rng.Read(k.ARPTPA[:])
+	return k
+}
+
+// flipField changes the one value field bit names (IPTOS for bit 0).
+func flipField(k *pkt.Key, bit MatchMask) {
+	switch bit {
+	case 0:
+		k.IPTOS ^= 0x04
+	case MaskInPort:
+		k.InPort ^= 1 << 31
+	case MaskEthDst:
+		k.EthDst[0] ^= 0x80
+	case MaskEthSrc:
+		k.EthSrc[5] ^= 1
+	case MaskEthType:
+		k.EthType ^= 1 << 15
+	case MaskVLAN:
+		k.VLANID ^= 1 << 11
+	case MaskVLANPCP:
+		k.VLANPCP ^= 4
+	case MaskIPProto:
+		k.IPProto ^= 0x80
+	case MaskIPSrc:
+		k.IPSrc[0] ^= 0x80
+	case MaskIPDst:
+		k.IPDst[3] ^= 1
+	case MaskL4Src:
+		k.L4Src ^= 1 << 15
+	case MaskL4Dst:
+		k.L4Dst ^= 1
+	case MaskICMPType:
+		k.ICMPType ^= 0x80
+	case MaskICMPCode:
+		k.ICMPCode ^= 1
+	case MaskARPOp:
+		k.ARPOp ^= 1 << 15
+	case MaskARPSPA:
+		k.ARPSPA[0] ^= 0x80
+	case MaskARPTPA:
+		k.ARPTPA[3] ^= 1
+	}
+}
+
+// TestFlatProjectionMatchesApply: the six-AND projection of the packed
+// key is the struct projection, for every packet shape under random
+// masks — Apply(k) packed equals k packed AND Words(); a one-field
+// change separates two keys through the one iff through the other; and
+// IPTOS or a field outside the mask never does.
+func TestFlatProjectionMatchesApply(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	flat := func(k pkt.Key) (f pkt.FlatKey) { k.FlatInto(&f); return f }
+	for shape := 0; shape < 64; shape++ {
+		for round := 0; round < 32; round++ {
+			mm := MatchMask(rng.Intn(1 << len(maskNames)))
+			words := mm.Words()
+			k := randKey(rng, shape)
+			fk := flat(k)
+			if got, want := fk.And(&words), flat(mm.Apply(&k)); got != want {
+				t.Fatalf("mask %v shape %06b: packed projection %x, Apply packed %x", mm, shape, got, want)
+			}
+			for bit := MatchMask(0); bit < 1<<len(maskNames); bit = max(1, bit<<1) {
+				o := k
+				flipField(&o, bit)
+				fo := flat(o)
+				viaApply := mm.Apply(&k) == mm.Apply(&o)
+				if viaWords := fk.And(&words) == fo.And(&words); viaWords != viaApply {
+					t.Fatalf("mask %v, %v flipped: equal through Apply %v, through the words %v", mm, bit, viaApply, viaWords)
+				}
+				if viaApply != (mm&bit == 0) {
+					t.Fatalf("mask %v, %v flipped: projections equal = %v", mm, bit, viaApply)
+				}
+			}
+			// A different shape is a different class whatever the mask.
+			o := randKey(rand.New(rand.NewSource(int64(round))), shape^(1<<rng.Intn(6)))
+			if fo := flat(o); fk.And(&words) == fo.And(&words) || mm.Apply(&k) == mm.Apply(&o) {
+				t.Fatalf("mask %v: shapes %06b and another project equal", mm, shape)
+			}
+		}
+	}
 }
 
 func TestMaskString(t *testing.T) {

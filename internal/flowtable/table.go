@@ -55,16 +55,6 @@ func (e *Entry) Bytes() uint64 { return e.bytes.Load() }
 // Created returns the installation time.
 func (e *Entry) Created() time.Time { return e.created }
 
-// Hit accounts one matched packet of n bytes at clock reading now
-// (unix nanos).
-//
-//harmless:hotpath
-func (e *Entry) Hit(n int, now int64) {
-	e.packets.Add(1)
-	e.bytes.Add(uint64(n))
-	e.lastUsed.Store(now)
-}
-
 // expired reports whether the entry has timed out, and the reason.
 func (e *Entry) expired(now time.Time) (bool, uint8) {
 	if e.HardTimeout > 0 && now.Sub(e.created) >= time.Duration(e.HardTimeout)*time.Second {
@@ -174,8 +164,8 @@ func (t *Table) Stats() (lookups, matched uint64) {
 // ConsultMask returns the union of MaskOf over every installed entry:
 // the set of header fields a lookup against this table can possibly
 // consult. Two keys whose ConsultMask projections are equal
-// (mask.Apply) select the same entry here — the per-table step of the
-// megaflow soundness argument (see Apply). It is a read of what the
+// (MatchMask.Words) select the same entry here — the per-table step of
+// the megaflow soundness argument (see Words). It is a read of what the
 // lookup index keeps: one atomic load. A flow-mod publishes the new
 // mask before it bumps the version, so a caller that reads Version
 // first never pairs a new revision with an old mask.
@@ -185,36 +175,43 @@ func (t *Table) ConsultMask() MatchMask { return MatchMask(t.consult.Load()) }
 // that priority, the first installed — and accounts counters (nil on
 // table miss). size is the frame length for byte counters. It stamps
 // the hit with the table's own clock; the datapath, which takes one
-// reading per dispatch, calls LookupAt.
+// reading per dispatch and credits once per burst, calls Find and
+// CreditHits.
 func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
-	return t.LookupAt(k, size, t.clock.Now().UnixNano())
+	hit := t.Find(k)
+	if hit != nil {
+		t.CreditHits(hit, 1, uint64(size), t.clock.Now().UnixNano())
+	}
+	return hit
 }
 
-// LookupAt is Lookup at the caller's clock reading (unix nanos).
-func (t *Table) LookupAt(k *pkt.Key, size int, now int64) *Entry {
+// Find is Lookup with the hit's accounting left to the caller, who owes
+// the table one CreditHits packet for it. A miss has no entry to credit
+// and counts its lookup here.
+func (t *Table) Find(k *pkt.Key) *Entry {
 	t.mu.RLock()
 	hit := t.find(k)
 	t.mu.RUnlock()
 	if hit == nil {
 		t.lookups.Add(1)
-		return nil
 	}
-	t.CreditHit(hit, size, now)
 	return hit
 }
 
-// CreditHit accounts a forwarding decision against the table and entry
-// counters — a lookup's own hit, or a cache hit exactly as the Lookup
-// that produced the cached decision would have: one lookup, one match,
-// one entry hit (which also refreshes the idle-timeout clock). now is
+// CreditHits accounts forwarding decisions against the table and entry
+// counters — lookups' own hits, or cache hits exactly as the lookups
+// that produced the cached decision would have: per packet one lookup,
+// one match, one entry hit, and the idle-timeout clock refreshed. now is
 // the caller's clock reading in unix nanos — the datapath takes one
 // per dispatch and credits every hit of the dispatch with it.
 //
 //harmless:hotpath
-func (t *Table) CreditHit(e *Entry, size int, now int64) {
-	t.lookups.Add(1)
-	t.matched.Add(1)
-	e.Hit(size, now)
+func (t *Table) CreditHits(e *Entry, packets, bytes uint64, now int64) {
+	t.lookups.Add(packets)
+	t.matched.Add(packets)
+	e.packets.Add(packets)
+	e.bytes.Add(bytes)
+	e.lastUsed.Store(now)
 }
 
 // Add installs a flow per OFPFC_ADD semantics: an entry with identical

@@ -153,6 +153,53 @@ func FuzzVLANOwned(f *testing.F) {
 	})
 }
 
+// FuzzFlatKey holds the one parser every cache trusts, and the packing
+// the flow cache keys by, to what the cache assumes of them: neither
+// panics on any bytes; packing tells two parsed keys apart exactly when
+// a matchable field does (IPTOS is not one); and once the headers have
+// parsed down to a transport, ICMP or ARP header the key is a function
+// of those headers alone — frames differing only behind them pack equal.
+func FuzzFlatKey(f *testing.F) {
+	udp, _ := Serialize(
+		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
+		&IPv4Header{TTL: 64, TOS: 0x2e, Protocol: IPProtoUDP, Src: MustIPv4("10.0.0.1"), Dst: MustIPv4("10.0.0.2")},
+		&UDP{SrcPort: 1, DstPort: 2},
+	)
+	tagged, _ := PushVLAN(udp, EtherTypeDot1Q, 101)
+	icmp, _ := Serialize(
+		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
+		&IPv4Header{TTL: 64, Protocol: IPProtoICMP, Src: MustIPv4("10.0.0.1"), Dst: MustIPv4("10.0.0.2")},
+		&ICMPv4{Type: ICMPv4EchoRequest},
+	)
+	arp, _ := Serialize(
+		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("ff:ff:ff:ff:ff:ff"), EtherType: EtherTypeARP},
+		&ARP{Op: ARPRequest, SenderHW: MustMAC("02:00:00:00:00:01"), SenderIP: MustIPv4("10.0.0.1"), TargetIP: MustIPv4("10.0.0.2")},
+	)
+	for _, hdr := range [][]byte{udp, tagged, icmp, arp, udp[:EthernetHeaderLen+IPv4MinHeaderLen+3], udp[:9], {}} {
+		f.Add(hdr, []byte("payload"), []byte{0xff})
+	}
+
+	flat := func(frame []byte) (Key, FlatKey, error) {
+		var k Key
+		var w FlatKey
+		err := ExtractKey(frame, 7, &k)
+		k.FlatInto(&w)
+		return k, w, err
+	}
+	f.Fuzz(func(t *testing.T, hdr, a, b []byte) {
+		k0, w0, err := flat(hdr)
+		ka, wa, _ := flat(append(append([]byte{}, hdr...), a...))
+		kb, wb, _ := flat(append(append([]byte{}, hdr...), b...))
+		ka.IPTOS, kb.IPTOS = 0, 0
+		if (ka == kb) != (wa == wb) {
+			t.Fatalf("keys equal = %v, packed equal = %v:\n %+v -> %x\n %+v -> %x", ka == kb, wa == wb, ka, wa, kb, wb)
+		}
+		if err == nil && (k0.HasL4 || k0.HasICMP || k0.HasARP) && (wa != w0 || wb != w0) {
+			t.Fatalf("payload changed the packed key of %+v: %x, %x, %x", k0, w0, wa, wb)
+		}
+	})
+}
+
 func FuzzDNSDecode(f *testing.F) {
 	msg, _ := Serialize(&DNS{ID: 7, QR: true, Questions: []DNSQuestion{{Name: "x.y", Type: DNSTypeA, Class: DNSClassIN}},
 		Answers: []DNSAnswer{{Name: "x.y", Type: DNSTypeA, Class: DNSClassIN, TTL: 1, A: IPv4{1, 2, 3, 4}}}})

@@ -3,11 +3,12 @@ package pkt
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // Key is the set of OpenFlow-matchable header fields extracted from a
-// frame in one pass. It is a comparable value type so it can serve
-// directly as a map key (the softswitch flow cache relies on this).
+// frame in one pass. It is a comparable value type; the softswitch flow
+// cache keys its maps by the packed form, FlatKey.
 //
 // Fields that are not present in the frame are left at their zero
 // values and the corresponding Valid* bit is cleared.
@@ -144,37 +145,70 @@ func extractARPKey(b []byte, k *Key) {
 	copy(k.ARPTPA[:], b[24:28])
 }
 
-// Hash returns a well-mixed 64-bit hash of the key, cheap enough to
-// call per packet. The softswitch flow cache uses it to pick a
-// shard; flow-affinity hashing (group SELECT buckets) has its own hash
-// in internal/flowtable. Only the fields that commonly differ between
-// flows are mixed in — two keys that collide here still compare
-// unequal, so collisions only cost a shared shard, never a wrong hit.
+// Hash returns a well-mixed 64-bit hash of the key's matchable fields,
+// cheap enough to call per packet: the sum of its packed form. The
+// telemetry table picks a shard with it and the worker pool a worker;
+// the flow cache, which also projects the key, packs it itself.
+// Flow-affinity hashing (SELECT buckets) is flowtable.FlowHash.
 func (k *Key) Hash() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix32 := func(v uint32) {
-		h = (h ^ uint64(v)) * prime
+	var f FlatKey
+	k.FlatInto(&f)
+	return f.Sum()
+}
+
+// FlatKey is a Key's matchable fields packed into six words with no
+// padding, so a wildcard projection is six ANDs, equality six compares
+// and the flow cache's map hashes 48 contiguous bytes:
+//
+//	0  in_port(32) eth_type(16) vid(16)
+//	1  eth_dst(48) pcp(8) presence bits(8)
+//	2  eth_src(48) ip_proto(8) icmp_type(8)
+//	3  ip_src(32) ip_dst(32)
+//	4  l4_src(16) l4_dst(16) arp_op(16) unused(8) icmp_code(8)
+//	5  arp_spa(32) arp_tpa(32)
+//
+// IPTOS, which nothing matches on, is left out. Only FlatInto knows the
+// layout: a field's mask is the packed form of a Key with that field all
+// ones (flowtable.MatchMask.Words).
+type FlatKey [6]uint64
+
+// FlatInto packs k into f.
+//
+//harmless:hotpath
+func (k *Key) FlatInto(f *FlatKey) {
+	shape := bit(k.HasVLAN, 1) | bit(k.HasIPv4, 2) | bit(k.HasIPv6, 4) | bit(k.HasARP, 8) | bit(k.HasL4, 16) | bit(k.HasICMP, 32)
+	f[0] = uint64(k.InPort)<<32 | uint64(k.EthType)<<16 | uint64(k.VLANID)
+	f[1] = mac48(&k.EthDst)<<16 | uint64(k.VLANPCP)<<8 | shape
+	f[2] = mac48(&k.EthSrc)<<16 | uint64(k.IPProto)<<8 | uint64(k.ICMPType)
+	f[3] = uint64(k.IPSrc.Uint32())<<32 | uint64(k.IPDst.Uint32())
+	f[4] = uint64(k.L4Src)<<48 | uint64(k.L4Dst)<<32 | uint64(k.ARPOp)<<16 | uint64(k.ICMPCode)
+	f[5] = uint64(k.ARPSPA.Uint32())<<32 | uint64(k.ARPTPA.Uint32())
+}
+
+func bit(set bool, v uint64) uint64 {
+	if set {
+		return v
 	}
-	mix32(k.InPort)
-	mix32(binary.BigEndian.Uint32(k.EthDst[0:4]))
-	mix32(uint32(k.EthDst[4])<<8 | uint32(k.EthDst[5]))
-	mix32(binary.BigEndian.Uint32(k.EthSrc[0:4]))
-	mix32(uint32(k.EthSrc[4])<<8 | uint32(k.EthSrc[5]))
-	mix32(uint32(k.EthType)<<16 | uint32(k.VLANID))
-	mix32(binary.BigEndian.Uint32(k.IPSrc[:]))
-	mix32(binary.BigEndian.Uint32(k.IPDst[:]))
-	mix32(uint32(k.IPProto)<<16 | uint32(k.ICMPType)<<8 | uint32(k.ICMPCode))
-	mix32(uint32(k.L4Src)<<16 | uint32(k.L4Dst))
-	mix32(binary.BigEndian.Uint32(k.ARPSPA[:]) ^ binary.BigEndian.Uint32(k.ARPTPA[:]))
-	// Finish with a splitmix64-style scrambler so the low bits (used
-	// for shard selection) avalanche properly.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	return 0
+}
+
+func mac48(m *MAC) uint64 {
+	return uint64(binary.BigEndian.Uint32(m[0:4]))<<16 | uint64(binary.BigEndian.Uint16(m[4:6]))
+}
+
+// And returns f projected onto the field mask m.
+func (f *FlatKey) And(m *FlatKey) FlatKey {
+	return FlatKey{f[0] & m[0], f[1] & m[1], f[2] & m[2], f[3] & m[3], f[4] & m[4], f[5] & m[5]}
+}
+
+// Sum hashes the six words: three independent 64x64->128 multiplies of
+// word pairs, folded. It picks shards; keys that collide still compare
+// unequal, so a collision costs a shared shard, never a wrong hit.
+func (f *FlatKey) Sum() uint64 {
+	h0, l0 := bits.Mul64(f[0]^0xa0761d6478bd642f, f[1]^0xe7037ed1a0b428db)
+	h1, l1 := bits.Mul64(f[2]^0x8ebc6af09c88c6e3, f[3]^0x589965cc75374cc3)
+	h2, l2 := bits.Mul64(f[4]^0x1d8e4e27c47d124f, f[5]^0xeb44accab455d165)
+	return h0 ^ l0 ^ h1 ^ l1 ^ h2 ^ l2
 }
 
 // String summarizes the key for diagnostics.

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"github.com/harmless-sdn/harmless/internal/dataplane"
+	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/telemetry"
@@ -16,11 +17,12 @@ import (
 //
 //   - keys are extracted for the whole vector in one pass;
 //   - the flow cache is probed class by class, the keys grouped by
-//     shard so each shard read-lock is taken once per batch
-//     (probeBatch);
+//     shard so each shard read-lock is taken once per batch, and a run
+//     of frames with one projection probed once (probeBatch);
 //   - only the residue of misses walks the full pipeline;
-//   - egress is coalesced per port (txContext) and every port backend
-//     is flushed once per batch;
+//   - flow-entry and table counters are credited once per distinct
+//     entry, egress is coalesced per port (txContext), and every port
+//     backend is flushed once per batch;
 //   - frames crossing a patch port into a peer switch stay grouped and
 //     are dispatched ITERATIVELY off a worklist — a chain of patched
 //     switches (SS_1 -> SS_2 -> ...) runs at constant stack depth
@@ -44,15 +46,22 @@ type patchWork struct {
 }
 
 // txContext is what a dispatch threads through every function it
-// calls: it coalesces one batch's egress per port, carries the
-// iterative patch-delivery worklist and holds the dispatch's one clock
-// reading. ports/frames are parallel; flushed slot buffers are kept (or
-// returned via recycle) so steady state dispatch does not allocate.
+// calls: it coalesces one batch's egress per port and its flow-entry
+// credits per entry, carries the iterative patch-delivery worklist and
+// holds the dispatch's one clock reading. ports/frames are parallel;
+// flushed slot buffers are kept (or returned via recycle) so steady
+// state dispatch does not allocate.
 type txContext struct {
 	ports  []*swPort
 	frames [][][]byte
 	spare  [][][]byte // recycled slot buffers
 	work   []patchWork
+
+	// credits is what a burst has matched and not yet published. burst is
+	// set for the span of a multi-frame processBatch; outside one a credit
+	// is published at once.
+	credits [8]creditSlot
+	burst   bool
 
 	// clock is the clock nowNs was read from; nil until the dispatch
 	// first asks for the time.
@@ -74,6 +83,57 @@ func (tx *txContext) now(c netem.Clock) int64 {
 		tx.clock, tx.nowNs = c, c.Now().UnixNano()
 	}
 	return tx.nowNs
+}
+
+// creditSlot is what one burst owes one flow entry and its table.
+type creditSlot struct {
+	table          *flowtable.Table
+	entry          *flowtable.Entry
+	packets, bytes uint64
+}
+
+// credit accounts one frame of size bytes matching e in table t: a
+// lookup's own hit on the walk, a recorded one on replay, at the same
+// position of the program either way. A burst's frames mostly match the
+// same few entries, so a burst adds them up per entry for flushTx to
+// publish in one CreditHits each; meeting more distinct entries than it
+// has slots, it publishes what it holds and starts over. The counters
+// add up as before; only when they are written changes.
+//
+//harmless:hotpath
+func (tx *txContext) credit(t *flowtable.Table, e *flowtable.Entry, size int, c netem.Clock) {
+	if !tx.burst {
+		t.CreditHits(e, 1, uint64(size), tx.now(c))
+		return
+	}
+	for i := range tx.credits {
+		sl := &tx.credits[i]
+		if sl.entry == nil {
+			sl.table, sl.entry = t, e
+		}
+		if sl.entry == e {
+			sl.packets++
+			sl.bytes += uint64(size)
+			return
+		}
+	}
+	tx.flushCredits(c)
+	tx.credits[0] = creditSlot{table: t, entry: e, packets: 1, bytes: uint64(size)}
+}
+
+// flushCredits publishes the burst's credits at the dispatch's clock
+// reading. The slots fill from the front.
+//
+//harmless:hotpath
+func (tx *txContext) flushCredits(c netem.Clock) {
+	for i := range tx.credits {
+		sl := &tx.credits[i]
+		if sl.entry == nil {
+			return
+		}
+		sl.table.CreditHits(sl.entry, sl.packets, sl.bytes, tx.now(c))
+		*sl = creditSlot{}
+	}
 }
 
 // add coalesces one frame onto the egress vector of port p.
@@ -104,12 +164,16 @@ func (tx *txContext) recycle(frames [][]byte) {
 	tx.spare = append(tx.spare, frames[:0])
 }
 
-// flushTx pushes every coalesced egress vector to its port backend,
-// once per port per batch. Vectors for a BatchForwarder backend (patch
-// ports and the like) are not delivered here: they go onto the
-// worklist so the dispatch loop hands them to the peer switch
+// flushTx publishes the burst's credits, then pushes every coalesced
+// egress vector to its port backend, once per port per batch — in that
+// order, so that neither a backend, a nested dispatch nor a stats reader
+// sees a frame ahead of its counters. Vectors for a BatchForwarder
+// backend (patch ports and the like) are not delivered here: they go
+// onto the worklist so the dispatch loop hands them to the peer switch
 // iteratively.
 func (s *Switch) flushTx(tx *txContext) {
+	tx.flushCredits(s.clock)
+	tx.burst = false
 	for i, p := range tx.ports {
 		frames := tx.frames[i]
 		var bytes uint64
@@ -157,6 +221,10 @@ func (st *dispatchState) grow(n int) {
 		st.skip = make([]bool, n)
 		st.recs = make([]*telemetry.Record, n)
 		st.outs = make([]uint32, n)
+		st.sc.flat = make([]pkt.FlatKey, n)
+		st.sc.shard = make([]uint8, n)
+		st.sc.proj = make([]pkt.FlatKey, n)
+		st.sc.next = make([]int32, n)
 	}
 }
 
@@ -282,10 +350,16 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 		var rec *telemetry.Record
 		var out uint32
 		var key pkt.Key
+		var flat pkt.FlatKey
 		if err := pkt.ExtractKey(frames[0], inPort, &key); err != nil {
 			s.drops.Inc()
 		} else {
-			v, rec, out = s.classifyAndRun(&key, inPort, frames[0], tel, &st.tx)
+			var shard uint32
+			if ch != nil {
+				key.FlatInto(&flat)
+				shard = shardOf(flat.Sum())
+			}
+			v, rec, out = s.classifyAndRun(&key, &flat, shard, inPort, frames[0], tel, &st.tx)
 		}
 		if meta != nil {
 			meta[0].Verdict = v
@@ -301,6 +375,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 	}
 
 	st.grow(n)
+	st.tx.burst = true
 	keys, skip, mfs := st.keys[:n], st.skip[:n], st.mfs[:n]
 	bad := 0
 	for i, f := range frames {
@@ -335,8 +410,9 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 				// Batch probe missed: classifyAndRun re-probes per frame
 				// (the exact miss/invalidation accounting, and an entry
 				// installed by an earlier frame of this very batch can
-				// already hit) before falling back to the pipeline walk.
-				v, recs[i], outs[i] = s.classifyAndRun(&keys[i], inPort, f, tel, &st.tx)
+				// already hit) before falling back to the pipeline walk,
+				// with the packed key and bypass shard the probe derived.
+				v, recs[i], outs[i] = s.classifyAndRun(&keys[i], &st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, tel, &st.tx)
 			}
 		}
 		if meta != nil {
@@ -359,18 +435,19 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 // telemetry resolution — the flow record to account it against (nil
 // when tel is nil or the frame was not classified) and the resolved
 // egress port — which the dispatch accumulates for the batch-level
-// ObserveBatch call.
+// ObserveBatch call. flat is the packed key and shard its bypass shard
+// (shardOf(flat.Sum())); neither is read on a switch without a cache.
 //
 // The caller must hold a pool pin (processBatch does) so the entry a
 // lookup returns cannot be recycled while it is replayed.
 //
 //harmless:hotpath
-func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (dataplane.Verdict, *telemetry.Record, uint32) {
+func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (dataplane.Verdict, *telemetry.Record, uint32) {
 	ch := s.cache
 	var mf *CacheEntry
 	var record bool
 	if ch != nil {
-		mf, record = ch.lookup(key)
+		mf, record = ch.lookup(flat, shard)
 	}
 	var trec *telemetry.Record
 	if tel != nil {
@@ -400,7 +477,7 @@ func (s *Switch) classifyAndRun(key *pkt.Key, inPort uint32, frame []byte, tel *
 			rec.groups = s.groups
 			rec.groupRev = groupRev
 		}
-		ch.install(key, rec)
+		ch.install(flat, rec)
 	}
 	return dataplane.VerdictSlowPath, trec, out
 }

@@ -16,9 +16,9 @@ import (
 // apply-actions lists, the final ordered action set), the table
 // entries to credit for counters and idle timeouts, and the MatchMask
 // union of every consulted table. The program is installed under the
-// packet's key PROJECTED through that mask, so one entry serves every
-// flow whose consulted fields agree — built on the same
-// flowtable.MatchMask algebra the tables' lookup index uses.
+// packet's packed key (pkt.FlatKey) PROJECTED through that mask, so one
+// entry serves every flow whose consulted fields agree — built on the
+// same flowtable.MatchMask algebra the tables' lookup index uses.
 //
 // Subsequent packets replay the program directly, skipping
 // re-classification against every table. This file holds the cached
@@ -163,12 +163,12 @@ func (mf *CacheEntry) usesGroups() bool {
 
 // flowStore is the sharded key -> program map, and the only owner of
 // one: each mask class (flowcache.go) is a flowStore keyed by the
-// projected key. Entries it unpublishes — replaced, evicted, stale,
-// swept, flushed — are retired to the pool.
+// projected packed key. Entries it unpublishes — replaced, evicted, stale,
+// swept — are retired to the pool.
 type flowStore struct {
 	shards [cacheShards]struct {
 		mu    sync.RWMutex
-		flows map[pkt.Key]*CacheEntry
+		flows map[pkt.FlatKey]*CacheEntry
 	}
 	cap   int // per-shard entry cap
 	pool  *entryPool
@@ -180,17 +180,17 @@ func (st *flowStore) init(totalCap int, pool *entryPool, counters *stats.CacheCo
 	st.cap = max(totalCap/cacheShards, 1)
 	st.pool, st.stats = pool, counters
 	for i := range st.shards {
-		st.shards[i].flows = make(map[pkt.Key]*CacheEntry)
+		st.shards[i].flows = make(map[pkt.FlatKey]*CacheEntry)
 	}
 }
 
-// lookup returns the still-valid entry for the key (hash is k.Hash()),
+// lookup returns the still-valid entry for the key (hash is k.Sum()),
 // counting the hit, or nil. A stale entry is removed and counted as an
 // invalidation on the way out. Misses are the caller's to count: a
 // packet misses once, not once per class.
 //
 //harmless:hotpath
-func (st *flowStore) lookup(k *pkt.Key, hash uint64) *CacheEntry {
+func (st *flowStore) lookup(k *pkt.FlatKey, hash uint64) *CacheEntry {
 	sh := &st.shards[shardOf(hash)]
 	sh.mu.RLock()
 	mf := sh.flows[*k]
@@ -216,16 +216,15 @@ func (st *flowStore) lookup(k *pkt.Key, hash uint64) *CacheEntry {
 	return nil
 }
 
-// probeBatch fills out[i] for the frames on sc's per-shard chains (and
-// touches no other frame: an earlier class's hit stays as it is),
-// taking each shard's read lock ONCE and probing all of its keys under
-// it — the per-batch amortization of the per-frame lock in lookup. Only
-// hits are counted; stale entries are left nil (no removal) for the
-// per-frame path.
+// probeBatch fills out[i] with the valid entry of each frame on sc's
+// per-shard chains (and touches no other frame: an earlier class's hit
+// stays as it is), taking each shard's read lock ONCE and probing all of
+// its keys under it — the per-batch amortization of the per-frame lock
+// in lookup. Hits are the caller's to count; stale entries are left nil
+// (no removal) for the per-frame path.
 //
 //harmless:hotpath
-func (st *flowStore) probeBatch(keys []pkt.Key, out []*CacheEntry, sc *probeScratch) {
-	var hits uint64
+func (st *flowStore) probeBatch(keys []pkt.FlatKey, out []*CacheEntry, sc *probeScratch) {
 	for si := range st.shards {
 		head := sc.heads[si]
 		if head < 0 {
@@ -238,18 +237,10 @@ func (st *flowStore) probeBatch(keys []pkt.Key, out []*CacheEntry, sc *probeScra
 		}
 		sh.mu.RUnlock()
 		for i := head; i >= 0; i = sc.next[i] {
-			if out[i] == nil {
-				continue
-			}
-			if out[i].valid() {
-				hits++
-			} else {
+			if out[i] != nil && !out[i].valid() {
 				out[i] = nil
 			}
 		}
-	}
-	if hits > 0 {
-		st.stats.Hits.Add(hits)
 	}
 }
 
@@ -257,7 +248,7 @@ func (st *flowStore) probeBatch(keys []pkt.Key, out []*CacheEntry, sc *probeScra
 // same shard when the shard is at capacity (map iteration order gives a
 // cheap pseudo-random victim, which is how the OVS exact-match cache
 // handles thrash: constant-time displacement, no LRU tracking).
-func (st *flowStore) put(k *pkt.Key, hash uint64, mf *CacheEntry) {
+func (st *flowStore) put(k *pkt.FlatKey, hash uint64, mf *CacheEntry) {
 	sh := &st.shards[shardOf(hash)]
 	var victim *CacheEntry
 	sh.mu.Lock()
@@ -281,16 +272,16 @@ func (st *flowStore) put(k *pkt.Key, hash uint64, mf *CacheEntry) {
 	st.stats.Inserts.Inc()
 }
 
-// prune unpublishes every entry (all) or only those whose recorded
-// revisions went stale, so a quiet cache does not hold dead table
-// references. It returns the number removed, counted as invalidations.
-func (st *flowStore) prune(all bool) int {
+// prune unpublishes the entries whose recorded revisions went stale, so
+// a quiet cache does not hold dead table references. It returns the
+// number removed, counted as invalidations.
+func (st *flowStore) prune() int {
 	n := 0
 	for i := range st.shards {
 		sh := &st.shards[i]
 		sh.mu.Lock()
 		for k, mf := range sh.flows {
-			if all || !mf.valid() {
+			if !mf.valid() {
 				delete(sh.flows, k)
 				st.pool.retire(mf)
 				n++

@@ -324,13 +324,79 @@ func TestConcurrentReceiveFlowMod(t *testing.T) {
 	}
 }
 
+// TestConcurrentBurstsCountEveryFrame: four goroutines burst the same two
+// flows into one switch — the same cache entries, run memos and table
+// entries from every side — and the entry, table and port counters all
+// come to exactly the frames sent. (The differential oracle's missing
+// workers axis: per-burst credits are private to a dispatch until they
+// are published, so concurrent dispatches lose nothing to each other.)
+func TestConcurrentBurstsCountEveryFrame(t *testing.T) {
+	sw := New("bursts", 0x43)
+	l := netem.NewLink(netem.LinkConfig{})
+	defer l.Close()
+	l.B().SetReceiver(func([]byte) {})
+	sw.AttachPort(1, "in", netBackend{port: l.A()}) // egress unused: ingress is the ReceiveBatch calls
+	sw.AttachPort(2, "out", netBackend{port: l.A()})
+	m := openflow.Match{}
+	m.WithInPort(1)
+	addFlow(t, sw, 0, 10, m, &openflow.InstrGotoTable{TableID: 1})
+	addFlow(t, sw, 1, 10, openflow.Match{}, apply(out(2)))
+
+	const workers, burst = 4, 32
+	bursts := 400
+	if testing.Short() {
+		bursts = 40
+	}
+	flows := [2][]byte{
+		udpFrame(t, macA, macB, ipA, ipB, 1000, 80, "one"),
+		udpFrame(t, macB, macA, ipB, ipA, 2000, 443, "other"),
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			vec := make([][]byte, burst)
+			for b := 0; b < bursts; b++ {
+				for i := range vec {
+					// Runs of four frames of one flow, then of the other.
+					vec[i] = append([]byte(nil), flows[(w+b+i/4)%2]...)
+				}
+				sw.ReceiveBatch(1, vec)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	frames := uint64(workers * bursts * burst)
+	octets := frames / 2 * uint64(len(flows[0])+len(flows[1]))
+	for _, ts := range sw.TableStats()[:2] {
+		if ts.LookupCount != frames || ts.MatchedCount != frames {
+			t.Errorf("table %d: %d lookups, %d matched, want %d each", ts.TableID, ts.LookupCount, ts.MatchedCount, frames)
+		}
+	}
+	for _, fs := range sw.FlowStats(openflow.TableAll) {
+		if fs.PacketCount != frames || fs.ByteCount != octets {
+			t.Errorf("table %d entry: %d packets, %d bytes, want %d, %d", fs.TableID, fs.PacketCount, fs.ByteCount, frames, octets)
+		}
+	}
+	rx, tx := sw.PortCounters(1), sw.PortCounters(2)
+	if rx.RxPackets.Load() != frames || rx.RxBytes.Load() != octets || tx.TxPackets.Load() != frames || tx.TxBytes.Load() != octets {
+		t.Errorf("ports: %d packets, %d bytes in, %d, %d out, want %d, %d", rx.RxPackets.Load(), rx.RxBytes.Load(),
+			tx.TxPackets.Load(), tx.TxBytes.Load(), frames, octets)
+	}
+	if cs := sw.CacheStats(); cs.Hits.Load()+cs.Misses.Load()+cs.Bypassed.Load() != frames || sw.Drops() != 0 {
+		t.Errorf("cache classified %s for %d frames, %d drops", cs, frames, sw.Drops())
+	}
+}
+
 // TestFlowStoreWaysOut drives the one shard store through every way an
 // entry leaves it — replaced under the same key, evicted at capacity,
-// removed stale on lookup, swept, flushed — and checks each way out
-// hands the entry to the pool.
+// removed stale on lookup, swept one by one or all at once — and checks
+// each way out hands the entry to the pool.
 func TestFlowStoreWaysOut(t *testing.T) {
 	const shard = 7 // put/lookup take the hash, so the test picks the shard
-	k1, k2 := pkt.Key{InPort: 1}, pkt.Key{InPort: 2}
+	k1, k2 := pkt.FlatKey{1}, pkt.FlatKey{2}
 
 	type fixture struct {
 		st     *flowStore
@@ -390,7 +456,7 @@ func TestFlowStoreWaysOut(t *testing.T) {
 				b := entry(f, 1)
 				f.st.put(&k2, shard+1, b)
 				bump(t, f, 1)
-				if n := f.st.prune(false); n != 1 {
+				if n := f.st.prune(); n != 1 {
 					t.Errorf("sweep removed %d, want 1", n)
 				}
 				if f.st.lookup(&k1, shard) != a {
@@ -402,7 +468,9 @@ func TestFlowStoreWaysOut(t *testing.T) {
 			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
 				b := entry(f, 1)
 				f.st.put(&k2, shard+1, b)
-				if n := f.st.prune(true); n != 2 {
+				bump(t, f, 0)
+				bump(t, f, 1)
+				if n := f.st.prune(); n != 2 {
 					t.Errorf("flush removed %d, want 2", n)
 				}
 				return []*CacheEntry{a, b}

@@ -12,17 +12,31 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// The differential oracle for the flow cache: cached ≡ uncached. A seed
+// The differential oracle for the flow cache and the burst machinery
+// around it: cached and batched ≡ the uncached per-frame walk. A seed
 // makes a small random pipeline and 512 flows; the same traffic,
 // flow-mods, group-mods and expiry sweeps then run through a switch
-// with the cache and a twin without, and after every step everything
-// the cache must not change has to agree.
+// with the cache, in vectors, and a twin without, frame by frame, and
+// after every step everything the cache, the run memo and the per-burst
+// credit must not change has to agree.
 
 const (
 	walkTables = 4
 	walkFlows  = 512
 	walkGroup  = 1
 	walkMeter  = 1
+
+	// Flows with an entry of their own at the top of table 0 (the random
+	// entries stay below priority 100), told apart by UDP destination
+	// port: one every step sends runs of, whose 5 s idle timeout must
+	// therefore never fire; one whose entry meters, so that its runs are
+	// cut where the meter runs dry; and ten that together credit more
+	// distinct entries in a burst than the credit accumulator has slots.
+	walkBusyPort   = 9999
+	walkMeterPort  = 9998
+	walkSpreadPort = 7000
+	walkSpread     = 10
+	walkBusyCookie = 0xb5
 )
 
 var (
@@ -118,15 +132,59 @@ func walkGroupMod(rng *rand.Rand, cmd uint16) *openflow.GroupMod {
 	return gm
 }
 
+// walkFixed returns the flow-adds of the fixed entries.
+func walkFixed() []*openflow.FlowMod {
+	udpDst := func(port uint16) openflow.Match {
+		var m openflow.Match
+		m.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPDst(port)
+		return m
+	}
+	busy := flowMod(openflow.FlowAdd, 0, 300, udpDst(walkBusyPort), apply(out(walkOutPorts[0])))
+	busy.IdleTimeout, busy.Cookie, busy.Flags = 5, walkBusyCookie, openflow.FlowFlagSendFlowRem
+	fms := []*openflow.FlowMod{busy, flowMod(openflow.FlowAdd, 0, 299, udpDst(walkMeterPort),
+		&openflow.InstrMeter{MeterID: walkMeter}, apply(out(walkOutPorts[1])))}
+	for i := 0; i < walkSpread; i++ {
+		fms = append(fms, flowMod(openflow.FlowAdd, 0, uint16(200+i), udpDst(uint16(walkSpreadPort+i)),
+			apply(out(walkOutPorts[i%len(walkOutPorts)]))))
+	}
+	return fms
+}
+
+// creditOrder holds a switch to "counters before frames": whenever an
+// egress vector of a dispatch is delivered, table 0 — which every frame
+// that leaves has matched — has been credited with at least the frames
+// the dispatch has delivered so far.
+type creditOrder struct {
+	t         *testing.T
+	sw        *Switch
+	matched   uint64 // table 0's matched count when the dispatch began
+	delivered uint64 // frames the dispatch has delivered
+}
+
+func (o *creditOrder) arm() {
+	_, o.matched = o.sw.Table(0).Stats()
+	o.delivered = 0
+}
+
+func (o *creditOrder) Transmit([]byte) { o.TransmitBatch(make([][]byte, 1)) }
+
+func (o *creditOrder) TransmitBatch(frames [][]byte) {
+	o.delivered += uint64(len(frames))
+	if _, matched := o.sw.Table(0).Stats(); matched-o.matched < o.delivered {
+		o.t.Errorf("%d frames of a dispatch delivered with only %d credited to table 0", o.delivered, matched-o.matched)
+	}
+}
+
 // walkSwitch builds one of the two twins on the shared clock, with an
 // agent (no controller attached) so packet-ins are counted as such.
-func walkSwitch(t *testing.T, clk netem.Clock, opts ...Option) *Switch {
+func walkSwitch(t *testing.T, clk netem.Clock, opts ...Option) (*Switch, *creditOrder) {
 	sw := New("walk", 0xd1ff, append(opts, WithClock(clk), WithNumTables(walkTables))...)
+	order := &creditOrder{t: t, sw: sw}
 	for _, p := range walkOutPorts {
-		sw.AttachPort(p, "out", &discardBackend{})
+		sw.AttachPort(p, "out", order)
 	}
 	t.Cleanup(sw.NewAgent(controlplane.Config{}, 0).Stop)
-	return sw
+	return sw, order
 }
 
 // walkSnapshot flattens what the cache must leave exactly as a walk
@@ -159,8 +217,8 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 	if seed%3 == 0 {
 		cacheSize = 2 * cacheShards // capacity evictions in the mix
 	}
-	cached := walkSwitch(t, clk, WithFlowCacheSize(cacheSize))
-	plain := walkSwitch(t, clk, WithFlowCache(false))
+	cached, order := walkSwitch(t, clk, WithFlowCacheSize(cacheSize))
+	plain, _ := walkSwitch(t, clk, WithFlowCache(false))
 	both := func(apply func(sw *Switch) error) {
 		t.Helper()
 		errC, errP := apply(cached), apply(plain)
@@ -188,23 +246,70 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 			flowModBoth(flowMod(openflow.FlowAdd, table, 0, openflow.Match{}, walkInstrs(rng, table)...))
 		}
 	}
+	fixed := walkFixed()
+	for _, fm := range fixed {
+		flowModBoth(fm)
+	}
 
 	type flow struct {
 		inPort uint32
 		frame  []byte
 	}
+	newFlow := func(dport uint16) []byte {
+		return udpFrame(t, walkMACs[rng.Intn(len(walkMACs))], walkMACs[rng.Intn(len(walkMACs))],
+			walkIP(rng), walkIP(rng), uint16(1024+rng.Intn(4096)), dport, string(make([]byte, rng.Intn(100))))
+	}
 	flows := make([]flow, walkFlows)
 	for i := range flows {
-		flows[i] = flow{
-			inPort: walkInPorts[i%len(walkInPorts)],
-			frame: udpFrame(t, walkMACs[rng.Intn(len(walkMACs))], walkMACs[rng.Intn(len(walkMACs))],
-				walkIP(rng), walkIP(rng), uint16(1024+rng.Intn(4096)), walkDports[rng.Intn(len(walkDports))],
-				string(make([]byte, rng.Intn(100)))),
+		flows[i] = flow{inPort: walkInPorts[i%len(walkInPorts)], frame: newFlow(walkDports[rng.Intn(len(walkDports))])}
+	}
+	busy, metered := newFlow(walkBusyPort), newFlow(walkMeterPort)
+	spread := make([][]byte, walkSpread)
+	for i := range spread {
+		spread[i] = newFlow(uint16(walkSpreadPort + i))
+	}
+
+	// stream draws the n frames of one step, all for one in-port: single
+	// frames of the window's flows between runs of 2–32 frames — of the
+	// busy flow (first and last, so that every control operation lands
+	// between two bursts of one run), of the metered flow, of one flow of
+	// the window, of flows differing only in the UDP source port, which no
+	// entry matches on, so that every class projects them alike — and the
+	// ten spread flows back to back.
+	stream := func(n, window, parity int) [][]byte {
+		var frames [][]byte
+		run := func(f []byte, vary bool) {
+			for i := 2 + rng.Intn(31); i > 0; i-- {
+				f = append([]byte(nil), f...)
+				if vary {
+					f[pkt.EthernetHeaderLen+pkt.IPv4MinHeaderLen+1]++ // UDP source port
+				}
+				frames = append(frames, f)
+			}
 		}
+		run(busy, false)
+		for len(frames) < n {
+			f := flows[(window+rng.Intn(32)*len(walkInPorts))+parity].frame
+			switch rng.Intn(12) {
+			case 0:
+				run(busy, false)
+			case 1:
+				run(metered, false)
+			case 2:
+				run(f, false)
+			case 3:
+				run(f, true)
+			case 4:
+				frames = append(frames, spread...)
+			default:
+				frames = append(frames, f)
+			}
+		}
+		run(busy, false)
+		return frames
 	}
 
 	var sent uint64
-	vecC, vecP := make([][]byte, 0, batch), make([][]byte, 0, batch)
 	for step := 0; step < 40; step++ {
 		switch rng.Intn(10) {
 		case 0, 1:
@@ -213,36 +318,50 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 			cmd := []uint8{openflow.FlowDelete, openflow.FlowDeleteStrict, openflow.FlowModify}[rng.Intn(3)]
 			table := uint8(rng.Intn(walkTables))
 			flowModBoth(flowMod(cmd, table, uint16(rng.Intn(100)), walkMatch(rng), walkInstrs(rng, table)...))
+			left := 0
+			for _, e := range cached.Table(0).Entries() {
+				if e.Priority >= 200 {
+					left++
+				}
+			}
+			if left < len(fixed) { // a covering delete took fixed entries too
+				for _, fm := range fixed {
+					flowModBoth(fm)
+				}
+			}
 		case 3:
 			gm := walkGroupMod(rng, openflow.GroupModify)
 			both(func(sw *Switch) error { return sw.Groups().Apply(gm) })
 		case 4, 5:
 			clk.Advance(time.Duration(1+rng.Intn(4)) * time.Second)
-			if len(cached.SweepExpired()) != len(plain.SweepExpired()) {
+			goneC, goneP := cached.SweepExpired(), plain.SweepExpired()
+			if len(goneC) != len(goneP) {
 				t.Fatalf("seed %d step %d: expiry sweeps removed different entries", seed, step)
 			}
+			for _, r := range goneC {
+				if r.Entry.Cookie == walkBusyCookie {
+					t.Fatalf("seed %d step %d: the busy flow's entry idled out", seed, step)
+				}
+			}
 		}
-		// A burst of max(batch, 64) frames in vectors of batch, each
-		// vector from one in-port, drawn from a window of the flows so
-		// that the same flows come round again.
-		window := rng.Intn(walkFlows - 64)
-		for n := 0; n < max(batch, 64); n += batch {
-			parity := rng.Intn(len(walkInPorts))
-			vecC, vecP = vecC[:0], vecP[:0]
-			for i := 0; i < batch; i++ {
-				f := flows[(window+rng.Intn(32)*len(walkInPorts))+parity]
-				vecC = append(vecC, append([]byte(nil), f.frame...))
-				vecP = append(vecP, append([]byte(nil), f.frame...))
-			}
-			inPort := walkInPorts[parity]
+		// The cached twin takes the step's frames in vectors of batch, the
+		// reference one by one.
+		parity := rng.Intn(len(walkInPorts))
+		inPort := walkInPorts[parity]
+		frames := stream(max(batch, 64), rng.Intn(walkFlows-64), parity)
+		for _, f := range frames {
+			plain.Receive(inPort, append([]byte(nil), f...))
+		}
+		for len(frames) > 0 {
+			vec := frames[:min(batch, len(frames))]
+			frames = frames[len(vec):]
+			sent += uint64(len(vec))
+			order.arm()
 			if batch == 1 {
-				cached.Receive(inPort, vecC[0])
-				plain.Receive(inPort, vecP[0])
+				cached.Receive(inPort, vec[0])
 			} else {
-				cached.ReceiveBatch(inPort, vecC)
-				plain.ReceiveBatch(inPort, vecP)
+				cached.ReceiveBatch(inPort, vec)
 			}
-			sent += uint64(batch)
 		}
 
 		got, want := walkSnapshot(cached), walkSnapshot(plain)
@@ -265,8 +384,9 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 }
 
 // TestCacheMatchesWalkRandom is the randomized cached ≡ uncached check
-// at batch sizes 1 (the per-frame lookup), 8 and 256 (the grouped
-// probe, a few frames and many per shard).
+// at batch sizes 1 (the per-frame lookup and the direct credit), 8 and
+// 256 (the grouped probe, a few frames and many per shard, and runs cut
+// by the vector's end and not).
 func TestCacheMatchesWalkRandom(t *testing.T) {
 	seeds := int64(24)
 	if testing.Short() {

@@ -11,7 +11,7 @@ import (
 )
 
 // The datapath flow cache: one flowStore per mask class, keyed by the
-// packet key projected through the class's mask. The cache owns what
+// packed packet key (pkt.FlatKey) projected through the class's mask. The cache owns what
 // the classes share: the per-packet admission decision (adaptive
 // bypass), the entry pool that makes the install path allocation-free,
 // and the counters.
@@ -21,7 +21,7 @@ import (
 // traverses (pipeline.go), and any later packet agreeing on those
 // fields — whatever its other header values — projects to the same key
 // and replays the same program. That is sound because no traversed
-// table could have told the two packets apart (see MatchMask.Apply and
+// table could have told the two packets apart (see MatchMask.Words and
 // Table.ConsultMask for the per-table argument; the walk-level one is
 // induction over the goto chain: equal projections select equal
 // entries, so equal instructions, so the same next table). Per-packet
@@ -32,7 +32,7 @@ const (
 	// cacheShards is the number of independently locked shards a
 	// flowStore divides its map into — also the granularity of the
 	// adaptive-bypass hit-rate tracking. A power of two (shard
-	// selection is a mask) that fits a uint8 with room for noShard (the
+	// selection is a mask) that fits a uint8 with room for shardSkip (the
 	// batch probe keeps each frame's bypass shard in one).
 	cacheShards = 32
 
@@ -56,43 +56,62 @@ func shardOf(hash uint64) uint32 { return uint32(hash) & (cacheShards - 1) }
 // of the flow tables' templates).
 type maskClass struct {
 	mask  flowtable.MatchMask
+	words pkt.FlatKey // mask.Words(): projecting a packed key is six ANDs
 	store flowStore
 }
 
-// probeScratch is the shared state of one batch probe: the per-frame
-// bypass shard, the keys projected through the class being probed, and
-// the per-shard intrusive frame chains flowStore.probeBatch consumes. It
-// lives in the pooled dispatch state, so batch probes allocate nothing.
+// probeScratch is the shared state of one batch probe, one slot per
+// frame (sized by dispatchState.grow, which pools it, so batch probes
+// allocate nothing): the packed keys and bypass shards — which the
+// per-frame path takes over for a frame the probe left unresolved — the
+// keys projected through the class being probed, and the per-shard
+// intrusive frame chains flowStore.probeBatch consumes.
 type probeScratch struct {
-	// shard[i] is shardOf(keys[i].Hash()) — the frame's bypass shard —
-	// or noShard for a frame the probe leaves alone (skipped, or of a
-	// shard in bypass).
+	// flat[i] is keys[i] packed, written once per frame per switch.
+	flat []pkt.FlatKey
+	// shard[i] is shardOf(flat[i].Sum()) — the frame's bypass shard —
+	// with shardSkip set on a frame the probe leaves alone (unparsable,
+	// or of a shard in bypass).
 	shard []uint8
-	// proj[i] is keys[i] projected through the current class's mask,
-	// valid for the frames on the chains.
-	proj []pkt.Key
+	// proj[i] is flat[i] projected through the current class's mask,
+	// valid for the frames the class probes.
+	proj []pkt.FlatKey
 	// heads/next chain frame indices per store shard of the projected
 	// key: heads[s] is the first frame of shard s (-1 = none), next[i]
-	// the following one. Rebuilt for every class.
+	// the following one. A frame that projects like the last frame
+	// chained is not chained: its next[i] names that frame (sameAs),
+	// whose probe answers for both. Rebuilt for every class.
 	heads [cacheShards]int32
 	next  []int32
 
-	wins [cacheShards]uint32 // per-shard hits<<16|lookups accumulator
+	wins shardWins
 }
 
-// noShard marks a frame the batch probe does not look up.
-const noShard = cacheShards
+// shardSkip marks a frame the batch probe does not look up.
+const shardSkip = 0x80
 
-// grow sizes the per-frame slices for a batch of n.
-func (sc *probeScratch) grow(n int) {
-	if cap(sc.shard) < n {
-		sc.shard = make([]uint8, n)
-		sc.proj = make([]pkt.Key, n)
-		sc.next = make([]int32, n)
+// sameAs encodes in a next slot that the frame shares frame j's probe:
+// chain links are >= -1, anything below is one of these. Its own inverse.
+func sameAs(j int32) int32 { return -2 - j }
+
+// shardWins accumulates one batch's lookups and hits per bypass shard,
+// so each touched shard's window is fed with one atomic add. The counts
+// are kept apart: a batch is as long as its caller makes it, and neither
+// may carry into the other.
+type shardWins [cacheShards]struct{ lookups, hits uint32 }
+
+func (w *shardWins) add(shard uint8, hit bool) {
+	w[shard].lookups++
+	if hit {
+		w[shard].hits++
 	}
-	sc.shard = sc.shard[:n]
-	sc.proj = sc.proj[:n]
-	sc.next = sc.next[:n]
+}
+
+// take returns and clears the counts of one shard.
+func (w *shardWins) take(shard int) (lookups, hits uint32) {
+	lookups, hits = w[shard].lookups, w[shard].hits
+	w[shard].lookups, w[shard].hits = 0, 0
+	return lookups, hits
 }
 
 // entryPool recycles CacheEntry recorder state so the install path is
@@ -254,7 +273,7 @@ func (p *entryPool) reclaim() {
 // repo benchmark's ACL-miss workload: 3.7 Mframes/s with every shard
 // bypassed, 2.7 with a quarter of them active at 75% hits).
 //
-// The bypass shard is picked by the hash of the FULL key, not the
+// The bypass shard is picked by the hash of the FULL packed key, not the
 // projected one: many flows share one cache entry, and it is the flows,
 // not the entries, whose hit rate says whether probing pays. All
 // transitions are heuristic: counters are racy-by-design (plain
@@ -365,20 +384,21 @@ func newFlowCache(totalCap int) *flowCache {
 // takes the first valid hit — when two classes hold valid entries for
 // the same packet, both were recorded against identical table
 // revisions, so their programs are interchangeable. Stale entries met on
-// the way are removed. record is false when the shard is bypassed — the
-// caller must walk uncached and must not install.
+// the way are removed. f is the frame's packed key and shard its bypass
+// shard, shardOf(f.Sum()). record is false when the shard is bypassed —
+// the caller must walk uncached and must not install.
 //
 //harmless:hotpath
-func (c *flowCache) lookup(k *pkt.Key) (e *CacheEntry, record bool) {
-	b := &c.bypass[shardOf(k.Hash())]
+func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record bool) {
+	b := &c.bypass[shard]
 	if c.bypassOn && !b.admit() {
 		c.stats.Bypassed.Inc()
 		return nil, false
 	}
 	var hits uint32
 	for _, g := range *c.classes.Load() {
-		pk := g.mask.Apply(k)
-		if e = g.store.lookup(&pk, pk.Hash()); e != nil {
+		p := f.And(&g.words)
+		if e = g.store.lookup(&p, p.Sum()); e != nil {
 			hits = 1
 			break
 		}
@@ -392,69 +412,85 @@ func (c *flowCache) lookup(k *pkt.Key) (e *CacheEntry, record bool) {
 	return e, true
 }
 
-// probeBatch probes a whole batch, class by class: the keys still
-// unresolved are projected through the class's mask and chained by the
-// projected key's store shard, so each shard read-lock is taken once per
-// class per batch (flowStore.probeBatch). out[i] is filled for every
-// frame with skip[i] false and a bypass shard not in bypass. Only hits
-// are accounted and only valid entries returned: misses and stale
-// entries stay nil for classifyAndRun, which does the exact accounting
-// (and can legitimately hit an entry an earlier frame of the same batch
-// installed). Frames of bypassed shards are likewise left nil without
-// accounting: classifyAndRun's per-frame admit does the
-// bypass/probation bookkeeping exactly once.
+// probeBatch probes a whole batch, class by class. It packs every key
+// once and takes its bypass shard from the hash of the packed words;
+// then, per class, the keys still unresolved are projected through the
+// class's mask and chained by the projected key's store shard, so each
+// shard read-lock is taken once per class per batch
+// (flowStore.probeBatch). A frame that projects like the last frame
+// chained — the next frame of a run, of one flow or of several the class
+// cannot tell apart — is not chained: it takes that frame's entry and
+// counts as a hit, for a six-word compare in place of a hash, a lock and
+// a map probe. The entry was validated by this very probe and nothing of
+// the run is kept after it, so there is nothing to invalidate.
+//
+// out[i] is filled for every frame with skip[i] false and a bypass shard
+// not in bypass. Only hits are accounted and only valid entries
+// returned: misses and stale entries stay nil for classifyAndRun, which
+// does the exact accounting (and can legitimately hit an entry an
+// earlier frame of the same batch installed). Frames of bypassed shards
+// are likewise left nil without accounting: classifyAndRun's per-frame
+// admit does the bypass/probation bookkeeping exactly once.
 //
 //harmless:hotpath
 func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, sc *probeScratch) {
 	clear(out)
-	sc.grow(len(keys))
 	for i := range keys {
-		sc.shard[i] = noShard
 		if skip[i] {
+			sc.shard[i] = shardSkip
 			continue
 		}
-		sh := shardOf(keys[i].Hash())
-		if !c.bypassOn || c.bypass[sh].mode.Load() != modeBypass {
-			sc.shard[i] = uint8(sh)
+		keys[i].FlatInto(&sc.flat[i])
+		sh := uint8(shardOf(sc.flat[i].Sum()))
+		if c.bypassOn && c.bypass[sh].mode.Load() == modeBypass {
+			sh |= shardSkip
 		}
+		sc.shard[i] = sh
 	}
 	for _, g := range *c.classes.Load() {
 		for i := range sc.heads {
 			sc.heads[i] = -1
 		}
-		for i := len(keys) - 1; i >= 0; i-- {
-			if sc.shard[i] == noShard || out[i] != nil {
+		last, shared := int32(-1), false
+		for i := int32(len(keys)) - 1; i >= 0; i-- {
+			if sc.shard[i]&shardSkip != 0 || out[i] != nil {
 				continue
 			}
-			sc.proj[i] = g.mask.Apply(&keys[i])
-			sh := shardOf(sc.proj[i].Hash())
+			sc.proj[i] = sc.flat[i].And(&g.words)
+			if last >= 0 && sc.proj[i] == sc.proj[last] {
+				sc.next[i], shared = sameAs(last), true
+				continue
+			}
+			sh := shardOf(sc.proj[i].Sum())
 			sc.next[i] = sc.heads[sh]
-			sc.heads[sh] = int32(i)
+			sc.heads[sh] = i
+			last = i
 		}
 		g.store.probeBatch(sc.proj, out, sc)
-	}
-	if !c.bypassOn {
-		return
-	}
-	// Feed the per-shard windows, one atomic add per touched shard.
-	// Frames the batch probe missed are probed again per frame on the
-	// slow path and counted there too; that skews bypassed-rate
-	// tracking toward the miss side, which only makes bypass engage
-	// marginally sooner under thrash — acceptable for a heuristic.
-	for i, sh := range sc.shard {
-		if sh == noShard {
-			continue
+		for i := 0; shared && i < len(out); i++ {
+			if out[i] == nil && sc.shard[i]&shardSkip == 0 && sc.next[i] < -1 {
+				out[i] = out[sameAs(sc.next[i])]
+			}
 		}
-		w := uint32(1)
+	}
+	// Count the hits, and feed the per-shard windows with one atomic add
+	// per touched shard. Frames the batch probe missed are probed again
+	// per frame on the slow path and counted there too; that skews
+	// bypassed-rate tracking toward the miss side, which only makes bypass
+	// engage marginally sooner under thrash — acceptable for a heuristic.
+	var hits uint64
+	for i := range keys {
 		if out[i] != nil {
-			w |= 1 << 16
+			hits++
 		}
-		sc.wins[sh] += w
+		if sh := sc.shard[i]; c.bypassOn && sh&shardSkip == 0 {
+			sc.wins.add(sh, out[i] != nil)
+		}
 	}
+	c.stats.Hits.Add(hits)
 	for sh := range sc.wins {
-		if w := sc.wins[sh]; w != 0 {
-			sc.wins[sh] = 0
-			c.bypass[sh].note(w&0xffff, w>>16)
+		if lookups, hits := sc.wins.take(sh); lookups != 0 {
+			c.bypass[sh].note(lookups, hits)
 		}
 	}
 }
@@ -478,25 +514,25 @@ func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
 	if len(cur) >= maxMaskClasses {
 		return nil
 	}
-	g := &maskClass{mask: mask}
+	g := &maskClass{mask: mask, words: mask.Words()}
 	g.store.init(c.size, &c.pool, &c.stats)
 	next := append(slices.Clip(cur), g) // clipped: append copies, readers keep cur
 	c.classes.Store(&next)
 	return g
 }
 
-// install publishes a recorded entry under its projected key in its
-// mask class. When the class list is full the recording is declined:
-// the entry was never published, so it goes straight back to the pool
-// and no insert is counted.
-func (c *flowCache) install(k *pkt.Key, e *CacheEntry) {
+// install publishes a recorded entry under the frame's packed key,
+// projected, in its mask class. When the class list is full the
+// recording is declined: the entry was never published, so it goes
+// straight back to the pool and no insert is counted.
+func (c *flowCache) install(f *pkt.FlatKey, e *CacheEntry) {
 	g := c.class(e.mask)
 	if g == nil {
 		c.pool.giveBack(e)
 		return
 	}
-	pk := e.mask.Apply(k)
-	g.store.put(&pk, pk.Hash(), e)
+	p := f.And(&g.words)
+	g.store.put(&p, p.Sum(), e)
 }
 
 // sweep unpublishes the revision-stale entries of every class. The class
@@ -505,7 +541,7 @@ func (c *flowCache) install(k *pkt.Key, e *CacheEntry) {
 func (c *flowCache) sweep() int {
 	n := 0
 	for _, g := range *c.classes.Load() {
-		n += g.store.prune(false)
+		n += g.store.prune()
 	}
 	return n
 }

@@ -111,6 +111,32 @@ func TestInstallPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestShardWinsKeepCountsApart: a batch is as long as its caller makes
+// it (trafficgen -batch N), and 65,536 frames of one bypass shard used
+// to carry the lookup count into the hit count packed above it. The
+// accumulator hands back exactly what went in.
+func TestShardWinsKeepCountsApart(t *testing.T) {
+	var w shardWins
+	const shard, n = 5, 70000
+	for i := 0; i < n; i++ {
+		w.add(shard, true)
+		w.add(shard+1, false)
+	}
+	var lookups, hits uint64
+	for l, h := w.take(shard); l != 0; l, h = w.take(shard) {
+		lookups, hits = lookups+uint64(l), hits+uint64(h)
+	}
+	if lookups != n || hits != n {
+		t.Errorf("drained %d lookups, %d hits of %d added", lookups, hits, n)
+	}
+	if l, h := w.take(shard + 1); l != n || h != 0 {
+		t.Errorf("neighbouring shard: %d lookups, %d hits, want %d, 0", l, h, n)
+	}
+	if w != (shardWins{}) {
+		t.Errorf("take left counts behind: %v", w)
+	}
+}
+
 // TestAdaptiveBypassEngagesAndRecovers drives the shard state machine
 // around its full cycle: thrash until shards give up on the cache,
 // then a single cacheable flow until probation readmits its shard.

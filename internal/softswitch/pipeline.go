@@ -25,7 +25,7 @@ func (s *Switch) replay(mf *CacheEntry, inPort uint32, frame []byte, tx *txConte
 		op := &mf.ops[i]
 		switch op.kind {
 		case opCredit:
-			op.table.CreditHit(op.entry, len(frame), tx.now(s.clock))
+			tx.credit(op.table, op.entry, len(frame), s.clock)
 			continue
 		case opMeter:
 			if !s.meters.Pass(op.meterID, len(frame)) {
@@ -71,12 +71,13 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 	var actionSet []openflow.Action
 	tableID := startTable
 	for {
+		table := s.tables[tableID]
 		var rev uint64
 		if rec != nil {
-			rev = s.tables[tableID].Version()
-			rec.mask = rec.mask.Union(s.tables[tableID].ConsultMask())
+			rev = table.Version()
+			rec.mask = rec.mask.Union(table.ConsultMask())
 		}
-		entry := s.tables[tableID].LookupAt(key, len(frame), tx.now(s.clock))
+		entry := table.Find(key)
 		if entry == nil {
 			// OpenFlow 1.3 table-miss without a miss entry: drop. Not
 			// cached — a later flow-add must see the packet's key again.
@@ -86,9 +87,10 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 			s.drops.Inc()
 			return
 		}
+		tx.credit(table, entry, len(frame), s.clock)
 		if rec != nil {
-			rec.deps = append(rec.deps, tableDep{table: s.tables[tableID], rev: rev})
-			rec.ops = append(rec.ops, microOp{kind: opCredit, table: s.tables[tableID], entry: entry})
+			rec.deps = append(rec.deps, tableDep{table: table, rev: rev})
+			rec.ops = append(rec.ops, microOp{kind: opCredit, table: table, entry: entry})
 		}
 		next := int16(-1)
 		for _, instr := range entry.Instrs() {

@@ -119,22 +119,3 @@ func BenchmarkWorkerScaling(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkDispatch isolates the producer side: the RSS hash plus the
-// ring push, with a running worker consuming. This is the per-frame
-// cost a NIC-facing ingress thread pays to feed the pool.
-func BenchmarkDispatch(b *testing.B) {
-	sw := newScalingSwitch(b)
-	pool := ssruntime.New(sw, ssruntime.Config{Workers: 1})
-	pool.Start()
-	defer pool.Stop()
-	gen := fabric.NewFlowGenerator(64, benchFlowSpecs())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !pool.Dispatch(1, gen.Next()) {
-		}
-	}
-	b.StopTimer()
-	pool.Drain()
-}

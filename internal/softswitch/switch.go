@@ -12,13 +12,14 @@
 // lookup modes, fastest first:
 //
 //  1. the flow cache (cache.go, flowcache.go) — one sharded map per
-//     mask-equivalence class from the packet key, projected through the
-//     union of the consulted tables' match masks, to a pre-resolved
-//     program, revalidated against table revisions on every hit; a
+//     mask-equivalence class from the packed key (pkt.FlatKey),
+//     projected through the union of the consulted tables' match masks,
+//     to a pre-resolved program, revalidated against table revisions on
+//     every hit and probed once per run of equal projections; a
 //     churn of short-lived flows sharing a ruleset shape still hits.
 //     Enabled by default, with pooled entries and per-shard adaptive
 //     bypass;
-//  2. the flow tables' own lookup (flowtable.Table.LookupAt): an
+//  2. the flow tables' own lookup (flowtable.Table.Find): an
 //     ESwitch-style index each table keeps with every flow-mod — one
 //     hash probe per exact-match field signature, then the few masked
 //     entries in priority order.

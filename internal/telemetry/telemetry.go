@@ -155,7 +155,6 @@ type Record struct {
 	Last    int64 // unixnano of the most recent packet
 	OutPort uint32
 
-	owner *Table
 	shard int32
 	dead  bool // removed from the shard map; revived on next Observe
 }
@@ -312,18 +311,13 @@ func (t *Table) Lookup(k *pkt.Key) *Record {
 	return rec
 }
 
-// Owns reports whether rec belongs to this table: records are
-// table-scoped, and one minted by another table must not be observed
-// through this one (it would index into the wrong table's shards).
-func (t *Table) Owns(rec *Record) bool { return rec != nil && rec.owner == t }
-
 // insertLocked creates and installs a fresh record, evicting a victim
 // if the shard is full. Caller holds sh.mu.
 func (t *Table) insertLocked(sh *shard, si int32, fk FlowKey) *Record {
 	if len(sh.flows) >= t.cfg.MaxFlows {
 		t.evictLocked(sh)
 	}
-	rec := &Record{Key: fk, owner: t, shard: si}
+	rec := &Record{Key: fk, shard: si}
 	sh.flows[fk] = rec
 	t.counters.FlowsCreated.Inc()
 	return rec

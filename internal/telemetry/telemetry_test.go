@@ -338,21 +338,6 @@ func TestDeadRecordDoesNotOrphanLiveSuccessor(t *testing.T) {
 	}
 }
 
-// TestOwnsAndTableSwap: records are table-scoped; a record minted by
-// one table must not pass another table's ownership check.
-func TestOwnsAndTableSwap(t *testing.T) {
-	a := NewTable(Config{Shards: 4})
-	b := NewTable(Config{Shards: 1})
-	k := mkKey(1)
-	rec := a.Lookup(&k)
-	if !a.Owns(rec) {
-		t.Fatal("table does not own its own record")
-	}
-	if b.Owns(rec) || a.Owns(nil) {
-		t.Fatal("foreign/nil record passed the ownership check")
-	}
-}
-
 // TestFlushWhereSelective flushes only the matching flows.
 func TestFlushWhereSelective(t *testing.T) {
 	tab := NewTable(Config{})
