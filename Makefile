@@ -49,11 +49,14 @@ loc:
 lint-baseline:
 	$(GO) run ./cmd/harmlesslint -write-baseline lint-baseline.json ./...
 
-# ~10s per fuzz target (keep in sync with the lint job in
-# .github/workflows/ci.yml): catches wire decoders that panic on
-# near-valid frames as soon as a new codec lands, and a flow-table
-# lookup that stops answering like the priority scan.
-FUZZ_PKGS := ./internal/openflow ./internal/flowtable
+# ~10s per fuzz target (the lint job in .github/workflows/ci.yml runs
+# this target): catches wire decoders that panic on near-valid frames as
+# soon as a new codec lands — OpenFlow, Ethernet/DNS, the UDP-exposed
+# SNMP decoder — a flow-table lookup that stops answering like the
+# priority scan, and an in-place VLAN rewrite or packed key that stops
+# agreeing with its reference. Every package with a Fuzz target belongs
+# here.
+FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -210,7 +210,7 @@ func main() {
 	// link's delivery goroutine.
 	var pool *ssruntime.Pool
 	if *workers > 0 {
-		pool = ssruntime.New(d.S4.SS1, ssruntime.Config{Workers: *workers, Telemetry: tel})
+		pool = ssruntime.New(d.S4.SS1, ssruntime.Config{Workers: *workers})
 		pool.Start()
 		defer pool.Stop()
 		trunk := d.TrunkLink.B()
@@ -240,8 +240,7 @@ func main() {
 				st := pool.Stats()
 				extra["workers"] = map[string]uint64{
 					"frames": st.Frames, "bytes": st.Bytes, "batches": st.Batches,
-					"cache_hits": st.CacheHits, "slow_path": st.SlowPath,
-					"dropped": st.Dropped, "rx_drops": st.RxDrops,
+					"rx_drops": st.RxDrops,
 				}
 			}
 			return extra
@@ -285,13 +284,12 @@ func printWorkers(pool *ssruntime.Pool) {
 		return
 	}
 	st := pool.Stats()
-	fmt.Printf("status: workers=%d frames=%d bytes=%d batches=%d hits=%d slow=%d drop=%d rxdrop=%d\n",
-		pool.Workers(), st.Frames, st.Bytes, st.Batches,
-		st.CacheHits, st.SlowPath, st.Dropped, st.RxDrops)
+	fmt.Printf("status: workers=%d frames=%d bytes=%d batches=%d rxdrop=%d\n",
+		pool.Workers(), st.Frames, st.Bytes, st.Batches, st.RxDrops)
 	for i := 0; i < pool.Workers(); i++ {
 		ws := pool.WorkerStats(i)
-		fmt.Printf("status:   worker %d: frames=%d batches=%d hits=%d slow=%d\n",
-			i, ws.Frames, ws.Batches, ws.CacheHits, ws.SlowPath)
+		fmt.Printf("status:   worker %d: frames=%d batches=%d rxdrop=%d\n",
+			i, ws.Frames, ws.Batches, ws.RxDrops)
 	}
 }
 

@@ -99,7 +99,7 @@ func runMix(cfg mixConfig) {
 	}
 
 	if cfg.workers > 0 {
-		pool := ssruntime.New(sw, ssruntime.Config{Workers: cfg.workers, Telemetry: tab})
+		pool := ssruntime.New(sw, ssruntime.Config{Workers: cfg.workers})
 		pool.Start()
 		for time.Now().Before(deadline) {
 			for i := 0; i < 256; i++ {

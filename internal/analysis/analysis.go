@@ -22,7 +22,7 @@
 //	    for the known hot paths, required by hotpathalloc).
 //	//harmless:allow-wallclock <reason>
 //	//harmless:allow-alloc <reason>
-//	//harmless:allow-retain <reason>
+//	//harmless:allow-unclipped <reason>
 //	//harmless:allow-maporder <reason>
 //	//harmless:allow-plain <reason>
 //	//harmless:allow-droperr <reason>

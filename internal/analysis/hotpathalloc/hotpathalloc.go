@@ -15,7 +15,8 @@
 //   - any function annotated //harmless:hotpath is checked;
 //   - the known zero-alloc entry points (Required below: the flow
 //     cache probe/lookup, the ReceiveBatch dispatch and its per-burst
-//     credit, the legacy bridge's burst forward and FDB step, the owned
+//     credit, the worker pool's Dispatch and drain on either side of
+//     it, the legacy bridge's burst forward and FDB step, the owned
 //     VLAN mutators and the key packing, ObserveBatch, the
 //     Ring/TypedRing push/pop) MUST carry the annotation, so nobody
 //     quietly drops a hot path out of enforcement.
@@ -51,11 +52,14 @@ var Required = map[string][]string{
 		"flowStore.lookup",
 		"flowStore.probeBatch",
 		"Switch.ReceiveBatch",
-		"Switch.ReceiveMixedBatch",
 		"Switch.processBatch",
 		"Switch.classifyAndRun",
 		"txContext.credit",
 		"txContext.flushCredits",
+	},
+	"github.com/harmless-sdn/harmless/internal/softswitch/runtime": {
+		"Pool.Dispatch",
+		"Pool.drain",
 	},
 	"github.com/harmless-sdn/harmless/internal/legacy": {
 		"Switch.forward",

@@ -53,7 +53,6 @@ func TestDirectiveRot(t *testing.T) {
 	}{
 		{"allow-wallclock", "clockinject"},
 		{"allow-alloc", "hotpathalloc"},
-		{"allow-retain", "frameown"},
 		{"allow-unclipped", "frameown"},
 		{"allow-maporder", "detorder"},
 		{"allow-plain", "atomicmix"},

@@ -1,8 +1,8 @@
-// Package dataplane holds the batch-oriented I/O primitives the
-// HARMLESS dataplane layers share: the frame Batch that travels
-// between ports and switches, and a lock-free bounded Ring that lets
-// load generators and benchmarks drive a switch at full rate without
-// the netem timing machinery in the loop.
+// Package dataplane holds what the HARMLESS dataplane layers share:
+// the frame-ownership rules below, and a lock-free bounded Ring that
+// lets load generators and benchmarks drive a switch at full rate
+// without the netem timing machinery in the loop. A batch has no type
+// of its own: it is a [][]byte and the port it arrived on.
 //
 // # Frame ownership
 //
@@ -26,84 +26,3 @@
 // Rule 2 is what makes per-batch amortization free of per-batch
 // allocation: one [][]byte vector can carry every batch of a run.
 package dataplane
-
-// Verdict records what the datapath decided for one frame of a batch.
-// It is diagnostic metadata: the decision is applied as it is made,
-// the verdict only reports it.
-type Verdict uint8
-
-const (
-	// VerdictPending marks a frame not yet classified.
-	VerdictPending Verdict = iota
-	// VerdictCacheHit marks a frame served by the flow cache.
-	VerdictCacheHit
-	// VerdictSlowPath marks a frame that took the full pipeline walk.
-	VerdictSlowPath
-	// VerdictDropped marks a frame dropped before classification
-	// (malformed, key extraction failed).
-	VerdictDropped
-)
-
-// String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case VerdictPending:
-		return "pending"
-	case VerdictCacheHit:
-		return "cache-hit"
-	case VerdictSlowPath:
-		return "slow-path"
-	case VerdictDropped:
-		return "dropped"
-	}
-	return "unknown"
-}
-
-// Meta is the per-frame metadata of a Batch.
-type Meta struct {
-	// InPort is the datapath port the frame arrived on.
-	InPort uint32
-	// Verdict is filled in by the datapath as the frame is classified.
-	Verdict Verdict
-}
-
-// Batch is a vector of frames traversing the datapath together, with
-// per-frame metadata. Frames and Meta are parallel and stay
-// equal-length when the batch is built through Append; APIs that
-// consume a Batch (softswitch.Switch.ReceiveMixedBatch) require a
-// Meta entry for every frame — build batches with Append, not by
-// poking Frames directly.
-//
-// Ownership follows the package rules: the frame bytes belong to
-// whoever currently holds the batch, the slices themselves belong to
-// the batch's owner and are reusable via Reset.
-type Batch struct {
-	Frames [][]byte
-	Meta   []Meta
-}
-
-// Append adds one frame arriving on inPort, taking ownership of it.
-func (b *Batch) Append(frame []byte, inPort uint32) {
-	b.Frames = append(b.Frames, frame) //harmless:allow-retain Append IS the ownership transfer into the batch
-	b.Meta = append(b.Meta, Meta{InPort: inPort, Verdict: VerdictPending})
-}
-
-// Len returns the number of frames in the batch.
-func (b *Batch) Len() int { return len(b.Frames) }
-
-// Bytes returns the total frame bytes in the batch.
-func (b *Batch) Bytes() int {
-	n := 0
-	for _, f := range b.Frames {
-		n += len(f)
-	}
-	return n
-}
-
-// Reset empties the batch for reuse, dropping frame references so the
-// backing arrays don't pin consumed frames.
-func (b *Batch) Reset() {
-	clear(b.Frames)
-	b.Frames = b.Frames[:0] //harmless:allow-retain Reset truncates the batch's own vector after clearing references
-	b.Meta = b.Meta[:0]
-}

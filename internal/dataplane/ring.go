@@ -187,20 +187,3 @@ func (r *Ring) Drain(into [][]byte, max int) [][]byte {
 	}
 	return into
 }
-
-// DrainBatch pops up to max frames (or everything queued when max <= 0)
-// into b via Append, preserving each frame's ingress-port tag — the
-// Batch+Meta shape Switch.ReceiveMixedBatch consumes. It returns the
-// number of frames appended.
-func (r *Ring) DrainBatch(b *Batch, max int) int {
-	n := 0
-	for max <= 0 || n < max {
-		f, port, ok := r.PopFrame()
-		if !ok {
-			break
-		}
-		b.Append(f, port)
-		n++
-	}
-	return n
-}

@@ -117,33 +117,14 @@ func TestRingDrain(t *testing.T) {
 	}
 }
 
-func TestBatchAppendReset(t *testing.T) {
-	var b Batch
-	b.Append([]byte{1}, 3)
-	b.Append([]byte{2}, 4)
-	if b.Len() != 2 || b.Bytes() != 2 {
-		t.Fatalf("len=%d bytes=%d", b.Len(), b.Bytes())
-	}
-	if b.Meta[0].InPort != 3 || b.Meta[1].InPort != 4 {
-		t.Fatalf("meta = %+v", b.Meta)
-	}
-	if b.Meta[0].Verdict != VerdictPending {
-		t.Fatalf("fresh verdict = %v", b.Meta[0].Verdict)
-	}
-	b.Reset()
-	if b.Len() != 0 || len(b.Meta) != 0 {
-		t.Fatal("reset did not empty the batch")
-	}
-}
-
 // TestDrainBatchWraparound forces the ring's head/tail sequence
-// counters through many wraps of a small ring while draining into a
-// Batch, checking FIFO order, port tags and exact counts across the
-// index wrap — the regime the telemetry drains and the worker RX
-// rings run in permanently.
+// counters through many wraps of a small ring while popping tagged
+// frames off it, checking FIFO order, port tags and exact counts
+// across the index wrap — the regime the telemetry drains and the
+// worker RX rings run in permanently. (The name predates the pool's
+// own drain loop; what it pins is PushFrame/PopFrame.)
 func TestDrainBatchWraparound(t *testing.T) {
 	r := NewRing(8)
-	var b Batch
 	seq := byte(0)    // next value to push
 	expect := byte(0) // next value we must pop
 	for round := 0; round < 64; round++ {
@@ -156,27 +137,20 @@ func TestDrainBatchWraparound(t *testing.T) {
 			}
 			seq++
 		}
-		// Drain in two bounded bites to exercise partial drains that
-		// straddle the wrap.
-		for _, max := range []int{fill / 2, fill - fill/2} {
-			if max == 0 {
-				continue
+		for i := 0; i < fill; i++ {
+			f, port, ok := r.PopFrame()
+			if !ok {
+				t.Fatalf("round %d: popped %d of %d", round, i, fill)
 			}
-			b.Reset()
-			if got := r.DrainBatch(&b, max); got != max {
-				t.Fatalf("round %d: drained %d, want %d", round, got, max)
+			if f[0] != expect {
+				t.Fatalf("round %d: FIFO broken across wrap: got %d want %d", round, f[0], expect)
 			}
-			for i := 0; i < max; i++ {
-				if b.Frames[i][0] != expect {
-					t.Fatalf("round %d: FIFO broken across wrap: got %d want %d", round, b.Frames[i][0], expect)
-				}
-				if b.Meta[i].InPort != uint32(expect) {
-					t.Fatalf("round %d: port tag lost across wrap: got %d want %d", round, b.Meta[i].InPort, expect)
-				}
-				expect++
+			if port != uint32(expect) {
+				t.Fatalf("round %d: port tag lost across wrap: got %d want %d", round, port, expect)
 			}
+			expect++
 		}
-		if r.Len() != 0 {
+		if _, _, ok := r.PopFrame(); ok || r.Len() != 0 {
 			t.Fatalf("round %d: ring not empty: %d", round, r.Len())
 		}
 	}
@@ -185,8 +159,8 @@ func TestDrainBatchWraparound(t *testing.T) {
 	}
 }
 
-// TestDrainBatchUnboundedAtWrap drains everything (max <= 0) from a
-// ring whose contents straddle the wrap boundary.
+// TestDrainBatchUnboundedAtWrap pops everything from a full ring whose
+// contents straddle the wrap boundary.
 func TestDrainBatchUnboundedAtWrap(t *testing.T) {
 	r := NewRing(4)
 	// Advance tail/head to one slot before the wrap.
@@ -194,7 +168,7 @@ func TestDrainBatchUnboundedAtWrap(t *testing.T) {
 		r.Push([]byte{byte(i)})
 		r.Pop()
 	}
-	// Now fill fully: slots 3,0,1,2 — the batch spans the wrap.
+	// Now fill fully: slots 3,0,1,2 — the contents span the wrap.
 	for i := 0; i < 4; i++ {
 		if !r.PushFrame([]byte{byte(10 + i)}, uint32(i)) {
 			t.Fatalf("push %d rejected", i)
@@ -203,14 +177,14 @@ func TestDrainBatchUnboundedAtWrap(t *testing.T) {
 	if r.PushFrame([]byte{99}, 0) {
 		t.Fatal("push accepted on full ring at wrap boundary")
 	}
-	var b Batch
-	if got := r.DrainBatch(&b, 0); got != 4 {
-		t.Fatalf("unbounded drain = %d, want 4", got)
-	}
 	for i := 0; i < 4; i++ {
-		if b.Frames[i][0] != byte(10+i) || b.Meta[i].InPort != uint32(i) {
-			t.Fatalf("slot %d = %d/%d", i, b.Frames[i][0], b.Meta[i].InPort)
+		f, port, ok := r.PopFrame()
+		if !ok || f[0] != byte(10+i) || port != uint32(i) {
+			t.Fatalf("slot %d = %v/%d/%v", i, f, port, ok)
 		}
+	}
+	if _, _, ok := r.PopFrame(); ok {
+		t.Fatal("pop succeeded on the drained ring")
 	}
 	// The drained ring must be immediately reusable for a full cycle.
 	if !r.Push([]byte{42}) {
@@ -218,19 +192,6 @@ func TestDrainBatchUnboundedAtWrap(t *testing.T) {
 	}
 	if f, ok := r.Pop(); !ok || f[0] != 42 {
 		t.Fatal("pop after wrap drain")
-	}
-}
-
-// TestDrainBatchEmptyAndNegativeMax: edge parameters.
-func TestDrainBatchEmptyAndNegativeMax(t *testing.T) {
-	r := NewRing(4)
-	var b Batch
-	if got := r.DrainBatch(&b, -1); got != 0 || b.Len() != 0 {
-		t.Fatalf("drain of empty ring = %d/%d", got, b.Len())
-	}
-	r.Push([]byte{1})
-	if got := r.DrainBatch(&b, -5); got != 1 {
-		t.Fatalf("negative max must mean unbounded, got %d", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package softswitch
 import (
 	"sync"
 
-	"github.com/harmless-sdn/harmless/internal/dataplane"
 	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/pkt"
@@ -244,7 +243,7 @@ func runWork(st *dispatchState) {
 	for i := 0; i < len(st.tx.work); i++ {
 		w := st.tx.work[i]
 		st.tx.work[i] = patchWork{}
-		w.sw.processBatch(w.inPort, w.frames, st, nil)
+		w.sw.processBatch(w.inPort, w.frames, st)
 		st.tx.recycle(w.frames)
 	}
 	st.tx.work = st.tx.work[:0]
@@ -261,44 +260,7 @@ func (s *Switch) ReceiveBatch(inPort uint32, frames [][]byte) {
 		return
 	}
 	st := dispatchPool.Get().(*dispatchState)
-	s.processBatch(inPort, frames, st, nil)
-	runWork(st)
-	st.release()
-}
-
-// ReceiveMixedBatch dispatches a dataplane.Batch whose frames may have
-// arrived on DIFFERENT ports (b.Meta[i].InPort), filling each frame's
-// Verdict as the datapath classifies it — the entry point for
-// poll-mode drivers that drain several rx queues into one vector.
-// Consecutive frames sharing an in-port dispatch as one grouped
-// sub-batch, so a port-sorted batch keeps the full amortization.
-// Frame ownership transfers to the switch; the Batch's slices remain
-// the caller's (Reset to refill and reuse). The batch must carry a
-// Meta entry per frame — build it with Batch.Append; a meta-less
-// batch is rejected.
-//
-//harmless:hotpath
-func (s *Switch) ReceiveMixedBatch(b *dataplane.Batch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	if len(b.Meta) < n {
-		// Malformed batch (Frames poked without Append): the frames'
-		// ownership already transferred, so account them as drops
-		// rather than vanishing them silently.
-		s.drops.Add(uint64(n))
-		return
-	}
-	st := dispatchPool.Get().(*dispatchState)
-	for lo := 0; lo < n; {
-		hi := lo + 1
-		for hi < n && b.Meta[hi].InPort == b.Meta[lo].InPort {
-			hi++
-		}
-		s.processBatch(b.Meta[lo].InPort, b.Frames[lo:hi], st, b.Meta[lo:hi])
-		lo = hi
-	}
+	s.processBatch(inPort, frames, st)
 	runWork(st)
 	st.release()
 }
@@ -309,7 +271,7 @@ func (s *Switch) ReceiveMixedBatch(b *dataplane.Batch) {
 func (s *Switch) Receive(inPort uint32, frame []byte) {
 	st := dispatchPool.Get().(*dispatchState)
 	st.one[0] = frame
-	s.processBatch(inPort, st.one[:1], st, nil)
+	s.processBatch(inPort, st.one[:1], st)
 	runWork(st)
 	st.one[0] = nil
 	st.release()
@@ -317,11 +279,10 @@ func (s *Switch) Receive(inPort uint32, frame []byte) {
 
 // processBatch classifies and executes one batch on one switch,
 // flushing its egress at the end. Cross-switch patch deliveries are
-// queued on st's worklist rather than executed inline. meta, when
-// non-nil, receives the per-frame verdicts (ReceiveMixedBatch).
+// queued on st's worklist rather than executed inline.
 //
 //harmless:hotpath
-func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState, meta []dataplane.Meta) {
+func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState) {
 	if p := s.getPort(inPort); p != nil {
 		var bytes uint64
 		for _, f := range frames {
@@ -346,7 +307,6 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 	if n == 1 {
 		// One frame: the classic per-frame walk, minus the batch-probe
 		// bookkeeping.
-		v := dataplane.VerdictDropped
 		var rec *telemetry.Record
 		var out uint32
 		var key pkt.Key
@@ -359,10 +319,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 				key.FlatInto(&flat)
 				shard = shardOf(flat.Sum())
 			}
-			v, rec, out = s.classifyAndRun(&key, &flat, shard, inPort, frames[0], tel, &st.tx)
-		}
-		if meta != nil {
-			meta[0].Verdict = v
+			rec, out = s.classifyAndRun(&key, &flat, shard, inPort, frames[0], tel, &st.tx)
 		}
 		if rec != nil {
 			tel.Observe(rec, len(frames[0]), out, now)
@@ -395,7 +352,6 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 	}
 	recs, outs := st.recs[:n], st.outs[:n]
 	for i, f := range frames {
-		v := dataplane.VerdictDropped
 		recs[i] = nil
 		if !skip[i] {
 			if mf := mfs[i]; mf != nil {
@@ -405,18 +361,14 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 					outs[i] = mf.outPort
 				}
 				s.replay(mf, inPort, f, &st.tx)
-				v = dataplane.VerdictCacheHit
 			} else {
 				// Batch probe missed: classifyAndRun re-probes per frame
 				// (the exact miss/invalidation accounting, and an entry
 				// installed by an earlier frame of this very batch can
 				// already hit) before falling back to the pipeline walk,
 				// with the packed key and bypass shard the probe derived.
-				v, recs[i], outs[i] = s.classifyAndRun(&keys[i], &st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, tel, &st.tx)
+				recs[i], outs[i] = s.classifyAndRun(&keys[i], &st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, tel, &st.tx)
 			}
-		}
-		if meta != nil {
-			meta[i].Verdict = v
 		}
 	}
 	if tel != nil {
@@ -431,18 +383,18 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState,
 
 // classifyAndRun is the per-frame decision shared by every entry
 // point: serve from the flow cache, or walk the pipeline and record
-// a new cache entry. It returns the verdict plus the frame's
-// telemetry resolution — the flow record to account it against (nil
-// when tel is nil or the frame was not classified) and the resolved
-// egress port — which the dispatch accumulates for the batch-level
-// ObserveBatch call. flat is the packed key and shard its bypass shard
-// (shardOf(flat.Sum())); neither is read on a switch without a cache.
+// a new cache entry. It returns the frame's telemetry resolution — the
+// flow record to account it against (nil when tel is nil or the frame
+// was not classified) and the resolved egress port — which the dispatch
+// accumulates for the batch-level ObserveBatch call. flat is the packed
+// key and shard its bypass shard (shardOf(flat.Sum())); neither is read
+// on a switch without a cache.
 //
 // The caller must hold a pool pin (processBatch does) so the entry a
 // lookup returns cannot be recycled while it is replayed.
 //
 //harmless:hotpath
-func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (dataplane.Verdict, *telemetry.Record, uint32) {
+func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (*telemetry.Record, uint32) {
 	ch := s.cache
 	var mf *CacheEntry
 	var record bool
@@ -455,13 +407,13 @@ func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, i
 	}
 	if mf != nil {
 		s.replay(mf, inPort, frame, tx)
-		return dataplane.VerdictCacheHit, trec, mf.outPort
+		return trec, mf.outPort
 	}
 	if !record {
 		// No cache, or adaptive bypass (the shard's hit rate collapsed):
 		// skip both the recording and the install — a pure slow-path walk.
 		s.runPipelineKeyed(key, inPort, frame, 0, nil, tx)
-		return dataplane.VerdictSlowPath, trec, 0
+		return trec, 0
 	}
 	// Read the group revision before the walk so a group-mod racing
 	// the recording leaves it stale-by-revision, like the table revs.
@@ -479,5 +431,5 @@ func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, i
 		}
 		ch.install(flat, rec)
 	}
-	return dataplane.VerdictSlowPath, trec, out
+	return trec, out
 }

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/harmless-sdn/harmless/internal/dataplane"
 	"github.com/harmless-sdn/harmless/internal/fabric"
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
@@ -288,67 +287,6 @@ func TestPatchChainOrderAndCounters(t *testing.T) {
 	}
 	if got := first.PortCounters(2).TxPackets.Load(); got != n {
 		t.Errorf("hop0 patch tx = %d, want %d", got, n)
-	}
-}
-
-// TestReceiveMixedBatch dispatches one dataplane.Batch carrying frames
-// from two ingress ports plus a malformed frame, and checks per-frame
-// verdicts, per-port rx counters, and delivery.
-func TestReceiveMixedBatch(t *testing.T) {
-	sw := softswitch.New("mixed", 0x33)
-	for _, port := range []uint32{1, 2} {
-		l := netem.NewLink(netem.LinkConfig{})
-		t.Cleanup(l.Close)
-		sw.AttachNetPort(port, "in", l.A())
-	}
-	out := softswitch.NewRingBackend(64)
-	sw.AttachPort(3, "out", out)
-	for _, in := range []uint32{1, 2} {
-		m := openflow.Match{}
-		m.WithInPort(in)
-		if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
-			TableID: 0, Command: openflow.FlowAdd, Priority: 10,
-			BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-			Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
-				Actions: []openflow.Action{&openflow.ActionOutput{Port: 3, MaxLen: 0xffff}},
-			}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gen := fabric.NewUDPGenerator(64, 2, 21)
-	var b dataplane.Batch
-	b.Append(gen.CopyNext(), 1) // slow path (cold cache)
-	// Different flow, same port: the ruleset only consults in_port, so
-	// the megaflow recorded by the first frame already covers it.
-	b.Append(gen.CopyNext(), 1)
-	b.Append([]byte{0xde, 0xad}, 1) // malformed: dropped
-	b.Append(gen.CopyNext(), 2)     // port 2 run (distinct mask-class key)
-	sw.ReceiveMixedBatch(&b)
-	want := []dataplane.Verdict{
-		dataplane.VerdictSlowPath, dataplane.VerdictCacheHit,
-		dataplane.VerdictDropped, dataplane.VerdictSlowPath,
-	}
-	for i, w := range want {
-		if b.Meta[i].Verdict != w {
-			t.Errorf("frame %d verdict = %v, want %v", i, b.Meta[i].Verdict, w)
-		}
-	}
-	if got := out.Ring().Len(); got != 3 {
-		t.Errorf("delivered %d frames, want 3", got)
-	}
-	if rx1, rx2 := sw.PortCounters(1).RxPackets.Load(), sw.PortCounters(2).RxPackets.Load(); rx1 != 3 || rx2 != 1 {
-		t.Errorf("rx split = %d/%d, want 3/1", rx1, rx2)
-	}
-	// A second pass of the same flows must come back as cache hits.
-	b.Reset()
-	b.Append(gen.CopyNext(), 1)
-	b.Append(gen.CopyNext(), 1)
-	sw.ReceiveMixedBatch(&b)
-	for i := 0; i < 2; i++ {
-		if b.Meta[i].Verdict != dataplane.VerdictCacheHit {
-			t.Errorf("warm frame %d verdict = %v, want cache-hit", i, b.Meta[i].Verdict)
-		}
 	}
 }
 

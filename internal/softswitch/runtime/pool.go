@@ -1,7 +1,7 @@
 // Package runtime is the poll-mode worker runtime of the softswitch:
-// N run-to-completion workers, each owning one RX ring, drain frame
-// batches through Switch.ReceiveMixedBatch — the OVS-PMD-style answer
-// to "one caller thread, one core of throughput".
+// N run-to-completion workers, each owning one RX ring, drain bursts of
+// frames into Switch.ReceiveBatch — the OVS-PMD-style answer to "one
+// caller thread, one core of throughput".
 //
 // # Flow sharding (RSS)
 //
@@ -22,25 +22,39 @@
 //
 // The dataplane package rules apply end to end: Dispatch takes
 // ownership of each frame; the worker's ring holds it until the worker
-// drains it into its private dataplane.Batch and hands it to the
-// switch. Each RX ring has exactly one consumer (its worker) while the
-// pool runs — producers are many (Dispatch is concurrency-safe), the
+// pops it into its private burst vector and hands it to the switch.
+// Each RX ring has exactly one consumer (its worker) while the pool
+// runs — producers are many (Dispatch is concurrency-safe), the
 // consumer is one, and Stop takes over as the sole consumer only after
 // every worker has exited.
 //
 // # Per-worker statistics
 //
-// Workers tally frames, bytes, batches and verdicts into per-worker
-// shards of stats.ShardedCounter — cache-line-padded, written only by
-// their owning worker — so the hot path never touches a contended
-// atomic. The shards are exact, not sampled: every frame is counted on
-// exactly one shard (its worker's), so the aggregate Stats() equals
-// the sum a single contended counter would have seen.
+// Workers tally frames, bytes and bursts into per-worker shards of
+// stats.ShardedCounter — cache-line-padded, written only by their
+// owning worker — so the hot path never touches a contended atomic.
+// The shards are exact, not sampled: every frame is counted on exactly
+// one shard (its worker's), so the aggregate Stats() equals the sum a
+// single contended counter would have seen. These are admission-side
+// counts, what the pool alone knows; what the datapath decided for a
+// frame (cache hit, walk, drop) is the switch's to report
+// (Switch.CacheStats, Switch.Drops).
+//
+// # Telemetry
+//
+// The pool contributes the runtime halves of the telemetry contract for
+// whatever table the switch has attached (Switch.Telemetry), on the
+// switch's own clock (Switch.Clock): workers run timer sweeps when they
+// go idle — so flows keep expiring while the datapath is quiet — and
+// Stop flushes every remaining record after the final drain, so a
+// stopped pool leaves no unexported counts behind. Size the table with
+// Shards == Workers: the RSS flow pinning then makes every shard
+// effectively single-writer.
 //
 // # Idle backoff
 //
-// An idle worker spins (SpinPolls empty polls), then yields the OS
-// thread (YieldPolls polls with a Gosched between), then parks on a
+// An idle worker spins (spinPolls empty polls), then yields the OS
+// thread (yieldPolls polls with a Gosched between), then parks on a
 // notification channel. A producer pushing to a parked worker's ring
 // wakes it; the parking sequence re-checks the ring after publishing
 // the parked flag, so a wakeup can never be lost (both sides use
@@ -53,11 +67,21 @@ import (
 	"sync/atomic"
 
 	"github.com/harmless-sdn/harmless/internal/dataplane"
-	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/softswitch"
 	"github.com/harmless-sdn/harmless/internal/stats"
-	"github.com/harmless-sdn/harmless/internal/telemetry"
+)
+
+const (
+	// burst bounds how many frames one worker pops off its ring before
+	// it runs them through the switch.
+	burst = 256
+	// spinPolls is how many consecutive empty polls a worker busy-spins
+	// before starting to yield.
+	spinPolls = 128
+	// yieldPolls is how many further empty polls the worker yields the
+	// OS thread between, before parking on a notification.
+	yieldPolls = 32
 )
 
 // Config parameterizes a Pool. The zero value picks sensible defaults.
@@ -67,65 +91,43 @@ type Config struct {
 	// RingSize is the per-worker RX ring capacity in frames (default
 	// 4096, rounded up to a power of two by dataplane.NewRing).
 	RingSize int
-	// Burst bounds how many frames one worker drains into a single
-	// ReceiveMixedBatch call (default 256).
-	Burst int
-	// SpinPolls is how many consecutive empty polls a worker busy-spins
-	// before starting to yield (default 128).
-	SpinPolls int
-	// YieldPolls is how many further empty polls the worker yields the
-	// OS thread between, before parking on a notification (default 32).
-	YieldPolls int
 	// Observer, when non-nil, is called by each worker with its id and
-	// the drained batch BEFORE the batch enters the switch (frames are
-	// still intact). Test hook — e.g. the flow-affinity property test;
-	// leave nil in production, it is on the hot path.
-	Observer func(worker int, b *dataplane.Batch)
-	// Telemetry, when non-nil, is the flow-telemetry table attached to
-	// the switch this pool drives (also SetTelemetry it on the switch;
-	// the pool does not do that). The pool contributes the runtime
-	// halves of the telemetry contract: workers run timer sweeps when
-	// they go idle — so flows keep expiring while the datapath is
-	// quiet — and Stop flushes every remaining record after the final
-	// drain, so a stopped pool leaves no unexported counts behind.
-	// Size the table with Shards == Workers: the RSS flow pinning then
-	// makes every shard effectively single-writer.
-	Telemetry *telemetry.Table
-	// Clock supplies the timestamps of the telemetry sweeps and the
-	// final flush (default: the wall clock). Inject a virtual clock to
-	// run the pool's idle-aging timers on simulated time.
-	Clock netem.Clock
+	// each run of frames sharing an in-port BEFORE the run enters the
+	// switch (frames are still intact). Test hook — e.g. the
+	// flow-affinity property test; leave nil in production, it is on
+	// the hot path.
+	Observer func(worker int, inPort uint32, frames [][]byte)
 }
 
 // PoolStats is a point-in-time snapshot of pool (or single-worker)
-// statistics. Frames/Bytes/Batches count what entered the switch;
-// CacheHits/SlowPath/Dropped split Frames by datapath verdict; RxDrops
-// counts frames rejected at Dispatch because the target worker's ring
-// was full (tail drop, frame never entered the switch).
+// statistics. Frames/Bytes count what entered the switch and Batches
+// the bursts it entered in; RxDrops counts frames rejected at Dispatch
+// because the target worker's ring was full (tail drop, frame never
+// entered the switch).
 type PoolStats struct {
-	Frames    uint64
-	Bytes     uint64
-	Batches   uint64
-	CacheHits uint64
-	SlowPath  uint64
-	Dropped   uint64
-	RxDrops   uint64
+	Frames  uint64
+	Bytes   uint64
+	Batches uint64
+	RxDrops uint64
 }
 
 // worker is one run-to-completion poll loop and the RX ring it owns.
+// frames/ports are the burst being drained: parallel, burst long,
+// reused for every burst.
 type worker struct {
 	id     int
 	ring   *dataplane.Ring
 	parked atomic.Bool
 	wake   chan struct{}
-	batch  dataplane.Batch
+	frames [][]byte
+	ports  []uint32
 }
 
 // Pool runs N poll-mode workers over one switch.
 type Pool struct {
-	sw      *softswitch.Switch
-	cfg     Config
-	workers []*worker
+	sw       *softswitch.Switch
+	observer func(worker int, inPort uint32, frames [][]byte)
+	workers  []*worker
 
 	// Per-worker stats shards; shard i is written by worker i only
 	// (RxDrops and accepted by the producer that dispatched to worker
@@ -134,9 +136,6 @@ type Pool struct {
 	frames   *stats.ShardedCounter
 	bytes    *stats.ShardedCounter
 	batches  *stats.ShardedCounter
-	hits     *stats.ShardedCounter
-	slow     *stats.ShardedCounter
-	dropped  *stats.ShardedCounter
 	rxDrops  *stats.ShardedCounter
 
 	stopping atomic.Bool
@@ -154,36 +153,23 @@ func New(sw *softswitch.Switch, cfg Config) *Pool {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 4096
 	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = 256
-	}
-	if cfg.SpinPolls <= 0 {
-		cfg.SpinPolls = 128
-	}
-	if cfg.YieldPolls <= 0 {
-		cfg.YieldPolls = 32
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = netem.RealClock{}
-	}
 	p := &Pool{
 		sw:       sw,
-		cfg:      cfg,
+		observer: cfg.Observer,
 		accepted: stats.NewShardedCounter(cfg.Workers),
 		frames:   stats.NewShardedCounter(cfg.Workers),
 		bytes:    stats.NewShardedCounter(cfg.Workers),
 		batches:  stats.NewShardedCounter(cfg.Workers),
-		hits:     stats.NewShardedCounter(cfg.Workers),
-		slow:     stats.NewShardedCounter(cfg.Workers),
-		dropped:  stats.NewShardedCounter(cfg.Workers),
 		rxDrops:  stats.NewShardedCounter(cfg.Workers),
 		stopC:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		p.workers = append(p.workers, &worker{
-			id:   i,
-			ring: dataplane.NewRing(cfg.RingSize),
-			wake: make(chan struct{}, 1),
+			id:     i,
+			ring:   dataplane.NewRing(cfg.RingSize),
+			wake:   make(chan struct{}, 1),
+			frames: make([][]byte, burst),
+			ports:  make([]uint32, burst),
 		})
 	}
 	return p
@@ -191,9 +177,6 @@ func New(sw *softswitch.Switch, cfg Config) *Pool {
 
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return len(p.workers) }
-
-// Switch returns the switch the pool drives.
-func (p *Pool) Switch() *softswitch.Switch { return p.sw }
 
 // workerFor selects the worker a frame belongs to: Key.Hash sharding
 // for extractable frames (flow affinity), ingress-port sharding for
@@ -215,6 +198,8 @@ func (p *Pool) workerFor(inPort uint32, frame []byte) *worker {
 // (counted in RxDrops) and false is returned; ownership of a rejected
 // frame stays with the caller, exactly like dataplane.Ring.Push. Safe
 // for any number of concurrent producers.
+//
+//harmless:hotpath
 func (p *Pool) Dispatch(inPort uint32, frame []byte) bool {
 	w := p.workerFor(inPort, frame)
 	if p.stopping.Load() {
@@ -284,8 +269,7 @@ func (p *Pool) Stop() {
 		p.wg.Wait()
 		for {
 			for _, w := range p.workers {
-				for w.ring.DrainBatch(&w.batch, p.cfg.Burst) > 0 {
-					p.process(w)
+				for p.drain(w) {
 				}
 			}
 			// Both checks are needed: a racing Dispatch publishes the
@@ -295,8 +279,8 @@ func (p *Pool) Stop() {
 				// Every admitted frame has been observed; flush the
 				// remaining telemetry records so exported totals catch
 				// up with the datapath counters before Stop returns.
-				if t := p.cfg.Telemetry; t != nil {
-					t.FlushAll(p.cfg.Clock.Now().UnixNano())
+				if t := p.sw.Telemetry(); t != nil {
+					t.FlushAll(p.sw.Clock().Now().UnixNano())
 				}
 				return
 			}
@@ -331,9 +315,8 @@ func (p *Pool) run(w *worker) {
 	defer p.wg.Done()
 	idle := 0
 	for {
-		if w.ring.DrainBatch(&w.batch, p.cfg.Burst) > 0 {
+		if p.drain(w) {
 			idle = 0
-			p.process(w)
 			continue
 		}
 		if p.stopping.Load() {
@@ -341,9 +324,9 @@ func (p *Pool) run(w *worker) {
 		}
 		idle++
 		switch {
-		case idle <= p.cfg.SpinPolls:
+		case idle <= spinPolls:
 			// Busy poll: the cheapest reaction to a burst gap.
-		case idle <= p.cfg.SpinPolls+p.cfg.YieldPolls:
+		case idle <= spinPolls+yieldPolls:
 			stdruntime.Gosched()
 		default:
 			// About to park: run the telemetry timer sweep first. A
@@ -351,8 +334,8 @@ func (p *Pool) run(w *worker) {
 			// would otherwise never expire its flows. The sweep is
 			// mutex-guarded per shard, so sweeping another worker's
 			// shard here is merely redundant, never racy.
-			if t := p.cfg.Telemetry; t != nil {
-				t.Sweep(p.cfg.Clock.Now().UnixNano())
+			if t := p.sw.Telemetry(); t != nil {
+				t.Sweep(p.sw.Clock().Now().UnixNano())
 			}
 			// Park. Publish the flag first, then re-check the ring: a
 			// producer that pushed after our empty poll must now see
@@ -373,67 +356,64 @@ func (p *Pool) run(w *worker) {
 	}
 }
 
-// process runs the worker's drained batch through the switch and
-// tallies the outcome on the worker's stats shards.
-func (p *Pool) process(w *worker) {
-	b := &w.batch
-	if obs := p.cfg.Observer; obs != nil {
-		obs(w.id, b)
-	}
-	// Size the batch before dispatch: frame ownership (and possibly the
-	// bytes themselves) transfer to the switch; Meta stays ours.
-	nframes := uint64(b.Len())
-	nbytes := uint64(b.Bytes())
-	p.sw.ReceiveMixedBatch(b)
-	var hits, slow, dropped uint64
-	for i := range b.Meta {
-		switch b.Meta[i].Verdict {
-		case dataplane.VerdictCacheHit:
-			hits++
-		case dataplane.VerdictSlowPath:
-			slow++
-		case dataplane.VerdictDropped:
-			dropped++
+// drain pops up to a burst of (frame, in-port) pairs off w's ring,
+// hands each run of equal in-ports to Switch.ReceiveBatch — a burst off
+// one port, which is every burst a deployment produces, keeps the full
+// amortization — and tallies the burst on the worker's stats shards. It
+// reports whether the ring held anything.
+//
+//harmless:hotpath
+func (p *Pool) drain(w *worker) bool {
+	// Size the burst as it is popped: frame ownership (and possibly the
+	// bytes themselves) transfer to the switch.
+	n, nbytes := 0, uint64(0)
+	for n < burst {
+		f, port, ok := w.ring.PopFrame()
+		if !ok {
+			break
 		}
+		w.frames[n], w.ports[n] = f, port
+		nbytes += uint64(len(f))
+		n++
 	}
-	b.Reset()
-	id := w.id
-	p.frames.Shard(id).Add(nframes)
-	p.bytes.Shard(id).Add(nbytes)
-	p.batches.Shard(id).Inc()
-	if hits > 0 {
-		p.hits.Shard(id).Add(hits)
+	if n == 0 {
+		return false
 	}
-	if slow > 0 {
-		p.slow.Shard(id).Add(slow)
+	frames, ports := w.frames[:n], w.ports[:n]
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && ports[hi] == ports[lo] {
+			hi++
+		}
+		if p.observer != nil {
+			p.observer(w.id, ports[lo], frames[lo:hi])
+		}
+		p.sw.ReceiveBatch(ports[lo], frames[lo:hi])
+		lo = hi
 	}
-	if dropped > 0 {
-		p.dropped.Shard(id).Add(dropped)
-	}
+	clear(frames) // drop frame references: the vector outlives the burst
+	p.frames.Shard(w.id).Add(uint64(n))
+	p.bytes.Shard(w.id).Add(nbytes)
+	p.batches.Shard(w.id).Inc()
+	return true
 }
 
 // WorkerStats snapshots one worker's shard.
 func (p *Pool) WorkerStats(i int) PoolStats {
 	return PoolStats{
-		Frames:    p.frames.Shard(i).Load(),
-		Bytes:     p.bytes.Shard(i).Load(),
-		Batches:   p.batches.Shard(i).Load(),
-		CacheHits: p.hits.Shard(i).Load(),
-		SlowPath:  p.slow.Shard(i).Load(),
-		Dropped:   p.dropped.Shard(i).Load(),
-		RxDrops:   p.rxDrops.Shard(i).Load(),
+		Frames:  p.frames.Shard(i).Load(),
+		Bytes:   p.bytes.Shard(i).Load(),
+		Batches: p.batches.Shard(i).Load(),
+		RxDrops: p.rxDrops.Shard(i).Load(),
 	}
 }
 
 // Stats snapshots the aggregate over all workers.
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{
-		Frames:    p.frames.Load(),
-		Bytes:     p.bytes.Load(),
-		Batches:   p.batches.Load(),
-		CacheHits: p.hits.Load(),
-		SlowPath:  p.slow.Load(),
-		Dropped:   p.dropped.Load(),
-		RxDrops:   p.rxDrops.Load(),
+		Frames:  p.frames.Load(),
+		Bytes:   p.bytes.Load(),
+		Batches: p.batches.Load(),
+		RxDrops: p.rxDrops.Load(),
 	}
 }

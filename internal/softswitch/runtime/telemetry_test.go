@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/harmless-sdn/harmless/internal/fabric"
+	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/softswitch"
 	ssruntime "github.com/harmless-sdn/harmless/internal/softswitch/runtime"
 	"github.com/harmless-sdn/harmless/internal/telemetry"
@@ -27,7 +28,7 @@ func TestPoolTelemetryExactUnderConcurrency(t *testing.T) {
 	agg.Start()
 
 	sw, _ := newForwardSwitch(t, softswitch.WithTelemetry(tab))
-	pool := ssruntime.New(sw, ssruntime.Config{Workers: workers, Telemetry: tab})
+	pool := ssruntime.New(sw, ssruntime.Config{Workers: workers})
 	pool.Start()
 
 	// Producers drive distinct flow sets; the RSS hash spreads them
@@ -86,13 +87,7 @@ func TestPoolIdleSweepExpiresFlows(t *testing.T) {
 		SweepInterval: time.Millisecond,
 	})
 	sw, _ := newForwardSwitch(t, softswitch.WithTelemetry(tab))
-	pool := ssruntime.New(sw, ssruntime.Config{
-		Workers:   2,
-		Telemetry: tab,
-		// Short backoff so workers reach the pre-park sweep quickly.
-		SpinPolls:  8,
-		YieldPolls: 8,
-	})
+	pool := ssruntime.New(sw, ssruntime.Config{Workers: 2})
 	pool.Start()
 	defer pool.Stop()
 
@@ -124,5 +119,44 @@ func TestPoolIdleSweepExpiresFlows(t *testing.T) {
 		copy(cp, f)
 		pool.Dispatch(1, cp)
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPoolTelemetryFromSwitch: the pool sweeps and flushes the table
+// the switch was given, on the switch's clock — nothing about either is
+// repeated to the pool, so nothing can be forgotten or contradicted.
+func TestPoolTelemetryFromSwitch(t *testing.T) {
+	manual := netem.NewManualClock()
+	tab := telemetry.NewTable(telemetry.Config{Shards: 2})
+	col := telemetry.NewCollector()
+	agg := telemetry.NewAggregator(tab, col, time.Hour) // drained by Flush below, not by its timer
+
+	sw, _ := newForwardSwitch(t, softswitch.WithTelemetry(tab), softswitch.WithClock(manual))
+	pool := ssruntime.New(sw, ssruntime.Config{Workers: 2})
+	pool.Start()
+	gen := fabric.NewUDPGenerator(64, 16, 5)
+	const frames = 160
+	for i := 0; i < frames; i++ {
+		for !pool.Dispatch(1, gen.CopyNext()) {
+		}
+	}
+	pool.Stop()
+	agg.Flush()
+
+	if tab.Len() != 0 {
+		t.Fatalf("%d records left live after Stop", tab.Len())
+	}
+	if pkts, _ := col.Totals(); pkts != frames {
+		t.Fatalf("collector saw %d packets, want %d", pkts, frames)
+	}
+	flows := col.Flows()
+	if len(flows) != 16 {
+		t.Fatalf("collector saw %d flows, want 16", len(flows))
+	}
+	stamp := uint64(manual.Now().UnixMilli())
+	for _, f := range flows {
+		if f.FirstMs != stamp || f.LastMs != stamp {
+			t.Errorf("flow %v stamped %d..%d ms, want the switch clock's %d", f.Key, f.FirstMs, f.LastMs, stamp)
+		}
 	}
 }

@@ -230,6 +230,10 @@ func (s *Switch) SetTelemetry(t *telemetry.Table) { s.telemetry.Store(t) }
 // Telemetry returns the attached flow-telemetry table (nil if none).
 func (s *Switch) Telemetry() *telemetry.Table { return s.telemetry.Load() }
 
+// Clock returns the clock the switch stamps credits, timeouts and
+// telemetry observations with.
+func (s *Switch) Clock() netem.Clock { return s.clock }
+
 // CacheStats returns the flow cache's live counters, or nil when the
 // cache is disabled.
 func (s *Switch) CacheStats() *stats.CacheCounters {
