@@ -6,7 +6,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/pkt"
-	"github.com/harmless-sdn/harmless/internal/telemetry"
 )
 
 // Batch dispatch: the amortized entry point of the datapath.
@@ -66,6 +65,12 @@ type txContext struct {
 	// first asks for the time.
 	clock netem.Clock
 	nowNs int64
+
+	// rec is the recorder every cache-feeding walk of the dispatch fills
+	// in, one after another: classifyAndRun resets it once the walk's
+	// outcome is installed (as a copy) or dropped, so it keeps only its
+	// arrays between walks.
+	rec CacheEntry
 }
 
 // now returns the dispatch's reading of clock c in unix nanos, taken
@@ -197,17 +202,16 @@ func (s *Switch) flushTx(tx *txContext) {
 }
 
 // dispatchState is the pooled scratch of one dispatch: the egress
-// context plus the per-batch classification arrays. recs/outs carry
-// the batch's telemetry resolution (flow record and egress port per
-// frame) to the single ObserveBatch call at the end of the dispatch —
-// the zero-alloc batch-level hook, as opposed to a per-frame callback.
-// sc is the cache's probe scratch.
+// context plus the per-batch classification arrays. keys/skip/outs carry
+// what telemetry needs of each frame (its key, whether it was classified,
+// its egress port) to the single ObserveBatch call at the end of the
+// dispatch — the zero-alloc batch-level hook, as opposed to a per-frame
+// callback. sc is the cache's probe scratch.
 type dispatchState struct {
 	tx   txContext
 	keys []pkt.Key
 	mfs  []*CacheEntry
 	skip []bool
-	recs []*telemetry.Record
 	outs []uint32
 	sc   probeScratch
 	one  [1][]byte // single-frame vector for the Receive wrapper
@@ -218,7 +222,6 @@ func (st *dispatchState) grow(n int) {
 		st.keys = make([]pkt.Key, n)
 		st.mfs = make([]*CacheEntry, n)
 		st.skip = make([]bool, n)
-		st.recs = make([]*telemetry.Record, n)
 		st.outs = make([]uint32, n)
 		st.sc.flat = make([]pkt.FlatKey, n)
 		st.sc.shard = make([]uint8, n)
@@ -296,19 +299,11 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	if tel != nil {
 		now = st.tx.now(s.clock)
 	}
-	// Pin the entry pool for the dispatch's duration: cache entries
-	// held in st.mfs (or in locals of classifyAndRun) cannot be
-	// recycled while any dispatch is in flight (see entryPool).
 	ch := s.cache
-	if ch != nil {
-		ch.pool.pin()
-	}
 	n := len(frames)
 	if n == 1 {
 		// One frame: the classic per-frame walk, minus the batch-probe
 		// bookkeeping.
-		var rec *telemetry.Record
-		var out uint32
 		var key pkt.Key
 		var flat pkt.FlatKey
 		if err := pkt.ExtractKey(frames[0], inPort, &key); err != nil {
@@ -319,15 +314,12 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 				key.FlatInto(&flat)
 				shard = shardOf(flat.Sum())
 			}
-			rec, out = s.classifyAndRun(&key, &flat, shard, inPort, frames[0], tel, &st.tx)
-		}
-		if rec != nil {
-			tel.Observe(rec, len(frames[0]), out, now)
+			out := s.classifyAndRun(&key, &flat, shard, inPort, frames[0], &st.tx)
+			if tel != nil {
+				tel.Observe(&key, len(frames[0]), out, now)
+			}
 		}
 		s.flushTx(&st.tx)
-		if ch != nil {
-			ch.pool.unpin()
-		}
 		return
 	}
 
@@ -350,14 +342,12 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	} else {
 		clear(mfs)
 	}
-	recs, outs := st.recs[:n], st.outs[:n]
+	outs := st.outs[:n]
 	for i, f := range frames {
-		recs[i] = nil
 		if !skip[i] {
 			if mf := mfs[i]; mf != nil {
 				mfs[i] = nil
 				if tel != nil {
-					recs[i] = tel.Lookup(&keys[i])
 					outs[i] = mf.outPort
 				}
 				s.replay(mf, inPort, f, &st.tx)
@@ -367,69 +357,55 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 				// installed by an earlier frame of this very batch can
 				// already hit) before falling back to the pipeline walk,
 				// with the packed key and bypass shard the probe derived.
-				recs[i], outs[i] = s.classifyAndRun(&keys[i], &st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, tel, &st.tx)
+				outs[i] = s.classifyAndRun(&keys[i], &st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, &st.tx)
 			}
 		}
 	}
 	if tel != nil {
-		tel.ObserveBatch(frames, recs, outs, now)
-		clear(recs) // drop record refs: dispatchState is pooled
+		tel.ObserveBatch(keys, skip, frames, outs, now)
 	}
 	s.flushTx(&st.tx)
-	if ch != nil {
-		ch.pool.unpin()
-	}
 }
 
 // classifyAndRun is the per-frame decision shared by every entry
 // point: serve from the flow cache, or walk the pipeline and record
-// a new cache entry. It returns the frame's telemetry resolution — the
-// flow record to account it against (nil when tel is nil or the frame
-// was not classified) and the resolved egress port — which the dispatch
-// accumulates for the batch-level ObserveBatch call. flat is the packed
-// key and shard its bypass shard (shardOf(flat.Sum())); neither is read
-// on a switch without a cache.
-//
-// The caller must hold a pool pin (processBatch does) so the entry a
-// lookup returns cannot be recycled while it is replayed.
+// a new cache entry. It returns the frame's resolved egress port (0 =
+// none), which the dispatch hands to telemetry with the frame's key. flat
+// is the packed key and shard its bypass shard (shardOf(flat.Sum()));
+// neither is read on a switch without a cache.
 //
 //harmless:hotpath
-func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tel *telemetry.Table, tx *txContext) (*telemetry.Record, uint32) {
+func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tx *txContext) uint32 {
 	ch := s.cache
 	var mf *CacheEntry
 	var record bool
 	if ch != nil {
 		mf, record = ch.lookup(flat, shard)
 	}
-	var trec *telemetry.Record
-	if tel != nil {
-		trec = tel.Lookup(key)
-	}
 	if mf != nil {
 		s.replay(mf, inPort, frame, tx)
-		return trec, mf.outPort
+		return mf.outPort
 	}
 	if !record {
 		// No cache, or adaptive bypass (the shard's hit rate collapsed):
 		// skip both the recording and the install — a pure slow-path walk.
 		s.runPipelineKeyed(key, inPort, frame, 0, nil, tx)
-		return trec, 0
+		return 0
 	}
 	// Read the group revision before the walk so a group-mod racing
 	// the recording leaves it stale-by-revision, like the table revs.
 	groupRev := s.groups.Version()
-	rec := ch.pool.acquire()
+	rec := &tx.rec
 	s.runPipelineKeyed(key, inPort, frame, 0, rec, tx)
 	rec.resolveOutPort()
-	out := rec.outPort // read before the entry is given away
-	if rec.uncacheable {
-		ch.pool.giveBack(rec)
-	} else {
+	out := rec.outPort
+	if !rec.uncacheable {
 		if rec.usesGroups() {
 			rec.groups = s.groups
 			rec.groupRev = groupRev
 		}
 		ch.install(flat, rec)
 	}
-	return trec, out
+	rec.reset()
+	return out
 }

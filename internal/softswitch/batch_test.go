@@ -107,7 +107,7 @@ func TestBatchCounterExactness(t *testing.T) {
 		evictions bool
 	}{
 		{"cached", nil, false},
-		{"uncached", []softswitch.Option{softswitch.WithFlowCache(false)}, false},
+		{"uncached", []softswitch.Option{softswitch.WithFlowCacheSize(0)}, false},
 		{"tiny-cache", []softswitch.Option{softswitch.WithFlowCacheSize(4)}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -99,7 +99,7 @@ func BenchmarkSingleFlow(b *testing.B) {
 		name string
 		opts []softswitch.Option
 	}{
-		{"uncached", []softswitch.Option{softswitch.WithFlowCache(false)}},
+		{"uncached", []softswitch.Option{softswitch.WithFlowCacheSize(0)}},
 		{"cached", nil},
 	} {
 		b.Run(v.name, func(b *testing.B) {
@@ -186,7 +186,7 @@ func BenchmarkManyFlows(b *testing.B) {
 	for _, w := range workloads {
 		for _, cached := range []bool{true, false} {
 			name := w.name + "/uncached"
-			opts := []softswitch.Option{softswitch.WithFlowCache(false)}
+			opts := []softswitch.Option{softswitch.WithFlowCacheSize(0)}
 			if cached {
 				name = w.name + "/cached"
 				opts = w.opts

@@ -22,8 +22,8 @@ import (
 //
 // Subsequent packets replay the program directly, skipping
 // re-classification against every table. This file holds the cached
-// program and the sharded store each mask class is; the class list,
-// admission (adaptive bypass) and the entry pool are in flowcache.go.
+// program and the sharded store each mask class is; the class list
+// and admission (adaptive bypass) are in flowcache.go.
 //
 // Correctness rests on revision validation, not on synchronous
 // invalidation: each entry records the revision (Table.Version) of
@@ -72,9 +72,10 @@ type microOp struct {
 
 // CacheEntry is one cached flow program: the dependency set to
 // revalidate and the operation sequence to replay. It doubles as the
-// recorder the pipeline walk fills in. Entries are pooled
-// (flowcache.go): reset must return the struct to a reusable zero state
-// while keeping slice capacity.
+// recorder the pipeline walk fills in: every dispatch records into the
+// one entry of its txContext, and flowCache.install publishes a copy. A
+// published entry is immutable, so nothing has to keep a store from
+// unmapping one that a dispatch is still replaying.
 type CacheEntry struct {
 	deps     []tableDep
 	ops      []microOp
@@ -100,9 +101,10 @@ type CacheEntry struct {
 	uncacheable bool
 }
 
-// reset returns the entry to a reusable zero state, dropping every
-// reference it holds but keeping the deps/ops slice capacity — the
-// point of pooling: steady-state recording reuses the arrays.
+// reset returns the recorder to a reusable zero state, dropping every
+// reference it holds — dispatch state is pooled and must not pin tables
+// or flow entries — but keeping the deps/ops slice capacity, so
+// steady-state recording allocates nothing.
 func (mf *CacheEntry) reset() {
 	clear(mf.deps)
 	mf.deps = mf.deps[:0]
@@ -164,21 +166,20 @@ func (mf *CacheEntry) usesGroups() bool {
 // flowStore is the sharded key -> program map, and the only owner of
 // one: each mask class (flowcache.go) is a flowStore keyed by the
 // projected packed key. Entries it unpublishes — replaced, evicted, stale,
-// swept — are retired to the pool.
+// swept — are the garbage collector's.
 type flowStore struct {
 	shards [cacheShards]struct {
 		mu    sync.RWMutex
 		flows map[pkt.FlatKey]*CacheEntry
 	}
-	cap   int // per-shard entry cap
-	pool  *entryPool
+	cap   int                  // per-shard entry cap
 	stats *stats.CacheCounters // the cache's counters
 }
 
 // init sizes the store for totalCap entries.
-func (st *flowStore) init(totalCap int, pool *entryPool, counters *stats.CacheCounters) {
+func (st *flowStore) init(totalCap int, counters *stats.CacheCounters) {
 	st.cap = max(totalCap/cacheShards, 1)
-	st.pool, st.stats = pool, counters
+	st.stats = counters
 	for i := range st.shards {
 		st.shards[i].flows = make(map[pkt.FlatKey]*CacheEntry)
 	}
@@ -207,11 +208,8 @@ func (st *flowStore) lookup(k *pkt.FlatKey, hash uint64) *CacheEntry {
 	// installed a fresher replacement already.
 	if sh.flows[*k] == mf {
 		delete(sh.flows, *k)
-		sh.mu.Unlock()
-		st.pool.retire(mf)
-	} else {
-		sh.mu.Unlock()
 	}
+	sh.mu.Unlock()
 	st.stats.Invalidations.Inc()
 	return nil
 }
@@ -250,23 +248,18 @@ func (st *flowStore) probeBatch(keys []pkt.FlatKey, out []*CacheEntry, sc *probe
 // handles thrash: constant-time displacement, no LRU tracking).
 func (st *flowStore) put(k *pkt.FlatKey, hash uint64, mf *CacheEntry) {
 	sh := &st.shards[shardOf(hash)]
-	var victim *CacheEntry
+	evicted := false
 	sh.mu.Lock()
-	old := sh.flows[*k]
-	if old == nil && len(sh.flows) >= st.cap {
-		for vk, v := range sh.flows {
+	if sh.flows[*k] == nil && len(sh.flows) >= st.cap {
+		for vk := range sh.flows {
 			delete(sh.flows, vk)
-			victim = v
+			evicted = true
 			break
 		}
 	}
 	sh.flows[*k] = mf
 	sh.mu.Unlock()
-	if old != nil {
-		st.pool.retire(old)
-	}
-	if victim != nil {
-		st.pool.retire(victim)
+	if evicted {
 		st.stats.Evictions.Inc()
 	}
 	st.stats.Inserts.Inc()
@@ -283,7 +276,6 @@ func (st *flowStore) prune() int {
 		for k, mf := range sh.flows {
 			if !mf.valid() {
 				delete(sh.flows, k)
-				st.pool.retire(mf)
 				n++
 			}
 		}

@@ -168,8 +168,8 @@ func TestCacheInvalidationOnGroupMod(t *testing.T) {
 // of the pipeline tests with the cache on and off; the outputs must be
 // identical packet for packet.
 func TestCachedMatchesUncached(t *testing.T) {
-	run := func(cached bool) [2]int {
-		r := newRig(t, 3, WithFlowCache(cached))
+	run := func(opts ...Option) [2]int {
+		r := newRig(t, 3, opts...)
 		m := openflow.Match{}
 		m.WithInPort(1)
 		addFlow(t, r.sw, 0, 10, m,
@@ -188,7 +188,7 @@ func TestCachedMatchesUncached(t *testing.T) {
 		}
 		return [2]int{r.hosts[2].count(), r.hosts[3].count()}
 	}
-	cached, uncached := run(true), run(false)
+	cached, uncached := run(), run(WithFlowCacheSize(0))
 	if cached != uncached || cached != [2]int{3, 3} {
 		t.Errorf("cached=%v uncached=%v", cached, uncached)
 	}
@@ -393,22 +393,20 @@ func TestConcurrentBurstsCountEveryFrame(t *testing.T) {
 // TestFlowStoreWaysOut drives the one shard store through every way an
 // entry leaves it — replaced under the same key, evicted at capacity,
 // removed stale on lookup, swept one by one or all at once — and checks
-// each way out hands the entry to the pool.
+// what stays and what each way out counts. An entry that left is the
+// garbage collector's; TestEntryOutlivesItsStore is the concurrent half.
 func TestFlowStoreWaysOut(t *testing.T) {
 	const shard = 7 // put/lookup take the hash, so the test picks the shard
 	k1, k2 := pkt.FlatKey{1}, pkt.FlatKey{2}
 
 	type fixture struct {
 		st     *flowStore
-		pool   *entryPool
 		tables [2]*flowtable.Table
 	}
 	// entry records a program depending on f.tables[dep]; bump makes
 	// every such entry stale.
 	entry := func(f *fixture, dep int) *CacheEntry {
-		e := f.pool.acquire()
-		e.deps = append(e.deps, tableDep{table: f.tables[dep], rev: f.tables[dep].Version()})
-		return e
+		return &CacheEntry{deps: []tableDep{{table: f.tables[dep], rev: f.tables[dep].Version()}}}
 	}
 	bump := func(t *testing.T, f *fixture, dep int) {
 		t.Helper()
@@ -420,41 +418,37 @@ func TestFlowStoreWaysOut(t *testing.T) {
 	ways := []struct {
 		name string
 		// run starts from a store holding entry a (valid, on table 0)
-		// under k1 and returns the entries that must have left it.
-		run                  func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry
+		// under k1.
+		run                  func(t *testing.T, f *fixture, a *CacheEntry)
 		wantLen              int
 		wantEvict, wantInval uint64
 	}{
 		{name: "replace-same-key", wantLen: 1,
-			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+			run: func(t *testing.T, f *fixture, a *CacheEntry) {
 				b := entry(f, 0)
 				f.st.put(&k1, shard, b)
 				if got := f.st.lookup(&k1, shard); got != b {
 					t.Errorf("lookup after replace = %p, want the new entry %p", got, b)
 				}
-				return []*CacheEntry{a}
 			}},
 		{name: "capacity-eviction", wantLen: 1, wantEvict: 1,
-			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+			run: func(t *testing.T, f *fixture, a *CacheEntry) {
 				b := entry(f, 0)
 				f.st.put(&k2, shard, b) // per-shard cap is 1: a must go
 				if f.st.lookup(&k1, shard) != nil || f.st.lookup(&k2, shard) != b {
 					t.Error("full shard kept the old entry or lost the new one")
 				}
-				return []*CacheEntry{a}
 			}},
 		{name: "stale-on-lookup", wantLen: 0, wantInval: 1,
-			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
+			run: func(t *testing.T, f *fixture, a *CacheEntry) {
 				bump(t, f, 0)
 				if f.st.lookup(&k1, shard) != nil {
 					t.Error("stale entry served")
 				}
-				return []*CacheEntry{a}
 			}},
 		{name: "sweep", wantLen: 1, wantInval: 1,
-			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
-				b := entry(f, 1)
-				f.st.put(&k2, shard+1, b)
+			run: func(t *testing.T, f *fixture, a *CacheEntry) {
+				f.st.put(&k2, shard+1, entry(f, 1))
 				bump(t, f, 1)
 				if n := f.st.prune(); n != 1 {
 					t.Errorf("sweep removed %d, want 1", n)
@@ -462,34 +456,28 @@ func TestFlowStoreWaysOut(t *testing.T) {
 				if f.st.lookup(&k1, shard) != a {
 					t.Error("sweep removed a valid entry")
 				}
-				return []*CacheEntry{b}
 			}},
 		{name: "flush", wantLen: 0, wantInval: 2,
-			run: func(t *testing.T, f *fixture, a *CacheEntry) []*CacheEntry {
-				b := entry(f, 1)
-				f.st.put(&k2, shard+1, b)
+			run: func(t *testing.T, f *fixture, a *CacheEntry) {
+				f.st.put(&k2, shard+1, entry(f, 1))
 				bump(t, f, 0)
 				bump(t, f, 1)
 				if n := f.st.prune(); n != 2 {
 					t.Errorf("flush removed %d, want 2", n)
 				}
-				return []*CacheEntry{a, b}
 			}},
 	}
 	for _, way := range ways {
 		t.Run("maskClass/"+way.name, func(t *testing.T) {
 			c := newFlowCache(cacheShards) // one entry per shard
-			f := &fixture{pool: &c.pool, st: &c.class(flowtable.MaskInPort).store}
+			f := &fixture{st: &c.class(flowtable.MaskInPort).store}
 			for i := range f.tables {
 				f.tables[i] = flowtable.NewTable(uint8(i), netem.RealClock{})
 			}
 			a := entry(f, 0)
 			f.st.put(&k1, shard, a)
 
-			gone := way.run(t, f, a)
-			if got := int(c.pool.limboN.Load()); got != len(gone) {
-				t.Errorf("pool received %d entries, want %d", got, len(gone))
-			}
+			way.run(t, f, a)
 			if got := f.st.len(); got != way.wantLen {
 				t.Errorf("len = %d, want %d", got, way.wantLen)
 			}
@@ -500,5 +488,105 @@ func TestFlowStoreWaysOut(t *testing.T) {
 				t.Errorf("invalidations = %d, want %d", got, way.wantInval)
 			}
 		})
+	}
+}
+
+// TestEntryOutlivesItsStore: a dispatch replays entries it holds with no
+// lock and no pin, so a store must be free to unmap one at any moment
+// without anything being reused under the replay. One goroutine bursts
+// flow A while a second thrashes A's one-entry store shard with flows of
+// another port and a third keeps every recorded revision going stale with
+// flow-mods that leave the forwarding as it is. Every frame of A leaves
+// on A's port, and the race detector sees every access.
+func TestEntryOutlivesItsStore(t *testing.T) {
+	sw := New("outlive", 0x44, WithFlowCacheSize(cacheShards)) // one entry per store shard
+	sw.cache.bypassOn = false                                  // a thrashed shard must keep installing
+	sinkA, sinkB := &discardBackend{}, &discardBackend{}
+	sw.AttachPort(2, "a", sinkA)
+	sw.AttachPort(3, "b", sinkB)
+	udpSrc := func(port uint16) openflow.Match {
+		m := openflow.Match{}
+		m.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(port)
+		return m
+	}
+	const portA = 1000
+	addFlow(t, sw, 0, 10, udpSrc(portA), apply(out(2)))
+	addFlow(t, sw, 0, 1, openflow.Match{}, apply(out(3)))
+
+	// The first walk creates the one mask class (the table consults
+	// l4_src); the thrashing flows are those whose projection falls in
+	// the store shard of A's.
+	frameA := udpFrame(t, macA, macB, ipA, ipB, portA, 80, "a")
+	sw.Receive(1, append([]byte(nil), frameA...))
+	words := (*sw.cache.classes.Load())[0].words
+	storeShard := func(frame []byte) uint32 {
+		var k pkt.Key
+		var f pkt.FlatKey
+		if err := pkt.ExtractKey(frame, 1, &k); err != nil {
+			t.Fatal(err)
+		}
+		k.FlatInto(&f)
+		p := f.And(&words)
+		return shardOf(p.Sum())
+	}
+	var thrash [][]byte
+	for port := uint16(2000); len(thrash) < 4; port++ {
+		if f := udpFrame(t, macA, macB, ipA, ipB, port, 80, "b"); storeShard(f) == storeShard(frameA) {
+			thrash = append(thrash, f)
+		}
+	}
+
+	const burst = 8
+	bursts := 4000
+	if testing.Short() {
+		bursts = 400
+	}
+	stop := make(chan struct{})
+	var others sync.WaitGroup
+	var thrashed int
+	others.Add(2)
+	go func() {
+		defer others.Done()
+		for ; ; thrashed++ {
+			select {
+			case <-stop:
+				return
+			default:
+				sw.Receive(1, append([]byte(nil), thrash[thrashed%len(thrash)]...))
+			}
+		}
+	}()
+	go func() {
+		defer others.Done()
+		aside := udpSrc(60001) // same fields as A's entry: the consult mask stays
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_, _ = sw.ApplyFlowMod(flowMod(openflow.FlowAdd, 0, 5, aside, apply(out(3))))
+				_, _ = sw.ApplyFlowMod(flowMod(openflow.FlowDeleteStrict, 0, 5, aside))
+			}
+		}
+	}()
+	vec := make([][]byte, burst)
+	for b := 0; b < bursts; b++ {
+		for i := range vec {
+			vec[i] = append([]byte(nil), frameA...)
+		}
+		sw.ReceiveBatch(1, vec)
+	}
+	close(stop)
+	others.Wait()
+
+	if want := 1 + bursts*burst; sinkA.frames != want {
+		t.Errorf("flow A: %d frames left on its port, want %d", sinkA.frames, want)
+	}
+	if sinkB.frames != thrashed || sw.Drops() != 0 {
+		t.Errorf("thrashing flows: %d frames out of %d sent, %d drops", sinkB.frames, thrashed, sw.Drops())
+	}
+	cs := sw.CacheStats()
+	if cs.Hits.Load() == 0 || cs.Evictions.Load() == 0 || cs.Invalidations.Load() == 0 {
+		t.Errorf("the stress did not reach every way out of the store: %s", cs)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
+	"github.com/harmless-sdn/harmless/internal/telemetry"
 )
 
 // The differential oracle for the flow cache and the burst machinery
@@ -18,7 +19,9 @@ import (
 // flow-mods, group-mods and expiry sweeps then run through a switch
 // with the cache, in vectors, and a twin without, frame by frame, and
 // after every step everything the cache, the run memo and the per-burst
-// credit must not change has to agree.
+// credit must not change has to agree. Each twin feeds a telemetry table
+// of its own, and what the two export per flow has to agree as well, and
+// add up to the frames sent.
 
 const (
 	walkTables = 4
@@ -208,6 +211,18 @@ func walkSnapshot(sw *Switch) map[string]uint64 {
 	return snap
 }
 
+// walkExports is what a telemetry table has exported per flow: packets
+// and bytes.
+type walkExports map[telemetry.FlowKey][2]uint64
+
+// drain adds everything on tab's export ring to the totals.
+func (x walkExports) drain(tab *telemetry.Table) {
+	for e, ok := tab.Ring().Pop(); ok; e, ok = tab.Ring().Pop() {
+		v := x[e.Key]
+		x[e.Key] = [2]uint64{v[0] + e.Packets, v[1] + e.Bytes}
+	}
+}
+
 // runCacheWalk plays one seed at one batch size and returns how many
 // mask classes the cached twin ended up with and how often it hit.
 func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64) {
@@ -217,8 +232,10 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 	if seed%3 == 0 {
 		cacheSize = 2 * cacheShards // capacity evictions in the mix
 	}
-	cached, order := walkSwitch(t, clk, WithFlowCacheSize(cacheSize))
-	plain, _ := walkSwitch(t, clk, WithFlowCache(false))
+	telC, telP := telemetry.NewTable(telemetry.Config{}), telemetry.NewTable(telemetry.Config{})
+	exportsC, exportsP := walkExports{}, walkExports{}
+	cached, order := walkSwitch(t, clk, WithFlowCacheSize(cacheSize), WithTelemetry(telC))
+	plain, _ := walkSwitch(t, clk, WithFlowCacheSize(0), WithTelemetry(telP))
 	both := func(apply func(sw *Switch) error) {
 		t.Helper()
 		errC, errP := apply(cached), apply(plain)
@@ -309,7 +326,7 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 		return frames
 	}
 
-	var sent uint64
+	var sent, sentBytes uint64
 	for step := 0; step < 40; step++ {
 		switch rng.Intn(10) {
 		case 0, 1:
@@ -356,6 +373,9 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 			vec := frames[:min(batch, len(frames))]
 			frames = frames[len(vec):]
 			sent += uint64(len(vec))
+			for _, f := range vec {
+				sentBytes += uint64(len(f))
+			}
 			order.arm()
 			if batch == 1 {
 				cached.Receive(inPort, vec[0])
@@ -379,6 +399,30 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 		if n := cs.Hits.Load() + cs.Misses.Load() + cs.Bypassed.Load(); n != sent {
 			t.Fatalf("seed %d step %d: hits+misses+bypassed = %d for %d frames: %s", seed, step, n, sent, cs)
 		}
+		exportsC.drain(telC) // every step, so that the ring never fills
+		exportsP.drain(telP)
+	}
+
+	// Telemetry sees every classified frame once, under its own flow,
+	// wherever expiry flushes, timer sweeps and burst boundaries cut the
+	// export windows.
+	telC.FlushAll(clk.Now().UnixNano())
+	telP.FlushAll(clk.Now().UnixNano())
+	exportsC.drain(telC)
+	exportsP.drain(telP)
+	var total [2]uint64
+	for fk, p := range exportsP {
+		if c := exportsC[fk]; c != p {
+			t.Fatalf("seed %d: flow %s exported %v packets/bytes cached, %v uncached", seed, fk, c, p)
+		}
+		total[0], total[1] = total[0]+p[0], total[1]+p[1]
+	}
+	if len(exportsC) != len(exportsP) || total != [2]uint64{sent, sentBytes} {
+		t.Fatalf("seed %d: %d flows cached, %d uncached, exported %v packets/bytes of %d/%d sent", seed,
+			len(exportsC), len(exportsP), total, sent, sentBytes)
+	}
+	if lost := telC.Counters().RecordsLost.Load() + telP.Counters().RecordsLost.Load(); lost != 0 {
+		t.Fatalf("seed %d: %d export records lost to a full ring", seed, lost)
 	}
 	return len(*cached.cache.classes.Load()), cached.CacheStats().Hits.Load()
 }

@@ -13,8 +13,7 @@ import (
 // The datapath flow cache: one flowStore per mask class, keyed by the
 // packed packet key (pkt.FlatKey) projected through the class's mask. The cache owns what
 // the classes share: the per-packet admission decision (adaptive
-// bypass), the entry pool that makes the install path allocation-free,
-// and the counters.
+// bypass) and the counters.
 //
 // A cache entry serves every flow whose consulted fields agree: the
 // recorder accumulates the ConsultMask union of every table a walk
@@ -42,8 +41,8 @@ const (
 
 	// maxMaskClasses bounds the class list: each class adds a
 	// projection+hash+probe to the miss path, so a pathological ruleset
-	// churning masks falls back to declining installs (the walk's entry
-	// goes straight back to the pool) rather than degrading every lookup.
+	// churning masks falls back to declining installs rather than
+	// degrading every lookup.
 	maxMaskClasses = 16
 )
 
@@ -112,142 +111,6 @@ func (w *shardWins) take(shard int) (lookups, hits uint32) {
 	lookups, hits = w[shard].lookups, w[shard].hits
 	w[shard].lookups, w[shard].hits = 0, 0
 	return lookups, hits
-}
-
-// entryPool recycles CacheEntry recorder state so the install path is
-// allocation-free in steady state. Reclamation is epoch-style: every
-// dispatch pins the pool for its duration, an entry its store unmaps
-// goes to a limbo list, and limbo drains to the free list only
-// at a moment provably after every dispatch that could still hold a
-// reference:
-//
-//	holder's pin -> shard RLock -> remover's shard Lock -> limbo push
-//	-> reclaimer's limbo Lock -> pins load
-//
-// The reclaimer drains limbo FIRST and checks pins SECOND: any
-// dispatch that might hold a drained entry pinned before that entry
-// was pushed to limbo (it found it in a shard map), so at drain time
-// it either still shows in pins (the batch is put back) or it has
-// unpinned and can no longer touch the entry. Pins that show up after
-// the check belong to dispatches that started after the entries were
-// already unreachable.
-type entryPool struct {
-	pins atomic.Int64 // in-flight dispatches
-
-	freeMu sync.Mutex
-	free   []*CacheEntry
-
-	limboMu sync.Mutex
-	limbo   []*CacheEntry
-	spare   []*CacheEntry // recycled limbo buffer (nil when in use)
-	limboN  atomic.Int32  // len(limbo), readable without the lock
-
-	max int // free-list cap; overflow falls to the GC
-}
-
-const limboMax = 1 << 14 // backlog cap under sustained concurrency
-
-// pin marks a dispatch in flight. Must precede the first cache probe.
-func (p *entryPool) pin() { p.pins.Add(1) }
-
-// unpin ends a dispatch; the last one out drains limbo.
-func (p *entryPool) unpin() {
-	if p.pins.Add(-1) == 0 && p.limboN.Load() > 0 {
-		p.reclaim()
-	}
-}
-
-// acquire returns a reset entry, reusing a reclaimed one when
-// available.
-func (p *entryPool) acquire() *CacheEntry {
-	p.freeMu.Lock()
-	if n := len(p.free); n > 0 {
-		e := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		p.freeMu.Unlock()
-		return e
-	}
-	p.freeMu.Unlock()
-	return &CacheEntry{}
-}
-
-// giveBack returns an entry that was never published (uncacheable
-// walk, class list full): no other goroutine can hold it, so it goes
-// straight back to the free list.
-func (p *entryPool) giveBack(e *CacheEntry) {
-	e.reset()
-	p.freeMu.Lock()
-	if len(p.free) < p.max {
-		p.free = append(p.free, e)
-	}
-	p.freeMu.Unlock()
-}
-
-// retire parks an entry its store just unmapped in limbo until reclaim
-// proves no dispatch can still hold it. An entry is mapped by exactly
-// one store under one key, so unpublishing it is retiring it.
-func (p *entryPool) retire(e *CacheEntry) {
-	p.limboMu.Lock()
-	if len(p.limbo) >= limboMax {
-		// Dispatches never quiesced long enough to drain: hand the
-		// backlog to the GC (always safe; holders keep their own
-		// references) instead of growing without bound.
-		clear(p.limbo)
-		p.limbo = p.limbo[:0]
-		p.limboN.Store(0)
-	}
-	p.limbo = append(p.limbo, e)
-	p.limboN.Add(1)
-	p.limboMu.Unlock()
-}
-
-// reclaim moves limbo to the free list if no dispatch is in flight.
-// Drain-then-check: see the type comment for why this order is what
-// makes reuse safe.
-func (p *entryPool) reclaim() {
-	p.limboMu.Lock()
-	batch := p.limbo
-	if p.spare != nil {
-		p.limbo = p.spare[:0]
-		p.spare = nil
-	} else {
-		p.limbo = nil
-	}
-	p.limboN.Store(0)
-	p.limboMu.Unlock()
-
-	if len(batch) != 0 && p.pins.Load() != 0 {
-		// A dispatch pinned between our unpin and the drain. It cannot
-		// reach these entries (they were unmapped before it started),
-		// but the proof above only covers pins==0 — put them back.
-		p.limboMu.Lock()
-		p.limbo = append(p.limbo, batch...)
-		p.limboN.Add(int32(len(batch)))
-		p.limboMu.Unlock()
-		return
-	}
-
-	for _, e := range batch {
-		e.reset()
-	}
-	p.freeMu.Lock()
-	keep := p.max - len(p.free)
-	if keep < 0 {
-		keep = 0
-	}
-	if keep > len(batch) {
-		keep = len(batch)
-	}
-	p.free = append(p.free, batch[:keep]...)
-	p.freeMu.Unlock()
-
-	clear(batch)
-	p.limboMu.Lock()
-	if p.spare == nil {
-		p.spare = batch[:0]
-	}
-	p.limboMu.Unlock()
 }
 
 // Adaptive bypass: per-shard hit-rate tracking over sliding windows
@@ -362,8 +225,6 @@ type flowCache struct {
 	classMu sync.Mutex                   // serializes class creation
 	size    int                          // capacity of each class
 
-	pool entryPool
-
 	bypassOn bool // always true outside tests
 	bypass   [cacheShards]bypassShard
 
@@ -375,7 +236,6 @@ type flowCache struct {
 
 func newFlowCache(totalCap int) *flowCache {
 	c := &flowCache{size: totalCap, bypassOn: true}
-	c.pool.max = 2*totalCap + 1024
 	c.classes.Store(new([]*maskClass))
 	return c
 }
@@ -515,22 +375,27 @@ func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
 		return nil
 	}
 	g := &maskClass{mask: mask, words: mask.Words()}
-	g.store.init(c.size, &c.pool, &c.stats)
+	g.store.init(c.size, &c.stats)
 	next := append(slices.Clip(cur), g) // clipped: append copies, readers keep cur
 	c.classes.Store(&next)
 	return g
 }
 
-// install publishes a recorded entry under the frame's packed key,
-// projected, in its mask class. When the class list is full the
-// recording is declined: the entry was never published, so it goes
-// straight back to the pool and no insert is counted.
-func (c *flowCache) install(f *pkt.FlatKey, e *CacheEntry) {
-	g := c.class(e.mask)
+// install publishes a right-sized copy of the recording rec under the
+// frame's packed key, projected, in its mask class; rec itself stays the
+// dispatch's to reuse. The copy and its two arrays are all the cache ever
+// allocates per flow, and the garbage collector owns them from the moment
+// a store unmaps the entry: a dispatch still replaying it keeps it alive.
+// When the class list is full the recording is declined: nothing is
+// allocated and no insert is counted.
+func (c *flowCache) install(f *pkt.FlatKey, rec *CacheEntry) {
+	g := c.class(rec.mask)
 	if g == nil {
-		c.pool.giveBack(e)
 		return
 	}
+	e := new(CacheEntry)
+	*e = *rec
+	e.deps, e.ops = slices.Clone(rec.deps), slices.Clone(rec.ops)
 	p := f.And(&g.words)
 	g.store.put(&p, p.Sum(), e)
 }

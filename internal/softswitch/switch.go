@@ -17,8 +17,7 @@
 //     to a pre-resolved program, revalidated against table revisions on
 //     every hit and probed once per run of equal projections; a
 //     churn of short-lived flows sharing a ruleset shape still hits.
-//     Enabled by default, with pooled entries and per-shard adaptive
-//     bypass;
+//     Enabled by default, with per-shard adaptive bypass;
 //  2. the flow tables' own lookup (flowtable.Table.Find): an
 //     ESwitch-style index each table keeps with every flow-mod — one
 //     hash probe per exact-match field signature, then the few masked
@@ -138,17 +137,6 @@ type Option func(*Switch)
 
 // WithClock injects a clock for deterministic timeout tests.
 func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
-
-// WithFlowCache switches the flow cache on or off (on by default).
-func WithFlowCache(on bool) Option {
-	return func(s *Switch) {
-		if on {
-			s.cacheSize = DefaultFlowCacheSize
-		} else {
-			s.cacheSize = 0
-		}
-	}
-}
 
 // WithFlowCacheSize bounds each mask class of the flow cache to roughly
 // n entries (n <= 0 disables the cache).
@@ -402,7 +390,7 @@ func (s *Switch) SweepExpired() []flowtable.Removed {
 	if len(expired) > 0 {
 		// Expired entries leave revision-stale cache entries behind;
 		// they would lazily invalidate on next probe, but sweeping here
-		// frees their pool slots promptly.
+		// lets go of the dead table entries they reference promptly.
 		if s.cache != nil {
 			s.cache.sweep()
 		}
@@ -418,7 +406,7 @@ func (s *Switch) SweepExpired() []flowtable.Removed {
 			}, s.clock.Now().UnixNano())
 		}
 	}
-	if s.agent != nil && len(notify) > 0 {
+	if len(notify) > 0 {
 		s.agentMu.RLock()
 		a := s.agent
 		s.agentMu.RUnlock()

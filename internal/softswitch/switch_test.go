@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/harmless-sdn/harmless/internal/controlplane"
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
@@ -390,7 +391,7 @@ func TestPatchPorts(t *testing.T) {
 func TestTableLookupFollowsFlowMods(t *testing.T) {
 	for name, opts := range map[string][]Option{
 		"cached":   nil,
-		"uncached": {WithFlowCache(false)},
+		"uncached": {WithFlowCacheSize(0)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			r := newRig(t, 3, opts...)
@@ -437,8 +438,8 @@ func TestTableCountersWhicheverStructureAnswers(t *testing.T) {
 		match openflow.Match
 		opts  []Option
 	}{
-		{"indexed/uncached", indexed, []Option{WithFlowCache(false)}},
-		{"residual/uncached", residual, []Option{WithFlowCache(false)}},
+		{"indexed/uncached", indexed, []Option{WithFlowCacheSize(0)}},
+		{"residual/uncached", residual, []Option{WithFlowCacheSize(0)}},
 		{"indexed/cached", indexed, nil},
 		{"residual/cached", residual, nil},
 	} {
@@ -732,6 +733,33 @@ func TestAgentFlowRemovedOnExpiry(t *testing.T) {
 	}
 }
 
+// TestAgentStopDuringSweep: the agent's own sweeper goroutine is the
+// caller of SweepExpired, and Stop does not wait for it — so Stop clears
+// Switch.agent while a sweep may be reading it. Each round stops the
+// agent right after its sweeper is seen expiring an entry; the race
+// detector fails the test on an unlocked read.
+func TestAgentStopDuringSweep(t *testing.T) {
+	rounds := 40
+	if testing.Short() {
+		rounds = 8
+	}
+	for i := 0; i < rounds; i++ {
+		clk := netem.NewManualClock()
+		sw := New("stop", 0x45, WithClock(clk))
+		fm := flowMod(openflow.FlowAdd, 0, 10, openflow.Match{})
+		fm.HardTimeout, fm.Flags = 1, openflow.FlowFlagSendFlowRem
+		if _, err := sw.ApplyFlowMod(fm); err != nil {
+			t.Fatal(err)
+		}
+		a := sw.NewAgent(controlplane.Config{}, time.Second)
+		waitFor(t, "the sweeper to expire the entry", func() bool {
+			clk.Advance(time.Second) // again each poll: the sweeper arms its ticker when it starts
+			return sw.Table(0).Len() == 0
+		})
+		a.Stop()
+	}
+}
+
 func TestAgentRejectsBadFlowMod(t *testing.T) {
 	r := newRig(t, 1)
 	fc := startFakeController(t, r.sw)
@@ -754,7 +782,7 @@ func TestAgentRejectsBadFlowMod(t *testing.T) {
 // BenchmarkPipelineForward times the table walk alone: cache off, one
 // in_port row.
 func BenchmarkPipelineForward(b *testing.B) {
-	sw := New("bench", 1, WithFlowCache(false))
+	sw := New("bench", 1, WithFlowCacheSize(0))
 	l1 := netem.NewLink(netem.LinkConfig{})
 	defer l1.Close()
 	l2 := netem.NewLink(netem.LinkConfig{})

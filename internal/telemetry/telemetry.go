@@ -16,11 +16,12 @@
 // datapaths, HTTP snapshots and management flushes are safe from any
 // goroutine; the lock is simply free in the pinned configuration.
 //
-// The hot-path contract: the datapath resolves a packet's record with
-// one Lookup (a map probe under the shard lock), and observing it is a
-// few field updates under the (uncontended) shard lock, taken once per
-// batch per shard — no allocation. New flows allocate exactly one
-// Record, on their first packet.
+// The hot-path contract: the datapath hands ObserveBatch each frame's
+// packet key, and the table resolves the frame's record (a map probe) and
+// updates it (a few field writes) under one hold of the (uncontended)
+// shard lock, taken once per batch per shard — no allocation. New flows
+// allocate exactly one Record, on their first packet. A *Record never
+// leaves its shard's lock.
 //
 // # Export pipeline
 //
@@ -30,10 +31,10 @@
 // boundaries), on the worker runtime's idle path, or from any
 // management goroutine via Sweep/FlushAll. A sweep applies the
 // active/idle timers: active flows export a delta and keep counting;
-// idle flows export a final record and leave the table. Removed
-// records are marked dead but keep their identity, so a dispatch that
-// resolved one just before the sweep revives it when it observes — the
-// pointer stays valid forever and counters are never lost.
+// idle flows export a final record and leave the table. Removing a
+// record from its shard map is all it takes to forget it: its window was
+// exported under the same lock hold, and the flow's next packet starts a
+// fresh record, so counters are never lost.
 package telemetry
 
 import (
@@ -141,9 +142,8 @@ func (k FlowKey) String() string {
 }
 
 // Record is the live accounting state of one flow. All fields are
-// guarded by the owning shard's mutex; the datapath holds a *Record
-// for the length of one dispatch and updates it through
-// Table.Observe/ObserveBatch only.
+// guarded by the owning shard's mutex, and only code holding it ever
+// has a *Record.
 //
 // Packets/Bytes are DELTAS since the last export, per IPFIX delta
 // counter semantics; First is the start of the current delta window.
@@ -154,9 +154,6 @@ type Record struct {
 	First   int64 // unixnano of the first packet of this window
 	Last    int64 // unixnano of the most recent packet
 	OutPort uint32
-
-	shard int32
-	dead  bool // removed from the shard map; revived on next Observe
 }
 
 // ExportKind discriminates the payloads of the shard-drain ring.
@@ -291,98 +288,71 @@ func (t *Table) Len() int {
 	return n
 }
 
-func (t *Table) shardFor(hash uint64) int32 {
-	return int32(hash % uint64(len(t.shards)))
+func (t *Table) shardFor(k *pkt.Key) *shard {
+	return &t.shards[k.Hash()%uint64(len(t.shards))]
 }
 
-// Lookup returns the live record for the packet key, creating it if
-// absent; the datapath calls it once per classified frame. Counters
-// are NOT updated here; Observe/ObserveBatch do that uniformly.
-func (t *Table) Lookup(k *pkt.Key) *Record {
-	si := t.shardFor(k.Hash())
-	sh := &t.shards[si]
+// resolveLocked returns the live record of the packet key's flow,
+// creating it — and evicting a victim if the shard is full — when absent.
+// Caller holds sh.mu and keeps the record no longer than that.
+func (t *Table) resolveLocked(sh *shard, k *pkt.Key) *Record {
 	fk := KeyFromPacket(k)
-	sh.mu.Lock()
 	rec := sh.flows[fk]
 	if rec == nil {
-		rec = t.insertLocked(sh, si, fk)
+		if len(sh.flows) >= t.cfg.MaxFlows {
+			t.evictLocked(sh)
+		}
+		rec = &Record{Key: fk}
+		sh.flows[fk] = rec
+		t.counters.FlowsCreated.Inc()
 	}
-	sh.mu.Unlock()
-	return rec
-}
-
-// insertLocked creates and installs a fresh record, evicting a victim
-// if the shard is full. Caller holds sh.mu.
-func (t *Table) insertLocked(sh *shard, si int32, fk FlowKey) *Record {
-	if len(sh.flows) >= t.cfg.MaxFlows {
-		t.evictLocked(sh)
-	}
-	rec := &Record{Key: fk, shard: si}
-	sh.flows[fk] = rec
-	t.counters.FlowsCreated.Inc()
 	return rec
 }
 
 // evictLocked exports and removes a pseudo-random victim (map
 // iteration order, like the flow cache's capacity eviction). The
-// victim's deltas are exported first so totals stay exact; its Record
-// stays valid for any dispatch still holding it and revives when
-// observed.
+// victim's deltas are exported first so totals stay exact.
 func (t *Table) evictLocked(sh *shard) {
 	for _, victim := range sh.flows {
 		t.exportLocked(victim, EndForced)
-		victim.dead = true
 		delete(sh.flows, victim.Key)
 		t.counters.FlowsEvicted.Inc()
 		return
 	}
 }
 
-// reviveLocked puts a dead record back into its shard map with a
-// fresh delta window. Caller holds sh.mu.
-func (t *Table) reviveLocked(sh *shard, rec *Record) {
-	if len(sh.flows) >= t.cfg.MaxFlows {
-		t.evictLocked(sh)
-	}
-	rec.dead = false
-	rec.Packets = 0
-	rec.Bytes = 0
-	rec.First = 0
-	sh.flows[rec.Key] = rec
-	t.counters.FlowsCreated.Inc()
-}
-
-// Observe accounts one packet of size bytes against rec — the
-// single-frame mirror of ObserveBatch.
+// Observe accounts one packet of size bytes, with packet key k and
+// resolved egress port outPort (0 = unknown) — the single-frame mirror
+// of ObserveBatch.
 //
 //harmless:hotpath
-func (t *Table) Observe(rec *Record, size int, outPort uint32, now int64) {
-	sh := &t.shards[rec.shard]
+func (t *Table) Observe(k *pkt.Key, size int, outPort uint32, now int64) {
+	sh := t.shardFor(k)
 	sh.mu.Lock()
-	t.observeLocked(sh, rec, size, outPort, now)
+	t.observeLocked(sh, t.resolveLocked(sh, k), size, outPort, now)
 	if now >= sh.nextSweep {
 		t.sweepLocked(sh, now)
 	}
 	sh.mu.Unlock()
 }
 
-// ObserveBatch accounts one dispatched batch: recs[i] is the record
-// the datapath resolved for frame i (nil = not classified, skip), and
-// outs[i] the frame's resolved egress port (0 = unknown). Frame
-// lengths are read from the borrowed vector; the shard lock is taken
-// once per run of same-shard records, which in the RSS-pinned
-// configuration means once per batch. Due timer sweeps piggyback on
-// the tail of the batch, so a loaded datapath needs no external
-// sweeper.
+// ObserveBatch accounts one dispatched batch: keys[i] is frame i's
+// packet key (skip[i] = not classified, leave it out) and outs[i] its
+// resolved egress port (0 = unknown). Frame lengths are read from the
+// borrowed vector. Each frame's record is resolved and updated under one
+// hold of its shard's lock, taken once per run of same-shard frames,
+// which in the RSS-pinned configuration means once per batch. Due timer
+// sweeps piggyback on the tail of the batch, so a loaded datapath needs
+// no external sweeper.
 //
 //harmless:hotpath
-func (t *Table) ObserveBatch(frames [][]byte, recs []*Record, outs []uint32, now int64) {
+func (t *Table) ObserveBatch(keys []pkt.Key, skip []bool, frames [][]byte, outs []uint32, now int64) {
 	var cur *shard
-	for i, rec := range recs {
-		if rec == nil {
+	for i := range keys {
+		if skip[i] {
 			continue
 		}
-		sh := &t.shards[rec.shard]
+		sh := t.shardFor(&keys[i])
 		if sh != cur {
 			if cur != nil {
 				cur.mu.Unlock()
@@ -390,7 +360,7 @@ func (t *Table) ObserveBatch(frames [][]byte, recs []*Record, outs []uint32, now
 			sh.mu.Lock()
 			cur = sh
 		}
-		t.observeLocked(sh, rec, len(frames[i]), outs[i], now)
+		t.observeLocked(sh, t.resolveLocked(sh, &keys[i]), len(frames[i]), outs[i], now)
 	}
 	if cur != nil {
 		if now >= cur.nextSweep {
@@ -400,22 +370,11 @@ func (t *Table) ObserveBatch(frames [][]byte, recs []*Record, outs []uint32, now
 	}
 }
 
-// observeLocked is the per-packet accounting step. Caller holds sh.mu
-// and guarantees rec.shard maps to sh.
+// observeLocked is the per-packet accounting step. Caller holds sh.mu,
+// and rec is a record of sh.
 //
 //harmless:hotpath
 func (t *Table) observeLocked(sh *shard, rec *Record, size int, outPort uint32, now int64) {
-	if rec.dead {
-		// A live record for the same flow may already exist (created by
-		// a slow-path Lookup while this one was dead); account there —
-		// installing the dead record over it would orphan the live one
-		// and lose its counts forever.
-		if existing := sh.flows[rec.Key]; existing != nil {
-			rec = existing
-		} else {
-			t.reviveLocked(sh, rec)
-		}
-	}
 	if rec.Packets == 0 {
 		rec.First = now
 	}
@@ -485,7 +444,6 @@ func (t *Table) sweepLocked(sh *shard, now int64) {
 		switch {
 		case now-rec.Last >= idle:
 			t.exportLocked(rec, EndIdle)
-			rec.dead = true
 			delete(sh.flows, rec.Key)
 			t.counters.FlowsExpired.Inc()
 		case rec.Packets > 0 && now-rec.First >= active:
@@ -509,10 +467,9 @@ func (t *Table) Sweep(now int64) {
 }
 
 // FlushAll force-exports a final record for every live flow and
-// empties the table. The datapath keeps working throughout: records
-// a dispatch in flight still holds are revived with fresh windows when
-// it observes them. Called on worker pool shutdown, at
-// daemon exit, and by tests.
+// empties the table. The datapath keeps working throughout: a flow seen
+// again starts a fresh record. Called on worker pool shutdown, at daemon
+// exit, and by tests.
 func (t *Table) FlushAll(now int64) {
 	t.FlushWhere(nil, now)
 }
@@ -531,7 +488,6 @@ func (t *Table) FlushWhere(pred func(FlowKey) bool, now int64) {
 				continue
 			}
 			t.exportLocked(rec, EndForced)
-			rec.dead = true
 			delete(sh.flows, rec.Key)
 			t.counters.FlowsExpired.Inc()
 		}

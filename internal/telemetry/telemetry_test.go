@@ -57,16 +57,9 @@ func TestKeyFromPacket(t *testing.T) {
 func TestObserveAccounting(t *testing.T) {
 	tab := NewTable(Config{})
 	k := mkKey(1)
-	rec := tab.Lookup(&k)
-	if rec == nil {
-		t.Fatal("Lookup returned nil")
-	}
-	if again := tab.Lookup(&k); again != rec {
-		t.Fatal("second Lookup returned a different record")
-	}
 	now := time.Now().UnixNano()
-	tab.Observe(rec, 100, 2, now)
-	tab.Observe(rec, 50, 2, now+1)
+	tab.Observe(&k, 100, 2, now)
+	tab.Observe(&k, 50, 2, now+1)
 	snaps := tab.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshot len = %d", len(snaps))
@@ -83,8 +76,7 @@ func TestObserveAccounting(t *testing.T) {
 func TestIdleExpiryAndRevival(t *testing.T) {
 	tab := NewTable(Config{IdleTimeout: time.Second, SweepInterval: time.Millisecond})
 	k := mkKey(1)
-	rec := tab.Lookup(&k)
-	tab.Observe(rec, 64, 0, 1e9)
+	tab.Observe(&k, 64, 0, 1e9)
 	// Idle for > IdleTimeout: the sweep exports a final record and
 	// forgets the flow.
 	tab.Sweep(3e9)
@@ -98,11 +90,11 @@ func TestIdleExpiryAndRevival(t *testing.T) {
 	if tab.Counters().FlowsExpired.Load() != 1 {
 		t.Fatal("FlowsExpired not counted")
 	}
-	// The datapath still holds rec (hung off a cache entry): its next
-	// packet revives the flow with a fresh window; nothing is lost.
-	tab.Observe(rec, 64, 0, 4e9)
+	// The flow's next packet starts a fresh record and window; nothing
+	// is lost.
+	tab.Observe(&k, 64, 0, 4e9)
 	if tab.Len() != 1 {
-		t.Fatal("record not revived")
+		t.Fatal("flow not revived")
 	}
 	snaps := tab.Snapshot()
 	if snaps[0].Packets != 1 || snaps[0].First != 4e9 {
@@ -113,9 +105,8 @@ func TestIdleExpiryAndRevival(t *testing.T) {
 func TestActiveTimeoutDelta(t *testing.T) {
 	tab := NewTable(Config{ActiveTimeout: time.Second, IdleTimeout: time.Hour, SweepInterval: time.Millisecond})
 	k := mkKey(1)
-	rec := tab.Lookup(&k)
-	tab.Observe(rec, 100, 0, 1e9)
-	tab.Observe(rec, 100, 0, 2e9)
+	tab.Observe(&k, 100, 0, 1e9)
+	tab.Observe(&k, 100, 0, 2e9)
 	tab.Sweep(2_500_000_000) // window open 1.5s > active timeout
 	flows, _ := drainRing(tab)
 	if len(flows) != 1 || flows[0].EndReason != EndActive || flows[0].Packets != 2 || flows[0].Bytes != 200 {
@@ -125,7 +116,7 @@ func TestActiveTimeoutDelta(t *testing.T) {
 		t.Fatal("active export must keep the flow")
 	}
 	// Next window accumulates independently; totals add up.
-	tab.Observe(rec, 100, 0, 3e9)
+	tab.Observe(&k, 100, 0, 3e9)
 	tab.FlushAll(4e9)
 	flows, _ = drainRing(tab)
 	if len(flows) != 1 || flows[0].Packets != 1 || flows[0].First != 3e9 {
@@ -138,8 +129,7 @@ func TestEvictionExportsVictim(t *testing.T) {
 	var total uint64
 	for i := 0; i < 3; i++ {
 		k := mkKey(i)
-		rec := tab.Lookup(&k)
-		tab.Observe(rec, 64, 0, int64(i+1))
+		tab.Observe(&k, 64, 0, int64(i+1))
 		total += 64
 	}
 	if tab.Len() != 2 {
@@ -166,15 +156,14 @@ func TestEvictionExportsVictim(t *testing.T) {
 func TestSampler(t *testing.T) {
 	tab := NewTable(Config{SampleRate: 4})
 	k := mkKey(1)
-	rec := tab.Lookup(&k)
 	for i := 0; i < 16; i++ {
-		tab.Observe(rec, 64, 3, int64(i+1))
+		tab.Observe(&k, 64, 3, int64(i+1))
 	}
 	_, samples := drainRing(tab)
 	if len(samples) != 4 {
 		t.Fatalf("samples = %d, want 4 (1-in-4 of 16)", len(samples))
 	}
-	if samples[0].Packets != 1 || samples[0].Bytes != 64 || samples[0].Key != rec.Key {
+	if samples[0].Packets != 1 || samples[0].Bytes != 64 || samples[0].Key != KeyFromPacket(&k) {
 		t.Fatalf("bad sample: %+v", samples[0])
 	}
 	if tab.Counters().SamplesQueued.Load() != 4 {
@@ -186,7 +175,7 @@ func TestRingOverflowCounted(t *testing.T) {
 	tab := NewTable(Config{RingSize: 2})
 	for i := 0; i < 8; i++ {
 		k := mkKey(i)
-		tab.Observe(tab.Lookup(&k), 64, 0, int64(i+1))
+		tab.Observe(&k, 64, 0, int64(i+1))
 	}
 	tab.FlushAll(100)
 	c := tab.Counters()
@@ -202,8 +191,7 @@ func TestSnapshotTopTalkersOrder(t *testing.T) {
 	tab := NewTable(Config{Shards: 4})
 	for i := 0; i < 8; i++ {
 		k := mkKey(i)
-		rec := tab.Lookup(&k)
-		tab.Observe(rec, 64*(i+1), 0, int64(i+1))
+		tab.Observe(&k, 64*(i+1), 0, int64(i+1))
 	}
 	snaps := tab.Snapshot()
 	if len(snaps) != 8 {
@@ -220,17 +208,17 @@ func TestObserveBatchMultiShard(t *testing.T) {
 	tab := NewTable(Config{Shards: 4})
 	const n = 64
 	frames := make([][]byte, n)
-	recs := make([]*Record, n)
+	keys := make([]pkt.Key, n)
+	skip := make([]bool, n)
 	outs := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		frames[i] = make([]byte, 60+i)
-		k := mkKey(i % 8)
-		recs[i] = tab.Lookup(&k)
+		keys[i] = mkKey(i % 8)
 		outs[i] = 2
 	}
-	// A nil rec (unclassified frame) must be skipped.
-	recs[5] = nil
-	tab.ObserveBatch(frames, recs, outs, 1e9)
+	// An unclassified frame must be skipped.
+	skip[5] = true
+	tab.ObserveBatch(keys, skip, frames, outs, 1e9)
 	var pkts, bytes uint64
 	for _, s := range tab.Snapshot() {
 		pkts += s.Packets
@@ -263,8 +251,7 @@ func TestConcurrentObserveFlushSnapshot(t *testing.T) {
 			var sent uint64
 			for i := 0; i < iters; i++ {
 				k := mkKey(g*16 + i%16)
-				rec := tab.Lookup(&k)
-				tab.Observe(rec, 64, 0, int64(i+1))
+				tab.Observe(&k, 64, 0, int64(i+1))
 				sent++
 			}
 			done <- sent
@@ -303,38 +290,62 @@ func TestConcurrentObserveFlushSnapshot(t *testing.T) {
 	}
 }
 
-// TestDeadRecordDoesNotOrphanLiveSuccessor: when a dead record's flow
-// already has a fresh live record (slow-path Lookup re-created it),
-// observing the stale pointer must account to the live record instead
-// of re-installing the dead one over it — otherwise the successor's
-// counts would never be exported again.
-func TestDeadRecordDoesNotOrphanLiveSuccessor(t *testing.T) {
-	tab := NewTable(Config{MaxFlows: 1})
-	k1, k2 := mkKey(1), mkKey(2)
-	rec1 := tab.Lookup(&k1)
-	tab.Observe(rec1, 64, 0, 1)
-	// Capacity eviction kills rec1 (its delta is exported)...
-	tab.Lookup(&k2)
-	// ...and a slow-path lookup re-creates flow 1 with a fresh record.
-	rec1b := tab.Lookup(&k1)
-	if rec1b == rec1 {
-		t.Fatal("expected a fresh record after eviction")
+// TestObserveBatchEvictsWithinBatch: a burst that alternates two flows
+// through a one-record shard evicts on every change of flow, inside the
+// batch's one lock hold, and every eviction exports the victim's window
+// first — per-flow totals stay exact and one record stays live.
+func TestObserveBatchEvictsWithinBatch(t *testing.T) {
+	tab := NewTable(Config{MaxFlows: 1, RingSize: 256})
+	const n = 64
+	frames := make([][]byte, n)
+	keys := make([]pkt.Key, n)
+	skip := make([]bool, n)
+	outs := make([]uint32, n)
+	flowKeys := [2]FlowKey{}
+	for f := range flowKeys {
+		k := mkKey(f)
+		flowKeys[f] = KeyFromPacket(&k)
 	}
-	tab.Observe(rec1b, 64, 0, 2)
-	// The datapath still holds the stale pointer: its packet must land
-	// on the live record.
-	tab.Observe(rec1, 64, 0, 3)
-	tab.FlushAll(4)
+	skip[7] = true
+	var wantPkts, wantBytes [2]uint64
+	changes, last := uint64(0), -1
+	for i := 0; i < n; i++ {
+		frames[i] = make([]byte, 60+i)
+		keys[i] = mkKey(i % 2)
+		if skip[i] {
+			continue
+		}
+		wantPkts[i%2]++
+		wantBytes[i%2] += uint64(60 + i)
+		if last >= 0 && last != i%2 {
+			changes++
+		}
+		last = i % 2
+	}
+	tab.ObserveBatch(keys, skip, frames, outs, 1e9)
+	// Frame 7 is skipped, so its neighbours (both flow 0) are one run.
+	if got := tab.Counters().FlowsEvicted.Load(); got != changes {
+		t.Fatalf("FlowsEvicted = %d, want %d (one per change of flow)", got, changes)
+	}
+	if tab.Len() != 1 {
+		t.Fatalf("len = %d, want 1", tab.Len())
+	}
+	tab.FlushAll(2e9)
 	flows, _ := drainRing(tab)
-	var total uint64
+	var pkts, bytes [2]uint64
 	for _, e := range flows {
-		total += e.Packets
+		for f, fk := range flowKeys {
+			if e.Key == fk {
+				pkts[f] += e.Packets
+				bytes[f] += e.Bytes
+			}
+		}
 	}
-	if total != 3 {
-		t.Fatalf("exported %d packets, observed 3 — a record was orphaned", total)
+	if pkts != wantPkts || bytes != wantBytes {
+		t.Fatalf("exported packets %v bytes %v, want %v / %v", pkts, bytes, wantPkts, wantBytes)
 	}
-	if tab.Len() != 0 {
-		t.Fatalf("%d records still live after FlushAll", tab.Len())
+	if lost := tab.Counters().RecordsLost.Load(); lost != 0 {
+		t.Fatalf("%d records lost", lost)
 	}
 }
 
@@ -343,7 +354,7 @@ func TestFlushWhereSelective(t *testing.T) {
 	tab := NewTable(Config{})
 	for i := 0; i < 4; i++ {
 		k := mkKey(i)
-		tab.Observe(tab.Lookup(&k), 64, 0, int64(i+1))
+		tab.Observe(&k, 64, 0, int64(i+1))
 	}
 	tab.FlushWhere(func(fk FlowKey) bool { return fk.L4Src == 1024+1 }, 10)
 	flows, _ := drainRing(tab)
