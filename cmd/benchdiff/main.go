@@ -21,7 +21,9 @@
 // its `X/bare` sibling's: the paper's claim, a legacy switch behind
 // HARMLESS forwards like the software switch alone; and every
 // `X/batch=32` at least 2.08x its `X/batch=1` sibling: a burst shares
-// one cache probe per run of frames and one credit per flow entry.
+// one cache probe per run of frames and one credit per flow entry; and
+// every `X/masked` flow-table lookup at least 1/4 of its `X/exact`
+// sibling's: a prefix rule is a hash probe like any other.
 // Run it against a measured pass (-benchtime 20000x or more), not the 1x smoke rows,
 // which are single-iteration noise.
 package main
@@ -197,6 +199,10 @@ var ratioGates = []ratioGate{
 	// 0.8 x the lowest of five BenchmarkReceiveBatch runs at -benchtime
 	// 300000x (2.60-3.68x; 1.4-2.1x before bursts shared their work).
 	{Num: "batch=32", Den: "batch=1", Min: 2.08, Broken: "a burst no longer amortises the probe and the credits"},
+	// BenchmarkLookup rules=N/masked against rules=N/exact: ≈ 1 since
+	// every mask is a hash tuple, ≈ 0.01 at N=4096 when masked rules were
+	// scanned.
+	{Num: "masked", Den: "exact", Min: 0.25, Broken: "a masked rule costs a scan, not a probe"},
 }
 
 // pairCheck walks every gate's `<base>/<Num>` results whose

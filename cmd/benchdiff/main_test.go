@@ -95,8 +95,8 @@ func TestPairCheck(t *testing.T) {
 }
 
 func TestPairCheckDeclaredGates(t *testing.T) {
-	// The declared table: the cache pair, the chain/bare pair and the
-	// burst pair, each with its own minimum.
+	// The declared table: the cache pair, the chain/bare pair, the burst
+	// pair and the masked/exact lookup pair, each with its own minimum.
 	results := map[string]*Result{
 		"BenchmarkManyFlows/zipf/cached":    res(map[string]float64{"pps": 2.0e6}),
 		"BenchmarkManyFlows/zipf/uncached":  res(map[string]float64{"pps": 1.0e6}),
@@ -106,6 +106,9 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		"BenchmarkReceiveBatch/batch=1":     res(map[string]float64{"ns/op": 345}),
 		"BenchmarkReceiveBatch/batch=256":   res(map[string]float64{"ns/op": 107}), // no gate on this row
 		"BenchmarkSomethingElse/batch=32/x": res(map[string]float64{"ns/op": 1}),
+		"BenchmarkLookup/rules=4096/masked": res(map[string]float64{"ns/op": 125}),
+		"BenchmarkLookup/rules=4096/exact":  res(map[string]float64{"ns/op": 120}),
+		"BenchmarkLookup/rules=4096/mixed":  res(map[string]float64{"ns/op": 140}), // no gate on this row
 	}
 	if bad := pairCheck(results, ratioGates); bad != 0 {
 		t.Errorf("pairCheck = %d failures on a 4x chain, want 0", bad)
@@ -122,6 +125,12 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		t.Errorf("pairCheck = %d failures on a 1.75x burst, want 1", bad)
 	}
 	results["BenchmarkReceiveBatch/batch=32"] = res(map[string]float64{"ns/op": 117})
+	// 13 µs, masked rules in a linear list: fails its gate.
+	results["BenchmarkLookup/rules=4096/masked"] = res(map[string]float64{"ns/op": 13153})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on a scanned masked lookup, want 1", bad)
+	}
+	results["BenchmarkLookup/rules=4096/masked"] = res(map[string]float64{"ns/op": 125})
 	// A declared gate with no pair in the run fails by itself.
 	delete(results, "BenchmarkE2_ChainBurst/chain")
 	if bad := pairCheck(results, ratioGates); bad != 1 {

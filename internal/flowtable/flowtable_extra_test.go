@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +57,40 @@ func TestMatchStringAllFields(t *testing.T) {
 	absent := &Match{VLAN: VLANAbsent}
 	if !strings.Contains(absent.String(), "vlan=none") {
 		t.Errorf("absent: %s", absent.String())
+	}
+	// Two matches that differ render differently: every field and every
+	// mask is in the text.
+	o := &oracle{rng: rand.New(rand.NewSource(3))}
+	seen := map[string]Match{}
+	for i := 0; i < 5000; i++ {
+		m := o.match()
+		if prev, ok := seen[m.String()]; ok && prev != *m {
+			t.Fatalf("%+v\nand %+v\nboth render as %s", prev, *m, m)
+		}
+		seen[m.String()] = *m
+	}
+}
+
+// TestOXMRoundTripEveryMatch: what FLOW_STATS and FLOW_REMOVED report of
+// an entry is its match — every field and mask survives ToOXM and back,
+// for whatever the oracle's generator draws.
+func TestOXMRoundTripEveryMatch(t *testing.T) {
+	o := &oracle{rng: rand.New(rand.NewSource(4))}
+	for i := 0; i < 5000; i++ {
+		m := o.match()
+		wire := m.ToOXM()
+		back, err := FromOXM(&wire)
+		if err != nil || *back != *m {
+			t.Fatalf("%s went out as %s and came back %s (%v)", m, &wire, back, err)
+		}
+	}
+	m := &Match{EthSrcSet: true, EthSrc: hostA, EthSrcMask: pkt.MAC{0xff, 0xff, 0xff, 0, 0, 0},
+		ICMPCodeSet: true, ICMPCode: 3,
+		ARPSPASet: true, ARPSPA: ipA, ARPSPAMask: pkt.MustIPv4("255.255.255.0"),
+		ARPTPASet: true, ARPTPA: ipB, ARPTPAMask: pkt.MustIPv4("255.255.0.0")}
+	wire := m.ToOXM()
+	if back, err := FromOXM(&wire); err != nil || *back != *m {
+		t.Fatalf("%s came back %s (%v)", m, back, err)
 	}
 }
 

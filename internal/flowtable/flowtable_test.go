@@ -355,26 +355,87 @@ func TestTableVersionBumps(t *testing.T) {
 	}
 }
 
+// coveredBy asks of two matches what a non-strict Delete or Modify asks
+// of an entry and its request.
+func coveredBy(m, r *Match) bool {
+	a, b := compile(m), compile(r)
+	return a.coveredBy(&b)
+}
+
 func TestCoveredBy(t *testing.T) {
 	specific := &Match{InPortSet: true, InPort: 1, EthTypeSet: true, EthType: 0x800,
 		IPSrcSet: true, IPSrc: pkt.MustIPv4("10.1.2.3"), IPSrcMask: onesIPv4}
 	wide := &Match{InPortSet: true, InPort: 1}
 	prefix := &Match{IPSrcSet: true, IPSrc: pkt.MustIPv4("10.1.0.0"), IPSrcMask: pkt.MustIPv4("255.255.0.0")}
 	all := &Match{}
-	if !specific.CoveredBy(wide) {
+	if !coveredBy(specific, wide) {
 		t.Error("specific should be covered by wide")
 	}
-	if wide.CoveredBy(specific) {
+	if coveredBy(wide, specific) {
 		t.Error("wide should not be covered by specific")
 	}
-	if !specific.CoveredBy(prefix) {
+	if !coveredBy(specific, prefix) {
 		t.Error("exact IP should be covered by shorter prefix")
 	}
-	if !specific.CoveredBy(all) || !wide.CoveredBy(all) {
+	if !coveredBy(specific, all) || !coveredBy(wide, all) {
 		t.Error("everything covered by match-all")
 	}
-	if all.CoveredBy(specific) {
+	if coveredBy(all, specific) {
 		t.Error("match-all not covered by specific")
+	}
+}
+
+// TestNonStrictActsOnWhatItCovers: for every matchable field, a
+// non-strict delete or modify that names one value of it leaves an entry
+// with another value — or with the same value under a wider mask — alone.
+func TestNonStrictActsOnWhatItCovers(t *testing.T) {
+	half, low := pkt.MAC{0xff, 0xff, 0xff, 0, 0, 0}, pkt.MustIPv4("255.255.255.0")
+	ip, icmp, arp := pkt.EtherTypeIPv4, pkt.IPProtoICMP, pkt.EtherTypeARP
+	fields := []struct {
+		name         string
+		named, other Match
+	}{
+		{"in_port", Match{InPortSet: true, InPort: 1}, Match{InPortSet: true, InPort: 2}},
+		{"eth_dst", Match{EthDstSet: true, EthDst: hostA, EthDstMask: onesMAC}, Match{EthDstSet: true, EthDst: hostB, EthDstMask: onesMAC}},
+		{"eth_dst mask", Match{EthDstSet: true, EthDst: hostA, EthDstMask: onesMAC}, Match{EthDstSet: true, EthDst: hostA, EthDstMask: half}},
+		{"eth_src", Match{EthSrcSet: true, EthSrc: hostA, EthSrcMask: onesMAC}, Match{EthSrcSet: true, EthSrc: hostB, EthSrcMask: onesMAC}},
+		{"eth_src mask", Match{EthSrcSet: true, EthSrc: hostA, EthSrcMask: onesMAC}, Match{EthSrcSet: true, EthSrc: hostA, EthSrcMask: half}},
+		{"eth_type", Match{EthTypeSet: true, EthType: ip}, Match{EthTypeSet: true, EthType: arp}},
+		{"vlan_vid", Match{VLAN: VLANExact, VLANVID: 10}, Match{VLAN: VLANExact, VLANVID: 20}},
+		{"vlan none", Match{VLAN: VLANAbsent}, Match{VLAN: VLANExact}},
+		{"vlan_pcp", Match{VLAN: VLANExact, VLANVID: 10, VLANPCPSet: true, VLANPCP: 1}, Match{VLAN: VLANExact, VLANVID: 10, VLANPCPSet: true, VLANPCP: 2}},
+		{"ip_proto", Match{EthTypeSet: true, EthType: ip, IPProtoSet: true, IPProto: 6}, Match{EthTypeSet: true, EthType: ip, IPProtoSet: true, IPProto: 17}},
+		{"nw_src", Match{IPSrcSet: true, IPSrc: ipA, IPSrcMask: onesIPv4}, Match{IPSrcSet: true, IPSrc: ipB, IPSrcMask: onesIPv4}},
+		{"nw_src mask", Match{IPSrcSet: true, IPSrc: ipA, IPSrcMask: onesIPv4}, Match{IPSrcSet: true, IPSrc: ipA, IPSrcMask: low}},
+		{"nw_dst", Match{IPDstSet: true, IPDst: ipA, IPDstMask: onesIPv4}, Match{IPDstSet: true, IPDst: ipB, IPDstMask: onesIPv4}},
+		{"nw_dst mask", Match{IPDstSet: true, IPDst: ipA, IPDstMask: onesIPv4}, Match{IPDstSet: true, IPDst: ipA, IPDstMask: low}},
+		{"tp_src", Match{L4SrcSet: true, L4Src: 53}, Match{L4SrcSet: true, L4Src: 54}},
+		{"tp_dst", Match{L4DstSet: true, L4Dst: 53}, Match{L4DstSet: true, L4Dst: 54}},
+		{"icmp_type", Match{IPProtoSet: true, IPProto: icmp, ICMPTypeSet: true, ICMPType: 8}, Match{IPProtoSet: true, IPProto: icmp, ICMPTypeSet: true}},
+		{"icmp_code", Match{IPProtoSet: true, IPProto: icmp, ICMPCodeSet: true, ICMPCode: 1}, Match{IPProtoSet: true, IPProto: icmp, ICMPCodeSet: true}},
+		{"arp_op", Match{EthTypeSet: true, EthType: arp, ARPOpSet: true, ARPOp: 1}, Match{EthTypeSet: true, EthType: arp, ARPOpSet: true, ARPOp: 2}},
+		{"arp_spa", Match{ARPSPASet: true, ARPSPA: ipA, ARPSPAMask: onesIPv4}, Match{ARPSPASet: true, ARPSPA: ipB, ARPSPAMask: onesIPv4}},
+		{"arp_spa mask", Match{ARPSPASet: true, ARPSPA: ipA, ARPSPAMask: onesIPv4}, Match{ARPSPASet: true, ARPSPA: ipA, ARPSPAMask: low}},
+		{"arp_tpa", Match{ARPTPASet: true, ARPTPA: ipA, ARPTPAMask: onesIPv4}, Match{ARPTPASet: true, ARPTPA: ipB, ARPTPAMask: onesIPv4}},
+		{"arp_tpa mask", Match{ARPTPASet: true, ARPTPA: ipA, ARPTPAMask: onesIPv4}, Match{ARPTPASet: true, ARPTPA: ipA, ARPTPAMask: low}},
+	}
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) {
+			tbl := NewTable(0, nil)
+			named, other := &Entry{Priority: 1, Match: &f.named}, &Entry{Priority: 1, Match: &f.other}
+			_, _ = tbl.Add(named), tbl.Add(other)
+			req := f.named
+			if n := tbl.Modify(&req, 0, false, outputTo(9)); n != 1 || len(other.Instrs()) != 0 {
+				t.Errorf("modify %s touched %d entries (the other one: %v)", &req, n, len(other.Instrs()) != 0)
+			}
+			removed := tbl.Delete(&req, 0, false, openflow.PortAny)
+			if len(removed) != 1 || removed[0].Entry != named || tbl.Len() != 1 {
+				t.Errorf("delete %s removed %d entries, %d left; want only %v gone", &req, len(removed), tbl.Len(), named)
+			}
+			if coveredBy(&f.other, &f.named) || !coveredBy(&f.named, &f.named) {
+				t.Errorf("coveredBy: %s by %s = %v, by itself %v", &f.other, &f.named, coveredBy(&f.other, &f.named), coveredBy(&f.named, &f.named))
+			}
+		})
 	}
 }
 

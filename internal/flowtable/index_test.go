@@ -1,6 +1,7 @@
 package flowtable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -63,9 +64,11 @@ func translatorEntries(n int) []*Entry {
 	return out
 }
 
-// TestIndexShape pins where entries of each shape are filed — how many
-// templates, how many residual — and that probes of every kind (hit in
-// a template, hit in the residual, miss) select what the scan selects.
+// TestIndexShape pins how entries of each shape are filed — into how
+// many tuples — and that probes of every kind (a hit in a hashed tuple,
+// in a tuple of one value, a miss) select what the scan selects. Where a
+// case name says template, read tuple: the names are recorded test ids
+// and predate the tuple list.
 func TestIndexShape(t *testing.T) {
 	arp := &pkt.Key{InPort: 1, EthType: pkt.EtherTypeARP, HasARP: true, ARPOp: 1}
 	icmp := &pkt.Key{EthType: pkt.EtherTypeIPv4, HasIPv4: true, IPProto: pkt.IPProtoICMP, HasICMP: true, ICMPType: 8}
@@ -75,15 +78,15 @@ func TestIndexShape(t *testing.T) {
 		prio int // priority of the entry selected; -1 = table miss
 	}
 	cases := []struct {
-		name                string
-		entries             []*Entry
-		templates, residual int
-		probes              []probe
+		name    string
+		entries []*Entry
+		tuples  int
+		probes  []probe
 	}{
 		{
-			name:      "translator: (in_port,vlan) and (in_port), no default",
-			entries:   translatorEntries(8),
-			templates: 2,
+			name:    "translator: (in_port,vlan) and (in_port), no default",
+			entries: translatorEntries(8),
+			tuples:  2,
 			probes: []probe{
 				{vlanKey(1, 103), 100},                         // trunk ingress, tagged 103
 				{udpKey(5, hostA, hostB, ipA, ipB, 1, 2), 100}, // patch ingress
@@ -96,7 +99,7 @@ func TestIndexShape(t *testing.T) {
 				{Priority: 100, Match: &Match{EthDstSet: true, EthDst: hostB, EthDstMask: onesMAC}},
 				{Priority: 0, Match: &Match{}},
 			},
-			templates: 1, residual: 1,
+			tuples: 2,
 			probes: []probe{{udp, 100}, {udpKey(1, hostB, hostA, ipA, ipB, 1, 2), 0}},
 		},
 		{
@@ -105,8 +108,8 @@ func TestIndexShape(t *testing.T) {
 				{Priority: 200, Match: &Match{InPortSet: true, InPort: 1, EthTypeSet: true, EthType: pkt.EtherTypeARP}},
 				{Priority: 100, Match: &Match{InPortSet: true, InPort: 1}},
 			},
-			templates: 2,
-			probes:    []probe{{udp, 100}, {arp, 200}},
+			tuples: 2,
+			probes: []probe{{udp, 100}, {arp, 200}},
 		},
 		{
 			name: "icmp and arp templates",
@@ -115,27 +118,27 @@ func TestIndexShape(t *testing.T) {
 					IPProtoSet: true, IPProto: pkt.IPProtoICMP, ICMPTypeSet: true, ICMPType: 8}},
 				{Priority: 40, Match: &Match{EthTypeSet: true, EthType: pkt.EtherTypeARP, ARPOpSet: true, ARPOp: 1}},
 			},
-			templates: 2,
-			probes:    []probe{{icmp, 50}, {arp, 40}, {udp, -1}},
+			tuples: 2,
+			probes: []probe{{icmp, 50}, {arp, 40}, {udp, -1}},
 		},
 		{
-			name: "a masked entry is residual and leaves the exact ones indexed",
+			name: "a masked entry is one more tuple",
 			entries: []*Entry{
 				{Priority: 5, Match: &Match{IPSrcSet: true, IPSrc: pkt.MustIPv4("10.0.0.0"), IPSrcMask: pkt.MustIPv4("255.0.0.0")}},
 				{Priority: 9, Match: &Match{InPortSet: true, InPort: 1}},
 			},
-			templates: 1, residual: 1,
+			tuples: 2,
 			probes: []probe{{udp, 9}, {udpKey(2, hostA, hostB, ipA, ipB, 1, 2), 5}, {arp, 9}},
 		},
 		{
-			name: "rare fields are residual",
+			name: "no field is rare: four tuples",
 			entries: []*Entry{
 				{Priority: 1, Match: &Match{VLAN: VLANExact, VLANVID: 7, VLANPCPSet: true, VLANPCP: 3}},
 				{Priority: 1, Match: &Match{ICMPCodeSet: true, ICMPCode: 1}},
 				{Priority: 1, Match: &Match{ARPSPASet: true, ARPSPA: ipA, ARPSPAMask: onesIPv4}},
 				{Priority: 1, Match: &Match{ARPTPASet: true, ARPTPA: ipA, ARPTPAMask: onesIPv4}},
 			},
-			residual: 4,
+			tuples: 4,
 			probes: []probe{
 				{&pkt.Key{HasVLAN: true, VLANID: 7, VLANPCP: 3}, 1},
 				{&pkt.Key{HasVLAN: true, VLANID: 7, VLANPCP: 2}, -1},
@@ -148,8 +151,8 @@ func TestIndexShape(t *testing.T) {
 				{Priority: 1, Match: &Match{}},
 				{Priority: 2, Match: &Match{}},
 			},
-			residual: 2,
-			probes:   []probe{{udp, 2}},
+			tuples: 1,
+			probes: []probe{{udp, 2}},
 		},
 		{
 			name: "one value at two priorities: the lower is shadowed until the higher goes",
@@ -157,8 +160,8 @@ func TestIndexShape(t *testing.T) {
 				{Priority: 10, Match: &Match{InPortSet: true, InPort: 1}},
 				{Priority: 20, Match: &Match{InPortSet: true, InPort: 1}},
 			},
-			templates: 1,
-			probes:    []probe{{udp, 20}},
+			tuples: 1,
+			probes: []probe{{udp, 20}},
 		},
 		{
 			name: "equal priorities across templates: install order decides, not template order",
@@ -167,17 +170,38 @@ func TestIndexShape(t *testing.T) {
 				{Priority: 10, Match: &Match{InPortSet: true, InPort: 1}},
 				{Priority: 20, Match: &Match{InPortSet: true, InPort: 2}}, // lifts (in_port) to the front
 			},
-			templates: 2,
-			probes:    []probe{{udp, 10}},
+			tuples: 2,
+			probes: []probe{{udp, 10}},
 		},
 		{
-			name: "vlan absent and vlan exact share a template",
+			name: "vlan absent, vlan exact: 2 tuples",
 			entries: []*Entry{
 				{Priority: 7, Match: &Match{VLAN: VLANAbsent}},
 				{Priority: 8, Match: &Match{VLAN: VLANExact, VLANVID: 0}},
 			},
-			templates: 1,
-			probes:    []probe{{udp, 7}, {vlanKey(1, 0), 8}, {vlanKey(1, 5), -1}},
+			tuples: 2,
+			probes: []probe{{udp, 7}, {vlanKey(1, 0), 8}, {vlanKey(1, 5), -1}},
+		},
+		{
+			name: "ip_proto alone takes an IPv4 or an IPv6 packet, and no other",
+			entries: []*Entry{
+				{Priority: 3, Match: &Match{IPProtoSet: true, IPProto: pkt.IPProtoUDP}},
+				{Priority: 2, Match: &Match{IPProtoSet: true}},
+			},
+			tuples: 1,
+			probes: []probe{
+				{udp, 3},
+				{&pkt.Key{EthType: pkt.EtherTypeIPv6, HasIPv6: true, IPProto: pkt.IPProtoUDP}, 3},
+				{&pkt.Key{IPProto: pkt.IPProtoUDP}, -1},
+				{arp, -1}, // ip_proto reads 0 in a packet that has none
+			},
+		},
+		{
+			name: "vlan_pcp on an untagged match answers nothing and is filed nowhere",
+			entries: []*Entry{
+				{Priority: 9, Match: &Match{VLAN: VLANAbsent, VLANPCPSet: true}},
+			},
+			probes: []probe{{udp, -1}, {vlanKey(1, 0), -1}},
 		},
 	}
 	for _, c := range cases {
@@ -188,9 +212,8 @@ func TestIndexShape(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if len(tbl.templates) != c.templates || len(tbl.residual) != c.residual {
-				t.Errorf("filed as %d templates + %d residual, want %d + %d",
-					len(tbl.templates), len(tbl.residual), c.templates, c.residual)
+			if len(tbl.tuples) != c.tuples {
+				t.Errorf("filed as %d tuples, want %d", len(tbl.tuples), c.tuples)
 			}
 			for _, p := range c.probes {
 				got := -1
@@ -233,7 +256,7 @@ func TestIndexFollowsFlowMods(t *testing.T) {
 }
 
 // TestLookupTieBreakIsInstallOrder: of overlapping entries at one
-// priority the first installed wins, whichever structure holds it.
+// priority the first installed wins, whichever tuple holds it.
 func TestLookupTieBreakIsInstallOrder(t *testing.T) {
 	matches := []*Match{
 		{InPortSet: true, InPort: 1},
@@ -311,17 +334,21 @@ type oracle struct {
 }
 
 var (
-	fuzzMACs  = []pkt.MAC{hostA, hostB}
-	fuzzIPs   = []pkt.IPv4{{10, 0, 0, 1}, {10, 0, 1, 1}, {10, 1, 0, 1}, {11, 0, 0, 1}}
-	fuzzMasks = []pkt.IPv4{{255, 0, 0, 0}, {255, 255, 0, 0}, {255, 255, 255, 0}, onesIPv4}
-	fuzzPrios = []uint16{0, 5, 10, 10, 10, 20}
+	fuzzMACs = []pkt.MAC{hostA, hostB}
+	fuzzIPs  = []pkt.IPv4{{10, 0, 0, 1}, {10, 0, 1, 1}, {10, 1, 0, 1}, {11, 0, 0, 1}}
+	// Prefixes on and off byte boundaries, and two masks with holes.
+	fuzzMasks = []pkt.IPv4{{255, 0, 0, 0}, {255, 255, 0, 0}, {255, 255, 240, 0}, {255, 255, 255, 0},
+		{255, 255, 255, 240}, onesIPv4, {255, 0, 255, 0}, {0, 255, 0, 1}}
+	fuzzMACMasks = []pkt.MAC{onesMAC, onesMAC, {0xff, 0xff, 0xff, 0, 0, 0}, {0, 0, 0, 0, 0, 0x0f}}
+	fuzzPrios    = []uint16{0, 5, 10, 10, 10, 20}
 )
 
 func pick[T any](r *rand.Rand, from []T) T { return from[r.Intn(len(from))] }
 
 // match draws a match from a small value space, so that entries overlap
-// and keys hit: exact fields in any combination, prefix masks, rare
-// fields, VLAN absent or exact, and the match-all.
+// and keys hit: exact fields in any combination, prefix and holed masks
+// on addresses and MACs, VLAN absent or exact (vlan_pcp with either: on
+// absent it can match nothing), IPv6-shaped entries, and the match-all.
 func (o *oracle) match() *Match {
 	r, m := o.rng, &Match{}
 	if r.Intn(8) == 0 {
@@ -331,24 +358,29 @@ func (o *oracle) match() *Match {
 		m.InPortSet, m.InPort = true, uint32(1+r.Intn(3))
 	}
 	if r.Intn(3) == 0 {
-		m.EthDstSet, m.EthDst, m.EthDstMask = true, pick(r, fuzzMACs), onesMAC
-		if r.Intn(4) == 0 {
-			m.EthDstMask = pkt.MAC{0xff, 0xff, 0xff, 0, 0, 0}
-		}
+		m.EthDstSet, m.EthDst, m.EthDstMask = true, pick(r, fuzzMACs), pick(r, fuzzMACMasks)
 	}
 	if r.Intn(4) == 0 {
-		m.EthSrcSet, m.EthSrc, m.EthSrcMask = true, pick(r, fuzzMACs), onesMAC
+		m.EthSrcSet, m.EthSrc, m.EthSrcMask = true, pick(r, fuzzMACs), pick(r, fuzzMACMasks)
 	}
 	switch r.Intn(4) {
 	case 0:
 		m.VLAN = VLANAbsent
 	case 1:
 		m.VLAN, m.VLANVID = VLANExact, uint16(10*(1+r.Intn(2)))
-		if r.Intn(4) == 0 {
-			m.VLANPCPSet, m.VLANPCP = true, uint8(r.Intn(2))
-		}
 	}
-	switch r.Intn(4) {
+	if m.VLAN != VLANAnyMode && r.Intn(4) == 0 {
+		m.VLANPCPSet, m.VLANPCP = true, uint8(r.Intn(2))
+	}
+	switch r.Intn(5) {
+	case 4: // IPv6: matched on ip_proto and ports only
+		if r.Intn(2) == 0 {
+			m.EthTypeSet, m.EthType = true, pkt.EtherTypeIPv6
+		}
+		m.IPProtoSet, m.IPProto = true, pkt.IPProtoUDP
+		if r.Intn(2) == 0 {
+			m.L4DstSet, m.L4Dst = true, uint16(53+r.Intn(2))
+		}
 	case 0: // IPv4, down to L4 or ICMP
 		m.EthTypeSet, m.EthType = true, pkt.EtherTypeIPv4
 		if r.Intn(2) == 0 {
@@ -415,12 +447,17 @@ func (o *oracle) key() *pkt.Key {
 	if r.Intn(2) == 0 {
 		k.HasVLAN, k.VLANID, k.VLANPCP = true, uint16(10*(1+r.Intn(2))), uint8(r.Intn(2))
 	}
-	switch r.Intn(4) {
+	switch r.Intn(5) {
 	case 0:
 		k.EthType, k.HasARP, k.ARPOp = pkt.EtherTypeARP, true, uint16(1+r.Intn(2))
 		k.ARPSPA, k.ARPTPA = pick(r, fuzzIPs), pick(r, fuzzIPs)
 	case 1:
 		k.EthType = 0x88cc // neither IP nor ARP
+	case 2:
+		k.EthType, k.HasIPv6, k.IPProto = pkt.EtherTypeIPv6, true, pkt.IPProtoUDP
+		if r.Intn(3) != 0 {
+			k.HasL4, k.L4Src, k.L4Dst = true, uint16(53+r.Intn(2)), uint16(53+r.Intn(2))
+		}
 	default:
 		k.EthType, k.HasIPv4 = pkt.EtherTypeIPv4, true
 		k.IPSrc, k.IPDst = pick(r, fuzzIPs), pick(r, fuzzIPs)
@@ -445,7 +482,22 @@ func (o *oracle) step() {
 		}
 		return o.match(), pick(r, fuzzPrios)
 	}
-	switch n := r.Intn(20); {
+	switch n := r.Intn(21); {
+	case n == 20:
+		// One address under four prefix lengths at one priority, in a
+		// random order: every key they share goes to the first installed.
+		field, ip, prio := r.Intn(2), pick(r, fuzzIPs), pick(r, fuzzPrios)
+		for _, i := range r.Perm(4) {
+			m := &Match{EthTypeSet: true, EthType: pkt.EtherTypeIPv4}
+			if field == 0 {
+				m.IPSrcSet, m.IPSrc, m.IPSrcMask = true, ip, fuzzMasks[i]
+			} else {
+				m.IPDstSet, m.IPDst, m.IPDstMask = true, ip, fuzzMasks[i]
+			}
+			if err := tbl.Add(&Entry{Priority: prio, Match: m, Instructions: outputTo(uint32(1 + i))}); err != nil {
+				o.t.Fatal(err)
+			}
+		}
 	case n < 11:
 		m, prio := request() // an installed pair replaces; else a fresh add
 		if r.Intn(4) != 0 {
@@ -458,19 +510,56 @@ func (o *oracle) step() {
 		}
 	case n < 13:
 		m, prio := request()
-		tbl.Modify(m, prio, r.Intn(2) == 0, outputTo(9))
+		strict, instrs, before := r.Intn(2) == 0, outputTo(9), tbl.Entries()
+		tbl.Modify(m, prio, strict, instrs)
+		if !strict {
+			o.judge(m, before, openflow.PortAny, func(e *Entry) bool { return &e.Instrs()[0] == &instrs[0] })
+		}
 	case n < 16:
 		m, prio := request()
 		outPort := uint32(openflow.PortAny)
 		if r.Intn(3) == 0 {
 			outPort = uint32(1 + r.Intn(3))
 		}
-		tbl.Delete(m, prio, r.Intn(2) == 0, outPort)
+		strict, before, gone := r.Intn(2) == 0, tbl.Entries(), map[*Entry]bool{}
+		for _, rm := range tbl.Delete(m, prio, strict, outPort) {
+			gone[rm.Entry] = true
+		}
+		if !strict {
+			o.judge(m, before, outPort, func(e *Entry) bool { return gone[e] })
+		}
 	case n < 18:
 		o.clk.Advance(time.Duration(r.Intn(1500)) * time.Millisecond)
 		tbl.ExpireEntries()
 	default:
 		o.clk.Advance(time.Duration(r.Intn(700)) * time.Millisecond)
+	}
+}
+
+// judge holds a non-strict flow-mod to what non-strict means, by a
+// definition that shares nothing with coveredBy: whatever an entry it
+// acted on matches, the request matches — no sampled key says otherwise —
+// and an entry whose match is the request's own, or any entry under the
+// match-all, is acted on (given it outputs to outPort). Both halves are
+// sound whatever the sample holds; the sample only decides how much the
+// first one sees.
+func (o *oracle) judge(req *Match, before []*Entry, outPort uint32, acted func(*Entry) bool) {
+	keys := make([]*pkt.Key, 256)
+	for i := range keys {
+		keys[i] = o.key()
+	}
+	for _, e := range before {
+		if !acted(e) {
+			if (e.Match.Equal(req) || *req == Match{}) && e.outputsTo(outPort) {
+				o.t.Fatalf("non-strict %s spared %v", req, e)
+			}
+			continue
+		}
+		for _, k := range keys {
+			if e.Match.Matches(k) && !req.Matches(k) {
+				o.t.Fatalf("non-strict %s acted on %v, which it does not cover: %+v matches the entry only", req, e, *k)
+			}
+		}
 	}
 }
 
@@ -498,16 +587,17 @@ func (o *oracle) check() {
 	if lookups, matched := tbl.Stats(); lookups != o.lookups || matched != o.matched {
 		t.Fatalf("Stats = %d/%d, want %d/%d", lookups, matched, o.lookups, o.matched)
 	}
-	var consult MatchMask
-	indexed := len(tbl.residual)
+	consult, indexed := shapeBits, 0
 	for _, e := range tbl.Entries() {
-		consult = consult.Union(MaskOf(e.Match))
+		if c := compile(e.Match); !c.never {
+			consult = consult.Or(&c.mask)
+		}
 	}
-	for _, tpl := range tbl.templates {
-		indexed += len(tpl.entries)
+	for _, tp := range tbl.tuples {
+		indexed += max(len(tp.entries), 1)
 	}
-	if got := tbl.ConsultMask(); got != consult {
-		t.Fatalf("ConsultMask = %v, want %v", got, consult)
+	if got := *tbl.ConsultMask(); got != consult {
+		t.Fatalf("ConsultMask = %x, want %x", got, consult)
 	}
 	if indexed > tbl.Len() {
 		t.Fatalf("index holds %d entries of a table of %d", indexed, tbl.Len())
@@ -518,7 +608,7 @@ func (o *oracle) check() {
 // interleaving of Add / Modify / Delete (strict, non-strict, out_port) /
 // ExpireEntries on a manual clock. After every step the entry Lookup
 // returns, Stats, the entry counters and ConsultMask are the reference
-// scan's.
+// scan's, and every non-strict flow-mod acted on what it covers.
 func FuzzLookupMatchesScan(f *testing.F) {
 	for seed := int64(0); seed < 64; seed++ {
 		f.Add(seed)
@@ -537,8 +627,12 @@ func FuzzLookupMatchesScan(f *testing.F) {
 }
 
 // BenchmarkLookup times a hit in the middle of an N-rule table: exact
-// rules (one template probe), prefix-masked rules (the residual walk),
-// and exact rules under a few masked ones with a table-miss default.
+// rules (one tuple), /24 prefixes (one tuple: the same probe), exact
+// rules under a few masked ones with a table-miss default (three), and
+// the tuple space's worst case — every rule a mask of its own, all at
+// one priority, so that no tuple is spared: N compares, what a scan
+// costs. Rows are rules=N/<shape> so that benchdiff pairs the shapes of
+// one N (masked must stay within 4x of exact, same run).
 func BenchmarkLookup(b *testing.B) {
 	exact := func(i int) *Match {
 		return &Match{InPortSet: true, InPort: 1, VLAN: VLANExact, VLANVID: uint16(i%4094 + 1)}
@@ -546,6 +640,14 @@ func BenchmarkLookup(b *testing.B) {
 	masked := func(i int) *Match {
 		return &Match{EthTypeSet: true, EthType: pkt.EtherTypeIPv4,
 			IPDstSet: true, IPDst: pkt.IPv4{10, byte(i >> 8), byte(i), 0}, IPDstMask: pkt.IPv4{255, 255, 255, 0}}
+	}
+	// scattered rule i: the upper half of nw_dst names the rule, the lower
+	// half is masked by a pattern no other rule uses.
+	scattered := func(i int) *Match {
+		m := &Match{EthTypeSet: true, EthType: pkt.EtherTypeIPv4, IPDstSet: true}
+		binary.BigEndian.PutUint32(m.IPDst[:], uint32(0x0a00+i)<<16|0xffff)
+		binary.BigEndian.PutUint32(m.IPDstMask[:], 0xffff0000|uint32(i+1))
+		return m
 	}
 	shapes := []struct {
 		name  string
@@ -573,10 +675,16 @@ func BenchmarkLookup(b *testing.B) {
 			_ = tbl.Add(&Entry{Priority: 0, Match: &Match{}, Instructions: outputTo(openflow.PortController)})
 			return vlanKey(1, uint16(n/2%4094+1))
 		}},
+		{"scattered", func(tbl *Table, n int) *pkt.Key {
+			for i := 0; i < n; i++ {
+				_ = tbl.Add(&Entry{Priority: 100, Match: scattered(i), Instructions: outputTo(2)})
+			}
+			return udpKey(1, hostA, hostB, ipA, scattered(n/2).IPDst, 1, 2)
+		}},
 	}
-	for _, shape := range shapes {
-		for _, n := range []int{16, 256, 4096} {
-			b.Run(fmt.Sprintf("%s/rules=%d", shape.name, n), func(b *testing.B) {
+	for _, n := range []int{16, 256, 4096} {
+		for _, shape := range shapes {
+			b.Run(fmt.Sprintf("rules=%d/%s", n, shape.name), func(b *testing.B) {
 				tbl := NewTable(0, nil)
 				k := shape.build(tbl, n)
 				b.ReportAllocs()

@@ -1,11 +1,11 @@
 // Package flowtable implements the OpenFlow 1.3 table semantics the
 // software switch executes: priority-ordered flow tables with
 // idle/hard timeouts and counters, a multi-table pipeline, and group
-// and meter tables. A table answers lookups from an ESwitch-style
-// index it keeps with every flow-mod — exact-match entries in one hash
-// table per field signature, the rest in a short ordered list — and
-// returns what a scan of its priority-ordered entries would
-// (see index.go).
+// and meter tables. A table answers lookups from a tuple-space
+// classifier it keeps with every flow-mod — each match compiled to a
+// (value, mask) pair over the packed packet key, one hash table per
+// distinct mask — and returns what a scan of its priority-ordered
+// entries would (see index.go).
 //
 // Every Table (and the GroupTable) carries a revision counter, bumped
 // on each flow-mod, group-mod, and expiry. The softswitch flow cache
@@ -26,10 +26,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
-
-// FieldID enumerates matchable fields; values intentionally mirror the
-// OXM field codes so conversion is trivial.
-type FieldID = uint8
 
 // VLANMode describes how a match constrains VLAN presence.
 type VLANMode uint8
@@ -275,22 +271,29 @@ func FromOXM(wire *openflow.Match) (*Match, error) {
 	return m, nil
 }
 
-// ToOXM converts the match back to wire TLVs.
+// ToOXM converts the match back to wire TLVs; a mask other than all
+// ones travels with its field.
 func (m *Match) ToOXM() openflow.Match {
 	w := openflow.Match{}
+	mac := func(set bool, v, mask pkt.MAC, exact func(pkt.MAC) *openflow.Match, masked func(_, _ pkt.MAC) *openflow.Match) {
+		if set && mask == onesMAC {
+			exact(v)
+		} else if set {
+			masked(v, mask)
+		}
+	}
+	ip := func(set bool, v, mask pkt.IPv4, exact func(pkt.IPv4) *openflow.Match, masked func(_, _ pkt.IPv4) *openflow.Match) {
+		if set && mask == onesIPv4 {
+			exact(v)
+		} else if set {
+			masked(v, mask)
+		}
+	}
 	if m.InPortSet {
 		w.WithInPort(m.InPort)
 	}
-	if m.EthDstSet {
-		if m.EthDstMask == onesMAC {
-			w.WithEthDst(m.EthDst)
-		} else {
-			w.WithEthDstMasked(m.EthDst, m.EthDstMask)
-		}
-	}
-	if m.EthSrcSet {
-		w.WithEthSrc(m.EthSrc)
-	}
+	mac(m.EthDstSet, m.EthDst, m.EthDstMask, w.WithEthDst, w.WithEthDstMasked)
+	mac(m.EthSrcSet, m.EthSrc, m.EthSrcMask, w.WithEthSrc, w.WithEthSrcMasked)
 	if m.EthTypeSet {
 		w.WithEthType(m.EthType)
 	}
@@ -306,20 +309,8 @@ func (m *Match) ToOXM() openflow.Match {
 	if m.IPProtoSet {
 		w.WithIPProto(m.IPProto)
 	}
-	if m.IPSrcSet {
-		if m.IPSrcMask == onesIPv4 {
-			w.WithIPv4Src(m.IPSrc)
-		} else {
-			w.WithIPv4SrcMasked(m.IPSrc, m.IPSrcMask)
-		}
-	}
-	if m.IPDstSet {
-		if m.IPDstMask == onesIPv4 {
-			w.WithIPv4Dst(m.IPDst)
-		} else {
-			w.WithIPv4DstMasked(m.IPDst, m.IPDstMask)
-		}
-	}
+	ip(m.IPSrcSet, m.IPSrc, m.IPSrcMask, w.WithIPv4Src, w.WithIPv4SrcMasked)
+	ip(m.IPDstSet, m.IPDst, m.IPDstMask, w.WithIPv4Dst, w.WithIPv4DstMasked)
 	if m.L4SrcSet {
 		if m.IPProto == pkt.IPProtoUDP {
 			w.WithUDPSrc(m.L4Src)
@@ -337,140 +328,54 @@ func (m *Match) ToOXM() openflow.Match {
 	if m.ICMPTypeSet {
 		w.WithICMPType(m.ICMPType)
 	}
+	if m.ICMPCodeSet {
+		w.WithICMPCode(m.ICMPCode)
+	}
 	if m.ARPOpSet {
 		w.WithARPOp(m.ARPOp)
 	}
-	if m.ARPSPASet {
-		w.WithARPSPA(m.ARPSPA)
-	}
-	if m.ARPTPASet {
-		w.WithARPTPA(m.ARPTPA)
-	}
+	ip(m.ARPSPASet, m.ARPSPA, m.ARPSPAMask, w.WithARPSPA, w.WithARPSPAMasked)
+	ip(m.ARPTPASet, m.ARPTPA, m.ARPTPAMask, w.WithARPTPA, w.WithARPTPAMasked)
 	return w
 }
 
 // Equal reports exact match equality (used by strict flow-mod ops).
 func (m *Match) Equal(o *Match) bool { return *m == *o }
 
-// CoveredBy reports whether every packet matching m also matches the
-// (typically wider) request r — the selection rule for non-strict
-// delete/modify. Only same-field refinement is considered, which
-// covers the practical cases (exact vs wildcard, narrower IP prefix).
-func (m *Match) CoveredBy(r *Match) bool {
-	if r.InPortSet && (!m.InPortSet || m.InPort != r.InPort) {
-		return false
-	}
-	if r.EthDstSet {
-		if !m.EthDstSet {
-			return false
-		}
-		for i := 0; i < 6; i++ {
-			// r's constrained bits must be constrained identically in m.
-			if m.EthDstMask[i]&r.EthDstMask[i] != r.EthDstMask[i] {
-				return false
-			}
-			if m.EthDst[i]&r.EthDstMask[i] != r.EthDst[i]&r.EthDstMask[i] {
-				return false
-			}
-		}
-	}
-	if r.EthSrcSet && (!m.EthSrcSet || m.EthSrc != r.EthSrc) {
-		return false
-	}
-	if r.EthTypeSet && (!m.EthTypeSet || m.EthType != r.EthType) {
-		return false
-	}
-	if r.VLAN != VLANAnyMode {
-		if m.VLAN != r.VLAN {
-			return false
-		}
-		if r.VLAN == VLANExact && m.VLANVID != r.VLANVID {
-			return false
-		}
-	}
-	if r.IPProtoSet && (!m.IPProtoSet || m.IPProto != r.IPProto) {
-		return false
-	}
-	if r.IPSrcSet {
-		if !m.IPSrcSet {
-			return false
-		}
-		for i := 0; i < 4; i++ {
-			if m.IPSrcMask[i]&r.IPSrcMask[i] != r.IPSrcMask[i] {
-				return false
-			}
-			if m.IPSrc[i]&r.IPSrcMask[i] != r.IPSrc[i]&r.IPSrcMask[i] {
-				return false
-			}
-		}
-	}
-	if r.IPDstSet {
-		if !m.IPDstSet {
-			return false
-		}
-		for i := 0; i < 4; i++ {
-			if m.IPDstMask[i]&r.IPDstMask[i] != r.IPDstMask[i] {
-				return false
-			}
-			if m.IPDst[i]&r.IPDstMask[i] != r.IPDst[i]&r.IPDstMask[i] {
-				return false
-			}
-		}
-	}
-	if r.L4SrcSet && (!m.L4SrcSet || m.L4Src != r.L4Src) {
-		return false
-	}
-	if r.L4DstSet && (!m.L4DstSet || m.L4Dst != r.L4Dst) {
-		return false
-	}
-	if r.ICMPTypeSet && (!m.ICMPTypeSet || m.ICMPType != r.ICMPType) {
-		return false
-	}
-	if r.ARPOpSet && (!m.ARPOpSet || m.ARPOp != r.ARPOp) {
-		return false
-	}
-	return true
-}
-
-// String renders the match for diagnostics.
+// String renders the match for diagnostics: every constrained field,
+// a mask other than all ones after a slash.
 func (m *Match) String() string {
 	var parts []string
-	if m.InPortSet {
-		parts = append(parts, fmt.Sprintf("in_port=%d", m.InPort))
+	add := func(set bool, format string, args ...any) {
+		if set {
+			parts = append(parts, fmt.Sprintf(format, args...))
+		}
 	}
-	if m.EthDstSet {
-		parts = append(parts, "eth_dst="+m.EthDst.String())
+	mac := func(set bool, name string, v, mask pkt.MAC) {
+		add(set && mask == onesMAC, "%s=%s", name, v)
+		add(set && mask != onesMAC, "%s=%s/%s", name, v, mask)
 	}
-	if m.EthSrcSet {
-		parts = append(parts, "eth_src="+m.EthSrc.String())
+	ip := func(set bool, name string, v, mask pkt.IPv4) {
+		add(set && mask == onesIPv4, "%s=%s", name, v)
+		add(set && mask != onesIPv4, "%s=%s/%s", name, v, mask)
 	}
-	if m.EthTypeSet {
-		parts = append(parts, fmt.Sprintf("eth_type=%#x", m.EthType))
-	}
-	switch m.VLAN {
-	case VLANAbsent:
-		parts = append(parts, "vlan=none")
-	case VLANExact:
-		parts = append(parts, fmt.Sprintf("vlan=%d", m.VLANVID))
-	}
-	if m.IPProtoSet {
-		parts = append(parts, fmt.Sprintf("ip_proto=%d", m.IPProto))
-	}
-	if m.IPSrcSet {
-		parts = append(parts, "nw_src="+m.IPSrc.String())
-	}
-	if m.IPDstSet {
-		parts = append(parts, "nw_dst="+m.IPDst.String())
-	}
-	if m.L4SrcSet {
-		parts = append(parts, fmt.Sprintf("tp_src=%d", m.L4Src))
-	}
-	if m.L4DstSet {
-		parts = append(parts, fmt.Sprintf("tp_dst=%d", m.L4Dst))
-	}
-	if m.ARPOpSet {
-		parts = append(parts, fmt.Sprintf("arp_op=%d", m.ARPOp))
-	}
+	add(m.InPortSet, "in_port=%d", m.InPort)
+	mac(m.EthDstSet, "eth_dst", m.EthDst, m.EthDstMask)
+	mac(m.EthSrcSet, "eth_src", m.EthSrc, m.EthSrcMask)
+	add(m.EthTypeSet, "eth_type=%#x", m.EthType)
+	add(m.VLAN == VLANAbsent, "vlan=none")
+	add(m.VLAN == VLANExact, "vlan=%d", m.VLANVID)
+	add(m.VLANPCPSet, "vlan_pcp=%d", m.VLANPCP)
+	add(m.IPProtoSet, "ip_proto=%d", m.IPProto)
+	ip(m.IPSrcSet, "nw_src", m.IPSrc, m.IPSrcMask)
+	ip(m.IPDstSet, "nw_dst", m.IPDst, m.IPDstMask)
+	add(m.L4SrcSet, "tp_src=%d", m.L4Src)
+	add(m.L4DstSet, "tp_dst=%d", m.L4Dst)
+	add(m.ICMPTypeSet, "icmp_type=%d", m.ICMPType)
+	add(m.ICMPCodeSet, "icmp_code=%d", m.ICMPCode)
+	add(m.ARPOpSet, "arp_op=%d", m.ARPOp)
+	ip(m.ARPSPASet, "arp_spa", m.ARPSPA, m.ARPSPAMask)
+	ip(m.ARPTPASet, "arp_tpa", m.ARPTPA, m.ARPTPAMask)
 	if len(parts) == 0 {
 		return "any"
 	}

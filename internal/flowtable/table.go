@@ -26,6 +26,7 @@ type Entry struct {
 	Flags        uint16
 
 	instrs  atomic.Pointer[[]openflow.Instruction] // set by Modify; nil = Instructions
+	cm      compiled                               // Match as the classifier holds it; set by Add
 	seq     uint64                                 // install order within the table; a replacement inherits it
 	created time.Time
 	// lastUsed is the clock reading (unix nanos) of the latest dispatch
@@ -119,10 +120,10 @@ type Table struct {
 	entries []*Entry // scan order: priority descending, then install order
 	lastSeq uint64
 
-	// The lookup index over entries (index.go), kept under mu.
-	templates []*template // exact-match entries by signature, maxPrio descending
-	residual  []*Entry    // every other entry, in scan order
-	consult   atomic.Uint32
+	// The classifier over entries (index.go): one tuple per distinct
+	// mask, maxPrio descending, kept under mu.
+	tuples  []tuple
+	consult atomic.Pointer[pkt.FlatKey]
 
 	version atomic.Uint64 // bumped on every modification (cache invalidation)
 	lookups atomic.Uint64
@@ -134,7 +135,9 @@ func NewTable(id uint8, clock netem.Clock) *Table {
 	if clock == nil {
 		clock = netem.RealClock{}
 	}
-	return &Table{id: id, clock: clock}
+	t := &Table{id: id, clock: clock}
+	t.consult.Store(&shapeBits)
+	return t
 }
 
 // SetMaxFlows bounds the table size (0 = unlimited).
@@ -161,15 +164,18 @@ func (t *Table) Stats() (lookups, matched uint64) {
 	return t.lookups.Load(), t.matched.Load()
 }
 
-// ConsultMask returns the union of MaskOf over every installed entry:
-// the set of header fields a lookup against this table can possibly
-// consult. Two keys whose ConsultMask projections are equal
-// (MatchMask.Words) select the same entry here — the per-table step of
-// the megaflow soundness argument (see Words). It is a read of what the
-// lookup index keeps: one atomic load. A flow-mod publishes the new
-// mask before it bumps the version, so a caller that reads Version
-// first never pairs a new revision with an old mask.
-func (t *Table) ConsultMask() MatchMask { return MatchMask(t.consult.Load()) }
+// ConsultMask returns the bits of a packed key a lookup against this
+// table can read: the OR of the tuple masks, and the presence bits
+// always — the IP shape check reads two of them outside any tuple's
+// mask, and with all six in, keys of one projection agree on packet
+// shape whatever the rules are. Two keys whose projections onto it are
+// equal (FlatKey.And) select the same entry here, since every probe
+// find makes reads a subset of these bits: the per-table step of the
+// megaflow soundness argument. The mask is immutable and one atomic load
+// away. A flow-mod publishes the new mask before it bumps the version,
+// so a caller that reads Version first never pairs a new revision with
+// an old mask.
+func (t *Table) ConsultMask() *pkt.FlatKey { return t.consult.Load() }
 
 // Lookup returns the highest-priority matching entry — of several at
 // that priority, the first installed — and accounts counters (nil on
@@ -178,19 +184,22 @@ func (t *Table) ConsultMask() MatchMask { return MatchMask(t.consult.Load()) }
 // reading per dispatch and credits once per burst, calls Find and
 // CreditHits.
 func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
-	hit := t.Find(k)
+	f := flatOf(k)
+	hit := t.Find(&f)
 	if hit != nil {
 		t.CreditHits(hit, 1, uint64(size), t.clock.Now().UnixNano())
 	}
 	return hit
 }
 
-// Find is Lookup with the hit's accounting left to the caller, who owes
-// the table one CreditHits packet for it. A miss has no entry to credit
-// and counts its lookup here.
-func (t *Table) Find(k *pkt.Key) *Entry {
+// Find is Lookup for a key the caller has packed (pkt.Key.FlatInto; the
+// datapath packs once per frame, for the flow cache and every table of
+// the walk), with the hit's accounting left to the caller, who owes the
+// table one CreditHits packet for it. A miss has no entry to credit and
+// counts its lookup here.
+func (t *Table) Find(f *pkt.FlatKey) *Entry {
 	t.mu.RLock()
-	hit := t.find(k)
+	hit := t.find(f)
 	t.mu.RUnlock()
 	if hit == nil {
 		t.lookups.Add(1)
@@ -223,6 +232,7 @@ func (t *Table) Add(e *Entry) error {
 	if e.Match == nil {
 		e.Match = &Match{}
 	}
+	e.cm = compile(e.Match)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.version.Add(1)
@@ -230,7 +240,7 @@ func (t *Table) Add(e *Entry) error {
 		if old.Priority == e.Priority && old.Match.Equal(e.Match) {
 			e.seq = old.seq
 			t.entries[i] = e
-			t.index(e, old)
+			t.index(e, old, nil)
 			return nil
 		}
 	}
@@ -242,7 +252,7 @@ func (t *Table) Add(e *Entry) error {
 	// Priority-descending order; the new entry goes after existing
 	// entries of the same priority.
 	t.entries = insertInOrder(t.entries, e)
-	t.index(e, nil)
+	t.index(e, nil, nil)
 	return nil
 }
 
@@ -250,6 +260,7 @@ func (t *Table) Add(e *Entry) error {
 // covered by the request match; strict: exact match + priority).
 // Counters and timeouts of modified flows are preserved.
 func (t *Table) Modify(match *Match, priority uint16, strict bool, instrs []openflow.Instruction) int {
+	req := compile(match)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
@@ -258,7 +269,7 @@ func (t *Table) Modify(match *Match, priority uint16, strict bool, instrs []open
 			if e.Priority != priority || !e.Match.Equal(match) {
 				continue
 			}
-		} else if !e.Match.CoveredBy(match) {
+		} else if !e.cm.coveredBy(&req) {
 			continue
 		}
 		e.instrs.Store(&instrs)
@@ -276,6 +287,7 @@ func (t *Table) Modify(match *Match, priority uint16, strict bool, instrs []open
 // (PortAny = no filter).
 func (t *Table) Delete(match *Match, priority uint16, strict bool, outPort uint32) []Removed {
 	now := t.clock.Now()
+	req := compile(match)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var removed []Removed
@@ -285,7 +297,7 @@ func (t *Table) Delete(match *Match, priority uint16, strict bool, outPort uint3
 		if strict {
 			del = e.Priority == priority && e.Match.Equal(match)
 		} else {
-			del = e.Match.CoveredBy(match)
+			del = e.cm.coveredBy(&req)
 		}
 		if del && !e.outputsTo(outPort) {
 			del = false

@@ -152,6 +152,12 @@ func (m *Match) WithEthSrc(mac pkt.MAC) *Match {
 	return m.add(OXM{Field: OXMEthSrc, Value: append([]byte{}, mac[:]...)})
 }
 
+// WithEthSrcMasked matches a masked source MAC.
+func (m *Match) WithEthSrcMasked(mac, mask pkt.MAC) *Match {
+	return m.add(OXM{Field: OXMEthSrc, HasMask: true,
+		Value: append([]byte{}, mac[:]...), Mask: append([]byte{}, mask[:]...)})
+}
+
 // WithEthType matches the (post-VLAN) EtherType.
 func (m *Match) WithEthType(et uint16) *Match {
 	v := make([]byte, 2)
@@ -238,6 +244,11 @@ func (m *Match) WithICMPType(t uint8) *Match {
 	return m.add(OXM{Field: OXMICMPType, Value: []byte{t}})
 }
 
+// WithICMPCode matches the ICMPv4 code.
+func (m *Match) WithICMPCode(c uint8) *Match {
+	return m.add(OXM{Field: OXMICMPCode, Value: []byte{c}})
+}
+
 // WithARPOp matches the ARP opcode.
 func (m *Match) WithARPOp(op uint16) *Match {
 	v := make([]byte, 2)
@@ -253,6 +264,18 @@ func (m *Match) WithARPTPA(ip pkt.IPv4) *Match {
 // WithARPSPA matches the ARP sender protocol address.
 func (m *Match) WithARPSPA(ip pkt.IPv4) *Match {
 	return m.add(OXM{Field: OXMARPSPA, Value: append([]byte{}, ip[:]...)})
+}
+
+// WithARPTPAMasked matches a masked ARP target protocol address.
+func (m *Match) WithARPTPAMasked(ip, mask pkt.IPv4) *Match {
+	return m.add(OXM{Field: OXMARPTPA, HasMask: true,
+		Value: append([]byte{}, ip[:]...), Mask: append([]byte{}, mask[:]...)})
+}
+
+// WithARPSPAMasked matches a masked ARP sender protocol address.
+func (m *Match) WithARPSPAMasked(ip, mask pkt.IPv4) *Match {
+	return m.add(OXM{Field: OXMARPSPA, HasMask: true,
+		Value: append([]byte{}, ip[:]...), Mask: append([]byte{}, mask[:]...)})
 }
 
 // String renders the match like "in_port=1,eth_type=2048".

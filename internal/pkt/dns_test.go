@@ -139,60 +139,3 @@ func TestDNSBadLabel(t *testing.T) {
 		t.Error("expected error for empty label")
 	}
 }
-
-func TestParserDecodeLayers(t *testing.T) {
-	frame := buildUDPFrame(t, []byte("parse me"))
-	tagged, _ := PushVLAN(frame, EtherTypeDot1Q, 33)
-	p := NewParser()
-	var decoded []LayerType
-	if err := p.DecodeLayers(tagged, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	want := []LayerType{LayerTypeEthernet, LayerTypeDot1Q, LayerTypeIPv4, LayerTypeUDP}
-	if len(decoded) != len(want) {
-		t.Fatalf("decoded %v, want %v", decoded, want)
-	}
-	for i := range want {
-		if decoded[i] != want[i] {
-			t.Fatalf("decoded %v, want %v", decoded, want)
-		}
-	}
-	if p.OuterVLAN().VLANID != 33 {
-		t.Errorf("vlan = %d", p.OuterVLAN().VLANID)
-	}
-	if p.UDP.SrcPort != 1234 {
-		t.Errorf("udp src = %d", p.UDP.SrcPort)
-	}
-	// Reuse on an untagged ARP frame.
-	arp, err := Serialize(
-		&Ethernet{Src: testSrcMAC, Dst: BroadcastMAC, EtherType: EtherTypeARP},
-		&ARP{Op: ARPRequest, SenderHW: testSrcMAC, SenderIP: testSrcIP, TargetIP: testDstIP},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.DecodeLayers(arp, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 2 || decoded[1] != LayerTypeARP {
-		t.Fatalf("decoded %v", decoded)
-	}
-	if p.ARP.TargetIP != testDstIP {
-		t.Errorf("ARP target = %v", p.ARP.TargetIP)
-	}
-}
-
-func TestParserTruncated(t *testing.T) {
-	frame := buildUDPFrame(t, []byte("x"))
-	p := NewParser()
-	var decoded []LayerType
-	if err := p.DecodeLayers(frame[:EthernetHeaderLen+10], &decoded); err != nil {
-		t.Fatal(err)
-	}
-	if !p.Truncated {
-		t.Error("Truncated must be set")
-	}
-	if len(decoded) != 1 || decoded[0] != LayerTypeEthernet {
-		t.Errorf("decoded %v", decoded)
-	}
-}

@@ -28,9 +28,6 @@ func FuzzDecodeEthernet(f *testing.F) {
 		_ = p.String() // must not panic either
 		var k Key
 		_ = ExtractKey(data, 1, &k)
-		parser := NewParser()
-		var decoded []LayerType
-		_ = parser.DecodeLayers(data, &decoded)
 	})
 }
 

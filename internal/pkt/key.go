@@ -168,8 +168,8 @@ func (k *Key) Hash() uint64 {
 //	5  arp_spa(32) arp_tpa(32)
 //
 // IPTOS, which nothing matches on, is left out. Only FlatInto knows the
-// layout: a field's mask is the packed form of a Key with that field all
-// ones (flowtable.MatchMask.Words).
+// layout: a mask over it is the packed form of a Key with all ones under
+// the bits it covers, which is how flowtable compiles a match.
 type FlatKey [6]uint64
 
 // FlatInto packs k into f.
@@ -199,6 +199,11 @@ func mac48(m *MAC) uint64 {
 // And returns f projected onto the field mask m.
 func (f *FlatKey) And(m *FlatKey) FlatKey {
 	return FlatKey{f[0] & m[0], f[1] & m[1], f[2] & m[2], f[3] & m[3], f[4] & m[4], f[5] & m[5]}
+}
+
+// Or returns the union of the masks f and m.
+func (f *FlatKey) Or(m *FlatKey) FlatKey {
+	return FlatKey{f[0] | m[0], f[1] | m[1], f[2] | m[2], f[3] | m[3], f[4] | m[4], f[5] | m[5]}
 }
 
 // Sum hashes the six words: three independent 64x64->128 multiplies of

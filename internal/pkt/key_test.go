@@ -207,16 +207,3 @@ func BenchmarkDecodeFull(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkParserDecodeLayers(b *testing.B) {
-	frame := buildUDPFrame(b, make([]byte, 1000))
-	parser := NewParser()
-	decoded := make([]LayerType, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := parser.DecodeLayers(frame, &decoded); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -5,19 +5,16 @@
 // The package follows the layering conventions popularized by gopacket:
 // a Packet is decoded into a stack of Layers, each layer knows its own
 // wire format, and serialization prepends layers onto a buffer so a
-// packet is built back-to-front. Two decode paths are provided:
+// packet is built back-to-front. Decode allocates a full layer stack,
+// convenient for hosts, tests, captures and management tooling.
 //
-//   - Decode: allocates a full layer stack, convenient for tests,
-//     captures and management tooling.
-//   - Parser (see parser.go): zero-allocation reusable decoder in the
-//     style of gopacket's DecodingLayerParser, used on the datapath.
-//
-// The datapath additionally uses ExtractKey (see key.go) which pulls
+// The datapath uses ExtractKey (see key.go) instead, which pulls
 // all OpenFlow-matchable fields out of a frame in a single pass without
 // building layer objects at all, and the in-place mutators in mutate.go
 // that implement OpenFlow set-field/push/pop actions with incremental
-// checksum fixup. Key is a comparable value type with a cheap Hash, so
-// it serves directly as the lookup key of the softswitch's flow cache.
+// checksum fixup. Key packs into six words (FlatKey), the form the flow
+// tables' classifier and the softswitch's flow cache mask, compare and
+// hash.
 package pkt
 
 import (

@@ -70,7 +70,7 @@ type txContext struct {
 	// in, one after another: classifyAndRun resets it once the walk's
 	// outcome is installed (as a copy) or dropped, so it keeps only its
 	// arrays between walks.
-	rec CacheEntry
+	rec recorder
 }
 
 // now returns the dispatch's reading of clock c in unix nanos, taken
@@ -309,12 +309,12 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 		if err := pkt.ExtractKey(frames[0], inPort, &key); err != nil {
 			s.drops.Inc()
 		} else {
+			key.FlatInto(&flat)
 			var shard uint32
 			if ch != nil {
-				key.FlatInto(&flat)
 				shard = shardOf(flat.Sum())
 			}
-			out := s.classifyAndRun(&key, &flat, shard, inPort, frames[0], &st.tx)
+			out := s.classifyAndRun(&flat, shard, inPort, frames[0], &st.tx)
 			if tel != nil {
 				tel.Observe(&key, len(frames[0]), out, now)
 			}
@@ -332,13 +332,15 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 		if err := pkt.ExtractKey(f, inPort, &keys[i]); err != nil {
 			skip[i] = true
 			bad++
+			continue
 		}
+		keys[i].FlatInto(&st.sc.flat[i])
 	}
 	if bad > 0 {
 		s.drops.Add(uint64(bad))
 	}
 	if ch != nil {
-		ch.probeBatch(keys, skip, mfs, &st.sc)
+		ch.probeBatch(skip, mfs, &st.sc)
 	} else {
 		clear(mfs)
 	}
@@ -357,7 +359,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 				// installed by an earlier frame of this very batch can
 				// already hit) before falling back to the pipeline walk,
 				// with the packed key and bypass shard the probe derived.
-				outs[i] = s.classifyAndRun(&keys[i], &st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, &st.tx)
+				outs[i] = s.classifyAndRun(&st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, &st.tx)
 			}
 		}
 	}
@@ -371,11 +373,11 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 // point: serve from the flow cache, or walk the pipeline and record
 // a new cache entry. It returns the frame's resolved egress port (0 =
 // none), which the dispatch hands to telemetry with the frame's key. flat
-// is the packed key and shard its bypass shard (shardOf(flat.Sum()));
-// neither is read on a switch without a cache.
+// is the packed key and shard its bypass shard (shardOf(flat.Sum()),
+// which is not read on a switch without a cache).
 //
 //harmless:hotpath
-func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tx *txContext) uint32 {
+func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tx *txContext) uint32 {
 	ch := s.cache
 	var mf *CacheEntry
 	var record bool
@@ -389,14 +391,14 @@ func (s *Switch) classifyAndRun(key *pkt.Key, flat *pkt.FlatKey, shard uint32, i
 	if !record {
 		// No cache, or adaptive bypass (the shard's hit rate collapsed):
 		// skip both the recording and the install — a pure slow-path walk.
-		s.runPipelineKeyed(key, inPort, frame, 0, nil, tx)
+		s.runPipelineKeyed(flat, inPort, frame, 0, nil, tx)
 		return 0
 	}
 	// Read the group revision before the walk so a group-mod racing
 	// the recording leaves it stale-by-revision, like the table revs.
 	groupRev := s.groups.Version()
 	rec := &tx.rec
-	s.runPipelineKeyed(key, inPort, frame, 0, rec, tx)
+	s.runPipelineKeyed(flat, inPort, frame, 0, rec, tx)
 	rec.resolveOutPort()
 	out := rec.outPort
 	if !rec.uncacheable {

@@ -14,11 +14,11 @@ import (
 // normally while a recorder captures the resulting program — the flat
 // sequence of datapath operations the walk performed (meter checks,
 // apply-actions lists, the final ordered action set), the table
-// entries to credit for counters and idle timeouts, and the MatchMask
-// union of every consulted table. The program is installed under the
-// packet's packed key (pkt.FlatKey) PROJECTED through that mask, so one
-// entry serves every flow whose consulted fields agree — built on the
-// same flowtable.MatchMask algebra the tables' lookup index uses.
+// entries to credit for counters and idle timeouts, and the union of
+// every consulted table's ConsultMask. The program is installed under
+// the packet's packed key (pkt.FlatKey) PROJECTED through that mask, so
+// one entry serves every flow that agrees on the bits consulted — the
+// very masks the tables' classifier files its rules under, bit for bit.
 //
 // Subsequent packets replay the program directly, skipping
 // re-classification against every table. This file holds the cached
@@ -71,22 +71,16 @@ type microOp struct {
 }
 
 // CacheEntry is one cached flow program: the dependency set to
-// revalidate and the operation sequence to replay. It doubles as the
-// recorder the pipeline walk fills in: every dispatch records into the
-// one entry of its txContext, and flowCache.install publishes a copy. A
-// published entry is immutable, so nothing has to keep a store from
-// unmapping one that a dispatch is still replaying.
+// revalidate and the operation sequence to replay. The pipeline walk
+// fills one in inside the recorder of its txContext, and
+// flowCache.install publishes a copy. A published entry is immutable, so
+// nothing has to keep a store from unmapping one that a dispatch is
+// still replaying.
 type CacheEntry struct {
 	deps     []tableDep
 	ops      []microOp
 	groups   *flowtable.GroupTable // non-nil when the program executes a group
 	groupRev uint64
-
-	// mask is the union ConsultMask of every table the walk
-	// traversed: the fields that could have influenced the decision.
-	// The entry is stored under the packet key projected through this
-	// mask, in the mask's class.
-	mask flowtable.MatchMask
 
 	// outPort is the first concrete egress port the recorded program
 	// outputs to (0 = none/reserved-only) — the telemetry plane's
@@ -101,20 +95,24 @@ type CacheEntry struct {
 	uncacheable bool
 }
 
+// recorder is what a cache-feeding walk fills in: the entry to publish,
+// and the union of the ConsultMask of every table the walk traversed —
+// the bits that could have influenced the decision. The entry is stored
+// under the packet key projected through that mask, in the mask's class,
+// which keeps the mask: a published entry carries none.
+type recorder struct {
+	CacheEntry
+	mask pkt.FlatKey
+}
+
 // reset returns the recorder to a reusable zero state, dropping every
 // reference it holds — dispatch state is pooled and must not pin tables
 // or flow entries — but keeping the deps/ops slice capacity, so
 // steady-state recording allocates nothing.
-func (mf *CacheEntry) reset() {
-	clear(mf.deps)
-	mf.deps = mf.deps[:0]
-	clear(mf.ops)
-	mf.ops = mf.ops[:0]
-	mf.groups = nil
-	mf.groupRev = 0
-	mf.mask = 0
-	mf.outPort = 0
-	mf.uncacheable = false
+func (rec *recorder) reset() {
+	clear(rec.deps)
+	clear(rec.ops)
+	*rec = recorder{CacheEntry: CacheEntry{deps: rec.deps[:0], ops: rec.ops[:0]}}
 }
 
 // valid reports whether every recorded revision still matches the live

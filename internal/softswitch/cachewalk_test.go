@@ -1,6 +1,7 @@
 package softswitch
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func walkIP(rng *rand.Rand) pkt.IPv4 {
 }
 
 // walkMatch draws a match over a random subset of the fields the flows
-// vary in, prefixes from /8 to /32.
+// vary in, prefixes from /8 to /32, /20 and /28 among them.
 func walkMatch(rng *rand.Rand) openflow.Match {
 	var m openflow.Match
 	if rng.Intn(3) == 0 {
@@ -65,12 +66,9 @@ func walkMatch(rng *rand.Rand) openflow.Match {
 	if rng.Intn(4) == 0 {
 		m.WithEthDst(walkMACs[rng.Intn(len(walkMACs))])
 	}
-	prefix := func() pkt.IPv4 {
-		bits := 8 * (1 + rng.Intn(4))
-		var mask pkt.IPv4
-		for i := 0; i < bits/8; i++ {
-			mask[i] = 0xff
-		}
+	prefix := func() (mask pkt.IPv4) {
+		bits := []int{8, 16, 20, 24, 28, 32}[rng.Intn(6)]
+		binary.BigEndian.PutUint32(mask[:], ^uint32(0)<<(32-bits))
 		return mask
 	}
 	l3 := rng.Intn(2) == 0
@@ -449,4 +447,18 @@ func TestCacheMatchesWalkRandom(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzSwitchMatchesWalk is the same check with the seed and the batch
+// size (1 to 256) the fuzzer's to choose. The committed corpus
+// (testdata/fuzz) is three picks, at batch 1, 8 and 256, each of which
+// kills several of the classifier and cache mutants CHANGES.md lists
+// (seed 17 at batch 256 kills all five this oracle can see).
+func FuzzSwitchMatchesWalk(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed*37))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, batch uint8) {
+		runCacheWalk(t, seed, 1+int(batch))
+	})
 }

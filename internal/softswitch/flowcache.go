@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/pkt"
 	"github.com/harmless-sdn/harmless/internal/stats"
 )
@@ -15,17 +14,18 @@ import (
 // the classes share: the per-packet admission decision (adaptive
 // bypass) and the counters.
 //
-// A cache entry serves every flow whose consulted fields agree: the
+// A cache entry serves every flow that agrees on the consulted bits: the
 // recorder accumulates the ConsultMask union of every table a walk
 // traverses (pipeline.go), and any later packet agreeing on those
-// fields — whatever its other header values — projects to the same key
+// bits — whatever the rest of its headers — projects to the same key
 // and replays the same program. That is sound because no traversed
-// table could have told the two packets apart (see MatchMask.Words and
-// Table.ConsultMask for the per-table argument; the walk-level one is
-// induction over the goto chain: equal projections select equal
-// entries, so equal instructions, so the same next table). Per-packet
-// operations (meters, SELECT group hashing) are re-run at replay, so
-// sharing one entry across many flows does not blur them.
+// table could have told the two packets apart (see Table.ConsultMask for
+// the per-table argument; the walk-level one is induction over the goto
+// chain: equal projections select equal entries, so equal instructions,
+// so the same next table). The masks are the classifier's own, so a /24
+// rule makes the cache key on 24 bits of the address, not on the field.
+// Per-packet operations (meters, SELECT group hashing) are re-run at
+// replay, so sharing one entry across many flows does not blur them.
 
 const (
 	// cacheShards is the number of independently locked shards a
@@ -40,9 +40,10 @@ const (
 	DefaultFlowCacheSize = 1 << 15
 
 	// maxMaskClasses bounds the class list: each class adds a
-	// projection+hash+probe to the miss path, so a pathological ruleset
-	// churning masks falls back to declining installs rather than
-	// degrading every lookup.
+	// projection+hash+probe to the miss path, so a ruleset that keeps
+	// more masks than this in use falls back to declining installs rather
+	// than degrading every lookup. Classes a flow-mod left with nothing
+	// but stale entries do not count (flowCache.compact).
 	maxMaskClasses = 16
 )
 
@@ -51,11 +52,10 @@ const (
 func shardOf(hash uint64) uint32 { return uint32(hash) & (cacheShards - 1) }
 
 // maskClass is one mask-equivalence class: an exact-match store over
-// keys projected through mask (tuple-space style, the cache's analogue
-// of the flow tables' templates).
+// keys projected through words (tuple-space style, the cache's analogue
+// of the flow tables' tuples).
 type maskClass struct {
-	mask  flowtable.MatchMask
-	words pkt.FlatKey // mask.Words(): projecting a packed key is six ANDs
+	words pkt.FlatKey // the class's mask and its identity: projecting a packed key is six ANDs
 	store flowStore
 }
 
@@ -66,7 +66,8 @@ type maskClass struct {
 // keys projected through the class being probed, and the per-shard
 // intrusive frame chains flowStore.probeBatch consumes.
 type probeScratch struct {
-	// flat[i] is keys[i] packed, written once per frame per switch.
+	// flat[i] is frame i's key packed, written once per frame per switch
+	// by the dispatch: the cache and every table's classifier read it.
 	flat []pkt.FlatKey
 	// shard[i] is shardOf(flat[i].Sum()) — the frame's bypass shard —
 	// with shardSkip set on a frame the probe leaves alone (unparsable,
@@ -221,9 +222,16 @@ func (b *bypassShard) roll(hits, lookups uint32) {
 // flowCache is the flow cache described at the top of this file: the
 // mask classes and what they share.
 type flowCache struct {
-	classes atomic.Pointer[[]*maskClass] // RCU: append-only under classMu
-	classMu sync.Mutex                   // serializes class creation
+	classes atomic.Pointer[[]*maskClass] // RCU: replaced, never written in place, under classMu
+	classMu sync.Mutex                   // serializes class creation and compaction
 	size    int                          // capacity of each class
+
+	// tablesChanged is set by every flow-mod. Masks are bit-precise, so a
+	// table whose consult mask widens (a new prefix length, say) strands
+	// the classes recorded under the old mask: their entries are all
+	// stale and the mask never recurs. Only a table change can do that,
+	// so a full class list is compacted at most once per change.
+	tablesChanged atomic.Bool
 
 	bypassOn bool // always true outside tests
 	bypass   [cacheShards]bypassShard
@@ -272,12 +280,12 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 	return e, true
 }
 
-// probeBatch probes a whole batch, class by class. It packs every key
-// once and takes its bypass shard from the hash of the packed words;
-// then, per class, the keys still unresolved are projected through the
-// class's mask and chained by the projected key's store shard, so each
-// shard read-lock is taken once per class per batch
-// (flowStore.probeBatch). A frame that projects like the last frame
+// probeBatch probes a whole batch, class by class. It takes every
+// frame's bypass shard from the hash of its packed key (sc.flat, which
+// the dispatch filled); then, per class, the keys still unresolved are
+// projected through the class's mask and chained by the projected key's
+// store shard, so each shard read-lock is taken once per class per
+// batch (flowStore.probeBatch). A frame that projects like the last frame
 // chained — the next frame of a run, of one flow or of several the class
 // cannot tell apart — is not chained: it takes that frame's entry and
 // counts as a hit, for a six-word compare in place of a hash, a lock and
@@ -293,14 +301,13 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 // admit does the bypass/probation bookkeeping exactly once.
 //
 //harmless:hotpath
-func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, sc *probeScratch) {
+func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch) {
 	clear(out)
-	for i := range keys {
+	for i := range out {
 		if skip[i] {
 			sc.shard[i] = shardSkip
 			continue
 		}
-		keys[i].FlatInto(&sc.flat[i])
 		sh := uint8(shardOf(sc.flat[i].Sum()))
 		if c.bypassOn && c.bypass[sh].mode.Load() == modeBypass {
 			sh |= shardSkip
@@ -312,7 +319,7 @@ func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, s
 			sc.heads[i] = -1
 		}
 		last, shared := int32(-1), false
-		for i := int32(len(keys)) - 1; i >= 0; i-- {
+		for i := int32(len(out)) - 1; i >= 0; i-- {
 			if sc.shard[i]&shardSkip != 0 || out[i] != nil {
 				continue
 			}
@@ -339,7 +346,7 @@ func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, s
 	// bypassed-rate tracking toward the miss side, which only makes bypass
 	// engage marginally sooner under thrash — acceptable for a heuristic.
 	var hits uint64
-	for i := range keys {
+	for i := range out {
 		if out[i] != nil {
 			hits++
 		}
@@ -356,10 +363,11 @@ func (c *flowCache) probeBatch(keys []pkt.Key, skip []bool, out []*CacheEntry, s
 }
 
 // class returns the store of a mask class, creating it on first use
-// (nil when the class list is full).
-func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
+// (nil when the class list is full of classes that still hold valid
+// entries).
+func (c *flowCache) class(mask *pkt.FlatKey) *maskClass {
 	for _, g := range *c.classes.Load() {
-		if g.mask == mask {
+		if g.words == *mask {
 			return g
 		}
 	}
@@ -367,14 +375,18 @@ func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
 	defer c.classMu.Unlock()
 	cur := *c.classes.Load()
 	for _, g := range cur {
-		if g.mask == mask {
+		if g.words == *mask {
 			return g
 		}
+	}
+	if len(cur) >= maxMaskClasses && c.tablesChanged.Swap(false) {
+		c.compact()
+		cur = *c.classes.Load()
 	}
 	if len(cur) >= maxMaskClasses {
 		return nil
 	}
-	g := &maskClass{mask: mask, words: mask.Words()}
+	g := &maskClass{words: *mask}
 	g.store.init(c.size, &c.stats)
 	next := append(slices.Clip(cur), g) // clipped: append copies, readers keep cur
 	c.classes.Store(&next)
@@ -388,25 +400,42 @@ func (c *flowCache) class(mask flowtable.MatchMask) *maskClass {
 // a store unmaps the entry: a dispatch still replaying it keeps it alive.
 // When the class list is full the recording is declined: nothing is
 // allocated and no insert is counted.
-func (c *flowCache) install(f *pkt.FlatKey, rec *CacheEntry) {
-	g := c.class(rec.mask)
+func (c *flowCache) install(f *pkt.FlatKey, rec *recorder) {
+	g := c.class(&rec.mask)
 	if g == nil {
 		return
 	}
 	e := new(CacheEntry)
-	*e = *rec
+	*e = rec.CacheEntry
 	e.deps, e.ops = slices.Clone(rec.deps), slices.Clone(rec.ops)
 	p := f.And(&g.words)
 	g.store.put(&p, p.Sum(), e)
 }
 
-// sweep unpublishes the revision-stale entries of every class. The class
-// list itself stays: empty classes are cheap to probe and reappear with
-// the same masks anyway.
+// sweep unpublishes the revision-stale entries of every class and drops
+// the classes that leaves empty.
 func (c *flowCache) sweep() int {
+	c.classMu.Lock()
+	defer c.classMu.Unlock()
+	return c.compact()
+}
+
+// compact is sweep with classMu held. A dispatch that is still probing
+// the old list probes an empty store; an install that found its class
+// just before it was dropped publishes where nobody looks, and the next
+// walk of that flow records again.
+func (c *flowCache) compact() int {
+	cur := *c.classes.Load()
+	live := make([]*maskClass, 0, len(cur))
 	n := 0
-	for _, g := range *c.classes.Load() {
+	for _, g := range cur {
 		n += g.store.prune()
+		if g.store.len() > 0 {
+			live = append(live, g)
+		}
+	}
+	if len(live) < len(cur) {
+		c.classes.Store(&live)
 	}
 	return n
 }

@@ -1,6 +1,7 @@
 package softswitch
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"github.com/harmless-sdn/harmless/internal/openflow"
@@ -269,5 +270,64 @@ func TestMaskClassCapDeclinesInstalls(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, func() { cached.Receive(masks, frame) }); allocs != 0 {
 		t.Errorf("a refused install allocates %.1f per packet, want 0 (nothing was published)", allocs)
+	}
+}
+
+// TestStrandedClassesAreReclaimed: masks are bit-precise, so every new
+// prefix length on a table is a new consult mask and the class recorded
+// under the old one can never be hit again. A controller that installs
+// /8 to /32 in ascending order goes through 25 masks on one table; the
+// classes it strands must not fill the list, or the switch would decline
+// every install for the rest of its life.
+func TestStrandedClassesAreReclaimed(t *testing.T) {
+	build := func(opts ...Option) (*Switch, *discardBackend) {
+		sw := New("widen", 0xcb, opts...)
+		sink := &discardBackend{}
+		sw.AttachPort(2, "out", sink)
+		addFlow(t, sw, 0, 1, openflow.Match{}, apply(out(2)))
+		return sw, sink
+	}
+	cached, cachedSink := build(WithFlowCacheSize(256))
+	cached.cache.bypassOn = false
+	plain, plainSink := build(WithFlowCacheSize(0))
+	frames := [][]byte{
+		udpFrame(t, macA, macB, ipA, ipB, 1000, 80, "a"),
+		udpFrame(t, macB, macA, ipB, ipA, 1001, 80, "b"),
+	}
+	cs := cached.CacheStats()
+	for bits := 8; bits <= 32; bits++ {
+		var mask pkt.IPv4
+		binary.BigEndian.PutUint32(mask[:], ^uint32(0)<<(32-bits))
+		m := openflow.Match{}
+		m.WithEthType(pkt.EtherTypeIPv4).WithIPv4DstMasked(pkt.IPv4{172, 16, 0, 0}, mask)
+		for _, sw := range []*Switch{cached, plain} {
+			addFlow(t, sw, 0, uint16(100+bits), m, apply(out(99)))
+		}
+		inserts, hits := cs.Inserts.Load(), cs.Hits.Load()
+		for round := 0; round < 2; round++ {
+			for _, f := range frames {
+				cached.Receive(1, f)
+				plain.Receive(1, f)
+			}
+		}
+		// Two flows, one or two entries (a short prefix cannot tell the
+		// destinations apart); the second round hits what the first put in.
+		if cs.Inserts.Load() == inserts || cs.Hits.Load()-hits < uint64(len(frames)) {
+			t.Fatalf("/%d: the cache stopped taking installs: %s", bits, cs)
+		}
+	}
+	if got := len(*cached.cache.classes.Load()); got > maxMaskClasses {
+		t.Errorf("%d mask classes, cap is %d", got, maxMaskClasses)
+	}
+	if got := cached.CacheLen(); got != len(frames) {
+		t.Errorf("cache len = %d, want %d (the /32 mask's entries and no stale ones)", got, len(frames))
+	}
+	if cachedSink.frames != plainSink.frames || cachedSink.frames != 25*2*len(frames) {
+		t.Errorf("forwarded %d cached vs %d uncached, want %d", cachedSink.frames, plainSink.frames, 25*2*len(frames))
+	}
+	cl, cm := cached.Table(0).Stats()
+	pl, pm := plain.Table(0).Stats()
+	if cl != pl || cm != pm {
+		t.Errorf("table 0 lookups/matched: cached %d/%d, uncached %d/%d", cl, cm, pl, pm)
 	}
 }

@@ -51,23 +51,27 @@ func (s *Switch) replay(mf *CacheEntry, inPort uint32, frame []byte, tx *txConte
 // restarts come through here).
 func (s *Switch) runPipeline(inPort uint32, frame []byte, startTable uint8, tx *txContext) {
 	var key pkt.Key
+	var flat pkt.FlatKey
 	if err := pkt.ExtractKey(frame, inPort, &key); err != nil {
 		s.drops.Inc()
 		return
 	}
-	s.runPipelineKeyed(&key, inPort, frame, startTable, nil, tx)
+	key.FlatInto(&flat)
+	s.runPipelineKeyed(&flat, inPort, frame, startTable, nil, tx)
 }
 
 // runPipelineKeyed executes tables from startTable onwards for an
-// already-extracted key. When rec is non-nil every consulted table
-// (with its pre-lookup revision) and every executed operation is
-// recorded so the walk's decision can be cached; the table's consult
-// mask is folded into rec.mask at the same point, so the recording
-// also captures the minimal wildcard mask the entry is stored under.
+// already-extracted key in its packed form — packed once per frame, for
+// the cache probe and for every table's classifier. When rec is non-nil
+// every consulted table (with its pre-lookup revision) and every
+// executed operation is recorded so the walk's decision can be cached;
+// the table's consult mask is folded into rec.mask at the same point, so
+// the recording also captures the wildcard mask the entry is stored
+// under.
 // The revision is read *before* the lookup: a flow-mod racing the
 // walk then leaves the recording stale-by-revision rather than
 // wrongly valid.
-func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, startTable uint8, rec *CacheEntry, tx *txContext) {
+func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte, startTable uint8, rec *recorder, tx *txContext) {
 	var actionSet []openflow.Action
 	tableID := startTable
 	for {
@@ -75,9 +79,9 @@ func (s *Switch) runPipelineKeyed(key *pkt.Key, inPort uint32, frame []byte, sta
 		var rev uint64
 		if rec != nil {
 			rev = table.Version()
-			rec.mask = rec.mask.Union(table.ConsultMask())
+			rec.mask = rec.mask.Or(table.ConsultMask())
 		}
-		entry := table.Find(key)
+		entry := table.Find(flat)
 		if entry == nil {
 			// OpenFlow 1.3 table-miss without a miss entry: drop. Not
 			// cached — a later flow-add must see the packet's key again.

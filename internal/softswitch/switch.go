@@ -331,6 +331,9 @@ func (s *Switch) ApplyFlowMod(fm *openflow.FlowMod) ([]flowtable.Removed, error)
 	if err := match.ValidatePrerequisites(); err != nil {
 		return nil, err
 	}
+	if s.cache != nil {
+		defer s.cache.tablesChanged.Store(true) // after the tables changed
+	}
 	switch fm.Command {
 	case openflow.FlowAdd:
 		entry := &flowtable.Entry{
