@@ -82,9 +82,13 @@ test:
 # BenchmarkE2_ChainBurst and fails if the full HARMLESS chain forwards
 # at less than 1/6 of the bare switch, runs BenchmarkReceiveBatch
 # and fails if a 32-frame burst forwards at less than 2.08x the
-# frame-at-a-time rate, and runs BenchmarkLookup and fails if a lookup
-# among /24 prefixes costs more than 4x one among exact rules — same-run
-# siblings, so the gates hold on any hardware. The whole-repo sweep then
+# frame-at-a-time rate, runs BenchmarkLookup and fails if a lookup
+# among /24 prefixes costs more than 4x one among exact rules, and runs
+# BenchmarkAdd and fails if adding a new flow to a table of 4096 costs
+# more than 4x adding it to one of 16 — same-run siblings, so the gates
+# hold on any hardware. BenchmarkFlowSetup (PACKET_IN -> learning app ->
+# FLOW_MOD + PACKET_OUT over net.Pipe, with allocs/op) rides in the same
+# pass for the record; it has no sibling to be gated against. The whole-repo sweep then
 # proves every other bench still runs too. bench.txt, bench-pairs.txt and
 # bench-full.txt are outputs, rewritten by every run (CI uploads them as
 # artifacts): .gitignore lists them and they are never committed. With
@@ -98,7 +102,8 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkManyFlows' -benchtime 20000x -count 5 ./internal/softswitch 2>&1 | tee bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkReceiveBatch' -benchtime 300000x ./internal/softswitch 2>&1 | tee -a bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x . 2>&1 | tee -a bench-pairs.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkLookup' -benchtime 100000x ./internal/flowtable 2>&1 | tee -a bench-pairs.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkAdd' -benchtime 100000x ./internal/flowtable 2>&1 | tee -a bench-pairs.txt
+	$(GO) test -run '^$$' -bench 'BenchmarkFlowSetup' -benchtime 100000x -benchmem ./internal/controller 2>&1 | tee -a bench-pairs.txt
 	{ echo "## Same-run ratio gates"; $(GO) run ./cmd/benchdiff -bench bench-pairs.txt -check -pair-check; } | tee -a $(BENCH_SUMMARY)
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./... 2>&1 | tee bench-full.txt
 	$(GO) run ./cmd/benchdiff -bench bench-full.txt -check > /dev/null

@@ -23,7 +23,9 @@
 // `X/batch=32` at least 2.08x its `X/batch=1` sibling: a burst shares
 // one cache probe per run of frames and one credit per flow entry; and
 // every `X/masked` flow-table lookup at least 1/4 of its `X/exact`
-// sibling's: a prefix rule is a hash probe like any other.
+// sibling's: a prefix rule is a hash probe like any other; and every
+// `X/at=4096` flow-mod add at least 1/4 of its `X/at=16` sibling's: a
+// new flow is filed by a probe of its tuple, not a scan of the table.
 // Run it against a measured pass (-benchtime 20000x or more), not the 1x smoke rows,
 // which are single-iteration noise.
 package main
@@ -203,6 +205,9 @@ var ratioGates = []ratioGate{
 	// every mask is a hash tuple, ≈ 0.01 at N=4096 when masked rules were
 	// scanned.
 	{Num: "masked", Den: "exact", Min: 0.25, Broken: "a masked rule costs a scan, not a probe"},
+	// BenchmarkAdd new/at=4096 against new/at=16: ≈ 1 since Add probes
+	// its tuple, ≈ 0.02 when it compared the new match with every entry.
+	{Num: "at=4096", Den: "at=16", Min: 0.25, Broken: "a flow-mod add scans the table"},
 }
 
 // pairCheck walks every gate's `<base>/<Num>` results whose

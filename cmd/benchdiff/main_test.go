@@ -96,7 +96,8 @@ func TestPairCheck(t *testing.T) {
 
 func TestPairCheckDeclaredGates(t *testing.T) {
 	// The declared table: the cache pair, the chain/bare pair, the burst
-	// pair and the masked/exact lookup pair, each with its own minimum.
+	// pair, the masked/exact lookup pair and the add-at-size pair, each
+	// with its own minimum.
 	results := map[string]*Result{
 		"BenchmarkManyFlows/zipf/cached":    res(map[string]float64{"pps": 2.0e6}),
 		"BenchmarkManyFlows/zipf/uncached":  res(map[string]float64{"pps": 1.0e6}),
@@ -109,6 +110,9 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		"BenchmarkLookup/rules=4096/masked": res(map[string]float64{"ns/op": 125}),
 		"BenchmarkLookup/rules=4096/exact":  res(map[string]float64{"ns/op": 120}),
 		"BenchmarkLookup/rules=4096/mixed":  res(map[string]float64{"ns/op": 140}), // no gate on this row
+		"BenchmarkAdd/new/at=4096":          res(map[string]float64{"ns/op": 420}),
+		"BenchmarkAdd/new/at=256":           res(map[string]float64{"ns/op": 400}), // no gate on this row
+		"BenchmarkAdd/new/at=16":            res(map[string]float64{"ns/op": 380}),
 	}
 	if bad := pairCheck(results, ratioGates); bad != 0 {
 		t.Errorf("pairCheck = %d failures on a 4x chain, want 0", bad)
@@ -131,6 +135,12 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		t.Errorf("pairCheck = %d failures on a scanned masked lookup, want 1", bad)
 	}
 	results["BenchmarkLookup/rules=4096/masked"] = res(map[string]float64{"ns/op": 125})
+	// 21 µs, the new match compared with each of 4096 entries: fails its gate.
+	results["BenchmarkAdd/new/at=4096"] = res(map[string]float64{"ns/op": 21000})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on an add that scans, want 1", bad)
+	}
+	results["BenchmarkAdd/new/at=4096"] = res(map[string]float64{"ns/op": 420})
 	// A declared gate with no pair in the run fails by itself.
 	delete(results, "BenchmarkE2_ChainBurst/chain")
 	if bad := pairCheck(results, ratioGates); bad != 1 {

@@ -336,10 +336,16 @@ func runDemo(d *fabric.Deployment) {
 
 func printStatus(d *fabric.Deployment) {
 	lookups0, matched0 := d.S4.SS2.Table(0).Stats()
-	fmt.Printf("status: SS_1 trunk rx=%d tx=%d | SS_2 table0 lookups=%d matched=%d pktins=%d drops=%d\n",
+	// async_dropped: events (packet-ins above all) a controller that had
+	// stopped reading lost at its channel's send bound.
+	var asyncDropped uint64
+	if a := d.S4.Agent(); a != nil {
+		asyncDropped = a.ChannelSet().Dropped()
+	}
+	fmt.Printf("status: SS_1 trunk rx=%d tx=%d | SS_2 table0 lookups=%d matched=%d pktins=%d async_dropped=%d drops=%d\n",
 		d.S4.SS1.PortCounters(1).RxPackets.Load(),
 		d.S4.SS1.PortCounters(1).TxPackets.Load(),
-		lookups0, matched0, d.S4.SS2.PacketIns(), d.S4.SS2.Drops())
+		lookups0, matched0, d.S4.SS2.PacketIns(), asyncDropped, d.S4.SS2.Drops())
 	if c1, c2 := d.S4.SS1.CacheStats(), d.S4.SS2.CacheStats(); c1 != nil && c2 != nil {
 		fmt.Printf("status: flow cache SS_1 %s (%d flows) | SS_2 %s (%d flows)\n",
 			c1, d.S4.SS1.CacheLen(), c2, d.S4.SS2.CacheLen())

@@ -106,17 +106,17 @@ func (l *Learning) PacketIn(sw *controller.SwitchHandle, pi *openflow.PacketIn) 
 		_ = sw.FloodPacket(inPort, pi.Data)
 		return
 	}
-	// Install the forward flow and release the packet along it.
-	match := openflow.Match{}
-	match.WithEthDst(dst)
+	// Install the forward flow and release the packet along it: one
+	// action list serves both messages.
+	acts := []openflow.Action{&openflow.ActionOutput{Port: outPort, MaxLen: 0xffff}}
 	_ = sw.FlowMod(&openflow.FlowMod{
 		TableID: l.Table, Command: openflow.FlowAdd, Priority: 10,
 		IdleTimeout: l.IdleTimeout,
 		BufferID:    openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-		Match: match,
-		Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
-			Actions: []openflow.Action{&openflow.ActionOutput{Port: outPort, MaxLen: 0xffff}},
-		}},
+		// The match reads the destination where it lies, in the frame
+		// the PACKET_IN owns.
+		Match:        openflow.Match{OXMs: []openflow.OXM{{Field: openflow.OXMEthDst, Value: pi.Data[0:6:6]}}},
+		Instructions: []openflow.Instruction{&openflow.InstrApplyActions{Actions: acts}},
 	})
-	_ = sw.PacketOut(inPort, pi.Data, &openflow.ActionOutput{Port: outPort, MaxLen: 0xffff})
+	_ = sw.PacketOut(inPort, pi.Data, acts...)
 }

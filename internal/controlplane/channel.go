@@ -155,6 +155,7 @@ type Channel struct {
 
 	state   atomic.Int32
 	redials atomic.Uint64 // dial attempts after the first
+	dropped atomic.Uint64 // async events refused at the send bound
 	lastRx  atomic.Int64  // unixnano of the last received message
 
 	mu    sync.Mutex
@@ -193,6 +194,11 @@ func (c *Channel) Role() uint32 {
 // initial one (active-connect mode only).
 func (c *Channel) Redials() uint64 { return c.redials.Load() }
 
+// Dropped returns the number of asynchronous events (packet-in,
+// flow-removed, port-status) this channel's controller was owed and did
+// not get because it had stopped reading: see ChannelSet.Broadcast.
+func (c *Channel) Dropped() uint64 { return c.dropped.Load() }
+
 // RemoteAddr returns the dial address (active mode) or "" for attached
 // transports.
 func (c *Channel) RemoteAddr() string { return c.addr }
@@ -202,7 +208,9 @@ func (c *Channel) RemoteAddr() string { return c.addr }
 // finish on their own — they redial).
 func (c *Channel) Done() <-chan struct{} { return c.done }
 
-// Send queues m on the channel's transport.
+// Send queues m on the channel's transport. It waits while the
+// connection's bound of unsent bytes is reached: replies are flow
+// controlled, not dropped.
 func (c *Channel) Send(m openflow.Message) error {
 	c.mu.Lock()
 	conn := c.conn
@@ -211,6 +219,23 @@ func (c *Channel) Send(m openflow.Message) error {
 		return ErrChannelDown
 	}
 	return conn.Send(m)
+}
+
+// offer queues an encoded asynchronous event. It never waits: at the
+// connection's bound the event is dropped for this channel and counted.
+func (c *Channel) offer(event []byte) bool {
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	if conn == nil {
+		return false
+	}
+	err := conn.Offer(event)
+	if err == openflow.ErrBacklog {
+		c.dropped.Add(1)
+		c.set.dropped.Add(1)
+	}
+	return err == nil
 }
 
 // Reply sends resp echoing req's transaction id.
@@ -352,7 +377,11 @@ func (c *Channel) serve(rw io.ReadWriteCloser) {
 				break
 			}
 			c.lastRx.Store(c.cfg.Clock.Now().UnixNano())
+			// What the dispatch sends — a reply, the packet-ins a
+			// packet-out provokes — leaves in one write when it returns.
+			conn.Hold()
 			c.dispatch(m)
+			conn.Release()
 		}
 		close(stopKeep)
 	}

@@ -33,10 +33,12 @@ type ChannelSet struct {
 	cfg Config
 	dp  Datapath
 
-	xids atomic.Uint32 // xid space for broadcast async events
+	xids    atomic.Uint32 // xid space for broadcast async events
+	dropped atomic.Uint64 // async events refused at a channel's send bound
 
 	mu         sync.Mutex
 	channels   map[*Channel]struct{}
+	event      []byte // Broadcast's scratch: the event in hand, encoded
 	listeners  []net.Listener
 	generation uint64
 	genValid   bool
@@ -176,19 +178,42 @@ func (s *ChannelSet) Close() {
 // port-status) out to every channel whose role and async masks accept
 // the message's reason code; it returns how many channels took it.
 // The spec's default masks deliver to masters and equals only (slaves
-// still see port-status).
+// still see port-status). The event is encoded once and its bytes
+// appended to each taker's connection buffer.
+//
+// Broadcast runs on the datapath's forwarding goroutines, so it never
+// waits for a controller: a channel whose connection already holds its
+// bound of unsent bytes — the controller has stopped reading — loses
+// the event, and the loss is counted (Channel.Dropped, Dropped).
 func (s *ChannelSet) Broadcast(m openflow.Message, reason uint8) int {
 	if m.XID() == 0 {
 		m.SetXID(s.xids.Add(1))
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var event []byte
 	n := 0
-	for _, c := range s.Channels() {
-		if c.wantsAsync(m.MsgType(), reason) && c.Send(m) == nil {
+	for c := range s.channels {
+		if !c.wantsAsync(m.MsgType(), reason) {
+			continue
+		}
+		if event == nil {
+			var err error
+			if event, err = m.AppendTo(s.event[:0]); err != nil {
+				return 0
+			}
+			s.event = event
+		}
+		if c.offer(event) {
 			n++
 		}
 	}
 	return n
 }
+
+// Dropped returns how many asynchronous events the set's channels,
+// past and present, lost at their send bound.
+func (s *ChannelSet) Dropped() uint64 { return s.dropped.Load() }
 
 // handleRoleRequest runs the role arbitration state machine for one
 // ROLE_REQUEST (OF1.3 §6.3.5): generation_id is checked against the

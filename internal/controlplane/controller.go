@@ -13,8 +13,9 @@ import (
 )
 
 // Events carries the asynchronous-message callbacks of a Controller.
-// Nil fields drop the event. Callbacks run on the client's read loop:
-// keep them short or hand off.
+// Nil fields drop the event. Callbacks run on the client's read loop,
+// which holds the connection's flush until the callback returns: keep
+// them short, and hand off before waiting for a reply.
 type Events struct {
 	PacketIn    func(*openflow.PacketIn)
 	FlowRemoved func(*openflow.FlowRemoved)
@@ -256,7 +257,11 @@ func (c *Controller) readLoop() {
 			return
 		}
 		c.lastRx.Store(c.cfg.Clock.Now().UnixNano())
+		// What an event callback sends (FLOW_MOD + PACKET_OUT for one
+		// PACKET_IN) leaves in one write when it returns.
+		c.conn.Hold()
 		c.dispatch(m)
+		c.conn.Release()
 	}
 }
 

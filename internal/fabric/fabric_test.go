@@ -391,10 +391,11 @@ func TestWaitConnectedReturnsAttachError(t *testing.T) {
 		d.handle, d.attachErr = ctrl.AttachConn(ctrlSide)
 		close(d.attached)
 	}()
-	if _, err := openflow.ReadMessage(swSide); err != nil { // the controller's HELLO
+	sw := openflow.NewConn(swSide)
+	if _, err := sw.Recv(); err != nil { // the controller's HELLO
 		t.Fatal(err)
 	}
-	swSide.Close()
+	sw.Close()
 	start := time.Now()
 	err := d.WaitConnected(5 * time.Second)
 	if err == nil || errors.Is(err, ErrTimeout) || !strings.Contains(err.Error(), "handshake") {

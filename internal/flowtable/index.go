@@ -167,6 +167,28 @@ func insertInOrder(list []*Entry, e *Entry) []*Entry {
 	return list
 }
 
+// bucket returns the entry filed at value v, nil when there is none.
+func (tp *tuple) bucket(v *pkt.FlatKey) *Entry {
+	if tp.entries != nil {
+		return tp.entries[*v]
+	}
+	if tp.value == *v {
+		return tp.first
+	}
+	return nil
+}
+
+// filed reports whether the tuple of c's mask holds an entry at c's
+// value. The caller holds a lock.
+func (t *Table) filed(c *compiled) bool {
+	for i := range t.tuples {
+		if t.tuples[i].mask == c.mask {
+			return t.tuples[i].bucket(&c.value) != nil
+		}
+	}
+	return false
+}
+
 // index files e, which Add just compiled and placed in t.entries — in
 // the slot of replaced when that is non-nil, whose match equals e's. at,
 // when reindex passes one, maps each mask to its tuple's place. The caller
@@ -193,15 +215,13 @@ func (t *Table) index(e, replaced *Entry, at map[pkt.FlatKey]int) {
 		t.tuples = append(t.tuples, tuple{mask: c.mask, anyIP: c.anyIP, value: c.value})
 	}
 	tp := &t.tuples[i]
-	switch {
+	switch cur := tp.bucket(&c.value); {
+	case cur != nil && cur != replaced && !e.before(cur):
+		// shadowed by cur
 	case tp.entries != nil:
-		if cur := tp.entries[c.value]; cur == nil || cur == replaced || e.before(cur) {
-			tp.entries[c.value] = e
-		}
+		tp.entries[c.value] = e
 	case tp.value == c.value:
-		if tp.first == nil || tp.first == replaced || e.before(tp.first) {
-			tp.first = e
-		}
+		tp.first = e
 	default: // a second value: the tuple is hashed from here on
 		tp.entries = map[pkt.FlatKey]*Entry{tp.value: tp.first, c.value: e}
 	}

@@ -698,3 +698,116 @@ func BenchmarkLookup(b *testing.B) {
 		}
 	}
 }
+
+// TestAddReplacesWhatItsTupleFiles covers what Add's probe of the tuple
+// rests on: an entry with an equal match is filed at the new entry's
+// value or shadowed there, so "something filed" sends Add to the scan
+// that finds it, wherever it sits.
+func TestAddReplacesWhatItsTupleFiles(t *testing.T) {
+	k := udpKey(1, hostA, hostB, ipA, ipB, 1, 2)
+	inPort := func() *Match { return &Match{InPortSet: true, InPort: 1} }
+
+	t.Run("replace keeps scan position and resets counters", func(t *testing.T) {
+		tbl := NewTable(0, nil)
+		first := &Entry{Priority: 10, Match: inPort(), Instructions: outputTo(1)}
+		others := []*Entry{
+			{Priority: 10, Match: &Match{EthDstSet: true, EthDst: hostB, EthDstMask: onesMAC}},
+			{Priority: 10, Match: &Match{EthTypeSet: true, EthType: pkt.EtherTypeIPv4}},
+		}
+		for _, e := range append([]*Entry{first}, others...) {
+			_ = tbl.Add(e)
+		}
+		if got := tbl.Lookup(k, 64); got != first || first.Packets() != 1 {
+			t.Fatalf("lookup = %v, %d packets; want the first installed, 1", got, first.Packets())
+		}
+		again := &Entry{Priority: 10, Match: inPort(), Instructions: outputTo(2)}
+		_ = tbl.Add(again)
+		if got := tbl.Entries(); len(got) != 3 || got[0] != again || got[1] != others[0] || got[2] != others[1] {
+			t.Fatalf("entries after the replacement: %v", got)
+		}
+		if again.Packets() != 0 {
+			t.Errorf("the replacement starts at %d packets", again.Packets())
+		}
+		if got := tbl.Lookup(k, 64); got != again {
+			t.Errorf("lookup = %v, want the replacement in the first's place", got)
+		}
+	})
+
+	t.Run("a shadowed entry is found and replaced", func(t *testing.T) {
+		for _, prios := range [][2]uint16{{10, 5}, {5, 10}} {
+			tbl := NewTable(0, nil)
+			_ = tbl.Add(&Entry{Priority: prios[0], Match: inPort()})
+			_ = tbl.Add(&Entry{Priority: prios[1], Match: inPort()})
+			low := &Entry{Priority: 5, Match: inPort(), Instructions: outputTo(3)}
+			_ = tbl.Add(low) // at 5: shadowed by the one at 10, in the same bucket
+			got := tbl.Entries()
+			if len(got) != 2 || got[1] != low || got[0].Priority != 10 {
+				t.Fatalf("installed at %v then 5 again: entries %v", prios, got)
+			}
+			if hit := tbl.Lookup(k, 64); hit != got[0] {
+				t.Errorf("lookup = %v, want the entry at priority 10", hit)
+			}
+			// With the shadowing entry gone the replacement is what answers.
+			tbl.Delete(inPort(), 10, true, openflow.PortAny)
+			if hit := tbl.Lookup(k, 64); hit != low {
+				t.Errorf("lookup after the delete = %v, want the replacement", hit)
+			}
+		}
+	})
+
+	t.Run("a never-matching entry added twice is one entry", func(t *testing.T) {
+		tbl := NewTable(0, nil)
+		never := func() *Match { return &Match{VLAN: VLANAbsent, VLANPCPSet: true, VLANPCP: 3} }
+		_ = tbl.Add(&Entry{Priority: 7, Match: never()})
+		second := &Entry{Priority: 7, Match: never()}
+		_ = tbl.Add(second)
+		if got := tbl.Entries(); len(got) != 1 || got[0] != second {
+			t.Fatalf("entries: %v", got)
+		}
+	})
+
+	t.Run("new values are new entries", func(t *testing.T) {
+		tbl := NewTable(0, nil)
+		for i := uint32(1); i <= 100; i++ {
+			_ = tbl.Add(&Entry{Priority: 10, Match: &Match{InPortSet: true, InPort: i}})
+		}
+		if tbl.Len() != 100 {
+			t.Fatalf("Len = %d after 100 distinct matches", tbl.Len())
+		}
+	})
+}
+
+// BenchmarkAdd times OFPFC_ADD of a match the table does not hold — what
+// every reactive flow set-up does — against tables already holding N
+// entries at the same priority in the same tuple. Rows are new/at=N so
+// that benchdiff pairs the sizes (at=4096 must stay within 4x of at=16,
+// same run): the add probes its tuple and appends, it does not compare
+// the new match with every entry. The table is cut back to N every 16
+// adds, off the clock.
+func BenchmarkAdd(b *testing.B) {
+	const batch = 16
+	for _, n := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("new/at=%d", n), func(b *testing.B) {
+			tbl := NewTable(0, nil)
+			for i := 0; i < n; i++ {
+				_ = tbl.Add(&Entry{Priority: 100, Match: &Match{InPortSet: true, InPort: 1, VLAN: VLANExact, VLANVID: uint16(i)}})
+			}
+			fresh := &Match{InPortSet: true, InPort: 2} // covers the timed adds and no other
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := &Entry{Priority: 100, Match: &Match{InPortSet: true, InPort: 2, VLAN: VLANExact, VLANVID: uint16(i % batch)}}
+				if err := tbl.Add(e); err != nil {
+					b.Fatal(err)
+				}
+				if i%batch == batch-1 {
+					b.StopTimer()
+					if tbl.Delete(fresh, 0, false, openflow.PortAny); tbl.Len() != n {
+						b.Fatalf("table holds %d entries, want %d", tbl.Len(), n)
+					}
+					b.StartTimer()
+				}
+			}
+		})
+	}
+}

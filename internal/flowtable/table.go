@@ -224,7 +224,12 @@ func (t *Table) CreditHits(e *Entry, packets, bytes uint64, now int64) {
 }
 
 // Add installs a flow per OFPFC_ADD semantics: an entry with identical
-// match and priority is replaced (counters reset).
+// match and priority is replaced (counters reset). Equal matches compile
+// alike, and every entry is filed in its mask's tuple or shadowed there
+// by one of the same value: a tuple that holds nothing at the new
+// entry's value says the entry is new without a look at any other. The
+// entries are scanned for the one to replace only when something is
+// filed there — and for a never-matching entry, which is filed nowhere.
 func (t *Table) Add(e *Entry) error {
 	now := t.clock.Now()
 	e.created = now
@@ -236,12 +241,14 @@ func (t *Table) Add(e *Entry) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	defer t.version.Add(1)
-	for i, old := range t.entries {
-		if old.Priority == e.Priority && old.Match.Equal(e.Match) {
-			e.seq = old.seq
-			t.entries[i] = e
-			t.index(e, old, nil)
-			return nil
+	if e.cm.never || t.filed(&e.cm) {
+		for i, old := range t.entries {
+			if old.Priority == e.Priority && old.Match.Equal(e.Match) {
+				e.seq = old.seq
+				t.entries[i] = e
+				t.index(e, old, nil)
+				return nil
+			}
 		}
 	}
 	if t.maxFlows > 0 && len(t.entries) >= t.maxFlows {

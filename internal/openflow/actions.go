@@ -1,9 +1,9 @@
 package openflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Action type codes (ofp_action_type).
@@ -20,8 +20,9 @@ const (
 type Action interface {
 	// ActionType returns the ofp_action_type code.
 	ActionType() uint16
-	// marshal encodes the action including its header and padding.
-	marshal() ([]byte, error)
+	// appendTo appends the action's encoding, header and padding
+	// included, to b.
+	appendTo(b []byte) ([]byte, error)
 	// String renders the action in ovs-ofctl style.
 	String() string
 }
@@ -36,13 +37,13 @@ type ActionOutput struct {
 // ActionType implements Action.
 func (a *ActionOutput) ActionType() uint16 { return ActionTypeOutput }
 
-func (a *ActionOutput) marshal() ([]byte, error) {
-	buf := make([]byte, 16)
+func (a *ActionOutput) appendTo(b []byte) ([]byte, error) {
+	b, buf := extend(b, 16)
 	binary.BigEndian.PutUint16(buf[0:2], ActionTypeOutput)
 	binary.BigEndian.PutUint16(buf[2:4], 16)
 	binary.BigEndian.PutUint32(buf[4:8], a.Port)
 	binary.BigEndian.PutUint16(buf[8:10], a.MaxLen)
-	return buf, nil
+	return b, nil
 }
 
 // String implements Action.
@@ -69,12 +70,8 @@ type ActionPushVLAN struct {
 // ActionType implements Action.
 func (a *ActionPushVLAN) ActionType() uint16 { return ActionTypePushVLAN }
 
-func (a *ActionPushVLAN) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], ActionTypePushVLAN)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	binary.BigEndian.PutUint16(buf[4:6], a.EtherType)
-	return buf, nil
+func (a *ActionPushVLAN) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, ActionTypePushVLAN, uint32(a.EtherType)<<16)
 }
 
 // String implements Action.
@@ -86,11 +83,8 @@ type ActionPopVLAN struct{}
 // ActionType implements Action.
 func (a *ActionPopVLAN) ActionType() uint16 { return ActionTypePopVLAN }
 
-func (a *ActionPopVLAN) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], ActionTypePopVLAN)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	return buf, nil
+func (a *ActionPopVLAN) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, ActionTypePopVLAN, 0)
 }
 
 // String implements Action.
@@ -104,12 +98,8 @@ type ActionGroup struct {
 // ActionType implements Action.
 func (a *ActionGroup) ActionType() uint16 { return ActionTypeGroup }
 
-func (a *ActionGroup) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], ActionTypeGroup)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	binary.BigEndian.PutUint32(buf[4:8], a.GroupID)
-	return buf, nil
+func (a *ActionGroup) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, ActionTypeGroup, a.GroupID)
 }
 
 // String implements Action.
@@ -121,11 +111,8 @@ type ActionDecNwTTL struct{}
 // ActionType implements Action.
 func (a *ActionDecNwTTL) ActionType() uint16 { return ActionTypeDecNwTTL }
 
-func (a *ActionDecNwTTL) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], ActionTypeDecNwTTL)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	return buf, nil
+func (a *ActionDecNwTTL) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, ActionTypeDecNwTTL, 0)
 }
 
 // String implements Action.
@@ -140,9 +127,9 @@ type ActionSetField struct {
 // ActionType implements Action.
 func (a *ActionSetField) ActionType() uint16 { return ActionTypeSetField }
 
-func (a *ActionSetField) marshal() ([]byte, error) {
-	wantLen, ok := oxmValueLen[a.OXM.Field]
-	if !ok {
+func (a *ActionSetField) appendTo(b []byte) ([]byte, error) {
+	wantLen := int(oxmValueLen[a.OXM.Field])
+	if wantLen == 0 {
 		return nil, fmt.Errorf("openflow: set_field: unsupported OXM field %d", a.OXM.Field)
 	}
 	if a.OXM.HasMask {
@@ -153,29 +140,35 @@ func (a *ActionSetField) marshal() ([]byte, error) {
 	}
 	raw := 4 + 4 + wantLen // action hdr + oxm hdr + value
 	total := (raw + 7) / 8 * 8
-	buf := make([]byte, total)
+	b, buf := extend(b, total)
 	binary.BigEndian.PutUint16(buf[0:2], ActionTypeSetField)
 	binary.BigEndian.PutUint16(buf[2:4], uint16(total))
 	hdr := uint32(OXMClassBasic)<<16 | uint32(a.OXM.Field)<<9 | uint32(wantLen)
 	binary.BigEndian.PutUint32(buf[4:8], hdr)
 	copy(buf[8:], a.OXM.Value)
-	return buf, nil
+	return b, nil
 }
 
 // String implements Action.
 func (a *ActionSetField) String() string { return "set_field:" + a.OXM.String() }
 
-// marshalActions concatenates action encodings.
-func marshalActions(actions []Action) ([]byte, error) {
-	var buf bytes.Buffer
+// appendTLV8 appends the 8-byte form the short actions and instructions
+// share: type, length 8, and four bytes of value or padding.
+func appendTLV8(b []byte, typ uint16, v uint32) ([]byte, error) {
+	b = binary.BigEndian.AppendUint16(b, typ)
+	b = binary.BigEndian.AppendUint16(b, 8)
+	return binary.BigEndian.AppendUint32(b, v), nil
+}
+
+// appendActions appends the action encodings to b.
+func appendActions(b []byte, actions []Action) ([]byte, error) {
+	var err error
 	for _, a := range actions {
-		b, err := a.marshal()
-		if err != nil {
+		if b, err = a.appendTo(b); err != nil {
 			return nil, err
 		}
-		buf.Write(b)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // unmarshalActions decodes a packed action list.
@@ -221,9 +214,12 @@ func unmarshalActions(data []byte) ([]Action, error) {
 			if 8+plen > alen {
 				return nil, fmt.Errorf("openflow: set_field OXM overflows action")
 			}
+			if plen == 0 || plen != int(oxmValueLen[field]) {
+				return nil, fmt.Errorf("openflow: set_field OXM field %d length %d", field, plen)
+			}
 			out = append(out, &ActionSetField{OXM: OXM{
 				Field: field,
-				Value: append([]byte{}, body[8:8+plen]...),
+				Value: body[8 : 8+plen : 8+plen],
 			}})
 		default:
 			return nil, fmt.Errorf("openflow: unsupported action type %d", typ)
@@ -235,7 +231,7 @@ func unmarshalActions(data []byte) ([]Action, error) {
 
 // actionsString renders a list like "pop_vlan,output:2".
 func actionsString(actions []Action) string {
-	var b bytes.Buffer
+	var b strings.Builder
 	for i, a := range actions {
 		if i > 0 {
 			b.WriteByte(',')

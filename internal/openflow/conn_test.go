@@ -11,16 +11,18 @@ import (
 )
 
 // TestConnCloseDeliversQueuedFrames: frames accepted by Send before
-// Close must reach the peer — Close flushes the outbound queue instead
-// of discarding it.
+// Close must reach the peer — Close flushes the unsent bytes instead
+// of discarding them.
 func TestConnCloseDeliversQueuedFrames(t *testing.T) {
 	c1, c2 := net.Pipe()
 	conn := NewConn(c1)
+	peer := NewConn(c2)
+	defer peer.Close()
 
 	got := make(chan Message, 4)
 	go func() {
 		for {
-			m, err := ReadMessage(c2)
+			m, err := peer.Recv()
 			if err != nil {
 				close(got)
 				return
@@ -29,9 +31,9 @@ func TestConnCloseDeliversQueuedFrames(t *testing.T) {
 		}
 	}()
 
-	// net.Pipe is unbuffered: the writer blocks on the first frame
+	// net.Pipe is unbuffered: the writer blocks on its first flush
 	// until the reader picks it up, so with several sends in flight at
-	// Close time some are still queued.
+	// Close time some are still in the buffer.
 	for i := 0; i < 3; i++ {
 		if err := conn.Send(&EchoRequest{Data: []byte{byte(i)}}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -57,38 +59,50 @@ func TestConnCloseDeliversQueuedFrames(t *testing.T) {
 	}
 }
 
-// TestConnSendBackpressure: a full outbound queue makes Send block
-// (flow control towards a slow peer), and Close releases the blocked
-// sender with an error instead of leaking it.
+// unsentLen reads the connection's backlog as the writer sees it.
+func unsentLen(c *Conn) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.buf)
+}
+
+// TestConnSendBackpressure: with maxUnsent bytes waiting Send blocks
+// (flow control towards a slow peer) and Offer refuses, and Close
+// releases the blocked sender with an error instead of leaking it.
 func TestConnSendBackpressure(t *testing.T) {
 	c1, c2 := net.Pipe() // nothing ever reads c2
 	defer c2.Close()
 	conn := NewConn(c1)
 
-	// First frame: wait until the writer dequeued it and is stuck in
-	// the pipe Write, so the queue capacity below is exact.
+	// First frame: wait until the writer took it and is stuck in the
+	// pipe Write, so the backlog below is exact.
 	if err := conn.Send(&Hello{}); err != nil {
 		t.Fatalf("first send: %v", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for len(conn.out) != 0 {
+	for unsentLen(conn) != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("writer never picked up the first frame")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Fill the queue; everything beyond it must block.
-	for i := 0; i < outboundQueueLen; i++ {
-		if err := conn.Send(&Hello{}); err != nil {
+	// Fill the buffer to the bound; everything beyond it must block.
+	chunk := &EchoRequest{Data: make([]byte, 32<<10)}
+	for i := 0; unsentLen(conn) < maxUnsent; i++ {
+		if err := conn.Send(chunk); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
+	}
+	frame, _ := (&Hello{}).Marshal()
+	if err := conn.Offer(frame); err != ErrBacklog {
+		t.Fatalf("Offer at the bound = %v, want ErrBacklog", err)
 	}
 
 	blocked := make(chan error, 1)
 	go func() { blocked <- conn.Send(&Hello{}) }()
 	select {
 	case err := <-blocked:
-		t.Fatalf("send past a full queue returned early: %v", err)
+		t.Fatalf("send past the bound returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 		// Still blocked: backpressure is on.
 	}

@@ -1,9 +1,15 @@
 package openflow
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
 // FuzzParse hardens the wire decoder: arbitrary framed bytes must
-// never panic.
+// never panic, and what it accepts the encoder must carry: the message
+// re-encodes, the re-encoding parses to an equal message, and appending
+// it to a prefix leaves the prefix as it was.
 func FuzzParse(f *testing.F) {
 	for _, m := range []Message{
 		&Hello{}, &EchoRequest{Data: []byte("x")},
@@ -38,7 +44,21 @@ func FuzzParse(f *testing.F) {
 		if err != nil || m == nil {
 			return
 		}
-		// Whatever decoded must re-marshal without panicking.
-		_, _ = m.Marshal()
+		wire, err := m.AppendTo(nil)
+		if err != nil {
+			t.Fatalf("Parse accepted what AppendTo rejects: %v\n%+v", err, m)
+		}
+		again, err := Parse(wire)
+		if err != nil {
+			t.Fatalf("re-encoding does not parse: %v\n%+v", err, m)
+		}
+		if !reflect.DeepEqual(m, again) {
+			t.Fatalf("re-encoding parses differently:\n  first  %+v\n  second %+v", m, again)
+		}
+		prefix := []byte("prefix")
+		both, err := m.AppendTo(append(make([]byte, 0, 8), prefix...))
+		if err != nil || !bytes.Equal(both[:len(prefix)], prefix) || !bytes.Equal(both[len(prefix):], wire) {
+			t.Fatalf("AppendTo(prefix) = %x, %v; want the prefix then %x", both, err, wire)
+		}
 	})
 }

@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 )
@@ -32,18 +31,18 @@ type Bucket struct {
 	Actions    []Action
 }
 
-func (b *Bucket) marshal() ([]byte, error) {
-	acts, err := marshalActions(b.Actions)
+func (bk *Bucket) appendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, buf := extend(b, 16)
+	binary.BigEndian.PutUint16(buf[2:4], bk.Weight)
+	binary.BigEndian.PutUint32(buf[4:8], bk.WatchPort)
+	binary.BigEndian.PutUint32(buf[8:12], bk.WatchGroup)
+	b, err := appendActions(b, bk.Actions)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 16+len(acts))
-	binary.BigEndian.PutUint16(buf[0:2], uint16(len(buf)))
-	binary.BigEndian.PutUint16(buf[2:4], b.Weight)
-	binary.BigEndian.PutUint32(buf[4:8], b.WatchPort)
-	binary.BigEndian.PutUint32(buf[8:12], b.WatchGroup)
-	copy(buf[16:], acts)
-	return buf, nil
+	putLen16(b, start, start)
+	return b, nil
 }
 
 func unmarshalBuckets(data []byte) ([]Bucket, error) {
@@ -83,24 +82,24 @@ type GroupMod struct {
 // MsgType implements Message.
 func (*GroupMod) MsgType() uint8 { return TypeGroupMod }
 
-// Marshal implements Message.
-func (m *GroupMod) Marshal() ([]byte, error) {
-	var bkts bytes.Buffer
+// AppendTo implements Message.
+func (m *GroupMod) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 8)
+	binary.BigEndian.PutUint16(p[0:2], m.Command)
+	p[2] = m.GroupType
+	binary.BigEndian.PutUint32(p[4:8], m.GroupID)
+	var err error
 	for i := range m.Buckets {
-		b, err := m.Buckets[i].marshal()
-		if err != nil {
+		if b, err = m.Buckets[i].appendTo(b); err != nil {
 			return nil, err
 		}
-		bkts.Write(b)
 	}
-	buf := make([]byte, HeaderLen+8+bkts.Len())
-	binary.BigEndian.PutUint16(buf[HeaderLen:], m.Command)
-	buf[HeaderLen+2] = m.GroupType
-	binary.BigEndian.PutUint32(buf[HeaderLen+4:], m.GroupID)
-	copy(buf[HeaderLen+8:], bkts.Bytes())
-	putHeader(buf, TypeGroupMod, m.Xid)
-	return buf, nil
+	return finish(b, start, TypeGroupMod, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *GroupMod) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *GroupMod) unmarshalBody(body []byte) error {
 	if len(body) < 8 {
@@ -156,23 +155,25 @@ type MeterMod struct {
 // MsgType implements Message.
 func (*MeterMod) MsgType() uint8 { return TypeMeterMod }
 
-// Marshal implements Message.
-func (m *MeterMod) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen+8+16*len(m.Bands))
-	binary.BigEndian.PutUint16(buf[HeaderLen:], m.Command)
-	binary.BigEndian.PutUint16(buf[HeaderLen+2:], m.Flags)
-	binary.BigEndian.PutUint32(buf[HeaderLen+4:], m.MeterID)
-	off := HeaderLen + 8
-	for _, b := range m.Bands {
-		binary.BigEndian.PutUint16(buf[off:], b.Type)
-		binary.BigEndian.PutUint16(buf[off+2:], 16)
-		binary.BigEndian.PutUint32(buf[off+4:], b.Rate)
-		binary.BigEndian.PutUint32(buf[off+8:], b.BurstSize)
-		off += 16
+// AppendTo implements Message.
+func (m *MeterMod) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 8+16*len(m.Bands))
+	binary.BigEndian.PutUint16(p[0:2], m.Command)
+	binary.BigEndian.PutUint16(p[2:4], m.Flags)
+	binary.BigEndian.PutUint32(p[4:8], m.MeterID)
+	for i, band := range m.Bands {
+		e := p[8+16*i:]
+		binary.BigEndian.PutUint16(e[0:2], band.Type)
+		binary.BigEndian.PutUint16(e[2:4], 16)
+		binary.BigEndian.PutUint32(e[4:8], band.Rate)
+		binary.BigEndian.PutUint32(e[8:12], band.BurstSize)
 	}
-	putHeader(buf, TypeMeterMod, m.Xid)
-	return buf, nil
+	return finish(b, start, TypeMeterMod, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *MeterMod) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *MeterMod) unmarshalBody(body []byte) error {
 	if len(body) < 8 {

@@ -1,9 +1,9 @@
 package openflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 )
 
 // Instruction type codes (ofp_instruction_type).
@@ -19,8 +19,8 @@ const (
 type Instruction interface {
 	// InstrType returns the ofp_instruction_type code.
 	InstrType() uint16
-	// marshal encodes the instruction.
-	marshal() ([]byte, error)
+	// appendTo appends the instruction's encoding to b.
+	appendTo(b []byte) ([]byte, error)
 	// String renders the instruction.
 	String() string
 }
@@ -33,12 +33,8 @@ type InstrGotoTable struct {
 // InstrType implements Instruction.
 func (i *InstrGotoTable) InstrType() uint16 { return InstrTypeGotoTable }
 
-func (i *InstrGotoTable) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], InstrTypeGotoTable)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	buf[4] = i.TableID
-	return buf, nil
+func (i *InstrGotoTable) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, InstrTypeGotoTable, uint32(i.TableID)<<24)
 }
 
 // String implements Instruction.
@@ -52,16 +48,21 @@ type InstrApplyActions struct {
 // InstrType implements Instruction.
 func (i *InstrApplyActions) InstrType() uint16 { return InstrTypeApplyActions }
 
-func (i *InstrApplyActions) marshal() ([]byte, error) {
-	acts, err := marshalActions(i.Actions)
+func (i *InstrApplyActions) appendTo(b []byte) ([]byte, error) {
+	return appendActionsInstr(b, InstrTypeApplyActions, i.Actions)
+}
+
+// appendActionsInstr encodes an instruction that is a header and an
+// action list.
+func appendActionsInstr(b []byte, typ uint16, actions []Action) ([]byte, error) {
+	start := len(b)
+	b, _ = appendTLV8(b, typ, 0)
+	b, err := appendActions(b, actions)
 	if err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 8+len(acts))
-	binary.BigEndian.PutUint16(buf[0:2], InstrTypeApplyActions)
-	binary.BigEndian.PutUint16(buf[2:4], uint16(len(buf)))
-	copy(buf[8:], acts)
-	return buf, nil
+	putLen16(b, start+2, start)
+	return b, nil
 }
 
 // String implements Instruction.
@@ -75,16 +76,8 @@ type InstrWriteActions struct {
 // InstrType implements Instruction.
 func (i *InstrWriteActions) InstrType() uint16 { return InstrTypeWriteActions }
 
-func (i *InstrWriteActions) marshal() ([]byte, error) {
-	acts, err := marshalActions(i.Actions)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 8+len(acts))
-	binary.BigEndian.PutUint16(buf[0:2], InstrTypeWriteActions)
-	binary.BigEndian.PutUint16(buf[2:4], uint16(len(buf)))
-	copy(buf[8:], acts)
-	return buf, nil
+func (i *InstrWriteActions) appendTo(b []byte) ([]byte, error) {
+	return appendActionsInstr(b, InstrTypeWriteActions, i.Actions)
 }
 
 // String implements Instruction.
@@ -96,11 +89,8 @@ type InstrClearActions struct{}
 // InstrType implements Instruction.
 func (i *InstrClearActions) InstrType() uint16 { return InstrTypeClearActions }
 
-func (i *InstrClearActions) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], InstrTypeClearActions)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	return buf, nil
+func (i *InstrClearActions) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, InstrTypeClearActions, 0)
 }
 
 // String implements Instruction.
@@ -114,28 +104,22 @@ type InstrMeter struct {
 // InstrType implements Instruction.
 func (i *InstrMeter) InstrType() uint16 { return InstrTypeMeter }
 
-func (i *InstrMeter) marshal() ([]byte, error) {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint16(buf[0:2], InstrTypeMeter)
-	binary.BigEndian.PutUint16(buf[2:4], 8)
-	binary.BigEndian.PutUint32(buf[4:8], i.MeterID)
-	return buf, nil
+func (i *InstrMeter) appendTo(b []byte) ([]byte, error) {
+	return appendTLV8(b, InstrTypeMeter, i.MeterID)
 }
 
 // String implements Instruction.
 func (i *InstrMeter) String() string { return fmt.Sprintf("meter:%d", i.MeterID) }
 
-// marshalInstructions concatenates instruction encodings.
-func marshalInstructions(instrs []Instruction) ([]byte, error) {
-	var buf bytes.Buffer
+// appendInstructions appends the instruction encodings to b.
+func appendInstructions(b []byte, instrs []Instruction) ([]byte, error) {
+	var err error
 	for _, in := range instrs {
-		b, err := in.marshal()
-		if err != nil {
+		if b, err = in.appendTo(b); err != nil {
 			return nil, err
 		}
-		buf.Write(b)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // unmarshalInstructions decodes a packed instruction list.
@@ -180,7 +164,7 @@ func unmarshalInstructions(data []byte) ([]Instruction, error) {
 
 // instructionsString renders an instruction list.
 func instructionsString(instrs []Instruction) string {
-	var b bytes.Buffer
+	var b strings.Builder
 	for i, in := range instrs {
 		if i > 0 {
 			b.WriteByte(' ')

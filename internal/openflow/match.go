@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
@@ -42,8 +43,9 @@ const OXMVIDPresent uint16 = 0x1000
 // OXMVIDNone matches only untagged packets (OFPVID_NONE).
 const OXMVIDNone uint16 = 0x0000
 
-// oxmValueLen gives the value length of each supported field.
-var oxmValueLen = map[uint8]int{
+// oxmValueLen gives the value length of each supported field, 0 for
+// the rest.
+var oxmValueLen = [256]uint8{
 	OXMInPort: 4, OXMEthDst: 6, OXMEthSrc: 6, OXMEthType: 2,
 	OXMVLANVID: 2, OXMVLANPCP: 1, OXMIPProto: 1,
 	OXMIPv4Src: 4, OXMIPv4Dst: 4,
@@ -283,7 +285,7 @@ func (m *Match) String() string {
 	if m == nil || len(m.OXMs) == 0 {
 		return "any"
 	}
-	var b bytes.Buffer
+	var b strings.Builder
 	for i, o := range m.OXMs {
 		if i > 0 {
 			b.WriteByte(',')
@@ -309,70 +311,56 @@ func (m *Match) Equal(other *Match) bool {
 	return true
 }
 
-// marshal encodes an ofp_match structure including padding to 8 bytes.
-func (m *Match) marshal() ([]byte, error) {
-	var body bytes.Buffer
+// appendTo encodes an ofp_match structure including padding to 8 bytes.
+func (m *Match) appendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b = append(b, 0, 1, 0, 0) // ofp_match: type OFPMT_OXM (2) | length (2) | oxms | pad to 8
 	for _, o := range m.OXMs {
-		wantLen, ok := oxmValueLen[o.Field]
-		if !ok {
+		wantLen := int(oxmValueLen[o.Field])
+		if wantLen == 0 {
 			return nil, fmt.Errorf("openflow: unsupported OXM field %d", o.Field)
 		}
 		if len(o.Value) != wantLen {
 			return nil, fmt.Errorf("openflow: OXM %s value length %d, want %d",
 				oxmName[o.Field], len(o.Value), wantLen)
 		}
-		payloadLen := wantLen
-		hdr := uint32(OXMClassBasic)<<16 | uint32(o.Field)<<9
+		hdr := uint32(OXMClassBasic)<<16 | uint32(o.Field)<<9 | uint32(wantLen)
 		if o.HasMask {
 			if len(o.Mask) != wantLen {
 				return nil, fmt.Errorf("openflow: OXM %s mask length %d, want %d",
 					oxmName[o.Field], len(o.Mask), wantLen)
 			}
-			hdr |= 1 << 8
-			payloadLen *= 2
+			hdr += 1<<8 | uint32(wantLen) // has-mask bit; the payload is value, then mask
 		}
-		hdr |= uint32(payloadLen)
-		var h [4]byte
-		binary.BigEndian.PutUint32(h[:], hdr)
-		body.Write(h[:])
-		body.Write(o.Value)
+		b = binary.BigEndian.AppendUint32(b, hdr)
+		b = append(b, o.Value...)
 		if o.HasMask {
-			body.Write(o.Mask)
+			b = append(b, o.Mask...)
 		}
 	}
-	// ofp_match: type(2) | length(2) | oxms | pad to 8.
-	length := 4 + body.Len()
-	out := make([]byte, 0, length+7)
-	var th [4]byte
-	binary.BigEndian.PutUint16(th[0:2], 1) // OFPMT_OXM
-	binary.BigEndian.PutUint16(th[2:4], uint16(length))
-	out = append(out, th[:]...)
-	out = append(out, body.Bytes()...)
-	if rem := length % 8; rem != 0 {
-		out = append(out, pad(8-rem)...)
-	}
-	return out, nil
+	putLen16(b, start+2, start)                               // the length excludes the padding,
+	return append(b, make([]byte, -(len(b)-start)&7)...), nil // which rounds it up to 8
 }
 
-// unmarshalMatch decodes an ofp_match and returns it together with the
-// total number of bytes consumed (including padding).
-func unmarshalMatch(data []byte) (*Match, int, error) {
+// unmarshal decodes an ofp_match into m and returns the number of bytes
+// consumed (including padding). Values and masks are slices of data.
+func (m *Match) unmarshal(data []byte) (int, error) {
 	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("openflow: truncated match")
+		return 0, fmt.Errorf("openflow: truncated match")
 	}
 	mtype := binary.BigEndian.Uint16(data[0:2])
 	length := int(binary.BigEndian.Uint16(data[2:4]))
 	if mtype != 1 {
-		return nil, 0, fmt.Errorf("openflow: unsupported match type %d", mtype)
+		return 0, fmt.Errorf("openflow: unsupported match type %d", mtype)
 	}
 	if length < 4 || length > len(data) {
-		return nil, 0, fmt.Errorf("openflow: bad match length %d", length)
+		return 0, fmt.Errorf("openflow: bad match length %d", length)
 	}
-	m := &Match{}
+	m.OXMs = nil
 	body := data[4:length]
 	for len(body) > 0 {
 		if len(body) < 4 {
-			return nil, 0, fmt.Errorf("openflow: truncated OXM header")
+			return 0, fmt.Errorf("openflow: truncated OXM header")
 		}
 		hdr := binary.BigEndian.Uint32(body[0:4])
 		class := uint16(hdr >> 16)
@@ -380,28 +368,25 @@ func unmarshalMatch(data []byte) (*Match, int, error) {
 		hasMask := hdr&(1<<8) != 0
 		plen := int(hdr & 0xff)
 		if class != OXMClassBasic {
-			return nil, 0, fmt.Errorf("openflow: unsupported OXM class %#x", class)
+			return 0, fmt.Errorf("openflow: unsupported OXM class %#x", class)
 		}
 		if len(body) < 4+plen {
-			return nil, 0, fmt.Errorf("openflow: truncated OXM payload")
+			return 0, fmt.Errorf("openflow: truncated OXM payload")
 		}
-		wantLen, ok := oxmValueLen[field]
-		if !ok {
-			return nil, 0, fmt.Errorf("openflow: unsupported OXM field %d", field)
+		wantLen := int(oxmValueLen[field])
+		if wantLen == 0 {
+			return 0, fmt.Errorf("openflow: unsupported OXM field %d", field)
 		}
 		o := OXM{Field: field, HasMask: hasMask}
 		if hasMask {
 			if plen != wantLen*2 {
-				return nil, 0, fmt.Errorf("openflow: OXM field %d masked length %d", field, plen)
+				return 0, fmt.Errorf("openflow: OXM field %d masked length %d", field, plen)
 			}
-			o.Value = append([]byte{}, body[4:4+wantLen]...)
-			o.Mask = append([]byte{}, body[4+wantLen:4+2*wantLen]...)
-		} else {
-			if plen != wantLen {
-				return nil, 0, fmt.Errorf("openflow: OXM field %d length %d", field, plen)
-			}
-			o.Value = append([]byte{}, body[4:4+wantLen]...)
+			o.Mask = body[4+wantLen : 4+2*wantLen : 4+2*wantLen]
+		} else if plen != wantLen {
+			return 0, fmt.Errorf("openflow: OXM field %d length %d", field, plen)
 		}
+		o.Value = body[4 : 4+wantLen : 4+wantLen]
 		m.OXMs = append(m.OXMs, o)
 		body = body[4+plen:]
 	}
@@ -410,7 +395,7 @@ func unmarshalMatch(data []byte) (*Match, int, error) {
 		consumed += 8 - rem
 	}
 	if consumed > len(data) {
-		return nil, 0, fmt.Errorf("openflow: match padding exceeds buffer")
+		return 0, fmt.Errorf("openflow: match padding exceeds buffer")
 	}
-	return m, consumed, nil
+	return consumed, nil
 }

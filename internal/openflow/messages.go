@@ -9,18 +9,35 @@ import (
 
 // --- Hello / Echo / Barrier -----------------------------------------
 
+// appendData encodes a message whose body is data as it stands: the
+// header-only messages (nil) and the echoes.
+func appendData(b []byte, typ uint8, xid uint32, data []byte) ([]byte, error) {
+	start := len(b)
+	b, _ = begin(b, 0)
+	return finish(append(b, data...), start, typ, xid)
+}
+
+// payload returns the bytes that end a frame as a decoded message keeps
+// them: nil when empty, otherwise as they are, spare capacity of the
+// frame included (see Conn.Recv) — nothing else lives behind them.
+func payload(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return b
+}
+
 // Hello opens version negotiation.
 type Hello struct{ xid }
 
 // MsgType implements Message.
 func (*Hello) MsgType() uint8 { return TypeHello }
 
+// AppendTo implements Message.
+func (m *Hello) AppendTo(b []byte) ([]byte, error) { return appendData(b, TypeHello, m.Xid, nil) }
+
 // Marshal implements Message.
-func (m *Hello) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen)
-	putHeader(buf, TypeHello, m.Xid)
-	return buf, nil
-}
+func (m *Hello) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *Hello) unmarshalBody(body []byte) error { return nil }
 
@@ -33,18 +50,16 @@ type EchoRequest struct {
 // MsgType implements Message.
 func (*EchoRequest) MsgType() uint8 { return TypeEchoRequest }
 
-// Marshal implements Message.
-func (m *EchoRequest) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen+len(m.Data))
-	copy(buf[HeaderLen:], m.Data)
-	putHeader(buf, TypeEchoRequest, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *EchoRequest) AppendTo(b []byte) ([]byte, error) {
+	return appendData(b, TypeEchoRequest, m.Xid, m.Data)
 }
 
+// Marshal implements Message.
+func (m *EchoRequest) Marshal() ([]byte, error) { return m.AppendTo(nil) }
+
 func (m *EchoRequest) unmarshalBody(body []byte) error {
-	if len(body) > 0 {
-		m.Data = append([]byte{}, body...)
-	}
+	m.Data = payload(body)
 	return nil
 }
 
@@ -57,18 +72,16 @@ type EchoReply struct {
 // MsgType implements Message.
 func (*EchoReply) MsgType() uint8 { return TypeEchoReply }
 
-// Marshal implements Message.
-func (m *EchoReply) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen+len(m.Data))
-	copy(buf[HeaderLen:], m.Data)
-	putHeader(buf, TypeEchoReply, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *EchoReply) AppendTo(b []byte) ([]byte, error) {
+	return appendData(b, TypeEchoReply, m.Xid, m.Data)
 }
 
+// Marshal implements Message.
+func (m *EchoReply) Marshal() ([]byte, error) { return m.AppendTo(nil) }
+
 func (m *EchoReply) unmarshalBody(body []byte) error {
-	if len(body) > 0 {
-		m.Data = append([]byte{}, body...)
-	}
+	m.Data = payload(body)
 	return nil
 }
 
@@ -78,12 +91,13 @@ type BarrierRequest struct{ xid }
 // MsgType implements Message.
 func (*BarrierRequest) MsgType() uint8 { return TypeBarrierRequest }
 
-// Marshal implements Message.
-func (m *BarrierRequest) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen)
-	putHeader(buf, TypeBarrierRequest, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *BarrierRequest) AppendTo(b []byte) ([]byte, error) {
+	return appendData(b, TypeBarrierRequest, m.Xid, nil)
 }
+
+// Marshal implements Message.
+func (m *BarrierRequest) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *BarrierRequest) unmarshalBody(body []byte) error { return nil }
 
@@ -93,12 +107,13 @@ type BarrierReply struct{ xid }
 // MsgType implements Message.
 func (*BarrierReply) MsgType() uint8 { return TypeBarrierReply }
 
-// Marshal implements Message.
-func (m *BarrierReply) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen)
-	putHeader(buf, TypeBarrierReply, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *BarrierReply) AppendTo(b []byte) ([]byte, error) {
+	return appendData(b, TypeBarrierReply, m.Xid, nil)
 }
+
+// Marshal implements Message.
+func (m *BarrierReply) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *BarrierReply) unmarshalBody(body []byte) error { return nil }
 
@@ -135,15 +150,17 @@ type Error struct {
 // MsgType implements Message.
 func (*Error) MsgType() uint8 { return TypeError }
 
-// Marshal implements Message.
-func (m *Error) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen+4+len(m.Data))
-	binary.BigEndian.PutUint16(buf[HeaderLen:], m.ErrType)
-	binary.BigEndian.PutUint16(buf[HeaderLen+2:], m.Code)
-	copy(buf[HeaderLen+4:], m.Data)
-	putHeader(buf, TypeError, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *Error) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 4)
+	binary.BigEndian.PutUint16(p[0:2], m.ErrType)
+	binary.BigEndian.PutUint16(p[2:4], m.Code)
+	return finish(append(b, m.Data...), start, TypeError, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *Error) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *Error) unmarshalBody(body []byte) error {
 	if len(body) < 4 {
@@ -151,9 +168,7 @@ func (m *Error) unmarshalBody(body []byte) error {
 	}
 	m.ErrType = binary.BigEndian.Uint16(body[0:2])
 	m.Code = binary.BigEndian.Uint16(body[2:4])
-	if d := body[4:]; len(d) > 0 {
-		m.Data = append([]byte{}, d...)
-	}
+	m.Data = payload(body[4:])
 	return nil
 }
 
@@ -171,12 +186,13 @@ type FeaturesRequest struct{ xid }
 // MsgType implements Message.
 func (*FeaturesRequest) MsgType() uint8 { return TypeFeaturesRequest }
 
-// Marshal implements Message.
-func (m *FeaturesRequest) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen)
-	putHeader(buf, TypeFeaturesRequest, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *FeaturesRequest) AppendTo(b []byte) ([]byte, error) {
+	return appendData(b, TypeFeaturesRequest, m.Xid, nil)
 }
+
+// Marshal implements Message.
+func (m *FeaturesRequest) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *FeaturesRequest) unmarshalBody(body []byte) error { return nil }
 
@@ -201,17 +217,20 @@ type FeaturesReply struct {
 // MsgType implements Message.
 func (*FeaturesReply) MsgType() uint8 { return TypeFeaturesReply }
 
-// Marshal implements Message.
-func (m *FeaturesReply) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen+24)
-	binary.BigEndian.PutUint64(buf[HeaderLen:], m.DatapathID)
-	binary.BigEndian.PutUint32(buf[HeaderLen+8:], m.NBuffers)
-	buf[HeaderLen+12] = m.NTables
-	buf[HeaderLen+13] = m.AuxiliaryID
-	binary.BigEndian.PutUint32(buf[HeaderLen+16:], m.Capabilities)
-	putHeader(buf, TypeFeaturesReply, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *FeaturesReply) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 24)
+	binary.BigEndian.PutUint64(p[0:8], m.DatapathID)
+	binary.BigEndian.PutUint32(p[8:12], m.NBuffers)
+	p[12] = m.NTables
+	p[13] = m.AuxiliaryID
+	binary.BigEndian.PutUint32(p[16:20], m.Capabilities)
+	return finish(b, start, TypeFeaturesReply, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *FeaturesReply) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *FeaturesReply) unmarshalBody(body []byte) error {
 	if len(body) < 24 {
@@ -263,17 +282,10 @@ type FlowMod struct {
 // MsgType implements Message.
 func (*FlowMod) MsgType() uint8 { return TypeFlowMod }
 
-// Marshal implements Message.
-func (m *FlowMod) Marshal() ([]byte, error) {
-	match, err := m.Match.marshal()
-	if err != nil {
-		return nil, err
-	}
-	instrs, err := marshalInstructions(m.Instructions)
-	if err != nil {
-		return nil, err
-	}
-	fixed := make([]byte, 40)
+// AppendTo implements Message.
+func (m *FlowMod) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, fixed := begin(b, 40)
 	binary.BigEndian.PutUint64(fixed[0:8], m.Cookie)
 	binary.BigEndian.PutUint64(fixed[8:16], m.CookieMask)
 	fixed[16] = m.TableID
@@ -285,15 +297,18 @@ func (m *FlowMod) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint32(fixed[28:32], m.OutPort)
 	binary.BigEndian.PutUint32(fixed[32:36], m.OutGroup)
 	binary.BigEndian.PutUint16(fixed[36:38], m.Flags)
-
-	buf := make([]byte, 0, HeaderLen+len(fixed)+len(match)+len(instrs))
-	buf = append(buf, make([]byte, HeaderLen)...)
-	buf = append(buf, fixed...)
-	buf = append(buf, match...)
-	buf = append(buf, instrs...)
-	putHeader(buf, TypeFlowMod, m.Xid)
-	return buf, nil
+	b, err := m.Match.appendTo(b)
+	if err != nil {
+		return nil, err
+	}
+	if b, err = appendInstructions(b, m.Instructions); err != nil {
+		return nil, err
+	}
+	return finish(b, start, TypeFlowMod, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *FlowMod) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *FlowMod) unmarshalBody(body []byte) error {
 	if len(body) < 40 {
@@ -310,11 +325,10 @@ func (m *FlowMod) unmarshalBody(body []byte) error {
 	m.OutPort = binary.BigEndian.Uint32(body[28:32])
 	m.OutGroup = binary.BigEndian.Uint32(body[32:36])
 	m.Flags = binary.BigEndian.Uint16(body[36:38])
-	match, consumed, err := unmarshalMatch(body[40:])
+	consumed, err := m.Match.unmarshal(body[40:])
 	if err != nil {
 		return err
 	}
-	m.Match = *match
 	instrs, err := unmarshalInstructions(body[40+consumed:])
 	if err != nil {
 		return err
@@ -361,28 +375,25 @@ func (m *PacketIn) InPort() (uint32, bool) {
 	return 0, false
 }
 
-// Marshal implements Message.
-func (m *PacketIn) Marshal() ([]byte, error) {
-	match, err := m.Match.marshal()
-	if err != nil {
-		return nil, err
-	}
-	fixed := make([]byte, 16)
+// AppendTo implements Message.
+func (m *PacketIn) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, fixed := begin(b, 16)
 	binary.BigEndian.PutUint32(fixed[0:4], m.BufferID)
 	binary.BigEndian.PutUint16(fixed[4:6], m.TotalLen)
 	fixed[6] = m.Reason
 	fixed[7] = m.TableID
 	binary.BigEndian.PutUint64(fixed[8:16], m.Cookie)
-
-	buf := make([]byte, 0, HeaderLen+len(fixed)+len(match)+2+len(m.Data))
-	buf = append(buf, make([]byte, HeaderLen)...)
-	buf = append(buf, fixed...)
-	buf = append(buf, match...)
-	buf = append(buf, 0, 0) // spec: 2 bytes padding before data
-	buf = append(buf, m.Data...)
-	putHeader(buf, TypePacketIn, m.Xid)
-	return buf, nil
+	b, err := m.Match.appendTo(b)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, 0, 0) // spec: 2 bytes padding before data
+	return finish(append(b, m.Data...), start, TypePacketIn, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *PacketIn) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *PacketIn) unmarshalBody(body []byte) error {
 	if len(body) < 16 {
@@ -393,18 +404,15 @@ func (m *PacketIn) unmarshalBody(body []byte) error {
 	m.Reason = body[6]
 	m.TableID = body[7]
 	m.Cookie = binary.BigEndian.Uint64(body[8:16])
-	match, consumed, err := unmarshalMatch(body[16:])
+	consumed, err := m.Match.unmarshal(body[16:])
 	if err != nil {
 		return err
 	}
-	m.Match = *match
 	rest := body[16+consumed:]
 	if len(rest) < 2 {
 		return fmt.Errorf("openflow: packet in missing padding")
 	}
-	if d := rest[2:]; len(d) > 0 {
-		m.Data = append([]byte{}, d...)
-	}
+	m.Data = payload(rest[2:])
 	return nil
 }
 
@@ -420,25 +428,23 @@ type PacketOut struct {
 // MsgType implements Message.
 func (*PacketOut) MsgType() uint8 { return TypePacketOut }
 
-// Marshal implements Message.
-func (m *PacketOut) Marshal() ([]byte, error) {
-	acts, err := marshalActions(m.Actions)
+// AppendTo implements Message.
+func (m *PacketOut) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, fixed := begin(b, 16)
+	binary.BigEndian.PutUint32(fixed[0:4], m.BufferID)
+	binary.BigEndian.PutUint32(fixed[4:8], m.InPort)
+	acts := len(b)
+	b, err := appendActions(b, m.Actions)
 	if err != nil {
 		return nil, err
 	}
-	fixed := make([]byte, 16)
-	binary.BigEndian.PutUint32(fixed[0:4], m.BufferID)
-	binary.BigEndian.PutUint32(fixed[4:8], m.InPort)
-	binary.BigEndian.PutUint16(fixed[8:10], uint16(len(acts)))
-
-	buf := make([]byte, 0, HeaderLen+len(fixed)+len(acts)+len(m.Data))
-	buf = append(buf, make([]byte, HeaderLen)...)
-	buf = append(buf, fixed...)
-	buf = append(buf, acts...)
-	buf = append(buf, m.Data...)
-	putHeader(buf, TypePacketOut, m.Xid)
-	return buf, nil
+	putLen16(b, start+HeaderLen+8, acts) // actions_len
+	return finish(append(b, m.Data...), start, TypePacketOut, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *PacketOut) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *PacketOut) unmarshalBody(body []byte) error {
 	if len(body) < 16 {
@@ -455,9 +461,7 @@ func (m *PacketOut) unmarshalBody(body []byte) error {
 		return err
 	}
 	m.Actions = acts
-	if rest := body[16+actLen:]; len(rest) > 0 {
-		m.Data = append([]byte{}, rest...)
-	}
+	m.Data = payload(body[16+actLen:])
 	return nil
 }
 
@@ -490,13 +494,10 @@ type FlowRemoved struct {
 // MsgType implements Message.
 func (*FlowRemoved) MsgType() uint8 { return TypeFlowRemoved }
 
-// Marshal implements Message.
-func (m *FlowRemoved) Marshal() ([]byte, error) {
-	match, err := m.Match.marshal()
-	if err != nil {
-		return nil, err
-	}
-	fixed := make([]byte, 40)
+// AppendTo implements Message.
+func (m *FlowRemoved) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, fixed := begin(b, 40)
 	binary.BigEndian.PutUint64(fixed[0:8], m.Cookie)
 	binary.BigEndian.PutUint16(fixed[8:10], m.Priority)
 	fixed[10] = m.Reason
@@ -507,14 +508,15 @@ func (m *FlowRemoved) Marshal() ([]byte, error) {
 	binary.BigEndian.PutUint16(fixed[22:24], m.HardTimeout)
 	binary.BigEndian.PutUint64(fixed[24:32], m.PacketCount)
 	binary.BigEndian.PutUint64(fixed[32:40], m.ByteCount)
-
-	buf := make([]byte, 0, HeaderLen+len(fixed)+len(match))
-	buf = append(buf, make([]byte, HeaderLen)...)
-	buf = append(buf, fixed...)
-	buf = append(buf, match...)
-	putHeader(buf, TypeFlowRemoved, m.Xid)
-	return buf, nil
+	b, err := m.Match.appendTo(b)
+	if err != nil {
+		return nil, err
+	}
+	return finish(b, start, TypeFlowRemoved, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *FlowRemoved) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *FlowRemoved) unmarshalBody(body []byte) error {
 	if len(body) < 40 {
@@ -530,12 +532,8 @@ func (m *FlowRemoved) unmarshalBody(body []byte) error {
 	m.HardTimeout = binary.BigEndian.Uint16(body[22:24])
 	m.PacketCount = binary.BigEndian.Uint64(body[24:32])
 	m.ByteCount = binary.BigEndian.Uint64(body[32:40])
-	match, _, err := unmarshalMatch(body[40:])
-	if err != nil {
-		return err
-	}
-	m.Match = *match
-	return nil
+	_, err := m.Match.unmarshal(body[40:])
+	return err
 }
 
 // --- PortStatus -------------------------------------------------------
@@ -566,20 +564,16 @@ type PortDesc struct {
 
 const portDescLen = 64
 
-func (p *PortDesc) marshal() []byte {
-	buf := make([]byte, portDescLen)
+func (p *PortDesc) appendTo(b []byte) []byte {
+	b, buf := extend(b, portDescLen)
 	binary.BigEndian.PutUint32(buf[0:4], p.PortNo)
 	copy(buf[8:14], p.HWAddr[:])
-	name := p.Name
-	if len(name) > 15 {
-		name = name[:15]
-	}
-	copy(buf[16:32], name)
+	putFixedString(buf[16:32], p.Name) // max 15 chars on the wire
 	binary.BigEndian.PutUint32(buf[32:36], p.Config)
 	binary.BigEndian.PutUint32(buf[36:40], p.State)
 	binary.BigEndian.PutUint32(buf[56:60], p.CurrSpeed)
 	binary.BigEndian.PutUint32(buf[60:64], p.MaxSpeed)
-	return buf
+	return b
 }
 
 func unmarshalPortDesc(body []byte) (PortDesc, error) {
@@ -589,14 +583,7 @@ func unmarshalPortDesc(body []byte) (PortDesc, error) {
 	}
 	p.PortNo = binary.BigEndian.Uint32(body[0:4])
 	copy(p.HWAddr[:], body[8:14])
-	name := body[16:32]
-	for i, b := range name {
-		if b == 0 {
-			name = name[:i]
-			break
-		}
-	}
-	p.Name = string(name)
+	p.Name = getFixedString(body[16:32])
 	p.Config = binary.BigEndian.Uint32(body[32:36])
 	p.State = binary.BigEndian.Uint32(body[36:40])
 	p.CurrSpeed = binary.BigEndian.Uint32(body[56:60])
@@ -614,16 +601,16 @@ type PortStatus struct {
 // MsgType implements Message.
 func (*PortStatus) MsgType() uint8 { return TypePortStatus }
 
-// Marshal implements Message.
-func (m *PortStatus) Marshal() ([]byte, error) {
-	buf := make([]byte, 0, HeaderLen+8+portDescLen)
-	buf = append(buf, make([]byte, HeaderLen)...)
-	buf = append(buf, m.Reason)
-	buf = append(buf, pad(7)...)
-	buf = append(buf, m.Desc.marshal()...)
-	putHeader(buf, TypePortStatus, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *PortStatus) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 8)
+	p[0] = m.Reason
+	return finish(m.Desc.appendTo(b), start, TypePortStatus, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *PortStatus) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *PortStatus) unmarshalBody(body []byte) error {
 	if len(body) < 8+portDescLen {

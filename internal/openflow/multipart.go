@@ -47,41 +47,42 @@ const TableAll uint8 = 0xff
 // MsgType implements Message.
 func (*MultipartRequest) MsgType() uint8 { return TypeMultipartRequest }
 
-// Marshal implements Message.
-func (m *MultipartRequest) Marshal() ([]byte, error) {
-	var body []byte
+// AppendTo implements Message.
+func (m *MultipartRequest) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 8)
+	binary.BigEndian.PutUint16(p[0:2], m.MPType)
+	binary.BigEndian.PutUint16(p[2:4], m.Flags)
 	switch m.MPType {
 	case MultipartFlow:
 		req := m.Flow
 		if req == nil {
 			req = &FlowStatsRequest{TableID: TableAll, OutPort: PortAny, OutGroup: GroupAny}
 		}
-		match, err := req.Match.marshal()
-		if err != nil {
-			return nil, err
-		}
-		fixed := make([]byte, 32)
+		var fixed []byte
+		b, fixed = extend(b, 32)
 		fixed[0] = req.TableID
 		binary.BigEndian.PutUint32(fixed[4:8], req.OutPort)
 		binary.BigEndian.PutUint32(fixed[8:12], req.OutGroup)
 		binary.BigEndian.PutUint64(fixed[16:24], req.Cookie)
 		binary.BigEndian.PutUint64(fixed[24:32], req.CookieMask)
-		body = append(fixed, match...)
-	case MultipartPortStats:
-		req := m.Port
-		if req == nil {
-			req = &PortStatsRequest{PortNo: PortAny}
+		var err error
+		if b, err = req.Match.appendTo(b); err != nil {
+			return nil, err
 		}
-		body = make([]byte, 8)
-		binary.BigEndian.PutUint32(body[0:4], req.PortNo)
+	case MultipartPortStats:
+		port := PortAny
+		if m.Port != nil {
+			port = m.Port.PortNo
+		}
+		b = binary.BigEndian.AppendUint32(b, port)
+		b = append(b, 0, 0, 0, 0)
 	}
-	buf := make([]byte, HeaderLen+8+len(body))
-	binary.BigEndian.PutUint16(buf[HeaderLen:], m.MPType)
-	binary.BigEndian.PutUint16(buf[HeaderLen+2:], m.Flags)
-	copy(buf[HeaderLen+8:], body)
-	putHeader(buf, TypeMultipartRequest, m.Xid)
-	return buf, nil
+	return finish(b, start, TypeMultipartRequest, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *MultipartRequest) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *MultipartRequest) unmarshalBody(body []byte) error {
 	if len(body) < 8 {
@@ -102,11 +103,9 @@ func (m *MultipartRequest) unmarshalBody(body []byte) error {
 			Cookie:     binary.BigEndian.Uint64(rest[16:24]),
 			CookieMask: binary.BigEndian.Uint64(rest[24:32]),
 		}
-		match, _, err := unmarshalMatch(rest[32:])
-		if err != nil {
+		if _, err := req.Match.unmarshal(rest[32:]); err != nil {
 			return err
 		}
-		req.Match = *match
 		m.Flow = req
 	case MultipartPortStats:
 		if len(rest) < 8 {
@@ -138,18 +137,9 @@ func (f *FlowStats) String() string {
 		instructionsString(f.Instructions))
 }
 
-func (f *FlowStats) marshal() ([]byte, error) {
-	match, err := f.Match.marshal()
-	if err != nil {
-		return nil, err
-	}
-	instrs, err := marshalInstructions(f.Instructions)
-	if err != nil {
-		return nil, err
-	}
-	total := 48 + len(match) + len(instrs)
-	buf := make([]byte, 48, total)
-	binary.BigEndian.PutUint16(buf[0:2], uint16(total))
+func (f *FlowStats) appendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, buf := extend(b, 48)
 	buf[2] = f.TableID
 	binary.BigEndian.PutUint32(buf[4:8], f.DurationSec)
 	binary.BigEndian.PutUint16(buf[12:14], f.Priority)
@@ -158,9 +148,15 @@ func (f *FlowStats) marshal() ([]byte, error) {
 	binary.BigEndian.PutUint64(buf[24:32], f.Cookie)
 	binary.BigEndian.PutUint64(buf[32:40], f.PacketCount)
 	binary.BigEndian.PutUint64(buf[40:48], f.ByteCount)
-	buf = append(buf, match...)
-	buf = append(buf, instrs...)
-	return buf, nil
+	b, err := f.Match.appendTo(b)
+	if err != nil {
+		return nil, err
+	}
+	if b, err = appendInstructions(b, f.Instructions); err != nil {
+		return nil, err
+	}
+	putLen16(b, start, start)
+	return b, nil
 }
 
 func unmarshalFlowStats(data []byte) ([]FlowStats, error) {
@@ -184,11 +180,10 @@ func unmarshalFlowStats(data []byte) ([]FlowStats, error) {
 			PacketCount: binary.BigEndian.Uint64(entry[32:40]),
 			ByteCount:   binary.BigEndian.Uint64(entry[40:48]),
 		}
-		match, consumed, err := unmarshalMatch(entry[48:])
+		consumed, err := f.Match.unmarshal(entry[48:])
 		if err != nil {
 			return nil, err
 		}
-		f.Match = *match
 		instrs, err := unmarshalInstructions(entry[48+consumed:])
 		if err != nil {
 			return nil, err
@@ -214,8 +209,8 @@ type PortStats struct {
 
 const portStatsLen = 112
 
-func (p *PortStats) marshal() []byte {
-	buf := make([]byte, portStatsLen)
+func (p *PortStats) appendTo(b []byte) []byte {
+	b, buf := extend(b, portStatsLen)
 	binary.BigEndian.PutUint32(buf[0:4], p.PortNo)
 	binary.BigEndian.PutUint64(buf[8:16], p.RxPackets)
 	binary.BigEndian.PutUint64(buf[16:24], p.TxPackets)
@@ -224,7 +219,7 @@ func (p *PortStats) marshal() []byte {
 	binary.BigEndian.PutUint64(buf[40:48], p.RxDropped)
 	binary.BigEndian.PutUint64(buf[48:56], p.TxDropped)
 	binary.BigEndian.PutUint64(buf[56:64], p.RxErrors)
-	return buf
+	return b
 }
 
 func unmarshalPortStats(data []byte) ([]PortStats, error) {
@@ -259,13 +254,13 @@ type TableStats struct {
 
 const tableStatsLen = 24
 
-func (t *TableStats) marshal() []byte {
-	buf := make([]byte, tableStatsLen)
+func (t *TableStats) appendTo(b []byte) []byte {
+	b, buf := extend(b, tableStatsLen)
 	buf[0] = t.TableID
 	binary.BigEndian.PutUint32(buf[4:8], t.ActiveCount)
 	binary.BigEndian.PutUint64(buf[8:16], t.LookupCount)
 	binary.BigEndian.PutUint64(buf[16:24], t.MatchedCount)
-	return buf
+	return b
 }
 
 func unmarshalTableStats(data []byte) ([]TableStats, error) {
@@ -302,23 +297,25 @@ func putFixedString(buf []byte, s string) {
 	copy(buf, s)
 }
 
+// getFixedString reads a NUL-terminated string field. The terminator is
+// part of the field, so a field with none is cut where putFixedString
+// would have put it.
 func getFixedString(buf []byte) string {
-	for i, b := range buf {
-		if b == 0 {
-			return string(buf[:i])
-		}
+	buf = buf[:len(buf)-1]
+	if i := bytes.IndexByte(buf, 0); i >= 0 {
+		buf = buf[:i]
 	}
 	return string(buf)
 }
 
-func (d *SwitchDesc) marshal() []byte {
-	buf := make([]byte, 1056)
+func (d *SwitchDesc) appendTo(b []byte) []byte {
+	b, buf := extend(b, 1056)
 	putFixedString(buf[0:256], d.Manufacturer)
 	putFixedString(buf[256:512], d.Hardware)
 	putFixedString(buf[512:768], d.Software)
 	putFixedString(buf[768:800], d.SerialNum)
 	putFixedString(buf[800:1056], d.Datapath)
-	return buf
+	return b
 }
 
 func unmarshalSwitchDesc(data []byte) (*SwitchDesc, error) {
@@ -350,46 +347,46 @@ type MultipartReply struct {
 // MsgType implements Message.
 func (*MultipartReply) MsgType() uint8 { return TypeMultipartReply }
 
-// Marshal implements Message.
-func (m *MultipartReply) Marshal() ([]byte, error) {
-	var body bytes.Buffer
+// AppendTo implements Message.
+func (m *MultipartReply) AppendTo(b []byte) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, 8)
+	binary.BigEndian.PutUint16(p[0:2], m.MPType)
+	binary.BigEndian.PutUint16(p[2:4], m.Flags)
 	switch m.MPType {
 	case MultipartDesc:
 		d := m.Desc
 		if d == nil {
 			d = &SwitchDesc{}
 		}
-		body.Write(d.marshal())
+		b = d.appendTo(b)
 	case MultipartFlow:
+		var err error
 		for i := range m.Flows {
-			b, err := m.Flows[i].marshal()
-			if err != nil {
+			if b, err = m.Flows[i].appendTo(b); err != nil {
 				return nil, err
 			}
-			body.Write(b)
 		}
 	case MultipartPortStats:
 		for i := range m.Ports {
-			body.Write(m.Ports[i].marshal())
+			b = m.Ports[i].appendTo(b)
 		}
 	case MultipartTable:
 		for i := range m.Tables {
-			body.Write(m.Tables[i].marshal())
+			b = m.Tables[i].appendTo(b)
 		}
 	case MultipartPortDesc:
 		for i := range m.PortDescs {
-			body.Write(m.PortDescs[i].marshal())
+			b = m.PortDescs[i].appendTo(b)
 		}
 	default:
 		return nil, fmt.Errorf("openflow: unsupported multipart type %d", m.MPType)
 	}
-	buf := make([]byte, HeaderLen+8+body.Len())
-	binary.BigEndian.PutUint16(buf[HeaderLen:], m.MPType)
-	binary.BigEndian.PutUint16(buf[HeaderLen+2:], m.Flags)
-	copy(buf[HeaderLen+8:], body.Bytes())
-	putHeader(buf, TypeMultipartReply, m.Xid)
-	return buf, nil
+	return finish(b, start, TypeMultipartReply, m.Xid)
 }
+
+// Marshal implements Message.
+func (m *MultipartReply) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *MultipartReply) unmarshalBody(body []byte) error {
 	if len(body) < 8 {

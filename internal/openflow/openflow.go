@@ -5,7 +5,7 @@
 // FLOW_REMOVED, ERROR, and the multipart (statistics) requests used by
 // the ofctl tool (DESC, FLOW, PORT_STATS, PORT_DESC, TABLE).
 //
-// Messages are plain structs with Marshal/unmarshal symmetric with the
+// Messages are plain structs with AppendTo/unmarshal symmetric with the
 // on-the-wire OpenFlow 1.3.5 encoding; Parse dispatches raw frames to
 // the right struct. The Conn type frames messages over any
 // io.ReadWriter (TCP in production, net.Pipe in tests).
@@ -18,7 +18,6 @@ package openflow
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 )
 
 // Version is the OpenFlow protocol version implemented (1.3).
@@ -69,7 +68,7 @@ const (
 // NoBuffer indicates an unbuffered packet-in/out.
 const NoBuffer uint32 = 0xffffffff
 
-// Message is any OpenFlow message. Marshal produces the complete wire
+// Message is any OpenFlow message. AppendTo produces the complete wire
 // frame including the header with the correct length.
 type Message interface {
 	// MsgType returns the ofp_type code.
@@ -78,7 +77,11 @@ type Message interface {
 	XID() uint32
 	// SetXID sets the transaction id.
 	SetXID(uint32)
-	// Marshal encodes the complete message.
+	// AppendTo appends the complete wire frame to b and returns the
+	// extended slice. It is the message's one encoder: bytes before
+	// len(b) are left as they are, and on error the result is nil.
+	AppendTo(b []byte) ([]byte, error)
+	// Marshal encodes the complete message: AppendTo(nil).
 	Marshal() ([]byte, error)
 }
 
@@ -103,12 +106,41 @@ func ParseHeader(data []byte) (Header, error) {
 	}, nil
 }
 
-// putHeader writes a header into the first 8 bytes of buf.
-func putHeader(buf []byte, typ uint8, xid uint32) {
-	buf[0] = Version
-	buf[1] = typ
-	binary.BigEndian.PutUint16(buf[2:4], uint16(len(buf)))
-	binary.BigEndian.PutUint32(buf[4:8], xid)
+// extend appends n zero bytes to b and returns the result together
+// with the new bytes, for the caller to fill by offset.
+func extend(b []byte, n int) (all, tail []byte) {
+	b = append(b, make([]byte, n)...)
+	return b, b[len(b)-n:]
+}
+
+// begin opens a message at the end of b: room for the header, which
+// finish fills once the length is known, and n zeroed bytes of fixed
+// body, returned for the caller to fill by offset.
+func begin(b []byte, n int) (all, fixed []byte) {
+	b, p := extend(b, HeaderLen+n)
+	return b, p[HeaderLen:]
+}
+
+// finish closes the message that begin opened at b[start:] by writing
+// its header. The length field is 16 bits; a message that does not fit
+// is an error.
+func finish(b []byte, start int, typ uint8, xid uint32) ([]byte, error) {
+	n := len(b) - start
+	if n > 0xffff {
+		return nil, fmt.Errorf("openflow: message type %d is %d bytes, over the 65535 its header can say", typ, n)
+	}
+	h := b[start:]
+	h[0] = Version
+	h[1] = typ
+	binary.BigEndian.PutUint16(h[2:4], uint16(n))
+	binary.BigEndian.PutUint32(h[4:8], xid)
+	return b, nil
+}
+
+// putLen16 writes len(b)-start, the length of the structure that
+// starts at b[start:], into the 16-bit field at b[at:].
+func putLen16(b []byte, at, start int) {
+	binary.BigEndian.PutUint16(b[at:], uint16(len(b)-start))
 }
 
 // xid embeds transaction-id handling into every message struct.
@@ -121,6 +153,10 @@ func (x *xid) XID() uint32 { return x.Xid }
 func (x *xid) SetXID(v uint32) { x.Xid = v }
 
 // Parse decodes one complete OpenFlow frame into its message struct.
+// The message keeps data: match values and set-field values are slices
+// of it, each with its capacity cut to its length, and a payload that
+// ends the frame (PacketIn.Data, PacketOut.Data, echo and error data) is
+// its tail, capacity and all.
 func Parse(data []byte) (Message, error) {
 	h, err := ParseHeader(data)
 	if err != nil {
@@ -132,8 +168,10 @@ func Parse(data []byte) (Message, error) {
 	if int(h.Length) != len(data) {
 		return nil, fmt.Errorf("openflow: header length %d != frame length %d", h.Length, len(data))
 	}
-	body := data[HeaderLen:]
-	var m Message
+	var m interface {
+		Message
+		unmarshalBody(body []byte) error
+	}
 	switch h.Type {
 	case TypeHello:
 		m = &Hello{}
@@ -182,56 +220,9 @@ func Parse(data []byte) (Message, error) {
 	default:
 		return nil, fmt.Errorf("openflow: unsupported message type %d", h.Type)
 	}
-	if err := unmarshalBody(m, body); err != nil {
+	if err := m.unmarshalBody(data[HeaderLen:]); err != nil {
 		return nil, err
 	}
 	m.SetXID(h.Xid)
 	return m, nil
 }
-
-// bodyUnmarshaler is implemented by message structs.
-type bodyUnmarshaler interface {
-	unmarshalBody(body []byte) error
-}
-
-func unmarshalBody(m Message, body []byte) error {
-	u, ok := m.(bodyUnmarshaler)
-	if !ok {
-		return fmt.Errorf("openflow: %T cannot be decoded", m)
-	}
-	return u.unmarshalBody(body)
-}
-
-// ReadMessage reads one framed message from r.
-func ReadMessage(r io.Reader) (Message, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	h, err := ParseHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if h.Length < HeaderLen {
-		return nil, fmt.Errorf("openflow: bad length %d", h.Length)
-	}
-	frame := make([]byte, h.Length)
-	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[HeaderLen:]); err != nil {
-		return nil, err
-	}
-	return Parse(frame)
-}
-
-// WriteMessage marshals and writes m to w.
-func WriteMessage(w io.Writer, m Message) error {
-	frame, err := m.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(frame)
-	return err
-}
-
-// pad returns n zero bytes (spec-mandated padding).
-func pad(n int) []byte { return make([]byte, n) }

@@ -163,14 +163,15 @@ func TestMatchMarshalPadding(t *testing.T) {
 	// in_port only: 4+8 = 12 bytes, padded to 16.
 	m := &Match{}
 	m.WithInPort(1)
-	raw, err := m.marshal()
+	raw, err := m.appendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(raw)%8 != 0 {
 		t.Errorf("match not 8-aligned: %d", len(raw))
 	}
-	got, consumed, err := unmarshalMatch(raw)
+	got := &Match{}
+	consumed, err := got.unmarshal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +185,15 @@ func TestMatchMarshalPadding(t *testing.T) {
 
 func TestMatchRejectsBadOXM(t *testing.T) {
 	m := &Match{OXMs: []OXM{{Field: 99, Value: []byte{1}}}}
-	if _, err := m.marshal(); err == nil {
+	if _, err := m.appendTo(nil); err == nil {
 		t.Error("unknown field accepted")
 	}
 	m = &Match{OXMs: []OXM{{Field: OXMInPort, Value: []byte{1}}}}
-	if _, err := m.marshal(); err == nil {
+	if _, err := m.appendTo(nil); err == nil {
 		t.Error("short value accepted")
 	}
 	m = &Match{OXMs: []OXM{{Field: OXMInPort, HasMask: true, Value: []byte{0, 0, 0, 1}, Mask: []byte{1}}}}
-	if _, err := m.marshal(); err == nil {
+	if _, err := m.appendTo(nil); err == nil {
 		t.Error("short mask accepted")
 	}
 }
@@ -332,7 +333,7 @@ func TestActionStrings(t *testing.T) {
 func TestSetFieldRejectsMask(t *testing.T) {
 	a := &ActionSetField{OXM: OXM{Field: OXMVLANVID, HasMask: true,
 		Value: []byte{0, 1}, Mask: []byte{0, 0xff}}}
-	if _, err := a.marshal(); err == nil {
+	if _, err := a.appendTo(nil); err == nil {
 		t.Error("masked set_field accepted")
 	}
 }
@@ -378,21 +379,25 @@ func TestParseGarbageNoPanic(t *testing.T) {
 func TestReadWriteMessageFraming(t *testing.T) {
 	c1, c2 := net.Pipe()
 	defer c1.Close()
-	defer c2.Close()
+	peer := NewConn(c2)
+	defer peer.Close()
 	go func() {
-		_ = WriteMessage(c1, &EchoRequest{Data: []byte("abc"), xid: xid{Xid: 5}})
+		// Two messages in one transport write, the second cut in two.
+		frames, _ := (&EchoRequest{Data: []byte("abc"), xid: xid{Xid: 5}}).Marshal()
 		fm := &FlowMod{Command: FlowAdd, BufferID: NoBuffer, OutPort: PortAny, OutGroup: GroupAny, xid: xid{Xid: 6}}
 		fm.Match.WithInPort(1)
-		_ = WriteMessage(c1, fm)
+		frames, _ = fm.AppendTo(frames)
+		_, _ = c1.Write(frames[:20])
+		_, _ = c1.Write(frames[20:])
 	}()
-	m1, err := ReadMessage(c2)
+	m1, err := peer.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e, ok := m1.(*EchoRequest); !ok || string(e.Data) != "abc" || e.XID() != 5 {
 		t.Errorf("m1: %+v", m1)
 	}
-	m2, err := ReadMessage(c2)
+	m2, err := peer.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,12 +447,13 @@ func TestConnXIDAssignment(t *testing.T) {
 		m := &Hello{}
 		_ = conn.Send(m)
 	}()
-	m, err := ReadMessage(c2)
+	peer := NewConn(c2)
+	defer peer.Close()
+	m, err := peer.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.XID() == 0 {
 		t.Error("xid not assigned")
 	}
-	c2.Close()
 }

@@ -45,12 +45,12 @@ const BadRequestIsSlave uint16 = 10
 // generation_id(8).
 const roleBodyLen = 16
 
-func marshalRoleBody(typ uint8, xid, role uint32, gen uint64) []byte {
-	buf := make([]byte, HeaderLen+roleBodyLen)
-	binary.BigEndian.PutUint32(buf[HeaderLen:], role)
-	binary.BigEndian.PutUint64(buf[HeaderLen+8:], gen)
-	putHeader(buf, typ, xid)
-	return buf
+func appendRole(b []byte, typ uint8, xid, role uint32, gen uint64) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, roleBodyLen)
+	binary.BigEndian.PutUint32(p[0:4], role)
+	binary.BigEndian.PutUint64(p[8:16], gen)
+	return finish(b, start, typ, xid)
 }
 
 func unmarshalRoleBody(body []byte) (role uint32, gen uint64, err error) {
@@ -73,10 +73,13 @@ type RoleRequest struct {
 // MsgType implements Message.
 func (*RoleRequest) MsgType() uint8 { return TypeRoleRequest }
 
-// Marshal implements Message.
-func (m *RoleRequest) Marshal() ([]byte, error) {
-	return marshalRoleBody(TypeRoleRequest, m.Xid, m.Role, m.GenerationID), nil
+// AppendTo implements Message.
+func (m *RoleRequest) AppendTo(b []byte) ([]byte, error) {
+	return appendRole(b, TypeRoleRequest, m.Xid, m.Role, m.GenerationID)
 }
+
+// Marshal implements Message.
+func (m *RoleRequest) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *RoleRequest) unmarshalBody(body []byte) (err error) {
 	m.Role, m.GenerationID, err = unmarshalRoleBody(body)
@@ -93,10 +96,13 @@ type RoleReply struct {
 // MsgType implements Message.
 func (*RoleReply) MsgType() uint8 { return TypeRoleReply }
 
-// Marshal implements Message.
-func (m *RoleReply) Marshal() ([]byte, error) {
-	return marshalRoleBody(TypeRoleReply, m.Xid, m.Role, m.GenerationID), nil
+// AppendTo implements Message.
+func (m *RoleReply) AppendTo(b []byte) ([]byte, error) {
+	return appendRole(b, TypeRoleReply, m.Xid, m.Role, m.GenerationID)
 }
+
+// Marshal implements Message.
+func (m *RoleReply) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *RoleReply) unmarshalBody(body []byte) (err error) {
 	m.Role, m.GenerationID, err = unmarshalRoleBody(body)
@@ -148,16 +154,16 @@ func (c *AsyncConfig) Wants(role uint32, msgType uint8, reason uint8) bool {
 // asyncBodyLen is three [2]uint32 mask pairs.
 const asyncBodyLen = 24
 
-func marshalAsyncBody(typ uint8, xid uint32, c AsyncConfig) []byte {
-	buf := make([]byte, HeaderLen+asyncBodyLen)
-	binary.BigEndian.PutUint32(buf[HeaderLen:], c.PacketInMask[0])
-	binary.BigEndian.PutUint32(buf[HeaderLen+4:], c.PacketInMask[1])
-	binary.BigEndian.PutUint32(buf[HeaderLen+8:], c.PortStatusMask[0])
-	binary.BigEndian.PutUint32(buf[HeaderLen+12:], c.PortStatusMask[1])
-	binary.BigEndian.PutUint32(buf[HeaderLen+16:], c.FlowRemovedMask[0])
-	binary.BigEndian.PutUint32(buf[HeaderLen+20:], c.FlowRemovedMask[1])
-	putHeader(buf, typ, xid)
-	return buf
+func appendAsync(b []byte, typ uint8, xid uint32, c AsyncConfig) ([]byte, error) {
+	start := len(b)
+	b, p := begin(b, asyncBodyLen)
+	binary.BigEndian.PutUint32(p[0:4], c.PacketInMask[0])
+	binary.BigEndian.PutUint32(p[4:8], c.PacketInMask[1])
+	binary.BigEndian.PutUint32(p[8:12], c.PortStatusMask[0])
+	binary.BigEndian.PutUint32(p[12:16], c.PortStatusMask[1])
+	binary.BigEndian.PutUint32(p[16:20], c.FlowRemovedMask[0])
+	binary.BigEndian.PutUint32(p[20:24], c.FlowRemovedMask[1])
+	return finish(b, start, typ, xid)
 }
 
 func unmarshalAsyncBody(body []byte) (AsyncConfig, error) {
@@ -183,10 +189,13 @@ type SetAsync struct {
 // MsgType implements Message.
 func (*SetAsync) MsgType() uint8 { return TypeSetAsync }
 
-// Marshal implements Message.
-func (m *SetAsync) Marshal() ([]byte, error) {
-	return marshalAsyncBody(TypeSetAsync, m.Xid, m.AsyncConfig), nil
+// AppendTo implements Message.
+func (m *SetAsync) AppendTo(b []byte) ([]byte, error) {
+	return appendAsync(b, TypeSetAsync, m.Xid, m.AsyncConfig)
 }
+
+// Marshal implements Message.
+func (m *SetAsync) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *SetAsync) unmarshalBody(body []byte) (err error) {
 	m.AsyncConfig, err = unmarshalAsyncBody(body)
@@ -199,12 +208,13 @@ type GetAsyncRequest struct{ xid }
 // MsgType implements Message.
 func (*GetAsyncRequest) MsgType() uint8 { return TypeGetAsyncRequest }
 
-// Marshal implements Message.
-func (m *GetAsyncRequest) Marshal() ([]byte, error) {
-	buf := make([]byte, HeaderLen)
-	putHeader(buf, TypeGetAsyncRequest, m.Xid)
-	return buf, nil
+// AppendTo implements Message.
+func (m *GetAsyncRequest) AppendTo(b []byte) ([]byte, error) {
+	return appendData(b, TypeGetAsyncRequest, m.Xid, nil)
 }
+
+// Marshal implements Message.
+func (m *GetAsyncRequest) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *GetAsyncRequest) unmarshalBody(body []byte) error { return nil }
 
@@ -217,10 +227,13 @@ type GetAsyncReply struct {
 // MsgType implements Message.
 func (*GetAsyncReply) MsgType() uint8 { return TypeGetAsyncReply }
 
-// Marshal implements Message.
-func (m *GetAsyncReply) Marshal() ([]byte, error) {
-	return marshalAsyncBody(TypeGetAsyncReply, m.Xid, m.AsyncConfig), nil
+// AppendTo implements Message.
+func (m *GetAsyncReply) AppendTo(b []byte) ([]byte, error) {
+	return appendAsync(b, TypeGetAsyncReply, m.Xid, m.AsyncConfig)
 }
+
+// Marshal implements Message.
+func (m *GetAsyncReply) Marshal() ([]byte, error) { return m.AppendTo(nil) }
 
 func (m *GetAsyncReply) unmarshalBody(body []byte) (err error) {
 	m.AsyncConfig, err = unmarshalAsyncBody(body)

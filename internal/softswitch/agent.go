@@ -143,13 +143,10 @@ func (a *Agent) Handle(ch *controlplane.Channel, m openflow.Message) {
 			a.sendFlowRemoved(r)
 		}
 		// A flow-mod referencing a buffered packet releases it through
-		// the new state.
+		// the new state, from the port it arrived on.
 		if t.BufferID != openflow.NoBuffer && t.Command == openflow.FlowAdd {
-			if frame, ok := a.sw.buffers.take(t.BufferID); ok {
-				if inPort := t.Match.Get(openflow.OXMInPort); inPort != nil {
-					a.sw.Receive(uint32(inPort.Value[0])<<24|uint32(inPort.Value[1])<<16|
-						uint32(inPort.Value[2])<<8|uint32(inPort.Value[3]), frame)
-				}
+			if frame, inPort, ok := a.sw.buffers.take(t.BufferID); ok {
+				a.sw.Receive(inPort, frame)
 			}
 		}
 	case *openflow.GroupMod:

@@ -10,13 +10,19 @@ import (
 
 func TestBufferPoolStoreTake(t *testing.T) {
 	bp := newBufferPool(4)
-	id := bp.store([]byte{1, 2, 3})
-	f, ok := bp.take(id)
-	if !ok || len(f) != 3 || f[2] != 3 {
-		t.Fatalf("take: %v %v", f, ok)
+	id := bp.store(7, []byte{1, 2, 3})
+	f, inPort, ok := bp.take(id)
+	if !ok || len(f) != 3 || f[2] != 3 || inPort != 7 {
+		t.Fatalf("take: %v from port %d, %v", f, inPort, ok)
 	}
-	if _, ok := bp.take(id); ok {
+	if _, _, ok := bp.take(id); ok {
 		t.Error("double take succeeded")
+	}
+	if _, _, ok := bp.take(0); ok {
+		t.Error("buffer id 0 taken")
+	}
+	if _, _, ok := bp.take(5); ok {
+		t.Error("buffer id past the ring taken")
 	}
 	if bp.Len() != 0 {
 		t.Errorf("len %d", bp.Len())
@@ -26,9 +32,9 @@ func TestBufferPoolStoreTake(t *testing.T) {
 func TestBufferPoolIsolatesStorage(t *testing.T) {
 	bp := newBufferPool(4)
 	src := []byte{9, 9, 9}
-	id := bp.store(src)
+	id := bp.store(1, src)
 	src[0] = 0 // caller mutates after store
-	f, _ := bp.take(id)
+	f, _, _ := bp.take(id)
 	if f[0] != 9 {
 		t.Error("buffer shares storage with caller")
 	}
@@ -36,13 +42,13 @@ func TestBufferPoolIsolatesStorage(t *testing.T) {
 
 func TestBufferPoolWraps(t *testing.T) {
 	bp := newBufferPool(2)
-	id0 := bp.store([]byte{0})
-	id1 := bp.store([]byte{1})
-	id2 := bp.store([]byte{2}) // overwrites slot 0's id space
+	id0 := bp.store(1, []byte{0})
+	id1 := bp.store(1, []byte{1})
+	id2 := bp.store(1, []byte{2}) // overwrites slot 0's id space
 	if id0 != id2 {
 		t.Fatalf("ring ids: %d %d %d", id0, id1, id2)
 	}
-	f, ok := bp.take(id2)
+	f, _, ok := bp.take(id2)
 	if !ok || f[0] != 2 {
 		t.Errorf("wrapped slot: %v %v", f, ok)
 	}
@@ -51,8 +57,15 @@ func TestBufferPoolWraps(t *testing.T) {
 // TestBufferedPacketInAndRelease covers the miss-with-buffering path:
 // a table-miss entry with a small MaxLen buffers the frame; the
 // controller answers with a flow-mod referencing the buffer, and the
-// switch releases the buffered packet through the new flow.
+// switch releases the buffered packet through the new flow — from the
+// port it arrived on, whether or not the new flow's match names it (a
+// learning app matches on eth_dst alone).
 func TestBufferedPacketInAndRelease(t *testing.T) {
+	t.Run("in_port", func(t *testing.T) { bufferedRelease(t, new(openflow.Match).WithInPort(1)) })
+	t.Run("eth_dst", func(t *testing.T) { bufferedRelease(t, new(openflow.Match).WithEthDst(macB)) })
+}
+
+func bufferedRelease(t *testing.T, match *openflow.Match) {
 	r := newRig(t, 2)
 	c1, c2 := net.Pipe()
 	agent := r.sw.StartAgent(c2, 0)
@@ -108,14 +121,12 @@ func TestBufferedPacketInAndRelease(t *testing.T) {
 		t.Errorf("TotalLen %d != %d", pi.TotalLen, len(frame))
 	}
 
-	// Flow-mod referencing the buffer: install in_port=1 -> port 2;
-	// the buffered frame must be released through the new flow.
-	m := openflow.Match{}
-	m.WithInPort(1)
+	// Flow-mod referencing the buffer: install match -> port 2; the
+	// buffered frame must be released through the new flow.
 	fm := &openflow.FlowMod{
 		TableID: 0, Command: openflow.FlowAdd, Priority: 10,
 		BufferID: pi.BufferID, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-		Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+		Match: *match, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
 			Actions: []openflow.Action{&openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
 		}},
 	}
@@ -134,7 +145,7 @@ func TestBufferedPacketInAndRelease(t *testing.T) {
 func TestPacketOutWithBufferID(t *testing.T) {
 	r := newRig(t, 2)
 	frame := udpFrame(t, macA, macB, ipA, ipB, 1, 2, "buffered")
-	id := r.sw.buffers.store(frame)
+	id := r.sw.buffers.store(1, frame)
 	r.sw.InjectPacketOut(&openflow.PacketOut{
 		BufferID: id, InPort: openflow.PortController,
 		Actions: []openflow.Action{out(2)},

@@ -2,6 +2,7 @@ package softswitch
 
 import (
 	"encoding/binary"
+	"sync"
 
 	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/openflow"
@@ -430,21 +431,37 @@ func (s *Switch) sendPacketIn(inPort uint32, frame []byte, maxLen uint16, tableI
 	bufferID := openflow.NoBuffer
 	data := frame
 	if maxLen != 0xffff && int(maxLen) < len(frame) {
-		bufferID = s.buffers.store(frame)
+		bufferID = s.buffers.store(inPort, frame)
 		data = frame[:maxLen:maxLen] // the rest of the frame is not the excerpt's to grow into
 	}
-	match := openflow.Match{}
-	match.WithInPort(inPort)
-	a.sendPacketIn(&openflow.PacketIn{
+	m := pktInPool.Get().(*pktInScratch)
+	binary.BigEndian.PutUint32(m.port[:], inPort)
+	m.oxm[0] = openflow.OXM{Field: openflow.OXMInPort, Value: m.port[:]}
+	m.pi = openflow.PacketIn{
 		BufferID: bufferID,
 		TotalLen: uint16(len(frame)),
 		Reason:   reason,
 		TableID:  tableID,
 		Cookie:   cookie,
-		Match:    match,
+		Match:    openflow.Match{OXMs: m.oxm[:]},
 		Data:     data,
-	})
+	}
+	a.sendPacketIn(&m.pi)
+	m.pi.Data = nil // the pool must not pin the frame
+	pktInPool.Put(m)
 }
+
+// pktInScratch is a PACKET_IN together with the storage its match
+// points into. The agent encodes the message before sendPacketIn
+// returns and keeps nothing of it, so the forwarding goroutine builds
+// every packet-in in a pooled one and allocates nothing.
+type pktInScratch struct {
+	pi   openflow.PacketIn
+	oxm  [1]openflow.OXM
+	port [4]byte
+}
+
+var pktInPool = sync.Pool{New: func() any { return new(pktInScratch) }}
 
 // InjectPacketOut realizes a controller PACKET_OUT: resolve the buffer
 // (if referenced) and run the actions through a full dispatch, so its
@@ -454,7 +471,7 @@ func (s *Switch) sendPacketIn(inPort uint32, frame []byte, maxLen uint16, tableI
 func (s *Switch) InjectPacketOut(po *openflow.PacketOut) {
 	frame := po.Data
 	if po.BufferID != openflow.NoBuffer {
-		if buffered, ok := s.buffers.take(po.BufferID); ok {
+		if buffered, _, ok := s.buffers.take(po.BufferID); ok {
 			frame = buffered
 		}
 	}
