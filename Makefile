@@ -10,7 +10,7 @@ BENCH_PKGS    := ./internal/softswitch ./internal/softswitch/runtime
 
 SHELL := /bin/bash -o pipefail
 
-.PHONY: all lint lint-baseline loc fuzz-smoke test bench fleetsim-smoke migrate-smoke ci
+.PHONY: all lint loc fuzz-smoke test bench fleetsim-smoke migrate-smoke ci
 
 all: ci
 
@@ -21,7 +21,7 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/harmlesslint -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/harmlesslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -30,8 +30,11 @@ lint:
 	$(MAKE) loc
 
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
-# numbers ROADMAP aim 2 tracks ("should fall"). Informational — it
-# prints, it never fails.
+# numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
+# either exceeds its ceiling (the round's acceptance line in ROADMAP).
+LOC_CEILING    := 27500
+DESIGN_CEILING := 800
+
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' -print0 \
 		| xargs -0 wc -l | awk '$$2 != "total" { \
@@ -39,15 +42,10 @@ loc:
 			t = n == 2 ? "." : (p[2] == "internal" ? p[2] "/" p[3] : p[2]); \
 			loc[t] += $$1; if (p[2] != "bench") sum += $$1 } \
 		END { for (t in loc) printf "%7d %s\n", loc[t], t | "sort -k2"; close("sort -k2"); \
-			printf "%7d total outside bench/\n", sum }'
-	@wc -l DESIGN.md
-
-# Refresh lint-baseline.json (commit the result deliberately). The
-# baseline should normally be empty: burn a finding in only while its
-# fix is genuinely deferred — stale entries fail `make lint` so the
-# file can only shrink honestly.
-lint-baseline:
-	$(GO) run ./cmd/harmlesslint -write-baseline lint-baseline.json ./...
+			printf "%7d total outside bench/ (ceiling $(LOC_CEILING))\n", sum; \
+			exit sum > $(LOC_CEILING) }'
+	@n=$$(wc -l < DESIGN.md); echo "$$n DESIGN.md (ceiling $(DESIGN_CEILING))"; \
+		test $$n -le $(DESIGN_CEILING)
 
 # ~10s per fuzz target (the lint job in .github/workflows/ci.yml runs
 # this target): catches wire decoders that panic on near-valid frames as

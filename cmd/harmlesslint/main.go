@@ -10,26 +10,17 @@
 //	-out FILE   additionally write the JSON report to FILE, whatever
 //	            the stdout format — CI uploads it as an artifact
 //
-// Baseline workflow:
-//
-//	-baseline FILE        suppress the findings recorded in FILE; a
-//	                      recorded finding that no longer fires is
-//	                      *stale* and fails the run, so the baseline
-//	                      can only shrink honestly
-//	-write-baseline FILE  write the current findings to FILE and exit
-//	                      (the `make lint-baseline` target)
-//
-// Exit status: 0 when clean, 1 on new or stale findings, 2 when
-// packages failed to load or typecheck.
+// Exit status: 0 when clean, 1 on findings, 2 when packages failed to
+// load or typecheck.
 //
 // The passes encode invariants the compiler cannot see — clock
-// injection, zero-alloc hot paths, frame buffer ownership,
-// map-iteration-order-free output, module-wide atomic discipline, and
-// no dropped errors on teardown paths; see
-// internal/analysis and DESIGN.md. Findings are suppressed only with
-// an explained //harmless: directive, and the analyzers themselves
-// flag unexplained or unused directives, so a clean run means every
-// suppression in the tree carries a reason.
+// injection, zero-alloc hot paths, frame buffer ownership, module-wide
+// atomic discipline, and no dropped errors on teardown paths; see
+// internal/analysis and DESIGN.md. A finding is fixed or suppressed
+// with an explained //harmless: directive — there is no list of
+// accepted findings — and unexplained, unused and unknown directives
+// are findings themselves, so a clean run means every suppression in
+// the tree carries a reason.
 package main
 
 import (
@@ -43,7 +34,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/analysis"
 	"github.com/harmless-sdn/harmless/internal/analysis/atomicmix"
 	"github.com/harmless-sdn/harmless/internal/analysis/clockinject"
-	"github.com/harmless-sdn/harmless/internal/analysis/detorder"
 	"github.com/harmless-sdn/harmless/internal/analysis/errdrop"
 	"github.com/harmless-sdn/harmless/internal/analysis/frameown"
 	"github.com/harmless-sdn/harmless/internal/analysis/hotpathalloc"
@@ -51,9 +41,8 @@ import (
 
 // report is the JSON document -json and -out emit.
 type report struct {
-	Tool     string                   `json:"tool"`
-	Findings []finding                `json:"findings"`
-	Stale    []analysis.BaselineEntry `json:"stale_baseline_entries,omitempty"`
+	Tool     string    `json:"tool"`
+	Findings []finding `json:"findings"`
 }
 
 // finding is one diagnostic in the JSON report.
@@ -70,8 +59,6 @@ func main() {
 	jsonOut := fs.Bool("json", false, "print the JSON report on stdout")
 	github := fs.Bool("github", false, "print GitHub Actions ::error annotations")
 	outFile := fs.String("out", "", "also write the JSON report to this file")
-	baselineFile := fs.String("baseline", "", "suppress findings recorded in this baseline; fail on stale entries")
-	writeBaseline := fs.String("write-baseline", "", "write current findings as a baseline to this file and exit")
 	fs.Parse(os.Args[1:])
 
 	patterns := fs.Args()
@@ -83,7 +70,6 @@ func main() {
 		clockinject.Analyzer,
 		hotpathalloc.Analyzer,
 		frameown.Analyzer,
-		detorder.Analyzer,
 		atomicmix.Analyzer,
 		errdrop.Analyzer,
 	}
@@ -97,26 +83,7 @@ func main() {
 		fatal(err)
 	}
 
-	if *writeBaseline != "" {
-		b := analysis.NewBaseline(diags)
-		if err := b.Save(*writeBaseline); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "harmlesslint: wrote %d entr%s to %s\n",
-			len(b.Entries), plural(len(b.Entries), "y", "ies"), *writeBaseline)
-		return
-	}
-
-	var stale []analysis.BaselineEntry
-	if *baselineFile != "" {
-		b, err := analysis.LoadBaseline(*baselineFile)
-		if err != nil {
-			fatal(err)
-		}
-		diags, stale = b.Apply(diags)
-	}
-
-	rep := report{Tool: "harmlesslint", Findings: []finding{}, Stale: stale}
+	rep := report{Tool: "harmlesslint", Findings: []finding{}}
 	for _, d := range diags {
 		rep.Findings = append(rep.Findings, finding{
 			Analyzer: d.Analyzer,
@@ -144,26 +111,14 @@ func main() {
 			fmt.Printf("::error file=%s,line=%d,col=%d,title=harmlesslint/%s::%s\n",
 				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, escapeWorkflow(d.Message))
 		}
-		for _, e := range stale {
-			fmt.Printf("::error file=%s,line=%d,title=harmlesslint/baseline::stale baseline entry (%s: %s) no longer fires; delete it from the baseline\n",
-				e.File, e.Line, e.Analyzer, escapeWorkflow(e.Message))
-		}
 	default:
 		for _, d := range diags {
 			fmt.Printf("%s:%d:%d: %s: %s\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 		}
-		for _, e := range stale {
-			fmt.Printf("%s:%d: %s: stale baseline entry (%s) no longer fires; delete it\n",
-				e.File, e.Line, e.Analyzer, e.Message)
-		}
 	}
 
-	if n := len(diags) + len(stale); n > 0 {
-		fmt.Fprintf(os.Stderr, "harmlesslint: %d finding(s)", len(diags))
-		if len(stale) > 0 {
-			fmt.Fprintf(os.Stderr, ", %d stale baseline entr%s", len(stale), plural(len(stale), "y", "ies"))
-		}
-		fmt.Fprintln(os.Stderr)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "harmlesslint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 }
@@ -187,13 +142,6 @@ func writeJSON(path string, rep report) error {
 func escapeWorkflow(s string) string {
 	r := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A")
 	return r.Replace(s)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }
 
 func fatal(err error) {

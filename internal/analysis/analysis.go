@@ -3,15 +3,16 @@
 // passes over the module's packages, position-attached diagnostics,
 // and //harmless: source directives with mandatory justifications.
 //
-// The repo's performance and determinism claims rest on invariants the
-// compiler cannot see — injected clocks, zero-alloc hot paths,
-// borrowed dataplane frames, map-order-free digests. The analyzers
+// The repo's performance claims rest on invariants the compiler cannot
+// see — injected clocks, zero-alloc hot paths, borrowed dataplane
+// frames, errors that must not vanish on a rollback. The analyzers
 // built on this framework (clockinject, hotpathalloc, frameown,
-// detorder, atomicmix, errdrop — one package each next to this one)
-// turn those conventions into mechanical gates; lock and shard copies
-// are left to go vet's copylocks. cmd/harmlesslint is the multichecker
-// that runs them, and `make lint` / CI fail on any diagnostic not
-// burned into the committed baseline (see Baseline).
+// atomicmix, errdrop — one package each next to this one) turn those
+// conventions into mechanical gates; lock and shard copies are left to
+// go vet's copylocks, and map order leaking into a digest to the tests
+// that run a scenario twice and compare. cmd/harmlesslint is the
+// multichecker that runs them, and `make lint` / CI fail on any
+// diagnostic: a finding is fixed, or hatched with a reason.
 //
 // # Directives
 //
@@ -23,7 +24,6 @@
 //	//harmless:allow-wallclock <reason>
 //	//harmless:allow-alloc <reason>
 //	//harmless:allow-unclipped <reason>
-//	//harmless:allow-maporder <reason>
 //	//harmless:allow-plain <reason>
 //	//harmless:allow-droperr <reason>
 //	    escape hatches suppressing one diagnostic of the owning
@@ -31,6 +31,9 @@
 //	    comment. The reason is mandatory: a bare escape hatch is
 //	    itself a diagnostic, and so is a hatch that suppresses
 //	    nothing (both rot otherwise).
+//
+// Any other name under //harmless: is a diagnostic too (a typo, or a
+// hatch whose analyzer is gone, would otherwise be ignored in silence).
 package analysis
 
 import (
@@ -124,6 +127,16 @@ type Directive struct {
 
 // DirectivePrefix is the comment namespace all directives live in.
 const DirectivePrefix = "//harmless:"
+
+// knownDirectives is every name some analyzer of the suite reads.
+var knownDirectives = map[string]bool{
+	"hotpath":         true,
+	"allow-wallclock": true,
+	"allow-alloc":     true,
+	"allow-unclipped": true,
+	"allow-plain":     true,
+	"allow-droperr":   true,
+}
 
 // NewPass assembles a pass and indexes the package's directives.
 func NewPass(a *Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
@@ -236,5 +249,18 @@ func (p *Pass) ReportUnused(names ...string) {
 	sort.Slice(unused, func(i, j int) bool { return unused[i].Pos < unused[j].Pos })
 	for _, d := range unused {
 		p.Reportf(d.Pos, "unused //harmless:%s directive", d.Name)
+	}
+}
+
+// ReportUnknown flags every //harmless: comment in the package whose
+// name no analyzer reads. Analyze runs it once per package and sorts
+// what it reports.
+func (p *Pass) ReportUnknown() {
+	for _, ds := range p.directives {
+		for _, d := range ds {
+			if !knownDirectives[d.Name] {
+				p.Reportf(d.Pos, "unknown directive //harmless:%s: no analyzer reads it; fix the name or delete it", d.Name)
+			}
+		}
 	}
 }

@@ -6,7 +6,7 @@
 // failure that gets discovered during an outage — the unwind "worked",
 // except the flow-mod never made it to the switch and nobody looked at
 // the return value. So on every function reachable from one of those
-// roots in the package call graph (flow.Graph: direct calls plus
+// roots in the package call graph (callgraph.go: direct calls plus
 // function references passed as callbacks), a call whose error result
 // is discarded — as a bare statement, a defer, or a blank assignment —
 // is a diagnostic. The fix is to handle it, aggregate with
@@ -24,7 +24,6 @@ import (
 	"strings"
 
 	"github.com/harmless-sdn/harmless/internal/analysis"
-	"github.com/harmless-sdn/harmless/internal/analysis/flow"
 )
 
 // Analyzer is the errdrop pass.
@@ -48,7 +47,7 @@ func isRoot(name string) bool {
 }
 
 func run(pass *analysis.Pass) error {
-	g := flow.NewGraph(pass)
+	g := newGraph(pass)
 	rootOf := reachableFromRoots(g)
 	if len(rootOf) > 0 {
 		for _, f := range pass.Files {
@@ -73,9 +72,9 @@ func run(pass *analysis.Pass) error {
 // reachableFromRoots maps every function reachable from a teardown
 // root to the name of the (first, in source order) root that reaches
 // it — deterministic provenance for the message.
-func reachableFromRoots(g *flow.Graph) map[*types.Func]string {
+func reachableFromRoots(g *graph) map[*types.Func]string {
 	var roots []*types.Func
-	for fn := range g.Decls {
+	for fn := range g.decls {
 		if isRoot(fn.Name()) {
 			roots = append(roots, fn)
 		}
@@ -88,7 +87,7 @@ func reachableFromRoots(g *flow.Graph) map[*types.Func]string {
 			return
 		}
 		rootOf[fn] = root
-		for _, callee := range g.Callees[fn] {
+		for _, callee := range g.callees[fn] {
 			visit(callee, root)
 		}
 	}

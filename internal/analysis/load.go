@@ -97,7 +97,7 @@ func CheckFixture(fset *token.FileSet, path string, filenames []string) (*Packag
 // ModuleDir resolves the root directory of the main module governing
 // dir, so diagnostic positions can be reported module-relative — the
 // same path on every machine and in every checkout, which is what lets
-// baseline entries and CI annotations match across environments.
+// CI annotations land on the right file.
 func ModuleDir(dir string) (string, error) {
 	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
 	cmd.Dir = dir
@@ -157,10 +157,14 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	return pkgs, nil
 }
 
+// directiveCheck names the diagnostics Analyze itself reports.
+var directiveCheck = &Analyzer{Name: "directive", Doc: "flags //harmless: comments no analyzer reads"}
+
 // Analyze loads the packages matching patterns and runs every analyzer
 // — per-package passes over each package, module passes once over the
 // whole load — returning the combined, position-sorted diagnostics
-// with filenames normalized to module-relative slash paths.
+// with filenames normalized to module-relative slash paths. A
+// //harmless: comment no analyzer reads is a diagnostic of its own.
 func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
@@ -168,6 +172,9 @@ func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic
 	}
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
+	for _, pkg := range pkgs {
+		NewPass(directiveCheck, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report).ReportUnknown()
+	}
 	for _, a := range analyzers {
 		if a.RunModule != nil {
 			mp := &ModulePass{}

@@ -39,13 +39,32 @@ func unsuppressed() {
 }
 `
 
+// rotPass typechecks rotFixture written with one directive name and
+// returns a pass for analyzer a over it, with the diagnostics it
+// collects.
+func rotPass(t *testing.T, name string, a *analysis.Analyzer) (*analysis.Pass, *[]analysis.Diagnostic) {
+	t.Helper()
+	file := filepath.Join(t.TempDir(), "fix.go")
+	if err := os.WriteFile(file, []byte(fmt.Sprintf(rotFixture, name)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := analysis.CheckPackage(token.NewFileSet(), nil, "fix", []string{file})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := new([]analysis.Diagnostic)
+	return analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info,
+		func(d analysis.Diagnostic) { *got = append(*got, d) }), got
+}
+
 // TestDirectiveRot proves the rot rules hold for every escape hatch
 // the suite owns, not just the ones whose analyzer fixtures happen to
 // cover them: a bare hatch still suppresses but is itself a
 // diagnostic, a hatch that suppresses nothing is a diagnostic, and a
 // reasoned, used hatch is silent. The per-analyzer fixtures cover the
 // same rules end-to-end through each real analyzer; this table pins
-// the framework behavior per directive name.
+// the framework behavior per directive name. A hatch whose analyzer is
+// gone rots a third way: every one left behind is an unknown directive.
 func TestDirectiveRot(t *testing.T) {
 	directives := []struct {
 		name     string
@@ -54,24 +73,11 @@ func TestDirectiveRot(t *testing.T) {
 		{"allow-wallclock", "clockinject"},
 		{"allow-alloc", "hotpathalloc"},
 		{"allow-unclipped", "frameown"},
-		{"allow-maporder", "detorder"},
 		{"allow-plain", "atomicmix"},
 		{"allow-droperr", "errdrop"},
 	}
 	for _, tc := range directives {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			file := filepath.Join(dir, "fix.go")
-			src := fmt.Sprintf(rotFixture, tc.name)
-			if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			fset := token.NewFileSet()
-			pkg, err := analysis.CheckPackage(fset, nil, "fix", []string{file})
-			if err != nil {
-				t.Fatal(err)
-			}
-
 			// The stub analyzer stands in for the directive's owner:
 			// it "finds" every `_ = <literal>` assignment unless the
 			// hatch suppresses it.
@@ -100,12 +106,12 @@ func TestDirectiveRot(t *testing.T) {
 				return nil
 			}
 
-			var got []analysis.Diagnostic
-			pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info,
-				func(d analysis.Diagnostic) { got = append(got, d) })
+			pass, diags := rotPass(t, tc.name, a)
 			if err := a.Run(pass); err != nil {
 				t.Fatal(err)
 			}
+			pass.ReportUnknown() // a name the suite owns is never unknown
+			got := *diags
 			analysis.SortDiagnostics(got)
 
 			want := []string{
@@ -130,6 +136,23 @@ func TestDirectiveRot(t *testing.T) {
 			}
 		})
 	}
+
+	// detorder is gone; its hatch must not linger as a comment that
+	// looks like it still excuses something.
+	t.Run("allow-maporder", func(t *testing.T) {
+		pass, diags := rotPass(t, "allow-maporder", &analysis.Analyzer{Name: "directive"})
+		pass.ReportUnknown()
+		got := *diags
+		analysis.SortDiagnostics(got)
+		if len(got) != 3 { // bare, reasoned, stale: each one in the fixture
+			t.Fatalf("got %d diagnostics, want 3:\n%s", len(got), render(got))
+		}
+		for _, d := range got {
+			if !strings.HasPrefix(d.Message, "unknown directive //harmless:allow-maporder") {
+				t.Errorf("unexpected diagnostic:\n%s", render(got))
+			}
+		}
+	})
 }
 
 func containsMessage(ds []analysis.Diagnostic, msg string) bool {

@@ -149,22 +149,12 @@ func (g *Generator) CopyNext() []byte {
 // NextBatch refills into with the next n frames in generation order
 // and returns it, reusing into's capacity — the vector shape
 // Switch.ReceiveBatch and Port.SendBatch consume. The frames are
-// shared like Next's; use CopyBatch for paths that mutate.
+// shared like Next's; a path that mutates copies each one (CopyNext,
+// Arena).
 func (g *Generator) NextBatch(into [][]byte, n int) [][]byte {
 	into = into[:0]
 	for i := 0; i < n; i++ {
 		into = append(into, g.Next())
-	}
-	return into
-}
-
-// CopyBatch refills into with private copies of the next n frames —
-// for batch injection into paths that take frame ownership or rewrite
-// headers in place.
-func (g *Generator) CopyBatch(into [][]byte, n int) [][]byte {
-	into = into[:0]
-	for i := 0; i < n; i++ {
-		into = append(into, g.CopyNext())
 	}
 	return into
 }

@@ -391,45 +391,3 @@ func (w *IncastWorkload) Next() (FlowArrival, bool) {
 	w.nextID++
 	return a, true
 }
-
-// mergedWorkload interleaves streams in global At order (k-way merge
-// over already-sorted inputs).
-type mergedWorkload struct {
-	heads []FlowArrival
-	live  []bool
-	srcs  []Workload
-	next  uint64
-}
-
-// MergeWorkloads combines workloads into one stream ordered by At,
-// reassigning FlowIDs so they stay unique across sources. Incast
-// bursts layered on a diurnal baseline is the expected use.
-func MergeWorkloads(ws ...Workload) Workload {
-	m := &mergedWorkload{
-		heads: make([]FlowArrival, len(ws)),
-		live:  make([]bool, len(ws)),
-		srcs:  ws,
-	}
-	for i, w := range ws {
-		m.heads[i], m.live[i] = w.Next()
-	}
-	return m
-}
-
-// Next implements Workload.
-func (m *mergedWorkload) Next() (FlowArrival, bool) {
-	best := -1
-	for i, ok := range m.live {
-		if ok && (best < 0 || m.heads[i].At < m.heads[best].At) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return FlowArrival{}, false
-	}
-	a := m.heads[best]
-	m.heads[best], m.live[best] = m.srcs[best].Next()
-	a.FlowID = m.next
-	m.next++
-	return a, true
-}

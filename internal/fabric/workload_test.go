@@ -251,26 +251,3 @@ func TestIncastWorkloadShape(t *testing.T) {
 		}
 	}
 }
-
-// MergeWorkloads keeps global At order and unique flow ids.
-func TestMergeWorkloads(t *testing.T) {
-	p, err := NewPoissonWorkload(20, 500, 200, 4, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in, err := NewIncastWorkload(20, 5, 8, 300*time.Millisecond, 10*time.Millisecond, 4, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := drain(t, MergeWorkloads(p, in))
-	if len(arr) != 500+5*8 {
-		t.Fatalf("merged %d arrivals, want %d", len(arr), 540)
-	}
-	ids := map[uint64]bool{}
-	for _, a := range arr {
-		if ids[a.FlowID] {
-			t.Fatalf("duplicate flow id %d in merged stream", a.FlowID)
-		}
-		ids[a.FlowID] = true
-	}
-}

@@ -1,8 +1,13 @@
 package migrate
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/harmless-sdn/harmless/internal/mgmt"
 )
 
 const testWallBudget = 60 * time.Second
@@ -199,5 +204,48 @@ func TestCampaignCleanRun(t *testing.T) {
 	}
 	if rep.MigratedPorts != rep.AccessPorts {
 		t.Errorf("migrated %d of %d access ports", rep.MigratedPorts, rep.AccessPorts)
+	}
+}
+
+// lostAckDriver stands for a management session that drops after the
+// device ran a command: RemoveVLAN (which only a rollback issues)
+// reaches the switch and then reports failure.
+type lostAckDriver struct{ mgmt.Driver }
+
+func (d lostAckDriver) RemoveVLAN(id uint16) error {
+	if err := d.Driver.RemoveVLAN(id); err != nil {
+		return err
+	}
+	return fmt.Errorf("injected: vlan %d removed, ack lost", id)
+}
+
+// TestCampaignRollbackErrorReachesReport: the running config reads
+// restored, so the error Manager.Rollback returns is the only sign
+// that the unwind is unconfirmed. It must fail the wave and name the
+// device's error in the report.
+func TestCampaignRollbackErrorReachesReport(t *testing.T) {
+	spec := threeWaveSpec()
+	spec.Faults = []FaultSpec{{Kind: FaultServerDown, Switch: "bravo"}}
+	x, err := NewExecutor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := x.rigByName["bravo"]
+	r.driver = lostAckDriver{r.driver}
+	rep, err := x.Run(testWallBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := waveByIndex(t, rep, 2)
+	if w.Outcome != OutcomeRolledBack {
+		t.Fatalf("wave 2: outcome %q, want %q", w.Outcome, OutcomeRolledBack)
+	}
+	if w.ConfigConform || rep.Pass {
+		t.Errorf("a rollback whose driver failed passed: configConform=%v pass=%v", w.ConfigConform, rep.Pass)
+	}
+	if !slices.ContainsFunc(rep.Failures, func(f string) bool {
+		return strings.Contains(f, "rolling back bravo") && strings.Contains(f, "injected")
+	}) {
+		t.Errorf("report does not carry the rollback error: %v", rep.Failures)
 	}
 }

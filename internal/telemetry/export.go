@@ -263,7 +263,10 @@ func (a *Aggregator) Flush() {
 			a.biflows.Inc()
 		}
 	}
-	//harmless:allow-maporder export order follows arrival and forced-eviction order; evictLocked picks victims by map iteration deliberately (pseudo-random eviction) and the digest gates compare totals, not record order
+	// Export order follows arrival and forced-eviction order;
+	// evictLocked picks victims by map iteration deliberately
+	// (pseudo-random eviction) and the digest gates compare totals, not
+	// record order.
 	n, err := a.enc.Encode(flows, a.samples, uint32(a.clock.Now().Unix()), a.exporter.ExportMessage)
 	a.msgs.Add(uint64(n))
 	if err != nil {
