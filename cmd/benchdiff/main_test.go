@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -96,23 +97,25 @@ func TestPairCheck(t *testing.T) {
 
 func TestPairCheckDeclaredGates(t *testing.T) {
 	// The declared table: the cache pair, the chain/bare pair, the burst
-	// pair, the masked/exact lookup pair and the add-at-size pair, each
-	// with its own minimum.
+	// pair, the run pair, the masked/exact lookup pair and the add-at-size
+	// pair, each with its own minimum.
 	results := map[string]*Result{
-		"BenchmarkManyFlows/zipf/cached":    res(map[string]float64{"pps": 2.0e6}),
-		"BenchmarkManyFlows/zipf/uncached":  res(map[string]float64{"pps": 1.0e6}),
-		"BenchmarkE2_ChainBurst/chain":      res(map[string]float64{"pps": 2.0e6}),
-		"BenchmarkE2_ChainBurst/bare":       res(map[string]float64{"pps": 8.0e6}),
-		"BenchmarkReceiveBatch/batch=32":    res(map[string]float64{"ns/op": 117}),
-		"BenchmarkReceiveBatch/batch=1":     res(map[string]float64{"ns/op": 345}),
-		"BenchmarkReceiveBatch/batch=256":   res(map[string]float64{"ns/op": 107}), // no gate on this row
-		"BenchmarkSomethingElse/batch=32/x": res(map[string]float64{"ns/op": 1}),
-		"BenchmarkLookup/rules=4096/masked": res(map[string]float64{"ns/op": 125}),
-		"BenchmarkLookup/rules=4096/exact":  res(map[string]float64{"ns/op": 120}),
-		"BenchmarkLookup/rules=4096/mixed":  res(map[string]float64{"ns/op": 140}), // no gate on this row
-		"BenchmarkAdd/new/at=4096":          res(map[string]float64{"ns/op": 420}),
-		"BenchmarkAdd/new/at=256":           res(map[string]float64{"ns/op": 400}), // no gate on this row
-		"BenchmarkAdd/new/at=16":            res(map[string]float64{"ns/op": 380}),
+		"BenchmarkManyFlows/zipf/cached":     res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkManyFlows/zipf/uncached":   res(map[string]float64{"pps": 1.0e6}),
+		"BenchmarkE2_ChainBurst/chain":       res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkE2_ChainBurst/bare":        res(map[string]float64{"pps": 8.0e6}),
+		"BenchmarkReceiveBatch/batch=32":     res(map[string]float64{"ns/op": 117}),
+		"BenchmarkReceiveBatch/batch=1":      res(map[string]float64{"ns/op": 345}),
+		"BenchmarkReceiveBatch/batch=256":    res(map[string]float64{"ns/op": 107}), // no gate on this row
+		"BenchmarkReceiveBatch/one-megaflow": res(map[string]float64{"ns/op": 50}),
+		"BenchmarkReceiveBatch/alternating":  res(map[string]float64{"ns/op": 97}),
+		"BenchmarkSomethingElse/batch=32/x":  res(map[string]float64{"ns/op": 1}),
+		"BenchmarkLookup/rules=4096/masked":  res(map[string]float64{"ns/op": 125}),
+		"BenchmarkLookup/rules=4096/exact":   res(map[string]float64{"ns/op": 120}),
+		"BenchmarkLookup/rules=4096/mixed":   res(map[string]float64{"ns/op": 140}), // no gate on this row
+		"BenchmarkAdd/new/at=4096":           res(map[string]float64{"ns/op": 420}),
+		"BenchmarkAdd/new/at=256":            res(map[string]float64{"ns/op": 400}), // no gate on this row
+		"BenchmarkAdd/new/at=16":             res(map[string]float64{"ns/op": 380}),
 	}
 	if bad := pairCheck(results, ratioGates); bad != 0 {
 		t.Errorf("pairCheck = %d failures on a 4x chain, want 0", bad)
@@ -129,6 +132,12 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		t.Errorf("pairCheck = %d failures on a 1.75x burst, want 1", bad)
 	}
 	results["BenchmarkReceiveBatch/batch=32"] = res(map[string]float64{"ns/op": 117})
+	// 1.3x, a run replayed frame by frame: fails its gate.
+	results["BenchmarkReceiveBatch/one-megaflow"] = res(map[string]float64{"ns/op": 97 / 1.3})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on runs replayed frame by frame, want 1", bad)
+	}
+	results["BenchmarkReceiveBatch/one-megaflow"] = res(map[string]float64{"ns/op": 50})
 	// 13 µs, masked rules in a linear list: fails its gate.
 	results["BenchmarkLookup/rules=4096/masked"] = res(map[string]float64{"ns/op": 13153})
 	if bad := pairCheck(results, ratioGates); bad != 1 {
@@ -157,6 +166,33 @@ func TestPairCheckDerivesFromNsOp(t *testing.T) {
 	}
 	if bad := pairCheck(results, cacheGate); bad != 0 {
 		t.Errorf("pairCheck on ns/op-only results = %d failures, want 0", bad)
+	}
+}
+
+// TestPairCheckReadsTheMedianRatio: with five results a side a gate
+// reads the median of the per-run ratios, which one slow run does not
+// move, where the ratio of the means would fail.
+func TestPairCheckReadsTheMedianRatio(t *testing.T) {
+	out := ""
+	for _, r := range []struct{ batch32, batch1 float64 }{{110, 345}, {112, 350}, {900, 340}, {115, 100}, {111, 330}} {
+		out += fmt.Sprintf("BenchmarkReceiveBatch/batch=32-2 300000 %v ns/op\nBenchmarkReceiveBatch/batch=1-2 300000 %v ns/op\n", r.batch32, r.batch1)
+	}
+	results, _, _, err := parseBench(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := []ratioGate{{Num: "batch=32", Den: "batch=1", Min: 2.08}}
+	if means := throughput(results["BenchmarkReceiveBatch/batch=32"].Metrics) /
+		throughput(results["BenchmarkReceiveBatch/batch=1"].Metrics); means >= 2.08 {
+		t.Fatalf("ratio of the means %.2f: the case no longer tells the two apart", means)
+	}
+	if bad := pairCheck(results, gate); bad != 0 {
+		t.Errorf("pairCheck = %d failures with per-run ratios 3.1, 3.1, 0.4, 0.9, 3.0 (median 3.0), want 0", bad)
+	}
+	// Three slow runs of five are the median: the gate fails.
+	results["BenchmarkReceiveBatch/batch=32"].runs[0]["ns/op"] = 900
+	if bad := pairCheck(results, gate); bad != 1 {
+		t.Errorf("pairCheck = %d failures with three of five per-run ratios under the gate, want 1", bad)
 	}
 }
 

@@ -14,8 +14,8 @@
 //
 //   - any function annotated //harmless:hotpath is checked;
 //   - the known zero-alloc entry points (Required below: the flow
-//     cache probe/lookup, the ReceiveBatch dispatch and its per-burst
-//     credit, the worker pool's Dispatch and drain on either side of
+//     cache probe/lookup, the ReceiveBatch dispatch, its run replay and
+//     its per-burst credit, the worker pool's Dispatch and drain on either side of
 //     it, the legacy bridge's burst forward and FDB step, the owned
 //     VLAN mutators and the key packing, ObserveBatch, the
 //     Ring/TypedRing push/pop) MUST carry the annotation, so nobody
@@ -54,6 +54,8 @@ var Required = map[string][]string{
 		"Switch.ReceiveBatch",
 		"Switch.processBatch",
 		"Switch.classifyAndRun",
+		"Switch.replay",
+		"Switch.applyRun",
 		"txContext.credit",
 		"txContext.flushCredits",
 	},

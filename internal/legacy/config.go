@@ -35,11 +35,24 @@ const DefaultVLAN uint16 = 1
 // MaxVLAN is the highest valid 802.1Q VLAN id (4095 is reserved).
 const MaxVLAN uint16 = 4094
 
+// VLANSet is a set of 802.1Q VLAN ids, one bit per id: the bridge asks
+// it for every frame it admits and every port it sends to, so membership
+// is a shift and a mask.
+type VLANSet [4096 / 64]uint64
+
+// Add puts vlan, at most 4095, in the set.
+func (s *VLANSet) Add(vlan uint16) { s[vlan>>6] |= 1 << (vlan & 63) }
+
+// Has reports whether vlan is in the set (ids past 4095 never are).
+func (s *VLANSet) Has(vlan uint16) bool {
+	return vlan < 4096 && s[vlan>>6]&(1<<(vlan&63)) != 0
+}
+
 // PortConfig is the administrative configuration of one port.
 type PortConfig struct {
 	Mode     PortMode
-	PVID     uint16          // access VLAN, or native VLAN on a trunk
-	Allowed  map[uint16]bool // trunk allowed set; nil means "all"
+	PVID     uint16   // access VLAN, or native VLAN on a trunk
+	Allowed  *VLANSet // trunk allowed set; nil means "all"
 	Shutdown bool
 	Name     string // interface name as shown by the CLI
 }
@@ -48,10 +61,8 @@ type PortConfig struct {
 func (pc *PortConfig) clone() *PortConfig {
 	c := *pc
 	if pc.Allowed != nil {
-		c.Allowed = make(map[uint16]bool, len(pc.Allowed))
-		for k, v := range pc.Allowed {
-			c.Allowed[k] = v
-		}
+		allowed := *pc.Allowed
+		c.Allowed = &allowed
 	}
 	return &c
 }
@@ -62,10 +73,7 @@ func (pc *PortConfig) allows(vlan uint16) bool {
 	case ModeAccess:
 		return pc.PVID == vlan
 	case ModeTrunk:
-		if pc.Allowed == nil {
-			return true
-		}
-		return pc.Allowed[vlan]
+		return pc.Allowed == nil || pc.Allowed.Has(vlan)
 	}
 	return false
 }
@@ -89,13 +97,12 @@ func (pc *PortConfig) AllowedList() []uint16 {
 	if pc.Allowed == nil {
 		return nil
 	}
-	out := make([]uint16, 0, len(pc.Allowed))
-	for v, ok := range pc.Allowed {
-		if ok {
+	out := []uint16{}
+	for v := range uint16(4096) {
+		if pc.Allowed.Has(v) {
 			out = append(out, v)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -130,7 +137,7 @@ func (c *Config) Validate() error {
 		if p.PVID < 1 || p.PVID > MaxVLAN {
 			return fmt.Errorf("legacy: port %d: PVID %d out of range", n, p.PVID)
 		}
-		for v := range p.Allowed {
+		for _, v := range p.AllowedList() {
 			if v < 1 || v > MaxVLAN {
 				return fmt.Errorf("legacy: port %d: allowed VLAN %d out of range", n, v)
 			}

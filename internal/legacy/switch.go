@@ -362,13 +362,13 @@ func (s *Switch) SetPortTrunk(n int, native uint16, allowed []uint16) error {
 	if allowed == nil {
 		pc.Allowed = nil
 	} else {
-		pc.Allowed = make(map[uint16]bool, len(allowed))
+		pc.Allowed = new(VLANSet)
 		for _, v := range allowed {
 			if v < 1 || v > MaxVLAN {
 				s.mu.Unlock()
 				return fmt.Errorf("legacy: allowed VLAN %d out of range", v)
 			}
-			pc.Allowed[v] = true
+			pc.Allowed.Add(v)
 		}
 	}
 	s.mu.Unlock()

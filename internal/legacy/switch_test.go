@@ -1,6 +1,7 @@
 package legacy
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +254,37 @@ func TestTrunkDisallowedVLANDropped(t *testing.T) {
 	}
 	if d := r.sw.PortCounters(2).RxDropped.Load(); d != 1 {
 		t.Errorf("RxDropped = %d", d)
+	}
+}
+
+// TestTrunkAllowedSet pins what the allowed VLAN set keeps of the list it
+// is given: the ids at both ends of the range, an empty list apart from
+// "all", a copy in Config() that does not alias the switch's.
+func TestTrunkAllowedSet(t *testing.T) {
+	sw := NewSwitch("edge", 3)
+	if err := sw.SetPortTrunk(1, 1, []uint16{4094, 1, 64, 63}); err != nil {
+		t.Fatal(err)
+	}
+	_ = sw.SetPortTrunk(2, 1, []uint16{})
+	_ = sw.SetPortTrunk(3, 1, nil)
+	cfg := sw.Config()
+	if al := cfg.Ports[1].AllowedList(); fmt.Sprint(al) != "[1 63 64 4094]" {
+		t.Errorf("allowed list = %v", al)
+	}
+	for vlan, want := range map[uint16]bool{1: true, 2: false, 63: true, 64: true, 4094: true, 4095: false, 0xffff: false} {
+		if got := cfg.Ports[1].allows(vlan); got != want {
+			t.Errorf("allows(%d) = %v, want %v", vlan, got, want)
+		}
+	}
+	if al := cfg.Ports[2].AllowedList(); al == nil || len(al) != 0 || cfg.Ports[2].allows(1) {
+		t.Errorf("empty allowed list: %v, carries VLAN 1: %v", al, cfg.Ports[2].allows(1))
+	}
+	if al := cfg.Ports[3].AllowedList(); al != nil || !cfg.Ports[3].allows(4094) {
+		t.Errorf("nil allowed list reads %v", al)
+	}
+	cfg.Ports[1].Allowed.Add(2)
+	if sw.Config().Ports[1].allows(2) {
+		t.Error("Config() shares its allowed set with the switch")
 	}
 }
 

@@ -155,7 +155,8 @@ func FuzzVLANOwned(f *testing.F) {
 // panics on any bytes; packing tells two parsed keys apart exactly when
 // a matchable field does (IPTOS is not one); and once the headers have
 // parsed down to a transport, ICMP or ARP header the key is a function
-// of those headers alone — frames differing only behind them pack equal.
+// of those headers alone — frames differing only behind them pack equal;
+// SetAnd and Equal compute what And and == do.
 func FuzzFlatKey(f *testing.F) {
 	udp, _ := Serialize(
 		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
@@ -190,6 +191,11 @@ func FuzzFlatKey(f *testing.F) {
 		ka.IPTOS, kb.IPTOS = 0, 0
 		if (ka == kb) != (wa == wb) {
 			t.Fatalf("keys equal = %v, packed equal = %v:\n %+v -> %x\n %+v -> %x", ka == kb, wa == wb, ka, wa, kb, wb)
+		}
+		// The in-place forms the batch probe uses agree with And and ==.
+		var p FlatKey
+		if p.SetAnd(&wa, &wb); p != wa.And(&wb) || wa.Equal(&wb) != (wa == wb) || !p.Equal(&p) {
+			t.Fatalf("SetAnd/Equal disagree with And/== on %x, %x", wa, wb)
 		}
 		if err == nil && (k0.HasL4 || k0.HasICMP || k0.HasARP) && (wa != w0 || wb != w0) {
 			t.Fatalf("payload changed the packed key of %+v: %x, %x, %x", k0, w0, wa, wb)

@@ -201,6 +201,19 @@ func (f *FlatKey) And(m *FlatKey) FlatKey {
 	return FlatKey{f[0] & m[0], f[1] & m[1], f[2] & m[2], f[3] & m[3], f[4] & m[4], f[5] & m[5]}
 }
 
+// SetAnd sets f to k projected onto the field mask m: And, written in
+// place.
+func (f *FlatKey) SetAnd(k, m *FlatKey) {
+	f[0], f[1], f[2] = k[0]&m[0], k[1]&m[1], k[2]&m[2]
+	f[3], f[4], f[5] = k[3]&m[3], k[4]&m[4], k[5]&m[5]
+}
+
+// Equal reports whether f and g are the same key: six XORs folded into
+// one test.
+func (f *FlatKey) Equal(g *FlatKey) bool {
+	return (f[0]^g[0])|(f[1]^g[1])|(f[2]^g[2])|(f[3]^g[3])|(f[4]^g[4])|(f[5]^g[5]) == 0
+}
+
 // Or returns the union of the masks f and m.
 func (f *FlatKey) Or(m *FlatKey) FlatKey {
 	return FlatKey{f[0] | m[0], f[1] | m[1], f[2] | m[2], f[3] | m[3], f[4] | m[4], f[5] | m[5]}

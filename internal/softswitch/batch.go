@@ -17,10 +17,16 @@ import (
 //   - the flow cache is probed class by class, the keys grouped by
 //     shard so each shard read-lock is taken once per batch, and a run
 //     of frames with one projection probed once (probeBatch);
+//   - the burst is walked as runs — stretches of consecutive frames the
+//     probe resolved to one cache entry — and each run replays the
+//     entry's program once (replay): one credit per flow entry, the
+//     rewrites frame by frame, one append of the survivors to the egress
+//     port; a program that decides per packet takes its run frame by
+//     frame;
 //   - only the residue of misses walks the full pipeline;
-//   - flow-entry and table counters are credited once per distinct
-//     entry, egress is coalesced per port (txContext), and every port
-//     backend is flushed once per batch;
+//   - credits are summed per distinct entry across the burst, egress is
+//     coalesced per port (txContext), and every port backend is flushed
+//     once per batch;
 //   - frames crossing a patch port into a peer switch stay grouped and
 //     are dispatched ITERATIVELY off a worklist — a chain of patched
 //     switches (SS_1 -> SS_2 -> ...) runs at constant stack depth
@@ -32,8 +38,9 @@ import (
 // frames sent either way (batch_test.go proves it).
 //
 // Ownership follows the dataplane package rules: each frame of the
-// vector transfers to the switch; the vector itself is borrowed and
-// reusable by the caller as soon as ReceiveBatch returns.
+// vector transfers to the switch; the vector itself is borrowed, never
+// written — a run is rewritten and compacted in the dispatch's scratch —
+// and reusable by the caller as soon as ReceiveBatch returns.
 
 // patchWork is one pending cross-switch delivery: a still-grouped
 // egress batch that crossed a patch port.
@@ -96,18 +103,19 @@ type creditSlot struct {
 	packets, bytes uint64
 }
 
-// credit accounts one frame of size bytes matching e in table t: a
-// lookup's own hit on the walk, a recorded one on replay, at the same
-// position of the program either way. A burst's frames mostly match the
-// same few entries, so a burst adds them up per entry for flushTx to
-// publish in one CreditHits each; meeting more distinct entries than it
-// has slots, it publishes what it holds and starts over. The counters
-// add up as before; only when they are written changes.
+// credit accounts packets frames, bytes long together, matching e in
+// table t: a lookup's own hit on the walk (one frame), a recorded one on
+// replay (a run), at the same position of the program either way. A burst's
+// frames mostly match the same few entries, so a burst adds them up per
+// entry for flushTx to publish in one CreditHits each; meeting more
+// distinct entries than it has slots, it publishes what it holds and
+// starts over. The counters add up as before; only when they are
+// written changes.
 //
 //harmless:hotpath
-func (tx *txContext) credit(t *flowtable.Table, e *flowtable.Entry, size int, c netem.Clock) {
+func (tx *txContext) credit(t *flowtable.Table, e *flowtable.Entry, packets, bytes int, c netem.Clock) {
 	if !tx.burst {
-		t.CreditHits(e, 1, uint64(size), tx.now(c))
+		t.CreditHits(e, uint64(packets), uint64(bytes), tx.now(c))
 		return
 	}
 	for i := range tx.credits {
@@ -116,13 +124,13 @@ func (tx *txContext) credit(t *flowtable.Table, e *flowtable.Entry, size int, c 
 			sl.table, sl.entry = t, e
 		}
 		if sl.entry == e {
-			sl.packets++
-			sl.bytes += uint64(size)
+			sl.packets += uint64(packets)
+			sl.bytes += uint64(bytes)
 			return
 		}
 	}
 	tx.flushCredits(c)
-	tx.credits[0] = creditSlot{table: t, entry: e, packets: 1, bytes: uint64(size)}
+	tx.credits[0] = creditSlot{table: t, entry: e, packets: uint64(packets), bytes: uint64(bytes)}
 }
 
 // flushCredits publishes the burst's credits at the dispatch's clock
@@ -142,10 +150,24 @@ func (tx *txContext) flushCredits(c netem.Clock) {
 
 // add coalesces one frame onto the egress vector of port p.
 func (tx *txContext) add(p *swPort, frame []byte) {
+	i := tx.slot(p)
+	tx.frames[i] = append(tx.frames[i], frame)
+}
+
+// addRun coalesces a replayed run's survivors onto the egress vector of
+// port p in one append. (add stays apart: appending a vector of one
+// frame costs a runtime copy call that appending the frame does not.)
+func (tx *txContext) addRun(p *swPort, frames [][]byte) {
+	i := tx.slot(p)
+	tx.frames[i] = append(tx.frames[i], frames...)
+}
+
+// slot returns the index of port p's egress vector, opening an empty
+// one the first time the dispatch sends to p.
+func (tx *txContext) slot(p *swPort) int {
 	for i, q := range tx.ports {
 		if q == p {
-			tx.frames[i] = append(tx.frames[i], frame)
-			return
+			return i
 		}
 	}
 	i := len(tx.ports)
@@ -159,7 +181,8 @@ func (tx *txContext) add(p *swPort, frame []byte) {
 		tx.frames[i] = tx.spare[len(tx.spare)-1]
 		tx.spare = tx.spare[:len(tx.spare)-1]
 	}
-	tx.frames[i] = append(tx.frames[i][:0], frame)
+	tx.frames[i] = tx.frames[i][:0]
+	return i
 }
 
 // recycle takes back a frame vector whose frames have been consumed.
@@ -206,7 +229,8 @@ func (s *Switch) flushTx(tx *txContext) {
 // what telemetry needs of each frame (its key, whether it was classified,
 // its egress port) to the single ObserveBatch call at the end of the
 // dispatch — the zero-alloc batch-level hook, as opposed to a per-frame
-// callback. sc is the cache's probe scratch.
+// callback. sc is the cache's probe scratch, run the vector a replayed
+// run is rewritten and compacted in, so the caller's is never written.
 type dispatchState struct {
 	tx   txContext
 	keys []pkt.Key
@@ -214,6 +238,7 @@ type dispatchState struct {
 	skip []bool
 	outs []uint32
 	sc   probeScratch
+	run  [][]byte
 	one  [1][]byte // single-frame vector for the Receive wrapper
 }
 
@@ -223,6 +248,7 @@ func (st *dispatchState) grow(n int) {
 		st.mfs = make([]*CacheEntry, n)
 		st.skip = make([]bool, n)
 		st.outs = make([]uint32, n)
+		st.run = make([][]byte, n)
 		st.sc.flat = make([]pkt.FlatKey, n)
 		st.sc.shard = make([]uint8, n)
 		st.sc.proj = make([]pkt.FlatKey, n)
@@ -301,6 +327,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	}
 	ch := s.cache
 	n := len(frames)
+	st.grow(n)
 	if n == 1 {
 		// One frame: the classic per-frame walk, minus the batch-probe
 		// bookkeeping.
@@ -314,16 +341,16 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 			if ch != nil {
 				shard = shardOf(flat.Sum())
 			}
-			out := s.classifyAndRun(&flat, shard, inPort, frames[0], &st.tx)
+			out := s.classifyAndRun(&flat, shard, inPort, frames, st)
 			if tel != nil {
 				tel.Observe(&key, len(frames[0]), out, now)
 			}
 		}
+		st.run[0] = nil
 		s.flushTx(&st.tx)
 		return
 	}
 
-	st.grow(n)
 	st.tx.burst = true
 	keys, skip, mfs := st.keys[:n], st.skip[:n], st.mfs[:n]
 	bad := 0
@@ -345,24 +372,37 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 		clear(mfs)
 	}
 	outs := st.outs[:n]
-	for i, f := range frames {
-		if !skip[i] {
-			if mf := mfs[i]; mf != nil {
-				mfs[i] = nil
-				if tel != nil {
-					outs[i] = mf.outPort
-				}
-				s.replay(mf, inPort, f, &st.tx)
-			} else {
+	for i := 0; i < n; {
+		mf := mfs[i]
+		if mf == nil {
+			if !skip[i] {
 				// Batch probe missed: classifyAndRun re-probes per frame
 				// (the exact miss/invalidation accounting, and an entry
 				// installed by an earlier frame of this very batch can
 				// already hit) before falling back to the pipeline walk,
 				// with the packed key and bypass shard the probe derived.
-				outs[i] = s.classifyAndRun(&st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, f, &st.tx)
+				outs[i] = s.classifyAndRun(&st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, frames[i:i+1], st)
+			}
+			i++
+			continue
+		}
+		// A run: frame i and the frames after it the probe resolved to the
+		// same entry. Runs are taken in order, so every port's egress keeps
+		// the frames' arrival order.
+		j := i + 1
+		for j < n && mfs[j] == mf {
+			j++
+		}
+		if tel != nil {
+			for k := i; k < j; k++ {
+				outs[k] = mf.outPort
 			}
 		}
+		s.replay(mf, inPort, frames[i:j], st)
+		clear(mfs[i:j])
+		i = j
 	}
+	clear(st.run[:n])
 	if tel != nil {
 		tel.ObserveBatch(keys, skip, frames, outs, now)
 	}
@@ -371,13 +411,14 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 
 // classifyAndRun is the per-frame decision shared by every entry
 // point: serve from the flow cache, or walk the pipeline and record
-// a new cache entry. It returns the frame's resolved egress port (0 =
-// none), which the dispatch hands to telemetry with the frame's key. flat
-// is the packed key and shard its bypass shard (shardOf(flat.Sum()),
-// which is not read on a switch without a cache).
+// a new cache entry. one is the frame, as a run of one for replay. It
+// returns the frame's resolved egress port (0 = none), which the
+// dispatch hands to telemetry with the frame's key. flat is the packed
+// key and shard its bypass shard (shardOf(flat.Sum()), which is not read
+// on a switch without a cache).
 //
 //harmless:hotpath
-func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, frame []byte, tx *txContext) uint32 {
+func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, one [][]byte, st *dispatchState) uint32 {
 	ch := s.cache
 	var mf *CacheEntry
 	var record bool
@@ -385,20 +426,21 @@ func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, 
 		mf, record = ch.lookup(flat, shard)
 	}
 	if mf != nil {
-		s.replay(mf, inPort, frame, tx)
+		s.replay(mf, inPort, one, st)
 		return mf.outPort
 	}
+	tx := &st.tx
 	if !record {
 		// No cache, or adaptive bypass (the shard's hit rate collapsed):
 		// skip both the recording and the install — a pure slow-path walk.
-		s.runPipelineKeyed(flat, inPort, frame, 0, nil, tx)
+		s.runPipelineKeyed(flat, inPort, one[0], 0, nil, tx)
 		return 0
 	}
 	// Read the group revision before the walk so a group-mod racing
 	// the recording leaves it stale-by-revision, like the table revs.
 	groupRev := s.groups.Version()
 	rec := &tx.rec
-	s.runPipelineKeyed(flat, inPort, frame, 0, rec, tx)
+	s.runPipelineKeyed(flat, inPort, one[0], 0, rec, tx)
 	rec.resolveOutPort()
 	out := rec.outPort
 	if !rec.uncacheable {

@@ -179,6 +179,63 @@ func TestBatchCounterExactness(t *testing.T) {
 	}
 }
 
+// TestReceiveBatchLeavesTheVectorAlone: the vector a burst arrives in is
+// borrowed and never written. The burst is one run on one cache entry
+// whose program pops a tag, which re-slices each frame, and decrements
+// the TTL, which drops the frame in its middle that arrives with TTL 1:
+// the run is rewritten and compacted in the dispatch's scratch, and every
+// element of the caller's vector still holds the slice it held before.
+func TestReceiveBatchLeavesTheVectorAlone(t *testing.T) {
+	sw := softswitch.New("borrow", 0xb0)
+	sink := &depthBackend{}
+	sw.AttachPort(2, "sink", sink)
+	m := openflow.Match{}
+	m.WithInPort(1)
+	if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
+		TableID: 0, Command: openflow.FlowAdd, Priority: 10,
+		BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+		Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+			Actions: []openflow.Action{&openflow.ActionPopVLAN{}, &openflow.ActionDecNwTTL{}, &openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
+		}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gen := fabric.NewUDPGenerator(64, 8, 3)
+	tagged := func() []byte {
+		f, err := pkt.PushVLAN(gen.Next(), pkt.EtherTypeDot1Q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	sw.Receive(1, tagged()) // walks the tables and installs the entry
+	vec := make([][]byte, 8)
+	for i := range vec {
+		vec[i] = tagged()
+	}
+	vec[3][pkt.EthernetHeaderLen+pkt.Dot1QHeaderLen+8] = 1 // IPv4 TTL, in no key
+	before := make([][]byte, len(vec))
+	copy(before, vec)
+	sw.ReceiveBatch(1, vec)
+
+	for i := range vec {
+		if len(vec[i]) != len(before[i]) || cap(vec[i]) != cap(before[i]) || &vec[i][0] != &before[i][0] {
+			t.Errorf("element %d of the caller's vector was rewritten", i)
+		}
+	}
+	if hits := sw.CacheStats().Hits.Load(); hits != 8 {
+		t.Errorf("%d cache hits, want the burst's 8", hits)
+	}
+	if len(sink.frames) != 1+7 || sw.Drops() != 1 {
+		t.Errorf("%d frames out and %d dropped, want 8 and 1", len(sink.frames), sw.Drops())
+	}
+	for i, f := range sink.frames {
+		if pkt.HasVLAN(f) {
+			t.Errorf("frame %d left tagged", i)
+		}
+	}
+}
+
 // depthBackend records the goroutine stack depth observed at egress.
 type depthBackend struct {
 	frames [][]byte

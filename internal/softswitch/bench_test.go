@@ -129,13 +129,77 @@ func driveBatch(b *testing.B, sw *softswitch.Switch, gen *fabric.Generator, batc
 
 // BenchmarkReceiveBatch sweeps the batch size on the cached many-flow
 // workload: batch=1 is the per-frame wrapper baseline, larger vectors
-// amortize key extraction, shard locks and egress flushes.
+// amortize key extraction, shard locks and egress flushes. Then 32-frame
+// bursts of 1024 flows through the L2 program: one-megaflow sends every
+// frame to one host, so each burst is one run on one cache entry;
+// alternating sends to two hosts in turn, two entries, so every run is
+// one frame long. `make bench` gates the pair: a run must cost less than
+// its frames replayed one by one.
 func BenchmarkReceiveBatch(b *testing.B) {
 	for _, batch := range []int{1, 8, 32, 256} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			driveBatch(b, benchSwitch(b), fabric.NewUDPGenerator(64, 1024, 7), batch)
 		})
 	}
+	for _, w := range []struct {
+		name  string
+		hosts []pkt.MAC
+	}{
+		{"one-megaflow", []pkt.MAC{fabric.HostMAC(2)}},
+		{"alternating", []pkt.MAC{fabric.HostMAC(2), fabric.HostMAC(3)}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			driveBatch(b, l2Switch(b), fabric.NewFlowGenerator(64, l2Flows(1024, w.hosts)), 32)
+		})
+	}
+}
+
+// l2Switch is a switch with the L2 program apps.Learning leaves once
+// hosts 2 and 3 have talked: one eth_dst entry per host, above the
+// table-miss. Both entries output to port 2, a sink, so that traffic to
+// one host and traffic to both differ in their runs and nothing else.
+func l2Switch(b *testing.B) *softswitch.Switch {
+	b.Helper()
+	sw := softswitch.New("l2", 0x12)
+	sw.AttachPort(1, "in", &benchDiscard{})
+	sw.AttachPort(2, "out", &benchDiscard{})
+	for _, fm := range []struct {
+		priority uint16
+		host     int
+		port     uint32
+	}{{10, 2, 2}, {10, 3, 2}, {0, 0, openflow.PortController}} {
+		m := openflow.Match{}
+		if fm.host != 0 {
+			m.WithEthDst(fabric.HostMAC(fm.host))
+		}
+		if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
+			TableID: 0, Command: openflow.FlowAdd, Priority: fm.priority,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+			Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+				Actions: []openflow.Action{&openflow.ActionOutput{Port: fm.port, MaxLen: 0xffff}},
+			}},
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sw
+}
+
+// l2Flows builds n flows from distinct sources to the hosts in turn: the
+// L2 program tells them apart by destination alone.
+func l2Flows(n int, hosts []pkt.MAC) []fabric.FlowSpec {
+	flows := make([]fabric.FlowSpec, n)
+	for i := range flows {
+		flows[i] = fabric.FlowSpec{
+			SrcMAC: pkt.MAC{0x02, 0x30, 0, 0, byte(i >> 8), byte(i)},
+			DstMAC: hosts[i%len(hosts)],
+			SrcIP:  pkt.IPv4{10, 1, byte(i >> 8), byte(i)},
+			DstIP:  pkt.IPv4{10, 2, 0, 1},
+			Sport:  uint16(1024 + i),
+			Dport:  9999,
+		}
+	}
+	return flows
 }
 
 // wildcardFlows builds flows that differ only in fields the bench

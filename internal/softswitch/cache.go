@@ -38,7 +38,11 @@ import (
 // packet-in delivery) is deliberately kept out of the cached decision:
 // the program stores the *operations*, which are re-executed per
 // packet, so meters still shed load, SELECT groups still hash, and a
-// cached TTL-decrement still drops expiring packets.
+// cached TTL-decrement still drops expiring packets. A burst's run of
+// frames on one entry is replayed as one vector (Switch.replay): credits
+// once, rewrites frame by frame, one append to the output port — unless
+// the program makes a per-packet decision (perFrame), which the run then
+// takes one frame at a time.
 
 // tableDep is one table the recorded walk consulted, with the
 // revision it had when the decision was made (validated on every hit).
@@ -87,6 +91,11 @@ type CacheEntry struct {
 	// egressInterface, resolved once at record time so cache hits
 	// never re-scan the program.
 	outPort uint32
+
+	// perFrame marks a program a run must replay one frame at a time:
+	// it makes a per-packet decision (replaysPerFrame). Set when
+	// flowCache.install publishes the entry.
+	perFrame bool
 
 	// uncacheable marks recorder state that must not be installed: the
 	// walk ended in a table miss (a later flow-add must see the key
@@ -142,6 +151,33 @@ func (mf *CacheEntry) resolveOutPort() {
 			}
 		}
 	}
+}
+
+// replaysPerFrame reports whether the program makes a per-packet
+// decision: a meter, a group (SELECT hashing), an output to a reserved
+// port (CONTROLLER, FLOOD/ALL, IN_PORT, TABLE), or more than one output
+// — any output but the program's last action is one of several, or
+// copies the frame and goes on. Anything else — credits, frame-local
+// rewrites, one final output to a datapath port — does the same to
+// every frame of a run.
+func (mf *CacheEntry) replaysPerFrame() bool {
+	for i := range mf.ops {
+		if mf.ops[i].kind == opMeter {
+			return true
+		}
+		acts := mf.ops[i].acts
+		for j, a := range acts {
+			switch a := a.(type) {
+			case *openflow.ActionGroup:
+				return true
+			case *openflow.ActionOutput:
+				if a.Port >= openflow.PortMax || i < len(mf.ops)-1 || j < len(acts)-1 {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // usesGroups reports whether any recorded action executes a group.

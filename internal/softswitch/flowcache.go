@@ -288,9 +288,12 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 // batch (flowStore.probeBatch). A frame that projects like the last frame
 // chained — the next frame of a run, of one flow or of several the class
 // cannot tell apart — is not chained: it takes that frame's entry and
-// counts as a hit, for a six-word compare in place of a hash, a lock and
-// a map probe. The entry was validated by this very probe and nothing of
-// the run is kept after it, so there is nothing to invalidate.
+// counts as a hit, for a six-word XOR in place of a hash, a lock and a
+// map probe. The entry was validated by this very probe and nothing of
+// the run is kept after it, so there is nothing to invalidate. Such a
+// frame is resolved where the next pass over the batch meets it — the
+// next class's chaining, or the closing pass that counts the hits and
+// feeds the bypass windows — rather than in a pass of its own.
 //
 // out[i] is filled for every frame with skip[i] false and a bypass shard
 // not in bypass. Only hits are accounted and only valid entries
@@ -302,8 +305,8 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 //
 //harmless:hotpath
 func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch) {
-	clear(out)
 	for i := range out {
+		out[i] = nil
 		if skip[i] {
 			sc.shard[i] = shardSkip
 			continue
@@ -314,44 +317,57 @@ func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch)
 		}
 		sc.shard[i] = sh
 	}
+	// shared is whether the last class probed left sameAs marks to resolve.
+	shared := false
 	for _, g := range *c.classes.Load() {
 		for i := range sc.heads {
 			sc.heads[i] = -1
 		}
-		last, shared := int32(-1), false
+		last, marked := int32(-1), false
 		for i := int32(len(out)) - 1; i >= 0; i-- {
 			if sc.shard[i]&shardSkip != 0 || out[i] != nil {
 				continue
 			}
-			sc.proj[i] = sc.flat[i].And(&g.words)
-			if last >= 0 && sc.proj[i] == sc.proj[last] {
-				sc.next[i], shared = sameAs(last), true
+			if shared && sc.next[i] < -1 {
+				if out[i] = out[sameAs(sc.next[i])]; out[i] != nil {
+					continue
+				}
+			}
+			p := &sc.proj[i]
+			p.SetAnd(&sc.flat[i], &g.words)
+			if last >= 0 && p.Equal(&sc.proj[last]) {
+				sc.next[i], marked = sameAs(last), true
 				continue
 			}
-			sh := shardOf(sc.proj[i].Sum())
+			sh := shardOf(p.Sum())
 			sc.next[i] = sc.heads[sh]
 			sc.heads[sh] = i
 			last = i
 		}
 		g.store.probeBatch(sc.proj, out, sc)
-		for i := 0; shared && i < len(out); i++ {
-			if out[i] == nil && sc.shard[i]&shardSkip == 0 && sc.next[i] < -1 {
-				out[i] = out[sameAs(sc.next[i])]
-			}
-		}
+		shared = marked
 	}
-	// Count the hits, and feed the per-shard windows with one atomic add
-	// per touched shard. Frames the batch probe missed are probed again
-	// per frame on the slow path and counted there too; that skews
-	// bypassed-rate tracking toward the miss side, which only makes bypass
-	// engage marginally sooner under thrash — acceptable for a heuristic.
+	// Resolve the last class's marks, count the hits, and feed the
+	// per-shard windows with one atomic add per touched shard. Frames the
+	// batch probe missed are probed again per frame on the slow path and
+	// counted there too; that skews bypassed-rate tracking toward the miss
+	// side, which only makes bypass engage marginally sooner under thrash —
+	// acceptable for a heuristic.
 	var hits uint64
 	for i := range out {
-		if out[i] != nil {
+		sh := sc.shard[i]
+		if sh&shardSkip != 0 {
+			continue
+		}
+		if out[i] == nil && shared && sc.next[i] < -1 {
+			out[i] = out[sameAs(sc.next[i])]
+		}
+		hit := out[i] != nil
+		if hit {
 			hits++
 		}
-		if sh := sc.shard[i]; c.bypassOn && sh&shardSkip == 0 {
-			sc.wins.add(sh, out[i] != nil)
+		if c.bypassOn {
+			sc.wins.add(sh, hit)
 		}
 	}
 	c.stats.Hits.Add(hits)
@@ -395,11 +411,13 @@ func (c *flowCache) class(mask *pkt.FlatKey) *maskClass {
 
 // install publishes a right-sized copy of the recording rec under the
 // frame's packed key, projected, in its mask class; rec itself stays the
-// dispatch's to reuse. The copy and its two arrays are all the cache ever
-// allocates per flow, and the garbage collector owns them from the moment
-// a store unmaps the entry: a dispatch still replaying it keeps it alive.
-// When the class list is full the recording is declined: nothing is
-// allocated and no insert is counted.
+// dispatch's to reuse. Whether a run replays the entry frame by frame
+// (CacheEntry.perFrame) is decided here, once. The copy and its two
+// arrays are all the cache ever allocates per flow, and the garbage
+// collector owns them from the moment a store unmaps the entry: a
+// dispatch still replaying it keeps it alive. When the class list is
+// full the recording is declined: nothing is allocated and no insert is
+// counted.
 func (c *flowCache) install(f *pkt.FlatKey, rec *recorder) {
 	g := c.class(&rec.mask)
 	if g == nil {
@@ -408,6 +426,7 @@ func (c *flowCache) install(f *pkt.FlatKey, rec *recorder) {
 	e := new(CacheEntry)
 	*e = rec.CacheEntry
 	e.deps, e.ops = slices.Clone(rec.deps), slices.Clone(rec.ops)
+	e.perFrame = e.replaysPerFrame()
 	p := f.And(&g.words)
 	g.store.put(&p, p.Sum(), e)
 }

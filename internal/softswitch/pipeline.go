@@ -16,35 +16,96 @@ import (
 // the cache; a valid hit replays the pre-resolved program, a miss takes
 // the full pipeline walk and records a new cache entry.
 
-// replay executes a cache entry's operation program.
-// Credits, meters, groups, TTL checks and packet-ins are re-executed
-// per packet in recorded order, so their per-packet semantics — which
-// tables get credited before a meter drop, with which frame size —
-// are identical to the pipeline walk that was recorded.
-func (s *Switch) replay(mf *CacheEntry, inPort uint32, frame []byte, tx *txContext) {
+// replay executes a cache entry's operation program on a run: frames
+// the batch probe resolved to the entry, back to back in the burst (a
+// single frame is a run of one). The run is copied into the dispatch's
+// scratch and compacted there; the caller's vector is only read. The
+// operations execute in recorded order, as on the walk that was
+// recorded. A credit is paid once for the run, with its frame count and
+// the bytes its frames have at that position of the program; a rewrite
+// is applied frame by frame, a frame that fails it dropped and counted
+// alone; the output appends the survivors in one go (applyRun). A
+// program that makes a per-packet decision (perFrame: meters, groups,
+// packet-ins, floods, several outputs) takes its run one frame at a
+// time, so every packet meets those as it would on the walk.
+//
+//harmless:hotpath
+func (s *Switch) replay(mf *CacheEntry, inPort uint32, run [][]byte, st *dispatchState) {
+	if mf.perFrame && len(run) > 1 {
+		for i := range run {
+			s.replay(mf, inPort, run[i:i+1], st)
+		}
+		return
+	}
+	tx := &st.tx
+	live := st.run[:len(run)]
+	copy(live, run)
 	for i := range mf.ops {
 		op := &mf.ops[i]
 		switch op.kind {
 		case opCredit:
-			tx.credit(op.table, op.entry, len(frame), s.clock)
-			continue
-		case opMeter:
-			if !s.meters.Pass(op.meterID, len(frame)) {
+			bytes := 0
+			for _, f := range live {
+				bytes += len(f)
+			}
+			tx.credit(op.table, op.entry, len(live), bytes, s.clock)
+		case opMeter: // perFrame: a run of one
+			if !s.meters.Pass(op.meterID, len(live[0])) {
 				s.drops.Inc()
 				return
 			}
-			continue
-		}
-		var res applyResult
-		frame, res = s.applyActions(op.acts, inPort, frame, op.tableID, op.entry, tx)
-		if res != applyRetained {
-			return // frame consumed (output, group) or dropped
+		case opApply:
+			if !mf.perFrame {
+				if live = s.applyRun(op.acts, live, tx); len(live) == 0 {
+					return // output, or every frame dropped
+				}
+				continue
+			}
+			var res applyResult
+			if live[0], res = s.applyActions(op.acts, inPort, live[0], op.tableID, op.entry, tx); res != applyRetained {
+				return // frame consumed (output, group) or dropped
+			}
 		}
 	}
-	// Program ran to completion without consuming the frame: the walk
+	// Program ran to completion without consuming the frames: the walk
 	// ended with an empty action set or one lacking an output. Drop,
 	// exactly as runPipelineKeyed does.
-	s.drops.Inc()
+	s.drops.Add(uint64(len(live)))
+}
+
+// applyRun executes one action list of a program that decides nothing
+// per packet on a run's frames, compacting the survivors in place: each
+// rewrite frame by frame, dropping and counting a frame that fails it,
+// and the output — the program's only one, and its last action — as one
+// append of the survivors to the port's egress vector. It returns the
+// frames still held, none once they were output.
+//
+//harmless:hotpath
+func (s *Switch) applyRun(acts []openflow.Action, live [][]byte, tx *txContext) [][]byte {
+	for _, a := range acts {
+		if out, ok := a.(*openflow.ActionOutput); ok {
+			if p := s.getPort(out.Port); p != nil {
+				tx.addRun(p, live)
+			} else {
+				s.drops.Add(uint64(len(live)))
+			}
+			return live[:0]
+		}
+		n := 0
+		for _, f := range live {
+			f, ok := s.rewrite(a, f)
+			if !ok {
+				s.drops.Inc()
+				continue
+			}
+			live[n] = f
+			n++
+		}
+		if live = live[:n]; n == 0 {
+			break
+		}
+	}
+	return live
 }
 
 // runPipeline extracts the frame's key and executes tables from
@@ -92,7 +153,7 @@ func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte
 			s.drops.Inc()
 			return
 		}
-		tx.credit(table, entry, len(frame), s.clock)
+		tx.credit(table, entry, 1, len(frame), s.clock)
 		if rec != nil {
 			rec.deps = append(rec.deps, tableDep{table: table, rev: rev})
 			rec.ops = append(rec.ops, microOp{kind: opCredit, table: table, entry: entry})
@@ -241,31 +302,6 @@ const (
 func (s *Switch) applyActions(actions []openflow.Action, inPort uint32, frame []byte, tableID uint8, entry *flowtable.Entry, tx *txContext) ([]byte, applyResult) {
 	for i, a := range actions {
 		switch act := a.(type) {
-		case *openflow.ActionPushVLAN:
-			nf, err := pkt.PushVLANOwned(frame, act.EtherType, 0)
-			if err != nil {
-				s.drops.Inc()
-				return nil, applyDropped
-			}
-			frame = nf
-		case *openflow.ActionPopVLAN:
-			nf, err := pkt.PopVLANOwned(frame)
-			if err != nil {
-				s.drops.Inc()
-				return nil, applyDropped
-			}
-			frame = nf
-		case *openflow.ActionDecNwTTL:
-			ttl, err := pkt.DecIPv4TTL(frame)
-			if err != nil || ttl == 0 {
-				s.drops.Inc()
-				return nil, applyDropped
-			}
-		case *openflow.ActionSetField:
-			if err := s.applySetField(act, frame); err != nil {
-				s.drops.Inc()
-				return nil, applyDropped
-			}
 		case *openflow.ActionGroup:
 			s.applyGroup(act.GroupID, inPort, frame, tableID, tx)
 			return nil, applyConsumed // group consumes the frame
@@ -280,9 +316,37 @@ func (s *Switch) applyActions(actions []openflow.Action, inPort uint32, frame []
 			cp := make([]byte, len(frame))
 			copy(cp, frame)
 			frame = cp
+		default:
+			var ok bool
+			if frame, ok = s.rewrite(a, frame); !ok {
+				s.drops.Inc()
+				return nil, applyDropped
+			}
 		}
 	}
 	return frame, applyRetained
+}
+
+// rewrite applies one frame-local action — VLAN push or pop, dec-TTL,
+// set-field — to a frame the switch owns, returning the (re-sliced or
+// reallocated) frame, or false when the frame is to be dropped (a
+// malformed tag, a TTL run out). Other actions leave the frame as it is.
+func (s *Switch) rewrite(a openflow.Action, frame []byte) ([]byte, bool) {
+	var err error
+	switch act := a.(type) {
+	case *openflow.ActionPushVLAN:
+		frame, err = pkt.PushVLANOwned(frame, act.EtherType, 0)
+	case *openflow.ActionPopVLAN:
+		frame, err = pkt.PopVLANOwned(frame)
+	case *openflow.ActionDecNwTTL:
+		var ttl uint8
+		if ttl, err = pkt.DecIPv4TTL(frame); ttl == 0 {
+			return nil, false
+		}
+	case *openflow.ActionSetField:
+		err = s.applySetField(act, frame)
+	}
+	return frame, err == nil
 }
 
 // applySetField rewrites one field in place.
