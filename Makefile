@@ -51,9 +51,9 @@ loc:
 # this target): catches wire decoders that panic on near-valid frames as
 # soon as a new codec lands — OpenFlow, Ethernet/DNS, the UDP-exposed
 # SNMP decoder — a flow-table lookup that stops answering like the
-# priority scan, and an in-place VLAN rewrite or packed key that stops
-# agreeing with its reference. Every package with a Fuzz target belongs
-# here.
+# priority scan, an in-place VLAN rewrite or packed key that stops
+# agreeing with its reference, and a header parser that stops agreeing
+# with the full decoder. Every package with a Fuzz target belongs here.
 FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp ./internal/softswitch
 
 fuzz-smoke:
@@ -78,8 +78,10 @@ test:
 # at less than 1/6 of the bare switch, runs BenchmarkReceiveBatch and
 # fails if a 32-frame burst forwards at less than 2.08x the
 # frame-at-a-time rate or a burst that is one run on one cache entry at
-# less than 1.6x one whose runs are one frame long. Those three run in
-# five invocations each, and with five results a side benchdiff gates
+# less than 1.6x one whose runs are one frame long, and runs
+# BenchmarkForwardBurst and fails if the legacy bridge forwards a burst
+# with one address pair at less than 1.4x one whose pairs alternate.
+# Those four run in five invocations each, and with five results a side benchdiff gates
 # the median of the five per-run ratios, which one slow run does not
 # move: cached/uncached sits near 1 (a walk costs what a hit costs on
 # one-mask tables) and every row lasts milliseconds. Not -count 5:
@@ -106,6 +108,7 @@ bench:
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkManyFlows' -benchtime 20000x ./internal/softswitch; done 2>&1 | tee bench-pairs.txt
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkReceiveBatch' -benchtime 300000x ./internal/softswitch; done 2>&1 | tee -a bench-pairs.txt
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x .; done 2>&1 | tee -a bench-pairs.txt
+	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkForwardBurst' -benchtime 1000000x ./internal/legacy; done 2>&1 | tee -a bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkAdd' -benchtime 100000x ./internal/flowtable 2>&1 | tee -a bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkFlowSetup' -benchtime 100000x -benchmem ./internal/controller 2>&1 | tee -a bench-pairs.txt
 	{ echo "## Same-run ratio gates"; $(GO) run ./cmd/benchdiff -bench bench-pairs.txt -check -pair-check; } | tee -a $(BENCH_SUMMARY)

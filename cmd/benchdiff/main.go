@@ -23,7 +23,10 @@
 // `X/batch=32` at least 2.08x its `X/batch=1` sibling: a burst shares
 // one cache probe per run of frames and one credit per flow entry; and
 // every `X/one-megaflow` at least 1.6x its `X/alternating` sibling: a
-// run of frames on one cache entry is replayed once; and
+// run of frames on one cache entry is replayed once; and every
+// `X/one-pair` at least 1.4x its `X/alternating` sibling: the legacy
+// bridge learns and resolves a run of frames with one address pair once;
+// and
 // every `X/masked` flow-table lookup at least 1/4 of its `X/exact`
 // sibling's: a prefix rule is a hash probe like any other; and every
 // `X/at=4096` flow-mod add at least 1/4 of its `X/at=16` sibling's: a
@@ -231,6 +234,11 @@ var ratioGates = []ratioGate{
 	// run a burst against runs of one frame: 1.9-2.5x since a run is
 	// replayed once, 1.3x when each frame of a run was replayed alone.
 	{Num: "one-megaflow", Den: "alternating", Min: 1.6, Broken: "a run of frames on one cache entry is replayed frame by frame"},
+	// BenchmarkForwardBurst 32-frame bursts access -> trunk through the
+	// legacy bridge, one address pair a burst against two interleaved:
+	// medians of five 1.72-1.93x since a run is resolved once, 0.99-1.03x
+	// when every frame took its own FDB step.
+	{Num: "one-pair", Den: "alternating", Min: 1.4, Broken: "the bridge learns and resolves a run of frames frame by frame"},
 	// BenchmarkLookup rules=N/masked against rules=N/exact: ≈ 1 since
 	// every mask is a hash tuple, ≈ 0.01 at N=4096 when masked rules were
 	// scanned.

@@ -97,8 +97,8 @@ func TestPairCheck(t *testing.T) {
 
 func TestPairCheckDeclaredGates(t *testing.T) {
 	// The declared table: the cache pair, the chain/bare pair, the burst
-	// pair, the run pair, the masked/exact lookup pair and the add-at-size
-	// pair, each with its own minimum.
+	// pair, the run pair, the bridge's run pair, the masked/exact lookup
+	// pair and the add-at-size pair, each with its own minimum.
 	results := map[string]*Result{
 		"BenchmarkManyFlows/zipf/cached":     res(map[string]float64{"pps": 2.0e6}),
 		"BenchmarkManyFlows/zipf/uncached":   res(map[string]float64{"pps": 1.0e6}),
@@ -109,6 +109,8 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		"BenchmarkReceiveBatch/batch=256":    res(map[string]float64{"ns/op": 107}), // no gate on this row
 		"BenchmarkReceiveBatch/one-megaflow": res(map[string]float64{"ns/op": 50}),
 		"BenchmarkReceiveBatch/alternating":  res(map[string]float64{"ns/op": 97}),
+		"BenchmarkForwardBurst/one-pair":     res(map[string]float64{"ns/op": 23}),
+		"BenchmarkForwardBurst/alternating":  res(map[string]float64{"ns/op": 42}),
 		"BenchmarkSomethingElse/batch=32/x":  res(map[string]float64{"ns/op": 1}),
 		"BenchmarkLookup/rules=4096/masked":  res(map[string]float64{"ns/op": 125}),
 		"BenchmarkLookup/rules=4096/exact":   res(map[string]float64{"ns/op": 120}),
@@ -138,6 +140,12 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		t.Errorf("pairCheck = %d failures on runs replayed frame by frame, want 1", bad)
 	}
 	results["BenchmarkReceiveBatch/one-megaflow"] = res(map[string]float64{"ns/op": 50})
+	// 1.0x, a bridge that takes the FDB step frame by frame: fails its gate.
+	results["BenchmarkForwardBurst/one-pair"] = res(map[string]float64{"ns/op": 42})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on a bridge that resolves every frame, want 1", bad)
+	}
+	results["BenchmarkForwardBurst/one-pair"] = res(map[string]float64{"ns/op": 23})
 	// 13 µs, masked rules in a linear list: fails its gate.
 	results["BenchmarkLookup/rules=4096/masked"] = res(map[string]float64{"ns/op": 13153})
 	if bad := pairCheck(results, ratioGates); bad != 1 {

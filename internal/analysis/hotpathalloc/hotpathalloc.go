@@ -70,7 +70,7 @@ var Required = map[string][]string{
 	"github.com/harmless-sdn/harmless/internal/pkt": {
 		"PushVLANOwned",
 		"PopVLANOwned",
-		"Key.FlatInto",
+		"ExtractFlat",
 	},
 	"github.com/harmless-sdn/harmless/internal/telemetry": {
 		"Table.Observe",

@@ -106,8 +106,7 @@ func TestMaskUnionCovers(t *testing.T) {
 }
 
 // andKeys is the reference projection: k under the mask w, field by
-// field on the struct key. IPTOS, which has no matchable field, is
-// always projected away.
+// field on the struct key.
 func andKeys(k, w *pkt.Key) pkt.Key {
 	mac := func(a, b pkt.MAC) (o pkt.MAC) {
 		for i := range o {
@@ -142,7 +141,7 @@ func TestMaskApply(t *testing.T) {
 		EthDst: pkt.MAC{2, 0, 0, 0, 0, 1}, EthSrc: pkt.MAC{2, 0, 0, 0, 0, 2},
 		EthType: pkt.EtherTypeIPv4,
 		HasVLAN: true, VLANID: 100, VLANPCP: 3,
-		HasIPv4: true, IPProto: pkt.IPProtoUDP, IPTOS: 0x2e,
+		HasIPv4: true, IPProto: pkt.IPProtoUDP,
 		IPSrc: pkt.IPv4{10, 1, 0, 1}, IPDst: pkt.IPv4{10, 2, 0, 1},
 		HasL4: true, L4Src: 4242, L4Dst: 53,
 	}
@@ -205,8 +204,8 @@ func randKey(rng *rand.Rand, shape int) pkt.Key {
 		HasVLAN: shape&1 != 0, HasIPv4: shape&2 != 0, HasIPv6: shape&4 != 0,
 		HasARP: shape&8 != 0, HasL4: shape&16 != 0, HasICMP: shape&32 != 0,
 		VLANID: uint16(rng.Uint32()), VLANPCP: uint8(rng.Uint32()),
-		IPProto: uint8(rng.Uint32()), IPTOS: uint8(rng.Uint32()),
-		ARPOp: uint16(rng.Uint32()), L4Src: uint16(rng.Uint32()), L4Dst: uint16(rng.Uint32()),
+		IPProto: uint8(rng.Uint32()),
+		ARPOp:   uint16(rng.Uint32()), L4Src: uint16(rng.Uint32()), L4Dst: uint16(rng.Uint32()),
 		ICMPType: uint8(rng.Uint32()), ICMPCode: uint8(rng.Uint32()),
 	}
 	rng.Read(k.EthDst[:])
@@ -223,8 +222,7 @@ func randKey(rng *rand.Rand, shape int) pkt.Key {
 // field. For every packet shape, under random masks from dense down to
 // a bit or two: the six-AND projection is the packed struct projection,
 // and two keys project alike through the words iff they do field by
-// field — no bit of a matchable field is lost or shared in the packing,
-// and IPTOS, which the struct projection drops, never tells keys apart.
+// field — no bit of a matchable field is lost or shared in the packing.
 func TestFlatProjectionMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for shape := 0; shape < 64; shape++ {

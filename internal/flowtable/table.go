@@ -192,8 +192,8 @@ func (t *Table) Lookup(k *pkt.Key, size int) *Entry {
 	return hit
 }
 
-// Find is Lookup for a key the caller has packed (pkt.Key.FlatInto; the
-// datapath packs once per frame, for the flow cache and every table of
+// Find is Lookup for a key the caller has packed (pkt.ExtractFlat; the
+// datapath parses once per frame, for the flow cache and every table of
 // the walk), with the hit's accounting left to the caller, who owes the
 // table one CreditHits packet for it. A miss has no entry to credit and
 // counts its lookup here.

@@ -19,7 +19,11 @@ import (
 // drives two identically configured switches with the same random
 // traffic — one by SendBatch, one frame by frame — and demands the same
 // bytes in the same order on every port, the same counters and the same
-// forwarding database after every burst.
+// forwarding database after every burst. The one-frame switch is forked
+// before every burst: a new switch with the configuration, forwarding
+// database, counters and clock reading of the last, so nothing else can
+// carry from one burst to the next on the reference side, and a burst
+// path that keeps state of its own across bursts shows.
 
 // Port plan of the differential rig.
 const (
@@ -45,6 +49,49 @@ func newDiffRig(t *testing.T, burst bool) *diffRig {
 	t.Helper()
 	r := &diffRig{clock: netem.NewManualClock()}
 	r.sw = NewSwitch("diff", diffPorts, WithClock(r.clock), WithFDBAging(30*time.Second))
+	r.attach(t, burst)
+	for port, vlan := range map[int]uint16{1: 10, 2: 10, 3: 20, diffShutPort: 10, diffLoopPort: 30} {
+		if err := r.sw.SetPortAccess(port, vlan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.sw.SetPortTrunk(diffTrunkLoop, 1, []uint16{10, 20, 30}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.sw.SetPortTrunk(diffTrunkWide, 99, []uint16{10, 20, 40, 99}); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// fork returns a one-frame rig in r's state on a switch that has
+// forwarded nothing.
+func (r *diffRig) fork(t *testing.T) *diffRig {
+	t.Helper()
+	f := &diffRig{clock: netem.NewManualClock()}
+	f.clock.Advance(r.clock.Now().Sub(f.clock.Now()))
+	f.sw = NewSwitch("diff", diffPorts, WithClock(f.clock), WithFDBAging(30*time.Second))
+	f.sw.cfg = r.sw.Config()
+	for p := 1; p <= diffPorts; p++ {
+		f.sw.ports[p].pc = f.sw.cfg.Ports[p]
+		from, to := r.sw.PortCounters(p), f.sw.PortCounters(p)
+		to.RxPackets.Add(from.RxPackets.Load())
+		to.RxBytes.Add(from.RxBytes.Load())
+		to.TxPackets.Add(from.TxPackets.Load())
+		to.TxBytes.Add(from.TxBytes.Load())
+		to.RxDropped.Add(from.RxDropped.Load())
+		to.RxErrors.Add(from.RxErrors.Load())
+	}
+	for k, e := range r.sw.fdb.entries {
+		c := *e
+		f.sw.fdb.entries[k] = &c
+	}
+	f.attach(t, false)
+	return f
+}
+
+// attach links every port of the rig's switch to a recording far end.
+func (r *diffRig) attach(t *testing.T, burst bool) {
 	for p := 1; p <= diffPorts; p++ {
 		p := p
 		l := netem.NewLink(netem.LinkConfig{})
@@ -88,18 +135,6 @@ func newDiffRig(t *testing.T, burst bool) *diffRig {
 			})
 		}
 	}
-	for port, vlan := range map[int]uint16{1: 10, 2: 10, 3: 20, diffShutPort: 10, diffLoopPort: 30} {
-		if err := r.sw.SetPortAccess(port, vlan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := r.sw.SetPortTrunk(diffTrunkLoop, 1, []uint16{10, 20, 30}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.sw.SetPortTrunk(diffTrunkWide, 99, []uint16{10, 20, 40, 99}); err != nil {
-		t.Fatal(err)
-	}
-	return r
 }
 
 // diffFrame builds one random frame for ingress port in. VLAN 30 is
@@ -121,20 +156,42 @@ func diffFrame(rng *rand.Rand, in int, seq uint32) []byte {
 	case 2:
 		src = pkt.BroadcastMAC // never learned
 	}
+	return diffBuild(rng, dst, src, diffTag(rng, in), seq)
+}
+
+// diffRepeat builds a frame with prev's addresses: with prev's tag too,
+// the next frame of a run, or one time in four with a tag drawn afresh,
+// which may classify it into another VLAN.
+func diffRepeat(rng *rand.Rand, in int, prev []byte, seq uint32) []byte {
+	var dst, src pkt.MAC
+	copy(dst[:], prev[0:6])
+	copy(src[:], prev[6:12])
+	tag, _ := pkt.VLANID(prev)
+	if rng.Intn(4) == 0 {
+		tag = diffTag(rng, in)
+	}
+	return diffBuild(rng, dst, src, tag, seq)
+}
+
+// diffTag draws the 802.1Q tag of a frame offered on port in (0 =
+// untagged).
+func diffTag(rng *rand.Rand, in int) uint16 {
+	switch in {
+	case diffTrunkLoop:
+		return []uint16{0, 10, 10, 20, 20, 40}[rng.Intn(6)] // 40: not allowed here
+	case diffTrunkWide:
+		return []uint16{0, 10, 10, 20, 20, 40, 99}[rng.Intn(7)]
+	}
+	return []uint16{0, 0, 0, 0, 10, 20}[rng.Intn(6)] // own VLAN or the wrong one
+}
+
+// diffBuild lays out a frame with a random body that starts with seq.
+func diffBuild(rng *rand.Rand, dst, src pkt.MAC, tag uint16, seq uint32) []byte {
 	body := make([]byte, 4+rng.Intn(60))
 	rng.Read(body)
 	binary.BigEndian.PutUint32(body, seq)
 	f := make([]byte, 0, pkt.EthernetHeaderLen+pkt.Dot1QHeaderLen+len(body)+8)
 	f = append(append(f, dst[:]...), src[:]...)
-	var tag uint16
-	switch in {
-	case diffTrunkLoop:
-		tag = []uint16{0, 10, 10, 20, 20, 40}[rng.Intn(6)] // 40: not allowed here
-	case diffTrunkWide:
-		tag = []uint16{0, 10, 10, 20, 20, 40, 99}[rng.Intn(7)]
-	default:
-		tag = []uint16{0, 0, 0, 0, 10, 20}[rng.Intn(6)] // own VLAN or the wrong one
-	}
 	if tag != 0 {
 		f = binary.BigEndian.AppendUint16(f, pkt.EtherTypeDot1Q)
 		f = binary.BigEndian.AppendUint16(f, tag)
@@ -143,6 +200,32 @@ func diffFrame(rng *rand.Rand, in int, seq uint32) []byte {
 	f = append(f, body...)
 	// Spare capacity 0..8: both the in-place and the allocating push.
 	return f[: len(f) : len(f)+rng.Intn(9)]
+}
+
+// diffBurst builds n frames for ingress port in, in runs as the bridge
+// sees them: half the time the frame before (the previous burst's last,
+// last, for the first) is repeated 1-8 times back to back, mostly with
+// its tag as well. A run that starts a burst tells a bridge that kept its
+// decision beyond one burst from one that did not, when a clock advance
+// or a reconfiguration came in between.
+func diffBurst(rng *rand.Rand, in, n int, seq *uint32, last []byte) [][]byte {
+	frames := make([][]byte, 0, n)
+	add := func(f []byte) {
+		frames = append(frames, f)
+		*seq++
+	}
+	prev := last
+	for len(frames) < n {
+		if len(prev) < pkt.EthernetHeaderLen || rng.Intn(2) == 0 {
+			add(diffFrame(rng, in, *seq))
+		} else {
+			for k := 1 + rng.Intn(8); k > 0 && len(frames) < n; k-- {
+				add(diffRepeat(rng, in, prev, *seq))
+			}
+		}
+		prev = frames[len(frames)-1]
+	}
+	return frames
 }
 
 func cloneWithCap(f []byte) []byte {
@@ -160,6 +243,8 @@ func TestBurstMatchesPerFrame(t *testing.T) {
 			burst, single := newDiffRig(t, true), newDiffRig(t, false)
 			both := func(fn func(*diffRig)) { fn(burst); fn(single) }
 			var seq uint32
+			var last []byte
+			in := 1
 			for round := 0; round < 60; round++ {
 				switch rng.Intn(6) {
 				case 0:
@@ -172,12 +257,13 @@ func TestBurstMatchesPerFrame(t *testing.T) {
 					vlan := []uint16{10, 20}[rng.Intn(2)]
 					both(func(r *diffRig) { _ = r.sw.SetPortAccess(3, vlan) })
 				}
-				in := 1 + rng.Intn(diffPorts)
-				frames := make([][]byte, 1+rng.Intn(48))
-				for i := range frames {
-					frames[i] = diffFrame(rng, in, seq)
-					seq++
+				// Three bursts in four enter where the one before did.
+				if rng.Intn(4) == 0 {
+					in = 1 + rng.Intn(diffPorts)
 				}
+				frames := diffBurst(rng, in, 1+rng.Intn(48), &seq, last)
+				last = frames[len(frames)-1]
+				single = single.fork(t)
 				vec := make([][]byte, len(frames))
 				for i, f := range frames {
 					vec[i] = cloneWithCap(f)
@@ -331,5 +417,70 @@ func TestBurstsRaceReconfiguration(t *testing.T) {
 	}
 	if rx == 0 || tx == 0 {
 		t.Errorf("nothing forwarded under reconfiguration: rx=%d tx=%d", rx, tx)
+	}
+}
+
+// BenchmarkForwardBurst drives 32-frame bursts from an access port to
+// the trunk, every destination known behind it. one-pair sends every
+// frame between the same two hosts, so a burst is one run; alternating
+// interleaves two pairs, so every run is one frame long. `make bench`
+// gates the pair: a run must cost less than its frames resolved one by
+// one.
+func BenchmarkForwardBurst(b *testing.B) {
+	const burst, size = 32, 64
+	macD := pkt.MustMAC("02:00:00:00:00:0d")
+	for _, w := range []struct {
+		name  string
+		pairs [][2]pkt.MAC // source, destination
+	}{
+		{"one-pair", [][2]pkt.MAC{{macA, macB}}},
+		{"alternating", [][2]pkt.MAC{{macA, macB}, {macC, macD}}},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			sw := NewSwitch("bench", 2)
+			var far [3]*netem.Port
+			delivered := 0
+			for p := 1; p <= 2; p++ {
+				l := netem.NewLink(netem.LinkConfig{})
+				defer l.Close()
+				sw.AttachPort(p, l.A())
+				far[p] = l.B()
+				far[p].SetReceiver(func([]byte) {})
+			}
+			far[2].SetBatchReceiver(func(fs [][]byte) { delivered += len(fs) })
+			if err := sw.SetPortAccess(1, 10); err != nil {
+				b.Fatal(err)
+			}
+			if err := sw.SetPortTrunk(2, 1, []uint16{10}); err != nil {
+				b.Fatal(err)
+			}
+			tmpl := make([][]byte, len(w.pairs))
+			for i, p := range w.pairs {
+				// The destination speaks first, from behind the trunk.
+				_ = far[2].Send(taggedFrame(b, p[1], p[0], 10, "learn"))
+				tmpl[i] = ethFrame(b, p[0], p[1], string(make([]byte, size-pkt.EthernetHeaderLen)))
+			}
+			// Each frame of a burst owns room for the tag the trunk pushes
+			// in place; the switch rewrites it, so every burst is copied
+			// afresh.
+			const slot = size + pkt.Dot1QHeaderLen
+			buf := make([]byte, burst*slot)
+			vec := make([][]byte, burst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n += burst {
+				for i := range vec {
+					f := buf[i*slot : i*slot+size : (i+1)*slot]
+					copy(f, tmpl[i%len(tmpl)])
+					vec[i] = f
+				}
+				_ = far[1].SendBatch(vec)
+			}
+			b.StopTimer()
+			if sent := (b.N + burst - 1) / burst * burst; delivered != sent {
+				b.Fatalf("trunk took %d of %d frames", delivered, sent)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
+		})
 	}
 }

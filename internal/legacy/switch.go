@@ -1,6 +1,7 @@
 package legacy
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -142,12 +143,23 @@ func (sc *egressScratch) add(p int, np *netem.Port, frame []byte) {
 // and coalesced per port, then transmitted outside the locks, one
 // SendBatch per egress port. Frames leave each port in arrival order.
 //
+// The burst is walked as runs: stretches of consecutive frames with the
+// same address pair in the same VLAN. A run is learned and resolved
+// once, by its first frame (resolveLocked). That is exact: at one clock
+// reading and under the locks, learning the same source on the same
+// port again changes nothing, and looking up the same destination again
+// sees what the first lookup left, an aged entry it deleted included.
+// The answer lives in this call alone. Counters, the tag rewrite and
+// flood copies stay per frame.
+//
 //harmless:hotpath
 func (s *Switch) forward(in int, frames [][]byte) {
 	sc := s.scratch.Get().(*egressScratch)
 	now := s.fdb.clock.Now() // learning and aging run on the FDB's clock
 	var rxBytes uint64
 	var rxFrames, rxDropped, rxErrors uint64
+	var run runKey // the zero key opens no run: makeRunKey sets a bit it lacks
+	var out int    // the open run's egress: a port, flood, or 0 to filter
 
 	s.mu.Lock()
 	pc := s.ports[in].pc
@@ -169,19 +181,15 @@ func (s *Switch) forward(in int, frames [][]byte) {
 			rxDropped++
 			continue
 		}
-
-		var src, dst pkt.MAC
-		copy(dst[:], frame[0:6])
-		copy(src[:], frame[6:12])
-		out, known := s.fdb.stepLocked(now, vlan, src, in, dst)
+		if k := makeRunKey(frame, vlan); k != run {
+			run, out = k, s.resolveLocked(now, in, vlan, frame)
+		}
 		switch {
-		case !known:
+		case out == flood:
 			s.floodLocked(sc, in, vlan, tagged, frame)
-		case out != in && s.hasPort(out):
-			// A known address on the ingress port itself is filtered.
-			if ep := &s.ports[out]; ep.carriesLocked(vlan) {
-				sc.add(out, ep.np, egressFrame(frame, tagged, vlan, ep.pc))
-			}
+		case out != 0:
+			ep := &s.ports[out]
+			sc.add(out, ep.np, egressFrame(frame, tagged, vlan, ep.pc))
 		}
 	}
 	s.fdb.mu.Unlock()
@@ -213,6 +221,42 @@ func (s *Switch) forward(in int, frames [][]byte) {
 	}
 	sc.active = sc.active[:0]
 	s.scratch.Put(sc)
+}
+
+// runKey identifies a run of a burst: the 12 address bytes of a frame
+// and the VLAN it was classified into, packed in two words.
+type runKey [2]uint64
+
+func makeRunKey(frame []byte, vlan uint16) runKey {
+	return runKey{
+		binary.LittleEndian.Uint64(frame[0:8]),
+		uint64(binary.LittleEndian.Uint32(frame[8:12]))<<16 | uint64(vlan) | 1<<63,
+	}
+}
+
+// flood is resolveLocked's answer for a frame every member port gets.
+const flood = -1
+
+// resolveLocked is the part of forwarding that a run of frames shares:
+// learn the source on the ingress port, resolve the destination, and
+// check that a known egress port carries vlan. It returns the egress
+// port, flood, or 0 when the frame is filtered: its destination sits on
+// the ingress port, or on a port that cannot take vlan. Caller holds
+// s.mu and the FDB lock.
+//
+//harmless:hotpath
+func (s *Switch) resolveLocked(now time.Time, in int, vlan uint16, frame []byte) int {
+	var src, dst pkt.MAC
+	copy(dst[:], frame[0:6])
+	copy(src[:], frame[6:12])
+	out, known := s.fdb.stepLocked(now, vlan, src, in, dst)
+	switch {
+	case !known:
+		return flood
+	case out != in && s.hasPort(out) && s.ports[out].carriesLocked(vlan):
+		return out
+	}
+	return 0
 }
 
 // carriesLocked reports whether the port can transmit traffic of vlan:

@@ -150,47 +150,27 @@ func FuzzVLANOwned(f *testing.F) {
 	})
 }
 
-// FuzzFlatKey holds the one parser every cache trusts, and the packing
-// the flow cache keys by, to what the cache assumes of them: neither
-// panics on any bytes; packing tells two parsed keys apart exactly when
-// a matchable field does (IPTOS is not one); and once the headers have
-// parsed down to a transport, ICMP or ARP header the key is a function
-// of those headers alone — frames differing only behind them pack equal;
-// SetAnd and Equal compute what And and == do.
+// FuzzFlatKey holds the packed key the one parser writes to what the
+// flow cache and the classifier assume of it: the parser never panics;
+// unpacking any parsed key and packing it again gives back its words, so
+// the two forms tell the same keys apart; once the headers have parsed
+// down to a transport, ICMP or ARP header the key is a function of those
+// headers alone — frames differing only behind them pack equal; SetAnd
+// and Equal compute what And and == do.
 func FuzzFlatKey(f *testing.F) {
-	udp, _ := Serialize(
-		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
-		&IPv4Header{TTL: 64, TOS: 0x2e, Protocol: IPProtoUDP, Src: MustIPv4("10.0.0.1"), Dst: MustIPv4("10.0.0.2")},
-		&UDP{SrcPort: 1, DstPort: 2},
-	)
-	tagged, _ := PushVLAN(udp, EtherTypeDot1Q, 101)
-	icmp, _ := Serialize(
-		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: EtherTypeIPv4},
-		&IPv4Header{TTL: 64, Protocol: IPProtoICMP, Src: MustIPv4("10.0.0.1"), Dst: MustIPv4("10.0.0.2")},
-		&ICMPv4{Type: ICMPv4EchoRequest},
-	)
-	arp, _ := Serialize(
-		&Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("ff:ff:ff:ff:ff:ff"), EtherType: EtherTypeARP},
-		&ARP{Op: ARPRequest, SenderHW: MustMAC("02:00:00:00:00:01"), SenderIP: MustIPv4("10.0.0.1"), TargetIP: MustIPv4("10.0.0.2")},
-	)
-	for _, hdr := range [][]byte{udp, tagged, icmp, arp, udp[:EthernetHeaderLen+IPv4MinHeaderLen+3], udp[:9], {}} {
+	for _, hdr := range keySeeds() {
 		f.Add(hdr, []byte("payload"), []byte{0xff})
 	}
-
-	flat := func(frame []byte) (Key, FlatKey, error) {
-		var k Key
-		var w FlatKey
-		err := ExtractKey(frame, 7, &k)
-		k.FlatInto(&w)
-		return k, w, err
-	}
 	f.Fuzz(func(t *testing.T, hdr, a, b []byte) {
-		k0, w0, err := flat(hdr)
-		ka, wa, _ := flat(append(append([]byte{}, hdr...), a...))
-		kb, wb, _ := flat(append(append([]byte{}, hdr...), b...))
-		ka.IPTOS, kb.IPTOS = 0, 0
-		if (ka == kb) != (wa == wb) {
-			t.Fatalf("keys equal = %v, packed equal = %v:\n %+v -> %x\n %+v -> %x", ka == kb, wa == wb, ka, wa, kb, wb)
+		var w0, wa, wb FlatKey
+		err := ExtractFlat(hdr, 7, &w0)
+		_ = ExtractFlat(append(append([]byte{}, hdr...), a...), 7, &wa)
+		_ = ExtractFlat(append(append([]byte{}, hdr...), b...), 7, &wb)
+		var k0 Key
+		var back FlatKey
+		w0.Unpack(&k0)
+		if k0.FlatInto(&back); back != w0 {
+			t.Fatalf("unpacking %x and packing it again gives %x (%+v)", w0, back, k0)
 		}
 		// The in-place forms the batch probe uses agree with And and ==.
 		var p FlatKey
@@ -201,6 +181,94 @@ func FuzzFlatKey(f *testing.F) {
 			t.Fatalf("payload changed the packed key of %+v: %x, %x, %x", k0, w0, wa, wb)
 		}
 	})
+}
+
+// FuzzExtractMatchesDecode holds the one parser the datapath trusts to
+// the full decoder: for any bytes, the key ExtractFlat packs is the key
+// read off the layers Decode produces, and ExtractKey unpacks it.
+func FuzzExtractMatchesDecode(f *testing.F) {
+	for _, hdr := range keySeeds() {
+		f.Add(hdr)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got, want FlatKey
+		err := ExtractFlat(data, 7, &got)
+		p := Decode(data, LayerTypeEthernet)
+		k, ok := keyFromLayers(p, 7)
+		if ok != (err == nil) {
+			t.Fatalf("%x: ExtractFlat error %v, Decode %v", data, err, p)
+		}
+		if k.FlatInto(&want); got != want {
+			t.Fatalf("%x: ExtractFlat packs %x, Decode's layers %x\ndecoded: %v\nwant %+v", data, got, want, p, k)
+		}
+		var viaKey Key
+		if _ = ExtractKey(data, 7, &viaKey); viaKey != k {
+			t.Fatalf("%x: ExtractKey %+v, Decode's layers %+v", data, viaKey, k)
+		}
+	})
+}
+
+// keyFromLayers is the reference key: the matchable fields of the layers
+// Decode produced, ok false when not even Ethernet decoded. The
+// EtherType is the innermost the decoder read; one that names a tag the
+// frame ends inside is unknown (0).
+func keyFromLayers(p *Packet, inPort uint32) (k Key, ok bool) {
+	k.InPort = inPort
+	eth := p.Ethernet()
+	if eth == nil {
+		return k, false
+	}
+	k.EthDst, k.EthSrc, k.EthType = eth.Dst, eth.Src, eth.EtherType
+	for _, l := range p.Layers() {
+		switch l := l.(type) {
+		case *Dot1Q:
+			if !k.HasVLAN {
+				k.HasVLAN, k.VLANID, k.VLANPCP = true, l.VLANID, l.Priority
+			}
+			k.EthType = l.EtherType
+		case *IPv4Header:
+			k.HasIPv4, k.IPProto, k.IPSrc, k.IPDst = true, l.Protocol, l.Src, l.Dst
+		case *IPv6Header:
+			k.HasIPv6, k.IPProto = true, l.NextHeader
+		case *ARP:
+			k.HasARP, k.ARPOp, k.ARPSPA, k.ARPTPA = true, l.Op, l.SenderIP, l.TargetIP
+		case *TCP:
+			k.HasL4, k.L4Src, k.L4Dst = true, l.SrcPort, l.DstPort
+		case *UDP:
+			k.HasL4, k.L4Src, k.L4Dst = true, l.SrcPort, l.DstPort
+		case *ICMPv4:
+			k.HasICMP, k.ICMPType, k.ICMPCode = true, l.Type, l.Code
+		}
+	}
+	if k.EthType == EtherTypeDot1Q || k.EthType == EtherTypeQinQ {
+		k.EthType = 0
+	}
+	return k, true
+}
+
+// keySeeds are frames of every shape the parser tells apart, whole and
+// cut short.
+func keySeeds() [][]byte {
+	eth := func(et uint16) *Ethernet {
+		return &Ethernet{Src: MustMAC("02:00:00:00:00:01"), Dst: MustMAC("02:00:00:00:00:02"), EtherType: et}
+	}
+	ip := func(proto uint8) *IPv4Header {
+		return &IPv4Header{TTL: 64, TOS: 0x2e, Protocol: proto, Src: MustIPv4("10.0.0.1"), Dst: MustIPv4("10.0.0.2")}
+	}
+	udp, _ := Serialize(eth(EtherTypeIPv4), ip(IPProtoUDP), &UDP{SrcPort: 1, DstPort: 2})
+	tagged, _ := PushVLAN(udp, EtherTypeDot1Q, 101)
+	qinq, _ := PushVLAN(tagged, EtherTypeQinQ, 7)
+	tcp, _ := Serialize(eth(EtherTypeIPv4), ip(IPProtoTCP), &TCP{SrcPort: 3, DstPort: 80})
+	icmp, _ := Serialize(eth(EtherTypeIPv4), ip(IPProtoICMP), &ICMPv4{Type: ICMPv4EchoRequest})
+	arp, _ := Serialize(eth(EtherTypeARP),
+		&ARP{Op: ARPRequest, SenderHW: MustMAC("02:00:00:00:00:01"), SenderIP: MustIPv4("10.0.0.1"), TargetIP: MustIPv4("10.0.0.2")})
+	v6, _ := Serialize(eth(EtherTypeIPv6), &IPv6Header{NextHeader: IPProtoTCP, HopLimit: 64}, &TCP{SrcPort: 5, DstPort: 6})
+	// An IPv4 header alone, padded to the minimum frame: the padding is
+	// no UDP header.
+	padded, _ := Serialize(eth(EtherTypeIPv4), ip(IPProtoUDP))
+	padded = append(padded, make([]byte, MinFrameLen-len(padded))...)
+	return [][]byte{udp, tagged, qinq, tcp, icmp, arp, v6, padded,
+		udp[:EthernetHeaderLen+IPv4MinHeaderLen+4], qinq[:EthernetHeaderLen+2], udp[:9], {}}
 }
 
 func FuzzDNSDecode(f *testing.F) {

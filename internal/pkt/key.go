@@ -27,7 +27,6 @@ type Key struct {
 	IPProto uint8
 	IPSrc   IPv4
 	IPDst   IPv4
-	IPTOS   uint8
 
 	HasIPv6 bool // IPv6 parsed for proto only; addresses not matched
 
@@ -45,46 +44,72 @@ type Key struct {
 	ICMPCode uint8
 }
 
-// ExtractKey parses frame headers into k without allocating. It returns
-// an error only for frames too short to carry an Ethernet header;
-// deeper truncation simply leaves the affected fields unset, matching
-// how a hardware parser degrades.
+// ExtractKey parses frame headers into k without allocating: ExtractFlat,
+// unpacked. It returns an error only for frames too short to carry an
+// Ethernet header; deeper truncation simply leaves the affected fields
+// unset, matching how a hardware parser degrades.
 func ExtractKey(frame []byte, inPort uint32, k *Key) error {
-	*k = Key{InPort: inPort}
+	var f FlatKey
+	err := ExtractFlat(frame, inPort, &f)
+	f.Unpack(k)
+	return err
+}
+
+// Presence bits of a packed key: the low byte of word 1.
+const (
+	flatVLAN = 1 << iota
+	flatIPv4
+	flatIPv6
+	flatARP
+	flatL4
+	flatICMP
+)
+
+// ExtractFlat is the one header parser: it reads frame's headers in one
+// pass straight into the packed key f, without allocating. A field is
+// set exactly when Decode would decode its header: whole headers only,
+// ARP for Ethernet/IPv4 addresses, and an IP packet's transport header
+// within the length the IP header gives, so Ethernet padding is never
+// read as one. It returns an error only for frames too short to carry an
+// Ethernet header (f then holds inPort alone); deeper truncation leaves
+// the affected fields unset.
+//
+//harmless:hotpath
+func ExtractFlat(frame []byte, inPort uint32, f *FlatKey) error {
+	*f = FlatKey{uint64(inPort) << 32}
 	if len(frame) < EthernetHeaderLen {
 		return errTruncated(LayerTypeEthernet)
 	}
-	copy(k.EthDst[:], frame[0:6])
-	copy(k.EthSrc[:], frame[6:12])
+	f[1] = binary.BigEndian.Uint64(frame[0:8]) &^ 0xffff // eth_dst
+	f[2] = binary.BigEndian.Uint64(frame[4:12]) << 16    // eth_src
 	et := binary.BigEndian.Uint16(frame[12:14])
 	off := EthernetHeaderLen
 	// Walk VLAN tags; record the outermost, skip inner ones.
 	for et == EtherTypeDot1Q || et == EtherTypeQinQ {
 		if len(frame) < off+Dot1QHeaderLen {
-			return nil
+			return nil // a tag cut short: the type behind it stays unset
 		}
-		tci := binary.BigEndian.Uint16(frame[off : off+2])
-		if !k.HasVLAN {
-			k.HasVLAN = true
-			k.VLANID = tci & 0x0fff
-			k.VLANPCP = uint8(tci >> 13)
+		if f[1]&flatVLAN == 0 {
+			tci := binary.BigEndian.Uint16(frame[off : off+2])
+			f[0] |= uint64(tci & 0x0fff)
+			f[1] |= uint64(tci>>13)<<8 | flatVLAN
 		}
 		et = binary.BigEndian.Uint16(frame[off+2 : off+4])
 		off += Dot1QHeaderLen
 	}
-	k.EthType = et
+	f[0] |= uint64(et) << 16
 	switch et {
 	case EtherTypeIPv4:
-		extractIPv4Key(frame[off:], k)
+		extractIPv4(frame[off:], f)
 	case EtherTypeIPv6:
-		extractIPv6Key(frame[off:], k)
+		extractIPv6(frame[off:], f)
 	case EtherTypeARP:
-		extractARPKey(frame[off:], k)
+		extractARP(frame[off:], f)
 	}
 	return nil
 }
 
-func extractIPv4Key(b []byte, k *Key) {
+func extractIPv4(b []byte, f *FlatKey) {
 	if len(b) < IPv4MinHeaderLen || b[0]>>4 != 4 {
 		return
 	}
@@ -92,64 +117,80 @@ func extractIPv4Key(b []byte, k *Key) {
 	if ihl < IPv4MinHeaderLen || len(b) < ihl {
 		return
 	}
-	k.HasIPv4 = true
-	k.IPTOS = b[1]
-	k.IPProto = b[9]
-	copy(k.IPSrc[:], b[12:16])
-	copy(k.IPDst[:], b[16:20])
-	fragOff := binary.BigEndian.Uint16(b[6:8]) & 0x1fff
-	if fragOff != 0 {
+	proto := b[9]
+	f[1] |= flatIPv4
+	f[2] |= uint64(proto) << 8
+	f[3] = binary.BigEndian.Uint64(b[12:20]) // ip_src, ip_dst
+	if binary.BigEndian.Uint16(b[6:8])&0x1fff != 0 {
 		return // non-first fragment: no L4 header
 	}
+	// A total length that does not fit what arrived is ignored, as Decode
+	// tolerates it.
+	if end := int(binary.BigEndian.Uint16(b[2:4])); end >= ihl && end <= len(b) {
+		b = b[:end]
+	}
 	l4 := b[ihl:]
-	switch k.IPProto {
+	switch proto {
 	case IPProtoTCP, IPProtoUDP:
-		if len(l4) >= 4 {
-			k.HasL4 = true
-			k.L4Src = binary.BigEndian.Uint16(l4[0:2])
-			k.L4Dst = binary.BigEndian.Uint16(l4[2:4])
-		}
+		extractPorts(l4, proto, f)
 	case IPProtoICMP:
-		if len(l4) >= 2 {
-			k.HasICMP = true
-			k.ICMPType = l4[0]
-			k.ICMPCode = l4[1]
+		if len(l4) >= ICMPv4HeaderLen {
+			f[1] |= flatICMP
+			f[2] |= uint64(l4[0])
+			f[4] = uint64(l4[1])
 		}
 	}
 }
 
-func extractIPv6Key(b []byte, k *Key) {
+func extractIPv6(b []byte, f *FlatKey) {
 	if len(b) < IPv6HeaderLen || b[0]>>4 != 6 {
 		return
 	}
-	k.HasIPv6 = true
-	k.IPProto = b[6]
-	l4 := b[IPv6HeaderLen:]
-	switch k.IPProto {
-	case IPProtoTCP, IPProtoUDP:
-		if len(l4) >= 4 {
-			k.HasL4 = true
-			k.L4Src = binary.BigEndian.Uint16(l4[0:2])
-			k.L4Dst = binary.BigEndian.Uint16(l4[2:4])
-		}
+	proto := b[6]
+	f[1] |= flatIPv6
+	f[2] |= uint64(proto) << 8
+	if end := IPv6HeaderLen + int(binary.BigEndian.Uint16(b[4:6])); end < len(b) {
+		b = b[:end]
 	}
+	extractPorts(b[IPv6HeaderLen:], proto, f)
 }
 
-func extractARPKey(b []byte, k *Key) {
-	if len(b) < ARPHeaderLen {
+// extractPorts reads the ports of a whole TCP or UDP header; any other
+// proto has none.
+func extractPorts(l4 []byte, proto uint8, f *FlatKey) {
+	switch proto {
+	case IPProtoTCP:
+		if len(l4) < TCPMinHeaderLen {
+			return
+		}
+		if off := int(l4[12]>>4) * 4; off < TCPMinHeaderLen || off > len(l4) {
+			return
+		}
+	case IPProtoUDP:
+		if len(l4) < UDPHeaderLen {
+			return
+		}
+	default:
 		return
 	}
-	k.HasARP = true
-	k.ARPOp = binary.BigEndian.Uint16(b[6:8])
-	copy(k.ARPSPA[:], b[14:18])
-	copy(k.ARPTPA[:], b[24:28])
+	f[1] |= flatL4
+	f[4] = uint64(binary.BigEndian.Uint32(l4[0:4])) << 32
+}
+
+func extractARP(b []byte, f *FlatKey) {
+	if len(b) < ARPHeaderLen || b[4] != 6 || b[5] != 4 {
+		return
+	}
+	f[1] |= flatARP
+	f[4] = uint64(binary.BigEndian.Uint16(b[6:8])) << 16
+	f[5] = uint64(binary.BigEndian.Uint32(b[14:18]))<<32 | uint64(binary.BigEndian.Uint32(b[24:28]))
 }
 
 // Hash returns a well-mixed 64-bit hash of the key's matchable fields,
 // cheap enough to call per packet: the sum of its packed form. The
-// telemetry table picks a shard with it and the worker pool a worker;
-// the flow cache, which also projects the key, packs it itself.
-// Flow-affinity hashing (SELECT buckets) is flowtable.FlowHash.
+// telemetry table picks a shard with it; the datapath, which parses into
+// the packed form, sums that itself. Flow-affinity hashing (SELECT
+// buckets) is flowtable.FlowHash.
 func (k *Key) Hash() uint64 {
 	var f FlatKey
 	k.FlatInto(&f)
@@ -167,22 +208,42 @@ func (k *Key) Hash() uint64 {
 //	4  l4_src(16) l4_dst(16) arp_op(16) unused(8) icmp_code(8)
 //	5  arp_spa(32) arp_tpa(32)
 //
-// IPTOS, which nothing matches on, is left out. Only FlatInto knows the
-// layout: a mask over it is the packed form of a Key with all ones under
-// the bits it covers, which is how flowtable compiles a match.
+// Only this file knows the layout: ExtractFlat writes it, FlatInto packs
+// a Key into it and Unpack reverses that. A mask over it is the packed
+// form of a Key with all ones under the bits it covers, which is how
+// flowtable compiles a match.
 type FlatKey [6]uint64
 
 // FlatInto packs k into f.
 //
 //harmless:hotpath
 func (k *Key) FlatInto(f *FlatKey) {
-	shape := bit(k.HasVLAN, 1) | bit(k.HasIPv4, 2) | bit(k.HasIPv6, 4) | bit(k.HasARP, 8) | bit(k.HasL4, 16) | bit(k.HasICMP, 32)
+	shape := bit(k.HasVLAN, flatVLAN) | bit(k.HasIPv4, flatIPv4) | bit(k.HasIPv6, flatIPv6) |
+		bit(k.HasARP, flatARP) | bit(k.HasL4, flatL4) | bit(k.HasICMP, flatICMP)
 	f[0] = uint64(k.InPort)<<32 | uint64(k.EthType)<<16 | uint64(k.VLANID)
 	f[1] = mac48(&k.EthDst)<<16 | uint64(k.VLANPCP)<<8 | shape
 	f[2] = mac48(&k.EthSrc)<<16 | uint64(k.IPProto)<<8 | uint64(k.ICMPType)
 	f[3] = uint64(k.IPSrc.Uint32())<<32 | uint64(k.IPDst.Uint32())
 	f[4] = uint64(k.L4Src)<<48 | uint64(k.L4Dst)<<32 | uint64(k.ARPOp)<<16 | uint64(k.ICMPCode)
 	f[5] = uint64(k.ARPSPA.Uint32())<<32 | uint64(k.ARPTPA.Uint32())
+}
+
+// Unpack sets k to the key f packs: the inverse of FlatInto on every
+// key ExtractFlat produces (the unused bits of word 4 and the two top
+// presence bits have no field to go to).
+func (f *FlatKey) Unpack(k *Key) {
+	w0, w1, w2, w4 := f[0], f[1], f[2], f[4]
+	k.InPort, k.EthType, k.VLANID = uint32(w0>>32), uint16(w0>>16), uint16(w0)
+	putMAC48(&k.EthDst, w1>>16)
+	putMAC48(&k.EthSrc, w2>>16)
+	k.VLANPCP, k.IPProto, k.ICMPType = uint8(w1>>8), uint8(w2>>8), uint8(w2)
+	k.HasVLAN, k.HasIPv4, k.HasIPv6 = w1&flatVLAN != 0, w1&flatIPv4 != 0, w1&flatIPv6 != 0
+	k.HasARP, k.HasL4, k.HasICMP = w1&flatARP != 0, w1&flatL4 != 0, w1&flatICMP != 0
+	binary.BigEndian.PutUint32(k.IPSrc[:], uint32(f[3]>>32))
+	binary.BigEndian.PutUint32(k.IPDst[:], uint32(f[3]))
+	k.L4Src, k.L4Dst, k.ARPOp, k.ICMPCode = uint16(w4>>48), uint16(w4>>32), uint16(w4>>16), uint8(w4)
+	binary.BigEndian.PutUint32(k.ARPSPA[:], uint32(f[5]>>32))
+	binary.BigEndian.PutUint32(k.ARPTPA[:], uint32(f[5]))
 }
 
 func bit(set bool, v uint64) uint64 {
@@ -194,6 +255,11 @@ func bit(set bool, v uint64) uint64 {
 
 func mac48(m *MAC) uint64 {
 	return uint64(binary.BigEndian.Uint32(m[0:4]))<<16 | uint64(binary.BigEndian.Uint16(m[4:6]))
+}
+
+func putMAC48(m *MAC, v uint64) {
+	binary.BigEndian.PutUint32(m[0:4], uint32(v>>16))
+	binary.BigEndian.PutUint16(m[4:6], uint16(v))
 }
 
 // And returns f projected onto the field mask m.

@@ -8,13 +8,13 @@
 // packet is built back-to-front. Decode allocates a full layer stack,
 // convenient for hosts, tests, captures and management tooling.
 //
-// The datapath uses ExtractKey (see key.go) instead, which pulls
-// all OpenFlow-matchable fields out of a frame in a single pass without
+// The datapath uses ExtractFlat (see key.go) instead, which packs
+// all OpenFlow-matchable fields of a frame in a single pass without
 // building layer objects at all, and the in-place mutators in mutate.go
 // that implement OpenFlow set-field/push/pop actions with incremental
-// checksum fixup. Key packs into six words (FlatKey), the form the flow
-// tables' classifier and the softswitch's flow cache mask, compare and
-// hash.
+// checksum fixup. The packed key is six words (FlatKey), the form the
+// flow tables' classifier and the softswitch's flow cache mask, compare
+// and hash; Key is its field-by-field form.
 package pkt
 
 import (

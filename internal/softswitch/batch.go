@@ -13,7 +13,7 @@ import (
 // ReceiveBatch runs a frame vector through the switch paying the
 // per-packet costs once per batch instead of once per frame:
 //
-//   - keys are extracted for the whole vector in one pass;
+//   - every frame is parsed once, straight into its packed key;
 //   - the flow cache is probed class by class, the keys grouped by
 //     shard so each shard read-lock is taken once per batch, and a run
 //     of frames with one projection probed once (probeBatch);
@@ -229,7 +229,8 @@ func (s *Switch) flushTx(tx *txContext) {
 // what telemetry needs of each frame (its key, whether it was classified,
 // its egress port) to the single ObserveBatch call at the end of the
 // dispatch — the zero-alloc batch-level hook, as opposed to a per-frame
-// callback. sc is the cache's probe scratch, run the vector a replayed
+// callback; keys are unpacked from sc.flat only when telemetry is
+// attached. sc is the cache's probe scratch, run the vector a replayed
 // run is rewritten and compacted in, so the caller's is never written.
 type dispatchState struct {
 	tx   txContext
@@ -331,19 +332,18 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	if n == 1 {
 		// One frame: the classic per-frame walk, minus the batch-probe
 		// bookkeeping.
-		var key pkt.Key
-		var flat pkt.FlatKey
-		if err := pkt.ExtractKey(frames[0], inPort, &key); err != nil {
+		flat := &st.sc.flat[0]
+		if err := pkt.ExtractFlat(frames[0], inPort, flat); err != nil {
 			s.drops.Inc()
 		} else {
-			key.FlatInto(&flat)
 			var shard uint32
 			if ch != nil {
 				shard = shardOf(flat.Sum())
 			}
-			out := s.classifyAndRun(&flat, shard, inPort, frames, st)
+			out := s.classifyAndRun(flat, shard, inPort, frames, st)
 			if tel != nil {
-				tel.Observe(&key, len(frames[0]), out, now)
+				flat.Unpack(&st.keys[0])
+				tel.Observe(&st.keys[0], len(frames[0]), out, now)
 			}
 		}
 		st.run[0] = nil
@@ -352,16 +352,13 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	}
 
 	st.tx.burst = true
-	keys, skip, mfs := st.keys[:n], st.skip[:n], st.mfs[:n]
+	skip, mfs := st.skip[:n], st.mfs[:n]
 	bad := 0
 	for i, f := range frames {
-		skip[i] = false
-		if err := pkt.ExtractKey(f, inPort, &keys[i]); err != nil {
-			skip[i] = true
+		skip[i] = pkt.ExtractFlat(f, inPort, &st.sc.flat[i]) != nil
+		if skip[i] {
 			bad++
-			continue
 		}
-		keys[i].FlatInto(&st.sc.flat[i])
 	}
 	if bad > 0 {
 		s.drops.Add(uint64(bad))
@@ -404,7 +401,10 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	}
 	clear(st.run[:n])
 	if tel != nil {
-		tel.ObserveBatch(keys, skip, frames, outs, now)
+		for i := range n {
+			st.sc.flat[i].Unpack(&st.keys[i])
+		}
+		tel.ObserveBatch(st.keys[:n], skip, frames, outs, now)
 	}
 	s.flushTx(&st.tx)
 }

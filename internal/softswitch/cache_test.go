@@ -520,12 +520,10 @@ func TestEntryOutlivesItsStore(t *testing.T) {
 	sw.Receive(1, append([]byte(nil), frameA...))
 	words := (*sw.cache.classes.Load())[0].words
 	storeShard := func(frame []byte) uint32 {
-		var k pkt.Key
 		var f pkt.FlatKey
-		if err := pkt.ExtractKey(frame, 1, &k); err != nil {
+		if err := pkt.ExtractFlat(frame, 1, &f); err != nil {
 			t.Fatal(err)
 		}
-		k.FlatInto(&f)
 		p := f.And(&words)
 		return shardOf(p.Sum())
 	}

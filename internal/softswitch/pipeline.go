@@ -112,19 +112,17 @@ func (s *Switch) applyRun(acts []openflow.Action, live [][]byte, tx *txContext) 
 // startTable onwards (the uncached path; packet-out and OUTPUT:TABLE
 // restarts come through here).
 func (s *Switch) runPipeline(inPort uint32, frame []byte, startTable uint8, tx *txContext) {
-	var key pkt.Key
 	var flat pkt.FlatKey
-	if err := pkt.ExtractKey(frame, inPort, &key); err != nil {
+	if err := pkt.ExtractFlat(frame, inPort, &flat); err != nil {
 		s.drops.Inc()
 		return
 	}
-	key.FlatInto(&flat)
 	s.runPipelineKeyed(&flat, inPort, frame, startTable, nil, tx)
 }
 
 // runPipelineKeyed executes tables from startTable onwards for an
-// already-extracted key in its packed form — packed once per frame, for
-// the cache probe and for every table's classifier. When rec is non-nil
+// already-parsed key in its packed form — parsed once per frame, for the
+// cache probe and for every table's classifier. When rec is non-nil
 // every consulted table (with its pre-lookup revision) and every
 // executed operation is recorded so the walk's decision can be cached;
 // the table's consult mask is folded into rec.mask at the same point, so

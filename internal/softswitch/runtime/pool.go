@@ -178,16 +178,16 @@ func New(sw *softswitch.Switch, cfg Config) *Pool {
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return len(p.workers) }
 
-// workerFor selects the worker a frame belongs to: Key.Hash sharding
-// for extractable frames (flow affinity), ingress-port sharding for
-// the malformed rest.
+// workerFor selects the worker a frame belongs to: sharding by the sum
+// of the packed key for parsable frames (flow affinity; the key's
+// Key.Hash), ingress-port sharding for the malformed rest.
 func (p *Pool) workerFor(inPort uint32, frame []byte) *worker {
 	if len(p.workers) == 1 {
 		return p.workers[0]
 	}
-	var key pkt.Key
-	if pkt.ExtractKey(frame, inPort, &key) == nil {
-		return p.workers[key.Hash()%uint64(len(p.workers))]
+	var flat pkt.FlatKey
+	if pkt.ExtractFlat(frame, inPort, &flat) == nil {
+		return p.workers[flat.Sum()%uint64(len(p.workers))]
 	}
 	return p.workers[int(inPort)%len(p.workers)]
 }
