@@ -45,13 +45,11 @@ func main() {
 	dialectName := flag.String("dialect", "ciscoish", "legacy CLI dialect: ciscoish|aristaish")
 	cliListen := flag.String("cli-listen", "", "expose the legacy switch CLI on this TCP address (empty = off)")
 	snmpListen := flag.String("snmp-listen", "", "expose the legacy switch SNMP agent on this UDP address (empty = off)")
-	controllerAddr := flag.String("controller", "", "one more external OpenFlow controller address (legacy flag, merged with -controllers)")
 	controllersFlag := flag.String("controllers", "", "comma-separated external OpenFlow controller addresses, e.g. host1:6653,host2:6653 (empty = in-process learning switch)")
 	ofListen := flag.String("of-listen", "", "accept OpenFlow controller connections on this TCP address (passive mode, e.g. for ofctl dialing in)")
 	oneshot := flag.Bool("oneshot", false, "run the connectivity demo and exit")
 	statsEvery := flag.Duration("stats", 10*time.Second, "status print interval (0 = off)")
 	asyncLinks := flag.Bool("async-links", false, "queued (async) netem links with vectored rx delivery instead of synchronous in-line calls")
-	rxBatch := flag.Int("rx-batch", 64, "max frames one async link wakeup coalesces into a single batch delivery")
 	workers := flag.Int("workers", 0, "poll-mode workers draining SS_1's trunk ingress with RSS flow sharding (0 = deliver inline on the caller thread)")
 	telemetryExport := flag.String("telemetry-export", "", "export IPFIX-style flow records to this UDP collector (e.g. the cmd/flowtop listener; empty = no wire export)")
 	sampleRate := flag.Int("sample-rate", 64, "sFlow-style 1-in-N packet sampling on the telemetry plane (0 = off)")
@@ -63,22 +61,17 @@ func main() {
 		dialect = legacy.DialectAristaish
 	}
 
-	// Collect the external controller endpoints: the -controllers list
-	// merged with the legacy single-address -controller flag.
 	var ctrlAddrs []string
-	for _, a := range strings.Split(*controllersFlag+","+*controllerAddr, ",") {
+	for _, a := range strings.Split(*controllersFlag, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			ctrlAddrs = append(ctrlAddrs, a)
 		}
 	}
 
 	cfg := fabric.DeployConfig{
-		NumPorts: *ports,
-		Dialect:  dialect,
-		LinkConfig: netem.LinkConfig{
-			Async:   *asyncLinks,
-			RxBatch: *rxBatch,
-		},
+		NumPorts:   *ports,
+		Dialect:    dialect,
+		LinkConfig: netem.LinkConfig{Async: *asyncLinks},
 	}
 	// Channel lifecycle diagnostics (dial failures, backoff, dead
 	// peers) and the in-process controller's (rejected flow-mods, app

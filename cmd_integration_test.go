@@ -142,7 +142,7 @@ func TestBinaryOfctlAgainstHarmlessd(t *testing.T) {
 	// Give ofctl a moment to bind, then point harmlessd at it.
 	waitForListen(t, addr)
 	hd := exec.Command(filepath.Join(bin, "harmlessd"),
-		"-ports", "4", "-controller", addr, "-stats", "0")
+		"-ports", "4", "-controllers", addr, "-stats", "0")
 	var hdOut bytes.Buffer
 	hd.Stdout = &hdOut
 	hd.Stderr = &hdOut

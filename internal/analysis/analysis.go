@@ -3,28 +3,22 @@
 // passes over the module's packages, position-attached diagnostics,
 // and //harmless: source directives with mandatory justifications.
 //
-// The repo's performance claims rest on invariants the compiler cannot
-// see — injected clocks, zero-alloc hot paths, borrowed dataplane
-// frames, errors that must not vanish on a rollback. The analyzers
-// built on this framework (clockinject, hotpathalloc, frameown,
-// atomicmix, errdrop — one package each next to this one) turn those
-// conventions into mechanical gates; lock and shard copies are left to
-// go vet's copylocks, and map order leaking into a digest to the tests
-// that run a scenario twice and compare. cmd/harmlesslint is the
-// multichecker that runs them, and `make lint` / CI fail on any
-// diagnostic: a finding is fixed, or hatched with a reason.
+// Two invariants the compiler cannot see and no test run reliably
+// reaches are checked here: borrowed dataplane frames handed on
+// unclipped (frameown) and errors that vanish on a rollback (errdrop),
+// one package each next to this one. The rest are held by running
+// code: zero-alloc datapaths by AllocsPerRun tests, injected clocks by
+// ManualClock tests and twice-run digests, atomic discipline by typed
+// atomics (TestAtomicsAreTyped); lock and shard copies are go vet's
+// copylocks. cmd/harmlesslint is the multichecker that runs the
+// analyzers, and `make lint` / CI fail on any diagnostic: a finding is
+// fixed, or hatched with a reason.
 //
 // # Directives
 //
 // Source annotations all share the //harmless: namespace:
 //
-//	//harmless:hotpath
-//	    marks a function whose body must not allocate (checked and,
-//	    for the known hot paths, required by hotpathalloc).
-//	//harmless:allow-wallclock <reason>
-//	//harmless:allow-alloc <reason>
 //	//harmless:allow-unclipped <reason>
-//	//harmless:allow-plain <reason>
 //	//harmless:allow-droperr <reason>
 //	    escape hatches suppressing one diagnostic of the owning
 //	    analyzer on the same line or the line directly below the
@@ -49,23 +43,10 @@ import (
 // package through the Pass and reports diagnostics; it returns an
 // error only for internal failures (a broken analyzer), never for
 // findings.
-//
-// An analyzer whose invariant spans package boundaries (atomicmix: a
-// field atomically accessed in one package must not be read plainly in
-// another) sets RunModule instead: it receives every loaded package at
-// once as a ModulePass. Exactly one of Run and RunModule must be set.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass) error
-	RunModule func(*ModulePass) error
-}
-
-// ModulePass carries every typechecked package of one load into a
-// module-level analyzer run. Each element keeps its own directive
-// index and Report sink; diagnostics from all of them are combined.
-type ModulePass struct {
-	Passes []*Pass
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // Diagnostic is one finding, attached to a resolved source position.
@@ -119,7 +100,7 @@ type lineKey struct {
 
 // Directive is one parsed //harmless:<name> <reason> comment.
 type Directive struct {
-	Name   string // e.g. "allow-wallclock", "hotpath"
+	Name   string // e.g. "allow-droperr"
 	Reason string
 	Pos    token.Pos
 	used   bool
@@ -130,11 +111,7 @@ const DirectivePrefix = "//harmless:"
 
 // knownDirectives is every name some analyzer of the suite reads.
 var knownDirectives = map[string]bool{
-	"hotpath":         true,
-	"allow-wallclock": true,
-	"allow-alloc":     true,
 	"allow-unclipped": true,
-	"allow-plain":     true,
 	"allow-droperr":   true,
 }
 
@@ -205,28 +182,6 @@ func (p *Pass) Suppressed(pos token.Pos, name string) bool {
 		}
 	}
 	return false
-}
-
-// FuncDirective returns the //harmless:<name> directive attached to a
-// function declaration's doc comment, or nil.
-func (p *Pass) FuncDirective(fn *ast.FuncDecl, name string) *Directive {
-	if fn.Doc == nil {
-		return nil
-	}
-	for _, c := range fn.Doc.List {
-		if d := ParseDirective(c); d != nil && d.Name == name {
-			d.used = true
-			// Alias the indexed copy so unused-checking sees the use.
-			pos := p.Fset.Position(c.Slash)
-			for _, id := range p.directives[lineKey{file: pos.Filename, line: pos.Line}] {
-				if id.Name == name {
-					id.used = true
-				}
-			}
-			return d
-		}
-	}
-	return nil
 }
 
 // ReportUnused flags every //harmless:<name> directive in the package

@@ -42,9 +42,8 @@ var quoted = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 
 // Run loads the fixture package in dir (every non-test .go file) under
 // the package path pkgPath, runs a, and enforces the // want
-// expectations. pkgPath matters: analyzers scope themselves by import
-// path, so a fixture named testdata/src/netem loaded as "netem" lands
-// in clockinject's scope while "outofscope" does not.
+// expectations. pkgPath is the import path the fixture typechecks
+// under.
 func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -72,16 +71,8 @@ func Run(t *testing.T, dir, pkgPath string, a *analysis.Analyzer) {
 	var diags []analysis.Diagnostic
 	pass := analysis.NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info,
 		func(d analysis.Diagnostic) { diags = append(diags, d) })
-	switch {
-	case a.RunModule != nil:
-		// A module analyzer sees the fixture as a one-package module.
-		if err := a.RunModule(&analysis.ModulePass{Passes: []*analysis.Pass{pass}}); err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
-	default:
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
-		}
+	if err := a.Run(pass); err != nil {
+		t.Fatalf("%s: %v", a.Name, err)
 	}
 	analysis.SortDiagnostics(diags)
 

@@ -161,8 +161,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 var directiveCheck = &Analyzer{Name: "directive", Doc: "flags //harmless: comments no analyzer reads"}
 
 // Analyze loads the packages matching patterns and runs every analyzer
-// — per-package passes over each package, module passes once over the
-// whole load — returning the combined, position-sorted diagnostics
+// over each package, returning the combined, position-sorted diagnostics
 // with filenames normalized to module-relative slash paths. A
 // //harmless: comment no analyzer reads is a diagnostic of its own.
 func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
@@ -176,16 +175,6 @@ func Analyze(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic
 		NewPass(directiveCheck, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report).ReportUnknown()
 	}
 	for _, a := range analyzers {
-		if a.RunModule != nil {
-			mp := &ModulePass{}
-			for _, pkg := range pkgs {
-				mp.Passes = append(mp.Passes, NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report))
-			}
-			if err := a.RunModule(mp); err != nil {
-				return nil, fmt.Errorf("%s: %v", a.Name, err)
-			}
-			continue
-		}
 		for _, pkg := range pkgs {
 			pass := NewPass(a, pkg.Fset, pkg.Files, pkg.Types, pkg.Info, report)
 			if err := a.Run(pass); err != nil {

@@ -70,10 +70,7 @@ func TestDirectiveRot(t *testing.T) {
 		name     string
 		analyzer string
 	}{
-		{"allow-wallclock", "clockinject"},
-		{"allow-alloc", "hotpathalloc"},
 		{"allow-unclipped", "frameown"},
-		{"allow-plain", "atomicmix"},
 		{"allow-droperr", "errdrop"},
 	}
 	for _, tc := range directives {
@@ -137,22 +134,25 @@ func TestDirectiveRot(t *testing.T) {
 		})
 	}
 
-	// detorder is gone; its hatch must not linger as a comment that
-	// looks like it still excuses something.
-	t.Run("allow-maporder", func(t *testing.T) {
-		pass, diags := rotPass(t, "allow-maporder", &analysis.Analyzer{Name: "directive"})
-		pass.ReportUnknown()
-		got := *diags
-		analysis.SortDiagnostics(got)
-		if len(got) != 3 { // bare, reasoned, stale: each one in the fixture
-			t.Fatalf("got %d diagnostics, want 3:\n%s", len(got), render(got))
-		}
-		for _, d := range got {
-			if !strings.HasPrefix(d.Message, "unknown directive //harmless:allow-maporder") {
-				t.Errorf("unexpected diagnostic:\n%s", render(got))
+	// A hatch whose analyzer is gone (detorder; hotpathalloc,
+	// clockinject and atomicmix, whose invariants tests now hold) must
+	// not linger as a comment that looks like it still excuses something.
+	for _, name := range []string{"allow-maporder", "allow-wallclock", "allow-alloc", "allow-plain", "hotpath"} {
+		t.Run(name, func(t *testing.T) {
+			pass, diags := rotPass(t, name, &analysis.Analyzer{Name: "directive"})
+			pass.ReportUnknown()
+			got := *diags
+			analysis.SortDiagnostics(got)
+			if len(got) != 3 { // bare, reasoned, stale: each one in the fixture
+				t.Fatalf("got %d diagnostics, want 3:\n%s", len(got), render(got))
 			}
-		}
-	})
+			for _, d := range got {
+				if !strings.HasPrefix(d.Message, "unknown directive //harmless:"+name) {
+					t.Errorf("unexpected diagnostic:\n%s", render(got))
+				}
+			}
+		})
+	}
 }
 
 func containsMessage(ds []analysis.Diagnostic, msg string) bool {

@@ -87,8 +87,6 @@ type Config struct {
 	// (default 5s).
 	BackoffMin time.Duration
 	BackoffMax time.Duration
-	// DialTimeout bounds one TCP connect attempt (default 3s).
-	DialTimeout time.Duration
 	// Logger for channel lifecycle diagnostics (default: discard).
 	Logger *log.Logger
 	// Clock drives the keepalive timers, dead-peer idle measurement
@@ -110,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 3 * time.Second
 	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
@@ -307,13 +302,16 @@ func (c *Channel) runAttach(rw io.ReadWriteCloser) {
 	c.Close()
 }
 
+// dialTimeout bounds one TCP connect attempt.
+const dialTimeout = 3 * time.Second
+
 // runDial is the active-connect loop: dial, serve, and on transport
 // loss redial with exponential backoff, forever until Close.
 func (c *Channel) runDial() {
 	attempt := 0
 	for !c.closed() {
 		c.state.Store(int32(StateConnecting))
-		rw, err := net.DialTimeout("tcp", c.addr, c.cfg.DialTimeout)
+		rw, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			c.cfg.Logger.Printf("controlplane: dial %s: %v (retry in %v)", c.addr, err, c.cfg.backoff(attempt))
 			if !c.sleep(c.cfg.backoff(attempt)) {

@@ -58,8 +58,6 @@ func (r *TypedRing[T]) Len() int {
 
 // Push enqueues one value. It returns false when the ring is full (the
 // value is not enqueued).
-//
-//harmless:hotpath
 func (r *TypedRing[T]) Push(v T) bool {
 	pos := r.head.Load()
 	for {
@@ -84,8 +82,6 @@ func (r *TypedRing[T]) Push(v T) bool {
 // Pop dequeues the oldest value. It returns false when the ring is
 // empty. The vacated slot is zeroed so popped values do not pin
 // whatever T references.
-//
-//harmless:hotpath
 func (r *TypedRing[T]) Pop() (T, bool) {
 	var zero T
 	pos := r.tail.Load()
@@ -151,8 +147,6 @@ func (r *Ring) Push(frame []byte) bool { return r.PushFrame(frame, 0) }
 // frame is not enqueued and stays the caller's). This is the producer
 // side of an RX queue: the poll-mode worker runtime tags each frame so
 // one ring can carry traffic arriving on many datapath ports.
-//
-//harmless:hotpath
 func (r *Ring) PushFrame(frame []byte, inPort uint32) bool {
 	return r.r.Push(frameTag{frame: frame, port: inPort})
 }
@@ -167,8 +161,6 @@ func (r *Ring) Pop() ([]byte, bool) {
 // PopFrame dequeues the oldest frame with its ingress-port tag,
 // transferring ownership to the caller. It returns false when the ring
 // is empty. Frames enqueued with Push carry port 0.
-//
-//harmless:hotpath
 func (r *Ring) PopFrame() ([]byte, uint32, bool) {
 	t, ok := r.r.Pop()
 	return t.frame, t.port, ok

@@ -213,8 +213,6 @@ func (t *Table) Find(f *pkt.FlatKey) *Entry {
 // one match, one entry hit, and the idle-timeout clock refreshed. now is
 // the caller's clock reading in unix nanos — the datapath takes one
 // per dispatch and credits every hit of the dispatch with it.
-//
-//harmless:hotpath
 func (t *Table) CreditHits(e *Entry, packets, bytes uint64, now int64) {
 	t.lookups.Add(packets)
 	t.matched.Add(packets)

@@ -140,8 +140,6 @@ func (f *FDB) lookupLocked(now time.Time, k fdbKey) (port int, ok bool) {
 // caller's clock reading now. known is false for a group address and
 // for a unicast address that is unknown or has aged out — the frame
 // floods. Caller holds f.mu (the dataplane takes it once per burst).
-//
-//harmless:hotpath
 func (f *FDB) stepLocked(now time.Time, vlan uint16, src pkt.MAC, in int, dst pkt.MAC) (out int, known bool) {
 	f.learnLocked(now, vlan, src, in)
 	if !dst.IsUnicast() {

@@ -151,8 +151,6 @@ func (sc *egressScratch) add(p int, np *netem.Port, frame []byte) {
 // sees what the first lookup left, an aged entry it deleted included.
 // The answer lives in this call alone. Counters, the tag rewrite and
 // flood copies stay per frame.
-//
-//harmless:hotpath
 func (s *Switch) forward(in int, frames [][]byte) {
 	sc := s.scratch.Get().(*egressScratch)
 	now := s.fdb.clock.Now() // learning and aging run on the FDB's clock
@@ -243,8 +241,6 @@ const flood = -1
 // port, flood, or 0 when the frame is filtered: its destination sits on
 // the ingress port, or on a port that cannot take vlan. Caller holds
 // s.mu and the FDB lock.
-//
-//harmless:hotpath
 func (s *Switch) resolveLocked(now time.Time, in int, vlan uint16, frame []byte) int {
 	var src, dst pkt.MAC
 	copy(dst[:], frame[0:6])

@@ -112,7 +112,7 @@ func (x *Executor) waveFor(name string) *waveRun {
 // report. wallBudget bounds real time spent (0 = unbounded).
 func (x *Executor) Run(wallBudget time.Duration) (*Report, error) {
 	defer x.Close()
-	wallStart := time.Now() //harmless:allow-wallclock run-report wall duration, not simulation time
+	wallStart := time.Now() // report timing only, never simulation time
 
 	// Wave schedule: deploy, then decide (commit or roll back) after
 	// the soak window.

@@ -5,8 +5,6 @@ package migrate
 // virtual-time callback, so the fabric is quiescent and every datagram
 // sent must already have been received. It runs once per tick for the
 // whole campaign and must not allocate.
-//
-//harmless:hotpath
 func (x *Executor) checkConservation() bool {
 	var sent, received, errs uint64
 	for _, r := range x.rigs {

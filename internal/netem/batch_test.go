@@ -74,15 +74,16 @@ func TestWrapReceiverSeesBatchedFrames(t *testing.T) {
 }
 
 func TestAsyncUntimedPumpCoalesces(t *testing.T) {
-	l := NewLink(LinkConfig{Name: "async", Async: true, QueueLen: 256, RxBatch: 32})
+	l := NewLink(LinkConfig{Name: "async", Async: true, QueueLen: 256})
 	defer l.Close()
 	var mu sync.Mutex
-	total, calls := 0, 0
+	total, calls, largest := 0, 0, 0
 	ready := make(chan struct{}, 1)
 	l.B().SetBatchReceiver(func(frames [][]byte) {
 		mu.Lock()
 		total += len(frames)
 		calls++
+		largest = max(largest, len(frames))
 		done := total == 128
 		mu.Unlock()
 		if done {
@@ -110,6 +111,9 @@ func TestAsyncUntimedPumpCoalesces(t *testing.T) {
 	defer mu.Unlock()
 	if calls >= 128 {
 		t.Errorf("pump never coalesced: %d deliveries for 128 frames", calls)
+	}
+	if largest > rxBatch {
+		t.Errorf("one delivery carried %d frames, more than the %d one wakeup drains", largest, rxBatch)
 	}
 }
 

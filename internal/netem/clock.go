@@ -80,11 +80,11 @@ type Scheduler interface {
 type RealClock struct{}
 
 // Now implements Clock.
-func (RealClock) Now() time.Time { return time.Now() } //harmless:allow-wallclock RealClock is the wall-clock adapter itself
+func (RealClock) Now() time.Time { return time.Now() }
 
 // AfterFunc implements Scheduler on the runtime timer wheel.
 func (RealClock) AfterFunc(d time.Duration, f func()) (cancel func() bool) {
-	t := time.AfterFunc(d, f) //harmless:allow-wallclock RealClock schedules on the runtime timer wheel by definition
+	t := time.AfterFunc(d, f)
 	return t.Stop
 }
 

@@ -43,11 +43,6 @@ type LinkConfig struct {
 	// async mode; 0 means a default of 512. Frames arriving at a full
 	// queue are tail-dropped.
 	QueueLen int
-	// RxBatch bounds how many queued frames one async wakeup drains
-	// into a single batch delivery; 0 means a default of 64. Only
-	// untimed async links (no latency, no bandwidth cap) coalesce:
-	// with a timing model each frame keeps its own arrival instant.
-	RxBatch int
 	// Seed seeds the loss process; links with the same seed drop the
 	// same frames.
 	Seed int64
@@ -58,8 +53,7 @@ type LinkConfig struct {
 	// order per direction is preserved — arrival instants are
 	// monotonic per sender and equal deadlines fire in registration
 	// order. QueueLen bounds the frames in flight per direction
-	// (tail-drop beyond it); RxBatch is not used. Ignored unless Async
-	// is set.
+	// (tail-drop beyond it). Ignored unless Async is set.
 	Scheduler Scheduler
 	// Name is used in diagnostics.
 	Name string
@@ -106,9 +100,6 @@ func NewLink(cfg LinkConfig) *Link {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 512
 	}
-	if cfg.RxBatch <= 0 {
-		cfg.RxBatch = 64
-	}
 	l := &Link{cfg: cfg, done: make(chan struct{})}
 	if cfg.LossProb > 0 {
 		l.rng = rand.New(rand.NewSource(cfg.Seed))
@@ -148,18 +139,22 @@ func (l *Link) dropped() bool {
 	return l.rng.Float64() < l.cfg.LossProb
 }
 
+// rxBatch bounds how many queued frames one wakeup of an untimed async
+// link drains into a single batch delivery.
+const rxBatch = 64
+
 // pump drains the queue of frames sent by p and delivers them to the
 // peer, applying the latency/bandwidth model in real time. On an
 // untimed link (no latency, no bandwidth cap) every frame is due the
 // moment it is queued, so one wakeup drains the backlog into a vector
-// — up to RxBatch frames — and delivers it as one batch; with a
+// — up to rxBatch frames — and delivers it as one batch; with a
 // timing model each frame keeps its own arrival instant and is
 // delivered individually.
 func (l *Link) pump(p *Port) {
 	untimed := l.cfg.Latency <= 0 && l.cfg.BandwidthBps <= 0
 	var batch [][]byte
 	if untimed {
-		batch = make([][]byte, 0, l.cfg.RxBatch)
+		batch = make([][]byte, 0, rxBatch)
 	}
 	for {
 		select {
@@ -169,7 +164,7 @@ func (l *Link) pump(p *Port) {
 			if untimed {
 				batch = append(batch[:0], frame)
 			drain:
-				for len(batch) < l.cfg.RxBatch {
+				for len(batch) < rxBatch {
 					select {
 					case f := <-p.queue:
 						batch = append(batch, f)
@@ -182,10 +177,11 @@ func (l *Link) pump(p *Port) {
 				continue
 			}
 			arrival := l.schedule(p, len(frame))
-			//harmless:allow-wallclock async mode paces real goroutines on wall time; virtual mode never reaches here
+			// Async mode paces real goroutines on wall time; virtual mode
+			// never reaches here.
 			if d := time.Until(arrival); d > 0 {
 				select {
-				case <-time.After(d): //harmless:allow-wallclock same: async-mode pacing
+				case <-time.After(d):
 				case <-l.done:
 					return
 				}
@@ -201,7 +197,7 @@ func (l *Link) now() time.Time {
 	if l.sched != nil {
 		return l.sched.Now()
 	}
-	return time.Now() //harmless:allow-wallclock fallback timeline when no scheduler is injected
+	return time.Now()
 }
 
 // schedule computes the arrival time of a frame of size n sent by p,

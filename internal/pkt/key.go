@@ -73,8 +73,6 @@ const (
 // read as one. It returns an error only for frames too short to carry an
 // Ethernet header (f then holds inPort alone); deeper truncation leaves
 // the affected fields unset.
-//
-//harmless:hotpath
 func ExtractFlat(frame []byte, inPort uint32, f *FlatKey) error {
 	*f = FlatKey{uint64(inPort) << 32}
 	if len(frame) < EthernetHeaderLen {
@@ -215,8 +213,6 @@ func (k *Key) Hash() uint64 {
 type FlatKey [6]uint64
 
 // FlatInto packs k into f.
-//
-//harmless:hotpath
 func (k *Key) FlatInto(f *FlatKey) {
 	shape := bit(k.HasVLAN, flatVLAN) | bit(k.HasIPv4, flatIPv4) | bit(k.HasIPv6, flatIPv6) |
 		bit(k.HasARP, flatARP) | bit(k.HasL4, flatL4) | bit(k.HasICMP, flatICMP)

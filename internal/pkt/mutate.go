@@ -40,8 +40,6 @@ func VLANID(frame []byte) (uint16, bool) {
 // capacity the payload slides back into them and nothing is allocated;
 // otherwise the result is a fresh allocation sized for the tag. Either
 // way the input slice is dead after the call.
-//
-//harmless:hotpath
 func PushVLANOwned(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
 	n := len(frame)
 	if n < EthernetHeaderLen {
@@ -51,7 +49,7 @@ func PushVLANOwned(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
 	if cap(frame)-n >= Dot1QHeaderLen {
 		out = frame[:n+Dot1QHeaderLen]
 	} else {
-		out = make([]byte, n+Dot1QHeaderLen) //harmless:allow-alloc no room behind the frame: the copying form, and frames that arrive without tailroom
+		out = make([]byte, n+Dot1QHeaderLen)
 		copy(out[0:12], frame[0:12])
 	}
 	copy(out[16:], frame[12:n]) // old EtherType becomes the tag's inner type
@@ -73,8 +71,6 @@ func PushVLAN(frame []byte, tpid uint16, vid uint16) ([]byte, error) {
 // is the input re-sliced past its first Dot1QHeaderLen bytes — O(12)
 // whatever the frame size, and the spare capacity behind the frame is
 // kept. The input slice is dead after the call.
-//
-//harmless:hotpath
 func PopVLANOwned(frame []byte) ([]byte, error) {
 	if len(frame) < EthernetHeaderLen+Dot1QHeaderLen {
 		return nil, ErrTooShort

@@ -101,7 +101,7 @@ var ErrMaxEvents = errors.New("sim: event budget exceeded")
 // everything due there, repeat. Returns when the queue drains, the
 // Until horizon is reached, or a budget trips.
 func (e *Engine) Run(opts RunOpts) (RunStats, error) {
-	wallStart := time.Now() //harmless:allow-wallclock wall budget and run-report timing, not simulation time
+	wallStart := time.Now() // wall budget and report timing only, never simulation time
 	fired0 := e.clock.Fired()
 	var horizon time.Time
 	if opts.Until > 0 {
@@ -123,7 +123,7 @@ func (e *Engine) Run(opts RunOpts) (RunStats, error) {
 		if opts.MaxEvents > 0 && e.clock.Fired()-fired0 >= opts.MaxEvents {
 			return e.stats(fired0, wallStart), fmt.Errorf("%w (%d events)", ErrMaxEvents, opts.MaxEvents)
 		}
-		if step++; step&0xff == 0 && opts.WallBudget > 0 && time.Since(wallStart) > opts.WallBudget { //harmless:allow-wallclock wall budget check
+		if step++; step&0xff == 0 && opts.WallBudget > 0 && time.Since(wallStart) > opts.WallBudget {
 			return e.stats(fired0, wallStart), fmt.Errorf("%w (%v)", ErrWallBudget, opts.WallBudget)
 		}
 	}
@@ -133,6 +133,6 @@ func (e *Engine) stats(fired0 uint64, wallStart time.Time) RunStats {
 	return RunStats{
 		Events:     e.clock.Fired() - fired0,
 		VirtualEnd: e.Elapsed(),
-		Wall:       time.Since(wallStart), //harmless:allow-wallclock run-report wall duration
+		Wall:       time.Since(wallStart),
 	}
 }

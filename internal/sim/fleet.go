@@ -181,7 +181,7 @@ func NewFleetSim(sc Scenario) (*FleetSim, error) {
 
 // Run executes the scenario and returns its verdict.
 func (s *FleetSim) Run(wallBudget time.Duration) (Result, error) {
-	wallStart := time.Now() //harmless:allow-wallclock wall budget and run-report timing, not simulation time
+	wallStart := time.Now() // wall budget and report timing only, never simulation time
 	s.scheduleFaults()
 	s.scheduleNextArrival()
 	st, err := s.eng.Run(RunOpts{Until: s.sc.Horizon.Duration, WallBudget: wallBudget})
@@ -465,16 +465,6 @@ func (s *FleetSim) finish(st RunStats, wallStart time.Time) {
 	}
 	r.Pass = r.CounterExact
 	r.EventHash = fmt.Sprintf("%016x", s.eventHash)
-	r.WallMS = time.Since(wallStart).Milliseconds() //harmless:allow-wallclock run-report wall duration
+	r.WallMS = time.Since(wallStart).Milliseconds()
 	r.Digest = r.digest()
-}
-
-// SwitchCounters exposes one switch's books (tests cross-check these
-// against packet-mode softswitch port counters).
-func (s *FleetSim) SwitchCounters(name string) (in, out, drop uint64, ok bool) {
-	id, found := s.topo.NodeByName(name)
-	if !found {
-		return 0, 0, 0, false
-	}
-	return s.swIn[id], s.swOut[id], s.swDrop[id], true
 }

@@ -280,7 +280,7 @@ func (s *PacketSim) frameFor(a fabric.FlowArrival) []byte {
 // Run executes the scenario and returns its verdict.
 func (s *PacketSim) Run(wallBudget time.Duration) (Result, error) {
 	defer s.Close()
-	wallStart := time.Now() //harmless:allow-wallclock wall budget and run-report timing, not simulation time
+	wallStart := time.Now() // wall budget and report timing only, never simulation time
 	for i, f := range s.sc.Faults {
 		i := i
 		s.res.Convergence = append(s.res.Convergence, ConvergenceRecord{Kind: f.Kind, Node: f.Node, At: f.At})
@@ -362,7 +362,7 @@ func (s *PacketSim) finish(st RunStats, wallStart time.Time) {
 	}
 	r.Pass = r.CounterExact
 	r.EventHash = fmt.Sprintf("%016x", s.eventHash)
-	r.WallMS = time.Since(wallStart).Milliseconds() //harmless:allow-wallclock run-report wall duration
+	r.WallMS = time.Since(wallStart).Milliseconds()
 	r.Digest = r.digest()
 }
 

@@ -105,9 +105,6 @@ func NewAgent(mib *MIB, community string) *Agent {
 	return &Agent{mib: mib, community: community}
 }
 
-// MIB returns the agent's MIB (for further registration).
-func (a *Agent) MIB() *MIB { return a.mib }
-
 // ServePacket handles one request datagram and returns the response
 // datagram (nil for silently discarded requests, e.g. bad community —
 // per SNMP practice, authentication failures are not answered).

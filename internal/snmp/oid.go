@@ -12,7 +12,6 @@ package snmp
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -111,9 +110,4 @@ func (o OID) Clone() OID {
 	out := make(OID, len(o))
 	copy(out, o)
 	return out
-}
-
-// SortOIDs sorts a slice of OIDs in MIB order.
-func SortOIDs(oids []OID) {
-	sort.Slice(oids, func(i, j int) bool { return oids[i].Cmp(oids[j]) < 0 })
 }

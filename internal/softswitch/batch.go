@@ -87,8 +87,6 @@ type txContext struct {
 // SS_1 included — carries the same instant. Idle timeouts are whole seconds; a reading
 // that is one burst old is all they need. A switch on a different clock
 // (tests mix manual and real ones) gets its own reading.
-//
-//harmless:hotpath
 func (tx *txContext) now(c netem.Clock) int64 {
 	if tx.clock != c {
 		tx.clock, tx.nowNs = c, c.Now().UnixNano()
@@ -111,8 +109,6 @@ type creditSlot struct {
 // distinct entries than it has slots, it publishes what it holds and
 // starts over. The counters add up as before; only when they are
 // written changes.
-//
-//harmless:hotpath
 func (tx *txContext) credit(t *flowtable.Table, e *flowtable.Entry, packets, bytes int, c netem.Clock) {
 	if !tx.burst {
 		t.CreditHits(e, uint64(packets), uint64(bytes), tx.now(c))
@@ -135,8 +131,6 @@ func (tx *txContext) credit(t *flowtable.Table, e *flowtable.Entry, packets, byt
 
 // flushCredits publishes the burst's credits at the dispatch's clock
 // reading. The slots fill from the front.
-//
-//harmless:hotpath
 func (tx *txContext) flushCredits(c netem.Clock) {
 	for i := range tx.credits {
 		sl := &tx.credits[i]
@@ -283,8 +277,6 @@ func runWork(st *dispatchState) {
 // datapath. It may be called concurrently, like Receive. Ownership of
 // each frame transfers to the switch; the vector itself is borrowed
 // and may be reused once the call returns.
-//
-//harmless:hotpath
 func (s *Switch) ReceiveBatch(inPort uint32, frames [][]byte) {
 	if len(frames) == 0 {
 		return
@@ -310,8 +302,6 @@ func (s *Switch) Receive(inPort uint32, frame []byte) {
 // processBatch classifies and executes one batch on one switch,
 // flushing its egress at the end. Cross-switch patch deliveries are
 // queued on st's worklist rather than executed inline.
-//
-//harmless:hotpath
 func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState) {
 	if p := s.getPort(inPort); p != nil {
 		var bytes uint64
@@ -416,8 +406,6 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 // dispatch hands to telemetry with the frame's key. flat is the packed
 // key and shard its bypass shard (shardOf(flat.Sum()), which is not read
 // on a switch without a cache).
-//
-//harmless:hotpath
 func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, one [][]byte, st *dispatchState) uint32 {
 	ch := s.cache
 	var mf *CacheEntry

@@ -223,8 +223,6 @@ func (st *flowStore) init(totalCap int, counters *stats.CacheCounters) {
 // counting the hit, or nil. A stale entry is removed and counted as an
 // invalidation on the way out. Misses are the caller's to count: a
 // packet misses once, not once per class.
-//
-//harmless:hotpath
 func (st *flowStore) lookup(k *pkt.FlatKey, hash uint64) *CacheEntry {
 	sh := &st.shards[shardOf(hash)]
 	sh.mu.RLock()
@@ -254,8 +252,6 @@ func (st *flowStore) lookup(k *pkt.FlatKey, hash uint64) *CacheEntry {
 // its keys under it — the per-batch amortization of the per-frame lock
 // in lookup. Hits are the caller's to count; stale entries are left nil
 // (no removal) for the per-frame path.
-//
-//harmless:hotpath
 func (st *flowStore) probeBatch(keys []pkt.FlatKey, out []*CacheEntry, sc *probeScratch) {
 	for si := range st.shards {
 		head := sc.heads[si]

@@ -267,6 +267,74 @@ func TestCacheMeterDropCreditsLikeWalk(t *testing.T) {
 	}
 }
 
+// TestPerFrameReplayZeroAlloc: a cached program that decides per packet
+// (a meter, a SELECT group) replays a run one frame at a time, and that
+// costs no allocation either: each frame goes through as a sub-slice of
+// the run, never as a vector of its own.
+func TestPerFrameReplayZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under the race detector")
+	}
+	programs := map[string]func(t *testing.T, sw *Switch){
+		"meter": func(t *testing.T, sw *Switch) {
+			if err := sw.Meters().Apply(&openflow.MeterMod{
+				Command: openflow.MeterAdd, Flags: openflow.MeterFlagPktps, MeterID: 1,
+				Bands: []openflow.MeterBand{{Type: openflow.MeterBandDrop, Rate: 1 << 30, BurstSize: 1 << 30}},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			addFlow(t, sw, 0, 10, openflow.Match{}, &openflow.InstrMeter{MeterID: 1}, apply(out(2)))
+		},
+		"select": func(t *testing.T, sw *Switch) {
+			if err := sw.Groups().Apply(&openflow.GroupMod{
+				Command: openflow.GroupAdd, GroupType: openflow.GroupTypeSelect, GroupID: 1,
+				Buckets: []openflow.Bucket{
+					{Weight: 1, Actions: []openflow.Action{out(2)}},
+					{Weight: 1, Actions: []openflow.Action{out(3)}},
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			addFlow(t, sw, 0, 10, openflow.Match{}, apply(&openflow.ActionGroup{GroupID: 1}))
+		},
+	}
+	for name, program := range programs {
+		t.Run(name, func(t *testing.T) {
+			sw := New("replay", 0x7e3)
+			sink := &discardBackend{}
+			sw.AttachPort(2, "out2", sink)
+			sw.AttachPort(3, "out3", sink)
+			program(t, sw)
+
+			// One frame, 32 times, in slots of one preallocated arena:
+			// one run on one cache entry. Neither program rewrites a
+			// frame, so the burst can be sent again as it is.
+			const burst, stride = 32, 128
+			frame := udpFrame(t, macA, macB, ipA, ipB, 5000, 80, "run")
+			arena := make([]byte, burst*stride)
+			vec := make([][]byte, burst)
+			for i := range vec {
+				vec[i] = arena[i*stride : i*stride+len(frame) : (i+1)*stride]
+				copy(vec[i], frame)
+			}
+			send := func() { sw.ReceiveBatch(1, vec) }
+			send() // walk and install
+			send() // settle pools
+			const runs = 100
+			if n := testing.AllocsPerRun(runs, send); n != 0 {
+				t.Errorf("a %d-frame run through a per-frame program: %v allocs, want 0", burst, n)
+			}
+			// AllocsPerRun calls its function once more, to warm up.
+			if want := (runs + 3) * burst; sink.frames != want || sw.Drops() != 0 {
+				t.Errorf("forwarded %d (%d dropped), want %d", sink.frames, sw.Drops(), want)
+			}
+			if sw.CacheStats().Hits.Load() == 0 {
+				t.Error("test did not exercise the cache-hit replay")
+			}
+		})
+	}
+}
+
 // TestConcurrentReceiveFlowMod hammers the datapath from several
 // goroutines while flow-mods (add, modify, delete) and expiry sweeps
 // run concurrently. It passes when run under -race and every packet is

@@ -255,8 +255,6 @@ func newFlowCache(totalCap int) *flowCache {
 // the way are removed. f is the frame's packed key and shard its bypass
 // shard, shardOf(f.Sum()). record is false when the shard is bypassed —
 // the caller must walk uncached and must not install.
-//
-//harmless:hotpath
 func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record bool) {
 	b := &c.bypass[shard]
 	if c.bypassOn && !b.admit() {
@@ -302,8 +300,6 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 // earlier frame of the same batch installed). Frames of bypassed shards
 // are likewise left nil without accounting: classifyAndRun's per-frame
 // admit does the bypass/probation bookkeeping exactly once.
-//
-//harmless:hotpath
 func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch) {
 	for i := range out {
 		out[i] = nil

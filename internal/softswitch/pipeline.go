@@ -28,8 +28,6 @@ import (
 // program that makes a per-packet decision (perFrame: meters, groups,
 // packet-ins, floods, several outputs) takes its run one frame at a
 // time, so every packet meets those as it would on the walk.
-//
-//harmless:hotpath
 func (s *Switch) replay(mf *CacheEntry, inPort uint32, run [][]byte, st *dispatchState) {
 	if mf.perFrame && len(run) > 1 {
 		for i := range run {
@@ -79,8 +77,6 @@ func (s *Switch) replay(mf *CacheEntry, inPort uint32, run [][]byte, st *dispatc
 // and the output — the program's only one, and its last action — as one
 // append of the survivors to the port's egress vector. It returns the
 // frames still held, none once they were output.
-//
-//harmless:hotpath
 func (s *Switch) applyRun(acts []openflow.Action, live [][]byte, tx *txContext) [][]byte {
 	for _, a := range acts {
 		if out, ok := a.(*openflow.ActionOutput); ok {

@@ -198,8 +198,6 @@ func (p *Pool) workerFor(inPort uint32, frame []byte) *worker {
 // (counted in RxDrops) and false is returned; ownership of a rejected
 // frame stays with the caller, exactly like dataplane.Ring.Push. Safe
 // for any number of concurrent producers.
-//
-//harmless:hotpath
 func (p *Pool) Dispatch(inPort uint32, frame []byte) bool {
 	w := p.workerFor(inPort, frame)
 	if p.stopping.Load() {
@@ -361,8 +359,6 @@ func (p *Pool) run(w *worker) {
 // one port, which is every burst a deployment produces, keeps the full
 // amortization — and tallies the burst on the worker's stats shards. It
 // reports whether the ring held anything.
-//
-//harmless:hotpath
 func (p *Pool) drain(w *worker) bool {
 	// Size the burst as it is popped: frame ownership (and possibly the
 	// bytes themselves) transfer to the switch.

@@ -174,6 +174,42 @@ func TestStopDrainsInFlight(t *testing.T) {
 	pool.Stop()
 }
 
+// TestPoolDispatchZeroAlloc: handing a burst to a worker and running it
+// through the switch allocates nothing; the ring carries the frames
+// themselves, never copies.
+func TestPoolDispatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are meaningless under the race detector")
+	}
+	sw, cb := newForwardSwitch(t)
+	pool := ssruntime.New(sw, ssruntime.Config{Workers: 1})
+	pool.Start()
+	defer pool.Stop()
+
+	const burst, size = 32, 64
+	frame := fabric.NewUDPGenerator(size, 1, 5).Next()
+	arena := fabric.NewArena(2*burst, size)
+	vec := make([][]byte, burst)
+	send := func() {
+		for i := range vec {
+			vec[i] = arena.Copy(frame)
+		}
+		if n := pool.DispatchBatch(1, vec); n != burst {
+			t.Errorf("admitted %d of %d frames", n, burst)
+		}
+		pool.Drain()
+	}
+	send() // walk, install and settle pools
+	const runs = 100
+	if n := testing.AllocsPerRun(runs, send); n != 0 {
+		t.Errorf("dispatch and drain of a %d-frame burst: %v allocs, want 0", burst, n)
+	}
+	// AllocsPerRun calls its function once more, to warm up.
+	if want := uint64((runs + 2) * burst); cb.frames.Load() != want {
+		t.Errorf("forwarded %d frames, want %d", cb.frames.Load(), want)
+	}
+}
+
 // TestParkAndWake: a worker that has gone through the whole backoff
 // ladder and parked must be woken by the next Dispatch.
 func TestParkAndWake(t *testing.T) {

@@ -274,8 +274,6 @@ func portMAC(dpid uint64, port uint32) pkt.MAC {
 }
 
 // getPort looks up a datapath port.
-//
-//harmless:hotpath
 func (s *Switch) getPort(no uint32) *swPort { return s.ports.Load().get(no) }
 
 // PortNumbers returns the attached port numbers in ascending order.

@@ -465,15 +465,19 @@ func TestTableCountersWhicheverStructureAnswers(t *testing.T) {
 	}
 }
 
+// TestFlowModDeleteAndStats: flow, port and table stats, with a flow's
+// age read from the switch's clock, and a delete-all that empties them.
 func TestFlowModDeleteAndStats(t *testing.T) {
-	r := newRig(t, 2)
+	clk := netem.NewManualClock()
+	r := newRig(t, 2, WithClock(clk))
 	m := openflow.Match{}
 	m.WithInPort(1)
 	addFlow(t, r.sw, 0, 10, m, apply(out(2)))
 	r.inject(t, 1, udpFrame(t, macA, macB, ipA, ipB, 1, 2, "x"))
+	clk.Advance(7 * time.Second)
 	fs := r.sw.FlowStats(openflow.TableAll)
-	if len(fs) != 1 || fs[0].PacketCount != 1 {
-		t.Fatalf("flow stats: %+v", fs)
+	if len(fs) != 1 || fs[0].PacketCount != 1 || fs[0].DurationSec != 7 {
+		t.Fatalf("flow stats: %+v, want 1 packet over 7 s", fs)
 	}
 	// Delete all flows.
 	_, err := r.sw.ApplyFlowMod(&openflow.FlowMod{

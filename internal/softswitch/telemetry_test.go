@@ -229,8 +229,9 @@ func TestTelemetrySampledExports(t *testing.T) {
 }
 
 // TestTelemetryZeroAllocCacheHit enforces the hot-path contract: the
-// cache-hit batch path with telemetry attached and the sampler at
-// 1/64 allocates nothing in steady state.
+// cache-hit paths with telemetry attached and the sampler at 1/64, a
+// batch (ObserveBatch) and one frame at a time (Observe), allocate
+// nothing in steady state.
 func TestTelemetryZeroAllocCacheHit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exactness gate runs unraced")
@@ -266,6 +267,13 @@ func TestTelemetryZeroAllocCacheHit(t *testing.T) {
 	run() // settle pools
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("cache-hit batch path with telemetry allocates %.1f/op, want 0", allocs)
+	}
+	one := func() {
+		sw.Receive(1, frames[next])
+		next = (next + 1) % nFlows
+	}
+	if allocs := testing.AllocsPerRun(100, one); allocs != 0 {
+		t.Fatalf("cache-hit one-frame path with telemetry allocates %.1f/op, want 0", allocs)
 	}
 	if got := uint64(sw.CacheStats().Hits.Load()); got == 0 {
 		t.Fatal("test did not exercise the cache-hit path")

@@ -1,8 +1,11 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
+
+	"github.com/harmless-sdn/harmless/internal/netem"
 )
 
 // push enqueues a flow export onto the table's drain ring directly —
@@ -55,6 +58,35 @@ func TestAggregatorBiflowMerge(t *testing.T) {
 	pkts, bytes := col.Totals()
 	if pkts != 16 || bytes != 1024 {
 		t.Fatalf("totals = %d/%d", pkts, bytes)
+	}
+}
+
+// lastMessage keeps a copy of the last message it was handed.
+type lastMessage []byte
+
+func (m *lastMessage) ExportMessage(msg []byte) error {
+	*m = append((*m)[:0], msg...)
+	return nil
+}
+
+func (m *lastMessage) Close() error { return nil }
+
+// TestAggregatorExportTimeOnClock: the IPFIX header's export time is
+// read from the aggregator's clock, so a virtual-time run stamps its
+// messages with virtual time and its exports repeat bit for bit.
+func TestAggregatorExportTimeOnClock(t *testing.T) {
+	clk := netem.NewManualClock()
+	clk.Advance(90 * time.Minute)
+	tab := NewTable(Config{})
+	var msg lastMessage
+	agg := NewAggregator(tab, &msg, time.Hour).SetClock(clk)
+	push(t, tab, Export{Key: wireKey(1), Packets: 1, Bytes: 64, First: 1, Last: 1})
+	agg.Flush()
+	if len(msg) < 8 {
+		t.Fatalf("exported %d bytes, want an IPFIX message", len(msg))
+	}
+	if got, want := binary.BigEndian.Uint32(msg[4:8]), uint32(clk.Now().Unix()); got != want {
+		t.Errorf("export time %d, want the clock's %d", got, want)
 	}
 }
 

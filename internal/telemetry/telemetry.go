@@ -324,8 +324,6 @@ func (t *Table) evictLocked(sh *shard) {
 // Observe accounts one packet of size bytes, with packet key k and
 // resolved egress port outPort (0 = unknown) — the single-frame mirror
 // of ObserveBatch.
-//
-//harmless:hotpath
 func (t *Table) Observe(k *pkt.Key, size int, outPort uint32, now int64) {
 	sh := t.shardFor(k)
 	sh.mu.Lock()
@@ -344,8 +342,6 @@ func (t *Table) Observe(k *pkt.Key, size int, outPort uint32, now int64) {
 // which in the RSS-pinned configuration means once per batch. Due timer
 // sweeps piggyback on the tail of the batch, so a loaded datapath needs
 // no external sweeper.
-//
-//harmless:hotpath
 func (t *Table) ObserveBatch(keys []pkt.Key, skip []bool, frames [][]byte, outs []uint32, now int64) {
 	var cur *shard
 	for i := range keys {
@@ -372,8 +368,6 @@ func (t *Table) ObserveBatch(keys []pkt.Key, skip []bool, frames [][]byte, outs 
 
 // observeLocked is the per-packet accounting step. Caller holds sh.mu,
 // and rec is a record of sh.
-//
-//harmless:hotpath
 func (t *Table) observeLocked(sh *shard, rec *Record, size int, outPort uint32, now int64) {
 	if rec.Packets == 0 {
 		rec.First = now
