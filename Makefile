@@ -32,7 +32,7 @@ lint:
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
 # numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
 # either exceeds its ceiling (the round's acceptance line in ROADMAP).
-LOC_CEILING    := 26427
+LOC_CEILING    := 26372
 DESIGN_CEILING := 800
 
 loc:
@@ -54,7 +54,7 @@ loc:
 # priority scan, an in-place VLAN rewrite or packed key that stops
 # agreeing with its reference, and a header parser that stops agreeing
 # with the full decoder. Every package with a Fuzz target belongs here.
-FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp ./internal/softswitch
+FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp ./internal/softswitch ./internal/telemetry
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

@@ -184,17 +184,6 @@ func extractARP(b []byte, f *FlatKey) {
 	f[5] = uint64(binary.BigEndian.Uint32(b[14:18]))<<32 | uint64(binary.BigEndian.Uint32(b[24:28]))
 }
 
-// Hash returns a well-mixed 64-bit hash of the key's matchable fields,
-// cheap enough to call per packet: the sum of its packed form. The
-// telemetry table picks a shard with it; the datapath, which parses into
-// the packed form, sums that itself. Flow-affinity hashing (SELECT
-// buckets) is flowtable.FlowHash.
-func (k *Key) Hash() uint64 {
-	var f FlatKey
-	k.FlatInto(&f)
-	return f.Sum()
-}
-
 // FlatKey is a Key's matchable fields packed into six words with no
 // padding, so a wildcard projection is six ANDs, equality six compares
 // and the flow cache's map hashes 48 contiguous bytes:

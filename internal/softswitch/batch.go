@@ -219,16 +219,15 @@ func (s *Switch) flushTx(tx *txContext) {
 }
 
 // dispatchState is the pooled scratch of one dispatch: the egress
-// context plus the per-batch classification arrays. keys/skip/outs carry
-// what telemetry needs of each frame (its key, whether it was classified,
-// its egress port) to the single ObserveBatch call at the end of the
-// dispatch — the zero-alloc batch-level hook, as opposed to a per-frame
-// callback; keys are unpacked from sc.flat only when telemetry is
-// attached. sc is the cache's probe scratch, run the vector a replayed
-// run is rewritten and compacted in, so the caller's is never written.
+// context plus the per-batch classification arrays. sc.flat/skip/outs
+// carry what telemetry needs of each frame (its packed key, whether it
+// was classified, its egress port) to the single ObserveBatch call at
+// the end of the dispatch — the zero-alloc batch-level hook, as opposed
+// to a per-frame callback. sc is the cache's probe scratch, run the
+// vector a replayed run is rewritten and compacted in, so the caller's
+// is never written.
 type dispatchState struct {
 	tx   txContext
-	keys []pkt.Key
 	mfs  []*CacheEntry
 	skip []bool
 	outs []uint32
@@ -238,8 +237,7 @@ type dispatchState struct {
 }
 
 func (st *dispatchState) grow(n int) {
-	if cap(st.keys) < n {
-		st.keys = make([]pkt.Key, n)
+	if cap(st.mfs) < n {
 		st.mfs = make([]*CacheEntry, n)
 		st.skip = make([]bool, n)
 		st.outs = make([]uint32, n)
@@ -330,10 +328,10 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 			if ch != nil {
 				shard = shardOf(flat.Sum())
 			}
-			out := s.classifyAndRun(flat, shard, inPort, frames, st)
+			st.outs[0] = s.classifyAndRun(flat, shard, inPort, frames, st)
 			if tel != nil {
-				flat.Unpack(&st.keys[0])
-				tel.Observe(&st.keys[0], len(frames[0]), out, now)
+				st.skip[0] = false
+				tel.ObserveBatch(st.sc.flat[:1], st.skip[:1], frames, st.outs[:1], now)
 			}
 		}
 		st.run[0] = nil
@@ -391,10 +389,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	}
 	clear(st.run[:n])
 	if tel != nil {
-		for i := range n {
-			st.sc.flat[i].Unpack(&st.keys[i])
-		}
-		tel.ObserveBatch(st.keys[:n], skip, frames, outs, now)
+		tel.ObserveBatch(st.sc.flat[:n], skip, frames, outs, now)
 	}
 	s.flushTx(&st.tx)
 }

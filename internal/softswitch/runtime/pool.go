@@ -5,8 +5,9 @@
 //
 // # Flow sharding (RSS)
 //
-// Ingress frames are dispatched to workers by pkt.Key.Hash, so every
-// frame of a given flow lands on the SAME worker, always:
+// Ingress frames are dispatched to workers by the sum of their packed
+// key (pkt.FlatKey.Sum), so every frame of a given flow lands on the
+// SAME worker, always:
 //
 //   - per-flow frame order is preserved (one worker, one FIFO ring,
 //     run-to-completion draining — no cross-worker reordering within a
@@ -179,8 +180,9 @@ func New(sw *softswitch.Switch, cfg Config) *Pool {
 func (p *Pool) Workers() int { return len(p.workers) }
 
 // workerFor selects the worker a frame belongs to: sharding by the sum
-// of the packed key for parsable frames (flow affinity; the key's
-// Key.Hash), ingress-port sharding for the malformed rest.
+// of the packed key for parsable frames (flow affinity; the hash the
+// telemetry table shards its records by), ingress-port sharding for the
+// malformed rest.
 func (p *Pool) workerFor(inPort uint32, frame []byte) *worker {
 	if len(p.workers) == 1 {
 		return p.workers[0]

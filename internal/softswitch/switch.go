@@ -396,8 +396,9 @@ func (s *Switch) SweepExpired() []flowtable.Removed {
 			s.cache.sweep()
 		}
 		if tel := s.telemetry.Load(); tel != nil {
-			tel.FlushWhere(func(fk telemetry.FlowKey) bool {
-				k := fk.ToPacketKey()
+			tel.FlushWhere(func(f *pkt.FlatKey) bool {
+				var k pkt.Key
+				f.Unpack(&k)
 				for _, r := range expired {
 					if r.Entry.Match.Matches(&k) {
 						return true

@@ -181,6 +181,71 @@ func TestTelemetryExpiryFlushesFinals(t *testing.T) {
 	}
 }
 
+// TestTelemetryExpiryFlushesHeaderMatchedFlows: the expiry flush tests
+// an expired entry's match against the packed key of the packet that
+// opened each record, so an entry matching fields no FlowKey holds (ARP,
+// VLAN PCP) still ends its flows' records.
+func TestTelemetryExpiryFlushesHeaderMatchedFlows(t *testing.T) {
+	cases := []struct {
+		name   string
+		match  func(m *openflow.Match)
+		layers []pkt.SerializableLayer
+	}{
+		{"arp_op", func(m *openflow.Match) { m.WithEthType(pkt.EtherTypeARP).WithARPOp(1) },
+			[]pkt.SerializableLayer{
+				&pkt.Ethernet{Src: macA, Dst: pkt.BroadcastMAC, EtherType: pkt.EtherTypeARP},
+				&pkt.ARP{Op: 1, SenderHW: macA, SenderIP: ipA, TargetIP: ipB},
+			}},
+		{"vlan_pcp", func(m *openflow.Match) { m.WithVLAN(7).WithVLANPCP(3) },
+			[]pkt.SerializableLayer{
+				&pkt.Ethernet{Src: macA, Dst: macB, EtherType: pkt.EtherTypeDot1Q},
+				&pkt.Dot1Q{Priority: 3, VLANID: 7, EtherType: pkt.EtherTypeIPv4},
+				&pkt.IPv4Header{TTL: 64, Protocol: pkt.IPProtoUDP, Src: ipA, Dst: ipB},
+				&pkt.UDP{SrcPort: 5000, DstPort: 80},
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			clk := netem.NewManualClock()
+			// Telemetry timers parked at an hour: only the expiry flush
+			// can export these records inside the test.
+			sw, tab := telSwitch(t, telemetry.Config{
+				ActiveTimeout: time.Hour, IdleTimeout: time.Hour, SweepInterval: time.Hour,
+			}, WithClock(clk))
+			col := telemetry.NewCollector()
+			agg := telemetry.NewAggregator(tab, col, time.Hour)
+			m := openflow.Match{}
+			m.WithInPort(1)
+			c.match(&m)
+			_, err := sw.ApplyFlowMod(&openflow.FlowMod{
+				TableID: 0, Command: openflow.FlowAdd, Priority: 20,
+				BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+				Match: m, IdleTimeout: 1,
+				Instructions: []openflow.Instruction{apply(out(2))},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := pkt.Serialize(c.layers...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				sw.Receive(1, append([]byte(nil), frame...))
+			}
+			clk.Advance(2 * time.Second) // idle timeout (1s) elapses
+			sw.SweepExpired()
+			if sw.Table(0).Len() != 1 {
+				t.Fatalf("table len = %d after expiry, want the catch-all alone", sw.Table(0).Len())
+			}
+			agg.Flush()
+			if pkts, _ := col.Totals(); pkts != 5 {
+				t.Fatalf("expiry flush exported %d packets, want 5", pkts)
+			}
+		})
+	}
+}
+
 // TestTelemetryAttachMidFlight attaches the table after flows are
 // already cached: records must resolve lazily off the existing cache
 // entries and count only post-attach traffic.
@@ -230,8 +295,8 @@ func TestTelemetrySampledExports(t *testing.T) {
 
 // TestTelemetryZeroAllocCacheHit enforces the hot-path contract: the
 // cache-hit paths with telemetry attached and the sampler at 1/64, a
-// batch (ObserveBatch) and one frame at a time (Observe), allocate
-// nothing in steady state.
+// batch and one frame at a time (ObserveBatch with a vector of one),
+// allocate nothing in steady state.
 func TestTelemetryZeroAllocCacheHit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; exactness gate runs unraced")

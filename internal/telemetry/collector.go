@@ -175,7 +175,8 @@ func (c *Collector) parseData(tid uint16, b []byte) error {
 
 // foldRecord interprets one data record's fields by IE id and folds it
 // into the flow (or sample) totals. Unknown IEs are skipped by length,
-// so the collector tolerates richer templates.
+// so the collector tolerates richer templates, and numbers are read at
+// whatever width the sender's template declares.
 func (c *Collector) foldRecord(tid uint16, fields []fieldSpec, rec []byte) {
 	var f CollectedFlow
 	off := 0
@@ -185,9 +186,9 @@ func (c *Collector) foldRecord(tid uint16, fields []fieldSpec, rec []byte) {
 		if fs.pen == ReversePEN {
 			switch fs.id &^ enterpriseBit {
 			case ieOctetDeltaCount:
-				f.RevBytes = binary.BigEndian.Uint64(v)
+				f.RevBytes = beUint(v)
 			case iePacketDeltaCount:
-				f.RevPackets = binary.BigEndian.Uint64(v)
+				f.RevPackets = beUint(v)
 			}
 			continue
 		}
@@ -200,33 +201,33 @@ func (c *Collector) foldRecord(tid uint16, fields []fieldSpec, rec []byte) {
 		case ieDestinationMac:
 			copy(f.Key.EthDst[:], v)
 		case ieEthernetType:
-			f.Key.EthType = binary.BigEndian.Uint16(v)
+			f.Key.EthType = uint16(beUint(v))
 		case ieVlanID:
-			f.Key.VLANID = binary.BigEndian.Uint16(v)
+			f.Key.VLANID = uint16(beUint(v))
 		case ieSrcIPv4:
 			copy(f.Key.IPSrc[:], v)
 		case ieDstIPv4:
 			copy(f.Key.IPDst[:], v)
 		case ieProtocol:
-			f.Key.Proto = v[0]
+			f.Key.Proto = uint8(beUint(v))
 		case ieSrcPort:
-			f.Key.L4Src = binary.BigEndian.Uint16(v)
+			f.Key.L4Src = uint16(beUint(v))
 		case ieDstPort:
-			f.Key.L4Dst = binary.BigEndian.Uint16(v)
+			f.Key.L4Dst = uint16(beUint(v))
 		case ieIngressInterface:
-			f.Key.InPort = binary.BigEndian.Uint32(v)
+			f.Key.InPort = uint32(beUint(v))
 		case ieEgressInterface:
-			f.OutPort = binary.BigEndian.Uint32(v)
+			f.OutPort = uint32(beUint(v))
 		case ieOctetDeltaCount:
-			f.Bytes = binary.BigEndian.Uint64(v)
+			f.Bytes = beUint(v)
 		case iePacketDeltaCount:
-			f.Packets = binary.BigEndian.Uint64(v)
+			f.Packets = beUint(v)
 		case ieFlowStartMillis:
-			f.FirstMs = binary.BigEndian.Uint64(v)
+			f.FirstMs = beUint(v)
 		case ieFlowEndMillis:
-			f.LastMs = binary.BigEndian.Uint64(v)
+			f.LastMs = beUint(v)
 		case ieFlowEndReason:
-			f.EndReason = v[0]
+			f.EndReason = uint8(beUint(v))
 		}
 	}
 	if tid == SampleTemplateID {
@@ -263,6 +264,16 @@ func (c *Collector) foldRecord(tid uint16, fields []fieldSpec, rec []byte) {
 	}
 	acc.EndReason = f.EndReason
 	acc.Records++
+}
+
+// beUint reads an unsigned number of any width big-endian: RFC 7011's
+// reduced-size encoding. Past eight bytes only the low 64 bits are kept.
+func beUint(v []byte) uint64 {
+	var n uint64
+	for _, b := range v {
+		n = n<<8 | uint64(b)
+	}
+	return n
 }
 
 // Totals returns the (packets, bytes) sums over every exported flow

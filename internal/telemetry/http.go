@@ -34,7 +34,7 @@ type flowJSON struct {
 	IdleMs  int64  `json:"idle_ms"`
 }
 
-func snapshotJSON(s FlowSnapshot, now int64) flowJSON {
+func snapshotJSON(s *Record, now int64) flowJSON {
 	j := flowJSON{
 		InPort:  s.Key.InPort,
 		EthSrc:  s.Key.EthSrc.String(),
@@ -82,8 +82,8 @@ func FlowsHandler(t *Table, clock netem.Clock) http.Handler {
 			Shown int        `json:"shown"`
 			Top   []flowJSON `json:"top"`
 		}{Flows: t.Len(), Shown: len(snaps)}
-		for _, s := range snaps {
-			out.Top = append(out.Top, snapshotJSON(s, now))
+		for i := range snaps {
+			out.Top = append(out.Top, snapshotJSON(&snaps[i], now))
 		}
 		writeJSON(w, out)
 	})

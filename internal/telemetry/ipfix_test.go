@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -136,6 +137,32 @@ func TestCollectorRejectsGarbage(t *testing.T) {
 	}
 	if _, _, _, errs := fresh.Stats(); errs != 1 {
 		t.Fatal("decode error not counted")
+	}
+}
+
+// narrowOctetsMsg is a 33-byte message whose template gives
+// octetDeltaCount a length of one byte, followed by one such record:
+// RFC 7011 reduced-size encoding.
+func narrowOctetsMsg() []byte {
+	b := binary.BigEndian.AppendUint16(nil, ipfixVersion)
+	b = binary.BigEndian.AppendUint16(b, 33)
+	b = append(b, make([]byte, 12)...) // export time, sequence, domain
+	for _, v := range []uint16{TemplateSetID, 12, FlowTemplateID, 1, ieOctetDeltaCount, 1, FlowTemplateID, 5} {
+		b = binary.BigEndian.AppendUint16(b, v)
+	}
+	return append(b, 42)
+}
+
+// TestCollectorReadsReducedSizeNumbers: a numeric IE narrower than its
+// native width is read at the width the template declares, where it
+// used to index past the field and panic the collector.
+func TestCollectorReadsReducedSizeNumbers(t *testing.T) {
+	col := NewCollector()
+	if err := col.Consume(narrowOctetsMsg()); err != nil {
+		t.Fatal(err)
+	}
+	if _, bytes := col.Totals(); bytes != 42 {
+		t.Fatalf("octets = %d, want 42", bytes)
 	}
 }
 

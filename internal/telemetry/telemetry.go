@@ -8,7 +8,7 @@
 //
 // # Shards and the zero-alloc hot-path contract
 //
-// Flow records live in shards selected by pkt.Key.Hash — the same
+// Flow records live in shards selected by pkt.FlatKey.Sum — the same
 // hash the poll-mode worker runtime shards ingress with, so with
 // Shards == Workers every record of a worker's RSS flow set lands in
 // a shard only that worker touches and the shard mutex is never
@@ -16,12 +16,13 @@
 // datapaths, HTTP snapshots and management flushes are safe from any
 // goroutine; the lock is simply free in the pinned configuration.
 //
-// The hot-path contract: the datapath hands ObserveBatch each frame's
-// packet key, and the table resolves the frame's record (a map probe) and
-// updates it (a few field writes) under one hold of the (uncontended)
-// shard lock, taken once per batch per shard — no allocation. New flows
-// allocate exactly one Record, on their first packet. A *Record never
-// leaves its shard's lock.
+// The hot-path contract: the datapath hands ObserveBatch the packed key
+// it parsed each frame into, and the table resolves the frame's record
+// (one map probe on the key ANDed with flowMask) and updates it (a few
+// field writes) under one hold of the (uncontended) shard lock, taken
+// once per batch per shard — no allocation. New flows allocate exactly
+// one Record, on their first packet, and only then build its FlowKey. A
+// *Record never leaves its shard's lock.
 //
 // # Export pipeline
 //
@@ -50,7 +51,8 @@ import (
 
 // FlowKey identifies one unidirectional flow for accounting: the
 // NetFlow/IPFIX-style tuple extracted from the packet key. It is a
-// comparable value type and doubles as the record map key.
+// comparable value type and the collector's map key; the record maps
+// key the same fields in packed form, under flowMask.
 type FlowKey struct {
 	EthSrc  pkt.MAC
 	EthDst  pkt.MAC
@@ -92,42 +94,18 @@ func KeyFromPacket(k *pkt.Key) FlowKey {
 	return fk
 }
 
-// ToPacketKey reconstructs the pkt.Key shape of the flow — the
-// inverse of KeyFromPacket, faithful for everything KeyFromPacket
-// preserves (the ICMP type/code folding is undone; a VID-0 priority
-// tag is indistinguishable from untagged, like the forward mapping).
-// The flow-table expiry flush uses it to evaluate which live records
-// an expired entry's match covers.
-func (k FlowKey) ToPacketKey() pkt.Key {
-	pk := pkt.Key{
-		InPort:  k.InPort,
-		EthSrc:  k.EthSrc,
-		EthDst:  k.EthDst,
-		EthType: k.EthType,
-	}
-	if k.VLANID != 0 {
-		pk.HasVLAN = true
-		pk.VLANID = k.VLANID
-	}
-	switch k.EthType {
-	case pkt.EtherTypeIPv4:
-		pk.HasIPv4 = true
-	case pkt.EtherTypeIPv6:
-		pk.HasIPv6 = true
-	}
-	if pk.HasIPv4 || pk.HasIPv6 {
-		pk.IPSrc, pk.IPDst, pk.IPProto = k.IPSrc, k.IPDst, k.Proto
-		if k.Proto == pkt.IPProtoICMP {
-			pk.HasICMP = true
-			pk.ICMPType = uint8(k.L4Dst >> 8)
-			pk.ICMPCode = uint8(k.L4Dst)
-		} else if k.L4Src != 0 || k.L4Dst != 0 {
-			pk.HasL4 = true
-			pk.L4Src, pk.L4Dst = k.L4Src, k.L4Dst
-		}
-	}
-	return pk
-}
+// flowMask is the packed form of exactly the fields KeyFromPacket keeps.
+// A parsed key leaves every field of an absent header zero, so two
+// parsed keys agree under it exactly when their FlowKeys are equal: the
+// record maps are keyed by it.
+var flowMask = func() pkt.FlatKey {
+	ones, ip := pkt.BroadcastMAC, pkt.IPv4{0xff, 0xff, 0xff, 0xff}
+	all := pkt.Key{InPort: ^uint32(0), EthSrc: ones, EthDst: ones, EthType: 0xffff, VLANID: 0xffff,
+		IPProto: 0xff, IPSrc: ip, IPDst: ip, L4Src: 0xffff, L4Dst: 0xffff, ICMPType: 0xff, ICMPCode: 0xff}
+	var m pkt.FlatKey
+	all.FlatInto(&m)
+	return m
+}()
 
 // String renders the key for diagnostics and the /flows endpoint.
 func (k FlowKey) String() string {
@@ -154,6 +132,7 @@ type Record struct {
 	First   int64 // unixnano of the first packet of this window
 	Last    int64 // unixnano of the most recent packet
 	OutPort uint32
+	opener  pkt.FlatKey // packed key of the packet that opened the record
 }
 
 // ExportKind discriminates the payloads of the shard-drain ring.
@@ -239,9 +218,9 @@ func (c *Config) defaults() {
 // shard is one mutex-guarded slice of the flow-record table.
 type shard struct {
 	mu        sync.Mutex
-	flows     map[FlowKey]*Record
-	nextSweep int64 // unixnano of the earliest next timer sweep
-	sampleCtr int   // countdown to the next packet sample
+	flows     map[pkt.FlatKey]*Record // keyed under flowMask
+	nextSweep int64                   // unixnano of the earliest next timer sweep
+	sampleCtr int                     // countdown to the next packet sample
 	_         [24]byte
 }
 
@@ -262,7 +241,7 @@ func NewTable(cfg Config) *Table {
 		ring:   dataplane.NewTypedRing[Export](cfg.RingSize),
 	}
 	for i := range t.shards {
-		t.shards[i].flows = make(map[FlowKey]*Record)
+		t.shards[i].flows = make(map[pkt.FlatKey]*Record)
 		t.shards[i].sampleCtr = cfg.SampleRate
 	}
 	return t
@@ -288,22 +267,21 @@ func (t *Table) Len() int {
 	return n
 }
 
-func (t *Table) shardFor(k *pkt.Key) *shard {
-	return &t.shards[k.Hash()%uint64(len(t.shards))]
-}
-
-// resolveLocked returns the live record of the packet key's flow,
+// resolveLocked returns the live record of the packed key's flow,
 // creating it — and evicting a victim if the shard is full — when absent.
 // Caller holds sh.mu and keeps the record no longer than that.
-func (t *Table) resolveLocked(sh *shard, k *pkt.Key) *Record {
-	fk := KeyFromPacket(k)
-	rec := sh.flows[fk]
+func (t *Table) resolveLocked(sh *shard, k *pkt.FlatKey) *Record {
+	var mk pkt.FlatKey
+	mk.SetAnd(k, &flowMask)
+	rec := sh.flows[mk]
 	if rec == nil {
 		if len(sh.flows) >= t.cfg.MaxFlows {
 			t.evictLocked(sh)
 		}
-		rec = &Record{Key: fk}
-		sh.flows[fk] = rec
+		var pk pkt.Key
+		k.Unpack(&pk)
+		rec = &Record{Key: KeyFromPacket(&pk), opener: *k}
+		sh.flows[mk] = rec
 		t.counters.FlowsCreated.Inc()
 	}
 	return rec
@@ -313,42 +291,29 @@ func (t *Table) resolveLocked(sh *shard, k *pkt.Key) *Record {
 // iteration order, like the flow cache's capacity eviction). The
 // victim's deltas are exported first so totals stay exact.
 func (t *Table) evictLocked(sh *shard) {
-	for _, victim := range sh.flows {
+	for mk, victim := range sh.flows {
 		t.exportLocked(victim, EndForced)
-		delete(sh.flows, victim.Key)
+		delete(sh.flows, mk)
 		t.counters.FlowsEvicted.Inc()
 		return
 	}
 }
 
-// Observe accounts one packet of size bytes, with packet key k and
-// resolved egress port outPort (0 = unknown) — the single-frame mirror
-// of ObserveBatch.
-func (t *Table) Observe(k *pkt.Key, size int, outPort uint32, now int64) {
-	sh := t.shardFor(k)
-	sh.mu.Lock()
-	t.observeLocked(sh, t.resolveLocked(sh, k), size, outPort, now)
-	if now >= sh.nextSweep {
-		t.sweepLocked(sh, now)
-	}
-	sh.mu.Unlock()
-}
-
-// ObserveBatch accounts one dispatched batch: keys[i] is frame i's
-// packet key (skip[i] = not classified, leave it out) and outs[i] its
-// resolved egress port (0 = unknown). Frame lengths are read from the
-// borrowed vector. Each frame's record is resolved and updated under one
-// hold of its shard's lock, taken once per run of same-shard frames,
-// which in the RSS-pinned configuration means once per batch. Due timer
-// sweeps piggyback on the tail of the batch, so a loaded datapath needs
-// no external sweeper.
-func (t *Table) ObserveBatch(keys []pkt.Key, skip []bool, frames [][]byte, outs []uint32, now int64) {
+// ObserveBatch accounts one dispatched batch: keys[i] is the packed key
+// frame i was parsed into (skip[i] = not classified, leave it out) and
+// outs[i] its resolved egress port (0 = unknown). Frame lengths are read
+// from the borrowed vector. Each frame's record is resolved and updated
+// under one hold of its shard's lock, taken once per run of same-shard
+// frames, which in the RSS-pinned configuration means once per batch.
+// Due timer sweeps piggyback on the tail of the batch, so a loaded
+// datapath needs no external sweeper.
+func (t *Table) ObserveBatch(keys []pkt.FlatKey, skip []bool, frames [][]byte, outs []uint32, now int64) {
 	var cur *shard
 	for i := range keys {
 		if skip[i] {
 			continue
 		}
-		sh := t.shardFor(&keys[i])
+		sh := &t.shards[keys[i].Sum()%uint64(len(t.shards))]
 		if sh != cur {
 			if cur != nil {
 				cur.mu.Unlock()
@@ -434,11 +399,11 @@ func (t *Table) sweepLocked(sh *shard, now int64) {
 	t.counters.Sweeps.Inc()
 	idle := t.cfg.IdleTimeout.Nanoseconds()
 	active := t.cfg.ActiveTimeout.Nanoseconds()
-	for _, rec := range sh.flows {
+	for mk, rec := range sh.flows {
 		switch {
 		case now-rec.Last >= idle:
 			t.exportLocked(rec, EndIdle)
-			delete(sh.flows, rec.Key)
+			delete(sh.flows, mk)
 			t.counters.FlowsExpired.Inc()
 		case rec.Packets > 0 && now-rec.First >= active:
 			t.exportLocked(rec, EndActive)
@@ -468,21 +433,22 @@ func (t *Table) FlushAll(now int64) {
 	t.FlushWhere(nil, now)
 }
 
-// FlushWhere force-exports and removes every live flow whose key the
-// predicate accepts (nil accepts everything). The flow-table expiry
-// path uses it to end exactly the flows an expired entry carried, so
-// exported totals track the datapath counters without force-ending
-// every unrelated flow's window.
-func (t *Table) FlushWhere(pred func(FlowKey) bool, now int64) {
+// FlushWhere force-exports and removes every live flow whose record the
+// predicate accepts (nil accepts everything). The predicate is handed the
+// packed key of the packet that opened the record, every header field
+// included. The flow-table expiry path uses it to end exactly the flows
+// an expired entry carried, so exported totals track the datapath
+// counters without force-ending every unrelated flow's window.
+func (t *Table) FlushWhere(pred func(*pkt.FlatKey) bool, now int64) {
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
-		for _, rec := range sh.flows {
-			if pred != nil && !pred(rec.Key) {
+		for mk, rec := range sh.flows {
+			if pred != nil && !pred(&rec.opener) {
 				continue
 			}
 			t.exportLocked(rec, EndForced)
-			delete(sh.flows, rec.Key)
+			delete(sh.flows, mk)
 			t.counters.FlowsExpired.Inc()
 		}
 		if pred == nil {
@@ -492,36 +458,17 @@ func (t *Table) FlushWhere(pred func(FlowKey) bool, now int64) {
 	}
 }
 
-// FlowSnapshot is one live flow as reported by Snapshot and the
-// /flows endpoint.
-type FlowSnapshot struct {
-	Key     FlowKey
-	Packets uint64
-	Bytes   uint64
-	First   int64
-	Last    int64
-	OutPort uint32
-}
-
 // Snapshot returns the live flows (current delta windows), sorted by
 // byte count descending — the top-talkers view.
-func (t *Table) Snapshot() []FlowSnapshot {
-	var out []FlowSnapshot
+func (t *Table) Snapshot() []Record {
+	var out []Record
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()
 		for _, rec := range sh.flows {
-			if rec.Packets == 0 {
-				continue
+			if rec.Packets > 0 {
+				out = append(out, *rec)
 			}
-			out = append(out, FlowSnapshot{
-				Key:     rec.Key,
-				Packets: rec.Packets,
-				Bytes:   rec.Bytes,
-				First:   rec.First,
-				Last:    rec.Last,
-				OutPort: rec.OutPort,
-			})
 		}
 		sh.mu.Unlock()
 	}

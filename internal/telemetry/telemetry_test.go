@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -22,6 +23,19 @@ func mkKey(i int) pkt.Key {
 		L4Src:   uint16(1024 + i),
 		L4Dst:   80,
 	}
+}
+
+// mkFlat is mkKey packed, as the datapath parses it.
+func mkFlat(i int) pkt.FlatKey {
+	k := mkKey(i)
+	var f pkt.FlatKey
+	k.FlatInto(&f)
+	return f
+}
+
+// observe accounts one packet of size bytes: a batch of one.
+func observe(tab *Table, k pkt.FlatKey, size int, out uint32, now int64) {
+	tab.ObserveBatch([]pkt.FlatKey{k}, []bool{false}, [][]byte{make([]byte, size)}, []uint32{out}, now)
 }
 
 // drainRing empties the table's export ring, returning flow snapshots
@@ -56,10 +70,10 @@ func TestKeyFromPacket(t *testing.T) {
 
 func TestObserveAccounting(t *testing.T) {
 	tab := NewTable(Config{})
-	k := mkKey(1)
+	k := mkFlat(1)
 	now := time.Now().UnixNano()
-	tab.Observe(&k, 100, 2, now)
-	tab.Observe(&k, 50, 2, now+1)
+	observe(tab, k, 100, 2, now)
+	observe(tab, k, 50, 2, now+1)
 	snaps := tab.Snapshot()
 	if len(snaps) != 1 {
 		t.Fatalf("snapshot len = %d", len(snaps))
@@ -75,8 +89,8 @@ func TestObserveAccounting(t *testing.T) {
 
 func TestIdleExpiryAndRevival(t *testing.T) {
 	tab := NewTable(Config{IdleTimeout: time.Second, SweepInterval: time.Millisecond})
-	k := mkKey(1)
-	tab.Observe(&k, 64, 0, 1e9)
+	k := mkFlat(1)
+	observe(tab, k, 64, 0, 1e9)
 	// Idle for > IdleTimeout: the sweep exports a final record and
 	// forgets the flow.
 	tab.Sweep(3e9)
@@ -92,7 +106,7 @@ func TestIdleExpiryAndRevival(t *testing.T) {
 	}
 	// The flow's next packet starts a fresh record and window; nothing
 	// is lost.
-	tab.Observe(&k, 64, 0, 4e9)
+	observe(tab, k, 64, 0, 4e9)
 	if tab.Len() != 1 {
 		t.Fatal("flow not revived")
 	}
@@ -104,9 +118,9 @@ func TestIdleExpiryAndRevival(t *testing.T) {
 
 func TestActiveTimeoutDelta(t *testing.T) {
 	tab := NewTable(Config{ActiveTimeout: time.Second, IdleTimeout: time.Hour, SweepInterval: time.Millisecond})
-	k := mkKey(1)
-	tab.Observe(&k, 100, 0, 1e9)
-	tab.Observe(&k, 100, 0, 2e9)
+	k := mkFlat(1)
+	observe(tab, k, 100, 0, 1e9)
+	observe(tab, k, 100, 0, 2e9)
 	tab.Sweep(2_500_000_000) // window open 1.5s > active timeout
 	flows, _ := drainRing(tab)
 	if len(flows) != 1 || flows[0].EndReason != EndActive || flows[0].Packets != 2 || flows[0].Bytes != 200 {
@@ -116,7 +130,7 @@ func TestActiveTimeoutDelta(t *testing.T) {
 		t.Fatal("active export must keep the flow")
 	}
 	// Next window accumulates independently; totals add up.
-	tab.Observe(&k, 100, 0, 3e9)
+	observe(tab, k, 100, 0, 3e9)
 	tab.FlushAll(4e9)
 	flows, _ = drainRing(tab)
 	if len(flows) != 1 || flows[0].Packets != 1 || flows[0].First != 3e9 {
@@ -128,8 +142,7 @@ func TestEvictionExportsVictim(t *testing.T) {
 	tab := NewTable(Config{MaxFlows: 2})
 	var total uint64
 	for i := 0; i < 3; i++ {
-		k := mkKey(i)
-		tab.Observe(&k, 64, 0, int64(i+1))
+		observe(tab, mkFlat(i), 64, 0, int64(i+1))
 		total += 64
 	}
 	if tab.Len() != 2 {
@@ -157,7 +170,7 @@ func TestSampler(t *testing.T) {
 	tab := NewTable(Config{SampleRate: 4})
 	k := mkKey(1)
 	for i := 0; i < 16; i++ {
-		tab.Observe(&k, 64, 3, int64(i+1))
+		observe(tab, mkFlat(1), 64, 3, int64(i+1))
 	}
 	_, samples := drainRing(tab)
 	if len(samples) != 4 {
@@ -174,8 +187,7 @@ func TestSampler(t *testing.T) {
 func TestRingOverflowCounted(t *testing.T) {
 	tab := NewTable(Config{RingSize: 2})
 	for i := 0; i < 8; i++ {
-		k := mkKey(i)
-		tab.Observe(&k, 64, 0, int64(i+1))
+		observe(tab, mkFlat(i), 64, 0, int64(i+1))
 	}
 	tab.FlushAll(100)
 	c := tab.Counters()
@@ -190,8 +202,7 @@ func TestRingOverflowCounted(t *testing.T) {
 func TestSnapshotTopTalkersOrder(t *testing.T) {
 	tab := NewTable(Config{Shards: 4})
 	for i := 0; i < 8; i++ {
-		k := mkKey(i)
-		tab.Observe(&k, 64*(i+1), 0, int64(i+1))
+		observe(tab, mkFlat(i), 64*(i+1), 0, int64(i+1))
 	}
 	snaps := tab.Snapshot()
 	if len(snaps) != 8 {
@@ -208,12 +219,12 @@ func TestObserveBatchMultiShard(t *testing.T) {
 	tab := NewTable(Config{Shards: 4})
 	const n = 64
 	frames := make([][]byte, n)
-	keys := make([]pkt.Key, n)
+	keys := make([]pkt.FlatKey, n)
 	skip := make([]bool, n)
 	outs := make([]uint32, n)
 	for i := 0; i < n; i++ {
 		frames[i] = make([]byte, 60+i)
-		keys[i] = mkKey(i % 8)
+		keys[i] = mkFlat(i % 8)
 		outs[i] = 2
 	}
 	// An unclassified frame must be skipped.
@@ -250,8 +261,7 @@ func TestConcurrentObserveFlushSnapshot(t *testing.T) {
 		go func(g int) {
 			var sent uint64
 			for i := 0; i < iters; i++ {
-				k := mkKey(g*16 + i%16)
-				tab.Observe(&k, 64, 0, int64(i+1))
+				observe(tab, mkFlat(g*16+i%16), 64, 0, int64(i+1))
 				sent++
 			}
 			done <- sent
@@ -298,7 +308,7 @@ func TestObserveBatchEvictsWithinBatch(t *testing.T) {
 	tab := NewTable(Config{MaxFlows: 1, RingSize: 256})
 	const n = 64
 	frames := make([][]byte, n)
-	keys := make([]pkt.Key, n)
+	keys := make([]pkt.FlatKey, n)
 	skip := make([]bool, n)
 	outs := make([]uint32, n)
 	flowKeys := [2]FlowKey{}
@@ -311,7 +321,7 @@ func TestObserveBatchEvictsWithinBatch(t *testing.T) {
 	changes, last := uint64(0), -1
 	for i := 0; i < n; i++ {
 		frames[i] = make([]byte, 60+i)
-		keys[i] = mkKey(i % 2)
+		keys[i] = mkFlat(i % 2)
 		if skip[i] {
 			continue
 		}
@@ -353,10 +363,9 @@ func TestObserveBatchEvictsWithinBatch(t *testing.T) {
 func TestFlushWhereSelective(t *testing.T) {
 	tab := NewTable(Config{})
 	for i := 0; i < 4; i++ {
-		k := mkKey(i)
-		tab.Observe(&k, 64, 0, int64(i+1))
+		observe(tab, mkFlat(i), 64, 0, int64(i+1))
 	}
-	tab.FlushWhere(func(fk FlowKey) bool { return fk.L4Src == 1024+1 }, 10)
+	tab.FlushWhere(func(f *pkt.FlatKey) bool { return *f == mkFlat(1) }, 10)
 	flows, _ := drainRing(tab)
 	if len(flows) != 1 || flows[0].Key.L4Src != 1025 {
 		t.Fatalf("selective flush exported %+v", flows)
@@ -366,20 +375,103 @@ func TestFlushWhereSelective(t *testing.T) {
 	}
 }
 
-// TestKeyRoundTrip: ToPacketKey inverts KeyFromPacket for the shapes
-// the datapath produces.
-func TestKeyRoundTrip(t *testing.T) {
-	udp := mkKey(5)
-	icmp := pkt.Key{InPort: 2, EthSrc: udp.EthSrc, EthDst: udp.EthDst,
-		EthType: pkt.EtherTypeIPv4, HasIPv4: true, IPProto: pkt.IPProtoICMP,
-		IPSrc: udp.IPSrc, IPDst: udp.IPDst, HasICMP: true, ICMPType: 8, ICMPCode: 0}
-	vlan := udp
-	vlan.HasVLAN = true
-	vlan.VLANID = 101
-	for _, k := range []pkt.Key{udp, icmp, vlan} {
-		back := KeyFromPacket(&k).ToPacketKey()
-		if back != k {
-			t.Fatalf("round trip lost fields:\n in  %+v\n out %+v", k, back)
+// TestFlowMaskIsFlowKey: two parsed keys agree under flowMask exactly
+// when their FlowKeys are equal, so the record maps hold one record per
+// FlowKey. The named frames pair up what KeyFromPacket drops (VLAN PCP,
+// a VID-0 tag, the ARP fields); the random ones draw each field from two
+// values, so pairs of one shape agree in some fields and differ in others.
+func TestFlowMaskIsFlowKey(t *testing.T) {
+	macs := [2]pkt.MAC{{2, 0, 0, 0, 0, 1}, {2, 0, 0, 0, 0, 2}}
+	ips := [2]pkt.IPv4{{10, 0, 0, 1}, {10, 0, 0, 2}}
+	eth := func(et uint16) *pkt.Ethernet { return &pkt.Ethernet{Src: macs[0], Dst: macs[1], EtherType: et} }
+	ip := func(proto uint8) *pkt.IPv4Header {
+		return &pkt.IPv4Header{TTL: 64, Protocol: proto, Src: ips[0], Dst: ips[1]}
+	}
+	udp := func() *pkt.UDP { return &pkt.UDP{SrcPort: 5000, DstPort: 80} }
+	tag := func(pcp uint8, vid uint16) *pkt.Dot1Q {
+		return &pkt.Dot1Q{Priority: pcp, VLANID: vid, EtherType: pkt.EtherTypeIPv4}
+	}
+	arp := func(op uint16) *pkt.ARP {
+		return &pkt.ARP{Op: op, SenderHW: macs[0], SenderIP: ips[0], TargetIP: ips[1]}
+	}
+	named := [][]pkt.SerializableLayer{
+		{eth(pkt.EtherTypeIPv4), ip(pkt.IPProtoUDP), udp()},
+		{eth(pkt.EtherTypeIPv4), ip(pkt.IPProtoICMP), &pkt.ICMPv4{Type: 8}},
+		{eth(pkt.EtherTypeIPv4), ip(pkt.IPProtoICMP), &pkt.ICMPv4{Type: 0}},
+		{eth(pkt.EtherTypeDot1Q), tag(0, 7), ip(pkt.IPProtoUDP), udp()},
+		{eth(pkt.EtherTypeDot1Q), tag(3, 7), ip(pkt.IPProtoUDP), udp()},
+		{eth(pkt.EtherTypeDot1Q), tag(3, 0), ip(pkt.IPProtoUDP), udp()},
+		{eth(pkt.EtherTypeARP), arp(1)},
+		{eth(pkt.EtherTypeARP), arp(2)},
+	}
+	r := rand.New(rand.NewPCG(7, 32))
+	pick := func() int { return r.IntN(2) }
+	random := make([][]pkt.SerializableLayer, 300)
+	ports := make([]uint32, len(random))
+	for i := range random {
+		ports[i] = uint32(1 + pick())
+		et := [...]uint16{pkt.EtherTypeIPv4, pkt.EtherTypeARP, 0x88cc}[r.IntN(3)]
+		e := &pkt.Ethernet{Src: macs[pick()], Dst: macs[pick()], EtherType: et}
+		ls := []pkt.SerializableLayer{e}
+		if pick() == 0 {
+			e.EtherType = pkt.EtherTypeDot1Q
+			ls = append(ls, &pkt.Dot1Q{Priority: uint8(pick()), VLANID: uint16(pick()), EtherType: et})
 		}
+		switch et {
+		case pkt.EtherTypeIPv4:
+			proto := [...]uint8{pkt.IPProtoUDP, pkt.IPProtoTCP, pkt.IPProtoICMP}[r.IntN(3)]
+			ls = append(ls, &pkt.IPv4Header{TTL: 64, Protocol: proto, Src: ips[pick()], Dst: ips[pick()]})
+			switch proto {
+			case pkt.IPProtoUDP:
+				ls = append(ls, &pkt.UDP{SrcPort: uint16(pick()), DstPort: uint16(pick())})
+			case pkt.IPProtoTCP:
+				ls = append(ls, &pkt.TCP{SrcPort: uint16(pick()), DstPort: uint16(pick())})
+			default:
+				ls = append(ls, &pkt.ICMPv4{Type: uint8(pick()), Code: uint8(pick())})
+			}
+		case pkt.EtherTypeARP:
+			ls = append(ls, &pkt.ARP{Op: uint16(1 + pick()), SenderHW: macs[pick()],
+				SenderIP: ips[pick()], TargetIP: ips[pick()]})
+		}
+		random[i] = ls
+	}
+	// agreeing counts the pairs of frames whose FlowKeys are equal, and
+	// fails on any pair where that and agreement under flowMask differ.
+	agreeing := func(frames [][]pkt.SerializableLayer, ports []uint32) int {
+		masked := make([]pkt.FlatKey, len(frames))
+		fks := make([]FlowKey, len(frames))
+		for i, ls := range frames {
+			b, err := pkt.Serialize(ls...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var f pkt.FlatKey
+			if err := pkt.ExtractFlat(b, ports[i], &f); err != nil {
+				t.Fatal(err)
+			}
+			var k pkt.Key
+			f.Unpack(&k)
+			masked[i], fks[i] = f.And(&flowMask), KeyFromPacket(&k)
+		}
+		n := 0
+		for i := range frames {
+			for j := i + 1; j < len(frames); j++ {
+				if same := fks[i] == fks[j]; same != (masked[i] == masked[j]) {
+					t.Fatalf("frames %d and %d: FlowKeys equal %v, masked keys equal %v\n %+v\n %+v",
+						i, j, same, !same, fks[i], fks[j])
+				} else if same {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	// The named pairs that agree: the two VID-7 tags, untagged vs
+	// VID-0-tagged UDP and the two ARPs.
+	if n := agreeing(named, make([]uint32, len(named))); n != 3 {
+		t.Fatalf("%d named pairs share a FlowKey, want 3", n)
+	}
+	if n := agreeing(random, ports); n == 0 {
+		t.Fatal("no two random frames share a FlowKey: the draw tests nothing")
 	}
 }
