@@ -1,6 +1,6 @@
 // Command flowtop is the operator's top-talkers view of the telemetry
 // plane: an IPFIX-style UDP collector that decodes the records
-// harmlessd (or trafficgen -flows) exports and periodically renders
+// harmlessd (or trafficgen) exports and periodically renders
 // the biggest conversations — what `nethogs`/`nfdump -s` give you
 // against a hardware switch, pointed at the softswitch instead.
 //

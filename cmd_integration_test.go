@@ -300,19 +300,24 @@ func TestBinaryHarmlessdHTTPEndpoints(t *testing.T) {
 	}
 }
 
-// TestBinaryTrafficgenMix runs the telemetry exercise mode briefly and
-// checks the exactness verdict it self-reports.
+// TestBinaryTrafficgenMix runs the telemetry mix briefly, through the
+// worker pool and through one caller, and checks the exactness verdict
+// it self-reports.
 func TestBinaryTrafficgenMix(t *testing.T) {
 	bin := buildBinaries(t)
-	out, err := exec.Command(filepath.Join(bin, "trafficgen"),
-		"-flows", "64", "-duration", "400ms", "-workers", "2", "-sample-rate", "16").CombinedOutput()
-	if err != nil {
-		t.Fatalf("trafficgen -flows: %v\n%s", err, out)
-	}
-	s := string(out)
-	for _, want := range []string{"top talkers", "EXACT", "churned="} {
-		if !strings.Contains(s, want) {
-			t.Errorf("mix output missing %q:\n%s", want, s)
+	for _, args := range [][]string{
+		{"-flows", "64", "-duration", "400ms", "-workers", "2", "-sample-rate", "16"},
+		{"-duration", "400ms"},
+	} {
+		out, err := exec.Command(filepath.Join(bin, "trafficgen"), args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("trafficgen %v: %v\n%s", args, err, out)
+		}
+		s := string(out)
+		for _, want := range []string{"top talkers", "EXACT", "churned="} {
+			if !strings.Contains(s, want) {
+				t.Errorf("trafficgen %v output missing %q:\n%s", args, want, s)
+			}
 		}
 	}
 }

@@ -114,11 +114,10 @@ type frameTag struct {
 
 // Ring is a bounded, lock-free, multi-producer multi-consumer frame
 // queue: TypedRing instantiated for (frame, ingress-port) pairs. It is
-// the in-memory substitute for a NIC queue: benchmarks and
-// cmd/trafficgen attach it as a softswitch egress backend and drain it
-// from the measurement loop, keeping netem's goroutines and timing
-// model out of the measured path; the poll-mode worker runtime uses
-// one per worker as its RX queue.
+// the in-memory substitute for a NIC queue: benchmarks attach it as a
+// softswitch egress backend and drain it from the measurement loop,
+// keeping netem's goroutines and timing model out of the measured path;
+// the poll-mode worker runtime uses one per worker as its RX queue.
 //
 // Push and Pop never block and never allocate; a full ring rejects the
 // push (the caller counts the drop, exactly like a NIC tail-drop).

@@ -6,10 +6,6 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// FrameSizes used by the throughput sweeps (E2): the classic RFC 2544
-// ladder.
-var FrameSizes = []int{64, 128, 256, 512, 1024, 1500}
-
 // IMIXSizes is the simple IMIX mix (7:4:1 of 64/576/1500-byte frames)
 // used where a realistic aggregate matters more than a fixed size.
 var IMIXSizes = []int{64, 64, 64, 64, 64, 64, 64, 576, 576, 576, 576, 1500}
@@ -266,15 +262,6 @@ func (g *MixGenerator) Next() []byte {
 	}
 	i := (g.start + g.rng.Intn(g.window)) % len(g.mice)
 	return g.mice[i]
-}
-
-// NextBatch refills into with n frames of the mix, reusing capacity.
-func (g *MixGenerator) NextBatch(into [][]byte, n int) [][]byte {
-	into = into[:0]
-	for i := 0; i < n; i++ {
-		into = append(into, g.Next())
-	}
-	return into
 }
 
 // Churned returns how many short-lived flows have completed so far.

@@ -439,12 +439,20 @@ func TestNonStrictActsOnWhatItCovers(t *testing.T) {
 	}
 }
 
+// flowSum is the hash the datapath hands SelectBucket for a frame with
+// key k.
+func flowSum(k *pkt.Key) uint64 {
+	var f pkt.FlatKey
+	k.FlatInto(&f)
+	return f.FlowSum()
+}
+
 func TestGroupSelectAffinity(t *testing.T) {
 	g := &Group{ID: 1, Type: openflow.GroupTypeSelect, Buckets: []openflow.Bucket{
 		{Weight: 1}, {Weight: 1}, {Weight: 1},
 	}}
 	k := udpKey(1, hostA, hostB, ipA, ipB, 1234, 80)
-	h := FlowHash(k)
+	h := flowSum(k)
 	b1 := g.SelectBucket(h)
 	for i := 0; i < 10; i++ {
 		if g.SelectBucket(h) != b1 {
@@ -455,7 +463,7 @@ func TestGroupSelectAffinity(t *testing.T) {
 	seen := map[*openflow.Bucket]bool{}
 	for p := uint16(1); p <= 200; p++ {
 		k := udpKey(1, hostA, hostB, ipA, ipB, p, 80)
-		seen[g.SelectBucket(FlowHash(k))] = true
+		seen[g.SelectBucket(flowSum(k))] = true
 	}
 	if len(seen) < 2 {
 		t.Error("no spreading across buckets")
@@ -469,7 +477,7 @@ func TestGroupSelectWeights(t *testing.T) {
 	counts := [2]int{}
 	for i := 0; i < 5000; i++ {
 		k := udpKey(1, hostA, hostB, ipA, pkt.IPv4FromUint32(uint32(i)), uint16(i), 80)
-		b := g.SelectBucket(FlowHash(k))
+		b := g.SelectBucket(flowSum(k))
 		if b == &g.Buckets[0] {
 			counts[0]++
 		} else {

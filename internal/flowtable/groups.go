@@ -8,7 +8,6 @@ import (
 
 	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
-	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
 // Group is one installed group entry. A Group is IMMUTABLE once
@@ -54,10 +53,10 @@ func (g *Group) Hit(n int) {
 	c.bytes.Add(uint64(n))
 }
 
-// SelectBucket picks the bucket for a packet in a SELECT group using a
-// deterministic weighted hash so that one flow always hits the same
-// backend (flow affinity, as real switches implement it). Returns nil
-// for empty groups.
+// SelectBucket picks the bucket for a packet in a SELECT group from its
+// flow's hash (the datapath passes pkt.FlatKey.FlowSum), weighted, so
+// that one flow always hits the same backend (flow affinity, as real
+// switches implement it). Returns nil for empty groups.
 func (g *Group) SelectBucket(hash uint64) *openflow.Bucket {
 	if len(g.Buckets) == 0 {
 		return nil
@@ -87,46 +86,6 @@ func (g *Group) SelectBucket(hash uint64) *openflow.Bucket {
 		}
 	}
 	return &g.Buckets[len(g.Buckets)-1]
-}
-
-// FlowHash computes the symmetric-free 5-tuple-ish hash used for
-// SELECT bucket affinity (FNV-1a over addresses, proto, ports).
-func FlowHash(k *pkt.Key) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= prime
-	}
-	for _, b := range k.EthSrc {
-		mix(b)
-	}
-	for _, b := range k.EthDst {
-		mix(b)
-	}
-	for _, b := range k.IPSrc {
-		mix(b)
-	}
-	for _, b := range k.IPDst {
-		mix(b)
-	}
-	mix(k.IPProto)
-	mix(byte(k.L4Src >> 8))
-	mix(byte(k.L4Src))
-	mix(byte(k.L4Dst >> 8))
-	mix(byte(k.L4Dst))
-	// FNV's low bits avalanche poorly (parity is preserved through
-	// the final multiply), which would bias modulo bucket selection;
-	// finish with a splitmix64-style scrambler.
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // GroupTable holds the switch's groups.

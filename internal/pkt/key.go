@@ -280,6 +280,30 @@ func (f *FlatKey) Sum() uint64 {
 	return h0 ^ l0 ^ h1 ^ l1 ^ h2 ^ l2
 }
 
+// FlowMask is the one definition of a flow: the packed form of the
+// fields that tell flows apart — in_port, both MACs, EtherType, VLAN ID,
+// IP protocol and addresses, L4 ports, ICMP type and code. It leaves out
+// the presence bits, VLAN PCP and the ARP fields. A parsed key leaves
+// every field of an absent header zero, so two frames are one flow
+// exactly when their keys agree under it. Telemetry keys its records
+// by it; the worker pool's RSS and SELECT groups hash by FlowSum.
+var FlowMask = func() FlatKey {
+	ones, ip := BroadcastMAC, IPv4{0xff, 0xff, 0xff, 0xff}
+	all := Key{InPort: ^uint32(0), EthSrc: ones, EthDst: ones, EthType: 0xffff, VLANID: 0xffff,
+		IPProto: 0xff, IPSrc: ip, IPDst: ip, L4Src: 0xffff, L4Dst: 0xffff, ICMPType: 0xff, ICMPCode: 0xff}
+	var m FlatKey
+	all.FlatInto(&m)
+	return m
+}()
+
+// FlowSum hashes the flow f belongs to: the Sum of f under FlowMask, so
+// every frame of one flow hashes alike.
+func (f *FlatKey) FlowSum() uint64 {
+	var m FlatKey
+	m.SetAnd(f, &FlowMask)
+	return m.Sum()
+}
+
 // String summarizes the key for diagnostics.
 func (k *Key) String() string {
 	s := fmt.Sprintf("in=%d %s>%s 0x%04x", k.InPort, k.EthSrc, k.EthDst, k.EthType)

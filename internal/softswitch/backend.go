@@ -10,8 +10,8 @@ import (
 // once the pipeline has decided to output them. The switch ships with
 // three implementations — netem links (AttachNetPort), zero-copy patch
 // ports into a peer switch (ConnectPatch), and an in-memory ring
-// (NewRingBackend) for load generators that want the switch alone in
-// the measured path — and accepts any other via AttachPort.
+// (NewRingBackend) for benchmarks that want the switch alone in the
+// measured path — and accepts any other via AttachPort.
 //
 // Ownership follows the dataplane package rules: each frame transfers
 // to the backend, the containing slice of TransmitBatch is only
@@ -66,10 +66,10 @@ func (pb *patchBackend) TransmitBatch(fs [][]byte) {
 }
 
 // RingBackend deposits egress frames into a lock-free dataplane.Ring.
-// It is the NIC-queue stand-in for benchmarks and cmd/trafficgen: the
-// measurement loop pushes batches into the switch and drains the ring,
-// with no netem goroutines or timing model in the measured path. A
-// full ring tail-drops, counted in Dropped.
+// It is the NIC-queue stand-in for benchmarks: the measurement loop
+// pushes batches into the switch and drains the ring, with no netem
+// goroutines or timing model in the measured path. A full ring
+// tail-drops, counted in Dropped.
 type RingBackend struct {
 	ring    *dataplane.Ring
 	Dropped stats.Counter

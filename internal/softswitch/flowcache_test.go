@@ -123,9 +123,9 @@ func TestInstallAllocatesOnlyWhatItPublishes(t *testing.T) {
 }
 
 // TestShardWinsKeepCountsApart: a batch is as long as its caller makes
-// it (trafficgen -batch N), and 65,536 frames of one bypass shard used
-// to carry the lookup count into the hit count packed above it. The
-// accumulator hands back exactly what went in.
+// it, and 65,536 frames of one bypass shard used to carry the lookup
+// count into the hit count packed above it. The accumulator hands back
+// exactly what went in.
 func TestShardWinsKeepCountsApart(t *testing.T) {
 	var w shardWins
 	const shard, n = 5, 70000

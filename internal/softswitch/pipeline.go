@@ -395,12 +395,12 @@ func (s *Switch) applyGroup(groupID, inPort uint32, frame []byte, tableID uint8,
 			}
 		}
 	default:
-		var key pkt.Key
-		if err := pkt.ExtractKey(frame, inPort, &key); err != nil {
+		var key pkt.FlatKey
+		if err := pkt.ExtractFlat(frame, inPort, &key); err != nil {
 			s.drops.Inc()
 			return
 		}
-		b := g.SelectBucket(flowtable.FlowHash(&key))
+		b := g.SelectBucket(key.FlowSum())
 		if b == nil {
 			s.drops.Inc()
 			return

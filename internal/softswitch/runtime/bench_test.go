@@ -5,7 +5,8 @@ package runtime_test
 // aggregate packets/s — near-linear scaling up to the core count is
 // the acceptance bar (compare workers=1 vs workers=4 pps on a
 // multi-core host; a single-core host serializes everything and shows
-// none). Run with
+// none). Its workers=0 row is the pool's baseline: one caller sends
+// the same flows straight into ReceiveBatch in 32-frame bursts. Run with
 //
 //	go test -run '^$' -bench WorkerScaling ./internal/softswitch/runtime
 //
@@ -69,9 +70,28 @@ func newScalingSwitch(b *testing.B) *softswitch.Switch {
 // BenchmarkWorkerScaling sweeps the worker count. Each of W producers
 // pushes its share of b.N frames (retrying on a full ring, which is
 // the natural backpressure), then the pool drains; pps is aggregate
-// frames over wall time.
+// frames over wall time. workers=0 runs no pool: the benchmark
+// goroutine itself forwards b.N frames in 32-frame ReceiveBatch calls.
 func BenchmarkWorkerScaling(b *testing.B) {
 	specs := benchFlowSpecs()
+	b.Run("workers=0", func(b *testing.B) {
+		const burst = 32
+		sw := newScalingSwitch(b)
+		gen := fabric.NewFlowGenerator(64, specs)
+		var vec [][]byte
+		for i := 0; i < gen.Len(); i += burst { // warm every megaflow
+			vec = gen.NextBatch(vec, burst)
+			sw.ReceiveBatch(1, vec)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for left := b.N; left > 0; left -= burst {
+			vec = gen.NextBatch(vec, min(left, burst))
+			sw.ReceiveBatch(1, vec)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "pps")
+	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			sw := newScalingSwitch(b)

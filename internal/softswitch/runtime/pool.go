@@ -5,9 +5,9 @@
 //
 // # Flow sharding (RSS)
 //
-// Ingress frames are dispatched to workers by the sum of their packed
-// key (pkt.FlatKey.Sum), so every frame of a given flow lands on the
-// SAME worker, always:
+// Ingress frames are dispatched to workers by their flow's hash
+// (pkt.FlatKey.FlowSum: the packed key under pkt.FlowMask), so every
+// frame of a given flow lands on the SAME worker, always:
 //
 //   - per-flow frame order is preserved (one worker, one FIFO ring,
 //     run-to-completion draining — no cross-worker reordering within a
@@ -179,17 +179,17 @@ func New(sw *softswitch.Switch, cfg Config) *Pool {
 // Workers returns the worker count.
 func (p *Pool) Workers() int { return len(p.workers) }
 
-// workerFor selects the worker a frame belongs to: sharding by the sum
-// of the packed key for parsable frames (flow affinity; the hash the
-// telemetry table shards its records by), ingress-port sharding for the
-// malformed rest.
+// workerFor selects the worker a frame belongs to: sharding by its
+// flow's hash (pkt.FlatKey.FlowSum) for parsable frames — flow affinity,
+// and the hash the telemetry table shards its records by — and by
+// ingress port for the malformed rest.
 func (p *Pool) workerFor(inPort uint32, frame []byte) *worker {
 	if len(p.workers) == 1 {
 		return p.workers[0]
 	}
 	var flat pkt.FlatKey
 	if pkt.ExtractFlat(frame, inPort, &flat) == nil {
-		return p.workers[flat.Sum()%uint64(len(p.workers))]
+		return p.workers[flat.FlowSum()%uint64(len(p.workers))]
 	}
 	return p.workers[int(inPort)%len(p.workers)]
 }

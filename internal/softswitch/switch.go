@@ -18,10 +18,10 @@
 //     every hit and probed once per run of equal projections; a
 //     churn of short-lived flows sharing a ruleset shape still hits.
 //     Enabled by default, with per-shard adaptive bypass;
-//  2. the flow tables' own lookup (flowtable.Table.Find): an
-//     ESwitch-style index each table keeps with every flow-mod — one
-//     hash probe per exact-match field signature, then the few masked
-//     entries in priority order.
+//  2. the flow tables' own lookup (flowtable.Table.Find): the
+//     tuple-space classifier each table keeps with every flow-mod — one
+//     hash table per distinct match mask, probed with the packed key
+//     under that mask, in priority order with early exit.
 //
 // See DESIGN.md for the full datapath walk and the cache's
 // invalidation rules.

@@ -8,8 +8,8 @@
 //
 // # Shards and the zero-alloc hot-path contract
 //
-// Flow records live in shards selected by pkt.FlatKey.Sum — the same
-// hash the poll-mode worker runtime shards ingress with, so with
+// Flow records live in shards selected by pkt.FlatKey.FlowSum — the
+// same hash the poll-mode worker runtime shards ingress with, so with
 // Shards == Workers every record of a worker's RSS flow set lands in
 // a shard only that worker touches and the shard mutex is never
 // contended. Each shard is still mutex-guarded, so inline (non-pool)
@@ -18,7 +18,7 @@
 //
 // The hot-path contract: the datapath hands ObserveBatch the packed key
 // it parsed each frame into, and the table resolves the frame's record
-// (one map probe on the key ANDed with flowMask) and updates it (a few
+// (one map probe on the key ANDed with pkt.FlowMask) and updates it (a few
 // field writes) under one hold of the (uncontended) shard lock, taken
 // once per batch per shard — no allocation. New flows allocate exactly
 // one Record, on their first packet, and only then build its FlowKey. A
@@ -52,7 +52,8 @@ import (
 // FlowKey identifies one unidirectional flow for accounting: the
 // NetFlow/IPFIX-style tuple extracted from the packet key. It is a
 // comparable value type and the collector's map key; the record maps
-// key the same fields in packed form, under flowMask.
+// key the same fields in packed form, under pkt.FlowMask: two parsed
+// keys agree under it exactly when their FlowKeys are equal.
 type FlowKey struct {
 	EthSrc  pkt.MAC
 	EthDst  pkt.MAC
@@ -93,19 +94,6 @@ func KeyFromPacket(k *pkt.Key) FlowKey {
 	}
 	return fk
 }
-
-// flowMask is the packed form of exactly the fields KeyFromPacket keeps.
-// A parsed key leaves every field of an absent header zero, so two
-// parsed keys agree under it exactly when their FlowKeys are equal: the
-// record maps are keyed by it.
-var flowMask = func() pkt.FlatKey {
-	ones, ip := pkt.BroadcastMAC, pkt.IPv4{0xff, 0xff, 0xff, 0xff}
-	all := pkt.Key{InPort: ^uint32(0), EthSrc: ones, EthDst: ones, EthType: 0xffff, VLANID: 0xffff,
-		IPProto: 0xff, IPSrc: ip, IPDst: ip, L4Src: 0xffff, L4Dst: 0xffff, ICMPType: 0xff, ICMPCode: 0xff}
-	var m pkt.FlatKey
-	all.FlatInto(&m)
-	return m
-}()
 
 // String renders the key for diagnostics and the /flows endpoint.
 func (k FlowKey) String() string {
@@ -189,8 +177,11 @@ type Config struct {
 	// observed packet is exported as a sample (0 disables).
 	SampleRate int
 	// RingSize is the shard-drain ring capacity in snapshots (default
-	// 8192). When the aggregator falls behind, snapshots are dropped
-	// and counted in TelemetryCounters.RecordsLost.
+	// 8192). Samples may fill only half of it: a sample that finds the
+	// ring half full is dropped and counted in SamplesLost, so flow
+	// records always have the other half. When the aggregator falls
+	// behind by more than that, records are dropped and counted in
+	// RecordsLost.
 	RingSize int
 }
 
@@ -218,7 +209,7 @@ func (c *Config) defaults() {
 // shard is one mutex-guarded slice of the flow-record table.
 type shard struct {
 	mu        sync.Mutex
-	flows     map[pkt.FlatKey]*Record // keyed under flowMask
+	flows     map[pkt.FlatKey]*Record // keyed under pkt.FlowMask
 	nextSweep int64                   // unixnano of the earliest next timer sweep
 	sampleCtr int                     // countdown to the next packet sample
 	_         [24]byte
@@ -267,13 +258,12 @@ func (t *Table) Len() int {
 	return n
 }
 
-// resolveLocked returns the live record of the packed key's flow,
-// creating it — and evicting a victim if the shard is full — when absent.
-// Caller holds sh.mu and keeps the record no longer than that.
-func (t *Table) resolveLocked(sh *shard, k *pkt.FlatKey) *Record {
-	var mk pkt.FlatKey
-	mk.SetAnd(k, &flowMask)
-	rec := sh.flows[mk]
+// resolveLocked returns the live record of the flow mk (the packed key
+// k under pkt.FlowMask), creating it — and evicting a victim if the
+// shard is full — when absent. Caller holds sh.mu and keeps the record
+// no longer than that.
+func (t *Table) resolveLocked(sh *shard, mk, k *pkt.FlatKey) *Record {
+	rec := sh.flows[*mk]
 	if rec == nil {
 		if len(sh.flows) >= t.cfg.MaxFlows {
 			t.evictLocked(sh)
@@ -281,7 +271,7 @@ func (t *Table) resolveLocked(sh *shard, k *pkt.FlatKey) *Record {
 		var pk pkt.Key
 		k.Unpack(&pk)
 		rec = &Record{Key: KeyFromPacket(&pk), opener: *k}
-		sh.flows[mk] = rec
+		sh.flows[*mk] = rec
 		t.counters.FlowsCreated.Inc()
 	}
 	return rec
@@ -302,18 +292,22 @@ func (t *Table) evictLocked(sh *shard) {
 // ObserveBatch accounts one dispatched batch: keys[i] is the packed key
 // frame i was parsed into (skip[i] = not classified, leave it out) and
 // outs[i] its resolved egress port (0 = unknown). Frame lengths are read
-// from the borrowed vector. Each frame's record is resolved and updated
-// under one hold of its shard's lock, taken once per run of same-shard
-// frames, which in the RSS-pinned configuration means once per batch.
+// from the borrowed vector. A frame's shard is picked by its flow's hash,
+// so one flow is one record whatever its frames carry outside the mask.
+// Each frame's record is resolved and updated under one hold of its
+// shard's lock, taken once per run of same-shard frames, which in the
+// RSS-pinned configuration means once per batch.
 // Due timer sweeps piggyback on the tail of the batch, so a loaded
 // datapath needs no external sweeper.
 func (t *Table) ObserveBatch(keys []pkt.FlatKey, skip []bool, frames [][]byte, outs []uint32, now int64) {
 	var cur *shard
+	var mk pkt.FlatKey
 	for i := range keys {
 		if skip[i] {
 			continue
 		}
-		sh := &t.shards[keys[i].Sum()%uint64(len(t.shards))]
+		mk.SetAnd(&keys[i], &pkt.FlowMask)
+		sh := &t.shards[mk.Sum()%uint64(len(t.shards))]
 		if sh != cur {
 			if cur != nil {
 				cur.mu.Unlock()
@@ -321,7 +315,7 @@ func (t *Table) ObserveBatch(keys []pkt.FlatKey, skip []bool, frames [][]byte, o
 			sh.mu.Lock()
 			cur = sh
 		}
-		t.observeLocked(sh, t.resolveLocked(sh, &keys[i]), len(frames[i]), outs[i], now)
+		t.observeLocked(sh, t.resolveLocked(sh, &mk, &keys[i]), len(frames[i]), outs[i], now)
 	}
 	if cur != nil {
 		if now >= cur.nextSweep {
@@ -347,6 +341,12 @@ func (t *Table) observeLocked(sh *shard, rec *Record, size int, outPort uint32, 
 		sh.sampleCtr--
 		if sh.sampleCtr <= 0 {
 			sh.sampleCtr = t.cfg.SampleRate
+			// Samples take at most half the ring: the rest is kept
+			// for flow records, which carry the exact totals.
+			if 2*t.ring.Len() >= t.ring.Cap() {
+				t.counters.SamplesLost.Inc()
+				return
+			}
 			e := Export{
 				Kind:    ExportSample,
 				Key:     rec.Key,

@@ -247,6 +247,56 @@ func TestObserveBatchMultiShard(t *testing.T) {
 	}
 }
 
+// TestOneFlowOneRecordAcrossShards: frames of one flow that differ only
+// outside pkt.FlowMask — ARP requests from one host for eight different
+// targets, as a pinging host sends them — land in one shard and one
+// record, however many shards the table has.
+func TestOneFlowOneRecordAcrossShards(t *testing.T) {
+	tab := NewTable(Config{Shards: 4})
+	src, ip := pkt.MAC{2, 0, 0, 0, 0, 1}, pkt.IPv4{10, 0, 0, 1}
+	const n = 8
+	keys := make([]pkt.FlatKey, n)
+	frames := make([][]byte, n)
+	for i := range frames {
+		b, err := pkt.Serialize(
+			&pkt.Ethernet{Src: src, Dst: pkt.BroadcastMAC, EtherType: pkt.EtherTypeARP},
+			&pkt.ARP{Op: 1, SenderHW: src, SenderIP: ip, TargetIP: pkt.IPv4{10, 0, 0, byte(2 + i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pkt.ExtractFlat(b, 1, &keys[i]); err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = b
+	}
+	tab.ObserveBatch(keys, make([]bool, n), frames, make([]uint32, n), 1)
+	if got := tab.Counters().FlowsCreated.Load(); got != 1 || tab.Len() != 1 {
+		t.Fatalf("one ARP flow opened %d records (%d live), want 1", got, tab.Len())
+	}
+	tab.FlushAll(2)
+	if flows, _ := drainRing(tab); len(flows) != 1 || flows[0].Packets != n {
+		t.Fatalf("flushed %+v, want one record of %d packets", flows, n)
+	}
+}
+
+// TestSamplesLeaveRoomForRecords: samples fill at most half the drain
+// ring, so a flow's final record still finds room when every packet is
+// sampled and nothing drains the ring.
+func TestSamplesLeaveRoomForRecords(t *testing.T) {
+	tab := NewTable(Config{RingSize: 8, SampleRate: 1})
+	for i := 0; i < 16; i++ {
+		observe(tab, mkFlat(1), 64, 2, int64(i+1))
+	}
+	tab.FlushAll(100)
+	c := tab.Counters()
+	if c.RecordsLost.Load() != 0 || c.RecordsQueued.Load() != 1 {
+		t.Fatalf("RecordsQueued=%d RecordsLost=%d, want 1 and 0", c.RecordsQueued.Load(), c.RecordsLost.Load())
+	}
+	if q, l := c.SamplesQueued.Load(), c.SamplesLost.Load(); q != 4 || l != 12 {
+		t.Fatalf("SamplesQueued=%d SamplesLost=%d, want 4 (half the ring) and 12", q, l)
+	}
+}
+
 // TestConcurrentObserveFlushSnapshot exercises the shard mutexes under
 // the race detector: observers on distinct flows, a flusher, and a
 // snapshotter all running concurrently.
@@ -375,7 +425,7 @@ func TestFlushWhereSelective(t *testing.T) {
 	}
 }
 
-// TestFlowMaskIsFlowKey: two parsed keys agree under flowMask exactly
+// TestFlowMaskIsFlowKey: two parsed keys agree under pkt.FlowMask exactly
 // when their FlowKeys are equal, so the record maps hold one record per
 // FlowKey. The named frames pair up what KeyFromPacket drops (VLAN PCP,
 // a VID-0 tag, the ARP fields); the random ones draw each field from two
@@ -436,7 +486,7 @@ func TestFlowMaskIsFlowKey(t *testing.T) {
 		random[i] = ls
 	}
 	// agreeing counts the pairs of frames whose FlowKeys are equal, and
-	// fails on any pair where that and agreement under flowMask differ.
+	// fails on any pair where that and agreement under pkt.FlowMask differ.
 	agreeing := func(frames [][]pkt.SerializableLayer, ports []uint32) int {
 		masked := make([]pkt.FlatKey, len(frames))
 		fks := make([]FlowKey, len(frames))
@@ -451,7 +501,7 @@ func TestFlowMaskIsFlowKey(t *testing.T) {
 			}
 			var k pkt.Key
 			f.Unpack(&k)
-			masked[i], fks[i] = f.And(&flowMask), KeyFromPacket(&k)
+			masked[i], fks[i] = f.And(&pkt.FlowMask), KeyFromPacket(&k)
 		}
 		n := 0
 		for i := range frames {
