@@ -67,7 +67,8 @@ func (discardBackend) TransmitBatch([][]byte) {}
 // mixSwitch builds the bare forwarding switch (port 1 -> port 2
 // discard) used by the mix run.
 func mixSwitch(tab *telemetry.Table) *softswitch.Switch {
-	sw := softswitch.New("mix", 1, softswitch.WithTelemetry(tab))
+	sw := softswitch.New("mix", 1)
+	sw.SetTelemetry(tab)
 	sw.AttachPort(2, "out", discardBackend{})
 	m := openflow.Match{}
 	m.WithInPort(1)

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math/bits"
 
 	"github.com/harmless-sdn/harmless/internal/controller"
@@ -168,6 +167,3 @@ func (lb *LoadBalancer) PacketIn(sw *controller.SwitchHandle, pi *openflow.Packe
 	_ = sw.PacketOut(openflow.PortController, reply,
 		&openflow.ActionOutput{Port: inPort, MaxLen: 0xffff})
 }
-
-// BackendName renders a backend for reporting.
-func BackendName(b Backend) string { return fmt.Sprintf("%s:%d", b.IP, b.Port) }

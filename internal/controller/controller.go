@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -169,21 +168,6 @@ func New(apps []App, cfg ...controlplane.Config) *Controller {
 func (c *Controller) logf(format string, args ...any) {
 	if c.cfg.Logger != nil {
 		c.cfg.Logger.Printf(format, args...)
-	}
-}
-
-// Serve accepts switch connections on l until it closes.
-func (c *Controller) Serve(l net.Listener) error {
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			return err
-		}
-		go func() {
-			if _, err := c.AttachConn(conn); err != nil {
-				c.logf("controller: attach: %v", err)
-			}
-		}()
 	}
 }
 

@@ -198,11 +198,6 @@ func (c *Channel) Dropped() uint64 { return c.dropped.Load() }
 // transports.
 func (c *Channel) RemoteAddr() string { return c.addr }
 
-// Done is closed when the channel terminates for good: Close was
-// called, or an attached transport died (dial-mode channels never
-// finish on their own — they redial).
-func (c *Channel) Done() <-chan struct{} { return c.done }
-
 // Send queues m on the channel's transport. It waits while the
 // connection's bound of unsent bytes is reached: replies are flow
 // controlled, not dropped.

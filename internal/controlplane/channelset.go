@@ -131,25 +131,6 @@ func (s *ChannelSet) Channels() []*Channel {
 	return out
 }
 
-// Master returns the channel currently holding the MASTER role (nil if
-// none).
-func (s *ChannelSet) Master() *Channel {
-	for _, c := range s.Channels() {
-		if c.Role() == openflow.RoleMaster {
-			return c
-		}
-	}
-	return nil
-}
-
-// GenerationID returns the highest master-election epoch seen, and
-// whether any has been seen at all.
-func (s *ChannelSet) GenerationID() (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.generation, s.genValid
-}
-
 // Close terminates every channel and stops all listeners.
 func (s *ChannelSet) Close() {
 	s.mu.Lock()

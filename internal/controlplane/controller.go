@@ -231,24 +231,6 @@ func (c *Controller) RequestRole(ctx context.Context, role uint32, generationID 
 	return rr.Role, rr.GenerationID, nil
 }
 
-// SetAsyncConfig replaces the connection's async filter masks.
-func (c *Controller) SetAsyncConfig(cfg openflow.AsyncConfig) error {
-	return c.conn.Send(&openflow.SetAsync{AsyncConfig: cfg})
-}
-
-// AsyncConfig fetches the connection's async filter masks.
-func (c *Controller) AsyncConfig(ctx context.Context) (openflow.AsyncConfig, error) {
-	resp, err := c.Request(ctx, &openflow.GetAsyncRequest{})
-	if err != nil {
-		return openflow.AsyncConfig{}, err
-	}
-	ar, ok := resp.(*openflow.GetAsyncReply)
-	if !ok {
-		return openflow.AsyncConfig{}, fmt.Errorf("controlplane: unexpected %T to get-async request", resp)
-	}
-	return ar.AsyncConfig, nil
-}
-
 func (c *Controller) readLoop() {
 	for {
 		m, err := c.conn.Recv()

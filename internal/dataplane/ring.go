@@ -131,9 +131,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{r: *NewTypedRing[frameTag](capacity)}
 }
 
-// Cap returns the ring capacity in frames.
-func (r *Ring) Cap() int { return r.r.Cap() }
-
 // Len returns the approximate number of queued frames.
 func (r *Ring) Len() int { return r.r.Len() }
 

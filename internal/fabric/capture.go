@@ -26,25 +26,12 @@ func (c CapturedFrame) Summary() string {
 // of the per-hop packet captures used to verify the Fig. 1 walk-through.
 type Capture struct {
 	mu     sync.Mutex
-	clock  netem.Clock
 	frames []CapturedFrame
 }
 
 // NewCapture returns an empty capture stamping frames with the wall
 // clock.
-func NewCapture() *Capture { return &Capture{clock: netem.RealClock{}} }
-
-// SetClock stamps subsequent frames with c — virtual time when c is a
-// netem.Scheduler, so captures from a simulated fabric carry the
-// simulation's own timestamps. nil is ignored.
-func (c *Capture) SetClock(clock netem.Clock) *Capture {
-	if clock != nil {
-		c.mu.Lock()
-		c.clock = clock
-		c.mu.Unlock()
-	}
-	return c
-}
+func NewCapture() *Capture { return &Capture{} }
 
 // record appends one frame (copying the bytes: taps observe frames
 // whose ownership belongs to the receiver).
@@ -52,7 +39,7 @@ func (c *Capture) record(point string, frame []byte) {
 	cp := make([]byte, len(frame))
 	copy(cp, frame)
 	c.mu.Lock()
-	c.frames = append(c.frames, CapturedFrame{When: c.clock.Now(), Data: cp, Point: point})
+	c.frames = append(c.frames, CapturedFrame{When: time.Now(), Data: cp, Point: point})
 	c.mu.Unlock()
 }
 
@@ -75,9 +62,6 @@ func (c *Capture) At(point string) []CapturedFrame {
 	}
 	return out
 }
-
-// Count returns the number of frames captured at a point.
-func (c *Capture) Count(point string) int { return len(c.At(point)) }
 
 // String renders the whole capture.
 func (c *Capture) String() string {

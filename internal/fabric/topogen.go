@@ -4,9 +4,9 @@ package fabric
 // fabrics a HARMLESS migration campaign actually runs against. The
 // output is an abstract wiring plan — nodes, links, port indices —
 // consumed two ways: the flow-level fleet simulator walks it
-// analytically (Route/NextHop, hash-based ECMP), and the packet-level
-// harness instantiates one softswitch per switch node over netem
-// links. Construction is fully deterministic: same parameters, same
+// analytically (RouteInto/NextHop, hash-based ECMP), and the
+// packet-level harness instantiates one softswitch per switch node
+// over netem links. Construction is fully deterministic: same parameters, same
 // node ids, names, port numbering and link order.
 
 import (
@@ -238,8 +238,8 @@ func (t *Topology) HostEdge(host int) int {
 	return t.Nodes[host].Ports[0].Peer
 }
 
-// RouteChoices returns how many distinct equal-cost paths Route can
-// pick between two distinct-edge hosts — the ECMP width the fleet
+// RouteChoices returns how many distinct equal-cost paths RouteInto
+// can pick between two distinct-edge hosts — the ECMP width the fleet
 // simulator retries across after a fault.
 func (t *Topology) RouteChoices() int {
 	switch t.Kind {
@@ -291,16 +291,11 @@ func (t *Topology) NextHop(sw, dstHost int, h uint64) (int, bool) {
 	return 0, false
 }
 
-// Route returns the node path from srcHost to dstHost (hosts
-// included), with h selecting deterministically among the equal-cost
-// choices. ok is false when no analytic route exists.
-func (t *Topology) Route(srcHost, dstHost int, h uint64) ([]int, bool) {
-	path := make([]int, 0, 8)
-	return t.RouteInto(path, srcHost, dstHost, h)
-}
-
-// RouteInto is Route reusing the caller's slice capacity — the
-// allocation-free form the fleet simulator's arrival hot path calls.
+// RouteInto returns the node path from srcHost to dstHost (hosts
+// included) in the caller's slice, reusing its capacity — the fleet
+// simulator's arrival hot path calls it allocation-free — with h
+// selecting deterministically among the equal-cost choices. ok is
+// false when no analytic route exists.
 func (t *Topology) RouteInto(path []int, srcHost, dstHost int, h uint64) ([]int, bool) {
 	path = append(path[:0], srcHost)
 	if srcHost == dstHost {
@@ -321,68 +316,4 @@ func (t *Topology) RouteInto(path []int, srcHost, dstHost int, h uint64) ([]int,
 		}
 		cur = next
 	}
-}
-
-// PathLen returns the BFS hop distance (in links) between two nodes,
-// or -1 when disconnected. O(V+E) — a test and validation helper, not
-// a hot path.
-func (t *Topology) PathLen(a, b int) int {
-	if a == b {
-		return 0
-	}
-	dist := make([]int, len(t.Nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[a] = 0
-	queue := []int{a}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, p := range t.Nodes[n].Ports {
-			if dist[p.Peer] < 0 {
-				dist[p.Peer] = dist[n] + 1
-				if p.Peer == b {
-					return dist[p.Peer]
-				}
-				queue = append(queue, p.Peer)
-			}
-		}
-	}
-	return -1
-}
-
-// Validate cross-checks the wiring plan's internal consistency: link
-// endpoints exist, port back-references agree, no self-loops, no
-// duplicate adjacency. Generators are expected to always produce valid
-// plans; tests call this on every generated topology.
-func (t *Topology) Validate() error {
-	seen := make(map[uint64]bool, len(t.Links))
-	for _, l := range t.Links {
-		if l.A < 0 || l.A >= len(t.Nodes) || l.B < 0 || l.B >= len(t.Nodes) {
-			return fmt.Errorf("link %d endpoints out of range", l.ID)
-		}
-		if l.A == l.B {
-			return fmt.Errorf("link %d is a self-loop on node %d", l.ID, l.A)
-		}
-		key := uint64(l.A)<<32 | uint64(uint32(l.B))
-		if l.A > l.B {
-			key = uint64(l.B)<<32 | uint64(uint32(l.A))
-		}
-		if seen[key] {
-			return fmt.Errorf("duplicate link between %d and %d", l.A, l.B)
-		}
-		seen[key] = true
-		pa, pb := t.Nodes[l.A].Ports[l.APort], t.Nodes[l.B].Ports[l.BPort]
-		if pa.Peer != l.B || pb.Peer != l.A || pa.Link != l.ID || pb.Link != l.ID ||
-			pa.PeerPort != l.BPort || pb.PeerPort != l.APort {
-			return fmt.Errorf("link %d port back-references inconsistent", l.ID)
-		}
-	}
-	for _, n := range t.Nodes {
-		if n.Role == RoleHost && len(n.Ports) != 1 {
-			return fmt.Errorf("host %s has %d ports, want 1", n.Name, len(n.Ports))
-		}
-	}
-	return nil
 }

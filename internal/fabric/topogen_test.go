@@ -157,7 +157,7 @@ func TestRouteValidity(t *testing.T) {
 						continue
 					}
 					for h := uint64(0); h < 8; h++ {
-						path, ok := topo.Route(src, dst, h)
+						path, ok := topo.RouteInto(nil, src, dst, h)
 						if !ok {
 							t.Fatalf("no route %s -> %s (h=%d)",
 								topo.Nodes[src].Name, topo.Nodes[dst].Name, h)

@@ -149,11 +149,7 @@ func BuildDeployment(cfg DeployConfig) (_ *Deployment, err error) {
 		_ = d.CLI.ServeConn(mgmtServer)
 		mgmtServer.Close()
 	}()
-	vendor := "ciscoish"
-	if cfg.Dialect == legacy.DialectAristaish {
-		vendor = "aristaish"
-	}
-	driver, err := mgmt.NewDriver(mgmtClient, vendor)
+	driver, err := mgmt.NewDriver(mgmtClient)
 	if err != nil {
 		return nil, fmt.Errorf("fabric: mgmt driver: %w", err)
 	}

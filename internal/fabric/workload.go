@@ -291,9 +291,6 @@ func (w *HeavyHitterWorkload) Next() (FlowArrival, bool) {
 	return a, true
 }
 
-// Churned returns how many short-lived pairs have completed so far.
-func (w *HeavyHitterWorkload) Churned() int { return w.churned }
-
 // IncastWorkload emits periodic incast bursts: every period, fanIn
 // distinct sources fire one flow each at a single victim host within a
 // burstSpread window — the partition/aggregate pattern that stresses

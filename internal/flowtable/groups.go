@@ -151,13 +151,6 @@ func (gt *GroupTable) Get(id uint32) (*Group, bool) {
 	return g, ok
 }
 
-// Len returns the number of groups.
-func (gt *GroupTable) Len() int {
-	gt.mu.RLock()
-	defer gt.mu.RUnlock()
-	return len(gt.groups)
-}
-
 // Meter implements a token-bucket rate limiter for one OpenFlow meter.
 type Meter struct {
 	ID    uint32
@@ -202,12 +195,6 @@ func (m *Meter) Allow(now time.Time, size int) bool {
 	m.dropped.Add(1)
 	return false
 }
-
-// Dropped returns the number of packets dropped by the meter.
-func (m *Meter) Dropped() uint64 { return m.dropped.Load() }
-
-// Passed returns the number of packets passed by the meter.
-func (m *Meter) Passed() uint64 { return m.passed.Load() }
 
 // MeterTable holds the switch's meters.
 type MeterTable struct {
@@ -268,12 +255,4 @@ func (mt *MeterTable) Pass(id uint32, size int) bool {
 		return true
 	}
 	return m.Allow(mt.clock.Now(), size)
-}
-
-// Get looks up a meter.
-func (mt *MeterTable) Get(id uint32) (*Meter, bool) {
-	mt.mu.RLock()
-	defer mt.mu.RUnlock()
-	m, ok := mt.meters[id]
-	return m, ok
 }

@@ -140,9 +140,6 @@ func NewTable(id uint8, clock netem.Clock) *Table {
 	return t
 }
 
-// SetMaxFlows bounds the table size (0 = unlimited).
-func (t *Table) SetMaxFlows(n int) { t.maxFlows = n }
-
 // ID returns the table id.
 func (t *Table) ID() uint8 { return t.id }
 

@@ -210,23 +210,26 @@ func (m *Manager) MigratePort(port int) error {
 	if _, done := plan.VLANForPort[port]; done {
 		return fmt.Errorf("harmless: port %d already migrated", port)
 	}
-	if port == plan.TrunkPort {
-		return fmt.Errorf("harmless: port %d is the trunk", port)
+	vlan, err := plan.vlanFor(port)
+	if err != nil {
+		return err
 	}
-	base := m.cfg.BaseVLAN
-	if base == 0 {
-		base = 100
-	}
-	vlan := base + uint16(port)
 	if err := m.driver.DeclareVLAN(vlan, fmt.Sprintf("harmless-p%d", port)); err != nil {
 		return err
 	}
-	if err := m.driver.ConfigureAccessPort(port, vlan); err != nil {
-		return err
-	}
 	plan.VLANForPort[port] = vlan
-	if err := m.driver.ConfigureTrunkPort(plan.TrunkPort, plan.NativeVLAN, plan.TrunkVLANs()); err != nil {
-		return err
+	err = m.driver.ConfigureAccessPort(port, vlan)
+	if err == nil {
+		err = m.driver.ConfigureTrunkPort(plan.TrunkPort, plan.NativeVLAN, plan.TrunkVLANs())
+	}
+	if err != nil {
+		// Leave no trace: the port back in the native VLAN, the trunk
+		// back to the plan's list, the declared VLAN gone.
+		delete(plan.VLANForPort, port)
+		return errors.Join(err,
+			m.driver.ConfigureAccessPort(port, plan.NativeVLAN),
+			m.driver.ConfigureTrunkPort(plan.TrunkPort, plan.NativeVLAN, plan.TrunkVLANs()),
+			m.driver.RemoveVLAN(vlan))
 	}
 	// Wire the new logical port and extend the translator (the two
 	// new rules are simple FLOW_MOD adds; existing rules are

@@ -26,7 +26,7 @@ func newManagerRig(t *testing.T, ports int, withSNMP bool) *managerRig {
 	cli := legacy.NewCLIServer(r.sw, legacy.DialectCiscoish)
 	clientSide, serverSide := net.Pipe()
 	go func() { _ = cli.ServeConn(serverSide) }()
-	driver, err := mgmt.NewDriver(clientSide, "ciscoish")
+	driver, err := mgmt.NewDriver(clientSide)
 	if err != nil {
 		t.Fatal(err)
 	}

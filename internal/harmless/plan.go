@@ -47,6 +47,11 @@ type Plan struct {
 	// LegacySegment is true). It equals the trunk port number, which
 	// can never collide with an access port.
 	LegacySegmentPort uint32
+
+	// numPorts and baseVLAN are the PlanConfig values vlanFor checks a
+	// port against (baseVLAN with its default applied).
+	numPorts int
+	baseVLAN uint16
 }
 
 // PlanConfig parameterizes PlanMigration.
@@ -102,25 +107,16 @@ func PlanMigration(cfg PlanConfig) (*Plan, error) {
 		TrunkPort:   trunk,
 		VLANForPort: make(map[int]uint16, len(access)),
 		NativeVLAN:  native,
+		numPorts:    cfg.NumPorts,
+		baseVLAN:    base,
 	}
-	seen := make(map[int]bool, len(access))
 	for _, p := range access {
-		if p < 1 || p > cfg.NumPorts {
-			return nil, fmt.Errorf("harmless: access port %d out of range", p)
+		vlan, err := plan.vlanFor(p)
+		if err != nil {
+			return nil, err
 		}
-		if p == trunk {
-			return nil, fmt.Errorf("harmless: port %d is the trunk, cannot migrate it", p)
-		}
-		if seen[p] {
+		if _, dup := plan.VLANForPort[p]; dup {
 			return nil, fmt.Errorf("harmless: access port %d listed twice", p)
-		}
-		seen[p] = true
-		vlan := base + uint16(p)
-		if vlan > legacy.MaxVLAN {
-			return nil, fmt.Errorf("harmless: VLAN %d for port %d exceeds %d", vlan, p, legacy.MaxVLAN)
-		}
-		if vlan == native {
-			return nil, fmt.Errorf("harmless: VLAN %d for port %d collides with the native VLAN", vlan, p)
 		}
 		plan.VLANForPort[p] = vlan
 	}
@@ -134,6 +130,26 @@ func PlanMigration(cfg PlanConfig) (*Plan, error) {
 		plan.LegacySegmentPort = uint32(trunk)
 	}
 	return plan, nil
+}
+
+// vlanFor checks that port can be migrated under the plan and returns
+// its VLAN: access port p gets baseVLAN+p. PlanMigration and
+// Manager.MigratePort both take a port's VLAN from here.
+func (p *Plan) vlanFor(port int) (uint16, error) {
+	if port < 1 || port > p.numPorts {
+		return 0, fmt.Errorf("harmless: access port %d out of range", port)
+	}
+	if port == p.TrunkPort {
+		return 0, fmt.Errorf("harmless: port %d is the trunk, cannot migrate it", port)
+	}
+	vlan := p.baseVLAN + uint16(port)
+	if vlan > legacy.MaxVLAN {
+		return 0, fmt.Errorf("harmless: VLAN %d for port %d exceeds %d", vlan, port, legacy.MaxVLAN)
+	}
+	if vlan == p.NativeVLAN {
+		return 0, fmt.Errorf("harmless: VLAN %d for port %d collides with the native VLAN", vlan, port)
+	}
+	return vlan, nil
 }
 
 // MigratedPorts returns the migrated access ports in ascending order.

@@ -165,3 +165,52 @@ func TestManagerRollbackReportsAndRetries(t *testing.T) {
 		t.Errorf("VLANs after rollback: %v", cfg.VLANs)
 	}
 }
+
+// TestMigratePortFailureLeavesNoTrace: a MigratePort the device or the
+// plan refuses changes nothing, so Rollback still lands exactly on the
+// pre-deploy running config.
+func TestMigratePortFailureLeavesNoTrace(t *testing.T) {
+	r := newManagerRig(t, 5, false)
+	before, err := r.driver.RunningConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd := &flakyDriver{Driver: r.driver}
+	m := NewManager(fd, nil, ManagerConfig{AccessPorts: []int{1, 2}})
+	if _, err := m.Deploy(r.trunk.B(), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Ports the switch does not have: refused before the device is
+	// touched.
+	for _, port := range []int{9, 0} {
+		if err := m.MigratePort(port); err == nil {
+			t.Errorf("MigratePort(%d) accepted", port)
+		}
+	}
+	// A port the device refuses midway: the declared VLAN is removed.
+	fd.failMethod = "ConfigureTrunkPort"
+	if err := m.MigratePort(3); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Errorf("MigratePort(3) with the trunk refused: %v", err)
+	}
+	fd.failMethod = ""
+	if _, ok := m.Plan().VLANForPort[3]; ok {
+		t.Error("refused port 3 left in the plan")
+	}
+	if cfg := r.sw.Config(); cfg.VLANs[103] != "" || cfg.Ports[3].PVID != legacy.DefaultVLAN {
+		t.Errorf("refused port 3 left VLAN %q, PVID %d", cfg.VLANs[103], cfg.Ports[3].PVID)
+	}
+	// The port can still be migrated once the device accepts it.
+	if err := m.MigratePort(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := r.driver.RunningConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Errorf("rollback after failed MigratePort calls differs:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+}

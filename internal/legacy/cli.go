@@ -109,12 +109,6 @@ func NewCLIServer(sw *Switch, dialect Dialect) *CLIServer {
 	return &CLIServer{sw: sw, dialect: dialect, version: v}
 }
 
-// SetEnableSecret requires a password for the enable command.
-func (s *CLIServer) SetEnableSecret(pw string) { s.enableSecret = pw }
-
-// Dialect returns the emulated dialect.
-func (s *CLIServer) Dialect() Dialect { return s.dialect }
-
 // Serve accepts connections on l until it is closed, running one
 // session per connection.
 func (s *CLIServer) Serve(l net.Listener) error {

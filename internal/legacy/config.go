@@ -131,26 +131,6 @@ func NewDefaultConfig(hostname string, n int) *Config {
 	return c
 }
 
-// Validate checks internal consistency.
-func (c *Config) Validate() error {
-	for n, p := range c.Ports {
-		if p.PVID < 1 || p.PVID > MaxVLAN {
-			return fmt.Errorf("legacy: port %d: PVID %d out of range", n, p.PVID)
-		}
-		for _, v := range p.AllowedList() {
-			if v < 1 || v > MaxVLAN {
-				return fmt.Errorf("legacy: port %d: allowed VLAN %d out of range", n, v)
-			}
-		}
-	}
-	for v := range c.VLANs {
-		if v < 1 || v > MaxVLAN {
-			return fmt.Errorf("legacy: VLAN %d out of range", v)
-		}
-	}
-	return nil
-}
-
 // clone returns a deep copy.
 func (c *Config) clone() *Config {
 	nc := &Config{

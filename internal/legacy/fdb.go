@@ -73,16 +73,6 @@ func NewFDB(aging time.Duration, max int, clock netem.Clock) *FDB {
 	}
 }
 
-// Learn records that mac was seen on port within vlan. Static entries
-// are never displaced by learning. Learning a full table is a no-op
-// (as in hardware, where the entry simply isn't installed).
-func (f *FDB) Learn(vlan uint16, mac pkt.MAC, port int) {
-	now := f.clock.Now()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.learnLocked(now, vlan, mac, port)
-}
-
 func (f *FDB) learnLocked(now time.Time, vlan uint16, mac pkt.MAC, port int) {
 	if !mac.IsUnicast() {
 		return // never learn multicast/broadcast sources
@@ -103,24 +93,6 @@ func (f *FDB) learnLocked(now time.Time, vlan uint16, mac pkt.MAC, port int) {
 		}
 	}
 	f.entries[k] = &FDBEntry{VLAN: vlan, MAC: mac, Port: port, LastSeen: now}
-}
-
-// AddStatic installs a permanent entry (management plane operation).
-func (f *FDB) AddStatic(vlan uint16, mac pkt.MAC, port int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.entries[makeFDBKey(vlan, mac)] = &FDBEntry{
-		VLAN: vlan, MAC: mac, Port: port, Static: true, LastSeen: f.clock.Now(),
-	}
-}
-
-// Lookup returns the egress port for (vlan, mac), or ok=false if the
-// address is unknown (or the entry has aged out).
-func (f *FDB) Lookup(vlan uint16, mac pkt.MAC) (port int, ok bool) {
-	now := f.clock.Now()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lookupLocked(now, makeFDBKey(vlan, mac))
 }
 
 func (f *FDB) lookupLocked(now time.Time, k fdbKey) (port int, ok bool) {
@@ -195,14 +167,6 @@ func (f *FDB) FlushVLAN(vlan uint16) {
 			delete(f.entries, k)
 		}
 	}
-}
-
-// Len returns the number of entries currently stored (including any
-// not-yet-swept expired entries).
-func (f *FDB) Len() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.entries)
 }
 
 // Entries returns a snapshot sorted by (VLAN, MAC) for the management

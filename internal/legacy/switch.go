@@ -55,14 +55,6 @@ type Option func(*Switch)
 // FDB aging deterministically).
 func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
 
-// WithFDBAging overrides the MAC aging time.
-func WithFDBAging(d time.Duration) Option {
-	return func(s *Switch) { s.fdb = NewFDB(d, 0, s.clock) }
-}
-
-// WithModel sets the model string reported by the management planes.
-func WithModel(m string) Option { return func(s *Switch) { s.model = m } }
-
 // NewSwitch creates a legacy switch with n ports in factory-default
 // configuration (all access, VLAN 1).
 func NewSwitch(hostname string, n int, opts ...Option) *Switch {

@@ -1,9 +1,9 @@
 // Package mgmt is the multi-vendor device-management layer of the
 // HARMLESS manager — the role NAPALM plays in the paper. A Driver
 // hides vendor CLI differences behind one configuration interface;
-// two drivers are provided (ciscoish and aristaish, matching the CLI
-// dialects emulated by internal/legacy), plus an autodetecting probe
-// and an SNMP-based discovery helper.
+// NewDriver identifies the device from "show version" and drives
+// either of the CLI dialects emulated by internal/legacy (ciscoish and
+// aristaish); DiscoverSNMP is the SNMP-based discovery helper.
 package mgmt
 
 import (
@@ -140,92 +140,61 @@ func (e *CommandError) Error() string {
 }
 
 // cliDriver is the shared implementation; vendor differences are
-// captured in small closures/fields.
+// captured in a dialect.
 type cliDriver struct {
-	conn         *cliConn
+	conn *cliConn
+	dialect
+}
+
+// dialect is what tells one vendor CLI from another: the marker its
+// "show version" output carries, its vendor tag, how it names a port
+// and how its version output parses.
+type dialect struct {
+	marker       string
 	vendor       string
-	ifName       func(int) string
+	ifFormat     string
 	parseVersion func(string) (*Facts, error)
 }
 
-// Connect dials a device CLI over TCP and returns a driver for the
-// given vendor ("ciscoish" or "aristaish").
-func Connect(addr, vendor string) (Driver, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("mgmt: dial %s: %w", addr, err)
-	}
-	return NewDriver(conn, vendor)
+var dialects = []dialect{
+	{"Cisco IOS", "ciscoish", "GigabitEthernet0/%d", parseCiscoVersion},
+	{"Arista", "aristaish", "Ethernet%d", parseAristaVersion},
 }
 
-// NewDriver wraps an established management connection. It consumes
-// the banner and enters privileged mode.
-func NewDriver(rw io.ReadWriteCloser, vendor string) (Driver, error) {
-	d := &cliDriver{conn: newCLIConn(rw), vendor: vendor}
-	switch vendor {
-	case "ciscoish":
-		d.ifName = func(p int) string { return fmt.Sprintf("GigabitEthernet0/%d", p) }
-		d.parseVersion = parseCiscoVersion
-	case "aristaish":
-		d.ifName = func(p int) string { return fmt.Sprintf("Ethernet%d", p) }
-		d.parseVersion = parseAristaVersion
-	default:
+// NewDriver wraps an established management connection and identifies
+// the device from its "show version" output — the NAPALM-style
+// autodetection, so the caller need not know what the legacy switch
+// is. It consumes the banner and enters privileged mode; on error the
+// connection is closed.
+func NewDriver(rw io.ReadWriteCloser) (Driver, error) {
+	d := &cliDriver{conn: newCLIConn(rw)}
+	if err := d.identify(); err != nil {
 		rw.Close()
-		return nil, fmt.Errorf("mgmt: unknown vendor %q", vendor)
+		return nil, err
 	}
-	// Swallow banner up to the first prompt, then elevate.
+	return d, nil
+}
+
+func (d *cliDriver) identify() error {
 	if _, err := d.conn.readUntilPrompt(); err != nil {
-		rw.Close()
-		return nil, err
+		return err
 	}
-	if _, err := d.conn.cmd("enable"); err != nil {
-		rw.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// Probe connects, issues "show version", and returns a driver of the
-// detected vendor — the NAPALM-style autodetection used when the
-// operator does not know what the legacy switch is.
-func Probe(rw io.ReadWriteCloser) (Driver, error) {
-	c := newCLIConn(rw)
-	if _, err := c.readUntilPrompt(); err != nil {
-		rw.Close()
-		return nil, err
-	}
-	out, err := c.cmd("show version")
+	out, err := d.conn.cmd("show version")
 	if err != nil {
-		rw.Close()
-		return nil, err
+		return err
 	}
-	var vendor string
-	switch {
-	case strings.Contains(out, "Cisco IOS"):
-		vendor = "ciscoish"
-	case strings.Contains(out, "Arista"):
-		vendor = "aristaish"
-	default:
-		rw.Close()
-		return nil, fmt.Errorf("mgmt: cannot identify device from version output %q", out)
+	for _, dl := range dialects {
+		if strings.Contains(out, dl.marker) {
+			d.dialect = dl
+			_, err := d.conn.cmd("enable")
+			return err
+		}
 	}
-	d := &cliDriver{conn: c, vendor: vendor}
-	if vendor == "ciscoish" {
-		d.ifName = func(p int) string { return fmt.Sprintf("GigabitEthernet0/%d", p) }
-		d.parseVersion = parseCiscoVersion
-	} else {
-		d.ifName = func(p int) string { return fmt.Sprintf("Ethernet%d", p) }
-		d.parseVersion = parseAristaVersion
-	}
-	if _, err := c.cmd("enable"); err != nil {
-		rw.Close()
-		return nil, err
-	}
-	return d, nil
+	return fmt.Errorf("mgmt: cannot identify device from version output %q", out)
 }
 
 func (d *cliDriver) Vendor() string                { return d.vendor }
-func (d *cliDriver) InterfaceName(port int) string { return d.ifName(port) }
+func (d *cliDriver) InterfaceName(port int) string { return fmt.Sprintf(d.ifFormat, port) }
 func (d *cliDriver) Close() error                  { return d.conn.rw.Close() }
 
 func parseCiscoVersion(out string) (*Facts, error) {
@@ -323,7 +292,7 @@ func (d *cliDriver) RemoveVLAN(id uint16) error {
 
 func (d *cliDriver) ConfigureAccessPort(port int, vlan uint16) error {
 	return d.configSession(
-		fmt.Sprintf("interface %s", d.ifName(port)),
+		fmt.Sprintf("interface %s", d.InterfaceName(port)),
 		"switchport mode access",
 		fmt.Sprintf("switchport access vlan %d", vlan),
 		"exit",
@@ -336,7 +305,7 @@ func (d *cliDriver) ConfigureTrunkPort(port int, native uint16, allowed []uint16
 		list[i] = strconv.Itoa(int(v))
 	}
 	cmds := []string{
-		fmt.Sprintf("interface %s", d.ifName(port)),
+		fmt.Sprintf("interface %s", d.InterfaceName(port)),
 		"switchport mode trunk",
 	}
 	if len(list) > 0 {
@@ -355,7 +324,7 @@ func (d *cliDriver) SetPortShutdown(port int, down bool) error {
 		cmd = "shutdown"
 	}
 	return d.configSession(
-		fmt.Sprintf("interface %s", d.ifName(port)),
+		fmt.Sprintf("interface %s", d.InterfaceName(port)),
 		cmd,
 		"exit",
 	)

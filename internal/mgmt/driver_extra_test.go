@@ -11,7 +11,7 @@ import (
 func TestDriverAristaTrunkConfig(t *testing.T) {
 	sw := legacy.NewSwitch("ar-trunk", 6)
 	addr := newDeviceRig(t, sw, legacy.DialectAristaish)
-	d, err := Connect(addr, "aristaish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestConcurrentManagementSessions(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			d, err := Connect(addr, "ciscoish")
+			d, err := connect(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -98,17 +98,12 @@ func TestParseVersionFailures(t *testing.T) {
 	}
 }
 
-func TestProbeUnidentifiableDevice(t *testing.T) {
-	// A "device" that answers show version with nonsense: pipe-based
-	// fake speaking just enough CLI.
-	sw := legacy.NewSwitch("x", 2, legacy.WithModel("Mystery Box"))
-	// Both dialects print identifiable banners, so fabricate one by
-	// checking that Probe fails when handed a non-CLI endpoint.
-	_ = sw
+func TestNewDriverUnidentifiableDevice(t *testing.T) {
+	// A pipe-based fake speaking just enough CLI: a prompt, then an
+	// unknown banner for every command, "show version" included.
 	c1, c2 := newLoopPipe(t)
 	go func() {
 		buf := make([]byte, 1024)
-		// Emit a prompt, then answer everything with an unknown banner.
 		_, _ = c2.Write([]byte("box>"))
 		for {
 			if _, err := c2.Read(buf); err != nil {
@@ -117,7 +112,7 @@ func TestProbeUnidentifiableDevice(t *testing.T) {
 			_, _ = c2.Write([]byte("MysteryOS v1\r\nbox>"))
 		}
 	}()
-	if _, err := Probe(c1); err == nil {
+	if _, err := NewDriver(c1); err == nil {
 		t.Error("unidentifiable device accepted")
 	}
 }

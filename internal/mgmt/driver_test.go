@@ -23,10 +23,20 @@ func newDeviceRig(t *testing.T, sw *legacy.Switch, dialect legacy.Dialect) strin
 	return l.Addr().String()
 }
 
+// connect dials a device CLI over TCP and returns the driver NewDriver
+// identifies.
+func connect(addr string) (Driver, error) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return NewDriver(conn)
+}
+
 func TestDriverFactsCisco(t *testing.T) {
 	sw := legacy.NewSwitch("lab-sw", 8)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +56,7 @@ func TestDriverFactsCisco(t *testing.T) {
 func TestDriverFactsArista(t *testing.T) {
 	sw := legacy.NewSwitch("ar-sw", 4)
 	addr := newDeviceRig(t, sw, legacy.DialectAristaish)
-	d, err := Connect(addr, "aristaish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestDriverConfiguresHARMLESSLayout(t *testing.T) {
 	// plus one trunk.
 	sw := legacy.NewSwitch("h-sw", 4)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +122,7 @@ func TestDriverConfiguresHARMLESSLayout(t *testing.T) {
 func TestDriverShutdown(t *testing.T) {
 	sw := legacy.NewSwitch("sd-sw", 2)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +145,7 @@ func TestDriverInterfaceStatuses(t *testing.T) {
 	sw := legacy.NewSwitch("st-sw", 3)
 	_ = sw.SetPortShutdown(2, true)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +172,7 @@ func TestDriverInterfaceStatuses(t *testing.T) {
 func TestDriverRejectsBadCommand(t *testing.T) {
 	sw := legacy.NewSwitch("err-sw", 2)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,43 +188,33 @@ func TestDriverRejectsBadCommand(t *testing.T) {
 	}
 }
 
-func TestProbeAutodetect(t *testing.T) {
+// TestNewDriverAutodetect: NewDriver tells the two dialects apart from
+// "show version" alone, and the driver it returns configures the port
+// under the dialect's own interface names.
+func TestNewDriverAutodetect(t *testing.T) {
 	for _, tc := range []struct {
 		dialect legacy.Dialect
 		vendor  string
+		ifName  string
 	}{
-		{legacy.DialectCiscoish, "ciscoish"},
-		{legacy.DialectAristaish, "aristaish"},
+		{legacy.DialectCiscoish, "ciscoish", "GigabitEthernet0/1"},
+		{legacy.DialectAristaish, "aristaish", "Ethernet1"},
 	} {
 		sw := legacy.NewSwitch("probe-sw", 2)
-		addr := newDeviceRig(t, sw, tc.dialect)
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := Probe(conn)
+		d, err := connect(newDeviceRig(t, sw, tc.dialect))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.vendor, err)
 		}
-		if d.Vendor() != tc.vendor {
-			t.Errorf("detected %s, want %s", d.Vendor(), tc.vendor)
+		if d.Vendor() != tc.vendor || d.InterfaceName(1) != tc.ifName {
+			t.Errorf("detected %s naming %s, want %s naming %s", d.Vendor(), d.InterfaceName(1), tc.vendor, tc.ifName)
 		}
-		// The probed driver must be usable.
 		if err := d.ConfigureAccessPort(1, 33); err != nil {
-			t.Errorf("%s: configure after probe: %v", tc.vendor, err)
+			t.Errorf("%s: configure after autodetect: %v", tc.vendor, err)
 		}
 		if sw.Config().Ports[1].PVID != 33 {
 			t.Errorf("%s: config not applied", tc.vendor)
 		}
 		d.Close()
-	}
-}
-
-func TestNewDriverUnknownVendor(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer c2.Close()
-	if _, err := NewDriver(c1, "junosish"); err == nil {
-		t.Error("expected error for unknown vendor")
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 func TestDriverRejectedVLANRetag(t *testing.T) {
 	sw := legacy.NewSwitch("retag-sw", 4)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestDriverRejectedVLANRetag(t *testing.T) {
 func TestDriverTrunkPortConflict(t *testing.T) {
 	sw := legacy.NewSwitch("trunk-sw", 4)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestDriverTrunkPortConflict(t *testing.T) {
 func TestDriverRemoveVLAN(t *testing.T) {
 	sw := legacy.NewSwitch("rm-sw", 4)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSNMPTimeoutFallsBackToCLI(t *testing.T) {
 	// Same device, CLI path: still answers.
 	sw := legacy.NewSwitch("quiet-snmp-sw", 4)
 	addr := newDeviceRig(t, sw, legacy.DialectCiscoish)
-	d, err := Connect(addr, "ciscoish")
+	d, err := connect(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

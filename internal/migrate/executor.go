@@ -289,12 +289,3 @@ func (x *Executor) Close() error {
 	}
 	return errors.Join(errs...)
 }
-
-// Run plans and executes a campaign in one call.
-func Run(spec Spec, wallBudget time.Duration) (*Report, error) {
-	x, err := NewExecutor(spec)
-	if err != nil {
-		return nil, err
-	}
-	return x.Run(wallBudget)
-}

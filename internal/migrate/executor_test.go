@@ -115,19 +115,28 @@ func TestCampaignEndToEnd(t *testing.T) {
 	}
 }
 
+// runCampaign plans and executes spec, failing the test on an
+// operational error.
+func runCampaign(t *testing.T, spec Spec) *Report {
+	t.Helper()
+	x, err := NewExecutor(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := x.Run(testWallBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestCampaignDeterministicDigest runs the identical faulted campaign
 // twice; the reports must agree byte for byte modulo wall time.
 func TestCampaignDeterministicDigest(t *testing.T) {
 	spec := threeWaveSpec()
 	spec.Faults = []FaultSpec{{Kind: FaultServerDown, Switch: "bravo"}}
-	a, err := Run(spec, testWallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(spec, testWallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runCampaign(t, spec)
+	b := runCampaign(t, spec)
 	if a.Digest != b.Digest {
 		t.Fatalf("digests diverge:\n  run1 %s\n  run2 %s", a.Digest, b.Digest)
 	}
@@ -145,10 +154,7 @@ func TestCampaignDeterministicDigest(t *testing.T) {
 func TestCampaignControllerLossSurvives(t *testing.T) {
 	spec := threeWaveSpec()
 	spec.Faults = []FaultSpec{{Kind: FaultCtrlLoss, Switch: "alpha"}}
-	rep, err := Run(spec, testWallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runCampaign(t, spec)
 	if !rep.Pass {
 		t.Fatalf("campaign failed: %v", rep.Failures)
 	}
@@ -170,10 +176,7 @@ func TestCampaignControllerLossSurvives(t *testing.T) {
 func TestCampaignTrunkFlapRollsBack(t *testing.T) {
 	spec := threeWaveSpec()
 	spec.Faults = []FaultSpec{{Kind: FaultTrunkFlap, Switch: "charlie"}}
-	rep, err := Run(spec, testWallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runCampaign(t, spec)
 	if !rep.Pass {
 		t.Fatalf("campaign failed: %v", rep.Failures)
 	}
@@ -192,10 +195,7 @@ func TestCampaignTrunkFlapRollsBack(t *testing.T) {
 // TestCampaignCleanRun: no faults, every wave commits, spend equals the
 // full plan.
 func TestCampaignCleanRun(t *testing.T) {
-	rep, err := Run(threeWaveSpec(), testWallBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runCampaign(t, threeWaveSpec())
 	if !rep.Pass || rep.CommittedWaves != 3 {
 		t.Fatalf("clean campaign: pass=%v committed=%d failures=%v", rep.Pass, rep.CommittedWaves, rep.Failures)
 	}

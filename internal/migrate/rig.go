@@ -82,7 +82,7 @@ func newSwitchRig(eng *sim.Engine, idx int, spec SwitchSpec) (*switchRig, error)
 	cli := legacy.NewCLIServer(r.sw, legacy.DialectCiscoish)
 	clientSide, serverSide := net.Pipe()
 	go cli.ServeConn(serverSide) //nolint:errcheck
-	driver, err := mgmt.NewDriver(clientSide, "ciscoish")
+	driver, err := mgmt.NewDriver(clientSide)
 	if err != nil {
 		return nil, fmt.Errorf("migrate: %s: cli session: %w", spec.Name, err)
 	}

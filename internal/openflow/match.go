@@ -1,7 +1,6 @@
 package openflow
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -293,22 +292,6 @@ func (m *Match) String() string {
 		b.WriteString(o.String())
 	}
 	return b.String()
-}
-
-// Equal reports whether two matches contain the same TLVs in the same
-// order.
-func (m *Match) Equal(other *Match) bool {
-	if len(m.OXMs) != len(other.OXMs) {
-		return false
-	}
-	for i := range m.OXMs {
-		a, b := m.OXMs[i], other.OXMs[i]
-		if a.Field != b.Field || a.HasMask != b.HasMask ||
-			!bytes.Equal(a.Value, b.Value) || !bytes.Equal(a.Mask, b.Mask) {
-			return false
-		}
-	}
-	return true
 }
 
 // appendTo encodes an ofp_match structure including padding to 8 bytes.

@@ -60,9 +60,6 @@ func (h *IPv4Header) NextLayerType() LayerType {
 	return LayerTypePayload
 }
 
-// HeaderLen returns the header length in bytes including options.
-func (h *IPv4Header) HeaderLen() int { return IPv4MinHeaderLen + len(h.Options) }
-
 // DecodeFromBytes implements Layer.
 func (h *IPv4Header) DecodeFromBytes(data []byte) error {
 	if len(data) < IPv4MinHeaderLen {
@@ -122,16 +119,6 @@ func (h *IPv4Header) SerializeTo(b *SerializeBuffer) error {
 	h.Checksum = Checksum(hdr[:hl])
 	binary.BigEndian.PutUint16(hdr[10:12], h.Checksum)
 	return nil
-}
-
-// VerifyChecksum recomputes the header checksum over raw (which must be
-// the full header bytes) and reports whether it is consistent.
-func (h *IPv4Header) VerifyChecksum(raw []byte) bool {
-	hl := h.HeaderLen()
-	if len(raw) < hl {
-		return false
-	}
-	return Checksum(raw[:hl]) == 0 // sum including stored checksum folds to 0
 }
 
 // String summarizes the header for diagnostics.

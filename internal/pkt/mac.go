@@ -92,9 +92,6 @@ func (m MAC) String() string {
 	return string(buf)
 }
 
-// IsBroadcast reports whether m is the all-ones broadcast address.
-func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
-
 // IsMulticast reports whether the group bit (LSB of the first octet) is
 // set. Broadcast is a special case of multicast.
 func (m MAC) IsMulticast() bool { return m[0]&0x01 != 0 }
@@ -166,27 +163,8 @@ func IPv4FromUint32(v uint32) IPv4 {
 	return IPv4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
 }
 
-// IsBroadcast reports whether ip is the limited broadcast address
-// 255.255.255.255.
-func (ip IPv4) IsBroadcast() bool { return ip == IPv4{255, 255, 255, 255} }
-
-// IsMulticast reports whether ip is in 224.0.0.0/4.
-func (ip IPv4) IsMulticast() bool { return ip[0]&0xf0 == 0xe0 }
-
 // IsZero reports whether ip is 0.0.0.0.
 func (ip IPv4) IsZero() bool { return ip == IPv4{} }
-
-// Mask applies a prefix-length mask and returns the network address.
-func (ip IPv4) Mask(prefixLen int) IPv4 {
-	if prefixLen <= 0 {
-		return IPv4{}
-	}
-	if prefixLen >= 32 {
-		return ip
-	}
-	mask := ^uint32(0) << (32 - uint(prefixLen))
-	return IPv4FromUint32(ip.Uint32() & mask)
-}
 
 // IPv6 is a 128-bit IPv6 address in network byte order.
 type IPv6 [16]byte

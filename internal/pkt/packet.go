@@ -73,15 +73,9 @@ func newLayer(t LayerType) Layer {
 	return nil
 }
 
-// Data returns the raw bytes the packet was decoded from.
-func (p *Packet) Data() []byte { return p.data }
-
 // Err returns the decode error encountered, if any. Layers decoded
 // before the error are still available.
 func (p *Packet) Err() error { return p.err }
-
-// Layers returns the decoded layer stack in wire order.
-func (p *Packet) Layers() []Layer { return p.layers }
 
 // Layer returns the first layer of the given type, or nil.
 func (p *Packet) Layer(t LayerType) Layer {
@@ -97,14 +91,6 @@ func (p *Packet) Layer(t LayerType) Layer {
 func (p *Packet) Ethernet() *Ethernet {
 	if l := p.Layer(LayerTypeEthernet); l != nil {
 		return l.(*Ethernet)
-	}
-	return nil
-}
-
-// VLAN returns the outermost 802.1Q tag, or nil if untagged.
-func (p *Packet) VLAN() *Dot1Q {
-	if l := p.Layer(LayerTypeDot1Q); l != nil {
-		return l.(*Dot1Q)
 	}
 	return nil
 }

@@ -26,7 +26,6 @@ import (
 type Engine struct {
 	clock *netem.ManualClock
 	rng   *rand.Rand
-	seed  int64
 	start time.Time
 }
 
@@ -36,21 +35,13 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{
 		clock: c,
 		rng:   rand.New(rand.NewSource(seed)),
-		seed:  seed,
 		start: c.Now(),
 	}
 }
 
 // Clock exposes the engine's scheduler for injection into netem links,
-// softswitch instances, telemetry aggregators and control channels.
+// softswitch instances and control channels.
 func (e *Engine) Clock() *netem.ManualClock { return e.clock }
-
-// Rand is the run's single PRNG stream. Deterministic use requires all
-// draws to happen on the event loop goroutine in event order.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
-
-// Seed returns the run seed.
-func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Time { return e.clock.Now() }

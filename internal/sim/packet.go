@@ -366,15 +366,6 @@ func (s *PacketSim) finish(st RunStats, wallStart time.Time) {
 	r.Digest = r.digest()
 }
 
-// Switch exposes a datapath by node name for counter cross-checks.
-func (s *PacketSim) Switch(name string) *softswitch.Switch {
-	id, ok := s.topo.NodeByName(name)
-	if !ok {
-		return nil
-	}
-	return s.switches[id]
-}
-
 // Close tears down links and the control-plane rig; the returned
 // error aggregates controller transport close failures.
 func (s *PacketSim) Close() error {

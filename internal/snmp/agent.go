@@ -86,13 +86,6 @@ func (m *MIB) next(oid OID) *mibNode {
 	return nil
 }
 
-// Len returns the number of registered objects.
-func (m *MIB) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.nodes)
-}
-
 // Agent serves a MIB over a packet connection using SNMPv2c.
 type Agent struct {
 	mib       *MIB

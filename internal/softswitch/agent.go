@@ -91,9 +91,6 @@ func (a *Agent) Stop() {
 	})
 }
 
-// Done is closed when the agent terminates.
-func (a *Agent) Done() <-chan struct{} { return a.done }
-
 // sweeper drives periodic flow expiry on the switch's clock: wall
 // time normally, virtual time when the switch was built WithClock on a
 // netem.Scheduler (the fleet simulator's idle aging).

@@ -48,16 +48,3 @@ func (b *bufferPool) take(id uint32) (frame []byte, inPort uint32, ok bool) {
 	b.mu.Unlock()
 	return got.frame, got.inPort, got.frame != nil
 }
-
-// Len returns the number of buffered frames.
-func (b *bufferPool) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for i := range b.slots {
-		if b.slots[i].frame != nil {
-			n++
-		}
-	}
-	return n
-}

@@ -287,8 +287,10 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 	}
 	telC, telP := telemetry.NewTable(telemetry.Config{}), telemetry.NewTable(telemetry.Config{})
 	exportsC, exportsP := walkExports{}, walkExports{}
-	cached, order, egressC := walkSwitch(t, clk, WithFlowCacheSize(cacheSize), WithTelemetry(telC))
-	plain, _, egressP := walkSwitch(t, clk, WithFlowCacheSize(0), WithTelemetry(telP))
+	cached, order, egressC := walkSwitch(t, clk, WithFlowCacheSize(cacheSize))
+	plain, _, egressP := walkSwitch(t, clk, WithFlowCacheSize(0))
+	cached.SetTelemetry(telC)
+	plain.SetTelemetry(telP)
 	both := func(apply func(sw *Switch) error) {
 		t.Helper()
 		errC, errP := apply(cached), apply(plain)

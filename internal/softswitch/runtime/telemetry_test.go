@@ -27,7 +27,8 @@ func TestPoolTelemetryExactUnderConcurrency(t *testing.T) {
 	agg := telemetry.NewAggregator(tab, col, time.Millisecond)
 	agg.Start()
 
-	sw, _ := newForwardSwitch(t, softswitch.WithTelemetry(tab))
+	sw, _ := newForwardSwitch(t)
+	sw.SetTelemetry(tab)
 	pool := ssruntime.New(sw, ssruntime.Config{Workers: workers})
 	pool.Start()
 
@@ -86,7 +87,8 @@ func TestPoolIdleSweepExpiresFlows(t *testing.T) {
 		IdleTimeout:   10 * time.Millisecond,
 		SweepInterval: time.Millisecond,
 	})
-	sw, _ := newForwardSwitch(t, softswitch.WithTelemetry(tab))
+	sw, _ := newForwardSwitch(t)
+	sw.SetTelemetry(tab)
 	pool := ssruntime.New(sw, ssruntime.Config{Workers: 2})
 	pool.Start()
 	defer pool.Stop()
@@ -131,7 +133,8 @@ func TestPoolTelemetryFromSwitch(t *testing.T) {
 	col := telemetry.NewCollector()
 	agg := telemetry.NewAggregator(tab, col, time.Hour) // drained by Flush below, not by its timer
 
-	sw, _ := newForwardSwitch(t, softswitch.WithTelemetry(tab), softswitch.WithClock(manual))
+	sw, _ := newForwardSwitch(t, softswitch.WithClock(manual))
+	sw.SetTelemetry(tab)
 	pool := ssruntime.New(sw, ssruntime.Config{Workers: 2})
 	pool.Start()
 	gen := fabric.NewUDPGenerator(64, 16, 5)

@@ -142,12 +142,6 @@ func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
 // n entries (n <= 0 disables the cache).
 func WithFlowCacheSize(n int) Option { return func(s *Switch) { s.cacheSize = n } }
 
-// WithTelemetry attaches a flow-telemetry table at construction time
-// (SetTelemetry attaches one to a running switch).
-func WithTelemetry(t *telemetry.Table) Option {
-	return func(s *Switch) { s.telemetry.Store(t) }
-}
-
 // WithNumTables sets the pipeline depth (n <= 0 keeps the default).
 func WithNumTables(n int) Option { return func(s *Switch) { s.numTables = n } }
 
@@ -180,9 +174,6 @@ func New(name string, dpid uint64, opts ...Option) *Switch {
 	return s
 }
 
-// Name returns the switch name.
-func (s *Switch) Name() string { return s.name }
-
 // DatapathID returns the datapath id.
 func (s *Switch) DatapathID() uint64 { return s.dpid }
 
@@ -199,9 +190,6 @@ func (s *Switch) Table(id uint8) *flowtable.Table {
 
 // Groups exposes the group table.
 func (s *Switch) Groups() *flowtable.GroupTable { return s.groups }
-
-// Meters exposes the meter table.
-func (s *Switch) Meters() *flowtable.MeterTable { return s.meters }
 
 // PacketIns returns the count of packets sent to the controller.
 func (s *Switch) PacketIns() uint64 { return s.pktIns.Load() }

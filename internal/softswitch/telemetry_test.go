@@ -29,7 +29,8 @@ func (d *discardBackend) TransmitBatch(f [][]byte) { d.frames += len(f) }
 func telSwitch(t testing.TB, cfg telemetry.Config, opts ...Option) (*Switch, *telemetry.Table) {
 	t.Helper()
 	tab := telemetry.NewTable(cfg)
-	sw := New("tel", 0x7e1, append(opts, WithTelemetry(tab))...)
+	sw := New("tel", 0x7e1, opts...)
+	sw.SetTelemetry(tab)
 	l := netem.NewLink(netem.LinkConfig{})
 	t.Cleanup(l.Close)
 	sw.AttachNetPort(1, "in", l.A())
@@ -305,7 +306,8 @@ func TestTelemetryZeroAllocCacheHit(t *testing.T) {
 		SampleRate:    64,
 		SweepInterval: time.Hour, // keep the sweep out of the measured window
 	})
-	sw := New("tel", 0x7e2, WithTelemetry(tab))
+	sw := New("tel", 0x7e2)
+	sw.SetTelemetry(tab)
 	sw.AttachPort(2, "out", &discardBackend{})
 	m := openflow.Match{}
 	m.WithInPort(1)

@@ -58,9 +58,6 @@ func NewShardedCounter(n int) *ShardedCounter {
 // synchronization against other shards.
 func (s *ShardedCounter) Shard(i int) *Counter { return &s.shards[i].Counter }
 
-// Shards returns the shard count.
-func (s *ShardedCounter) Shards() int { return len(s.shards) }
-
 // Load returns the sum over all shards.
 func (s *ShardedCounter) Load() uint64 {
 	var t uint64
@@ -355,24 +352,6 @@ func (d *Distribution) Add(key string, n uint64) {
 	d.mu.Lock()
 	d.m[key] += n
 	d.mu.Unlock()
-}
-
-// Get returns the count for key.
-func (d *Distribution) Get(key string) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.m[key]
-}
-
-// Total returns the sum over all keys.
-func (d *Distribution) Total() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var t uint64
-	for _, v := range d.m {
-		t += v
-	}
-	return t
 }
 
 // Shares returns keys sorted lexicographically with their fraction of

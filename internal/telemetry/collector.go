@@ -292,13 +292,6 @@ func (c *Collector) Stats() (messages, records, samples, errs uint64) {
 	return c.messages, c.records, c.samples, c.decodeErrs
 }
 
-// SampleBytes returns the byte sum over received packet samples.
-func (c *Collector) SampleBytes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sampleByte
-}
-
 // Flows returns the accumulated flows sorted by total bytes
 // (forward + reverse) descending.
 func (c *Collector) Flows() []CollectedFlow {
@@ -325,15 +318,6 @@ func (c *Collector) Top(n int) []CollectedFlow {
 		fl = fl[:n]
 	}
 	return fl
-}
-
-// Reset drops all accumulated flows and counters (templates are kept).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.flows = make(map[FlowKey]*CollectedFlow)
-	c.messages, c.records, c.samples, c.decodeErrs = 0, 0, 0, 0
-	c.totalPackets, c.totalBytes, c.sampleByte = 0, 0, 0
 }
 
 // ServeUDP reads exported messages from pc and consumes them until the

@@ -188,16 +188,6 @@ func NewAggregator(t *Table, exp Exporter, flush time.Duration) *Aggregator {
 	}
 }
 
-// SetClock makes the flush timer and export timestamps run on c —
-// virtual time when c is a netem.Scheduler (the fleet simulator's
-// export timers). Call before Start; the default is the wall clock.
-func (a *Aggregator) SetClock(c netem.Clock) *Aggregator {
-	if c != nil {
-		a.clock = c
-	}
-	return a
-}
-
 // Clock returns the aggregator's timebase so companion views (the
 // /flows HTTP handler) can timestamp against the same timeline.
 func (a *Aggregator) Clock() netem.Clock { return a.clock }

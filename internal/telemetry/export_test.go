@@ -156,3 +156,23 @@ func TestCanonKeyARPFlowsDistinct(t *testing.T) {
 		t.Fatal("ARP request/reply directions do not merge")
 	}
 }
+
+// SampleBytes returns the byte sum over received packet samples.
+func (c *Collector) SampleBytes() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sampleByte
+}
+
+// Sequence returns the number of data records encoded so far.
+func (e *Encoder) Sequence() uint32 { return e.seq }
+
+// SetClock makes the flush timer and export timestamps run on c —
+// virtual time when c is a netem.Scheduler. Call before Start; the
+// default is the wall clock.
+func (a *Aggregator) SetClock(c netem.Clock) *Aggregator {
+	if c != nil {
+		a.clock = c
+	}
+	return a
+}

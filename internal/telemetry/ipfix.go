@@ -260,7 +260,4 @@ func (e *Encoder) encodeOne(flows []WireRecord, samples []WireSample, exportTime
 	return b
 }
 
-// Sequence returns the number of data records encoded so far.
-func (e *Encoder) Sequence() uint32 { return e.seq }
-
 var errShortMessage = fmt.Errorf("telemetry: truncated ipfix message")

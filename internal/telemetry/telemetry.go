@@ -244,9 +244,6 @@ func (t *Table) Counters() *stats.TelemetryCounters { return &t.counters }
 // Ring exposes the shard-drain ring (consumed by the Aggregator).
 func (t *Table) Ring() *dataplane.TypedRing[Export] { return t.ring }
 
-// Shards returns the shard count.
-func (t *Table) Shards() int { return len(t.shards) }
-
 // Len returns the number of live flow records (diagnostics only).
 func (t *Table) Len() int {
 	n := 0
