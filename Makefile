@@ -32,7 +32,7 @@ lint:
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
 # numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
 # either exceeds its ceiling (the round's acceptance line in ROADMAP).
-LOC_CEILING    := 25611
+LOC_CEILING    := 25500
 DESIGN_CEILING := 800
 
 loc:

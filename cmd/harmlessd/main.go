@@ -56,9 +56,14 @@ func main() {
 	httpListen := flag.String("http", "", "serve the live telemetry endpoints (/flows, /stats) on this address (empty = off)")
 	flag.Parse()
 
-	dialect := legacy.DialectCiscoish
-	if *dialectName == "aristaish" {
+	var dialect legacy.Dialect
+	switch *dialectName {
+	case legacy.DialectCiscoish.String():
+		dialect = legacy.DialectCiscoish
+	case legacy.DialectAristaish.String():
 		dialect = legacy.DialectAristaish
+	default:
+		fatal("unknown -dialect %q (want %s or %s)", *dialectName, legacy.DialectCiscoish, legacy.DialectAristaish)
 	}
 
 	var ctrlAddrs []string
@@ -158,11 +163,9 @@ func main() {
 			SampleRate: *sampleRate,
 		})
 		// The in-process collector only accumulates when something
-		// reads it (the /stats view) — and bounded, so an unattended
-		// daemon under endless flow churn cannot grow without limit.
+		// reads it (the /stats view).
 		var exps telemetry.TeeExporter
 		if *httpListen != "" {
-			telCol.SetMaxFlows(1 << 16)
 			exps = append(exps, telCol)
 		}
 		if *telemetryExport != "" {

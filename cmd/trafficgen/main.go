@@ -117,7 +117,7 @@ func runMix(cfg mixConfig) {
 	defer agg.Stop()
 
 	sw := mixSwitch(tab)
-	gen := fabric.NewMixGenerator(64, cfg.elephants, cfg.flows, cfg.mouseLife, 0.8, 42)
+	gen := fabric.NewMixGenerator(cfg.elephants, cfg.flows, cfg.mouseLife, 0.8, 42)
 	fmt.Printf("mix: %d elephants (80%% of packets) + %d active mice over a pool of %d flows, %s\n",
 		cfg.elephants, cfg.flows, gen.DistinctFlows(), cfg.duration)
 

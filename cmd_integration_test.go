@@ -49,6 +49,20 @@ func TestBinaryHarmlessdOneshot(t *testing.T) {
 	}
 }
 
+// A mistyped -dialect is refused, not run as the wrong vendor's CLI.
+func TestBinaryHarmlessdRejectsUnknownDialect(t *testing.T) {
+	bin := buildBinaries(t)
+	out, err := exec.Command(filepath.Join(bin, "harmlessd"), "-dialect", "bogus", "-oneshot").CombinedOutput()
+	if err == nil {
+		t.Fatalf("harmlessd -dialect bogus exited 0:\n%s", out)
+	}
+	for _, want := range []string{"bogus", "ciscoish", "aristaish"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("error output does not name %q:\n%s", want, out)
+		}
+	}
+}
+
 func TestBinaryCostcalc(t *testing.T) {
 	bin := buildBinaries(t)
 	out, err := exec.Command(filepath.Join(bin, "costcalc"), "-ports", "48").CombinedOutput()

@@ -72,21 +72,14 @@ func (s State) String() string {
 // transport.
 var ErrChannelDown = fmt.Errorf("controlplane: channel down")
 
-// Config tunes a channel's liveness probing and reconnect behavior.
-// The zero value picks the defaults below.
+// Config tunes a channel's liveness probing. The zero value picks the
+// defaults below.
 type Config struct {
 	// EchoInterval between keepalive ECHO_REQUESTs (default 5s;
-	// negative disables keepalive probing entirely).
+	// negative disables keepalive probing entirely). The peer is
+	// declared dead when nothing (echo reply or any other message) has
+	// been received for deadIntervals × EchoInterval.
 	EchoInterval time.Duration
-	// EchoTimeout declares the peer dead when nothing (echo reply or
-	// any other message) has been received for this long (default
-	// 3 x EchoInterval).
-	EchoTimeout time.Duration
-	// BackoffMin is the first redial delay in active-connect mode
-	// (default 50ms); each failed attempt doubles it up to BackoffMax
-	// (default 5s).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
 	// Logger for channel lifecycle diagnostics (default: discard).
 	Logger *log.Logger
 	// Clock drives the keepalive timers, dead-peer idle measurement
@@ -100,15 +93,6 @@ func (c Config) withDefaults() Config {
 	if c.EchoInterval == 0 {
 		c.EchoInterval = 5 * time.Second
 	}
-	if c.EchoTimeout <= 0 {
-		c.EchoTimeout = 3 * c.EchoInterval
-	}
-	if c.BackoffMin <= 0 {
-		c.BackoffMin = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 5 * time.Second
-	}
 	if c.Logger == nil {
 		c.Logger = log.New(io.Discard, "", 0)
 	}
@@ -118,17 +102,52 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// backoff returns the delay before redial attempt n (0-based),
-// doubling from BackoffMin and saturating at BackoffMax.
-func (c Config) backoff(attempt int) time.Duration {
-	d := c.BackoffMin
-	for i := 0; i < attempt && d < c.BackoffMax; i++ {
+// The redial delay in active-connect mode starts at backoffMin and
+// doubles with each failed attempt up to backoffMax.
+const (
+	backoffMin = 50 * time.Millisecond
+	backoffMax = 5 * time.Second
+)
+
+// backoff returns the delay before redial attempt n (0-based).
+func backoff(attempt int) time.Duration {
+	d := backoffMin
+	for i := 0; i < attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.BackoffMax {
-		d = c.BackoffMax
+	return min(d, backoffMax)
+}
+
+// deadIntervals is how many echo intervals without a received message
+// declare the peer dead.
+const deadIntervals = 3
+
+// keepalive probes the peer behind conn with ECHO_REQUEST every
+// cfg.EchoInterval and calls dead once nothing has been received (per
+// lastRx, in unix nanoseconds on cfg.Clock) for deadIntervals ×
+// EchoInterval. It returns then, or when stop or done closes. Both ends
+// of a channel run it.
+func keepalive(cfg Config, conn *openflow.Conn, lastRx *atomic.Int64, stop, done <-chan struct{}, dead func(idle time.Duration)) {
+	if cfg.EchoInterval < 0 {
+		return
 	}
-	return d
+	t := netem.NewTicker(cfg.Clock, cfg.EchoInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-done:
+			return
+		case <-t.C:
+			idle := cfg.Clock.Now().Sub(time.Unix(0, lastRx.Load()))
+			if idle > deadIntervals*cfg.EchoInterval {
+				dead(idle)
+				return
+			}
+			_ = conn.Send(&openflow.EchoRequest{})
+		}
+	}
 }
 
 // Endpoint names one controller a switch should keep a channel to:
@@ -308,8 +327,8 @@ func (c *Channel) runDial() {
 		c.state.Store(int32(StateConnecting))
 		rw, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
-			c.cfg.Logger.Printf("controlplane: dial %s: %v (retry in %v)", c.addr, err, c.cfg.backoff(attempt))
-			if !c.sleep(c.cfg.backoff(attempt)) {
+			c.cfg.Logger.Printf("controlplane: dial %s: %v (retry in %v)", c.addr, err, backoff(attempt))
+			if !c.sleep(backoff(attempt)) {
 				return
 			}
 			attempt++
@@ -322,7 +341,7 @@ func (c *Channel) runDial() {
 			return
 		}
 		c.cfg.Logger.Printf("controlplane: channel to %s lost, redialing", c.addr)
-		if !c.sleep(c.cfg.backoff(0)) {
+		if !c.sleep(backoff(0)) {
 			return
 		}
 		c.redials.Add(1)
@@ -363,7 +382,12 @@ func (c *Channel) serve(rw io.ReadWriteCloser) {
 
 	if err := conn.Send(&openflow.Hello{}); err == nil {
 		stopKeep := make(chan struct{})
-		go c.keepalive(conn, stopKeep)
+		// A dead peer's transport is closed: the read loop below then
+		// unblocks and the channel redials (active mode) or ends.
+		go keepalive(c.cfg, conn, &c.lastRx, stopKeep, c.done, func(idle time.Duration) {
+			c.cfg.Logger.Printf("controlplane: peer dead (%v since last rx), tearing channel down", idle)
+			conn.Close()
+		})
 		for {
 			m, err := conn.Recv()
 			if err != nil {
@@ -384,34 +408,6 @@ func (c *Channel) serve(rw io.ReadWriteCloser) {
 	c.mu.Unlock()
 	if !c.closed() {
 		c.state.Store(int32(StateDown))
-	}
-}
-
-// keepalive probes the peer with ECHO_REQUEST every EchoInterval and
-// tears the transport down when nothing has been received for
-// EchoTimeout — the read loop then unblocks and the channel either
-// redials (active mode) or terminates (attach mode).
-func (c *Channel) keepalive(conn *openflow.Conn, stop <-chan struct{}) {
-	if c.cfg.EchoInterval < 0 {
-		return
-	}
-	t := netem.NewTicker(c.cfg.Clock, c.cfg.EchoInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-c.done:
-			return
-		case <-t.C:
-			idle := c.cfg.Clock.Now().Sub(time.Unix(0, c.lastRx.Load()))
-			if idle > c.cfg.EchoTimeout {
-				c.cfg.Logger.Printf("controlplane: peer dead (%v since last rx), tearing channel down", idle)
-				conn.Close()
-				return
-			}
-			_ = conn.Send(&openflow.EchoRequest{})
-		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/harmless-sdn/harmless/internal/netem"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 )
 
@@ -68,7 +67,9 @@ func Connect(rw io.ReadWriteCloser, cfg Config, events Events) (*Controller, err
 		c.dispatch(m)
 	}
 	go c.readLoop()
-	go c.keepalive()
+	go keepalive(c.cfg, c.conn, &c.lastRx, nil, c.done, func(idle time.Duration) {
+		c.CloseWithError(fmt.Errorf("controlplane: switch dead (%v since last rx)", idle))
+	})
 	return c, nil
 }
 
@@ -292,26 +293,4 @@ func (c *Controller) resolve(m openflow.Message) bool {
 		ch <- m
 	}
 	return ok
-}
-
-// keepalive probes the switch like the switch side probes us.
-func (c *Controller) keepalive() {
-	if c.cfg.EchoInterval < 0 {
-		return
-	}
-	t := netem.NewTicker(c.cfg.Clock, c.cfg.EchoInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-			idle := c.cfg.Clock.Now().Sub(time.Unix(0, c.lastRx.Load()))
-			if idle > c.cfg.EchoTimeout {
-				c.CloseWithError(fmt.Errorf("controlplane: switch dead (%v since last rx)", idle))
-				return
-			}
-			_ = c.conn.Send(&openflow.EchoRequest{})
-		}
-	}
 }

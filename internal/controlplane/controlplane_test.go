@@ -199,10 +199,11 @@ func TestAsyncEventFiltering(t *testing.T) {
 }
 
 // TestKeepaliveDeadPeer: a peer that stops reading and replying is
-// torn down within EchoTimeout, terminating an attached channel.
+// torn down within three echo intervals, terminating an attached
+// channel.
 func TestKeepaliveDeadPeer(t *testing.T) {
 	dp := &fakeDatapath{}
-	set := NewChannelSet(dp, Config{EchoInterval: 10 * time.Millisecond, EchoTimeout: 30 * time.Millisecond})
+	set := NewChannelSet(dp, Config{EchoInterval: 10 * time.Millisecond})
 	defer set.Close()
 
 	swSide, peer := net.Pipe()
@@ -225,11 +226,7 @@ func TestKeepaliveDeadPeer(t *testing.T) {
 // handshake once the listener returns.
 func TestDialBackoffReconnect(t *testing.T) {
 	dp := &fakeDatapath{}
-	set := NewChannelSet(dp, Config{
-		EchoInterval: time.Minute,
-		BackoffMin:   5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-	})
+	set := NewChannelSet(dp, Config{EchoInterval: time.Minute})
 	defer set.Close()
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -312,11 +309,14 @@ func TestDialBackoffReconnect(t *testing.T) {
 }
 
 func TestBackoffSchedule(t *testing.T) {
-	cfg := Config{BackoffMin: 100 * time.Millisecond, BackoffMax: time.Second}.withDefaults()
-	want := []time.Duration{100, 200, 400, 800, 1000, 1000}
+	want := []time.Duration{backoffMin, 2 * backoffMin, 4 * backoffMin}
+	for d := 8 * backoffMin; d < backoffMax; d *= 2 {
+		want = append(want, d)
+	}
+	want = append(want, backoffMax, backoffMax)
 	for i, w := range want {
-		if got := cfg.backoff(i); got != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i, got, w*time.Millisecond)
+		if got := backoff(i); got != w {
+			t.Errorf("backoff(%d) = %v, want %v", i, got, w)
 		}
 	}
 }

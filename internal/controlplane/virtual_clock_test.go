@@ -17,7 +17,6 @@ func TestChannelKeepaliveOnVirtualClock(t *testing.T) {
 	swSide, peerSide := net.Pipe()
 	set := NewChannelSet(nopDatapath{}, Config{
 		EchoInterval: 5 * time.Second,
-		EchoTimeout:  15 * time.Second,
 		Clock:        clock,
 	})
 	defer set.Close()
@@ -70,8 +69,8 @@ func TestChannelKeepaliveOnVirtualClock(t *testing.T) {
 		t.Fatal("no ECHO_REQUEST after advancing virtual time")
 	}
 
-	// The peer goes silent; advancing past EchoTimeout must tear the
-	// transport down (the peer's read loop sees the close).
+	// The peer goes silent; advancing past three echo intervals must
+	// tear the transport down (the peer's read loop sees the close).
 	deadline := time.Now().Add(10 * time.Second)
 	for ch.State() == StateUp || ch.State() == StateHandshake {
 		clock.Advance(5 * time.Second)

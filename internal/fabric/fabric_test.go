@@ -306,7 +306,7 @@ func TestPayloadIntegrityThroughHARMLESS(t *testing.T) {
 }
 
 func TestMixGeneratorShape(t *testing.T) {
-	g := NewMixGenerator(64, 4, 32, 8, 0.8, 7)
+	g := NewMixGenerator(4, 32, 8, 0.8, 7)
 	if g.DistinctFlows() != 4+8*32 {
 		t.Fatalf("distinct flows = %d", g.DistinctFlows())
 	}
@@ -385,7 +385,7 @@ func TestBuildDeploymentFailureClosesWhatItBuilt(t *testing.T) {
 // with the cause gone.
 func TestWaitConnectedReturnsAttachError(t *testing.T) {
 	ctrl := controller.New([]controller.App{&apps.Learning{Table: 0}})
-	d := &Deployment{clock: netem.RealClock{}, attached: make(chan struct{})}
+	d := &Deployment{attached: make(chan struct{})}
 	swSide, ctrlSide := net.Pipe()
 	go func() {
 		d.handle, d.attachErr = ctrl.AttachConn(ctrlSide)

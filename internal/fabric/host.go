@@ -71,14 +71,10 @@ func NewHost(name string, mac pkt.MAC, ip pkt.IPv4, port *netem.Port) *Host {
 }
 
 // SetClock runs the host's timeouts (ARP, ping, UDP, TCP, DNS waits)
-// on c — virtual time when c is a netem.Scheduler. nil is ignored;
-// the default is the wall clock. Call before issuing blocking
-// operations.
-func (h *Host) SetClock(c netem.Clock) *Host {
-	if c != nil {
-		h.clock = c
-	}
-	return h
+// on c — virtual time when c is a netem.Scheduler; the default is the
+// wall clock. Call before issuing blocking operations.
+func (h *Host) SetClock(c netem.Clock) {
+	h.clock = c
 }
 
 // after returns a one-shot timer for d on the host's clock. Callers

@@ -29,7 +29,6 @@ type Deployment struct {
 	Links     []*netem.Link
 	TrunkLink *netem.Link
 
-	clock   netem.Clock // timebase for WaitConnected's timeout
 	closers []io.Closer // management session and the controller pipe's switch end
 
 	// The in-process controller's attach: handle and attachErr are set
@@ -57,8 +56,6 @@ type DeployConfig struct {
 	LinkConfig netem.LinkConfig
 	// SweepInterval for SS_2 flow expiry (0 = disabled).
 	SweepInterval time.Duration
-	// Clock injection.
-	Clock netem.Clock
 	// DatapathID for SS_2 (0 = package default). Must be unique when
 	// several deployments share one controller.
 	DatapathID uint64
@@ -95,24 +92,17 @@ func BuildDeployment(cfg DeployConfig) (_ *Deployment, err error) {
 	if cfg.NumPorts < 2 {
 		return nil, fmt.Errorf("fabric: need >= 2 ports")
 	}
-	d := &Deployment{Hosts: make(map[int]*Host), clock: cfg.Clock}
+	d := &Deployment{Hosts: make(map[int]*Host)}
 	defer func() {
 		if err != nil {
 			d.Close()
 		}
 	}()
-	if d.clock == nil {
-		d.clock = netem.RealClock{}
-	}
-	var opts []legacy.Option
-	if cfg.Clock != nil {
-		opts = append(opts, legacy.WithClock(cfg.Clock))
-	}
 	hostname := cfg.Hostname
 	if hostname == "" {
 		hostname = "legacy-sw"
 	}
-	d.Legacy = legacy.NewSwitch(hostname, cfg.NumPorts, opts...)
+	d.Legacy = legacy.NewSwitch(hostname, cfg.NumPorts)
 	d.CLI = legacy.NewCLIServer(d.Legacy, cfg.Dialect)
 
 	trunkPort := cfg.NumPorts
@@ -133,7 +123,7 @@ func BuildDeployment(cfg DeployConfig) (_ *Deployment, err error) {
 		link := netem.NewLink(lc)
 		d.Links = append(d.Links, link)
 		d.Legacy.AttachPort(p, link.A())
-		d.Hosts[p] = NewHost(fmt.Sprintf("h%d", p), HostMAC(p), HostIP(p), link.B()).SetClock(cfg.Clock)
+		d.Hosts[p] = NewHost(fmt.Sprintf("h%d", p), HostMAC(p), HostIP(p), link.B())
 	}
 
 	// Trunk link between the legacy switch and SS_1.
@@ -176,11 +166,9 @@ func BuildDeployment(cfg DeployConfig) (_ *Deployment, err error) {
 
 	// Manager deploy.
 	d.Manager = harmless.NewManager(driver, nil, harmless.ManagerConfig{
-		TrunkPort:     trunkPort,
 		AccessPorts:   cfg.AccessPorts,
 		SweepInterval: cfg.SweepInterval,
 		ControlPlane:  cfg.ControlPlane,
-		Clock:         cfg.Clock,
 		DatapathID:    cfg.DatapathID,
 	})
 	if d.S4, err = d.Manager.Deploy(d.TrunkLink.B(), endpoints); err != nil {
@@ -210,10 +198,9 @@ func (d *Deployment) Close() {
 // WaitConnected blocks until the in-process controller has attached to
 // SS_2, its apps' SwitchConnected hooks have run, and a barrier has
 // confirmed the flows they sent are installed. It returns the attach
-// error if there was one. The timeout runs on the deployment's injected
-// clock (DeployConfig.Clock).
+// error if there was one. The timeout runs on the wall clock.
 func (d *Deployment) WaitConnected(timeout time.Duration) error {
-	t := netem.NewTimer(d.clock, timeout)
+	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
 	case <-d.attached:

@@ -215,13 +215,13 @@ type MixGenerator struct {
 	churned       int
 }
 
-// NewMixGenerator builds a mix of `elephants` long-lived flows taking
-// elephantShare of the packets and `mice` concurrently active
-// short-lived flows, each living for roughly `mouseLife` of its own
-// packets before being replaced by a brand-new flow. The mouse pool
-// holds 8x the active window, so the mix replays ~8*mice distinct
-// short-lived flows before reusing a tuple.
-func NewMixGenerator(size, elephants, mice, mouseLife int, elephantShare float64, seed int64) *MixGenerator {
+// NewMixGenerator builds a mix of 64-byte frames: `elephants`
+// long-lived flows taking elephantShare of the packets and `mice`
+// concurrently active short-lived flows, each living for roughly
+// `mouseLife` of its own packets before being replaced by a brand-new
+// flow. The mouse pool holds 8x the active window, so the mix replays
+// ~8*mice distinct short-lived flows before reusing a tuple.
+func NewMixGenerator(elephants, mice, mouseLife int, elephantShare float64, seed int64) *MixGenerator {
 	if elephants < 1 {
 		elephants = 1
 	}
@@ -234,9 +234,9 @@ func NewMixGenerator(size, elephants, mice, mouseLife int, elephantShare float64
 	if elephantShare <= 0 || elephantShare >= 1 {
 		elephantShare = 0.8
 	}
-	pool := NewUDPGenerator(size, 8*mice, seed+1)
+	pool := NewUDPGenerator(64, 8*mice, seed+1)
 	return &MixGenerator{
-		elephants:     NewUDPGenerator(size, elephants, seed),
+		elephants:     NewUDPGenerator(64, elephants, seed),
 		mice:          pool.frames,
 		window:        mice,
 		perWindow:     mouseLife * mice,

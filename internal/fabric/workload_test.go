@@ -33,7 +33,7 @@ func TestMixGeneratorElephantShare(t *testing.T) {
 	const n = 200000
 	const share = 0.8
 	const nElephants = 4
-	g := NewMixGenerator(64, nElephants, 64, 16, share, 42)
+	g := NewMixGenerator(nElephants, 64, 16, share, 42)
 	freq := make(map[string]int)
 	for i := 0; i < n; i++ {
 		freq[string(g.Next())]++
@@ -65,7 +65,7 @@ func TestMixGeneratorElephantShare(t *testing.T) {
 // Same seed, same MixGenerator stream; different seed diverges.
 func TestMixGeneratorDeterminism(t *testing.T) {
 	emit := func(seed int64) []string {
-		g := NewMixGenerator(64, 2, 16, 8, 0.8, seed)
+		g := NewMixGenerator(2, 16, 8, 0.8, seed)
 		out := make([]string, 2000)
 		for i := range out {
 			out[i] = string(g.Next())

@@ -20,6 +20,3 @@ func (mt *MeterTable) Get(id uint32) (*Meter, bool) {
 	m, ok := mt.meters[id]
 	return m, ok
 }
-
-// SetMaxFlows bounds the table size (0 = unlimited).
-func (t *Table) SetMaxFlows(n int) { t.maxFlows = n }

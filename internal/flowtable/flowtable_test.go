@@ -220,7 +220,7 @@ func TestTableAddReplacesSameMatchPriority(t *testing.T) {
 
 func TestTableMaxFlows(t *testing.T) {
 	tbl := NewTable(0, nil)
-	tbl.SetMaxFlows(2)
+	tbl.maxFlows = 2
 	for i := uint32(1); i <= 2; i++ {
 		if err := tbl.Add(&Entry{Priority: 1, Match: &Match{InPortSet: true, InPort: i}}); err != nil {
 			t.Fatal(err)

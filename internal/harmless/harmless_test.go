@@ -58,24 +58,19 @@ func TestPlanMigrationPartial(t *testing.T) {
 
 func TestPlanMigrationValidation(t *testing.T) {
 	cases := []PlanConfig{
-		{NumPorts: 1},                                           // too few ports
-		{NumPorts: 8, TrunkPort: 9},                             // bad trunk
-		{NumPorts: 8, AccessPorts: []int{8}},                    // trunk as access
-		{NumPorts: 8, AccessPorts: []int{9}},                    // out of range
-		{NumPorts: 8, AccessPorts: []int{1, 1}},                 // duplicate
-		{NumPorts: 8, AccessPorts: []int{}},                     // nothing to migrate
-		{NumPorts: 8, BaseVLAN: 4094, AccessPorts: []int{1}},    // VLAN overflow
-		{NumPorts: 8, BaseVLAN: 4093, AccessPorts: []int{1, 2}}, // VLAN overflow on 2nd
+		{NumPorts: 1},                                    // too few ports
+		{NumPorts: 8, AccessPorts: []int{8}},             // trunk as access
+		{NumPorts: 8, AccessPorts: []int{9}},             // out of range
+		{NumPorts: 8, AccessPorts: []int{1, 1}},          // duplicate
+		{NumPorts: 8, AccessPorts: []int{}},              // nothing to migrate
+		{NumPorts: 4000, AccessPorts: []int{3995}},       // VLAN overflow
+		{NumPorts: 4000, AccessPorts: []int{3994, 3995}}, // VLAN overflow on 2nd
+		{NumPorts: 70000, AccessPorts: []int{65500}},     // VLAN would wrap uint16
 	}
 	for i, cfg := range cases {
 		if _, err := PlanMigration(cfg); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-	}
-	// Native collision: BaseVLAN 0 + port... native default 1, base
-	// 100 never collides; force it.
-	if _, err := PlanMigration(PlanConfig{NumPorts: 8, BaseVLAN: 1, NativeVLAN: 2, AccessPorts: []int{1}}); err == nil {
-		t.Error("native collision accepted")
 	}
 }
 

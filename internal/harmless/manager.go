@@ -27,14 +27,12 @@ type Manager struct {
 	rolledBack bool
 }
 
-// ManagerConfig parameterizes a migration.
+// ManagerConfig parameterizes a migration. The tagging layout is
+// PlanMigration's: the highest-numbered port is the trunk and access
+// port p gets VLAN 100+p.
 type ManagerConfig struct {
-	// TrunkPort on the legacy switch (0 = highest port).
-	TrunkPort int
 	// AccessPorts to migrate (nil = all but the trunk).
 	AccessPorts []int
-	// BaseVLAN for the per-port VLANs (0 = 100).
-	BaseVLAN uint16
 	// DatapathID for SS_2 (0 = default).
 	DatapathID uint64
 	// SweepInterval for flow expiry on SS_2 (0 = disabled).
@@ -89,9 +87,7 @@ func (m *Manager) Deploy(trunkPort *netem.Port, controllers []controlplane.Endpo
 	plan, err := PlanMigration(PlanConfig{
 		Hostname:    facts.Hostname,
 		NumPorts:    facts.PortCount,
-		TrunkPort:   m.cfg.TrunkPort,
 		AccessPorts: m.cfg.AccessPorts,
-		BaseVLAN:    m.cfg.BaseVLAN,
 	})
 	if err != nil {
 		return nil, err

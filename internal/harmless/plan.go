@@ -47,30 +47,23 @@ type Plan struct {
 	// LegacySegment is true). It equals the trunk port number, which
 	// can never collide with an access port.
 	LegacySegmentPort uint32
-
-	// numPorts and baseVLAN are the PlanConfig values vlanFor checks a
-	// port against (baseVLAN with its default applied).
-	numPorts int
-	baseVLAN uint16
 }
 
-// PlanConfig parameterizes PlanMigration.
+// baseVLAN numbers the per-port VLANs: access port p gets VLAN
+// baseVLAN+p, the 101, 102, ... of the paper's Fig. 1.
+const baseVLAN = 100
+
+// PlanConfig parameterizes PlanMigration. The layout is fixed: the
+// highest-numbered port is the trunk, access port p gets VLAN 100+p,
+// and unmigrated ports stay in the legacy default VLAN.
 type PlanConfig struct {
 	// Hostname for diagnostics.
 	Hostname string
 	// NumPorts is the legacy switch's port count.
 	NumPorts int
-	// TrunkPort is the port cabled to the server; 0 selects the
-	// highest-numbered port.
-	TrunkPort int
 	// AccessPorts lists the ports to migrate; nil migrates every port
 	// except the trunk.
 	AccessPorts []int
-	// BaseVLAN: access port p gets VLAN BaseVLAN+p (default 100,
-	// giving the 101, 102, ... numbering of Fig. 1).
-	BaseVLAN uint16
-	// NativeVLAN for the unmigrated segment (default 1).
-	NativeVLAN uint16
 }
 
 // PlanMigration validates the configuration and computes the layout.
@@ -78,37 +71,18 @@ func PlanMigration(cfg PlanConfig) (*Plan, error) {
 	if cfg.NumPorts < 2 {
 		return nil, fmt.Errorf("harmless: need at least 2 ports, have %d", cfg.NumPorts)
 	}
-	trunk := cfg.TrunkPort
-	if trunk == 0 {
-		trunk = cfg.NumPorts
-	}
-	if trunk < 1 || trunk > cfg.NumPorts {
-		return nil, fmt.Errorf("harmless: trunk port %d out of range", trunk)
-	}
-	base := cfg.BaseVLAN
-	if base == 0 {
-		base = 100
-	}
-	native := cfg.NativeVLAN
-	if native == 0 {
-		native = legacy.DefaultVLAN
-	}
-
+	trunk := cfg.NumPorts
 	access := cfg.AccessPorts
 	if access == nil {
-		for p := 1; p <= cfg.NumPorts; p++ {
-			if p != trunk {
-				access = append(access, p)
-			}
+		for p := 1; p < trunk; p++ {
+			access = append(access, p)
 		}
 	}
 	plan := &Plan{
 		Hostname:    cfg.Hostname,
 		TrunkPort:   trunk,
 		VLANForPort: make(map[int]uint16, len(access)),
-		NativeVLAN:  native,
-		numPorts:    cfg.NumPorts,
-		baseVLAN:    base,
+		NativeVLAN:  legacy.DefaultVLAN,
 	}
 	for _, p := range access {
 		vlan, err := plan.vlanFor(p)
@@ -133,23 +107,23 @@ func PlanMigration(cfg PlanConfig) (*Plan, error) {
 }
 
 // vlanFor checks that port can be migrated under the plan and returns
-// its VLAN: access port p gets baseVLAN+p. PlanMigration and
-// Manager.MigratePort both take a port's VLAN from here.
+// its VLAN: access port p gets baseVLAN+p, never the native VLAN.
+// PlanMigration and Manager.MigratePort both take a port's VLAN from
+// here.
 func (p *Plan) vlanFor(port int) (uint16, error) {
-	if port < 1 || port > p.numPorts {
+	if port < 1 || port > p.TrunkPort { // the trunk is the highest port
 		return 0, fmt.Errorf("harmless: access port %d out of range", port)
 	}
 	if port == p.TrunkPort {
 		return 0, fmt.Errorf("harmless: port %d is the trunk, cannot migrate it", port)
 	}
-	vlan := p.baseVLAN + uint16(port)
-	if vlan > legacy.MaxVLAN {
+	// In int: the port count comes from the device, and a port past
+	// 65435 would wrap a uint16 sum back into the valid range.
+	vlan := baseVLAN + port
+	if vlan > int(legacy.MaxVLAN) {
 		return 0, fmt.Errorf("harmless: VLAN %d for port %d exceeds %d", vlan, port, legacy.MaxVLAN)
 	}
-	if vlan == p.NativeVLAN {
-		return 0, fmt.Errorf("harmless: VLAN %d for port %d collides with the native VLAN", vlan, port)
-	}
-	return vlan, nil
+	return uint16(vlan), nil
 }
 
 // MigratedPorts returns the migrated access ports in ascending order.

@@ -62,7 +62,7 @@ func NewExecutor(spec Spec) (*Executor, error) {
 	x := &Executor{
 		spec:      spec,
 		plan:      plan,
-		eng:       sim.NewEngine(spec.Seed),
+		eng:       sim.NewEngine(),
 		rigByName: make(map[string]*switchRig, len(spec.Switches)),
 		payload:   []byte("harmless"),
 	}

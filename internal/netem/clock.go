@@ -1,9 +1,9 @@
 // Package netem emulates the physical substrate HARMLESS runs on:
 // full-duplex point-to-point links between device ports, with optional
-// latency, bandwidth and loss models. It replaces the wires, NICs and
-// DPDK plumbing of the paper's testbed while preserving what the
-// evaluation depends on: hop count, FIFO ordering per direction, and
-// serialization/propagation delay.
+// latency and loss models. It replaces the wires, NICs and DPDK
+// plumbing of the paper's testbed while preserving what the evaluation
+// depends on: hop count, FIFO ordering per direction, and propagation
+// delay.
 //
 // Links run in one of three modes:
 //
@@ -15,14 +15,14 @@
 //     stack).
 //
 //   - Asynchronous: each direction has a FIFO queue drained by its own
-//     goroutine which applies the latency/bandwidth model in real
-//     time. Used by the latency experiments (E3).
+//     goroutine which applies the latency model in real time. Used by
+//     the latency experiments (E3).
 //
-//   - Virtual (Async plus a Scheduler): the same latency/bandwidth
-//     model, but deliveries are scheduled as virtual-time callbacks
-//     instead of goroutine sleeps. A whole fabric driven from one
-//     goroutine on one Scheduler is fully deterministic — the mode the
-//     fleet-scale simulator (internal/sim, cmd/fleetsim) runs on.
+//   - Virtual (Async plus a Scheduler): the same latency model, but
+//     deliveries are scheduled as virtual-time callbacks instead of
+//     goroutine sleeps. A whole fabric driven from one goroutine on
+//     one Scheduler is fully deterministic — the mode the fleet-scale
+//     simulator (internal/sim, cmd/fleetsim) runs on.
 //
 // # The virtual-time contract
 //

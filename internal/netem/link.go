@@ -27,16 +27,13 @@ type Receiver func(frame []byte)
 type BatchReceiver func(frames [][]byte)
 
 // LinkConfig parameterizes a link. The zero value is a synchronous,
-// lossless, zero-latency, infinite-bandwidth link — the configuration
-// used by deterministic tests.
+// lossless, zero-latency link — the configuration used by
+// deterministic tests.
 type LinkConfig struct {
-	// Async selects queued goroutine delivery with the timing model.
+	// Async selects queued goroutine delivery with the latency model.
 	Async bool
 	// Latency is the one-way propagation delay (async mode only).
 	Latency time.Duration
-	// BandwidthBps is the line rate in bits/s; 0 means infinite
-	// (async mode only).
-	BandwidthBps float64
 	// LossProb is the independent per-frame drop probability [0,1).
 	LossProb float64
 	// QueueLen is the per-direction queue capacity in frames for
@@ -48,8 +45,7 @@ type LinkConfig struct {
 	Seed int64
 	// Scheduler switches async mode to virtual-time delivery: instead
 	// of pump goroutines sleeping on the wall clock, every frame is
-	// scheduled as a Scheduler callback at its modeled arrival instant
-	// (departure per the serialization horizon, plus Latency). FIFO
+	// scheduled as a Scheduler callback Latency after it is sent. FIFO
 	// order per direction is preserved — arrival instants are
 	// monotonic per sender and equal deadlines fire in registration
 	// order. QueueLen bounds the frames in flight per direction
@@ -89,9 +85,6 @@ type Port struct {
 	// inflight counts scheduled-but-undelivered frames sent by this
 	// port (virtual mode's queue occupancy, tail-dropped at QueueLen)
 	inflight atomic.Int64
-	// timing model state, owned by the sender side
-	timeMu   sync.Mutex
-	nextFree time.Time
 }
 
 // NewLink creates a link with the given configuration and returns it;
@@ -144,14 +137,13 @@ func (l *Link) dropped() bool {
 const rxBatch = 64
 
 // pump drains the queue of frames sent by p and delivers them to the
-// peer, applying the latency/bandwidth model in real time. On an
-// untimed link (no latency, no bandwidth cap) every frame is due the
-// moment it is queued, so one wakeup drains the backlog into a vector
-// — up to rxBatch frames — and delivers it as one batch; with a
-// timing model each frame keeps its own arrival instant and is
-// delivered individually.
+// peer, applying the latency in real time. On an untimed link (no
+// latency) every frame is due the moment it is queued, so one wakeup
+// drains the backlog into a vector — up to rxBatch frames — and
+// delivers it as one batch; with a latency each frame is delivered
+// individually, Latency after it leaves the queue.
 func (l *Link) pump(p *Port) {
-	untimed := l.cfg.Latency <= 0 && l.cfg.BandwidthBps <= 0
+	untimed := l.cfg.Latency <= 0
 	var batch [][]byte
 	if untimed {
 		batch = make([][]byte, 0, rxBatch)
@@ -176,47 +168,16 @@ func (l *Link) pump(p *Port) {
 				clear(batch)
 				continue
 			}
-			arrival := l.schedule(p, len(frame))
 			// Async mode paces real goroutines on wall time; virtual mode
 			// never reaches here.
-			if d := time.Until(arrival); d > 0 {
-				select {
-				case <-time.After(d):
-				case <-l.done:
-					return
-				}
+			select {
+			case <-time.After(l.cfg.Latency):
+			case <-l.done:
+				return
 			}
 			p.peer.deliver(frame)
 		}
 	}
-}
-
-// now reads the link's timeline: the scheduler's in virtual mode, the
-// wall clock otherwise.
-func (l *Link) now() time.Time {
-	if l.sched != nil {
-		return l.sched.Now()
-	}
-	return time.Now()
-}
-
-// schedule computes the arrival time of a frame of size n sent by p,
-// advancing the sender's serialization horizon.
-func (l *Link) schedule(p *Port, n int) time.Time {
-	now := l.now()
-	p.timeMu.Lock()
-	start := p.nextFree
-	if start.Before(now) {
-		start = now
-	}
-	var ser time.Duration
-	if l.cfg.BandwidthBps > 0 {
-		ser = time.Duration(float64(n*8) / l.cfg.BandwidthBps * float64(time.Second))
-	}
-	p.nextFree = start.Add(ser)
-	dep := p.nextFree
-	p.timeMu.Unlock()
-	return dep.Add(l.cfg.Latency)
 }
 
 // Name returns the port's diagnostic name.
@@ -281,8 +242,7 @@ func (p *Port) Send(frame []byte) error {
 			return nil
 		}
 		p.inflight.Add(1)
-		arrival := l.schedule(p, len(frame))
-		l.sched.AfterFunc(arrival.Sub(l.sched.Now()), func() {
+		l.sched.AfterFunc(l.cfg.Latency, func() {
 			p.inflight.Add(-1)
 			select {
 			case <-l.done:

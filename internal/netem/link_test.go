@@ -142,36 +142,9 @@ func TestAsyncLinkLatency(t *testing.T) {
 	}
 }
 
-func TestAsyncLinkBandwidth(t *testing.T) {
-	// 1 Mbit/s; 10 frames of 1250 bytes = 10 * 10ms serialization.
-	l := NewLink(LinkConfig{Async: true, BandwidthBps: 1e6})
-	defer l.Close()
-	var rx atomic.Int64
-	done := make(chan struct{})
-	l.B().SetReceiver(func([]byte) {
-		if rx.Add(1) == 10 {
-			close(done)
-		}
-	})
-	start := time.Now()
-	for i := 0; i < 10; i++ {
-		if err := l.A().Send(make([]byte, 1250)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("timeout")
-	}
-	if el := time.Since(start); el < 80*time.Millisecond {
-		t.Errorf("10x10ms serialization finished in %v, want >= ~100ms", el)
-	}
-}
-
 func TestAsyncQueueOverflowDrops(t *testing.T) {
-	// Tiny queue and huge serialization delay: floods must tail-drop.
-	l := NewLink(LinkConfig{Async: true, QueueLen: 4, BandwidthBps: 1000})
+	// Tiny queue and a pump held up by latency: floods must tail-drop.
+	l := NewLink(LinkConfig{Async: true, QueueLen: 4, Latency: time.Second})
 	defer l.Close()
 	l.B().SetReceiver(func([]byte) {})
 	for i := 0; i < 100; i++ {

@@ -6,16 +6,15 @@ import (
 )
 
 // A virtual async link delivers nothing until the scheduler reaches
-// the modeled arrival instant, then delivers in FIFO order with exact
-// serialization + propagation timing.
+// the modeled arrival instant, send time plus Latency, then delivers in
+// FIFO order.
 func TestVirtualLinkTiming(t *testing.T) {
 	clock := NewManualClock()
 	l := NewLink(LinkConfig{
-		Async:        true,
-		Scheduler:    clock,
-		Latency:      10 * time.Millisecond,
-		BandwidthBps: 8000, // 1 byte per millisecond
-		Name:         "vt",
+		Async:     true,
+		Scheduler: clock,
+		Latency:   10 * time.Millisecond,
+		Name:      "vt",
 	})
 	defer l.Close()
 
@@ -27,28 +26,28 @@ func TestVirtualLinkTiming(t *testing.T) {
 	l.B().SetReceiver(func(f []byte) { got = append(got, arrival{clock.Now(), len(f)}) })
 
 	start := clock.Now()
-	// Two 5-byte frames back to back: serialization 5ms each, so
-	// departures at +5ms and +10ms, arrivals at +15ms and +20ms.
+	// Frames sent at +0 and +5ms arrive at +10ms and +15ms.
 	if err := l.A().Send(make([]byte, 5)); err != nil {
 		t.Fatal(err)
-	}
-	if err := l.A().Send(make([]byte, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatal("delivery before any advance")
-	}
-	clock.Advance(14 * time.Millisecond)
-	if len(got) != 0 {
-		t.Fatalf("delivery at +14ms, want first arrival at +15ms (got %d)", len(got))
-	}
-	clock.Advance(time.Millisecond)
-	if len(got) != 1 || !got[0].at.Equal(start.Add(15*time.Millisecond)) {
-		t.Fatalf("first arrival = %+v, want 1 frame at +15ms", got)
 	}
 	clock.Advance(5 * time.Millisecond)
-	if len(got) != 2 || !got[1].at.Equal(start.Add(20*time.Millisecond)) {
-		t.Fatalf("second arrival = %+v, want 2 frames by +20ms", got)
+	if err := l.A().Send(make([]byte, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatal("delivery before the latency elapsed")
+	}
+	clock.Advance(4 * time.Millisecond)
+	if len(got) != 0 {
+		t.Fatalf("delivery at +9ms, want first arrival at +10ms (got %d)", len(got))
+	}
+	clock.Advance(time.Millisecond)
+	if len(got) != 1 || got[0].len != 5 || !got[0].at.Equal(start.Add(10*time.Millisecond)) {
+		t.Fatalf("first arrival = %+v, want the 5-byte frame at +10ms", got)
+	}
+	clock.Advance(5 * time.Millisecond)
+	if len(got) != 2 || got[1].len != 6 || !got[1].at.Equal(start.Add(15*time.Millisecond)) {
+		t.Fatalf("second arrival = %+v, want the 6-byte frame at +15ms", got)
 	}
 }
 

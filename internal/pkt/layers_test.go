@@ -356,8 +356,10 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 func TestSerializeBufferGrowth(t *testing.T) {
-	b := NewSerializeBufferSize(4) // deliberately tiny: must grow
-	payload := Payload(bytes.Repeat([]byte{1}, 300))
+	b := NewSerializeBuffer()
+	// The payload fits the headroom; the UDP header then must grow the
+	// buffer, carrying the payload over.
+	payload := Payload(bytes.Repeat([]byte{1}, serializeHeadroom-6))
 	frame, err := SerializeLayers(b,
 		&Ethernet{Src: testSrcMAC, Dst: testDstMAC, EtherType: EtherTypeIPv4},
 		&IPv4Header{TTL: 1, Protocol: IPProtoUDP, Src: testSrcIP, Dst: testDstIP},
@@ -367,13 +369,16 @@ func TestSerializeBufferGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := EthernetHeaderLen + IPv4MinHeaderLen + UDPHeaderLen + 300
+	want := EthernetHeaderLen + IPv4MinHeaderLen + UDPHeaderLen + len(payload)
 	if len(frame) != want {
 		t.Errorf("len = %d, want %d", len(frame), want)
 	}
 	p := DecodeEthernet(frame)
 	if p.Err() != nil || p.UDP() == nil {
 		t.Fatalf("grown buffer produced bad frame: %s", p)
+	}
+	if !bytes.Equal(p.ApplicationPayload(), payload) {
+		t.Error("payload not carried over when the buffer grew")
 	}
 }
 

@@ -16,16 +16,14 @@ type checksumContext struct {
 	dst   IPv4
 }
 
-// NewSerializeBuffer returns a buffer with a default amount of
-// headroom suitable for a full Ethernet/IP/TCP stack.
-func NewSerializeBuffer() *SerializeBuffer {
-	return NewSerializeBufferSize(256)
-}
+// serializeHeadroom is a new buffer's initial capacity: a full
+// Ethernet/IP/TCP stack with room to spare. Headroom grows
+// automatically if exceeded.
+const serializeHeadroom = 256
 
-// NewSerializeBufferSize returns a buffer with the given initial
-// capacity (headroom grows automatically if exceeded).
-func NewSerializeBufferSize(capacity int) *SerializeBuffer {
-	return &SerializeBuffer{buf: make([]byte, capacity), start: capacity}
+// NewSerializeBuffer returns an empty buffer.
+func NewSerializeBuffer() *SerializeBuffer {
+	return &SerializeBuffer{buf: make([]byte, serializeHeadroom), start: serializeHeadroom}
 }
 
 // Bytes returns the serialized packet so far. The packet ends where the

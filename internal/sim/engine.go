@@ -1,7 +1,7 @@
 // Package sim is the deterministic fleet-scale simulation engine: a
-// discrete-event loop over netem's virtual-time ManualClock, a seeded
-// PRNG, and scenario machinery (topology, workload, fault schedule)
-// that drives the rest of the stack on virtual time. Two execution
+// discrete-event loop over netem's virtual-time ManualClock and
+// scenario machinery (topology, workload, fault schedule) that drives
+// the rest of the stack on virtual time. Two execution
 // modes share the scenario format: flow mode walks generated fabrics
 // analytically and scales to thousands of switches and millions of
 // flow arrivals; packet mode instantiates real softswitch datapaths on
@@ -13,30 +13,24 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/harmless-sdn/harmless/internal/netem"
 )
 
-// Engine couples the deterministic scheduler with the run's seeded
-// randomness. All simulation events — workload arrivals, link
-// deliveries, fault injections, timer-driven sweeps — are ManualClock
-// callbacks; Run drains them in virtual-time order.
+// Engine is the deterministic scheduler of one run. All simulation
+// events — workload arrivals, link deliveries, fault injections,
+// timer-driven sweeps — are ManualClock callbacks; Run drains them in
+// virtual-time order.
 type Engine struct {
 	clock *netem.ManualClock
-	rng   *rand.Rand
 	start time.Time
 }
 
-// NewEngine builds an engine seeded for reproducibility.
-func NewEngine(seed int64) *Engine {
+// NewEngine builds an engine at virtual time zero.
+func NewEngine() *Engine {
 	c := netem.NewManualClock()
-	return &Engine{
-		clock: c,
-		rng:   rand.New(rand.NewSource(seed)),
-		start: c.Now(),
-	}
+	return &Engine{clock: c, start: c.Now()}
 }
 
 // Clock exposes the engine's scheduler for injection into netem links,
@@ -66,12 +60,10 @@ type RunOpts struct {
 	// run start (0 = run until the event queue drains).
 	Until time.Duration
 	// WallBudget aborts the run if it burns more than this much real
-	// time (0 = unbounded). Checked between events, so one pathological
-	// callback can overshoot.
+	// time (0 = unbounded) — the runaway guard for self-rescheduling
+	// loops. Checked between events, so one pathological callback can
+	// overshoot.
 	WallBudget time.Duration
-	// MaxEvents aborts the run after this many fired events (0 =
-	// unbounded) — a runaway guard for self-rescheduling loops.
-	MaxEvents uint64
 }
 
 // RunStats reports how a Run ended.
@@ -84,9 +76,6 @@ type RunStats struct {
 
 // ErrWallBudget reports a Run aborted for exceeding RunOpts.WallBudget.
 var ErrWallBudget = errors.New("sim: wall-clock budget exceeded")
-
-// ErrMaxEvents reports a Run aborted for exceeding RunOpts.MaxEvents.
-var ErrMaxEvents = errors.New("sim: event budget exceeded")
 
 // Run executes the event loop: step to the next timer deadline, fire
 // everything due there, repeat. Returns when the queue drains, the
@@ -111,9 +100,6 @@ func (e *Engine) Run(opts RunOpts) (RunStats, error) {
 			return e.stats(fired0, wallStart), nil
 		}
 		e.clock.AdvanceTo(next)
-		if opts.MaxEvents > 0 && e.clock.Fired()-fired0 >= opts.MaxEvents {
-			return e.stats(fired0, wallStart), fmt.Errorf("%w (%d events)", ErrMaxEvents, opts.MaxEvents)
-		}
 		if step++; step&0xff == 0 && opts.WallBudget > 0 && time.Since(wallStart) > opts.WallBudget {
 			return e.stats(fired0, wallStart), fmt.Errorf("%w (%v)", ErrWallBudget, opts.WallBudget)
 		}

@@ -146,7 +146,7 @@ func NewFleetSim(sc Scenario) (*FleetSim, error) {
 		return nil, err
 	}
 	s := &FleetSim{
-		eng:       NewEngine(sc.Seed),
+		eng:       NewEngine(),
 		topo:      topo,
 		sc:        sc,
 		wl:        wl,

@@ -85,7 +85,7 @@ func NewPacketSim(sc Scenario) (*PacketSim, error) {
 		return nil, err
 	}
 	s := &PacketSim{
-		eng:       NewEngine(sc.Seed),
+		eng:       NewEngine(),
 		topo:      topo,
 		sc:        sc,
 		wl:        wl,

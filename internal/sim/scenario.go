@@ -86,8 +86,8 @@ type WorkloadSpec struct {
 	Packets     int      `json:"packets,omitempty"`
 }
 
-// Build instantiates the workload over nHosts hosts with the run seed
-// (offset so the workload stream is independent of the engine PRNG).
+// Build instantiates the workload over nHosts hosts from the run seed
+// plus one; every recorded verdict digest was drawn with that offset.
 func (w WorkloadSpec) Build(nHosts int, seed int64) (fabric.Workload, error) {
 	switch w.Kind {
 	case "poisson":

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -23,7 +25,6 @@ type Collector struct {
 	mu        sync.Mutex
 	templates map[uint16][]fieldSpec
 	flows     map[FlowKey]*CollectedFlow
-	maxFlows  int // 0 = unbounded
 
 	messages   uint64
 	records    uint64
@@ -57,16 +58,12 @@ func NewCollector() *Collector {
 	}
 }
 
-// SetMaxFlows bounds the per-flow accumulation map (0 = unbounded):
-// past the cap a pseudo-random flow is dropped to admit a new one.
-// The aggregate Totals/Stats counters are unaffected — only the
-// per-flow breakdown is bounded. Long-running daemons facing endless
-// flow churn should set this.
-func (c *Collector) SetMaxFlows(n int) {
-	c.mu.Lock()
-	c.maxFlows = n
-	c.mu.Unlock()
-}
+// maxCollectedFlows bounds a collector's per-flow map: past it a
+// pseudo-random flow is dropped to admit a new one, so a collector fed
+// endless flow churn (harmlessd, flowtop) stays bounded. The aggregate
+// Totals/Stats counters are unaffected — only the per-flow breakdown
+// is bounded.
+const maxCollectedFlows = 1 << 16
 
 // ExportMessage implements Exporter: consume the message in-process.
 func (c *Collector) ExportMessage(msg []byte) error { return c.Consume(msg) }
@@ -240,7 +237,7 @@ func (c *Collector) foldRecord(tid uint16, fields []fieldSpec, rec []byte) {
 	c.totalBytes += f.Bytes + f.RevBytes
 	acc := c.flows[f.Key]
 	if acc == nil {
-		if c.maxFlows > 0 && len(c.flows) >= c.maxFlows {
+		if len(c.flows) >= maxCollectedFlows {
 			for victim := range c.flows {
 				delete(c.flows, victim)
 				break
@@ -306,9 +303,26 @@ func (c *Collector) Flows() []CollectedFlow {
 		if bi != bj {
 			return bi > bj
 		}
-		return out[i].Key.String() < out[j].Key.String()
+		return keyLess(out[i].Key, out[j].Key)
 	})
 	return out
+}
+
+// keyLess orders flows of equal size field by field. It formats
+// nothing: a full collector sorts maxCollectedFlows keys per refresh.
+func keyLess(a, b FlowKey) bool {
+	return cmp.Or(
+		cmp.Compare(a.InPort, b.InPort),
+		bytes.Compare(a.EthSrc[:], b.EthSrc[:]),
+		bytes.Compare(a.EthDst[:], b.EthDst[:]),
+		cmp.Compare(a.EthType, b.EthType),
+		cmp.Compare(a.VLANID, b.VLANID),
+		bytes.Compare(a.IPSrc[:], b.IPSrc[:]),
+		cmp.Compare(a.L4Src, b.L4Src),
+		bytes.Compare(a.IPDst[:], b.IPDst[:]),
+		cmp.Compare(a.L4Dst, b.L4Dst),
+		cmp.Compare(a.Proto, b.Proto),
+	) < 0
 }
 
 // Top returns the n biggest flows by total bytes.

@@ -115,6 +115,33 @@ func TestCollectorAccumulatesDeltas(t *testing.T) {
 	}
 }
 
+// TestCollectorBoundsFlows: past maxCollectedFlows distinct flows the
+// per-flow map stops growing, while the totals still count every
+// record fed.
+func TestCollectorBoundsFlows(t *testing.T) {
+	enc := &Encoder{}
+	col := NewCollector()
+	const fed = maxCollectedFlows + 100
+	recs := make([]WireRecord, 0, fed)
+	for i := 0; i < fed; i++ {
+		k := mkKey(0)
+		k.IPSrc = pkt.IPv4{10, byte(i >> 16), byte(i >> 8), byte(i)}
+		recs = append(recs, WireRecord{Key: KeyFromPacket(&k), Packets: 1, Bytes: 64, First: 1e9, Last: 2e9})
+	}
+	if _, err := enc.Encode(recs, nil, 0, col.ExportMessage); err != nil {
+		t.Fatal(err)
+	}
+	if _, records, _, _ := col.Stats(); records != fed {
+		t.Fatalf("records = %d, want %d", records, fed)
+	}
+	if n := len(col.Flows()); n > maxCollectedFlows {
+		t.Errorf("flows = %d, want at most %d", n, maxCollectedFlows)
+	}
+	if pkts, bytes := col.Totals(); pkts != fed || bytes != 64*fed {
+		t.Errorf("totals = %d packets / %d bytes, want %d / %d", pkts, bytes, fed, 64*fed)
+	}
+}
+
 func TestCollectorRejectsGarbage(t *testing.T) {
 	col := NewCollector()
 	if err := col.Consume([]byte{1, 2, 3}); err == nil {
