@@ -32,7 +32,7 @@ lint:
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
 # numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
 # either exceeds its ceiling (the round's acceptance line in ROADMAP).
-LOC_CEILING    := 25500
+LOC_CEILING    := 25490
 DESIGN_CEILING := 800
 
 loc:
@@ -52,8 +52,9 @@ loc:
 # soon as a new codec lands — OpenFlow, Ethernet/DNS, the UDP-exposed
 # SNMP decoder — a flow-table lookup that stops answering like the
 # priority scan, an in-place VLAN rewrite or packed key that stops
-# agreeing with its reference, and a header parser that stops agreeing
-# with the full decoder. Every package with a Fuzz target belongs here.
+# agreeing with its reference, a header parser that stops agreeing
+# with the full decoder, and a cached S4 node (entries that follow the
+# patch ports) that stops agreeing with a walked one. Every package with a Fuzz target belongs here.
 FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp ./internal/softswitch ./internal/telemetry
 
 fuzz-smoke:
@@ -75,7 +76,7 @@ test:
 # the pair pass reruns BenchmarkManyFlows measured (-benchtime 20000x)
 # and fails if the flow cache is a net tax on ANY workload, runs
 # BenchmarkE2_ChainBurst and fails if the full HARMLESS chain forwards
-# at less than 1/6 of the bare switch, runs BenchmarkReceiveBatch and
+# at less than 0.3 of the bare switch, runs BenchmarkReceiveBatch and
 # fails if a 32-frame burst forwards at less than 2.08x the
 # frame-at-a-time rate or a burst that is one run on one cache entry at
 # less than 1.6x one whose runs are one frame long, and runs

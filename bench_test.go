@@ -9,7 +9,7 @@ package harmless_test
 // (bare software switch vs the full HARMLESS chain);
 // BenchmarkE2_ChainBurst is the same comparison
 // in 32-frame bursts into a counting sink, the pair cmd/benchdiff
-// gates (chain >= 1/6 of bare); BenchmarkE3_PathLatency measures per-packet
+// gates (chain >= 0.3 of bare); BenchmarkE3_PathLatency measures per-packet
 // forwarding latency of the same paths; BenchmarkE8_TableScaling
 // regenerates the flow-table scaling series (pipeline lookup cost vs
 // rule count and vs access-port count).
@@ -142,7 +142,7 @@ func BenchmarkE2_Throughput(b *testing.B) {
 // same 64-byte frames in 32-frame bursts through the bare software
 // switch and through the full HARMLESS chain, each into a counting
 // sink (no decoding host in the measured path). cmd/benchdiff
-// -pair-check gates chain >= 1/6 of bare.
+// -pair-check gates chain >= 0.3 of bare.
 func BenchmarkE2_ChainBurst(b *testing.B) {
 	const burst, size = 32, 64
 	for _, path := range []string{"bare", "chain"} {

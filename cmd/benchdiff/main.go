@@ -17,7 +17,7 @@
 // are hardware-independent. Every `X/cached` benchmark must deliver at
 // least 0.85 of its `X/uncached` sibling's throughput — the flow cache
 // must never be a tax, not even on the adversarial thrash workload it
-// used to lose badly on — and every `X/chain` benchmark at least 1/6 of
+// used to lose badly on — and every `X/chain` benchmark at least 0.3 of
 // its `X/bare` sibling's: the paper's claim, a legacy switch behind
 // HARMLESS forwards like the software switch alone; and every
 // `X/batch=32` at least 2.08x its `X/batch=1` sibling: a burst shares
@@ -132,7 +132,7 @@ func normalizeName(name string) string {
 func main() {
 	benchPath := flag.String("bench", "-", "bench output file ('-' = stdin)")
 	check := flag.Bool("check", false, "exit non-zero on panics, FAILs, zero-iteration results, or an empty bench run")
-	pairs := flag.Bool("pair-check", false, "exit non-zero unless every same-run sibling pair meets its declared ratio gate (cached >= 0.85 x uncached, chain >= 1/6 x bare)")
+	pairs := flag.Bool("pair-check", false, "exit non-zero unless every same-run sibling pair meets its declared ratio gate (cached >= 0.85 x uncached, chain >= 0.3 x bare, ...)")
 	flag.Parse()
 
 	in := io.Reader(os.Stdin)
@@ -226,7 +226,10 @@ type ratioGate struct {
 // ratioGates is the declared table -pair-check enforces.
 var ratioGates = []ratioGate{
 	{Num: "cached", Den: "uncached", Min: 0.85, Broken: "the cache is a net tax on this workload"},
-	{Num: "chain", Den: "bare", Min: 1.0 / 6, Broken: "the HARMLESS chain costs more than six bare switches"},
+	// 0.8 x the lowest of five BenchmarkE2_ChainBurst runs at -benchtime
+	// 200000x once SS_1's cache entries followed the patch ports through
+	// SS_2 (0.38-0.51x; 0.17-0.27x in the same runs before, gated at 1/6).
+	{Num: "chain", Den: "bare", Min: 0.3, Broken: "the S4 node no longer takes a chain frame in one pass"},
 	// 0.8 x the lowest of five BenchmarkReceiveBatch runs at -benchtime
 	// 300000x (2.60-3.68x; 1.4-2.1x before bursts shared their work).
 	{Num: "batch=32", Den: "batch=1", Min: 2.08, Broken: "a burst no longer amortises the probe and the credits"},

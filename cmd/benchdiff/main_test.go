@@ -102,7 +102,7 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 	results := map[string]*Result{
 		"BenchmarkManyFlows/zipf/cached":     res(map[string]float64{"pps": 2.0e6}),
 		"BenchmarkManyFlows/zipf/uncached":   res(map[string]float64{"pps": 1.0e6}),
-		"BenchmarkE2_ChainBurst/chain":       res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkE2_ChainBurst/chain":       res(map[string]float64{"pps": 3.2e6}),
 		"BenchmarkE2_ChainBurst/bare":        res(map[string]float64{"pps": 8.0e6}),
 		"BenchmarkReceiveBatch/batch=32":     res(map[string]float64{"ns/op": 117}),
 		"BenchmarkReceiveBatch/batch=1":      res(map[string]float64{"ns/op": 345}),
@@ -120,14 +120,15 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		"BenchmarkAdd/new/at=16":             res(map[string]float64{"ns/op": 380}),
 	}
 	if bad := pairCheck(results, ratioGates); bad != 0 {
-		t.Errorf("pairCheck = %d failures on a 4x chain, want 0", bad)
+		t.Errorf("pairCheck = %d failures on a 2.5x chain, want 0", bad)
 	}
-	// 7.5x, the chain before it kept bursts together: fails its gate.
-	results["BenchmarkE2_ChainBurst/chain"] = res(map[string]float64{"pps": 8.0e6 / 7.5})
+	// 4x, the chain before its cache entries followed the patch ports:
+	// fails its gate.
+	results["BenchmarkE2_ChainBurst/chain"] = res(map[string]float64{"pps": 8.0e6 / 4})
 	if bad := pairCheck(results, ratioGates); bad != 1 {
-		t.Errorf("pairCheck = %d failures on a 7.5x chain, want 1", bad)
+		t.Errorf("pairCheck = %d failures on a 4x chain, want 1", bad)
 	}
-	results["BenchmarkE2_ChainBurst/chain"] = res(map[string]float64{"pps": 2.0e6})
+	results["BenchmarkE2_ChainBurst/chain"] = res(map[string]float64{"pps": 3.2e6})
 	// 1.75x, a burst that probes and credits frame by frame: fails its gate.
 	results["BenchmarkReceiveBatch/batch=32"] = res(map[string]float64{"ns/op": 345 / 1.75})
 	if bad := pairCheck(results, ratioGates); bad != 1 {

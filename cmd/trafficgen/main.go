@@ -61,7 +61,6 @@ type mixConfig struct {
 // the telemetry plane in the loop.
 type discardBackend struct{}
 
-func (discardBackend) Transmit([]byte)        {}
 func (discardBackend) TransmitBatch([][]byte) {}
 
 // mixSwitch builds the bare forwarding switch (port 1 -> port 2

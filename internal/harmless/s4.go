@@ -11,10 +11,11 @@ import (
 
 // S4 is the assembled HARMLESS-S4 group node: the translator SS_1 and
 // the controller-facing main switch SS_2, joined by one patch port per
-// logical port (Fig. 1). Frames cross the patch ports as still-grouped
-// batches dispatched iteratively off the softswitch worklist, so the
-// SS_1 -> SS_2 hop adds no per-frame call depth: trunk rx vectors
-// traverse the whole group node one batch at a time.
+// logical port (Fig. 1). SS_1's flow-cache entries follow the patch
+// ports through SS_2 and back, so a trunk burst is parsed, probed and
+// replayed once in the node, in SS_1's cache; what they hand off (a
+// flood, a hop into a switch with telemetry) goes over as grouped
+// batches off the softswitch worklist.
 type S4 struct {
 	Plan *Plan
 	SS1  *softswitch.Switch

@@ -8,45 +8,28 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// Batch dispatch: the amortized entry point of the datapath.
-//
-// ReceiveBatch runs a frame vector through the switch paying the
-// per-packet costs once per batch instead of once per frame:
-//
-//   - every frame is parsed once, straight into its packed key;
-//   - the flow cache is probed class by class, the keys grouped by
-//     shard so each shard read-lock is taken once per batch, and a run
-//     of frames with one projection probed once (probeBatch);
-//   - the burst is walked as runs — stretches of consecutive frames the
-//     probe resolved to one cache entry — and each run replays the
-//     entry's program once (replay): one credit per flow entry, the
-//     rewrites frame by frame, one append of the survivors to the egress
-//     port; a program that decides per packet takes its run frame by
-//     frame;
-//   - only the residue of misses walks the full pipeline;
-//   - credits are summed per distinct entry across the burst, egress is
-//     coalesced per port (txContext), and every port backend is flushed
-//     once per batch;
-//   - frames crossing a patch port into a peer switch stay grouped and
-//     are dispatched ITERATIVELY off a worklist — a chain of patched
-//     switches (SS_1 -> SS_2 -> ...) runs at constant stack depth
-//     instead of deepening the stack per hop per frame.
-//
-// Receive is the one-frame wrapper over the same machinery, so the
-// two entry points cannot diverge semantically: counters, cache
-// statistics and drop accounting are exactly equal for the same
-// frames sent either way (batch_test.go proves it).
-//
-// Ownership follows the dataplane package rules: each frame of the
-// vector transfers to the switch; the vector itself is borrowed, never
-// written — a run is rewritten and compacted in the dispatch's scratch —
-// and reusable by the caller as soon as ReceiveBatch returns.
+// Batch dispatch (DESIGN.md, "The datapath walk"): ReceiveBatch pays the
+// per-packet costs once per batch — one parse per frame into its packed
+// key, one cache probe per run of equal projections, one replay per run,
+// credits summed per entry and egress flushed once per port. Only misses
+// walk, and a walk follows a patch port into the peer (recorder.follow):
+// an S4 frame takes one parse, probe and replay for SS_1 -> SS_2 -> SS_1.
+// What crosses otherwise goes to the peer grouped, off a worklist, at
+// constant stack depth. Receive is the one-frame wrapper (batch_test.go
+// holds the two equal). Each frame of the vector transfers to the switch;
+// the vector is only read and is the caller's again on return.
 
-// patchWork is one pending cross-switch delivery: a still-grouped
-// egress batch that crossed a patch port.
+// maxPatchHops bounds the patch ports a frame crosses in one dispatch
+// (a batch goes on with the most any of its frames crossed): Open
+// vSwitch's resubmit depth, far above the S4 node's two.
+const maxPatchHops = 64
+
+// patchWork is a still-grouped egress batch that crossed a patch port,
+// and how many it has crossed.
 type patchWork struct {
 	sw     *Switch
 	inPort uint32
+	hops   int
 	frames [][]byte
 }
 
@@ -61,6 +44,8 @@ type txContext struct {
 	frames [][][]byte
 	spare  [][][]byte // recycled slot buffers
 	work   []patchWork
+	hops   int // patch ports crossed by the batch being processed
+	depth  int // the most any frame of it has crossed since, followed or replayed
 
 	// credits is what a burst has matched and not yet published. burst is
 	// set for the span of a multi-frame processBatch; outside one a credit
@@ -80,13 +65,11 @@ type txContext struct {
 	rec recorder
 }
 
-// now returns the dispatch's reading of clock c in unix nanos, taken
-// the first time anything in the dispatch asks for it: every flow-entry
-// credit (a table lookup's or a cache hit's) and telemetry observation
-// of the dispatch — across the whole patch worklist, SS_1 -> SS_2 ->
-// SS_1 included — carries the same instant. Idle timeouts are whole seconds; a reading
-// that is one burst old is all they need. A switch on a different clock
-// (tests mix manual and real ones) gets its own reading.
+// now returns the dispatch's reading of clock c in unix nanos, taken the
+// first time anything in the dispatch asks: every credit and telemetry
+// observation of the dispatch, SS_1 -> SS_2 -> SS_1 included, carries
+// it. Idle timeouts are whole seconds; a reading one burst old is all
+// they need. A switch on another clock gets its own reading.
 func (tx *txContext) now(c netem.Clock) int64 {
 	if tx.clock != c {
 		tx.clock, tx.nowNs = c, c.Now().UnixNano()
@@ -188,10 +171,8 @@ func (tx *txContext) recycle(frames [][]byte) {
 // flushTx publishes the burst's credits, then pushes every coalesced
 // egress vector to its port backend, once per port per batch — in that
 // order, so that neither a backend, a nested dispatch nor a stats reader
-// sees a frame ahead of its counters. Vectors for a BatchForwarder
-// backend (patch ports and the like) are not delivered here: they go
-// onto the worklist so the dispatch loop hands them to the peer switch
-// iteratively.
+// sees a frame ahead of its counters. A patch port's vector goes onto
+// the worklist instead.
 func (s *Switch) flushTx(tx *txContext) {
 	tx.flushCredits(s.clock)
 	tx.burst = false
@@ -203,9 +184,8 @@ func (s *Switch) flushTx(tx *txContext) {
 		}
 		p.counters.TxPackets.Add(uint64(len(frames)))
 		p.counters.TxBytes.Add(bytes)
-		if fw, ok := p.backend.(BatchForwarder); ok {
-			peer, peerPort := fw.ForwardTarget()
-			tx.work = append(tx.work, patchWork{sw: peer, inPort: peerPort, frames: frames})
+		if p.peer != nil {
+			tx.work = append(tx.work, patchWork{sw: p.peer, inPort: p.peerPort, hops: tx.hops + tx.depth + 1, frames: frames})
 			tx.frames[i] = nil // handed to the worklist; recycled after processing
 		} else {
 			p.backend.TransmitBatch(frames)
@@ -216,6 +196,7 @@ func (s *Switch) flushTx(tx *txContext) {
 	}
 	tx.ports = tx.ports[:0]
 	tx.frames = tx.frames[:0]
+	tx.depth = 0
 }
 
 // dispatchState is the pooled scratch of one dispatch: the egress
@@ -233,7 +214,8 @@ type dispatchState struct {
 	outs []uint32
 	sc   probeScratch
 	run  [][]byte
-	one  [1][]byte // single-frame vector for the Receive wrapper
+	one  [1][]byte   // single-frame vector for the Receive wrapper
+	key  pkt.FlatKey // a recording walk's key in the peer it followed a patch port into
 }
 
 func (st *dispatchState) grow(n int) {
@@ -259,16 +241,22 @@ func (st *dispatchState) release() {
 }
 
 // runWork drains the patch worklist: each entry is a still-grouped
-// batch entering a peer switch, which may append further entries —
-// the iterative replacement for per-frame cross-switch recursion.
+// batch entering a peer switch, which may append further entries. A
+// batch past maxPatchHops is dropped, counted by the switch it would
+// have entered, so that switches patched into a loop let go of it.
 func runWork(st *dispatchState) {
 	for i := 0; i < len(st.tx.work); i++ {
 		w := st.tx.work[i]
 		st.tx.work[i] = patchWork{}
-		w.sw.processBatch(w.inPort, w.frames, st)
+		if w.hops > maxPatchHops {
+			w.sw.drops.Add(uint64(len(w.frames)))
+		} else {
+			st.tx.hops = w.hops
+			w.sw.processBatch(w.inPort, w.frames, st)
+		}
 		st.tx.recycle(w.frames)
 	}
-	st.tx.work = st.tx.work[:0]
+	st.tx.work, st.tx.hops = st.tx.work[:0], 0
 }
 
 // ReceiveBatch runs a frame vector arriving on inPort through the
@@ -399,11 +387,11 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 }
 
 // classifyAndRun is the per-frame decision shared by every entry
-// point: serve from the flow cache, or walk the pipeline and record
-// a new cache entry. one is the frame, as a run of one for replay. It
-// returns the frame's resolved egress port (0 = none), which the
-// dispatch hands to telemetry with the frame's key. flat is the packed
-// key and shard its bypass shard (shardOf(flat.Sum()), which is not read
+// point: serve from the flow cache, or walk the pipeline — across patch
+// ports into the peers as far as recorder.follow allows — and record a
+// new cache entry. one is the frame, as a run of one for replay. It
+// returns the frame's egress port for telemetry (0 = none). flat is the
+// packed key and shard its bypass shard (shardOf(flat.Sum()), not read
 // on a switch without a cache).
 func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, one [][]byte, st *dispatchState) uint32 {
 	ch := s.cache
@@ -420,21 +408,26 @@ func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, 
 	if !record {
 		// No cache, or adaptive bypass (the shard's hit rate collapsed):
 		// skip both the recording and the install — a pure slow-path walk.
-		s.runPipelineKeyed(flat, inPort, one[0], 0, nil, tx)
+		s.runPipelineKeyed(flat, inPort, one[0], nil, tx)
 		return 0
 	}
-	// Read the group revision before the walk so a group-mod racing
-	// the recording leaves it stale-by-revision, like the table revs.
-	groupRev := s.groups.Version()
 	rec := &tx.rec
-	s.runPipelineKeyed(flat, inPort, one[0], 0, rec, tx)
+	sw, port, key, frame := s, inPort, flat, one[0]
+	for n := 0; ; n++ {
+		var p *swPort
+		if frame, p = sw.runPipelineKeyed(key, port, frame, rec, tx); p == nil {
+			break
+		}
+		if !rec.follow(sw, p, frame, &st.key, tx.hops+n) {
+			tx.add(p, frame)
+			break
+		}
+		tx.depth = max(tx.depth, n+1)
+		sw, port, key = p.peer, p.peerPort, &st.key
+	}
 	rec.resolveOutPort()
 	out := rec.outPort
-	if !rec.uncacheable {
-		if rec.usesGroups() {
-			rec.groups = s.groups
-			rec.groupRev = groupRev
-		}
+	if !rec.uncacheable && !rec.asksOnMiss() {
 		ch.install(flat, rec)
 	}
 	rec.reset()

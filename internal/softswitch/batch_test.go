@@ -242,8 +242,6 @@ type depthBackend struct {
 	depths []int
 }
 
-func (d *depthBackend) Transmit(frame []byte) { d.TransmitBatch([][]byte{frame}) }
-
 func (d *depthBackend) TransmitBatch(frames [][]byte) {
 	var pcs [256]uintptr
 	depth := runtime.Callers(0, pcs[:])
@@ -256,11 +254,11 @@ func (d *depthBackend) TransmitBatch(frames [][]byte) {
 // buildPatchChain wires hops switches in a line via patch ports
 // (port 2 of sw[i] patches into port 1 of sw[i+1]), each forwarding
 // in-port 1 to port 2, with a depth-recording sink on the last hop.
-func buildPatchChain(t *testing.T, hops int) (*softswitch.Switch, *depthBackend) {
+func buildPatchChain(t *testing.T, hops int, opts ...softswitch.Option) (*softswitch.Switch, *depthBackend) {
 	t.Helper()
 	sws := make([]*softswitch.Switch, hops)
 	for i := range sws {
-		sws[i] = softswitch.New(fmt.Sprintf("hop%d", i), uint64(0x100+i))
+		sws[i] = softswitch.New(fmt.Sprintf("hop%d", i), uint64(0x100+i), opts...)
 	}
 	for i := 0; i+1 < hops; i++ {
 		softswitch.ConnectPatch(sws[i], 2, sws[i+1], 1)
@@ -285,13 +283,22 @@ func buildPatchChain(t *testing.T, hops int) (*softswitch.Switch, *depthBackend)
 
 // TestPatchChainIterative is the regression test for patch-port
 // recursion: delivery across an S4-style chain must run at CONSTANT
-// stack depth regardless of chain length, because the dispatch loop
-// forwards grouped batches off a worklist instead of calling the peer
-// switch per frame.
+// stack depth regardless of chain length, whether the cache entries
+// follow the patch ports or, with no cache, the dispatch loop forwards
+// grouped batches off a worklist instead of calling the peer switch per
+// frame.
 func TestPatchChainIterative(t *testing.T) {
+	for name, opts := range map[string][]softswitch.Option{
+		"followed": nil, "worklist": {softswitch.WithFlowCacheSize(0)},
+	} {
+		t.Run(name, func(t *testing.T) { testPatchChainIterative(t, opts) })
+	}
+}
+
+func testPatchChainIterative(t *testing.T, opts []softswitch.Option) {
 	gen := fabric.NewUDPGenerator(64, 4, 3)
 	depthAt := func(hops, batchSize int) int {
-		first, sink := buildPatchChain(t, hops)
+		first, sink := buildPatchChain(t, hops, opts...)
 		batch := make([][]byte, batchSize)
 		for i := range batch {
 			batch[i] = gen.CopyNext()
@@ -320,6 +327,110 @@ func TestPatchChainIterative(t *testing.T) {
 	}
 }
 
+// TestPatchLoopEnds: two switches patched so that each sends the frame
+// back out IN_PORT hand one batch back and forth until it has crossed
+// the hop bound, and then drop it, counted: neither entry point spins.
+// Sent back out port 1 by number instead, the frame is followed across
+// by the recording walk and its cache entry, which stop at the same
+// bound: every frame crosses the patch link maxPatchHops+1 times.
+func TestPatchLoopEnds(t *testing.T) {
+	for name, port := range map[string]uint32{"in_port": openflow.PortInPort, "port1": 1} {
+		t.Run(name, func(t *testing.T) { testPatchLoopEnds(t, port) })
+	}
+}
+
+func testPatchLoopEnds(t *testing.T, port uint32) {
+	a, b := softswitch.New("a", 0x401), softswitch.New("b", 0x402)
+	softswitch.ConnectPatch(a, 1, b, 1)
+	for _, sw := range []*softswitch.Switch{a, b} {
+		m := openflow.Match{}
+		m.WithInPort(1)
+		if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
+			TableID: 0, Command: openflow.FlowAdd, Priority: 10,
+			BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+			Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
+				Actions: []openflow.Action{&openflow.ActionOutput{Port: port, MaxLen: 0xffff}},
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen := fabric.NewUDPGenerator(64, 4, 11)
+	sent := 0
+	for _, n := range []int{1, 8} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if n == 1 {
+				a.Receive(1, gen.CopyNext())
+				return
+			}
+			batch := make([][]byte, n)
+			for i := range batch {
+				batch[i] = gen.CopyNext()
+			}
+			a.ReceiveBatch(1, batch)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("a batch of %d looping between two patched switches never came back", n)
+		}
+		sent += n
+		if drops := a.Drops() + b.Drops(); drops != uint64(sent) {
+			t.Errorf("after %d frames: %d dropped, want all", sent, drops)
+		}
+		crossings := a.PortCounters(1).TxPackets.Load() + b.PortCounters(1).TxPackets.Load()
+		if want := uint64(sent * (softswitch.MaxPatchHops + 1)); crossings != want {
+			t.Errorf("after %d frames: %d patch crossings, want %d", sent, crossings, want)
+		}
+	}
+}
+
+// TestFollowAfterAnotherOutput: an action list that outputs to a port or
+// to the controller before its last output, to a patch port, sends the
+// frame both ways on every pass, the first (recording) one included.
+func TestFollowAfterAnotherOutput(t *testing.T) {
+	for name, first := range map[string]uint32{"port": 3, "controller": openflow.PortController} {
+		t.Run(name, func(t *testing.T) {
+			a, b := softswitch.New("a", 0x403), softswitch.New("b", 0x404)
+			softswitch.ConnectPatch(a, 1, b, 1)
+			mirror, sink := &depthBackend{}, &depthBackend{}
+			a.AttachPort(3, "mirror", mirror)
+			b.AttachPort(2, "sink", sink)
+			for _, r := range []struct {
+				sw    *softswitch.Switch
+				in    uint32
+				ports []uint32
+			}{{a, 2, []uint32{first, 1}}, {b, 1, []uint32{2}}} {
+				m := openflow.Match{}
+				m.WithInPort(r.in)
+				apply := &openflow.InstrApplyActions{}
+				for _, p := range r.ports {
+					apply.Actions = append(apply.Actions, &openflow.ActionOutput{Port: p, MaxLen: 64})
+				}
+				if _, err := r.sw.ApplyFlowMod(&openflow.FlowMod{
+					Command: openflow.FlowAdd, Priority: 10, BufferID: openflow.NoBuffer,
+					OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
+					Match: m, Instructions: []openflow.Instruction{apply},
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gen := fabric.NewUDPGenerator(64, 4, 5)
+			a.Receive(2, gen.CopyNext())
+			a.ReceiveBatch(2, [][]byte{gen.CopyNext(), gen.CopyNext(), gen.CopyNext()})
+			if len(sink.frames) != 4 || a.PortCounters(1).TxPackets.Load() != 4 || b.PortCounters(1).RxPackets.Load() != 4 {
+				t.Errorf("%d of 4 frames left through the peer (patch tx %d, rx %d)", len(sink.frames),
+					a.PortCounters(1).TxPackets.Load(), b.PortCounters(1).RxPackets.Load())
+			}
+			if first == 3 && len(mirror.frames) != 4 {
+				t.Errorf("%d of 4 frames left through port 3", len(mirror.frames))
+			}
+		})
+	}
+}
+
 // TestPatchChainOrderAndCounters checks that a batch crossing a chain
 // arrives complete, in order, and with per-hop port counters equal to
 // the injected totals.
@@ -344,65 +455,6 @@ func TestPatchChainOrderAndCounters(t *testing.T) {
 	}
 	if got := first.PortCounters(2).TxPackets.Load(); got != n {
 		t.Errorf("hop0 patch tx = %d, want %d", got, n)
-	}
-}
-
-// forwardingBackend is a custom (non-patch) backend implementing the
-// BatchForwarder capability: flushTx must route it through the
-// iterative worklist exactly like a built-in patch port.
-type forwardingBackend struct {
-	peer     *softswitch.Switch
-	peerPort uint32
-}
-
-func (fb *forwardingBackend) ForwardTarget() (*softswitch.Switch, uint32) {
-	return fb.peer, fb.peerPort
-}
-func (fb *forwardingBackend) Transmit(frame []byte)     { fb.peer.Receive(fb.peerPort, frame) }
-func (fb *forwardingBackend) TransmitBatch(fs [][]byte) { fb.peer.ReceiveBatch(fb.peerPort, fs) }
-
-// TestCustomBatchForwarder chains two switches through a user-supplied
-// BatchForwarder backend and checks the worklist keeps delivery
-// iterative (same egress stack depth as a direct, chainless switch of
-// the same shape would not show — we compare two chain lengths).
-func TestCustomBatchForwarder(t *testing.T) {
-	mkchain := func(hops int) (*softswitch.Switch, *depthBackend) {
-		t.Helper()
-		sws := make([]*softswitch.Switch, hops)
-		for i := range sws {
-			sws[i] = softswitch.New(fmt.Sprintf("fw%d", i), uint64(0x200+i))
-		}
-		for i := 0; i+1 < hops; i++ {
-			sws[i].AttachPort(2, "fwd", &forwardingBackend{peer: sws[i+1], peerPort: 1})
-		}
-		sink := &depthBackend{}
-		sws[hops-1].AttachPort(2, "sink", sink)
-		for _, sw := range sws {
-			m := openflow.Match{}
-			m.WithInPort(1)
-			if _, err := sw.ApplyFlowMod(&openflow.FlowMod{
-				TableID: 0, Command: openflow.FlowAdd, Priority: 10,
-				BufferID: openflow.NoBuffer, OutPort: openflow.PortAny, OutGroup: openflow.GroupAny,
-				Match: m, Instructions: []openflow.Instruction{&openflow.InstrApplyActions{
-					Actions: []openflow.Action{&openflow.ActionOutput{Port: 2, MaxLen: 0xffff}},
-				}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return sws[0], sink
-	}
-	gen := fabric.NewUDPGenerator(64, 2, 17)
-	depthAt := func(hops int) int {
-		first, sink := mkchain(hops)
-		first.ReceiveBatch(1, [][]byte{gen.CopyNext(), gen.CopyNext()})
-		if len(sink.frames) != 2 {
-			t.Fatalf("hops=%d: %d of 2 frames crossed", hops, len(sink.frames))
-		}
-		return sink.depths[0]
-	}
-	if d2, d16 := depthAt(2), depthAt(16); d2 != d16 {
-		t.Errorf("custom forwarder recurses: depth %d at 2 hops vs %d at 16", d2, d16)
 	}
 }
 

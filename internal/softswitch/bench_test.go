@@ -267,7 +267,6 @@ func BenchmarkManyFlows(b *testing.B) {
 // path at 0 allocs/op, which the baseline asserts).
 type benchDiscard struct{ n int }
 
-func (d *benchDiscard) Transmit([]byte)          { d.n++ }
 func (d *benchDiscard) TransmitBatch(f [][]byte) { d.n += len(f) }
 
 // BenchmarkTelemetryOverhead measures the flow-telemetry tax on the

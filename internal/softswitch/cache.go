@@ -9,40 +9,16 @@ import (
 	"github.com/harmless-sdn/harmless/internal/stats"
 )
 
-// The flow cache: an OVS-megaflow-style fast path in front of the full
-// pipeline walk. The first packet of a flow traverses the tables
-// normally while a recorder captures the resulting program — the flat
-// sequence of datapath operations the walk performed (meter checks,
-// apply-actions lists, the final ordered action set), the table
-// entries to credit for counters and idle timeouts, and the union of
-// every consulted table's ConsultMask. The program is installed under
-// the packet's packed key (pkt.FlatKey) PROJECTED through that mask, so
-// one entry serves every flow that agrees on the bits consulted — the
-// very masks the tables' classifier files its rules under, bit for bit.
-//
-// Subsequent packets replay the program directly, skipping
-// re-classification against every table. This file holds the cached
-// program and the sharded store each mask class is; the class list
-// and admission (adaptive bypass) are in flowcache.go.
-//
-// Correctness rests on revision validation, not on synchronous
-// invalidation: each entry records the revision (Table.Version) of
-// every table it consulted — read *before* the lookup, so a racing
-// flow-mod can only make the recording stale, never silently valid —
-// and the group-table revision when the program executes a group.
-// A hit first revalidates all recorded revisions; any mismatch
-// discards the entry and takes the slow path, so a flow-mod, expiry,
-// or group-mod is visible to the very next packet.
-//
-// Per-packet state (meters, group bucket selection, TTL checks,
-// packet-in delivery) is deliberately kept out of the cached decision:
-// the program stores the *operations*, which are re-executed per
-// packet, so meters still shed load, SELECT groups still hash, and a
-// cached TTL-decrement still drops expiring packets. A burst's run of
-// frames on one entry is replayed as one vector (Switch.replay): credits
-// once, rewrites frame by frame, one append to the output port — unless
-// the program makes a per-packet decision (perFrame), which the run then
-// takes one frame at a time.
+// The flow cache's entries and stores (DESIGN.md, "The flow cache"): a
+// walk records the operations it performed, the revision of every table
+// it consulted (read before the lookup, so a racing flow-mod leaves the
+// recording stale, never wrongly valid) and the union of their consult
+// masks; the entry is stored under the packed key projected through that
+// mask, revalidated on every hit and replayed run by run. A walk that
+// outputs to a patch port follows it into the peer (follow), so one
+// entry of the switch the frame entered replays the whole crossing.
+// Meters, groups, TTLs and packet-ins stay operations, re-run per frame.
+// The class list and the adaptive bypass are in flowcache.go.
 
 // tableDep is one table the recorded walk consulted, with the
 // revision it had when the decision was made (validated on every hit).
@@ -58,6 +34,7 @@ const (
 	opCredit opKind = iota // account the table/entry match
 	opMeter                // run the meter
 	opApply                // execute an action list
+	opCross                // cross a patch port into the peer switch
 )
 
 // microOp is one replayable datapath operation. Credits are recorded
@@ -66,12 +43,14 @@ const (
 // tables the equivalent walk would have consulted, with the frame
 // size the walk would have seen at that point.
 type microOp struct {
-	kind    opKind
-	meterID uint32           // opMeter
-	table   *flowtable.Table // opCredit
-	acts    []openflow.Action
-	tableID uint8
-	entry   *flowtable.Entry // opCredit: entry to credit; opApply: packet-in context (nil for the action set)
+	kind     opKind
+	meterID  uint32           // opMeter
+	table    *flowtable.Table // opCredit
+	acts     []openflow.Action
+	tableID  uint8
+	untagged bool             // opCross: guarded, for frames with no tag left (follow)
+	entry    *flowtable.Entry // opCredit: entry to credit; opApply: packet-in context (nil for the action set)
+	port     *swPort          // opCross: the patch port crossed
 }
 
 // CacheEntry is one cached flow program: the dependency set to
@@ -81,15 +60,12 @@ type microOp struct {
 // nothing has to keep a store from unmapping one that a dispatch is
 // still replaying.
 type CacheEntry struct {
-	deps     []tableDep
-	ops      []microOp
-	groups   *flowtable.GroupTable // non-nil when the program executes a group
-	groupRev uint64
+	deps []tableDep
+	ops  []microOp
 
-	// outPort is the first concrete egress port the recorded program
-	// outputs to (0 = none/reserved-only) — the telemetry plane's
-	// egressInterface, resolved once at record time so cache hits
-	// never re-scan the program.
+	// outPort is the first concrete port the program outputs to or
+	// crosses in the switch the frame entered (0 = none/reserved-only) —
+	// the telemetry plane's egressInterface, resolved once at record time.
 	outPort uint32
 
 	// perFrame marks a program a run must replay one frame at a time:
@@ -112,6 +88,55 @@ type CacheEntry struct {
 type recorder struct {
 	CacheEntry
 	mask pkt.FlatKey
+	seg  int // index in ops where the current switch's part starts
+}
+
+// follow is called where the current switch's part of a recording walk
+// ends by outputting the frame to patch port p, hops crossings into the
+// dispatch. Either the walk goes on into the peer — the crossing replaces
+// the output, key gets the peer's packed key (parsed on this miss path
+// only) and both ports count the frame — or it hands the frame to p, as
+// an unrecorded walk would: after another output, into a peer on another
+// clock or with telemetry, or at maxPatchHops. The entry's mask is the
+// union of the consult masks (DESIGN.md, "Following a patch port"): a tag
+// a pop uncovers is the one bit that misses, so a crossing after a pop is
+// guarded (op.untagged), and a frame still tagged there is not cached.
+func (rec *recorder) follow(sw *Switch, p *swPort, frame []byte, key *pkt.FlatKey, hops int) bool {
+	if hops >= maxPatchHops || p.peer.clock != sw.clock || p.peer.telemetry.Load() != nil {
+		return false
+	}
+	last := &rec.ops[len(rec.ops)-1] // the action list that outputs to p
+	popped := false
+	for i := rec.seg; i < len(rec.ops); i++ {
+		acts := rec.ops[i].acts
+		if &rec.ops[i] == last {
+			acts = acts[:len(acts)-1]
+		}
+		for _, a := range acts {
+			switch a.(type) {
+			case *openflow.ActionOutput:
+				return false
+			case *openflow.ActionPopVLAN:
+				popped = true
+			case *openflow.ActionPushVLAN:
+				popped = false
+			}
+		}
+	}
+	if popped && pkt.HasVLAN(frame) {
+		rec.uncacheable = true
+		return false
+	}
+	if pkt.ExtractFlat(frame, p.peerPort, key) != nil {
+		return false
+	}
+	if last.acts = last.acts[:len(last.acts)-1]; len(last.acts) == 0 {
+		rec.ops = rec.ops[:len(rec.ops)-1]
+	}
+	rec.ops = append(rec.ops, microOp{kind: opCross, port: p, untagged: popped})
+	rec.seg = len(rec.ops)
+	p.crossed(1, uint64(len(frame)))
+	return true
 }
 
 // reset returns the recorder to a reusable zero state, dropping every
@@ -125,25 +150,25 @@ func (rec *recorder) reset() {
 }
 
 // valid reports whether every recorded revision still matches the live
-// tables (and group table), i.e. replaying cannot disagree with a walk.
+// tables, i.e. replaying cannot disagree with a walk. Groups need none:
+// replay looks each one up live (applyGroup).
 func (mf *CacheEntry) valid() bool {
 	for i := range mf.deps {
 		if mf.deps[i].table.Version() != mf.deps[i].rev {
 			return false
 		}
 	}
-	if mf.groups != nil && mf.groups.Version() != mf.groupRev {
-		return false
-	}
 	return true
 }
 
-// resolveOutPort scans the recorded program for the first OUTPUT to a
-// concrete datapath port and remembers it as the flow's egress
-// interface for telemetry. Reserved ports (controller, flood, ...)
-// stay 0: the telemetry record then reports "no single egress".
+// resolveOutPort sets outPort: the first concrete port the program outputs
+// to or crosses (reserved ports stay 0, "no single egress").
 func (mf *CacheEntry) resolveOutPort() {
 	for i := range mf.ops {
+		if mf.ops[i].kind == opCross {
+			mf.outPort = mf.ops[i].port.no
+			return
+		}
 		for _, a := range mf.ops[i].acts {
 			if out, ok := a.(*openflow.ActionOutput); ok && out.Port < openflow.PortMax {
 				mf.outPort = out.Port
@@ -153,13 +178,10 @@ func (mf *CacheEntry) resolveOutPort() {
 	}
 }
 
-// replaysPerFrame reports whether the program makes a per-packet
-// decision: a meter, a group (SELECT hashing), an output to a reserved
-// port (CONTROLLER, FLOOD/ALL, IN_PORT, TABLE), or more than one output
-// — any output but the program's last action is one of several, or
-// copies the frame and goes on. Anything else — credits, frame-local
-// rewrites, one final output to a datapath port — does the same to
-// every frame of a run.
+// replaysPerFrame reports whether the program decides per packet: a
+// meter, a group (SELECT hashing), an output to a reserved port, or an
+// output that is not the program's last action (one of several). Credits,
+// rewrites and one final output do the same to every frame of a run.
 func (mf *CacheEntry) replaysPerFrame() bool {
 	for i := range mf.ops {
 		if mf.ops[i].kind == opMeter {
@@ -180,17 +202,17 @@ func (mf *CacheEntry) replaysPerFrame() bool {
 	return false
 }
 
-// usesGroups reports whether any recorded action executes a group.
-// Group contents are resolved live at replay time (applyGroup looks
-// the group up per packet), so the revision dependency this feeds is
-// defense-in-depth rather than load-bearing: it additionally forces a
-// fresh walk after any group-mod, at the cost of re-recording the
-// affected entries.
-func (mf *CacheEntry) usesGroups() bool {
+// asksOnMiss reports whether the program sends the frame to the
+// controller from a table-miss entry (priority 0). Such a program is not
+// cached, like the table miss it stands for: the FLOW_MOD the controller
+// answers with makes it stale before it pays for its install.
+func (mf *CacheEntry) asksOnMiss() bool {
 	for i := range mf.ops {
-		for _, a := range mf.ops[i].acts {
-			if _, ok := a.(*openflow.ActionGroup); ok {
-				return true
+		if op := &mf.ops[i]; op.kind == opApply && op.entry != nil && op.entry.Priority == 0 {
+			for _, a := range op.acts {
+				if out, ok := a.(*openflow.ActionOutput); ok && out.Port == openflow.PortController {
+					return true
+				}
 			}
 		}
 	}

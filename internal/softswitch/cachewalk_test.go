@@ -222,8 +222,6 @@ type walkPort struct {
 	frames [][]byte
 }
 
-func (p *walkPort) Transmit(f []byte) { p.TransmitBatch([][]byte{f}) }
-
 func (p *walkPort) TransmitBatch(frames [][]byte) {
 	p.order.deliver(len(frames))
 	p.frames = append(p.frames, frames...)

@@ -17,3 +17,25 @@ func (b *bufferPool) Len() int {
 	}
 	return n
 }
+
+// The random program generator of the cache oracle (cachewalk_test.go),
+// for the S4 oracle in the external test package, which can import the
+// translator.
+var (
+	WalkAdd      = walkAdd
+	WalkMatch    = walkMatch
+	WalkRewrites = walkRewrites
+	WalkInstrs   = walkInstrs
+	WalkGroupMod = walkGroupMod
+	WalkIP       = walkIP
+	WalkMACs     = walkMACs
+	WalkDports   = walkDports
+)
+
+const (
+	MaxPatchHops = maxPatchHops
+
+	WalkTables = walkTables
+	WalkMeter  = walkMeter
+	WalkGroup  = walkGroup
+)

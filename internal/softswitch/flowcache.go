@@ -10,22 +10,11 @@ import (
 )
 
 // The datapath flow cache: one flowStore per mask class, keyed by the
-// packed packet key (pkt.FlatKey) projected through the class's mask. The cache owns what
-// the classes share: the per-packet admission decision (adaptive
-// bypass) and the counters.
-//
-// A cache entry serves every flow that agrees on the consulted bits: the
-// recorder accumulates the ConsultMask union of every table a walk
-// traverses (pipeline.go), and any later packet agreeing on those
-// bits — whatever the rest of its headers — projects to the same key
-// and replays the same program. That is sound because no traversed
-// table could have told the two packets apart (see Table.ConsultMask for
-// the per-table argument; the walk-level one is induction over the goto
-// chain: equal projections select equal entries, so equal instructions,
-// so the same next table). The masks are the classifier's own, so a /24
-// rule makes the cache key on 24 bits of the address, not on the field.
-// Per-packet operations (meters, SELECT group hashing) are re-run at
-// replay, so sharing one entry across many flows does not blur them.
+// packed key projected through the class's mask, and what the classes
+// share — admission (adaptive bypass) and the counters. An entry serves
+// every flow that agrees on the consulted bits: no table the walk
+// traversed could tell two such flows apart (Table.ConsultMask per
+// table, induction over the goto chain for the walk).
 
 const (
 	// cacheShards is the number of independently locked shards a
@@ -59,12 +48,8 @@ type maskClass struct {
 	store flowStore
 }
 
-// probeScratch is the shared state of one batch probe, one slot per
-// frame (sized by dispatchState.grow, which pools it, so batch probes
-// allocate nothing): the packed keys and bypass shards — which the
-// per-frame path takes over for a frame the probe left unresolved — the
-// keys projected through the class being probed, and the per-shard
-// intrusive frame chains flowStore.probeBatch consumes.
+// probeScratch is the state of one batch probe, one slot per frame
+// (pooled with the dispatch state, so batch probes allocate nothing).
 type probeScratch struct {
 	// flat[i] is frame i's key packed, written once per frame per switch
 	// by the dispatch: the cache and every table's classifier read it.
@@ -114,34 +99,16 @@ func (w *shardWins) take(shard int) (lookups, hits uint32) {
 	return lookups, hits
 }
 
-// Adaptive bypass: per-shard hit-rate tracking over sliding windows
-// of lookups. A shard whose hit rate collapses (thrash: every flow is
-// new, installs buy nothing) stops consulting and feeding the cache
-// entirely — packets take the plain uncached walk, which the
-// BenchmarkManyFlows baseline shows is ~2x cheaper than paying the
-// install path for zero hits. Bypassed shards periodically re-admit a
-// probation window of packets; if those hit well (the workload became
-// cacheable again), the shard returns to active.
-//
-//	ACTIVE --(bypassLowStreak consecutive windows below
-//	          1/bypassEnterDen hit rate)--> BYPASS
-//	BYPASS --(every bypassRetry skipped packets)--> PROBE
-//	PROBE  --(probe window >= 1/bypassExitDen)--> ACTIVE
-//	PROBE  --(below)--> BYPASS
-//
-// Probation is rare on purpose. What its windows install outlives them,
-// and on a thrashing workload that trickle fills the shared mask
-// classes until a few shards find all their flows there and stay active —
-// at a hit rate that, with a table walk about the price of a hit
-// and a miss paying probe, recording and install, is a net tax (the
-// repo benchmark's ACL-miss workload: 3.7 Mframes/s with every shard
-// bypassed, 2.7 with a quarter of them active at 75% hits).
-//
-// The bypass shard is picked by the hash of the FULL packed key, not the
-// projected one: many flows share one cache entry, and it is the flows,
-// not the entries, whose hit rate says whether probing pays. All
-// transitions are heuristic: counters are racy-by-design (plain
-// atomics, no CAS loops), a lost sample only defers a window roll.
+// Adaptive bypass (DESIGN.md): a shard whose hit rate collapses stops
+// consulting and feeding the cache, and re-admits a probation window of
+// packets now and then. Probation is rare on purpose: what its windows
+// install outlives them, and on a thrashing workload that trickle keeps
+// a few shards active at a hit rate that is a net tax (the repo
+// benchmark's ACL-miss workload: 3.7 Mframes/s with every shard
+// bypassed, 2.7 with a quarter of them active at 75% hits). The shard
+// is picked by the hash of the full key: flows, not entries, say whether
+// probing pays. The counters are racy by design; a lost sample only
+// defers a window roll.
 const (
 	bypassWindow    = 256   // lookups per ACTIVE evaluation window
 	bypassProbeSpan = 64    // lookups per PROBE window
@@ -226,11 +193,11 @@ type flowCache struct {
 	classMu sync.Mutex                   // serializes class creation and compaction
 	size    int                          // capacity of each class
 
-	// tablesChanged is set by every flow-mod. Masks are bit-precise, so a
-	// table whose consult mask widens (a new prefix length, say) strands
-	// the classes recorded under the old mask: their entries are all
-	// stale and the mask never recurs. Only a table change can do that,
-	// so a full class list is compacted at most once per change.
+	// tablesChanged is set by every flow-table change here or in a switch
+	// the entries may follow a patch port into (Switch.tablesChanged). A
+	// table whose consult mask widens strands the classes recorded under
+	// the old one, all stale; only such a change can, so a full class list
+	// is compacted at most once per change.
 	tablesChanged atomic.Bool
 
 	bypassOn bool // always true outside tests
@@ -406,14 +373,12 @@ func (c *flowCache) class(mask *pkt.FlatKey) *maskClass {
 }
 
 // install publishes a right-sized copy of the recording rec under the
-// frame's packed key, projected, in its mask class; rec itself stays the
+// frame's packed key, projected, in its mask class; rec stays the
 // dispatch's to reuse. Whether a run replays the entry frame by frame
 // (CacheEntry.perFrame) is decided here, once. The copy and its two
-// arrays are all the cache ever allocates per flow, and the garbage
-// collector owns them from the moment a store unmaps the entry: a
-// dispatch still replaying it keeps it alive. When the class list is
-// full the recording is declined: nothing is allocated and no insert is
-// counted.
+// arrays are all the cache allocates per flow; the garbage collector
+// owns them once a store unmaps the entry. A full class list declines
+// the recording: nothing is allocated and no insert is counted.
 func (c *flowCache) install(f *pkt.FlatKey, rec *recorder) {
 	g := c.class(&rec.mask)
 	if g == nil {

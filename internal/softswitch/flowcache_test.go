@@ -331,3 +331,22 @@ func TestStrandedClassesAreReclaimed(t *testing.T) {
 		t.Errorf("table 0 lookups/matched: cached %d/%d, uncached %d/%d", cl, cm, pl, pm)
 	}
 }
+
+// TestTableChangeReachesPatchedCaches: a flow-table change lets the
+// caches compact whose entries may follow patch ports into the switch —
+// its own and those of every switch patched to it, directly or through
+// another — and no other cache.
+func TestTableChangeReachesPatchedCaches(t *testing.T) {
+	a, b, c, d := New("a", 1), New("b", 2), New("c", 3), New("d", 4)
+	ConnectPatch(a, 1, b, 1)
+	ConnectPatch(b, 2, c, 1)
+	for _, sw := range []*Switch{a, b, c, d} {
+		sw.cache.tablesChanged.Store(false)
+	}
+	addFlow(t, c, 0, 10, openflow.Match{})
+	for _, sw := range []*Switch{a, b, c, d} {
+		if got, want := sw.cache.tablesChanged.Load(), sw != d; got != want {
+			t.Errorf("%s: cache told of the change = %v, want %v", sw.name, got, want)
+		}
+	}
+}

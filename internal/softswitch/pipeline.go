@@ -9,25 +9,14 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// The per-frame entry point Receive and the vector entry point
-// ReceiveBatch live in batch.go; both funnel into the walk below with
-// a txContext that coalesces egress per port. With the flow cache
-// enabled (the default) a frame's header key is first probed against
-// the cache; a valid hit replays the pre-resolved program, a miss takes
-// the full pipeline walk and records a new cache entry.
-
-// replay executes a cache entry's operation program on a run: frames
-// the batch probe resolved to the entry, back to back in the burst (a
-// single frame is a run of one). The run is copied into the dispatch's
-// scratch and compacted there; the caller's vector is only read. The
-// operations execute in recorded order, as on the walk that was
-// recorded. A credit is paid once for the run, with its frame count and
-// the bytes its frames have at that position of the program; a rewrite
-// is applied frame by frame, a frame that fails it dropped and counted
-// alone; the output appends the survivors in one go (applyRun). A
-// program that makes a per-packet decision (perFrame: meters, groups,
-// packet-ins, floods, several outputs) takes its run one frame at a
-// time, so every packet meets those as it would on the walk.
+// replay executes a cache entry's program on a run: frames the batch
+// probe resolved to the entry, back to back in the burst (a single frame
+// is a run of one), copied into the dispatch's scratch and compacted
+// there. A credit is paid once for the run, with the bytes its frames
+// have at that point of the program; rewrites apply frame by frame; the
+// output appends the survivors in one go (applyRun). A program that
+// decides per packet (perFrame) takes its run one frame at a time. A
+// crossing (opCross) moves the rest of the program to the peer switch.
 func (s *Switch) replay(mf *CacheEntry, inPort uint32, run [][]byte, st *dispatchState) {
 	if mf.perFrame && len(run) > 1 {
 		for i := range run {
@@ -38,6 +27,7 @@ func (s *Switch) replay(mf *CacheEntry, inPort uint32, run [][]byte, st *dispatc
 	tx := &st.tx
 	live := st.run[:len(run)]
 	copy(live, run)
+	sw, crossed := s, 0
 	for i := range mf.ops {
 		op := &mf.ops[i]
 		switch op.kind {
@@ -46,29 +36,60 @@ func (s *Switch) replay(mf *CacheEntry, inPort uint32, run [][]byte, st *dispatc
 			for _, f := range live {
 				bytes += len(f)
 			}
-			tx.credit(op.table, op.entry, len(live), bytes, s.clock)
+			tx.credit(op.table, op.entry, len(live), bytes, sw.clock)
 		case opMeter: // perFrame: a run of one
-			if !s.meters.Pass(op.meterID, len(live[0])) {
-				s.drops.Inc()
+			if !sw.meters.Pass(op.meterID, len(live[0])) {
+				sw.drops.Inc()
 				return
 			}
 		case opApply:
 			if !mf.perFrame {
-				if live = s.applyRun(op.acts, live, tx); len(live) == 0 {
+				if live = sw.applyRun(op.acts, live, tx); len(live) == 0 {
 					return // output, or every frame dropped
 				}
 				continue
 			}
 			var res applyResult
-			if live[0], res = s.applyActions(op.acts, inPort, live[0], op.tableID, op.entry, tx); res != applyRetained {
+			if live[0], res = sw.applyActions(op.acts, inPort, live[0], op.tableID, op.entry, tx); res != applyRetained {
 				return // frame consumed (output, group) or dropped
 			}
+		case opCross:
+			if live = cross(op, live, tx, crossed); len(live) == 0 {
+				return
+			}
+			crossed++
+			tx.depth = max(tx.depth, crossed)
+			sw, inPort = op.port.peer, op.port.peerPort
 		}
 	}
 	// Program ran to completion without consuming the frames: the walk
 	// ended with an empty action set or one lacking an output. Drop,
 	// exactly as runPipelineKeyed does.
-	s.drops.Add(uint64(len(live)))
+	sw.drops.Add(uint64(len(live)))
+}
+
+// cross carries a replayed run over op's patch port, crossed ports into
+// the entry, and returns the frames that go on in the peer. Where follow
+// would not go on — into a peer with telemetry, at the hop bound, or for
+// a frame a guarded crossing finds tagged — frames go out the port.
+func cross(op *microOp, live [][]byte, tx *txContext, crossed int) [][]byte {
+	p := op.port
+	if p.peer.telemetry.Load() != nil || tx.hops+crossed >= maxPatchHops {
+		tx.addRun(p, live)
+		return live[:0]
+	}
+	n, bytes := 0, uint64(0)
+	for _, f := range live {
+		if op.untagged && pkt.HasVLAN(f) {
+			tx.add(p, f)
+			continue
+		}
+		live[n] = f
+		n++
+		bytes += uint64(len(f))
+	}
+	p.crossed(n, bytes)
+	return live[:n]
 }
 
 // applyRun executes one action list of a program that decides nothing
@@ -104,32 +125,16 @@ func (s *Switch) applyRun(acts []openflow.Action, live [][]byte, tx *txContext) 
 	return live
 }
 
-// runPipeline extracts the frame's key and executes tables from
-// startTable onwards (the uncached path; packet-out and OUTPUT:TABLE
-// restarts come through here).
-func (s *Switch) runPipeline(inPort uint32, frame []byte, startTable uint8, tx *txContext) {
-	var flat pkt.FlatKey
-	if err := pkt.ExtractFlat(frame, inPort, &flat); err != nil {
-		s.drops.Inc()
-		return
-	}
-	s.runPipelineKeyed(&flat, inPort, frame, startTable, nil, tx)
-}
-
-// runPipelineKeyed executes tables from startTable onwards for an
-// already-parsed key in its packed form — parsed once per frame, for the
-// cache probe and for every table's classifier. When rec is non-nil
-// every consulted table (with its pre-lookup revision) and every
-// executed operation is recorded so the walk's decision can be cached;
-// the table's consult mask is folded into rec.mask at the same point, so
-// the recording also captures the wildcard mask the entry is stored
-// under.
-// The revision is read *before* the lookup: a flow-mod racing the
-// walk then leaves the recording stale-by-revision rather than
-// wrongly valid.
-func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte, startTable uint8, rec *recorder, tx *txContext) {
+// runPipelineKeyed walks the tables from table 0 for a key parsed once
+// per frame into its packed form. With rec non-nil it records every
+// table consulted, with its revision read before the lookup, its consult
+// mask, and every operation executed, so the walk can be cached; a
+// recorded program whose last action outputs to a patch port stops short
+// of that output and returns the port and the frame, for the caller to
+// follow into the peer or to output (recorder.follow).
+func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte, rec *recorder, tx *txContext) ([]byte, *swPort) {
 	var actionSet []openflow.Action
-	tableID := startTable
+	var tableID uint8
 	for {
 		table := s.tables[tableID]
 		var rev uint64
@@ -145,7 +150,7 @@ func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte
 				rec.uncacheable = true
 			}
 			s.drops.Inc()
-			return
+			return nil, nil
 		}
 		tx.credit(table, entry, 1, len(frame), s.clock)
 		if rec != nil {
@@ -167,14 +172,22 @@ func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte
 						rec.uncacheable = true
 					}
 					s.drops.Inc()
-					return
+					return nil, nil
 				}
 			case *openflow.InstrApplyActions:
+				acts := in.Actions
+				var patch *swPort
 				if rec != nil {
-					rec.ops = append(rec.ops, microOp{kind: opApply, acts: in.Actions, tableID: tableID, entry: entry})
+					rec.ops = append(rec.ops, microOp{kind: opApply, acts: acts, tableID: tableID, entry: entry})
+					if patch = s.patchOutput(acts); patch != nil {
+						acts = acts[:len(acts)-1]
+					}
 				}
 				var res applyResult
-				frame, res = s.applyActions(in.Actions, inPort, frame, tableID, entry, tx)
+				frame, res = s.applyActions(acts, inPort, frame, tableID, entry, tx)
+				if patch != nil && res == applyRetained {
+					return frame, patch
+				}
 				if res != applyRetained {
 					// A per-packet drop truncates the observed program;
 					// consumption by output/group is structural and the
@@ -182,7 +195,7 @@ func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte
 					if rec != nil && res == applyDropped {
 						rec.uncacheable = true
 					}
-					return
+					return nil, nil
 				}
 			case *openflow.InstrClearActions:
 				actionSet = actionSet[:0]
@@ -202,19 +215,45 @@ func (s *Switch) runPipelineKeyed(flat *pkt.FlatKey, inPort uint32, frame []byte
 	// set-field/dec-ttl, group, output last).
 	if len(actionSet) == 0 {
 		s.drops.Inc()
-		return
+		return nil, nil
 	}
 	ordered := orderActionSet(actionSet)
+	var patch *swPort
 	if rec != nil {
 		rec.ops = append(rec.ops, microOp{kind: opApply, acts: ordered, tableID: tableID})
+		if patch = s.patchOutput(ordered); patch != nil {
+			ordered = ordered[:len(ordered)-1]
+		}
 	}
-	if frame, res := s.applyActions(ordered, inPort, frame, tableID, nil, tx); res == applyRetained && frame != nil {
-		// Action set without output: drop (already accounted inside
-		// applyActions when it falls through).
-		s.drops.Inc()
-	} else if rec != nil && res == applyDropped {
+	frame, res := s.applyActions(ordered, inPort, frame, tableID, nil, tx)
+	switch {
+	case patch != nil && res == applyRetained:
+		return frame, patch
+	case res == applyRetained && frame != nil:
+		s.drops.Inc() // an action set without an output
+	case rec != nil && res == applyDropped:
 		rec.uncacheable = true
 	}
+	return nil, nil
+}
+
+// patchOutput returns the patch port an action list outputs to as its
+// last action and only output, if any: where a recording walk may follow
+// the frame. A list with an output or a group ahead of that one runs
+// whole, as on an unrecorded walk: follow would hand the frame off anyway.
+func (s *Switch) patchOutput(acts []openflow.Action) *swPort {
+	for i, a := range acts {
+		switch a := a.(type) {
+		case *openflow.ActionGroup:
+			return nil
+		case *openflow.ActionOutput:
+			if p := s.getPort(a.Port); i == len(acts)-1 && p != nil && p.peer != nil {
+				return p
+			}
+			return nil
+		}
+	}
+	return nil
 }
 
 // mergeActionSet implements write-actions semantics: one action per
@@ -272,13 +311,10 @@ func orderActionSet(set []openflow.Action) []openflow.Action {
 	return out
 }
 
-// applyResult classifies how an action list left the frame. The
-// distinction between consumed and dropped matters to the cache
-// recorder: consumption by output/group is decided by the program
-// structure alone (every packet of the flow ends there), while a drop
-// is a per-packet condition (TTL reached zero, malformed tag) after
-// which the rest of the walk is unknown — such walks must not be
-// cached.
+// applyResult is how an action list left the frame. The recorder tells
+// consumed from dropped: an output or group ends every packet of the flow
+// there, while a drop (TTL run out, malformed tag) is per packet and
+// leaves the rest of the walk unseen, so that walk is not cached.
 type applyResult int
 
 const (
@@ -305,11 +341,7 @@ func (s *Switch) applyActions(actions []openflow.Action, inPort uint32, frame []
 			if last {
 				return nil, applyConsumed
 			}
-			// More actions follow: they operate on a fresh copy since
-			// output transferred ownership.
-			cp := make([]byte, len(frame))
-			copy(cp, frame)
-			frame = cp
+			frame = ownedCopy(frame, false) // output took the frame; the rest acts on a copy
 		default:
 			var ok bool
 			if frame, ok = s.rewrite(a, frame); !ok {
@@ -388,19 +420,16 @@ func (s *Switch) applyGroup(groupID, inPort uint32, frame []byte, tableID uint8,
 	case openflow.GroupTypeAll:
 		// Replicate to every bucket.
 		for i := range g.Buckets {
-			cp := make([]byte, len(frame))
-			copy(cp, frame)
-			if f, res := s.applyActions(g.Buckets[i].Actions, inPort, cp, tableID, nil, tx); res == applyRetained && f != nil {
+			if f, res := s.applyActions(g.Buckets[i].Actions, inPort, ownedCopy(frame, false), tableID, nil, tx); res == applyRetained && f != nil {
 				s.drops.Inc()
 			}
 		}
 	default:
 		var key pkt.FlatKey
-		if err := pkt.ExtractFlat(frame, inPort, &key); err != nil {
-			s.drops.Inc()
-			return
+		var b *openflow.Bucket
+		if pkt.ExtractFlat(frame, inPort, &key) == nil {
+			b = g.SelectBucket(key.FlowSum())
 		}
-		b := g.SelectBucket(key.FlowSum())
 		if b == nil {
 			s.drops.Inc()
 			return
@@ -421,18 +450,23 @@ func (s *Switch) output(act *openflow.ActionOutput, inPort uint32, frame []byte,
 		s.flood(inPort, frame, tx)
 	case openflow.PortInPort:
 		if p := s.getPort(inPort); p != nil {
-			s.transmit(p, ownedCopy(frame, last), tx)
+			tx.add(p, ownedCopy(frame, last))
 		}
 	case openflow.PortTable:
-		// Restart the pipeline (packet-out only).
-		s.runPipeline(inPort, ownedCopy(frame, last), 0, tx)
+		// Restart the pipeline, uncached (packet-out only).
+		var flat pkt.FlatKey
+		if frame = ownedCopy(frame, last); pkt.ExtractFlat(frame, inPort, &flat) != nil {
+			s.drops.Inc()
+			return
+		}
+		s.runPipelineKeyed(&flat, inPort, frame, nil, tx)
 	default:
 		p := s.getPort(act.Port)
 		if p == nil {
 			s.drops.Inc()
 			return
 		}
-		s.transmit(p, ownedCopy(frame, last), tx)
+		tx.add(p, ownedCopy(frame, last))
 	}
 }
 
@@ -456,12 +490,12 @@ func (s *Switch) flood(inPort uint32, frame []byte, tx *txContext) {
 			continue
 		}
 		if last != nil {
-			s.transmit(last, ownedCopy(frame, false), tx)
+			tx.add(last, ownedCopy(frame, false))
 		}
 		last = p
 	}
 	if last != nil {
-		s.transmit(last, frame, tx)
+		tx.add(last, frame)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 // discardBackend swallows egress with no bookkeeping at all.
 type discardBackend struct{}
 
-func (discardBackend) Transmit([]byte)        {}
 func (discardBackend) TransmitBatch([][]byte) {}
 
 const benchFlows = 256

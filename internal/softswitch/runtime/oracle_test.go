@@ -76,7 +76,6 @@ type logBackend struct {
 	port uint32
 }
 
-func (b logBackend) Transmit(f []byte)         { b.log.record(b.port, [][]byte{f}) }
 func (b logBackend) TransmitBatch(fs [][]byte) { b.log.record(b.port, fs) }
 
 // newOracleSwitch builds the two-table pipeline: table 0 sends either

@@ -29,7 +29,6 @@ type countBackend struct {
 	frames atomic.Uint64
 }
 
-func (cb *countBackend) Transmit([]byte) { cb.frames.Add(1) }
 func (cb *countBackend) TransmitBatch(fs [][]byte) {
 	cb.frames.Add(uint64(len(fs)))
 }

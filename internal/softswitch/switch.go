@@ -2,33 +2,23 @@
 // HARMLESS instantiates twice per migrated device: once as the
 // translator (SS_1) and once as the controller-facing main switch
 // (SS_2). It executes the flow-table semantics of internal/flowtable
-// over frames arriving on netem ports, zero-copy patch ports, or any
-// other PortBackend, and exposes the switch side of the OpenFlow
+// over frames arriving on netem ports, patch ports into a peer switch,
+// or any other PortBackend, and exposes the switch side of the OpenFlow
 // channel (Agent).
 //
-// The hot-path entry point is ReceiveBatch (batch.go), which amortizes
-// key extraction, cache shard locks and egress flushes over a frame
-// vector; Receive is its one-frame wrapper. The datapath layers two
-// lookup modes, fastest first:
-//
-//  1. the flow cache (cache.go, flowcache.go) — one sharded map per
-//     mask-equivalence class from the packed key (pkt.FlatKey),
-//     projected through the union of the consulted tables' match masks,
-//     to a pre-resolved program, revalidated against table revisions on
-//     every hit and probed once per run of equal projections; a
-//     churn of short-lived flows sharing a ruleset shape still hits.
-//     Enabled by default, with per-shard adaptive bypass;
-//  2. the flow tables' own lookup (flowtable.Table.Find): the
-//     tuple-space classifier each table keeps with every flow-mod — one
-//     hash table per distinct match mask, probed with the packed key
-//     under that mask, in priority order with early exit.
-//
-// See DESIGN.md for the full datapath walk and the cache's
-// invalidation rules.
+// The hot-path entry point is ReceiveBatch (batch.go); Receive is its
+// one-frame wrapper. A frame is served by the flow cache (cache.go,
+// flowcache.go) — one sharded map per mask-equivalence class, from the
+// packed key projected through the consulted tables' masks to a recorded
+// program, revalidated against table revisions on every hit — and
+// otherwise by a walk of the tables' own classifiers
+// (flowtable.Table.Find), which records a new entry. DESIGN.md has the
+// full walk and the cache's invalidation rules.
 package softswitch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,14 +34,28 @@ import (
 // DefaultNumTables is the pipeline depth advertised to controllers.
 const DefaultNumTables = 4
 
-// swPort is one datapath port: a number, counters, and the pluggable
-// backend frames egress through.
+// swPort is one datapath port: a number, counters, and where frames
+// egress — the pluggable backend, or for a patch port the peer switch
+// and the port they enter it on.
 type swPort struct {
 	no       uint32
 	name     string
-	backend  PortBackend
+	backend  PortBackend // nil on a patch port
+	peer     *Switch
+	peerPort uint32
 	counters stats.PortCounters
 	hwAddr   pkt.MAC
+}
+
+// crossed counts n frames, bytes long together, that a followed crossing
+// carried over patch port p: sent on p, received on the peer's end.
+func (p *swPort) crossed(n int, bytes uint64) {
+	p.counters.TxPackets.Add(uint64(n))
+	p.counters.TxBytes.Add(bytes)
+	if q := p.peer.getPort(p.peerPort); q != nil {
+		q.counters.RxPackets.Add(uint64(n))
+		q.counters.RxBytes.Add(bytes)
+	}
 }
 
 // Switch is one software switch instance.
@@ -231,7 +235,11 @@ func (s *Switch) CacheLen() int {
 // backend is egress only; ingress is the caller's affair (call Receive
 // or ReceiveBatch with this port number).
 func (s *Switch) AttachPort(no uint32, name string, be PortBackend) {
-	sp := &swPort{no: no, name: name, backend: be, hwAddr: portMAC(s.dpid, no)}
+	s.attach(&swPort{no: no, name: name, backend: be})
+}
+
+func (s *Switch) attach(sp *swPort) {
+	sp.hwAddr = portMAC(s.dpid, sp.no)
 	s.portMu.Lock()
 	s.ports.Store(s.ports.Load().with(sp))
 	s.portMu.Unlock()
@@ -247,13 +255,12 @@ func (s *Switch) AttachNetPort(no uint32, name string, p *netem.Port) {
 }
 
 // ConnectPatch wires aPort on a to bPort on b with a zero-copy patch
-// link (the HARMLESS-S4 internal wiring between SS_1 and SS_2).
-// Frames crossing a patch port stay grouped: the dispatch loop hands
-// the peer the whole per-port batch iteratively rather than recursing
-// into it per frame.
+// link (the HARMLESS-S4 internal wiring between SS_1 and SS_2). A cache
+// entry follows the crossing into the peer (recorder.follow); otherwise
+// the per-port batch goes to the peer whole, off the dispatch's worklist.
 func ConnectPatch(a *Switch, aPort uint32, b *Switch, bPort uint32) {
-	a.AttachPort(aPort, fmt.Sprintf("patch-%s%d", b.name, bPort), &patchBackend{peer: b, peerPort: bPort})
-	b.AttachPort(bPort, fmt.Sprintf("patch-%s%d", a.name, aPort), &patchBackend{peer: a, peerPort: aPort})
+	a.attach(&swPort{no: aPort, name: fmt.Sprintf("patch-%s%d", b.name, bPort), peer: b, peerPort: bPort})
+	b.attach(&swPort{no: bPort, name: fmt.Sprintf("patch-%s%d", a.name, aPort), peer: a, peerPort: aPort})
 }
 
 // portMAC derives a stable per-port MAC from the dpid.
@@ -295,12 +302,23 @@ func (s *Switch) PortDescs() []openflow.PortDesc {
 	return out
 }
 
-// transmit sends a frame out a datapath port by coalescing it into the
-// dispatch's per-port egress vector; the port's backend sees it at the
-// batch's flush. Every datapath entry point runs inside a dispatch, so
-// tx is always live here.
-func (s *Switch) transmit(p *swPort, frame []byte, tx *txContext) {
-	tx.add(p, frame)
+// tablesChanged tells the caches a change of s's flow tables can leave
+// stale classes in (flowCache.tablesChanged): its own and those of every
+// switch patched to it, directly or through others, whose entries may
+// follow patch ports into s.
+func (s *Switch) tablesChanged() {
+	var buf [4]*Switch
+	seen := append(buf[:0], s)
+	for i := 0; i < len(seen); i++ {
+		if c := seen[i].cache; c != nil {
+			c.tablesChanged.Store(true)
+		}
+		for _, p := range seen[i].ports.Load().all {
+			if p.peer != nil && !slices.Contains(seen, p.peer) {
+				seen = append(seen, p.peer)
+			}
+		}
+	}
 }
 
 // ApplyFlowMod applies a flow-mod locally (management path and OF
@@ -317,9 +335,7 @@ func (s *Switch) ApplyFlowMod(fm *openflow.FlowMod) ([]flowtable.Removed, error)
 	if err := match.ValidatePrerequisites(); err != nil {
 		return nil, err
 	}
-	if s.cache != nil {
-		defer s.cache.tablesChanged.Store(true) // after the tables changed
-	}
+	defer s.tablesChanged() // after the tables changed
 	switch fm.Command {
 	case openflow.FlowAdd:
 		entry := &flowtable.Entry{
@@ -344,42 +360,40 @@ func (s *Switch) ApplyFlowMod(fm *openflow.FlowMod) ([]flowtable.Removed, error)
 		} else {
 			removed = s.tables[fm.TableID].Delete(match, fm.Priority, fm.Command == openflow.FlowDeleteStrict, fm.OutPort)
 		}
-		// Only report entries that asked for notification.
-		var notify []flowtable.Removed
-		for _, r := range removed {
-			if r.Entry.Flags&openflow.FlowFlagSendFlowRem != 0 {
-				notify = append(notify, r)
-			}
-		}
-		return notify, nil
+		return notifying(removed), nil
 	}
 	return nil, fmt.Errorf("softswitch: unknown flow-mod command %d", fm.Command)
+}
+
+// notifying returns the removed entries that asked for a flow-removed
+// notification.
+func notifying(removed []flowtable.Removed) (notify []flowtable.Removed) {
+	for _, r := range removed {
+		if r.Entry.Flags&openflow.FlowFlagSendFlowRem != 0 {
+			notify = append(notify, r)
+		}
+	}
+	return notify
 }
 
 // SweepExpired expires timed-out entries across all tables and returns
 // the ones requesting flow-removed notification. The OF agent calls
 // this periodically; tests call it directly with a manual clock.
 func (s *Switch) SweepExpired() []flowtable.Removed {
-	var notify, expired []flowtable.Removed
+	var expired []flowtable.Removed
 	for _, t := range s.tables {
-		removed := t.ExpireEntries()
-		expired = append(expired, removed...)
-		for _, r := range removed {
-			if r.Entry.Flags&openflow.FlowFlagSendFlowRem != 0 {
-				notify = append(notify, r)
-			}
-		}
+		expired = append(expired, t.ExpireEntries()...)
 	}
-	// A flow-table expiry ends the flows the entries carried: flush
-	// exactly those flows' telemetry records so the finals (and the
-	// byte/packet deltas accumulated since the last export) reach the
-	// exporter now — exported totals stay in
-	// step with the datapath counters instead of trailing by an idle
-	// timeout, and unrelated flows keep their windows.
+	notify := notifying(expired)
+	// An expiry ends the flows the entries carried: their telemetry
+	// records (and only theirs) are flushed now, so exported totals keep
+	// in step with the datapath counters instead of trailing by an idle
+	// timeout.
 	if len(expired) > 0 {
-		// Expired entries leave revision-stale cache entries behind;
-		// they would lazily invalidate on next probe, but sweeping here
-		// lets go of the dead table entries they reference promptly.
+		// The cache would find the entries that depend on the expired
+		// ones stale on the next probe; sweeping here lets go of the dead
+		// table entries they hold at once (a patch peer's, on its next probe).
+		s.tablesChanged()
 		if s.cache != nil {
 			s.cache.sweep()
 		}

@@ -20,7 +20,6 @@ import (
 // discardBackend swallows egress so only the datapath is in the loop.
 type discardBackend struct{ frames int }
 
-func (d *discardBackend) Transmit([]byte)          { d.frames++ }
 func (d *discardBackend) TransmitBatch(f [][]byte) { d.frames += len(f) }
 
 // telSwitch builds a two-port switch (netem port 1 in, discard port 2
