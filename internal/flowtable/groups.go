@@ -90,20 +90,14 @@ func (g *Group) SelectBucket(hash uint64) *openflow.Bucket {
 
 // GroupTable holds the switch's groups.
 type GroupTable struct {
-	mu      sync.RWMutex
-	groups  map[uint32]*Group
-	version atomic.Uint64
+	mu     sync.RWMutex
+	groups map[uint32]*Group
 }
 
 // NewGroupTable returns an empty group table.
 func NewGroupTable() *GroupTable {
 	return &GroupTable{groups: make(map[uint32]*Group)}
 }
-
-// Version returns the group-mod revision counter, bumped on every
-// successful Apply. Cached forwarding decisions that traverse a group
-// record it and revalidate on hit, mirroring Table.Version.
-func (gt *GroupTable) Version() uint64 { return gt.version.Load() }
 
 // Apply executes a GroupMod.
 func (gt *GroupTable) Apply(gm *openflow.GroupMod) error {
@@ -132,14 +126,12 @@ func (gt *GroupTable) Apply(gm *openflow.GroupMod) error {
 	case openflow.GroupDelete:
 		if gm.GroupID == openflow.GroupAny {
 			gt.groups = make(map[uint32]*Group)
-			gt.version.Add(1)
 			return nil
 		}
 		delete(gt.groups, gm.GroupID)
 	default:
 		return fmt.Errorf("flowtable: unknown group command %d", gm.Command)
 	}
-	gt.version.Add(1)
 	return nil
 }
 

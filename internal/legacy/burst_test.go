@@ -48,7 +48,7 @@ type diffRig struct {
 func newDiffRig(t *testing.T, burst bool) *diffRig {
 	t.Helper()
 	r := &diffRig{clock: netem.NewManualClock()}
-	r.sw = NewSwitch("diff", diffPorts, WithClock(r.clock), WithFDBAging(30*time.Second))
+	r.sw = NewSwitch("diff", diffPorts, WithClock(r.clock))
 	r.attach(t, burst)
 	for port, vlan := range map[int]uint16{1: 10, 2: 10, 3: 20, diffShutPort: 10, diffLoopPort: 30} {
 		if err := r.sw.SetPortAccess(port, vlan); err != nil {
@@ -70,7 +70,7 @@ func (r *diffRig) fork(t *testing.T) *diffRig {
 	t.Helper()
 	f := &diffRig{clock: netem.NewManualClock()}
 	f.clock.Advance(r.clock.Now().Sub(f.clock.Now()))
-	f.sw = NewSwitch("diff", diffPorts, WithClock(f.clock), WithFDBAging(30*time.Second))
+	f.sw = NewSwitch("diff", diffPorts, WithClock(f.clock))
 	f.sw.cfg = r.sw.Config()
 	for p := 1; p <= diffPorts; p++ {
 		f.sw.ports[p].pc = f.sw.cfg.Ports[p]
@@ -248,7 +248,8 @@ func TestBurstMatchesPerFrame(t *testing.T) {
 			for round := 0; round < 60; round++ {
 				switch rng.Intn(6) {
 				case 0:
-					d := time.Duration(1+rng.Intn(25)) * time.Second
+					// 1/30 to 25/30 of the aging time: entries age out now and then.
+					d := time.Duration(1+rng.Intn(25)) * DefaultFDBAging / 30
 					both(func(r *diffRig) { r.clock.Advance(d) })
 				case 1:
 					down := rng.Intn(2) == 0

@@ -2,7 +2,6 @@ package legacy
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
@@ -64,11 +63,6 @@ func (f *FDB) Len() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.entries)
-}
-
-// WithFDBAging overrides the MAC aging time.
-func WithFDBAging(d time.Duration) Option {
-	return func(s *Switch) { s.fdb = NewFDB(d, 0, s.clock) }
 }
 
 // WithModel sets the model string reported by the management planes.

@@ -21,8 +21,8 @@ import (
 	"github.com/harmless-sdn/harmless/internal/pkt"
 )
 
-// DefaultFDBAging is the MAC table aging time used when none is
-// configured; 300s matches common vendor defaults.
+// DefaultFDBAging is the MAC table aging time; 300s matches common
+// vendor defaults.
 const DefaultFDBAging = 300 * time.Second
 
 // fdbKey identifies a learned entry: learning is per (VLAN, MAC) as in
@@ -51,23 +51,18 @@ type FDBEntry struct {
 type FDB struct {
 	mu      sync.Mutex
 	entries map[fdbKey]*FDBEntry
-	aging   time.Duration
 	clock   netem.Clock
 	max     int
 }
 
-// NewFDB creates a table with the given aging time and capacity; zero
-// values select DefaultFDBAging and an effectively unlimited capacity.
-func NewFDB(aging time.Duration, max int, clock netem.Clock) *FDB {
-	if aging <= 0 {
-		aging = DefaultFDBAging
-	}
+// NewFDB creates a table with the given capacity (zero selects an
+// effectively unlimited one) that ages entries after DefaultFDBAging.
+func NewFDB(max int, clock netem.Clock) *FDB {
 	if clock == nil {
 		clock = netem.RealClock{}
 	}
 	return &FDB{
 		entries: make(map[fdbKey]*FDBEntry),
-		aging:   aging,
 		clock:   clock,
 		max:     max,
 	}
@@ -100,7 +95,7 @@ func (f *FDB) lookupLocked(now time.Time, k fdbKey) (port int, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	if !e.Static && now.Sub(e.LastSeen) > f.aging {
+	if !e.Static && now.Sub(e.LastSeen) > DefaultFDBAging {
 		delete(f.entries, k)
 		return 0, false
 	}
@@ -123,7 +118,7 @@ func (f *FDB) stepLocked(now time.Time, vlan uint16, src pkt.MAC, in int, dst pk
 // evictExpiredLocked removes one expired entry if any exists.
 func (f *FDB) evictExpiredLocked(now time.Time) bool {
 	for k, e := range f.entries {
-		if !e.Static && now.Sub(e.LastSeen) > f.aging {
+		if !e.Static && now.Sub(e.LastSeen) > DefaultFDBAging {
 			delete(f.entries, k)
 			return true
 		}
@@ -138,7 +133,7 @@ func (f *FDB) Sweep() int {
 	defer f.mu.Unlock()
 	removed := 0
 	for k, e := range f.entries {
-		if !e.Static && now.Sub(e.LastSeen) > f.aging {
+		if !e.Static && now.Sub(e.LastSeen) > DefaultFDBAging {
 			delete(f.entries, k)
 			removed++
 		}

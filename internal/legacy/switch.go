@@ -68,7 +68,7 @@ func NewSwitch(hostname string, n int, opts ...Option) *Switch {
 		o(s)
 	}
 	if s.fdb == nil {
-		s.fdb = NewFDB(0, 0, s.clock)
+		s.fdb = NewFDB(0, s.clock)
 	}
 	s.bootTime = s.clock.Now()
 	for i := 1; i <= n; i++ {

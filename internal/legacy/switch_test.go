@@ -410,7 +410,7 @@ func TestConfigManagement(t *testing.T) {
 
 func TestFDBAging(t *testing.T) {
 	clk := netem.NewManualClock()
-	r := newRig(t, 3, WithClock(clk), WithFDBAging(10*time.Second))
+	r := newRig(t, 3, WithClock(clk))
 	r.inject(t, 1, ethFrame(t, macA, pkt.BroadcastMAC, "l"))
 	r.inject(t, 2, ethFrame(t, macB, macA, "to-a"))
 	if r.hosts[1].count() != 1 {
@@ -421,7 +421,7 @@ func TestFDBAging(t *testing.T) {
 	}
 	r.hosts[1].reset()
 	r.hosts[3].reset()
-	clk.Advance(11 * time.Second)
+	clk.Advance(DefaultFDBAging + time.Second)
 	// A's entry expired: unicast to A floods again.
 	r.inject(t, 2, ethFrame(t, macB, macA, "to-a-again"))
 	if r.hosts[3].count() != 1 {
@@ -431,7 +431,7 @@ func TestFDBAging(t *testing.T) {
 
 func TestFDBOperations(t *testing.T) {
 	clk := netem.NewManualClock()
-	f := NewFDB(5*time.Second, 2, clk)
+	f := NewFDB(2, clk)
 	f.Learn(1, macA, 1)
 	f.Learn(1, macB, 2)
 	if f.Len() != 2 {
@@ -443,7 +443,7 @@ func TestFDBOperations(t *testing.T) {
 		t.Error("macC learned despite full table")
 	}
 	// After aging, learning evicts an expired entry.
-	clk.Advance(6 * time.Second)
+	clk.Advance(DefaultFDBAging + time.Second)
 	f.Learn(1, macC, 3)
 	if p, ok := f.Lookup(1, macC); !ok || p != 3 {
 		t.Error("macC not learned after eviction")
@@ -480,7 +480,7 @@ func TestFDBOperations(t *testing.T) {
 }
 
 func TestFDBEntriesSorted(t *testing.T) {
-	f := NewFDB(0, 0, nil)
+	f := NewFDB(0, nil)
 	f.Learn(2, macB, 1)
 	f.Learn(1, macC, 2)
 	f.Learn(1, macA, 3)

@@ -226,8 +226,6 @@ func (st *dispatchState) grow(n int) {
 		st.run = make([][]byte, n)
 		st.sc.flat = make([]pkt.FlatKey, n)
 		st.sc.shard = make([]uint8, n)
-		st.sc.proj = make([]pkt.FlatKey, n)
-		st.sc.next = make([]int32, n)
 	}
 }
 
@@ -306,11 +304,12 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	n := len(frames)
 	st.grow(n)
 	if n == 1 {
-		// One frame: the classic per-frame walk, minus the batch-probe
-		// bookkeeping. probeBatch's fixed cost per call scales with
-		// cache shards × mask classes, not with the batch: without this
-		// branch ReceiveBatch/batch=1 went from a median 499 to 677
-		// ns/frame (6 of 6 interleaved pairs of 500000 frames, 2-core
+		// One frame: the classic per-frame walk, minus the burst path's
+		// fixed cost per call — probeBatch's bypass and accounting passes
+		// and its drain of the 32 bypass windows, and the burst loop's own
+		// passes over the vector. Without this branch
+		// ReceiveBatch/batch=1 went from a median 615 to 737 ns/frame
+		// (slower in 10 of 10 interleaved pairs of 1000000 frames, 2-core
 		// Xeon VM).
 		flat := &st.sc.flat[0]
 		if err := pkt.ExtractFlat(frames[0], inPort, flat); err != nil {

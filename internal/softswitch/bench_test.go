@@ -129,7 +129,7 @@ func driveBatch(b *testing.B, sw *softswitch.Switch, gen *fabric.Generator, batc
 
 // BenchmarkReceiveBatch sweeps the batch size on the cached many-flow
 // workload: batch=1 is the per-frame wrapper baseline, larger vectors
-// amortize key extraction, shard locks and egress flushes. Then 32-frame
+// amortize key extraction, class locks and egress flushes. Then 32-frame
 // bursts of 1024 flows through the L2 program: one-megaflow sends every
 // frame to one host, so each burst is one run on one cache entry;
 // alternating sends to two hosts in turn, two entries, so every run is

@@ -6,15 +6,14 @@ import (
 	"github.com/harmless-sdn/harmless/internal/flowtable"
 	"github.com/harmless-sdn/harmless/internal/openflow"
 	"github.com/harmless-sdn/harmless/internal/pkt"
-	"github.com/harmless-sdn/harmless/internal/stats"
 )
 
-// The flow cache's entries and stores (DESIGN.md, "The flow cache"): a
+// The flow cache's entries and classes (DESIGN.md, "The flow cache"): a
 // walk records the operations it performed, the revision of every table
 // it consulted (read before the lookup, so a racing flow-mod leaves the
 // recording stale, never wrongly valid) and the union of their consult
-// masks; the entry is stored under the packed key projected through that
-// mask, revalidated on every hit and replayed run by run. A walk that
+// masks; the entry is stored in that mask's class under the packed key
+// projected through it, revalidated on every hit and replayed run by run. A walk that
 // outputs to a patch port follows it into the peer (follow), so one
 // entry of the switch the frame entered replays the whole crossing.
 // Meters, groups, TTLs and packet-ins stay operations, re-run per frame.
@@ -57,7 +56,7 @@ type microOp struct {
 // revalidate and the operation sequence to replay. The pipeline walk
 // fills one in inside the recorder of its txContext, and
 // flowCache.install publishes a copy. A published entry is immutable, so
-// nothing has to keep a store from unmapping one that a dispatch is
+// nothing has to keep a class from unmapping one that a dispatch is
 // still replaying.
 type CacheEntry struct {
 	deps []tableDep
@@ -219,133 +218,87 @@ func (mf *CacheEntry) asksOnMiss() bool {
 	return false
 }
 
-// flowStore is the sharded key -> program map, and the only owner of
-// one: each mask class (flowcache.go) is a flowStore keyed by the
-// projected packed key. Entries it unpublishes — replaced, evicted, stale,
-// swept — are the garbage collector's.
-type flowStore struct {
-	shards [cacheShards]struct {
-		mu    sync.RWMutex
-		flows map[pkt.FlatKey]*CacheEntry
-	}
-	cap   int                  // per-shard entry cap
-	stats *stats.CacheCounters // the cache's counters
+// maskClass is one mask-equivalence class: a map from packed keys
+// projected through words to their programs, under one lock (tuple-space
+// style, the cache's analogue of the flow tables' tuples). It is the only
+// owner of an entry: those it unpublishes (replaced, evicted, stale,
+// swept) are the garbage collector's.
+type maskClass struct {
+	words pkt.FlatKey // the class's mask and its identity: projecting a packed key is six ANDs
+	mu    sync.RWMutex
+	flows map[pkt.FlatKey]*CacheEntry
 }
 
-// init sizes the store for totalCap entries.
-func (st *flowStore) init(totalCap int, counters *stats.CacheCounters) {
-	st.cap = max(totalCap/cacheShards, 1)
-	st.stats = counters
-	for i := range st.shards {
-		st.shards[i].flows = make(map[pkt.FlatKey]*CacheEntry)
-	}
-}
-
-// lookup returns the still-valid entry for the key (hash is k.Sum()),
+// get returns class g's still-valid entry for the projected key k,
 // counting the hit, or nil. A stale entry is removed and counted as an
 // invalidation on the way out. Misses are the caller's to count: a
 // packet misses once, not once per class.
-func (st *flowStore) lookup(k *pkt.FlatKey, hash uint64) *CacheEntry {
-	sh := &st.shards[shardOf(hash)]
-	sh.mu.RLock()
-	mf := sh.flows[*k]
-	sh.mu.RUnlock()
+func (c *flowCache) get(g *maskClass, k *pkt.FlatKey) *CacheEntry {
+	g.mu.RLock()
+	mf := g.flows[*k]
+	g.mu.RUnlock()
 	if mf == nil {
 		return nil
 	}
 	if mf.valid() {
-		st.stats.Hits.Inc()
+		c.stats.Hits.Inc()
 		return mf
 	}
-	sh.mu.Lock()
+	g.mu.Lock()
 	// Only remove the exact entry we saw: a racing walk may have
 	// installed a fresher replacement already.
-	if sh.flows[*k] == mf {
-		delete(sh.flows, *k)
+	if g.flows[*k] == mf {
+		delete(g.flows, *k)
 	}
-	sh.mu.Unlock()
-	st.stats.Invalidations.Inc()
+	g.mu.Unlock()
+	c.stats.Invalidations.Inc()
 	return nil
 }
 
-// probeBatch fills out[i] with the valid entry of each frame on sc's
-// per-shard chains (and touches no other frame: an earlier class's hit
-// stays as it is), taking each shard's read lock ONCE and probing all of
-// its keys under it — the per-batch amortization of the per-frame lock
-// in lookup. Hits are the caller's to count; stale entries are left nil
-// (no removal) for the per-frame path.
-func (st *flowStore) probeBatch(keys []pkt.FlatKey, out []*CacheEntry, sc *probeScratch) {
-	for si := range st.shards {
-		head := sc.heads[si]
-		if head < 0 {
-			continue
-		}
-		sh := &st.shards[si]
-		sh.mu.RLock()
-		for i := head; i >= 0; i = sc.next[i] {
-			out[i] = sh.flows[keys[i]]
-		}
-		sh.mu.RUnlock()
-		for i := head; i >= 0; i = sc.next[i] {
-			if out[i] != nil && !out[i].valid() {
-				out[i] = nil
-			}
-		}
-	}
-}
-
-// put publishes a recorded entry, evicting an arbitrary entry of the
-// same shard when the shard is at capacity (map iteration order gives a
-// cheap pseudo-random victim, which is how the OVS exact-match cache
-// handles thrash: constant-time displacement, no LRU tracking).
-func (st *flowStore) put(k *pkt.FlatKey, hash uint64, mf *CacheEntry) {
-	sh := &st.shards[shardOf(hash)]
+// put publishes a recorded entry in class g, evicting an arbitrary entry
+// of the class when it holds c.size (map iteration order gives a cheap
+// pseudo-random victim, which is how the OVS exact-match cache handles
+// thrash: constant-time displacement, no LRU tracking).
+func (c *flowCache) put(g *maskClass, k *pkt.FlatKey, mf *CacheEntry) {
 	evicted := false
-	sh.mu.Lock()
-	if sh.flows[*k] == nil && len(sh.flows) >= st.cap {
-		for vk := range sh.flows {
-			delete(sh.flows, vk)
+	g.mu.Lock()
+	if g.flows[*k] == nil && len(g.flows) >= c.size {
+		for vk := range g.flows {
+			delete(g.flows, vk)
 			evicted = true
 			break
 		}
 	}
-	sh.flows[*k] = mf
-	sh.mu.Unlock()
+	g.flows[*k] = mf
+	g.mu.Unlock()
 	if evicted {
-		st.stats.Evictions.Inc()
+		c.stats.Evictions.Inc()
 	}
-	st.stats.Inserts.Inc()
+	c.stats.Inserts.Inc()
 }
 
-// prune unpublishes the entries whose recorded revisions went stale, so
-// a quiet cache does not hold dead table references. It returns the
-// number removed, counted as invalidations.
-func (st *flowStore) prune() int {
+// prune unpublishes class g's entries whose recorded revisions went
+// stale, so a quiet cache does not hold dead table references. It returns
+// the number removed, counted as invalidations.
+func (c *flowCache) prune(g *maskClass) int {
 	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.Lock()
-		for k, mf := range sh.flows {
-			if !mf.valid() {
-				delete(sh.flows, k)
-				n++
-			}
+	g.mu.Lock()
+	for k, mf := range g.flows {
+		if !mf.valid() {
+			delete(g.flows, k)
+			n++
 		}
-		sh.mu.Unlock()
 	}
+	g.mu.Unlock()
 	if n > 0 {
-		st.stats.Invalidations.Add(uint64(n))
+		c.stats.Invalidations.Add(uint64(n))
 	}
 	return n
 }
 
 // len returns the number of published entries (diagnostics only).
-func (st *flowStore) len() int {
-	n := 0
-	for i := range st.shards {
-		st.shards[i].mu.RLock()
-		n += len(st.shards[i].flows)
-		st.shards[i].mu.RUnlock()
-	}
-	return n
+func (g *maskClass) len() int {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return len(g.flows)
 }

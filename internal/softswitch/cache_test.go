@@ -1,6 +1,7 @@
 package softswitch
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -195,13 +196,14 @@ func TestCachedMatchesUncached(t *testing.T) {
 }
 
 func TestCacheEvictionUnderThrash(t *testing.T) {
-	// Capacity of one entry per shard: distinct flows fight for slots,
-	// forwarding must stay correct throughout. Bypass is off so the
-	// cache keeps installing however bad the hit rate gets. The
+	// Capacity of 32 entries in the one mask class: distinct flows fight
+	// for slots, forwarding must stay correct throughout. Bypass is off so
+	// the cache keeps installing however bad the hit rate gets. The
 	// never-matched src-port entry widens table 0's consult mask to
 	// include l4_src, so the 200 flows project to 200 distinct keys
 	// rather than collapsing into one match-anything entry.
-	r := newRig(t, 2, WithFlowCacheSize(cacheShards))
+	const capacity = 32
+	r := newRig(t, 2, WithFlowCacheSize(capacity))
 	r.sw.cache.bypassOn = false
 	distract := openflow.Match{}
 	distract.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(9999)
@@ -221,8 +223,35 @@ func TestCacheEvictionUnderThrash(t *testing.T) {
 	if cs.Evictions.Load() == 0 {
 		t.Errorf("no evictions under thrash: %s", cs)
 	}
-	if r.sw.CacheLen() > cacheShards {
+	if r.sw.CacheLen() > capacity {
 		t.Errorf("cache grew past capacity: %d", r.sw.CacheLen())
+	}
+}
+
+// TestFlowCacheCapacityIsExact: WithFlowCacheSize(n) holds n entries in
+// a mask class, however their keys hash. 2n distinct flows of one class
+// leave n entries behind and evict the other n.
+func TestFlowCacheCapacityIsExact(t *testing.T) {
+	for _, n := range []int{4, 100} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			r := newRig(t, 2, WithFlowCacheSize(n))
+			r.sw.cache.bypassOn = false
+			distract := openflow.Match{} // widens the consult mask to l4_src: one class, 2n keys
+			distract.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(9999)
+			addFlow(t, r.sw, 0, 5, distract, apply(out(2)))
+			addFlow(t, r.sw, 0, 1, openflow.Match{}, apply(out(2)))
+			for p := 1; p <= 2*n; p++ {
+				r.inject(t, 1, udpFrame(t, macA, macB, ipA, ipB, uint16(p), 80, "t"))
+			}
+			cs := r.sw.CacheStats()
+			if got := len(*r.sw.cache.classes.Load()); got != 1 {
+				t.Fatalf("%d mask classes, want 1", got)
+			}
+			if r.sw.CacheLen() != n || cs.Evictions.Load() != uint64(n) {
+				t.Errorf("%d entries and %d evictions after %d flows, want %d and %d: %s",
+					r.sw.CacheLen(), cs.Evictions.Load(), 2*n, n, n, cs)
+			}
+		})
 	}
 }
 
@@ -458,17 +487,17 @@ func TestConcurrentBurstsCountEveryFrame(t *testing.T) {
 	}
 }
 
-// TestFlowStoreWaysOut drives the one shard store through every way an
+// TestFlowStoreWaysOut drives one mask class through every way an
 // entry leaves it — replaced under the same key, evicted at capacity,
 // removed stale on lookup, swept one by one or all at once — and checks
 // what stays and what each way out counts. An entry that left is the
 // garbage collector's; TestEntryOutlivesItsStore is the concurrent half.
 func TestFlowStoreWaysOut(t *testing.T) {
-	const shard = 7 // put/lookup take the hash, so the test picks the shard
 	k1, k2 := pkt.FlatKey{1}, pkt.FlatKey{2}
 
 	type fixture struct {
-		st     *flowStore
+		c      *flowCache
+		g      *maskClass
 		tables [2]*flowtable.Table
 	}
 	// entry records a program depending on f.tables[dep]; bump makes
@@ -485,68 +514,69 @@ func TestFlowStoreWaysOut(t *testing.T) {
 
 	ways := []struct {
 		name string
-		// run starts from a store holding entry a (valid, on table 0)
-		// under k1.
+		// run starts from a class of capacity size holding entry a
+		// (valid, on table 0) under k1.
+		size                 int
 		run                  func(t *testing.T, f *fixture, a *CacheEntry)
 		wantLen              int
 		wantEvict, wantInval uint64
 	}{
-		{name: "replace-same-key", wantLen: 1,
+		{name: "replace-same-key", size: 1, wantLen: 1,
 			run: func(t *testing.T, f *fixture, a *CacheEntry) {
 				b := entry(f, 0)
-				f.st.put(&k1, shard, b)
-				if got := f.st.lookup(&k1, shard); got != b {
+				f.c.put(f.g, &k1, b)
+				if got := f.c.get(f.g, &k1); got != b {
 					t.Errorf("lookup after replace = %p, want the new entry %p", got, b)
 				}
 			}},
-		{name: "capacity-eviction", wantLen: 1, wantEvict: 1,
+		{name: "capacity-eviction", size: 1, wantLen: 1, wantEvict: 1,
 			run: func(t *testing.T, f *fixture, a *CacheEntry) {
 				b := entry(f, 0)
-				f.st.put(&k2, shard, b) // per-shard cap is 1: a must go
-				if f.st.lookup(&k1, shard) != nil || f.st.lookup(&k2, shard) != b {
-					t.Error("full shard kept the old entry or lost the new one")
+				f.c.put(f.g, &k2, b) // the class's cap is 1: a must go
+				if f.c.get(f.g, &k1) != nil || f.c.get(f.g, &k2) != b {
+					t.Error("full class kept the old entry or lost the new one")
 				}
 			}},
-		{name: "stale-on-lookup", wantLen: 0, wantInval: 1,
+		{name: "stale-on-lookup", size: 1, wantLen: 0, wantInval: 1,
 			run: func(t *testing.T, f *fixture, a *CacheEntry) {
 				bump(t, f, 0)
-				if f.st.lookup(&k1, shard) != nil {
+				if f.c.get(f.g, &k1) != nil {
 					t.Error("stale entry served")
 				}
 			}},
-		{name: "sweep", wantLen: 1, wantInval: 1,
+		{name: "sweep", size: 2, wantLen: 1, wantInval: 1,
 			run: func(t *testing.T, f *fixture, a *CacheEntry) {
-				f.st.put(&k2, shard+1, entry(f, 1))
+				f.c.put(f.g, &k2, entry(f, 1))
 				bump(t, f, 1)
-				if n := f.st.prune(); n != 1 {
+				if n := f.c.prune(f.g); n != 1 {
 					t.Errorf("sweep removed %d, want 1", n)
 				}
-				if f.st.lookup(&k1, shard) != a {
+				if f.c.get(f.g, &k1) != a {
 					t.Error("sweep removed a valid entry")
 				}
 			}},
-		{name: "flush", wantLen: 0, wantInval: 2,
+		{name: "flush", size: 2, wantLen: 0, wantInval: 2,
 			run: func(t *testing.T, f *fixture, a *CacheEntry) {
-				f.st.put(&k2, shard+1, entry(f, 1))
+				f.c.put(f.g, &k2, entry(f, 1))
 				bump(t, f, 0)
 				bump(t, f, 1)
-				if n := f.st.prune(); n != 2 {
+				if n := f.c.prune(f.g); n != 2 {
 					t.Errorf("flush removed %d, want 2", n)
 				}
 			}},
 	}
 	for _, way := range ways {
 		t.Run("maskClass/"+way.name, func(t *testing.T) {
-			c := newFlowCache(cacheShards)                     // one entry per shard
-			f := &fixture{st: &c.class(&pkt.FlatKey{1}).store} // any mask: the store never looks at it
+			c := newFlowCache(way.size)
+			f := &fixture{c: c, g: c.class(&pkt.FlatKey{1})} // any mask: get/put take projected keys
 			for i := range f.tables {
 				f.tables[i] = flowtable.NewTable(uint8(i), netem.RealClock{})
 			}
 			a := entry(f, 0)
-			f.st.put(&k1, shard, a)
+			c.put(f.g, &k1, a)
 
 			way.run(t, f, a)
-			if got := f.st.len(); got != way.wantLen {
+			if got := f.g.len(); got != way.wantLen {
 				t.Errorf("len = %d, want %d", got, way.wantLen)
 			}
 			if got := c.stats.Evictions.Load(); got != way.wantEvict {
@@ -560,15 +590,15 @@ func TestFlowStoreWaysOut(t *testing.T) {
 }
 
 // TestEntryOutlivesItsStore: a dispatch replays entries it holds with no
-// lock and no pin, so a store must be free to unmap one at any moment
+// lock and no pin, so a class must be free to unmap one at any moment
 // without anything being reused under the replay. One goroutine bursts
-// flow A while a second thrashes A's one-entry store shard with flows of
+// flow A while a second thrashes A's one-entry mask class with flows of
 // another port and a third keeps every recorded revision going stale with
 // flow-mods that leave the forwarding as it is. Every frame of A leaves
 // on A's port, and the race detector sees every access.
 func TestEntryOutlivesItsStore(t *testing.T) {
-	sw := New("outlive", 0x44, WithFlowCacheSize(cacheShards)) // one entry per store shard
-	sw.cache.bypassOn = false                                  // a thrashed shard must keep installing
+	sw := New("outlive", 0x44, WithFlowCacheSize(1)) // one entry per mask class
+	sw.cache.bypassOn = false                        // a thrashed class must keep installing
 	sinkA, sinkB := &discardBackend{}, &discardBackend{}
 	sw.AttachPort(2, "a", sinkA)
 	sw.AttachPort(3, "b", sinkB)
@@ -582,24 +612,12 @@ func TestEntryOutlivesItsStore(t *testing.T) {
 	addFlow(t, sw, 0, 1, openflow.Match{}, apply(out(3)))
 
 	// The first walk creates the one mask class (the table consults
-	// l4_src); the thrashing flows are those whose projection falls in
-	// the store shard of A's.
+	// l4_src); any other flow of the class takes A's one slot.
 	frameA := udpFrame(t, macA, macB, ipA, ipB, portA, 80, "a")
 	sw.Receive(1, append([]byte(nil), frameA...))
-	words := (*sw.cache.classes.Load())[0].words
-	storeShard := func(frame []byte) uint32 {
-		var f pkt.FlatKey
-		if err := pkt.ExtractFlat(frame, 1, &f); err != nil {
-			t.Fatal(err)
-		}
-		p := f.And(&words)
-		return shardOf(p.Sum())
-	}
 	var thrash [][]byte
 	for port := uint16(2000); len(thrash) < 4; port++ {
-		if f := udpFrame(t, macA, macB, ipA, ipB, port, 80, "b"); storeShard(f) == storeShard(frameA) {
-			thrash = append(thrash, f)
-		}
+		thrash = append(thrash, udpFrame(t, macA, macB, ipA, ipB, port, 80, "b"))
 	}
 
 	const burst = 8

@@ -281,7 +281,7 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 	clk := netem.NewManualClock()
 	cacheSize := DefaultFlowCacheSize
 	if seed%3 == 0 {
-		cacheSize = 2 * cacheShards // capacity evictions in the mix
+		cacheSize = 16 // capacity evictions in the mix
 	}
 	telC, telP := telemetry.NewTable(telemetry.Config{}), telemetry.NewTable(telemetry.Config{})
 	exportsC, exportsP := walkExports{}, walkExports{}
@@ -513,8 +513,8 @@ func runCacheWalk(t *testing.T, seed int64, batch int) (classes int, hits uint64
 
 // TestCacheMatchesWalkRandom is the randomized cached ≡ uncached check
 // at batch sizes 1 (the per-frame lookup and the direct credit), 8 and
-// 256 (the grouped probe, a few frames and many per shard, and runs cut
-// by the vector's end and not).
+// 256 (the batch probe over a few frames and many, and runs cut by the
+// vector's end and not).
 func TestCacheMatchesWalkRandom(t *testing.T) {
 	seeds := int64(24)
 	if testing.Short() {

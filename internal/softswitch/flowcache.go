@@ -9,44 +9,34 @@ import (
 	"github.com/harmless-sdn/harmless/internal/stats"
 )
 
-// The datapath flow cache: one flowStore per mask class, keyed by the
-// packed key projected through the class's mask, and what the classes
-// share — admission (adaptive bypass) and the counters. An entry serves
-// every flow that agrees on the consulted bits: no table the walk
+// The datapath flow cache: one map per mask class (cache.go), keyed by
+// the packed key projected through the class's mask, and what the
+// classes share — admission (adaptive bypass) and the counters. An entry
+// serves every flow that agrees on the consulted bits: no table the walk
 // traversed could tell two such flows apart (Table.ConsultMask per
 // table, induction over the goto chain for the walk).
 
 const (
-	// cacheShards is the number of independently locked shards a
-	// flowStore divides its map into — also the granularity of the
-	// adaptive-bypass hit-rate tracking. A power of two (shard
-	// selection is a mask) that fits a uint8 with room for shardSkip (the
-	// batch probe keeps each frame's bypass shard in one).
-	cacheShards = 32
+	// bypassShards is the number of shards the adaptive bypass tracks hit
+	// rates in. A power of two (shard selection is a mask) that fits a
+	// uint8 with room for shardSkip (the batch probe keeps each frame's
+	// bypass shard in one).
+	bypassShards = 32
 
 	// DefaultFlowCacheSize is the default capacity of each mask class,
 	// in cache entries.
 	DefaultFlowCacheSize = 1 << 15
 
 	// maxMaskClasses bounds the class list: each class adds a
-	// projection+hash+probe to the miss path, so a ruleset that keeps
-	// more masks than this in use falls back to declining installs rather
+	// projection+probe to the miss path, so a ruleset that keeps more
+	// masks than this in use falls back to declining installs rather
 	// than degrading every lookup. Classes a flow-mod left with nothing
 	// but stale entries do not count (flowCache.compact).
 	maxMaskClasses = 16
 )
 
-// shardOf maps a key hash to its shard (store shard and bypass shard
-// alike).
-func shardOf(hash uint64) uint32 { return uint32(hash) & (cacheShards - 1) }
-
-// maskClass is one mask-equivalence class: an exact-match store over
-// keys projected through words (tuple-space style, the cache's analogue
-// of the flow tables' tuples).
-type maskClass struct {
-	words pkt.FlatKey // the class's mask and its identity: projecting a packed key is six ANDs
-	store flowStore
-}
+// shardOf maps the hash of a packed key to its bypass shard.
+func shardOf(hash uint64) uint32 { return uint32(hash) & (bypassShards - 1) }
 
 // probeScratch is the state of one batch probe, one slot per frame
 // (pooled with the dispatch state, so batch probes allocate nothing).
@@ -58,16 +48,6 @@ type probeScratch struct {
 	// with shardSkip set on a frame the probe leaves alone (unparsable,
 	// or of a shard in bypass).
 	shard []uint8
-	// proj[i] is flat[i] projected through the current class's mask,
-	// valid for the frames the class probes.
-	proj []pkt.FlatKey
-	// heads/next chain frame indices per store shard of the projected
-	// key: heads[s] is the first frame of shard s (-1 = none), next[i]
-	// the following one. A frame that projects like the last frame
-	// chained is not chained: its next[i] names that frame (sameAs),
-	// whose probe answers for both. Rebuilt for every class.
-	heads [cacheShards]int32
-	next  []int32
 
 	wins shardWins
 }
@@ -75,15 +55,11 @@ type probeScratch struct {
 // shardSkip marks a frame the batch probe does not look up.
 const shardSkip = 0x80
 
-// sameAs encodes in a next slot that the frame shares frame j's probe:
-// chain links are >= -1, anything below is one of these. Its own inverse.
-func sameAs(j int32) int32 { return -2 - j }
-
 // shardWins accumulates one batch's lookups and hits per bypass shard,
 // so each touched shard's window is fed with one atomic add. The counts
 // are kept apart: a batch is as long as its caller makes it, and neither
 // may carry into the other.
-type shardWins [cacheShards]struct{ lookups, hits uint32 }
+type shardWins [bypassShards]struct{ lookups, hits uint32 }
 
 func (w *shardWins) add(shard uint8, hit bool) {
 	w[shard].lookups++
@@ -125,7 +101,7 @@ const (
 	modeProbe
 )
 
-// bypassShard is the admission state of one cache shard.
+// bypassShard is the admission state of one bypass shard.
 type bypassShard struct {
 	win     atomic.Uint64 // hits<<32 | lookups of the current window
 	mode    atomic.Uint32
@@ -201,16 +177,16 @@ type flowCache struct {
 	tablesChanged atomic.Bool
 
 	bypassOn bool // always true outside tests
-	bypass   [cacheShards]bypassShard
+	bypass   [bypassShards]bypassShard
 
-	// stats is shared by every class store (hits, inserts,
-	// invalidations, evictions); misses and bypassed packets are counted
-	// here, once per packet however many classes were probed.
+	// stats counts for every class (hits, inserts, invalidations,
+	// evictions); misses and bypassed packets are counted once per packet
+	// however many classes were probed.
 	stats stats.CacheCounters
 }
 
-func newFlowCache(totalCap int) *flowCache {
-	c := &flowCache{size: totalCap, bypassOn: true}
+func newFlowCache(size int) *flowCache {
+	c := &flowCache{size: size, bypassOn: true}
 	c.classes.Store(new([]*maskClass))
 	return c
 }
@@ -231,7 +207,7 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 	var hits uint32
 	for _, g := range *c.classes.Load() {
 		p := f.And(&g.words)
-		if e = g.store.lookup(&p, p.Sum()); e != nil {
+		if e = c.get(g, &p); e != nil {
 			hits = 1
 			break
 		}
@@ -247,18 +223,13 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 
 // probeBatch probes a whole batch, class by class. It takes every
 // frame's bypass shard from the hash of its packed key (sc.flat, which
-// the dispatch filled); then, per class, the keys still unresolved are
-// projected through the class's mask and chained by the projected key's
-// store shard, so each shard read-lock is taken once per class per
-// batch (flowStore.probeBatch). A frame that projects like the last frame
-// chained — the next frame of a run, of one flow or of several the class
-// cannot tell apart — is not chained: it takes that frame's entry and
-// counts as a hit, for a six-word XOR in place of a hash, a lock and a
-// map probe. The entry was validated by this very probe and nothing of
-// the run is kept after it, so there is nothing to invalidate. Such a
-// frame is resolved where the next pass over the batch meets it — the
-// next class's chaining, or the closing pass that counts the hits and
-// feeds the bypass windows — rather than in a pass of its own.
+// the dispatch filled); then, per class, it takes the class's read lock
+// once and probes the frames still unresolved, in order, with their keys
+// projected through the class's mask. A frame that projects like the
+// previous frame probed — the next frame of a run, of one flow or of
+// several the class cannot tell apart — takes that frame's answer, for a
+// six-word compare in place of a map probe. The entries found are
+// validated once the lock is released, a run's once.
 //
 // out[i] is filled for every frame with skip[i] false and a bypass shard
 // not in bypass. Only hits are accounted and only valid entries
@@ -268,6 +239,7 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 // are likewise left nil without accounting: classifyAndRun's per-frame
 // admit does the bypass/probation bookkeeping exactly once.
 func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch) {
+	left := 0 // frames still unresolved
 	for i := range out {
 		out[i] = nil
 		if skip[i] {
@@ -277,53 +249,55 @@ func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch)
 		sh := uint8(shardOf(sc.flat[i].Sum()))
 		if c.bypassOn && c.bypass[sh].mode.Load() == modeBypass {
 			sh |= shardSkip
+		} else {
+			left++
 		}
 		sc.shard[i] = sh
 	}
-	// shared is whether the last class probed left sameAs marks to resolve.
-	shared := false
 	for _, g := range *c.classes.Load() {
-		for i := range sc.heads {
-			sc.heads[i] = -1
+		if left == 0 {
+			break
 		}
-		last, marked := int32(-1), false
-		for i := int32(len(out)) - 1; i >= 0; i-- {
+		var p, prev pkt.FlatKey
+		last := -1
+		left = 0
+		g.mu.RLock()
+		for i := range out {
 			if sc.shard[i]&shardSkip != 0 || out[i] != nil {
 				continue
 			}
-			if shared && sc.next[i] < -1 {
-				if out[i] = out[sameAs(sc.next[i])]; out[i] != nil {
-					continue
+			if p.SetAnd(&sc.flat[i], &g.words); last >= 0 && p.Equal(&prev) {
+				out[i] = out[last]
+			} else {
+				out[i], prev, last = g.flows[p], p, i
+			}
+			if out[i] == nil {
+				left++
+			}
+		}
+		g.mu.RUnlock()
+		var ok *CacheEntry // the last entry found valid
+		for i, e := range out {
+			if e != nil && e != ok {
+				if e.valid() {
+					ok = e
+				} else {
+					out[i] = nil
+					left++
 				}
 			}
-			p := &sc.proj[i]
-			p.SetAnd(&sc.flat[i], &g.words)
-			if last >= 0 && p.Equal(&sc.proj[last]) {
-				sc.next[i], marked = sameAs(last), true
-				continue
-			}
-			sh := shardOf(p.Sum())
-			sc.next[i] = sc.heads[sh]
-			sc.heads[sh] = i
-			last = i
 		}
-		g.store.probeBatch(sc.proj, out, sc)
-		shared = marked
 	}
-	// Resolve the last class's marks, count the hits, and feed the
-	// per-shard windows with one atomic add per touched shard. Frames the
-	// batch probe missed are probed again per frame on the slow path and
-	// counted there too; that skews bypassed-rate tracking toward the miss
-	// side, which only makes bypass engage marginally sooner under thrash —
-	// acceptable for a heuristic.
+	// Count the hits, and feed the per-shard windows with one atomic add
+	// per touched shard. Frames the batch probe missed are probed again
+	// per frame on the slow path and counted there too; that skews
+	// bypassed-rate tracking toward the miss side, which only makes bypass
+	// engage marginally sooner under thrash — acceptable for a heuristic.
 	var hits uint64
 	for i := range out {
 		sh := sc.shard[i]
 		if sh&shardSkip != 0 {
 			continue
-		}
-		if out[i] == nil && shared && sc.next[i] < -1 {
-			out[i] = out[sameAs(sc.next[i])]
 		}
 		hit := out[i] != nil
 		if hit {
@@ -341,9 +315,8 @@ func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch)
 	}
 }
 
-// class returns the store of a mask class, creating it on first use
-// (nil when the class list is full of classes that still hold valid
-// entries).
+// class returns a mask class, creating it on first use (nil when the
+// class list is full of classes that still hold valid entries).
 func (c *flowCache) class(mask *pkt.FlatKey) *maskClass {
 	for _, g := range *c.classes.Load() {
 		if g.words == *mask {
@@ -365,8 +338,7 @@ func (c *flowCache) class(mask *pkt.FlatKey) *maskClass {
 	if len(cur) >= maxMaskClasses {
 		return nil
 	}
-	g := &maskClass{words: *mask}
-	g.store.init(c.size, &c.stats)
+	g := &maskClass{words: *mask, flows: make(map[pkt.FlatKey]*CacheEntry)}
 	next := append(slices.Clip(cur), g) // clipped: append copies, readers keep cur
 	c.classes.Store(&next)
 	return g
@@ -377,7 +349,7 @@ func (c *flowCache) class(mask *pkt.FlatKey) *maskClass {
 // dispatch's to reuse. Whether a run replays the entry frame by frame
 // (CacheEntry.perFrame) is decided here, once. The copy and its two
 // arrays are all the cache allocates per flow; the garbage collector
-// owns them once a store unmaps the entry. A full class list declines
+// owns them once a class unmaps the entry. A full class list declines
 // the recording: nothing is allocated and no insert is counted.
 func (c *flowCache) install(f *pkt.FlatKey, rec *recorder) {
 	g := c.class(&rec.mask)
@@ -389,7 +361,7 @@ func (c *flowCache) install(f *pkt.FlatKey, rec *recorder) {
 	e.deps, e.ops = slices.Clone(rec.deps), slices.Clone(rec.ops)
 	e.perFrame = e.replaysPerFrame()
 	p := f.And(&g.words)
-	g.store.put(&p, p.Sum(), e)
+	c.put(g, &p, e)
 }
 
 // sweep unpublishes the revision-stale entries of every class and drops
@@ -401,7 +373,7 @@ func (c *flowCache) sweep() int {
 }
 
 // compact is sweep with classMu held. A dispatch that is still probing
-// the old list probes an empty store; an install that found its class
+// the old list probes an empty class; an install that found its class
 // just before it was dropped publishes where nobody looks, and the next
 // walk of that flow records again.
 func (c *flowCache) compact() int {
@@ -409,8 +381,8 @@ func (c *flowCache) compact() int {
 	live := make([]*maskClass, 0, len(cur))
 	n := 0
 	for _, g := range cur {
-		n += g.store.prune()
-		if g.store.len() > 0 {
+		n += c.prune(g)
+		if g.len() > 0 {
 			live = append(live, g)
 		}
 	}
@@ -424,7 +396,7 @@ func (c *flowCache) compact() int {
 func (c *flowCache) len() int {
 	n := 0
 	for _, g := range *c.classes.Load() {
-		n += g.store.len()
+		n += g.len()
 	}
 	return n
 }

@@ -8,7 +8,7 @@
 //
 // The hot-path entry point is ReceiveBatch (batch.go); Receive is its
 // one-frame wrapper. A frame is served by the flow cache (cache.go,
-// flowcache.go) — one sharded map per mask-equivalence class, from the
+// flowcache.go) — one locked map per mask-equivalence class, from the
 // packed key projected through the consulted tables' masks to a recorded
 // program, revalidated against table revisions on every hit — and
 // otherwise by a walk of the tables' own classifiers
@@ -142,8 +142,9 @@ type Option func(*Switch)
 // WithClock injects a clock for deterministic timeout tests.
 func WithClock(c netem.Clock) Option { return func(s *Switch) { s.clock = c } }
 
-// WithFlowCacheSize bounds each mask class of the flow cache to roughly
-// n entries (n <= 0 disables the cache).
+// WithFlowCacheSize sets the exact capacity of each mask class of the
+// flow cache: n entries, an insert into a full class evicting one of them
+// (n <= 0 disables the cache).
 func WithFlowCacheSize(n int) Option { return func(s *Switch) { s.cacheSize = n } }
 
 // WithNumTables sets the pipeline depth (n <= 0 keeps the default).
