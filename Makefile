@@ -21,7 +21,6 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "files need gofmt:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/harmlesslint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -32,8 +31,8 @@ lint:
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
 # numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
 # either exceeds its ceiling (the round's acceptance line in ROADMAP).
-LOC_CEILING    := 25402
-DESIGN_CEILING := 798
+LOC_CEILING    := 24214
+DESIGN_CEILING := 772
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' -print0 \
@@ -53,9 +52,11 @@ loc:
 # SNMP decoder — a flow-table lookup that stops answering like the
 # priority scan, an in-place VLAN rewrite or packed key that stops
 # agreeing with its reference, a header parser that stops agreeing
-# with the full decoder, and a cached S4 node (entries that follow the
-# patch ports) that stops agreeing with a walked one. Every package with a Fuzz target belongs here.
-FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp ./internal/softswitch ./internal/telemetry
+# with the full decoder, a cached S4 node (entries that follow the
+# patch ports) that stops agreeing with a walked one, a CLI line the
+# legacy switch refuses but half applies, and a scenario or campaign
+# spec that panics its parser. Every package with a Fuzz target belongs here.
+FUZZ_PKGS := ./internal/openflow ./internal/flowtable ./internal/pkt ./internal/snmp ./internal/softswitch ./internal/telemetry ./internal/legacy ./internal/sim ./internal/migrate
 
 fuzz-smoke:
 	@for pkg in $(FUZZ_PKGS); do \

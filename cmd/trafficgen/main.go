@@ -116,7 +116,7 @@ func runMix(cfg mixConfig) {
 	defer agg.Stop()
 
 	sw := mixSwitch(tab)
-	gen := fabric.NewMixGenerator(cfg.elephants, cfg.flows, cfg.mouseLife, 0.8, 42)
+	gen := fabric.NewMixGenerator(cfg.elephants, cfg.flows, cfg.mouseLife)
 	fmt.Printf("mix: %d elephants (80%% of packets) + %d active mice over a pool of %d flows, %s\n",
 		cfg.elephants, cfg.flows, gen.DistinctFlows(), cfg.duration)
 

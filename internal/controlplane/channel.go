@@ -276,7 +276,9 @@ func (c *Channel) Close() {
 		c.conn = nil
 		c.mu.Unlock()
 		if conn != nil {
-			//harmless:allow-droperr the channel is already marked closed; the transport close error has no consumer and cannot affect protocol state
+			// The error is dropped: the channel is already marked closed, and
+			// the transport close error has no consumer and cannot affect
+			// protocol state.
 			conn.Close()
 		}
 		c.set.remove(c)

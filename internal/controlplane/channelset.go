@@ -147,7 +147,8 @@ func (s *ChannelSet) Close() {
 	}
 	s.mu.Unlock()
 	for _, l := range listeners {
-		//harmless:allow-droperr listener teardown fan-out; net.Listener close errors have no consumer here and each channel closes itself below
+		// The error is dropped: net.Listener close errors have no consumer
+		// here, and each channel closes itself below.
 		l.Close()
 	}
 	for _, c := range chans {

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -318,5 +319,36 @@ func TestBackoffSchedule(t *testing.T) {
 		if got := backoff(i); got != w {
 			t.Errorf("backoff(%d) = %v, want %v", i, got, w)
 		}
+	}
+}
+
+// closeFailing is a transport whose Close fails with err after closing.
+type closeFailing struct {
+	net.Conn
+	err error
+}
+
+func (c closeFailing) Close() error {
+	_ = c.Conn.Close()
+	return c.err
+}
+
+// TestPairCloseReportsBothSessions: closing a master/slave pair reports
+// the transport close failure of each session.
+func TestPairCloseReportsBothSessions(t *testing.T) {
+	set := NewChannelSet(&fakeDatapath{}, testCfg())
+	defer set.Close()
+	errMaster, errSlave := errors.New("master transport"), errors.New("slave transport")
+	swM, ctrlM := net.Pipe()
+	swS, ctrlS := net.Pipe()
+	set.Attach(swM)
+	set.Attach(swS)
+	p, err := ConnectPair(ctx(t), closeFailing{ctrlM, errMaster}, closeFailing{ctrlS, errSlave}, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = p.Close()
+	if !errors.Is(err, errMaster) || !errors.Is(err, errSlave) {
+		t.Errorf("Close() = %v, want both %v and %v", err, errMaster, errSlave)
 	}
 }

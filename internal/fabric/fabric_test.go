@@ -306,7 +306,7 @@ func TestPayloadIntegrityThroughHARMLESS(t *testing.T) {
 }
 
 func TestMixGeneratorShape(t *testing.T) {
-	g := NewMixGenerator(4, 32, 8, 0.8, 7)
+	g := NewMixGenerator(4, 32, 8)
 	if g.DistinctFlows() != 4+8*32 {
 		t.Fatalf("distinct flows = %d", g.DistinctFlows())
 	}

@@ -184,7 +184,8 @@ func (d *Deployment) Close() {
 		d.S4.Stop()
 	}
 	for _, c := range d.closers {
-		//harmless:allow-droperr in-memory pipe ends; closing one twice or after its peer is the only failure and means it is closed
+		// The error is dropped: these are in-memory pipe ends, and closing
+		// one twice or after its peer, the only failure, means it is closed.
 		c.Close()
 	}
 	for _, l := range d.Links {

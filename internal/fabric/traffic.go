@@ -204,24 +204,30 @@ func (a *Arena) Copy(frame []byte) []byte {
 // population is a sliding window over a larger precomputed pool), so
 // Next stays allocation-free like the other generators.
 type MixGenerator struct {
-	elephants     *Generator
-	mice          [][]byte // full mouse pool; the active set slides over it
-	window        int      // active mice at any instant
-	start         int      // first active mouse
-	perWindow     int      // mouse frames emitted before the window slides
-	emitted       int
-	elephantShare float64
-	rng           *rand.Rand
-	churned       int
+	elephants *Generator
+	mice      [][]byte // full mouse pool; the active set slides over it
+	window    int      // active mice at any instant
+	start     int      // first active mouse
+	perWindow int      // mouse frames emitted before the window slides
+	emitted   int
+	rng       *rand.Rand
+	churned   int
 }
 
+// The mix's shape: elephants carry mixElephantShare of the packets, and
+// every MixGenerator draws the same stream from mixSeed.
+const (
+	mixElephantShare = 0.8
+	mixSeed          = 42
+)
+
 // NewMixGenerator builds a mix of 64-byte frames: `elephants`
-// long-lived flows taking elephantShare of the packets and `mice`
+// long-lived flows taking mixElephantShare of the packets and `mice`
 // concurrently active short-lived flows, each living for roughly
 // `mouseLife` of its own packets before being replaced by a brand-new
 // flow. The mouse pool holds 8x the active window, so the mix replays
 // ~8*mice distinct short-lived flows before reusing a tuple.
-func NewMixGenerator(elephants, mice, mouseLife int, elephantShare float64, seed int64) *MixGenerator {
+func NewMixGenerator(elephants, mice, mouseLife int) *MixGenerator {
 	if elephants < 1 {
 		elephants = 1
 	}
@@ -231,25 +237,21 @@ func NewMixGenerator(elephants, mice, mouseLife int, elephantShare float64, seed
 	if mouseLife < 1 {
 		mouseLife = 16
 	}
-	if elephantShare <= 0 || elephantShare >= 1 {
-		elephantShare = 0.8
-	}
-	pool := NewUDPGenerator(64, 8*mice, seed+1)
+	pool := NewUDPGenerator(64, 8*mice, mixSeed+1)
 	return &MixGenerator{
-		elephants:     NewUDPGenerator(64, elephants, seed),
-		mice:          pool.frames,
-		window:        mice,
-		perWindow:     mouseLife * mice,
-		elephantShare: elephantShare,
-		rng:           rand.New(rand.NewSource(seed + 2)),
+		elephants: NewUDPGenerator(64, elephants, mixSeed),
+		mice:      pool.frames,
+		window:    mice,
+		perWindow: mouseLife * mice,
+		rng:       rand.New(rand.NewSource(mixSeed + 2)),
 	}
 }
 
 // Next returns the next frame: an elephant with probability
-// elephantShare, otherwise a random currently-active mouse. The
+// mixElephantShare, otherwise a random currently-active mouse. The
 // returned slice is shared; copy before mutating (CopyNext-style).
 func (g *MixGenerator) Next() []byte {
-	if g.rng.Float64() < g.elephantShare {
+	if g.rng.Float64() < mixElephantShare {
 		return g.elephants.Next()
 	}
 	g.emitted++

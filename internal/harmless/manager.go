@@ -220,12 +220,13 @@ func (m *Manager) MigratePort(port int) error {
 	}
 	if err != nil {
 		// Leave no trace: the port back in the native VLAN, the trunk
-		// back to the plan's list, the declared VLAN gone.
+		// back to the plan's list, the declared VLAN gone. Each undo
+		// that fails is reported under the step it undoes.
 		delete(plan.VLANForPort, port)
 		return errors.Join(err,
-			m.driver.ConfigureAccessPort(port, plan.NativeVLAN),
-			m.driver.ConfigureTrunkPort(plan.TrunkPort, plan.NativeVLAN, plan.TrunkVLANs()),
-			m.driver.RemoveVLAN(vlan))
+			undoErr(m.driver.ConfigureAccessPort(port, plan.NativeVLAN), "port %d", port),
+			undoErr(m.driver.ConfigureTrunkPort(plan.TrunkPort, plan.NativeVLAN, plan.TrunkVLANs()), "trunk port %d", plan.TrunkPort),
+			undoErr(m.driver.RemoveVLAN(vlan), "vlan %d", vlan))
 	}
 	// Wire the new logical port and extend the translator (the two
 	// new rules are simple FLOW_MOD adds; existing rules are
@@ -238,6 +239,15 @@ func (m *Manager) MigratePort(port int) error {
 		NativeVLAN:  plan.NativeVLAN,
 	}
 	return InstallTranslator(m.s4.SS1, onePortPlan)
+}
+
+// undoErr prefixes a failed undo step's error with the step it undoes;
+// nil stays nil.
+func undoErr(err error, step string, args ...any) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf(step+": %w", append(args, err)...)
 }
 
 // softConnectPatch adds the patch pair for a logical port on a live

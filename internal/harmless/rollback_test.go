@@ -1,6 +1,7 @@
 package harmless
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,39 +10,79 @@ import (
 	"github.com/harmless-sdn/harmless/internal/mgmt"
 )
 
-// flakyDriver passes through to a real CLI driver until armed, then
-// fails the named method (ConfigureAccessPort counts successes so a
-// partial configureLegacy can be simulated).
+// errInjected is the device failure flakyDriver returns. It names no
+// port or VLAN, so an error that does had the step named by the
+// Manager.
+var errInjected = errors.New("injected device fault")
+
+// call is one driver call: a method, and the index of the call among
+// that method's calls since the driver was armed (every: all of them).
+type call struct {
+	method string
+	n      int
+}
+
+const every = -1
+
+// flakyDriver passes through to a real CLI driver, refusing the calls
+// it is armed with.
 type flakyDriver struct {
 	mgmt.Driver
-	failMethod  string
-	accessCalls int
-	failAfter   int // ConfigureAccessPort: refuse the Nth call (transiently)
+	fail  map[call]bool
+	calls map[string]int
+}
+
+// arm refuses the listed calls, counting each method's calls from now
+// on; arm() with no calls disarms the driver.
+func (f *flakyDriver) arm(fail ...call) {
+	f.fail, f.calls = map[call]bool{}, map[string]int{}
+	for _, c := range fail {
+		f.fail[c] = true
+	}
+}
+
+func (f *flakyDriver) refuse(method string) error {
+	if f.fail == nil {
+		return nil
+	}
+	n := f.calls[method]
+	f.calls[method] = n + 1
+	if f.fail[call{method, n}] || f.fail[call{method, every}] {
+		return errInjected
+	}
+	return nil
 }
 
 func (f *flakyDriver) ConfigureAccessPort(port int, vlan uint16) error {
-	if f.failMethod == "ConfigureAccessPort" {
-		n := f.accessCalls
-		f.accessCalls++
-		if n == f.failAfter {
-			return fmt.Errorf("injected: access port %d refused", port)
-		}
+	if err := f.refuse("ConfigureAccessPort"); err != nil {
+		return err
 	}
 	return f.Driver.ConfigureAccessPort(port, vlan)
 }
 
 func (f *flakyDriver) ConfigureTrunkPort(port int, native uint16, allowed []uint16) error {
-	if f.failMethod == "ConfigureTrunkPort" {
-		return fmt.Errorf("injected: trunk port %d refused", port)
+	if err := f.refuse("ConfigureTrunkPort"); err != nil {
+		return err
 	}
 	return f.Driver.ConfigureTrunkPort(port, native, allowed)
 }
 
 func (f *flakyDriver) RemoveVLAN(id uint16) error {
-	if f.failMethod == "RemoveVLAN" {
-		return fmt.Errorf("injected: vlan %d sticky", id)
+	if err := f.refuse("RemoveVLAN"); err != nil {
+		return err
 	}
 	return f.Driver.RemoveVLAN(id)
+}
+
+// runningConfig returns the device's running config through the
+// unwrapped driver.
+func (r *managerRig) runningConfig(t *testing.T) string {
+	t.Helper()
+	cfg, err := r.driver.RunningConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 func TestManagerRollbackRestoresRunningConfig(t *testing.T) {
@@ -98,18 +139,18 @@ func TestManagerDeployPartialFailureCleansUp(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fd := &flakyDriver{Driver: r.driver, failMethod: tc.method, failAfter: tc.failAfter}
+			fd := &flakyDriver{Driver: r.driver}
+			fd.arm(call{tc.method, tc.failAfter})
 			m := NewManager(fd, nil, ManagerConfig{})
 			_, err = m.Deploy(r.trunk.B(), nil)
 			if err == nil {
 				t.Fatal("deploy succeeded despite injected failure")
 			}
-			if !strings.Contains(err.Error(), "injected") {
+			if !errors.Is(err, errInjected) {
 				t.Errorf("error does not carry the device failure: %v", err)
 			}
 			// The partial tagging must have been undone: running config
 			// identical to the pre-deploy snapshot, no plan, no S4.
-			fd.failMethod = "" // rollback already ran; disarm for the probe
 			after, err := r.driver.RunningConfig()
 			if err != nil {
 				t.Fatal(err)
@@ -138,7 +179,7 @@ func TestManagerRollbackReportsAndRetries(t *testing.T) {
 	// First rollback: VLAN removal fails; the error must name every
 	// VLAN it could not remove, and the rollback must not be marked
 	// done.
-	fd.failMethod = "RemoveVLAN"
+	fd.arm(call{"RemoveVLAN", every})
 	err = m.Rollback()
 	if err == nil {
 		t.Fatal("rollback swallowed device errors")
@@ -149,7 +190,7 @@ func TestManagerRollbackReportsAndRetries(t *testing.T) {
 		}
 	}
 	// Retry with the device healthy again: finishes the job.
-	fd.failMethod = ""
+	fd.arm()
 	if err := m.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +229,11 @@ func TestMigratePortFailureLeavesNoTrace(t *testing.T) {
 		}
 	}
 	// A port the device refuses midway: the declared VLAN is removed.
-	fd.failMethod = "ConfigureTrunkPort"
-	if err := m.MigratePort(3); err == nil || !strings.Contains(err.Error(), "injected") {
+	fd.arm(call{"ConfigureTrunkPort", 0})
+	if err := m.MigratePort(3); !errors.Is(err, errInjected) {
 		t.Errorf("MigratePort(3) with the trunk refused: %v", err)
 	}
-	fd.failMethod = ""
+	fd.arm()
 	if _, ok := m.Plan().VLANForPort[3]; ok {
 		t.Error("refused port 3 left in the plan")
 	}
@@ -212,5 +253,107 @@ func TestMigratePortFailureLeavesNoTrace(t *testing.T) {
 	}
 	if after != before {
 		t.Errorf("rollback after failed MigratePort calls differs:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+	}
+}
+
+// TestUnwindStepFailures fails each undo step of the Manager's three
+// unwind paths in turn — Rollback, the cleanup of a Deploy whose trunk
+// the device refused, and the undo of a MigratePort whose trunk the
+// device refused. Each time the returned error must carry the device
+// failure under the name of the step that failed, and a retry on a
+// healthy device must land on the pre-deploy running config byte for
+// byte.
+func TestUnwindStepFailures(t *testing.T) {
+	type step struct {
+		fail call
+		name string
+	}
+	// Five ports: 1-4 migrated into VLANs 101-104, 5 the trunk. An
+	// undo of that layout sends ports 1-4 back to the native VLAN
+	// (access calls 0-3), then the trunk (access call 4), then removes
+	// the four VLANs (RemoveVLAN calls 0-3). skip shifts the access
+	// calls past the ones made before the undo starts.
+	undo := func(skip int) []step {
+		var steps []step
+		for p := 1; p <= 4; p++ {
+			steps = append(steps, step{call{"ConfigureAccessPort", skip + p - 1}, fmt.Sprintf("port %d: ", p)})
+		}
+		steps = append(steps, step{call{"ConfigureAccessPort", skip + 4}, "trunk port 5: "})
+		for p := 1; p <= 4; p++ {
+			steps = append(steps, step{call{"RemoveVLAN", p - 1}, fmt.Sprintf("vlan %d: ", 100+p)})
+		}
+		return steps
+	}
+	named := func(t *testing.T, err error, name string) {
+		t.Helper()
+		if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), name+errInjected.Error()) {
+			t.Errorf("error does not name the failed step %q: %v", name, err)
+		}
+	}
+	run := func(t *testing.T, accessPorts []int, body func(m *Manager, fd *flakyDriver, r *managerRig)) {
+		r := newManagerRig(t, 5, false)
+		before := r.runningConfig(t)
+		fd := &flakyDriver{Driver: r.driver}
+		m := NewManager(fd, nil, ManagerConfig{AccessPorts: accessPorts})
+		body(m, fd, r)
+		fd.arm()
+		if err := m.Rollback(); err != nil {
+			t.Fatalf("rollback on a healthy device: %v", err)
+		}
+		if after := r.runningConfig(t); after != before {
+			t.Errorf("retry did not restore the running config:\n--- before ---\n%s\n--- after ---\n%s", before, after)
+		}
+	}
+
+	for _, st := range undo(0) {
+		t.Run("rollback/"+strings.TrimSuffix(st.name, ": "), func(t *testing.T) {
+			run(t, nil, func(m *Manager, fd *flakyDriver, r *managerRig) {
+				if _, err := m.Deploy(r.trunk.B(), nil); err != nil {
+					t.Fatal(err)
+				}
+				fd.arm(st.fail)
+				named(t, m.Rollback(), st.name)
+			})
+		})
+	}
+	// Deploy tags ports 1-4 (access calls 0-3), then the device refuses
+	// the trunk; the cleanup follows.
+	for _, st := range undo(4) {
+		t.Run("deploy/"+strings.TrimSuffix(st.name, ": "), func(t *testing.T) {
+			run(t, nil, func(m *Manager, fd *flakyDriver, r *managerRig) {
+				fd.arm(call{"ConfigureTrunkPort", 0}, st.fail)
+				_, err := m.Deploy(r.trunk.B(), nil)
+				named(t, err, st.name)
+				// The retry deploys again; run rolls it back.
+				fd.arm()
+				if _, err := m.Deploy(r.trunk.B(), nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
+	}
+	// MigratePort(3) declares VLAN 103 and puts port 3 in it (access
+	// call 0), then the device refuses the trunk (trunk call 0); the
+	// undo puts port 3 back (access call 1), restores the trunk's list
+	// (trunk call 1) and removes VLAN 103.
+	for _, st := range []step{
+		{call{"ConfigureAccessPort", 1}, "port 3: "},
+		{call{"ConfigureTrunkPort", 1}, "trunk port 5: "},
+		{call{"RemoveVLAN", 0}, "vlan 103: "},
+	} {
+		t.Run("migrate-port/"+strings.TrimSuffix(st.name, ": "), func(t *testing.T) {
+			run(t, []int{1, 2}, func(m *Manager, fd *flakyDriver, r *managerRig) {
+				if _, err := m.Deploy(r.trunk.B(), nil); err != nil {
+					t.Fatal(err)
+				}
+				fd.arm(call{"ConfigureTrunkPort", 0}, st.fail)
+				named(t, m.MigratePort(3), st.name)
+				// The retry migrates the port; run rolls it back.
+				fd.arm()
+				if err := m.MigratePort(3); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }

@@ -377,15 +377,23 @@ func (c *cliSession) handleConfigIf(cmd string, args []string) (string, bool) {
 			return "", false
 		case strings.HasPrefix(join, "trunk allowed vlan "):
 			spec := strings.TrimPrefix(join, "trunk allowed vlan ")
-			spec = strings.TrimPrefix(spec, "add ")
-			vlans, err := parseVLANList(spec)
+			add := strings.HasPrefix(spec, "add ")
+			vlans, err := parseVLANList(strings.TrimPrefix(spec, "add "))
 			if err != nil {
 				return errInvalid, false
 			}
 			cfg := c.srv.sw.Config()
-			native := cfg.Ports[c.curIf].PVID
-			if cfg.Ports[c.curIf].Mode == ModeAccess {
+			pc := cfg.Ports[c.curIf]
+			native := pc.PVID
+			if pc.Mode == ModeAccess {
 				native = DefaultVLAN
+			}
+			if add && pc.Mode == ModeTrunk {
+				if pc.Allowed == nil {
+					vlans = nil // the trunk already carries every VLAN
+				} else {
+					vlans = append(pc.AllowedList(), vlans...)
+				}
 			}
 			if err := c.srv.sw.SetPortTrunk(c.curIf, native, vlans); err != nil {
 				return errInvalid, false
@@ -441,7 +449,7 @@ func parseVLANList(spec string) ([]uint16, error) {
 		if lo, hi, ok := strings.Cut(part, "-"); ok {
 			l, err1 := strconv.ParseUint(lo, 10, 16)
 			h, err2 := strconv.ParseUint(hi, 10, 16)
-			if err1 != nil || err2 != nil || l > h || h > uint64(MaxVLAN) {
+			if err1 != nil || err2 != nil || l < 1 || l > h || h > uint64(MaxVLAN) {
 				return nil, fmt.Errorf("legacy: bad VLAN range %q", part)
 			}
 			for v := l; v <= h; v++ {

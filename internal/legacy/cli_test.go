@@ -288,6 +288,7 @@ func TestParseVLANList(t *testing.T) {
 		{"0", 0, true},
 		{"5000", 0, true},
 		{"4-1", 0, true},
+		{"0-3", 0, true},
 		{"a,b", 0, true},
 	}
 	for _, c := range cases {
@@ -326,5 +327,54 @@ func TestDialectHelpers(t *testing.T) {
 	}
 	if DialectCiscoish.String() != "ciscoish" || DialectAristaish.String() != "aristaish" {
 		t.Error("dialect strings")
+	}
+}
+
+// TestCLIRefusedTrunkListChangesNothing: a trunk list the switch
+// refuses (a range from VLAN 0) is answered with an error and leaves
+// the port exactly as it was.
+func TestCLIRefusedTrunkListChangesNothing(t *testing.T) {
+	sw := NewSwitch("sw1", 2)
+	srv := NewCLIServer(sw, DialectCiscoish)
+	before := sw.Config()
+	out := runScript(t, srv,
+		"enable", "configure terminal",
+		"interface gi0/2",
+		"switchport trunk allowed vlan 0-3",
+	)
+	if !strings.Contains(out, "% Invalid") {
+		t.Errorf("range from VLAN 0 accepted: %q", out)
+	}
+	if got, want := *sw.Config().Ports[2], *before.Ports[2]; got.Mode != want.Mode || got.PVID != want.PVID || got.Allowed != nil {
+		t.Errorf("refused command changed gi0/2: %+v, was %+v", got, want)
+	}
+}
+
+// TestCLITrunkAllowedAdd: "allowed vlan add" extends the trunk's list
+// instead of replacing it, and leaves a trunk that carries every VLAN
+// carrying every VLAN.
+func TestCLITrunkAllowedAdd(t *testing.T) {
+	sw := NewSwitch("sw1", 2)
+	srv := NewCLIServer(sw, DialectCiscoish)
+	out := runScript(t, srv,
+		"enable", "configure terminal",
+		"interface gi0/1",
+		"switchport mode trunk",
+		"switchport trunk allowed vlan add 7",
+		"exit",
+		"interface gi0/2",
+		"switchport mode trunk",
+		"switchport trunk allowed vlan 101,102",
+		"switchport trunk allowed vlan add 103-104,101",
+	)
+	if strings.Contains(out, "%") {
+		t.Fatalf("error: %q", out)
+	}
+	cfg := sw.Config()
+	if al := cfg.Ports[1].AllowedList(); al != nil {
+		t.Errorf("gi0/1 (all VLANs) after add: %v, want all", al)
+	}
+	if al := cfg.Ports[2].AllowedList(); fmt.Sprint(al) != "[101 102 103 104]" {
+		t.Errorf("gi0/2 after add: %v, want [101 102 103 104]", al)
 	}
 }

@@ -383,6 +383,18 @@ func (s *Switch) SetPortTrunk(n int, native uint16, allowed []uint16) error {
 	if native < 1 || native > MaxVLAN {
 		return fmt.Errorf("legacy: native VLAN %d out of range", native)
 	}
+	// Build the set before touching the port: a refused list leaves
+	// the port as it was.
+	var set *VLANSet
+	if allowed != nil {
+		set = new(VLANSet)
+		for _, v := range allowed {
+			if v < 1 || v > MaxVLAN {
+				return fmt.Errorf("legacy: allowed VLAN %d out of range", v)
+			}
+			set.Add(v)
+		}
+	}
 	s.mu.Lock()
 	pc, ok := s.cfg.Ports[n]
 	if !ok {
@@ -391,18 +403,7 @@ func (s *Switch) SetPortTrunk(n int, native uint16, allowed []uint16) error {
 	}
 	pc.Mode = ModeTrunk
 	pc.PVID = native
-	if allowed == nil {
-		pc.Allowed = nil
-	} else {
-		pc.Allowed = new(VLANSet)
-		for _, v := range allowed {
-			if v < 1 || v > MaxVLAN {
-				s.mu.Unlock()
-				return fmt.Errorf("legacy: allowed VLAN %d out of range", v)
-			}
-			pc.Allowed.Add(v)
-		}
-	}
+	pc.Allowed = set
 	s.mu.Unlock()
 	s.fdb.FlushPort(n)
 	return nil

@@ -550,3 +550,22 @@ func BenchmarkLegacySwitchKnownUnicast(b *testing.B) {
 		_ = links[1].B().Send(frame)
 	}
 }
+
+// TestRefusedTrunkLeavesPortUntouched: SetPortTrunk validates the
+// whole list before it changes anything, so a refused list leaves the
+// port's mode, PVID and allowed set, and the addresses learned on it,
+// as they were.
+func TestRefusedTrunkLeavesPortUntouched(t *testing.T) {
+	sw := NewSwitch("edge-1", 4)
+	sw.FDB().Learn(DefaultVLAN, macA, 2)
+	before := *sw.Config().Ports[2]
+	if err := sw.SetPortTrunk(2, 7, []uint16{101, 0, 102}); err == nil {
+		t.Fatal("allowed VLAN 0 accepted")
+	}
+	if got := *sw.Config().Ports[2]; got.Mode != before.Mode || got.PVID != before.PVID || got.Allowed != before.Allowed {
+		t.Errorf("refused trunk changed port 2: %+v, was %+v", got, before)
+	}
+	if port, ok := sw.FDB().Lookup(DefaultVLAN, macA); !ok || port != 2 {
+		t.Errorf("refused trunk flushed port 2's addresses: port %d, found %v", port, ok)
+	}
+}

@@ -212,7 +212,9 @@ func (r *switchRig) killServer() {
 // dropControllers abandons the controller sessions, if any are up.
 func (r *switchRig) dropControllers() {
 	if r.ctrl != nil {
-		//harmless:allow-droperr the OF transports are abandoned (dead server, or a rollback that restoredExactly verifies byte for byte); a close error changes nothing
+		// The error is dropped: the OF transports are abandoned (dead
+		// server, or a rollback that restoredExactly verifies byte for
+		// byte), so a close error changes nothing.
 		r.ctrl.Close()
 		r.ctrl = nil
 	}

@@ -240,7 +240,8 @@ func (c *Conn) Close() error {
 		// deliberate, so the writer's follow-up close error is not
 		// reported as a Close failure.
 		c.forceClosed.Store(true)
-		//harmless:allow-droperr deliberate abandon documented above; the writer's own close outcome lands in closeErr
+		// The error is dropped: the abandon is deliberate (above), and the
+		// writer's own close outcome lands in closeErr.
 		_ = c.rw.Close()
 		<-c.writerDone
 	}

@@ -164,3 +164,25 @@ func TestConnStickyWriteError(t *testing.T) {
 		t.Fatal("send after sticky error succeeded")
 	}
 }
+
+// closeFailing is a transport whose Close fails with err after closing.
+type closeFailing struct {
+	net.Conn
+	err error
+}
+
+func (c closeFailing) Close() error {
+	_ = c.Conn.Close()
+	return c.err
+}
+
+// TestConnCloseReportsTransportError: the transport's close failure is
+// what Close returns, not swallowed on the writer's way out.
+func TestConnCloseReportsTransportError(t *testing.T) {
+	c1, c2 := net.Pipe()
+	defer c2.Close()
+	errClose := errors.New("transport close failed")
+	if err := NewConn(closeFailing{c1, errClose}).Close(); !errors.Is(err, errClose) {
+		t.Errorf("Close() = %v, want the transport's %v", err, errClose)
+	}
+}

@@ -240,7 +240,7 @@ func BenchmarkManyFlows(b *testing.B) {
 		// Elephant/mouse mix: 32 long-lived flows carry 80% of the
 		// packets over a churning population of short-lived mice —
 		// the production profile a pure exact-match cache thrashes on.
-		{"churn", func() frameSource { return fabric.NewMixGenerator(32, 256, 16, 0.8, 7) },
+		{"churn", func() frameSource { return fabric.NewMixGenerator(32, 256, 16) },
 			[]softswitch.Option{softswitch.WithFlowCacheSize(512)}, 16384},
 		// 4096 flows varying only unconsulted header fields: their mask
 		// class folds them into one wildcard entry.

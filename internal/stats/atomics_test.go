@@ -1,16 +1,16 @@
-package analysis_test
+package stats
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-
-	"github.com/harmless-sdn/harmless/internal/analysis"
 )
 
 // TestAtomicsAreTyped holds the module's atomic discipline by type: a
@@ -19,9 +19,10 @@ import (
 // does not compile. A call of a package-level function (AddUint64,
 // LoadInt64, ...) is what would let one access be atomic and another
 // plain, a race only a run that reaches both sides can show, so the
-// test fails on any such call in non-test code.
+// test fails on any such call in non-test code. The counters in this
+// package are those typed values.
 func TestAtomicsAreTyped(t *testing.T) {
-	root, err := analysis.ModuleDir(".")
+	root, err := moduleRoot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,6 +61,25 @@ func TestAtomicsAreTyped(t *testing.T) {
 	}
 	if files == 0 {
 		t.Fatalf("no Go files found under %s", root)
+	}
+}
+
+// moduleRoot walks up from the package directory to the go.mod that
+// holds it.
+func moduleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod above the package directory")
+		}
+		dir = parent
 	}
 }
 
