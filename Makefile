@@ -31,7 +31,7 @@ lint:
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
 # numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
 # either exceeds its ceiling (the round's acceptance line in ROADMAP).
-LOC_CEILING    := 24214
+LOC_CEILING    := 24208
 DESIGN_CEILING := 772
 
 loc:

@@ -175,21 +175,15 @@ func (m *Manager) Rollback() error {
 func (m *Manager) rollbackLegacy(plan *Plan) error {
 	var errs []error
 	for _, port := range plan.MigratedPorts() {
-		if err := m.driver.ConfigureAccessPort(port, plan.NativeVLAN); err != nil {
-			errs = append(errs, fmt.Errorf("port %d: %w", port, err))
-		}
+		errs = append(errs, undoErr(m.driver.ConfigureAccessPort(port, plan.NativeVLAN), "port %d", port))
 	}
-	if err := m.driver.ConfigureAccessPort(plan.TrunkPort, plan.NativeVLAN); err != nil {
-		errs = append(errs, fmt.Errorf("trunk port %d: %w", plan.TrunkPort, err))
-	}
+	errs = append(errs, undoErr(m.driver.ConfigureAccessPort(plan.TrunkPort, plan.NativeVLAN), "trunk port %d", plan.TrunkPort))
 	for _, port := range plan.MigratedPorts() {
 		vlan := plan.VLANForPort[port]
-		if err := m.driver.RemoveVLAN(vlan); err != nil {
-			errs = append(errs, fmt.Errorf("vlan %d: %w", vlan, err))
-		}
+		errs = append(errs, undoErr(m.driver.RemoveVLAN(vlan), "vlan %d", vlan))
 	}
-	if len(errs) > 0 {
-		return fmt.Errorf("harmless: rollback of %s incomplete: %w", plan.Hostname, errors.Join(errs...))
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("harmless: rollback of %s incomplete: %w", plan.Hostname, err)
 	}
 	return nil
 }

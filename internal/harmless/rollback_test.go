@@ -228,8 +228,11 @@ func TestMigratePortFailureLeavesNoTrace(t *testing.T) {
 			t.Errorf("MigratePort(%d) accepted", port)
 		}
 	}
-	// A port the device refuses midway: the declared VLAN is removed.
-	fd.arm(call{"ConfigureTrunkPort", 0})
+	// A port the device refuses midway, and keeps refusing while the
+	// undo restores the trunk: the undo goes on past that failure, so
+	// port 3 is back in the native VLAN and the declared VLAN is
+	// removed.
+	fd.arm(call{"ConfigureTrunkPort", every})
 	if err := m.MigratePort(3); !errors.Is(err, errInjected) {
 		t.Errorf("MigratePort(3) with the trunk refused: %v", err)
 	}
@@ -290,6 +293,20 @@ func TestUnwindStepFailures(t *testing.T) {
 			t.Errorf("error does not name the failed step %q: %v", name, err)
 		}
 	}
+	// undone checks, before the retry, that every undo step but the
+	// failed one took effect: an undo goes on past a failure.
+	undone := func(t *testing.T, r *managerRig, failed string, ports ...int) {
+		t.Helper()
+		cfg := r.sw.Config()
+		for _, p := range ports {
+			if failed != fmt.Sprintf("port %d: ", p) && cfg.Ports[p].PVID != legacy.DefaultVLAN {
+				t.Errorf("undo stopped before port %d: PVID %d", p, cfg.Ports[p].PVID)
+			}
+			if vlan := uint16(100 + p); failed != fmt.Sprintf("vlan %d: ", vlan) && cfg.VLANs[vlan] != "" {
+				t.Errorf("undo stopped before VLAN %d: %q", vlan, cfg.VLANs[vlan])
+			}
+		}
+	}
 	run := func(t *testing.T, accessPorts []int, body func(m *Manager, fd *flakyDriver, r *managerRig)) {
 		r := newManagerRig(t, 5, false)
 		before := r.runningConfig(t)
@@ -313,6 +330,7 @@ func TestUnwindStepFailures(t *testing.T) {
 				}
 				fd.arm(st.fail)
 				named(t, m.Rollback(), st.name)
+				undone(t, r, st.name, 1, 2, 3, 4)
 			})
 		})
 	}
@@ -324,6 +342,7 @@ func TestUnwindStepFailures(t *testing.T) {
 				fd.arm(call{"ConfigureTrunkPort", 0}, st.fail)
 				_, err := m.Deploy(r.trunk.B(), nil)
 				named(t, err, st.name)
+				undone(t, r, st.name, 1, 2, 3, 4)
 				// The retry deploys again; run rolls it back.
 				fd.arm()
 				if _, err := m.Deploy(r.trunk.B(), nil); err != nil {
@@ -348,6 +367,7 @@ func TestUnwindStepFailures(t *testing.T) {
 				}
 				fd.arm(call{"ConfigureTrunkPort", 0}, st.fail)
 				named(t, m.MigratePort(3), st.name)
+				undone(t, r, st.name, 3)
 				// The retry migrates the port; run rolls it back.
 				fd.arm()
 				if err := m.MigratePort(3); err != nil {
