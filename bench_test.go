@@ -10,9 +10,10 @@ package harmless_test
 // BenchmarkE2_ChainBurst is the same comparison
 // in 32-frame bursts into a counting sink, the pair cmd/benchdiff
 // gates (chain >= 0.3 of bare); BenchmarkE3_PathLatency measures per-packet
-// forwarding latency of the same paths; BenchmarkE8_TableScaling
-// regenerates the flow-table scaling series (pipeline lookup cost vs
-// rule count and vs access-port count).
+// forwarding latency of the same paths, one frame at a time into the
+// same sinks (gated harmless-chain >= 1/5 of bare-softswitch);
+// BenchmarkE8_TableScaling regenerates the flow-table scaling series
+// (pipeline lookup cost vs rule count and vs access-port count).
 
 import (
 	"fmt"
@@ -138,6 +139,20 @@ func BenchmarkE2_Throughput(b *testing.B) {
 	}
 }
 
+// sinkPath returns the link end to inject into and the counting sink
+// of the bare software switch (chain false) or of the full HARMLESS
+// chain from host 1's link to host 2's, no decoding host in the path.
+func sinkPath(b *testing.B, chain bool) (in *netem.Port, delivered *int, cleanup func()) {
+	if !chain {
+		return bareSwitchPath(b)
+	}
+	d := harmlessPath(b)
+	delivered = new(int)
+	// Links[i] serves access port i+1; its B end is the host's.
+	d.Links[1].B().SetReceiver(func([]byte) { *delivered++ })
+	return d.Links[0].B(), delivered, d.Close
+}
+
 // BenchmarkE2_ChainBurst is the paper's claim as a same-run pair: the
 // same 64-byte frames in 32-frame bursts through the bare software
 // switch and through the full HARMLESS chain, each into a counting
@@ -147,19 +162,8 @@ func BenchmarkE2_ChainBurst(b *testing.B) {
 	const burst, size = 32, 64
 	for _, path := range []string{"bare", "chain"} {
 		b.Run(path, func(b *testing.B) {
-			var in *netem.Port
-			delivered := new(int)
-			if path == "chain" {
-				d := harmlessPath(b)
-				defer d.Close()
-				// Links[i] serves access port i+1; its B end is the host's.
-				in = d.Links[0].B()
-				d.Links[1].B().SetReceiver(func([]byte) { *delivered++ })
-			} else {
-				var cleanup func()
-				in, delivered, cleanup = bareSwitchPath(b)
-				defer cleanup()
-			}
+			in, delivered, cleanup := sinkPath(b, path == "chain")
+			defer cleanup()
 			frame := benchFrame(b, size)
 			arena := fabric.NewArena(benchArenaSlots, size)
 			vec := make([][]byte, burst)
@@ -288,32 +292,31 @@ func BenchmarkE2_TranslatorOnly(b *testing.B) {
 
 // --- E3: per-packet forwarding latency --------------------------------
 
-// BenchmarkE3_PathLatency measures one traversal of each path with
-// sync links: ns/op IS the processing latency added per packet.
+// BenchmarkE3_PathLatency measures one frame at a time through each
+// path, injected at a link end and counted at a sink as in
+// BenchmarkE2_ChainBurst: ns/op IS the processing latency added per
+// packet. cmd/benchdiff -pair-check gates harmless-chain against
+// bare-softswitch at each frame size.
 func BenchmarkE3_PathLatency(b *testing.B) {
-	const size = 256
-	b.Run("bare-softswitch", func(b *testing.B) {
-		in, _, cleanup := bareSwitchPath(b)
-		defer cleanup()
-		frame := benchFrame(b, size)
-		arena := fabric.NewArena(benchArenaSlots, size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = in.Send(arena.Copy(frame))
+	for _, size := range []int{64, 256} {
+		for _, path := range []string{"bare-softswitch", "harmless-chain"} {
+			b.Run(fmt.Sprintf("frame=%d/%s", size, path), func(b *testing.B) {
+				in, delivered, cleanup := sinkPath(b, path == "harmless-chain")
+				defer cleanup()
+				frame := benchFrame(b, size)
+				arena := fabric.NewArena(benchArenaSlots, size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					_ = in.Send(arena.Copy(frame))
+				}
+				b.StopTimer()
+				if *delivered != b.N {
+					b.Fatalf("sink counted %d of %d frames", *delivered, b.N)
+				}
+			})
 		}
-	})
-	b.Run("harmless-chain", func(b *testing.B) {
-		d := harmlessPath(b)
-		defer d.Close()
-		frame := benchFrame(b, size)
-		arena := fabric.NewArena(benchArenaSlots, size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d.Hosts[1].SendRaw(arena.Copy(frame))
-		}
-	})
+	}
 }
 
 // --- E8: flow-table scaling -------------------------------------------

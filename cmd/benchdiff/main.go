@@ -14,23 +14,11 @@
 //
 // -pair-check enforces the declared same-run ratio gates (ratioGates):
 // both sides of a gate come from one run on one machine, so the gates
-// are hardware-independent. Every `X/cached` benchmark must deliver at
-// least 0.85 of its `X/uncached` sibling's throughput — the flow cache
-// must never be a tax, not even on the adversarial thrash workload it
-// used to lose badly on — and every `X/chain` benchmark at least 0.3 of
-// its `X/bare` sibling's: the paper's claim, a legacy switch behind
-// HARMLESS forwards like the software switch alone; and every
-// `X/batch=32` at least 2.08x its `X/batch=1` sibling: a burst shares
-// one cache probe per run of frames and one credit per flow entry; and
-// every `X/one-megaflow` at least 1.6x its `X/alternating` sibling: a
-// run of frames on one cache entry is replayed once; and every
-// `X/one-pair` at least 1.4x its `X/alternating` sibling: the legacy
-// bridge learns and resolves a run of frames with one address pair once;
-// and
-// every `X/masked` flow-table lookup at least 1/4 of its `X/exact`
-// sibling's: a prefix rule is a hash probe like any other; and every
-// `X/at=4096` flow-mod add at least 1/4 of its `X/at=16` sibling's: a
-// new flow is filed by a probe of its tuple, not a scan of the table.
+// are hardware-independent. Each gate names a sibling pair, the least
+// throughput ratio it accepts and what a failing pair means: the flow
+// cache must never be a tax, the HARMLESS chain must forward like the
+// software switch alone (the paper's claim), a burst must share its
+// work, and a flow-table lookup or add must be a probe, not a scan.
 // Run it against a measured pass (-benchtime 20000x or more), not the 1x smoke rows,
 // which are single-iteration noise. With N results a side (-count N, or
 // N invocations appended to one file) a gate reads the median of the N
@@ -242,6 +230,11 @@ var ratioGates = []ratioGate{
 	// medians of five 1.72-1.93x since a run is resolved once, 0.99-1.03x
 	// when every frame took its own FDB step.
 	{Num: "one-pair", Den: "alternating", Min: 1.4, Broken: "the bridge learns and resolves a run of frames frame by frame"},
+	// BenchmarkE3_PathLatency one frame at a time, link end to counting
+	// sink, at 64 and 256 bytes: medians of five 0.29-0.35x in four sets
+	// at -benchtime 200000x (single runs 0.19-0.46x), so k = 5: a lone
+	// frame crosses the chain in at most five bare passes' time.
+	{Num: "harmless-chain", Den: "bare-softswitch", Min: 0.2, Broken: "a lone frame pays a fixed toll across the chain"},
 	// BenchmarkLookup rules=N/masked against rules=N/exact: ≈ 1 since
 	// every mask is a hash tuple, ≈ 0.01 at N=4096 when masked rules were
 	// scanned.

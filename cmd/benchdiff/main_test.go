@@ -97,27 +97,30 @@ func TestPairCheck(t *testing.T) {
 
 func TestPairCheckDeclaredGates(t *testing.T) {
 	// The declared table: the cache pair, the chain/bare pair, the burst
-	// pair, the run pair, the bridge's run pair, the masked/exact lookup
-	// pair and the add-at-size pair, each with its own minimum.
+	// pair, the run pair, the bridge's run pair, the lone-frame chain
+	// pair, the masked/exact lookup pair and the add-at-size pair, each
+	// with its own minimum.
 	results := map[string]*Result{
-		"BenchmarkManyFlows/zipf/cached":     res(map[string]float64{"pps": 2.0e6}),
-		"BenchmarkManyFlows/zipf/uncached":   res(map[string]float64{"pps": 1.0e6}),
-		"BenchmarkE2_ChainBurst/chain":       res(map[string]float64{"pps": 3.2e6}),
-		"BenchmarkE2_ChainBurst/bare":        res(map[string]float64{"pps": 8.0e6}),
-		"BenchmarkReceiveBatch/batch=32":     res(map[string]float64{"ns/op": 117}),
-		"BenchmarkReceiveBatch/batch=1":      res(map[string]float64{"ns/op": 345}),
-		"BenchmarkReceiveBatch/batch=256":    res(map[string]float64{"ns/op": 107}), // no gate on this row
-		"BenchmarkReceiveBatch/one-megaflow": res(map[string]float64{"ns/op": 50}),
-		"BenchmarkReceiveBatch/alternating":  res(map[string]float64{"ns/op": 97}),
-		"BenchmarkForwardBurst/one-pair":     res(map[string]float64{"ns/op": 23}),
-		"BenchmarkForwardBurst/alternating":  res(map[string]float64{"ns/op": 42}),
-		"BenchmarkSomethingElse/batch=32/x":  res(map[string]float64{"ns/op": 1}),
-		"BenchmarkLookup/rules=4096/masked":  res(map[string]float64{"ns/op": 125}),
-		"BenchmarkLookup/rules=4096/exact":   res(map[string]float64{"ns/op": 120}),
-		"BenchmarkLookup/rules=4096/mixed":   res(map[string]float64{"ns/op": 140}), // no gate on this row
-		"BenchmarkAdd/new/at=4096":           res(map[string]float64{"ns/op": 420}),
-		"BenchmarkAdd/new/at=256":            res(map[string]float64{"ns/op": 400}), // no gate on this row
-		"BenchmarkAdd/new/at=16":             res(map[string]float64{"ns/op": 380}),
+		"BenchmarkManyFlows/zipf/cached":                   res(map[string]float64{"pps": 2.0e6}),
+		"BenchmarkManyFlows/zipf/uncached":                 res(map[string]float64{"pps": 1.0e6}),
+		"BenchmarkE2_ChainBurst/chain":                     res(map[string]float64{"pps": 3.2e6}),
+		"BenchmarkE2_ChainBurst/bare":                      res(map[string]float64{"pps": 8.0e6}),
+		"BenchmarkReceiveBatch/batch=32":                   res(map[string]float64{"ns/op": 117}),
+		"BenchmarkReceiveBatch/batch=1":                    res(map[string]float64{"ns/op": 345}),
+		"BenchmarkReceiveBatch/batch=256":                  res(map[string]float64{"ns/op": 107}), // no gate on this row
+		"BenchmarkReceiveBatch/one-megaflow":               res(map[string]float64{"ns/op": 50}),
+		"BenchmarkReceiveBatch/alternating":                res(map[string]float64{"ns/op": 97}),
+		"BenchmarkForwardBurst/one-pair":                   res(map[string]float64{"ns/op": 23}),
+		"BenchmarkForwardBurst/alternating":                res(map[string]float64{"ns/op": 42}),
+		"BenchmarkE3_PathLatency/frame=64/harmless-chain":  res(map[string]float64{"ns/op": 1500}),
+		"BenchmarkE3_PathLatency/frame=64/bare-softswitch": res(map[string]float64{"ns/op": 500}),
+		"BenchmarkSomethingElse/batch=32/x":                res(map[string]float64{"ns/op": 1}),
+		"BenchmarkLookup/rules=4096/masked":                res(map[string]float64{"ns/op": 125}),
+		"BenchmarkLookup/rules=4096/exact":                 res(map[string]float64{"ns/op": 120}),
+		"BenchmarkLookup/rules=4096/mixed":                 res(map[string]float64{"ns/op": 140}), // no gate on this row
+		"BenchmarkAdd/new/at=4096":                         res(map[string]float64{"ns/op": 420}),
+		"BenchmarkAdd/new/at=256":                          res(map[string]float64{"ns/op": 400}), // no gate on this row
+		"BenchmarkAdd/new/at=16":                           res(map[string]float64{"ns/op": 380}),
 	}
 	if bad := pairCheck(results, ratioGates); bad != 0 {
 		t.Errorf("pairCheck = %d failures on a 2.5x chain, want 0", bad)
@@ -147,6 +150,12 @@ func TestPairCheckDeclaredGates(t *testing.T) {
 		t.Errorf("pairCheck = %d failures on a bridge that resolves every frame, want 1", bad)
 	}
 	results["BenchmarkForwardBurst/one-pair"] = res(map[string]float64{"ns/op": 23})
+	// 6x, a lone frame that pays a fixed toll at every hop: fails its gate.
+	results["BenchmarkE3_PathLatency/frame=64/harmless-chain"] = res(map[string]float64{"ns/op": 3000})
+	if bad := pairCheck(results, ratioGates); bad != 1 {
+		t.Errorf("pairCheck = %d failures on a 6x lone-frame chain, want 1", bad)
+	}
+	results["BenchmarkE3_PathLatency/frame=64/harmless-chain"] = res(map[string]float64{"ns/op": 1500})
 	// 13 µs, masked rules in a linear list: fails its gate.
 	results["BenchmarkLookup/rules=4096/masked"] = res(map[string]float64{"ns/op": 13153})
 	if bad := pairCheck(results, ratioGates); bad != 1 {

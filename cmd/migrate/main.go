@@ -58,7 +58,9 @@ func main() {
 	}
 	plan := x.Plan()
 	if *planOnly {
-		x.Close()
+		if err := x.Close(); err != nil {
+			fatal(err)
+		}
 		fmt.Printf("campaign %q: %d switches in %d waves, budget $%.0f/wave\n\n",
 			spec.Name, len(spec.Switches), len(plan.Waves), plan.WaveBudget)
 		fmt.Print(migrate.FormatCampaignTable(plan))

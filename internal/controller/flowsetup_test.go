@@ -59,6 +59,8 @@ func newSetupRig(tb testing.TB, flows int) *setupRig {
 	r.sw.AttachNetPort(1, "in", l1.A())
 	r.sw.AttachNetPort(2, "out", l2.A())
 	r.in = l1.B()
+	var floods atomic.Int64
+	r.in.SetReceiver(func([]byte) { floods.Add(1) })
 	l2.B().SetReceiver(func([]byte) { r.delivered <- struct{}{} })
 
 	c1, c2 := net.Pipe()
@@ -86,15 +88,19 @@ func newSetupRig(tb testing.TB, flows int) *setupRig {
 	for i := range r.arena {
 		r.arena[i] = make([]byte, 0, len(r.frames[0])+32)
 	}
+	// The app learns a source before it floods the frame back through
+	// the switch, so once every flood is out of port 1 the app knows
+	// every destination and the switch has read every reply: no reply
+	// is left to land inside a counted set-up.
 	deadline := time.Now().Add(3 * time.Second)
-	for {
-		if port, ok := learning.Lookup(0x42, setupDst(flows-1)); ok && port == 2 {
-			break
-		}
+	for floods.Load() < int64(flows) {
 		if time.Now().After(deadline) {
-			tb.Fatal("the learning app never saw the destinations")
+			tb.Fatalf("%d of %d floods came back: the learning app never saw the destinations", floods.Load(), flows)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	if port, ok := learning.Lookup(0x42, setupDst(flows-1)); !ok || port != 2 {
+		tb.Fatalf("the learning app puts the last destination at port %d (known %v), want 2", port, ok)
 	}
 	return r
 }

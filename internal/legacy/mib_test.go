@@ -136,7 +136,8 @@ func TestMIBVLANConfigViaSNMP(t *testing.T) {
 
 func TestMIBCounters(t *testing.T) {
 	sw := NewSwitch("ctr-sw", 2)
-	sw.PortCounters(1).RecordRx(150)
+	sw.PortCounters(1).RxPackets.Inc()
+	sw.PortCounters(1).RxBytes.Add(150)
 	c := newSNMPRig(t, sw, DialectAristaish)
 	v, err := c.GetOne(OIDIfTable.Append(10, 1))
 	if err != nil {

@@ -130,10 +130,10 @@ func (sc *egressScratch) add(p int, np *netem.Port, frame []byte) {
 // forward implements the bridge forwarding process for a burst of
 // frames arriving on port in. The whole burst is classified, learned
 // and resolved under one hold of the configuration lock, one hold of
-// the FDB lock and one clock reading; egress frames are built in place
-// (the switch owns every frame it is handed, spare capacity included)
-// and coalesced per port, then transmitted outside the locks, one
-// SendBatch per egress port. Frames leave each port in arrival order.
+// the FDB lock and one netem.Coarse reading; egress frames are built in
+// place (the switch owns every frame it is handed, spare capacity
+// included) and coalesced per port, then transmitted outside the locks,
+// one SendBatch per egress port. Frames leave each port in arrival order.
 //
 // The burst is walked as runs: stretches of consecutive frames with the
 // same address pair in the same VLAN. A run is learned and resolved
@@ -145,7 +145,7 @@ func (sc *egressScratch) add(p int, np *netem.Port, frame []byte) {
 // flood copies stay per frame.
 func (s *Switch) forward(in int, frames [][]byte) {
 	sc := s.scratch.Get().(*egressScratch)
-	now := s.fdb.clock.Now() // learning and aging run on the FDB's clock
+	now := netem.Coarse(s.fdb.clock) // learning and aging need seconds, not nanoseconds
 	var rxBytes uint64
 	var rxFrames, rxDropped, rxErrors uint64
 	var run runKey // the zero key opens no run: makeRunKey sets a bit it lacks

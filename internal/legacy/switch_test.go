@@ -429,6 +429,42 @@ func TestFDBAging(t *testing.T) {
 	}
 }
 
+// countingClock counts how often the bridge asks for the time.
+type countingClock struct {
+	*netem.ManualClock
+	reads int
+}
+
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.ManualClock.Now()
+}
+
+// TestOneClockReadPerForward pins the bridge's clock: a clock other than
+// netem.RealClock is read exactly, once per forward call whatever the
+// burst size, and what it learns carries that reading.
+func TestOneClockReadPerForward(t *testing.T) {
+	clk := &countingClock{ManualClock: netem.NewManualClock()}
+	r := newRig(t, 3, WithClock(clk))
+	for _, n := range []int{1, 8, 32} {
+		clk.Advance(time.Second)
+		burst := make([][]byte, n)
+		for i := range burst {
+			burst[i] = ethFrame(t, macA, macB, "x")
+		}
+		clk.reads = 0
+		if err := r.ports[1].SendBatch(burst); err != nil {
+			t.Fatal(err)
+		}
+		if clk.reads != 1 {
+			t.Errorf("burst of %d: %d clock reads, want 1", n, clk.reads)
+		}
+		if e := r.sw.FDB().Entries(); len(e) != 1 || !e[0].LastSeen.Equal(clk.ManualClock.Now()) {
+			t.Errorf("burst of %d: FDB %+v, want macA last seen at %v", n, e, clk.ManualClock.Now())
+		}
+	}
+}
+
 func TestFDBOperations(t *testing.T) {
 	clk := netem.NewManualClock()
 	f := NewFDB(2, clk)

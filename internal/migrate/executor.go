@@ -108,10 +108,11 @@ func (x *Executor) waveFor(name string) *waveRun {
 	return nil
 }
 
-// Run executes the campaign on virtual time and returns the verified
-// report. wallBudget bounds real time spent (0 = unbounded).
-func (x *Executor) Run(wallBudget time.Duration) (*Report, error) {
-	defer x.Close()
+// Run executes the campaign on virtual time, tears the rigs down and
+// returns the verified report with any teardown error (Close).
+// wallBudget bounds real time spent (0 = unbounded).
+func (x *Executor) Run(wallBudget time.Duration) (rep *Report, err error) {
+	defer func() { err = errors.Join(err, x.Close()) }()
 	wallStart := time.Now() // report timing only, never simulation time
 
 	// Wave schedule: deploy, then decide (commit or roll back) after

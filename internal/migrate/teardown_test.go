@@ -80,3 +80,23 @@ func TestExecutorCloseReportsTeardownErrors(t *testing.T) {
 		t.Errorf("Close() = %v, does not name the rig", err)
 	}
 }
+
+// TestRunReportsTeardownErrors: Run tears the rigs down itself, so a
+// management session that fails to close reaches the error Run returns,
+// beside the campaign's report.
+func TestRunReportsTeardownErrors(t *testing.T) {
+	x, err := NewExecutor(Spec{Name: "teardown", Seed: 1, Switches: []SwitchSpec{{Name: "alpha", Ports: 3, Demand: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errDriver := errors.New("cli session")
+	r := x.rigByName["alpha"]
+	r.driver = failingDriver{r.driver, errDriver}
+	rep, err := x.Run(testWallBudget)
+	if !errors.Is(err, errDriver) {
+		t.Errorf("Run() error = %v, missing %v", err, errDriver)
+	}
+	if rep == nil || !rep.Pass {
+		t.Errorf("Run() report = %+v, want the passing campaign's", rep)
+	}
+}

@@ -27,11 +27,15 @@ func TestSendBatchSyncDeliversVector(t *testing.T) {
 	if len(got) != 3 || got[0][0] != 1 || got[2][0] != 3 {
 		t.Fatalf("delivered %v", got)
 	}
-	if tx := l.A().Counters().TxPackets.Load(); tx != 3 {
-		t.Errorf("tx packets = %d, want 3", tx)
+	if d := l.B().Counters().RxDropped.Load(); d != 0 {
+		t.Errorf("rx dropped = %d with a receiver attached, want 0", d)
 	}
-	if rx := l.B().Counters().RxPackets.Load(); rx != 3 {
-		t.Errorf("rx packets = %d, want 3", rx)
+	// A port with no receiver drops the whole vector, and counts it.
+	if err := l.B().SendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if d := l.A().Counters().RxDropped.Load(); d != 3 {
+		t.Errorf("rx dropped = %d at a port with no receiver, want 3", d)
 	}
 }
 

@@ -53,6 +53,7 @@ package netem
 import (
 	"container/heap"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -86,6 +87,42 @@ func (RealClock) Now() time.Time { return time.Now() }
 func (RealClock) AfterFunc(d time.Duration, f func()) (cancel func() bool) {
 	t := time.AfterFunc(d, f)
 	return t.Stop
+}
+
+// coarseTick is how long one coarse reading of the real clock serves.
+// Its timer fires once a tick while the clock is read, beside frames
+// that hand off between goroutines: at 1 ms that cost the reactive
+// workload 15% at p50 and 23% at p99, at 100 ms nothing measurable.
+const coarseTick = 100 * time.Millisecond
+
+// coarse is the process-wide coarse reading of the real clock, since ns
+// after base (so readings keep base's monotonic clock). A read that
+// finds it stale refreshes it and arms a one-shot timer that marks it
+// stale again a tick later; with no reads, nothing runs.
+var coarse = struct {
+	base  time.Time
+	since atomic.Int64
+	fresh atomic.Bool
+	timer *time.Timer // touched only by the read that sets fresh
+}{base: time.Now()}
+
+// Coarse returns c's time for readers that need it only to within a
+// tick, such as the bridge's MAC learning and aging (seconds). Any
+// clock but RealClock is read exactly, so virtual time is unchanged.
+// RealClock is served from the coarse reading: at most a tick old, more
+// when the runtime runs the timer late.
+func Coarse(c Clock) time.Time {
+	if _, ok := c.(RealClock); !ok {
+		return c.Now()
+	}
+	if !coarse.fresh.Load() && coarse.fresh.CompareAndSwap(false, true) {
+		coarse.since.Store(int64(time.Since(coarse.base)))
+		if coarse.timer == nil { // armed by the Reset, after it is stored
+			coarse.timer = time.AfterFunc(1<<62, func() { coarse.fresh.Store(false) })
+		}
+		coarse.timer.Reset(coarseTick)
+	}
+	return coarse.base.Add(time.Duration(coarse.since.Load()))
 }
 
 // manualTimer is one pending ManualClock callback.

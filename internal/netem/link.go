@@ -26,6 +26,15 @@ type Receiver func(frame []byte)
 // documents these rules).
 type BatchReceiver func(frames [][]byte)
 
+// receivers is what a port delivers to; never modified once published.
+type receivers struct {
+	frame Receiver
+	batch BatchReceiver
+}
+
+// noReceivers is a port's receivers before a device attaches.
+var noReceivers = &receivers{}
+
 // LinkConfig parameterizes a link. The zero value is a synchronous,
 // lossless, zero-latency link — the configuration used by
 // deterministic tests.
@@ -74,11 +83,11 @@ type Port struct {
 	link     *Link
 	peer     *Port
 	name     string
-	counters stats.PortCounters
+	counters stats.PortCounters // drops only: the devices count the rest
 
-	recvMu        sync.RWMutex
-	receiver      Receiver
-	batchReceiver BatchReceiver
+	// the attached device, replaced whole under recvMu: one load a delivery
+	recvMu sync.Mutex
+	recv   atomic.Pointer[receivers]
 
 	// async state (nil in sync and virtual modes)
 	queue chan []byte
@@ -100,6 +109,8 @@ func NewLink(cfg LinkConfig) *Link {
 	l.a = &Port{link: l, name: cfg.Name + "/A"}
 	l.b = &Port{link: l, name: cfg.Name + "/B"}
 	l.a.peer, l.b.peer = l.b, l.a
+	l.a.recv.Store(noReceivers)
+	l.b.recv.Store(noReceivers)
 	switch {
 	case cfg.Async && cfg.Scheduler != nil:
 		l.sched = cfg.Scheduler // virtual time: no pumps, no queues
@@ -183,7 +194,8 @@ func (l *Link) pump(p *Port) {
 // Name returns the port's diagnostic name.
 func (p *Port) Name() string { return p.name }
 
-// Counters exposes the port's statistics.
+// Counters exposes the port's statistics. A link counts only what it
+// drops (TxDropped, RxDropped); the devices at each end count the rest.
 func (p *Port) Counters() *stats.PortCounters { return &p.counters }
 
 // SetReceiver installs the function invoked for every frame arriving
@@ -193,8 +205,7 @@ func (p *Port) Counters() *stats.PortCounters { return &p.counters }
 // with SetBatchReceiver afterwards, as AttachNetPort does).
 func (p *Port) SetReceiver(r Receiver) {
 	p.recvMu.Lock()
-	p.receiver = r
-	p.batchReceiver = nil
+	p.recv.Store(&receivers{frame: r})
 	p.recvMu.Unlock()
 }
 
@@ -205,7 +216,7 @@ func (p *Port) SetReceiver(r Receiver) {
 // it again.
 func (p *Port) SetBatchReceiver(r BatchReceiver) {
 	p.recvMu.Lock()
-	p.batchReceiver = r
+	p.recv.Store(&receivers{frame: p.recv.Load().frame, batch: r})
 	p.recvMu.Unlock()
 }
 
@@ -216,8 +227,7 @@ func (p *Port) SetBatchReceiver(r BatchReceiver) {
 // the wrapper would blind the tap.
 func (p *Port) WrapReceiver(wrap func(Receiver) Receiver) {
 	p.recvMu.Lock()
-	p.receiver = wrap(p.receiver)
-	p.batchReceiver = nil
+	p.recv.Store(&receivers{frame: wrap(p.recv.Load().frame)})
 	p.recvMu.Unlock()
 }
 
@@ -231,7 +241,6 @@ func (p *Port) Send(frame []byte) error {
 		return ErrLinkClosed
 	default:
 	}
-	p.counters.RecordTx(len(frame))
 	if p.link.dropped() {
 		p.counters.TxDropped.Inc()
 		return nil
@@ -281,12 +290,6 @@ func (p *Port) SendBatch(frames [][]byte) error {
 	default:
 	}
 	if p.queue == nil && p.link.sched == nil && p.link.rng == nil {
-		var bytes uint64
-		for _, f := range frames {
-			bytes += uint64(len(f))
-		}
-		p.counters.TxPackets.Add(uint64(len(frames)))
-		p.counters.TxBytes.Add(bytes)
 		p.peer.deliverBatch(frames)
 		return nil
 	}
@@ -299,10 +302,7 @@ func (p *Port) SendBatch(frames [][]byte) error {
 }
 
 func (p *Port) deliver(frame []byte) {
-	p.counters.RecordRx(len(frame))
-	p.recvMu.RLock()
-	r := p.receiver
-	p.recvMu.RUnlock()
+	r := p.recv.Load().frame
 	if r == nil {
 		p.counters.RxDropped.Inc()
 		return
@@ -313,26 +313,15 @@ func (p *Port) deliver(frame []byte) {
 // deliverBatch hands a frame vector to the attached device: to its
 // batch receiver when one is installed, frame by frame otherwise.
 func (p *Port) deliverBatch(frames [][]byte) {
-	var bytes uint64
-	for _, f := range frames {
-		bytes += uint64(len(f))
-	}
-	p.counters.RxPackets.Add(uint64(len(frames)))
-	p.counters.RxBytes.Add(bytes)
-	p.recvMu.RLock()
-	br := p.batchReceiver
-	r := p.receiver
-	p.recvMu.RUnlock()
-	if br != nil {
-		br(frames)
-		return
-	}
-	if r == nil {
+	switch rs := p.recv.Load(); {
+	case rs.batch != nil:
+		rs.batch(frames)
+	case rs.frame != nil:
+		for _, f := range frames {
+			rs.frame(f)
+		}
+	default:
 		p.counters.RxDropped.Add(uint64(len(frames)))
-		return
-	}
-	for _, f := range frames {
-		r(f)
 	}
 }
 

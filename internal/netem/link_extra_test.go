@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"encoding/binary"
 	"sync/atomic"
 	"testing"
 )
@@ -39,6 +40,61 @@ func TestWrapReceiver(t *testing.T) {
 	}
 	if tapped.Load() != 1 {
 		t.Error("tap on receiverless port not invoked")
+	}
+}
+
+// TestReceiverSwapWhileSending replaces a port's receivers with each
+// of SetReceiver, SetBatchReceiver and WrapReceiver while another
+// goroutine sends, frame by frame and in vectors: every frame reaches
+// the old or the new receiver exactly once.
+func TestReceiverSwapWhileSending(t *testing.T) {
+	l := NewLink(LinkConfig{})
+	defer l.Close()
+	const frames = 20000
+	var seen [frames]atomic.Int32
+	recv := func(f []byte) { seen[binary.BigEndian.Uint32(f)].Add(1) }
+	batch := func(fs [][]byte) {
+		for _, f := range fs {
+			recv(f)
+		}
+	}
+	tap := func(next Receiver) Receiver { return func(f []byte) { next(f) } }
+	l.B().SetReceiver(recv)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint32(0); i < frames; i += 2 {
+			a, b := binary.BigEndian.AppendUint32(nil, i), binary.BigEndian.AppendUint32(nil, i+1)
+			if i%4 == 0 {
+				_ = l.A().Send(a)
+				_ = l.A().Send(b)
+			} else {
+				_ = l.A().SendBatch([][]byte{a, b})
+			}
+		}
+	}()
+	for swaps := 0; ; swaps++ {
+		select {
+		case <-done:
+			for i := range seen {
+				if n := seen[i].Load(); n != 1 {
+					t.Fatalf("frame %d delivered %d times across %d swaps", i, n, swaps)
+				}
+			}
+			if d := l.B().Counters().RxDropped.Load(); d != 0 {
+				t.Errorf("%d frames dropped mid-swap", d)
+			}
+			return
+		default:
+		}
+		switch swaps % 3 {
+		case 0:
+			l.B().SetReceiver(recv)
+		case 1:
+			l.B().SetBatchReceiver(batch)
+		case 2:
+			l.B().WrapReceiver(tap)
+		}
 	}
 }
 

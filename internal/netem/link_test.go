@@ -29,20 +29,34 @@ func TestSyncLinkDelivers(t *testing.T) {
 	}
 }
 
+// TestSyncLinkCounters: a link delivers every frame whole and counts
+// only what it drops; frames and bytes are the devices' to count.
 func TestSyncLinkCounters(t *testing.T) {
 	l := NewLink(LinkConfig{})
 	defer l.Close()
-	l.B().SetReceiver(func([]byte) {})
+	var frames, bytes int
+	l.B().SetReceiver(func(f []byte) { frames, bytes = frames+1, bytes+len(f) })
 	for i := 0; i < 5; i++ {
 		if err := l.A().Send(make([]byte, 100)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if tx := l.A().Counters().TxPackets.Load(); tx != 5 {
-		t.Errorf("TxPackets = %d", tx)
+	if frames != 5 || bytes != 500 {
+		t.Errorf("delivered %d frames, %d bytes; want 5, 500", frames, bytes)
 	}
-	if rx := l.B().Counters().RxBytes.Load(); rx != 500 {
-		t.Errorf("RxBytes = %d", rx)
+	l.B().SetReceiver(nil)
+	for i := 0; i < 2; i++ {
+		if err := l.A().Send(make([]byte, 100)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		p    *Port
+		want string
+	}{{l.A(), "rx=0/0B tx=0/0B drop=0/0 err=0"}, {l.B(), "rx=0/0B tx=0/0B drop=2/0 err=0"}} {
+		if got := c.p.Counters().String(); got != c.want {
+			t.Errorf("%s counters = %s, want %s", c.p, got, c.want)
+		}
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/harmless-sdn/harmless/internal/fabric"
+	"github.com/harmless-sdn/harmless/internal/netem"
 )
 
 // midScenario is the determinism workhorse: a 58-switch leaf-spine
@@ -289,6 +292,47 @@ func TestPacketSimCtrlFailover(t *testing.T) {
 }
 
 // Packet mode refuses what it cannot model faithfully.
+// TestPacketSimSendsFreshFrames: the datapath owns every frame it is
+// sent, so the packets an arrival hands to its host port, and those of
+// a later arrival of the same pair, are distinct buffers.
+func TestPacketSimSendsFreshFrames(t *testing.T) {
+	ps, err := NewPacketSim(smallScenario("packet"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	host := ps.hostPort[ps.topo.HostIDs[0]]
+	var got [][]byte
+	tap := func(next netem.Receiver) netem.Receiver {
+		return func(f []byte) {
+			got = append(got, f)
+			next(f)
+		}
+	}
+	for _, l := range ps.links {
+		switch host {
+		case l.A():
+			l.B().WrapReceiver(tap)
+		case l.B():
+			l.A().WrapReceiver(tap)
+		}
+	}
+	a := fabric.FlowArrival{Src: 0, Dst: 1, FrameSize: 64, Packets: 3, FlowID: 1}
+	ps.inject(a)
+	ps.inject(a)
+	ps.eng.Clock().Advance(time.Second)
+	if len(got) != 2*a.Packets {
+		t.Fatalf("switch received %d frames, want %d", len(got), 2*a.Packets)
+	}
+	for i := range got {
+		for j := 0; j < i; j++ {
+			if &got[i][0] == &got[j][0] {
+				t.Errorf("packets %d and %d share one buffer", j, i)
+			}
+		}
+	}
+}
+
 func TestPacketSimGuards(t *testing.T) {
 	sc := smallScenario("packet")
 	sc.Faults = []FaultSpec{{At: Duration{time.Millisecond}, Kind: FaultLinkDown, Node: "leaf-0", Peer: "spine-0"}}

@@ -271,10 +271,8 @@ func (s *PacketSim) frameFor(a fabric.FlowArrival) []byte {
 	if err != nil {
 		panic(fmt.Sprintf("sim: frame build: %v", err))
 	}
-	cp := make([]byte, len(frame))
-	copy(cp, frame)
-	s.frames[key] = cp
-	return cp
+	s.frames[key] = frame
+	return frame
 }
 
 // Run executes the scenario and returns its verdict.
@@ -307,13 +305,13 @@ func (s *PacketSim) scheduleNextArrival() {
 	})
 }
 
-// inject transmits one arrival's packets at the source host port.
+// inject transmits one arrival's packets at the source host port, each
+// a fresh copy of the pair's frame: the datapath owns what it is sent.
 func (s *PacketSim) inject(a fabric.FlowArrival) {
-	src := s.topo.HostIDs[a.Src]
 	frame := s.frameFor(a)
-	port := s.hostPort[src]
+	port := s.hostPort[s.topo.HostIDs[a.Src]]
 	for i := 0; i < a.Packets; i++ {
-		_ = port.Send(frame) // tail-drops are counted on the port
+		_ = port.Send(append([]byte(nil), frame...)) // tail-drops are counted on the port
 	}
 	s.res.OfferedFlows++
 	s.res.OfferedPackets += uint64(a.Packets)

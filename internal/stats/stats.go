@@ -8,6 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,18 +79,6 @@ type PortCounters struct {
 	RxDropped Counter
 	TxDropped Counter
 	RxErrors  Counter
-}
-
-// RecordRx accounts one received frame of n bytes.
-func (p *PortCounters) RecordRx(n int) {
-	p.RxPackets.Inc()
-	p.RxBytes.Add(uint64(n))
-}
-
-// RecordTx accounts one transmitted frame of n bytes.
-func (p *PortCounters) RecordTx(n int) {
-	p.TxPackets.Inc()
-	p.TxBytes.Add(uint64(n))
 }
 
 // String summarizes the counters.
@@ -195,25 +184,13 @@ func bucketIndex(v int64) int {
 	}
 	// Position of highest bit determines the log bucket; the next
 	// subBucketBits bits select the linear sub-bucket.
-	msb := 63 - leadingZeros64(uint64(v))
+	msb := bits.Len64(uint64(v)) - 1
 	shift := msb - subBucketBits
 	idx := (msb-subBucketBits+1)*subBuckets + int(uint64(v)>>uint(shift)&(subBuckets-1))
 	if idx >= histMaxBuckets {
 		idx = histMaxBuckets - 1
 	}
 	return idx
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // bucketLow returns the lowest value that maps to bucket idx.

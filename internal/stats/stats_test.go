@@ -79,14 +79,15 @@ func TestShardedCounterConcurrent(t *testing.T) {
 
 func TestPortCounters(t *testing.T) {
 	var p PortCounters
-	p.RecordRx(100)
-	p.RecordRx(50)
-	p.RecordTx(70)
-	if p.RxPackets.Load() != 2 || p.RxBytes.Load() != 150 {
-		t.Errorf("rx: %s", p.String())
-	}
-	if p.TxPackets.Load() != 1 || p.TxBytes.Load() != 70 {
-		t.Errorf("tx: %s", p.String())
+	p.RxPackets.Add(2)
+	p.RxBytes.Add(150)
+	p.TxPackets.Inc()
+	p.TxBytes.Add(70)
+	p.RxDropped.Add(3)
+	p.TxDropped.Add(4)
+	p.RxErrors.Inc()
+	if got, want := p.String(), "rx=2/150B tx=1/70B drop=3/4 err=1"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
 
