@@ -31,8 +31,8 @@ lint:
 # Non-test, non-testdata Go lines per package tree, plus DESIGN.md: the
 # numbers ROADMAP aim 2 tracks ("should fall"). A ratchet: it fails when
 # either exceeds its ceiling (the round's acceptance line in ROADMAP).
-LOC_CEILING    := 24205
-DESIGN_CEILING := 772
+LOC_CEILING    := 24141
+DESIGN_CEILING := 770
 
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' -print0 \
@@ -85,8 +85,10 @@ test:
 # with one address pair at less than 1.4x one whose pairs alternate, and
 # runs BenchmarkE3_PathLatency and fails if a lone frame crosses the full
 # chain at less than 1/5 of the bare switch's rate.
-# Those five run in five invocations each, and with five results a side benchdiff gates
-# the median of the five per-run ratios, which one slow run does not
+# Those five run in separate invocations, five each but nine for
+# BenchmarkE2_ChainBurst, whose chain/bare ratio sat within noise of its
+# gate at five (single runs 0.21-0.47). With N results a side benchdiff
+# gates the median of the N per-run ratios, which one slow run does not
 # move: cached/uncached sits near 1 (a walk costs what a hit costs on
 # one-mask tables) and every row lasts milliseconds. Not -count 5:
 # -count runs each sub-benchmark's five back to back, so a slow spell of
@@ -111,7 +113,7 @@ bench:
 	{ echo "## Bench smoke"; $(GO) run ./cmd/benchdiff -bench bench.txt -check; } | tee -a $(BENCH_SUMMARY)
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkManyFlows' -benchtime 20000x ./internal/softswitch; done 2>&1 | tee bench-pairs.txt
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkReceiveBatch' -benchtime 300000x ./internal/softswitch; done 2>&1 | tee -a bench-pairs.txt
-	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x .; done 2>&1 | tee -a bench-pairs.txt
+	for i in 1 2 3 4 5 6 7 8 9; do $(GO) test -run '^$$' -bench 'BenchmarkE2_ChainBurst' -benchtime 200000x .; done 2>&1 | tee -a bench-pairs.txt
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkForwardBurst' -benchtime 1000000x ./internal/legacy; done 2>&1 | tee -a bench-pairs.txt
 	for i in 1 2 3 4 5; do $(GO) test -run '^$$' -bench 'BenchmarkE3_PathLatency' -benchtime 200000x .; done 2>&1 | tee -a bench-pairs.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkLookup|BenchmarkAdd' -benchtime 100000x ./internal/flowtable 2>&1 | tee -a bench-pairs.txt

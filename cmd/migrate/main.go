@@ -4,14 +4,14 @@
 // pairs, controller channels, continuous traffic — all on virtual
 // time), injects the spec's mid-wave faults, rolls failed waves back to
 // their pre-wave legacy configuration, and prints a digest-checked
-// verdict as JSON. The same spec and seed always produce the same
-// digest, on any machine.
+// verdict as JSON. The same spec always produces the same digest, on any
+// machine.
 //
 // Usage:
 //
 //	migrate -spec examples/migrate/campaign.json
 //	migrate -spec campaign.json -plan            (print the wave plan, run nothing)
-//	migrate -spec campaign.json -seed 7 -out report.json
+//	migrate -spec campaign.json -out report.json
 //
 // Exit status: 0 on a passing campaign, 2 when the campaign fails its
 // invariants (traffic loss, cost drift, botched rollback), 1 on
@@ -32,7 +32,6 @@ func main() {
 	var (
 		specPath   = flag.String("spec", "", "campaign spec JSON file (required)")
 		planOnly   = flag.Bool("plan", false, "print the planned waves and spend table, run nothing")
-		seed       = flag.Int64("seed", -1, "override spec seed (-1 keeps the file's)")
 		out        = flag.String("out", "", "also write the report JSON to this file")
 		wallBudget = flag.Duration("wall-budget", 0, "abort if the run burns more real time than this (0 = unbounded)")
 		verbose    = flag.Bool("v", false, "log campaign progress to stderr")
@@ -47,9 +46,6 @@ func main() {
 	spec, err := migrate.LoadSpec(*specPath)
 	if err != nil {
 		fatal(err)
-	}
-	if *seed >= 0 {
-		spec.Seed = *seed
 	}
 
 	x, err := migrate.NewExecutor(spec)
@@ -68,8 +64,8 @@ func main() {
 	}
 
 	if *verbose {
-		fmt.Fprintf(os.Stderr, "migrate: campaign %q seed %d: %d switches in %d waves\n",
-			spec.Name, spec.Seed, len(spec.Switches), len(plan.Waves))
+		fmt.Fprintf(os.Stderr, "migrate: campaign %q: %d switches in %d waves\n",
+			spec.Name, len(spec.Switches), len(plan.Waves))
 	}
 	start := time.Now()
 	rep, err := x.Run(*wallBudget)

@@ -18,7 +18,6 @@ const testWallBudget = 60 * time.Second
 func threeWaveSpec() Spec {
 	return Spec{
 		Name: "e2e",
-		Seed: 7,
 		Switches: []SwitchSpec{
 			{Name: "alpha", Ports: 5, Demand: 3},
 			{Name: "bravo", Ports: 5, Demand: 2},

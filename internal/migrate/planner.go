@@ -20,8 +20,9 @@
 //     loss and cost-conformance invariants after every wave, and rolls
 //     failed waves back to their pre-wave legacy configuration.
 //
-// A campaign is reproducible: one seed, one goroutine event loop, and
-// a report whose digest is byte-identical across runs and machines.
+// A campaign is reproducible: one goroutine event loop on virtual time,
+// no randomness, and a report whose digest is byte-identical across runs
+// and machines.
 package migrate
 
 import (

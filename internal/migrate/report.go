@@ -45,12 +45,11 @@ type WaveReport struct {
 }
 
 // Report is a campaign run's verdict. Digest covers every field except
-// WallMS and Digest itself, so identical specs and seeds must produce
+// WallMS and Digest itself, so identical specs must produce
 // identical digests regardless of machine speed (the fleetsim
 // convention).
 type Report struct {
 	Campaign    string `json:"campaign"`
-	Seed        int64  `json:"seed"`
 	Switches    int    `json:"switches"`
 	AccessPorts int    `json:"accessPorts"`
 
@@ -106,7 +105,6 @@ func (r Report) ComputeDigest() string {
 func (x *Executor) finish(st sim.RunStats, wallStart time.Time) *Report {
 	rep := &Report{
 		Campaign:              x.spec.Name,
-		Seed:                  x.spec.Seed,
 		Switches:              len(x.spec.Switches),
 		PlannedSpend:          x.plan.TotalSpend,
 		BaselineRipAndReplace: x.plan.FinalRipAndReplace,

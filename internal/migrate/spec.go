@@ -53,7 +53,6 @@ type CatalogSpec struct {
 // following fleetsim's duration conventions).
 type Spec struct {
 	Name string `json:"name"`
-	Seed int64  `json:"seed"`
 	// WaveBudget is the per-wave capital budget (USD).
 	WaveBudget float64 `json:"waveBudget"`
 	// Switches is the fabric inventory.
@@ -77,9 +76,6 @@ type Spec struct {
 func (s Spec) withDefaults() Spec {
 	if s.Name == "" {
 		s.Name = "campaign"
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
 	}
 	if s.TrafficInterval.Duration <= 0 {
 		s.TrafficInterval.Duration = 2 * time.Millisecond

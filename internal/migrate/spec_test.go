@@ -11,8 +11,8 @@ func TestParseSpecDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "campaign" || s.Seed != 1 {
-		t.Errorf("defaults: name=%q seed=%d", s.Name, s.Seed)
+	if s.Name != "campaign" {
+		t.Errorf("defaults: name=%q", s.Name)
 	}
 	if s.TrafficInterval.Duration != 2*time.Millisecond {
 		t.Errorf("traffic interval default: %v", s.TrafficInterval.Duration)

@@ -49,7 +49,7 @@ func (nopDatapath) Handle(*controlplane.Channel, openflow.Message) {}
 // session — reaches the error Executor.Close returns, under the rig's
 // name.
 func TestExecutorCloseReportsTeardownErrors(t *testing.T) {
-	x, err := NewExecutor(Spec{Name: "teardown", Seed: 1, Switches: []SwitchSpec{{Name: "alpha", Ports: 3, Demand: 1}}})
+	x, err := NewExecutor(Spec{Name: "teardown", Switches: []SwitchSpec{{Name: "alpha", Ports: 3, Demand: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExecutorCloseReportsTeardownErrors(t *testing.T) {
 // management session that fails to close reaches the error Run returns,
 // beside the campaign's report.
 func TestRunReportsTeardownErrors(t *testing.T) {
-	x, err := NewExecutor(Spec{Name: "teardown", Seed: 1, Switches: []SwitchSpec{{Name: "alpha", Ports: 3, Demand: 1}}})
+	x, err := NewExecutor(Spec{Name: "teardown", Switches: []SwitchSpec{{Name: "alpha", Ports: 3, Demand: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,9 @@ func (p *Port) SetBatchReceiver(r BatchReceiver) {
 // used to interpose taps/captures after a device has attached. The
 // batch receiver is cleared so every frame — batched or not — flows
 // through the wrapped per-frame chain; a batch short-circuiting past
-// the wrapper would blind the tap.
+// the wrapper would blind the tap. wrap runs under the port's receiver
+// lock, so it must not call SetReceiver, SetBatchReceiver or
+// WrapReceiver on the same port: that deadlocks.
 func (p *Port) WrapReceiver(wrap func(Receiver) Receiver) {
 	p.recvMu.Lock()
 	p.recv.Store(&receivers{frame: wrap(p.recv.Load().frame)})

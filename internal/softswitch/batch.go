@@ -200,19 +200,20 @@ func (s *Switch) flushTx(tx *txContext) {
 }
 
 // dispatchState is the pooled scratch of one dispatch: the egress
-// context plus the per-batch classification arrays. sc.flat/skip/outs
+// context plus the per-batch classification arrays. flat/skip/outs
 // carry what telemetry needs of each frame (its packed key, whether it
 // was classified, its egress port) to the single ObserveBatch call at
 // the end of the dispatch — the zero-alloc batch-level hook, as opposed
-// to a per-frame callback. sc is the cache's probe scratch, run the
-// vector a replayed run is rewritten and compacted in, so the caller's
-// is never written.
+// to a per-frame callback. flat[i] is frame i's key packed, written once
+// per frame per switch: the cache probe and every table's classifier
+// read it. run is the vector a replayed run is rewritten and compacted
+// in, so the caller's is never written.
 type dispatchState struct {
 	tx   txContext
 	mfs  []*CacheEntry
 	skip []bool
 	outs []uint32
-	sc   probeScratch
+	flat []pkt.FlatKey
 	run  [][]byte
 	one  [1][]byte   // single-frame vector for the Receive wrapper
 	key  pkt.FlatKey // a recording walk's key in the peer it followed a patch port into
@@ -224,8 +225,7 @@ func (st *dispatchState) grow(n int) {
 		st.skip = make([]bool, n)
 		st.outs = make([]uint32, n)
 		st.run = make([][]byte, n)
-		st.sc.flat = make([]pkt.FlatKey, n)
-		st.sc.shard = make([]uint8, n)
+		st.flat = make([]pkt.FlatKey, n)
 	}
 }
 
@@ -305,24 +305,19 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	st.grow(n)
 	if n == 1 {
 		// One frame: the classic per-frame walk, minus the burst path's
-		// fixed cost per call — probeBatch's bypass and accounting passes
-		// and its drain of the 32 bypass windows, and the burst loop's own
-		// passes over the vector. Without this branch
-		// ReceiveBatch/batch=1 went from a median 615 to 737 ns/frame
-		// (slower in 10 of 10 interleaved pairs of 1000000 frames, 2-core
-		// Xeon VM).
-		flat := &st.sc.flat[0]
+		// fixed cost per call — probeBatch's passes over the vector and
+		// its window update, and the burst loop's own passes. It still
+		// pays with one admission state: ten alternating pairs of the
+		// repo benchmark's chain_64B (seed 7, 2-core Xeon VM) read p50
+		// 827 ns with this branch and 877 without it, better in 9 of 10.
+		flat := &st.flat[0]
 		if err := pkt.ExtractFlat(frames[0], inPort, flat); err != nil {
 			s.drops.Inc()
 		} else {
-			var shard uint32
-			if ch != nil {
-				shard = shardOf(flat.Sum())
-			}
-			st.outs[0] = s.classifyAndRun(flat, shard, inPort, frames, st)
+			st.outs[0] = s.classifyAndRun(flat, inPort, frames, st)
 			if tel != nil {
 				st.skip[0] = false
-				tel.ObserveBatch(st.sc.flat[:1], st.skip[:1], frames, st.outs[:1], now)
+				tel.ObserveBatch(st.flat[:1], st.skip[:1], frames, st.outs[:1], now)
 			}
 		}
 		st.run[0] = nil
@@ -334,7 +329,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	skip, mfs := st.skip[:n], st.mfs[:n]
 	bad := 0
 	for i, f := range frames {
-		skip[i] = pkt.ExtractFlat(f, inPort, &st.sc.flat[i]) != nil
+		skip[i] = pkt.ExtractFlat(f, inPort, &st.flat[i]) != nil
 		if skip[i] {
 			bad++
 		}
@@ -343,7 +338,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 		s.drops.Add(uint64(bad))
 	}
 	if ch != nil {
-		ch.probeBatch(skip, mfs, &st.sc)
+		ch.probeBatch(skip, mfs, st.flat[:n])
 	} else {
 		clear(mfs)
 	}
@@ -355,9 +350,8 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 				// Batch probe missed: classifyAndRun re-probes per frame
 				// (the exact miss/invalidation accounting, and an entry
 				// installed by an earlier frame of this very batch can
-				// already hit) before falling back to the pipeline walk,
-				// with the packed key and bypass shard the probe derived.
-				outs[i] = s.classifyAndRun(&st.sc.flat[i], uint32(st.sc.shard[i]&^shardSkip), inPort, frames[i:i+1], st)
+				// already hit) before falling back to the pipeline walk.
+				outs[i] = s.classifyAndRun(&st.flat[i], inPort, frames[i:i+1], st)
 			}
 			i++
 			continue
@@ -380,7 +374,7 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 	}
 	clear(st.run[:n])
 	if tel != nil {
-		tel.ObserveBatch(st.sc.flat[:n], skip, frames, outs, now)
+		tel.ObserveBatch(st.flat[:n], skip, frames, outs, now)
 	}
 	s.flushTx(&st.tx)
 }
@@ -390,14 +384,13 @@ func (s *Switch) processBatch(inPort uint32, frames [][]byte, st *dispatchState)
 // ports into the peers as far as recorder.follow allows — and record a
 // new cache entry. one is the frame, as a run of one for replay. It
 // returns the frame's egress port for telemetry (0 = none). flat is the
-// packed key and shard its bypass shard (shardOf(flat.Sum()), not read
-// on a switch without a cache).
-func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, one [][]byte, st *dispatchState) uint32 {
+// frame's packed key.
+func (s *Switch) classifyAndRun(flat *pkt.FlatKey, inPort uint32, one [][]byte, st *dispatchState) uint32 {
 	ch := s.cache
 	var mf *CacheEntry
 	var record bool
 	if ch != nil {
-		mf, record = ch.lookup(flat, shard)
+		mf, record = ch.lookup(flat)
 	}
 	if mf != nil {
 		s.replay(mf, inPort, one, st)
@@ -405,7 +398,7 @@ func (s *Switch) classifyAndRun(flat *pkt.FlatKey, shard uint32, inPort uint32, 
 	}
 	tx := &st.tx
 	if !record {
-		// No cache, or adaptive bypass (the shard's hit rate collapsed):
+		// No cache, or adaptive bypass (the cache's hit rate collapsed):
 		// skip both the recording and the install — a pure slow-path walk.
 		s.runPipelineKeyed(flat, inPort, one[0], nil, tx)
 		return 0

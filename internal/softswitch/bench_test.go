@@ -78,7 +78,7 @@ type frameSource interface{ Next() []byte }
 
 // drive pushes warm packets of src through the switch untimed (cache
 // fill, pool growth, adaptive-bypass convergence — thrash workloads
-// need >= 2 windows per shard to settle), then reports packets per
+// need 2 windows of 8192 lookups to settle), then reports packets per
 // second over the timed run.
 func drive(b *testing.B, sw *softswitch.Switch, src frameSource, warm int) {
 	b.Helper()
@@ -234,7 +234,7 @@ func BenchmarkManyFlows(b *testing.B) {
 		{"zipf", func() frameSource { return fabric.NewZipfGenerator(64, 1024, 1.2, 7) }, nil, 8192},
 		// 4096 flows round-robin against a 256-entry cache: every
 		// packet misses and evicts (the adversarial worst case; the
-		// warm count lets adaptive bypass converge on every shard).
+		// warm count lets adaptive bypass trip the cache).
 		{"thrash", func() frameSource { return fabric.NewThrashGenerator(64, 4096, 7) },
 			[]softswitch.Option{softswitch.WithFlowCacheSize(256)}, 24576},
 		// Elephant/mouse mix: 32 long-lived flows carry 80% of the

@@ -15,14 +15,17 @@ import (
 // serves every flow that agrees on the consulted bits: no table the walk
 // traversed could tell two such flows apart (Table.ConsultMask per
 // table, induction over the goto chain for the walk).
+//
+// Admission is one state for the whole cache (bypassState), as the Open
+// vSwitch EMC keeps one insertion policy per cache: a cache that stops
+// paying is bypassed as a whole. States per hash shard of the key cost
+// every probed frame a Sum() and every batch a drain of the shard
+// windows, and bought nothing on the workload the bypass exists for: the
+// repo benchmark's acl_miss_64B read fwd 4.45 → 4.69 Mframes/s, p50 442
+// → 424 ns and p99 761 → 726 ns going from 32 states to one (medians of
+// ten alternating pairs, seed 7, 2-core Xeon VM).
 
 const (
-	// bypassShards is the number of shards the adaptive bypass tracks hit
-	// rates in. A power of two (shard selection is a mask) that fits a
-	// uint8 with room for shardSkip (the batch probe keeps each frame's
-	// bypass shard in one).
-	bypassShards = 32
-
 	// DefaultFlowCacheSize is the default capacity of each mask class,
 	// in cache entries.
 	DefaultFlowCacheSize = 1 << 15
@@ -35,74 +38,38 @@ const (
 	maxMaskClasses = 16
 )
 
-// shardOf maps the hash of a packed key to its bypass shard.
-func shardOf(hash uint64) uint32 { return uint32(hash) & (bypassShards - 1) }
-
-// probeScratch is the state of one batch probe, one slot per frame
-// (pooled with the dispatch state, so batch probes allocate nothing).
-type probeScratch struct {
-	// flat[i] is frame i's key packed, written once per frame per switch
-	// by the dispatch: the cache and every table's classifier read it.
-	flat []pkt.FlatKey
-	// shard[i] is shardOf(flat[i].Sum()) — the frame's bypass shard —
-	// with shardSkip set on a frame the probe leaves alone (unparsable,
-	// or of a shard in bypass).
-	shard []uint8
-
-	wins shardWins
-}
-
-// shardSkip marks a frame the batch probe does not look up.
-const shardSkip = 0x80
-
-// shardWins accumulates one batch's lookups and hits per bypass shard,
-// so each touched shard's window is fed with one atomic add. The counts
-// are kept apart: a batch is as long as its caller makes it, and neither
-// may carry into the other.
-type shardWins [bypassShards]struct{ lookups, hits uint32 }
-
-func (w *shardWins) add(shard uint8, hit bool) {
-	w[shard].lookups++
-	if hit {
-		w[shard].hits++
-	}
-}
-
-// take returns and clears the counts of one shard.
-func (w *shardWins) take(shard int) (lookups, hits uint32) {
-	lookups, hits = w[shard].lookups, w[shard].hits
-	w[shard].lookups, w[shard].hits = 0, 0
-	return lookups, hits
-}
-
-// Adaptive bypass (DESIGN.md): a shard whose hit rate collapses stops
-// consulting and feeding the cache, and re-admits a probation window of
-// packets now and then. Probation is rare on purpose: what its windows
+// Adaptive bypass (DESIGN.md): when the hit rate collapses the cache
+// stops being consulted and fed, and re-admits a probation window of
+// lookups now and then. Probation is rare on purpose: what its windows
 // install outlives them, and on a thrashing workload that trickle keeps
-// a few shards active at a hit rate that is a net tax (the repo
-// benchmark's ACL-miss workload: 3.7 Mframes/s with every shard
-// bypassed, 2.7 with a quarter of them active at 75% hits). The shard
-// is picked by the hash of the full key: flows, not entries, say whether
-// probing pays. The counters are racy by design; a lost sample only
+// the cache active at a hit rate that is a net tax (the repo benchmark's
+// acl_miss_64B). The cache trips after 2 windows of 8192 lookups and
+// then gets 2048 probation lookups every 2^21 skipped packets: the
+// thresholds 32 per-shard states of 256, 64 and 65536 reached together,
+// so the probation share acl_miss_64B's slow-path share and p99 were
+// tuned around (64 in 65536) holds. A cold start and an invalidation
+// storm need the wide window too: frame by frame each misses once per
+// flow, and a 256-lookup window for the whole cache trips it after the
+// first 512 misses. The counters are racy by design; a lost sample only
 // defers a window roll.
 const (
-	bypassWindow    = 256   // lookups per ACTIVE evaluation window
-	bypassProbeSpan = 64    // lookups per PROBE window
-	bypassLowStreak = 2     // low windows in a row before bypassing
-	bypassRetry     = 65536 // skipped packets between probation windows
-	bypassEnterDen  = 16    // enter when hits < lookups/16 (6.25%)
-	bypassExitDen   = 8     // exit when hits >= lookups/8 (12.5%)
+	bypassWindow    = 8192    // lookups per ACTIVE evaluation window
+	bypassProbeSpan = 2048    // lookups per PROBE window
+	bypassLowStreak = 2       // low windows in a row before bypassing
+	bypassRetry     = 1 << 21 // skipped packets between probation windows
+	bypassEnterDen  = 16      // enter when hits < lookups/16 (6.25%)
+	bypassExitDen   = 8       // exit when hits >= lookups/8 (12.5%)
 )
 
-// bypassShard mode values.
+// bypassState mode values.
 const (
 	modeActive uint32 = iota
 	modeBypass
 	modeProbe
 )
 
-// bypassShard is the admission state of one bypass shard.
-type bypassShard struct {
+// bypassState is the cache's admission state.
+type bypassState struct {
 	win     atomic.Uint64 // hits<<32 | lookups of the current window
 	mode    atomic.Uint32
 	low     atomic.Uint32 // consecutive low ACTIVE windows
@@ -110,8 +77,8 @@ type bypassShard struct {
 }
 
 // admit reports whether the cache should be consulted (and fed) for a
-// packet of this shard.
-func (b *bypassShard) admit() bool {
+// packet.
+func (b *bypassState) admit() bool {
 	if b.mode.Load() != modeBypass {
 		return true
 	}
@@ -126,7 +93,7 @@ func (b *bypassShard) admit() bool {
 
 // note feeds lookups/hits into the current window and rolls it when
 // full.
-func (b *bypassShard) note(lookups, hits uint32) {
+func (b *bypassState) note(lookups, hits uint32) {
 	w := b.win.Add(uint64(hits)<<32 | uint64(lookups))
 	span := uint32(bypassWindow)
 	if b.mode.Load() == modeProbe {
@@ -138,7 +105,7 @@ func (b *bypassShard) note(lookups, hits uint32) {
 }
 
 // roll evaluates one full window and advances the state machine.
-func (b *bypassShard) roll(hits, lookups uint32) {
+func (b *bypassState) roll(hits, lookups uint32) {
 	b.win.Store(0)
 	switch b.mode.Load() {
 	case modeActive:
@@ -177,7 +144,7 @@ type flowCache struct {
 	tablesChanged atomic.Bool
 
 	bypassOn bool // always true outside tests
-	bypass   [bypassShards]bypassShard
+	bypass   bypassState
 
 	// stats counts for every class (hits, inserts, invalidations,
 	// evictions); misses and bypassed packets are counted once per packet
@@ -195,12 +162,11 @@ func newFlowCache(size int) *flowCache {
 // takes the first valid hit — when two classes hold valid entries for
 // the same packet, both were recorded against identical table
 // revisions, so their programs are interchangeable. Stale entries met on
-// the way are removed. f is the frame's packed key and shard its bypass
-// shard, shardOf(f.Sum()). record is false when the shard is bypassed —
-// the caller must walk uncached and must not install.
-func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record bool) {
-	b := &c.bypass[shard]
-	if c.bypassOn && !b.admit() {
+// the way are removed. f is the frame's packed key. record is false when
+// the cache is bypassed — the caller must walk uncached and must not
+// install.
+func (c *flowCache) lookup(f *pkt.FlatKey) (e *CacheEntry, record bool) {
+	if c.bypassOn && !c.bypass.admit() {
 		c.stats.Bypassed.Inc()
 		return nil, false
 	}
@@ -216,44 +182,43 @@ func (c *flowCache) lookup(f *pkt.FlatKey, shard uint32) (e *CacheEntry, record 
 		c.stats.Misses.Inc()
 	}
 	if c.bypassOn {
-		b.note(1, hits)
+		c.bypass.note(1, hits)
 	}
 	return e, true
 }
 
-// probeBatch probes a whole batch, class by class. It takes every
-// frame's bypass shard from the hash of its packed key (sc.flat, which
-// the dispatch filled); then, per class, it takes the class's read lock
-// once and probes the frames still unresolved, in order, with their keys
-// projected through the class's mask. A frame that projects like the
+// probeBatch probes a whole batch, class by class, unless the cache is
+// bypassed: the mode is read once per batch and the window fed once.
+// (A shard picked per frame and 32 shard windows drained per batch put
+// probeBatch at 17.0% of BenchmarkE2_ChainBurst/chain's CPU samples;
+// without them it is 11.8%, one profile of 6M frames each, 2-core Xeon
+// VM.) Per class, it takes the class's read lock once and probes the
+// frames still unresolved, in order, with their packed keys (flat, which
+// the dispatch filled) projected through the class's mask. A frame that projects like the
 // previous frame probed — the next frame of a run, of one flow or of
 // several the class cannot tell apart — takes that frame's answer, for a
 // six-word compare in place of a map probe. The entries found are
 // validated once the lock is released, a run's once.
 //
-// out[i] is filled for every frame with skip[i] false and a bypass shard
-// not in bypass. Only hits are accounted and only valid entries
-// returned: misses and stale entries stay nil for classifyAndRun, which
-// does the exact accounting (and can legitimately hit an entry an
-// earlier frame of the same batch installed). Frames of bypassed shards
-// are likewise left nil without accounting: classifyAndRun's per-frame
-// admit does the bypass/probation bookkeeping exactly once.
-func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch) {
-	left := 0 // frames still unresolved
-	for i := range out {
-		out[i] = nil
-		if skip[i] {
-			sc.shard[i] = shardSkip
-			continue
-		}
-		sh := uint8(shardOf(sc.flat[i].Sum()))
-		if c.bypassOn && c.bypass[sh].mode.Load() == modeBypass {
-			sh |= shardSkip
-		} else {
-			left++
-		}
-		sc.shard[i] = sh
+// out[i] is filled for every frame with skip[i] false. Only hits are
+// accounted and only valid entries returned: misses and stale entries
+// stay nil for classifyAndRun, which does the exact accounting (and can
+// legitimately hit an entry an earlier frame of the same batch
+// installed). In bypass every frame is left nil without accounting:
+// classifyAndRun's per-frame admit does the bypass/probation bookkeeping
+// exactly once.
+func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, flat []pkt.FlatKey) {
+	clear(out)
+	if c.bypassOn && c.bypass.mode.Load() == modeBypass {
+		return
 	}
+	lookups := 0
+	for _, s := range skip {
+		if !s {
+			lookups++
+		}
+	}
+	left := lookups // frames still unresolved
 	for _, g := range *c.classes.Load() {
 		if left == 0 {
 			break
@@ -263,10 +228,10 @@ func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch)
 		left = 0
 		g.mu.RLock()
 		for i := range out {
-			if sc.shard[i]&shardSkip != 0 || out[i] != nil {
+			if skip[i] || out[i] != nil {
 				continue
 			}
-			if p.SetAnd(&sc.flat[i], &g.words); last >= 0 && p.Equal(&prev) {
+			if p.SetAnd(&flat[i], &g.words); last >= 0 && p.Equal(&prev) {
 				out[i] = out[last]
 			} else {
 				out[i], prev, last = g.flows[p], p, i
@@ -288,30 +253,15 @@ func (c *flowCache) probeBatch(skip []bool, out []*CacheEntry, sc *probeScratch)
 			}
 		}
 	}
-	// Count the hits, and feed the per-shard windows with one atomic add
-	// per touched shard. Frames the batch probe missed are probed again
-	// per frame on the slow path and counted there too; that skews
-	// bypassed-rate tracking toward the miss side, which only makes bypass
-	// engage marginally sooner under thrash — acceptable for a heuristic.
-	var hits uint64
-	for i := range out {
-		sh := sc.shard[i]
-		if sh&shardSkip != 0 {
-			continue
-		}
-		hit := out[i] != nil
-		if hit {
-			hits++
-		}
-		if c.bypassOn {
-			sc.wins.add(sh, hit)
-		}
-	}
-	c.stats.Hits.Add(hits)
-	for sh := range sc.wins {
-		if lookups, hits := sc.wins.take(sh); lookups != 0 {
-			c.bypass[sh].note(lookups, hits)
-		}
+	// Count the hits and feed the window with one atomic add. Frames the
+	// batch probe missed are probed again per frame on the slow path and
+	// counted there too, so a burst's misses count twice: under thrash
+	// bypass engages after half as many frames, and a probation window
+	// lasts half as many.
+	hits := lookups - left
+	c.stats.Hits.Add(uint64(hits))
+	if c.bypassOn {
+		c.bypass.note(uint32(lookups), uint32(hits))
 	}
 }
 

@@ -69,13 +69,13 @@ func TestMegaflowInvalidationOnRevisionChange(t *testing.T) {
 	}
 }
 
-// thrashRig builds a switch + frame set where every packet misses a
-// 256-entry cache: 4096 single-packet flows distinguished by a field
-// the consult mask includes (the never-matched src-port entry widens
-// it to l4_src).
-func thrashRig(t *testing.T) (*Switch, [][]byte) {
+// thrashRig builds a switch with a cache of size entries + 4096
+// single-packet flows distinguished by a field the consult mask includes
+// (the never-matched src-port entry widens it to l4_src): with size 256
+// every packet misses.
+func thrashRig(t *testing.T, size int) (*Switch, [][]byte) {
 	t.Helper()
-	sw := New("thrash", 0x7a, WithFlowCacheSize(256))
+	sw := New("thrash", 0x7a, WithFlowCacheSize(size))
 	sw.AttachPort(2, "out", &discardBackend{})
 	distract := openflow.Match{}
 	distract.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(60001)
@@ -97,7 +97,7 @@ func TestInstallAllocatesOnlyWhatItPublishes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are meaningless under the race detector")
 	}
-	sw, frames := thrashRig(t)
+	sw, frames := thrashRig(t, 256)
 	sw.cache.bypassOn = false
 	for _, f := range frames {
 		sw.Receive(1, f)
@@ -122,60 +122,129 @@ func TestInstallAllocatesOnlyWhatItPublishes(t *testing.T) {
 	}
 }
 
-// TestShardWinsKeepCountsApart: a batch is as long as its caller makes
-// it, and 65,536 frames of one bypass shard used to carry the lookup
-// count into the hit count packed above it. The accumulator hands back
-// exactly what went in.
-func TestShardWinsKeepCountsApart(t *testing.T) {
-	var w shardWins
-	const shard, n = 5, 70000
-	for i := 0; i < n; i++ {
-		w.add(shard, true)
-		w.add(shard+1, false)
-	}
-	var lookups, hits uint64
-	for l, h := w.take(shard); l != 0; l, h = w.take(shard) {
-		lookups, hits = lookups+uint64(l), hits+uint64(h)
-	}
-	if lookups != n || hits != n {
-		t.Errorf("drained %d lookups, %d hits of %d added", lookups, hits, n)
-	}
-	if l, h := w.take(shard + 1); l != n || h != 0 {
-		t.Errorf("neighbouring shard: %d lookups, %d hits, want %d, 0", l, h, n)
-	}
-	if w != (shardWins{}) {
-		t.Errorf("take left counts behind: %v", w)
+// TestBurstReachesWindowExactly: a batch is as long as its caller makes
+// it, and one 70,000-frame burst must reach the window as exactly 70,000
+// lookups and its hits: 65,536 lookups used to carry into the hit count
+// packed above them. The burst's hit share sits on a threshold, so a
+// count off by one either way flips the window's verdict: exactly 1/16
+// keeps an ACTIVE cache (one low window already counted) out of bypass,
+// and one hit short of 1/8 sends a PROBE cache back to bypass.
+func TestBurstReachesWindowExactly(t *testing.T) {
+	const n = 70000
+	for _, tc := range []struct {
+		name      string
+		mode, low uint32
+		hits      int
+		want      uint32
+		why       string
+	}{
+		{"active", modeActive, 1, n / bypassEnterDen, modeActive, "hits == lookups/16 is not low"},
+		{"probe", modeProbe, 0, n/bypassExitDen - 1, modeBypass, "hits < lookups/8 fails probation"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sw, frames := thrashRig(t, 256)
+			sw.Receive(1, frames[0]) // installs frames[0]'s flow; frames[1]'s has no entry
+			var hit, miss pkt.FlatKey
+			if pkt.ExtractFlat(frames[0], 1, &hit) != nil || pkt.ExtractFlat(frames[1], 1, &miss) != nil {
+				t.Fatal("extract")
+			}
+			flat := make([]pkt.FlatKey, n)
+			for i := range flat {
+				flat[i] = miss
+				if i%(n/tc.hits) == 0 && i/(n/tc.hits) < tc.hits {
+					flat[i] = hit
+				}
+			}
+			c := sw.cache
+			c.bypass.win.Store(0)
+			c.bypass.mode.Store(tc.mode)
+			c.bypass.low.Store(tc.low)
+			base := c.stats.Hits.Load()
+			c.probeBatch(make([]bool, n), make([]*CacheEntry, n), flat)
+			if got := c.stats.Hits.Load() - base; got != uint64(tc.hits) {
+				t.Errorf("burst counted %d hits, want %d", got, tc.hits)
+			}
+			if m, w := c.bypass.mode.Load(), c.bypass.win.Load(); m != tc.want || w != 0 {
+				t.Errorf("after %d lookups, %d hits: mode %d, window %#x; want mode %d (%s), one roll", n, tc.hits, m, w, tc.want, tc.why)
+			}
+		})
 	}
 }
 
-// TestAdaptiveBypassEngagesAndRecovers drives the shard state machine
-// around its full cycle: thrash until shards give up on the cache,
-// then a single cacheable flow until probation readmits its shard.
+// TestColdStartAndStormStayAdmitted: a cache filling from empty misses
+// once per flow, and a flow-mod that stales every entry makes each flow
+// miss once more; neither is thrash. One frame each of 4096 new flows,
+// one flow-mod, the 4096 again: the cache must still be admitting, and a
+// third round must hit on every frame. (A 256-lookup window trips the
+// cache after the first 512 misses of the cold start.)
+func TestColdStartAndStormStayAdmitted(t *testing.T) {
+	sw, frames := thrashRig(t, DefaultFlowCacheSize)
+	admitting := func(phase string) {
+		t.Helper()
+		if cs := sw.CacheStats(); cs.Bypassed.Load() != 0 || sw.cache.bypass.mode.Load() != modeActive {
+			t.Fatalf("%s put the cache in bypass: mode %d, %s", phase, sw.cache.bypass.mode.Load(), cs)
+		}
+	}
+	for _, f := range frames {
+		sw.Receive(1, f)
+	}
+	admitting("the cold start")
+	m := openflow.Match{}
+	m.WithEthType(pkt.EtherTypeIPv4).WithIPProto(pkt.IPProtoUDP).WithUDPSrc(60002)
+	addFlow(t, sw, 0, 6, m, apply(out(2))) // table 0 changes: every entry is stale
+	for _, f := range frames {
+		sw.Receive(1, f)
+	}
+	admitting("the invalidation storm")
+	cs := sw.CacheStats()
+	if cs.Invalidations.Load() != uint64(len(frames)) || cs.Misses.Load() != 2*uint64(len(frames)) {
+		t.Fatalf("want one miss per flow per round and one invalidation per flow: %s", cs)
+	}
+	hits := cs.Hits.Load()
+	for _, f := range frames {
+		sw.Receive(1, f)
+	}
+	if got := cs.Hits.Load() - hits; got != uint64(len(frames)) {
+		t.Errorf("third round hit %d of %d: %s", got, len(frames), sw.CacheStats())
+	}
+}
+
+// TestAdaptiveBypassEngagesAndRecovers drives the cache's admission state
+// around its full cycle: thrash until the cache gives up on itself
+// (ACTIVE → BYPASS), then a single cacheable flow until probation
+// readmits it (BYPASS → PROBE → ACTIVE).
 func TestAdaptiveBypassEngagesAndRecovers(t *testing.T) {
-	sw, frames := thrashRig(t)
-	// ~6 windows per shard of near-zero hit rate: every shard should
-	// trip into bypass (2 consecutive low windows suffice).
-	for cycle := 0; cycle < 12; cycle++ {
+	sw, frames := thrashRig(t, 256)
+	b := &sw.cache.bypass
+	// Two low windows trip the cache: four rounds of 4096 walks give it
+	// exactly those two, and the fifth round is bypassed.
+	for round := 0; round < 5; round++ {
 		for _, f := range frames {
 			sw.Receive(1, f)
 		}
 	}
 	cs := sw.CacheStats()
-	if cs.Bypassed.Load() == 0 {
-		t.Fatalf("thrash never engaged bypass: %s", cs)
+	if b.mode.Load() != modeBypass || cs.Bypassed.Load() == 0 {
+		t.Fatalf("thrash never engaged bypass: mode %d, %s", b.mode.Load(), cs)
 	}
 
-	// One flow, repeated: its shard must eventually probe, see a
-	// perfect hit rate, and return to active — visible as hit growth.
+	// One flow, repeated: the cache must probe after bypassRetry skipped
+	// packets, see a perfect hit rate and return to active — visible as
+	// hit growth. -short (and so -race in make test) skips the bulk of
+	// the wait: the loop starts a thousand packets short of the retry.
+	if testing.Short() {
+		b.skipped.Store(bypassRetry - 1000)
+	}
 	f := frames[0]
 	base := sw.CacheStats().Hits.Load()
-	recovered := false
-	for i := 0; i < 3*bypassRetry && !recovered; i++ {
+	probed, recovered := false, false
+	for i := 0; i < 2*bypassRetry && !recovered; i++ {
 		sw.Receive(1, f)
+		probed = probed || b.mode.Load() == modeProbe
 		recovered = sw.CacheStats().Hits.Load() > base+2*bypassProbeSpan
 	}
-	if !recovered {
-		t.Errorf("shard never recovered from bypass: %s", sw.CacheStats())
+	if !probed || !recovered || b.mode.Load() != modeActive {
+		t.Errorf("cache never recovered from bypass (probed %v): mode %d, %s", probed, b.mode.Load(), sw.CacheStats())
 	}
 }
 
