@@ -1,16 +1,12 @@
 // Command costcalc regenerates the cost-effectiveness analysis (E4):
 // the per-SDN-port CAPEX of the three migration strategies over a
-// range of port counts.
-//
-// With -campaign it prices a migration campaign spec instead: the
-// per-wave cumulative-spend table and the crossover point against
-// rip-and-replace, through the same planner cmd/migrate executes.
+// range of port counts. A migration campaign's per-wave spend table is
+// printed by migrate -plan.
 //
 // Usage:
 //
 //	costcalc [-ports 8,24,48,96,192,384] [-greenfield]
 //	         [-cots-price N] [-server-price N] [-legacy-price N]
-//	costcalc -campaign examples/migrate/campaign.json
 package main
 
 import (
@@ -21,7 +17,6 @@ import (
 	"strings"
 
 	"github.com/harmless-sdn/harmless/internal/cost"
-	"github.com/harmless-sdn/harmless/internal/migrate"
 )
 
 func main() {
@@ -30,7 +25,6 @@ func main() {
 	cotsPrice := flag.Float64("cots-price", 0, "override COTS SDN switch price")
 	serverPrice := flag.Float64("server-price", 0, "override server price")
 	legacyPrice := flag.Float64("legacy-price", 0, "override legacy switch price")
-	campaign := flag.String("campaign", "", "price a migration campaign spec (JSON) instead of the strategy sweep")
 	flag.Parse()
 
 	catalog := cost.DefaultCatalog2017()
@@ -42,11 +36,6 @@ func main() {
 	}
 	if *legacyPrice > 0 {
 		catalog.LegacySwitchPrice = *legacyPrice
-	}
-
-	if *campaign != "" {
-		priceCampaign(*campaign, *cotsPrice, *serverPrice, *legacyPrice)
-		return
 	}
 
 	var ports []int
@@ -76,37 +65,4 @@ func main() {
 	fmt.Print(cost.FormatTable(rows))
 	fmt.Printf("\nbreak-even server price at 48 ports: $%.0f (catalog: $%.0f)\n",
 		catalog.BreakEvenServerPrice(48), catalog.ServerPrice)
-}
-
-// priceCampaign prints the per-wave spend table for a campaign spec,
-// planned by the same code cmd/migrate executes. Command-line price
-// overrides take precedence over the spec's own catalog block.
-func priceCampaign(path string, cotsPrice, serverPrice, legacyPrice float64) {
-	spec, err := migrate.LoadSpec(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "costcalc: %v\n", err)
-		os.Exit(1)
-	}
-	catalog := spec.ResolveCatalog()
-	if cotsPrice > 0 {
-		catalog.COTSSDNSwitchPrice = cotsPrice
-	}
-	if serverPrice > 0 {
-		catalog.ServerPrice = serverPrice
-	}
-	if legacyPrice > 0 {
-		catalog.LegacySwitchPrice = legacyPrice
-	}
-	plan, err := migrate.PlanCampaign(spec.Switches, catalog, spec.WaveBudget)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "costcalc: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("HARMLESS migration campaign %q — %d switches in %d waves, budget $%.0f/wave\n",
-		spec.Name, len(spec.Switches), len(plan.Waves), plan.WaveBudget)
-	fmt.Printf("catalog: COTS $%.0f/%dp, server $%.0f/%dp, legacy $%.0f/%dp\n\n",
-		catalog.COTSSDNSwitchPrice, catalog.COTSSDNSwitchPorts,
-		catalog.ServerPrice, catalog.ServerPorts,
-		catalog.LegacySwitchPrice, catalog.LegacySwitchPorts)
-	fmt.Print(migrate.FormatCampaignTable(plan))
 }

@@ -10,7 +10,7 @@
 // Usage:
 //
 //	migrate -spec examples/migrate/campaign.json
-//	migrate -spec campaign.json -plan            (print the wave plan, run nothing)
+//	migrate -spec campaign.json -plan            (price the wave plan, run nothing)
 //	migrate -spec campaign.json -out report.json
 //
 // Exit status: 0 on a passing campaign, 2 when the campaign fails its
@@ -48,21 +48,16 @@ func main() {
 		fatal(err)
 	}
 
+	if *planOnly {
+		printPlan(spec)
+		return
+	}
+
 	x, err := migrate.NewExecutor(spec)
 	if err != nil {
 		fatal(err)
 	}
 	plan := x.Plan()
-	if *planOnly {
-		if err := x.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("campaign %q: %d switches in %d waves, budget $%.0f/wave\n\n",
-			spec.Name, len(spec.Switches), len(plan.Waves), plan.WaveBudget)
-		fmt.Print(migrate.FormatCampaignTable(plan))
-		return
-	}
-
 	if *verbose {
 		fmt.Fprintf(os.Stderr, "migrate: campaign %q: %d switches in %d waves\n",
 			spec.Name, len(spec.Switches), len(plan.Waves))
@@ -94,6 +89,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "migrate: CAMPAIGN FAILED: %v\n", rep.Failures)
 		os.Exit(2)
 	}
+}
+
+// printPlan prints the per-wave spend table and the crossover against
+// rip-and-replace, priced with the spec's catalog by the planner the
+// executor runs; nothing is built.
+func printPlan(spec migrate.Spec) {
+	catalog := spec.ResolveCatalog()
+	plan, err := migrate.PlanCampaign(spec.Switches, catalog, spec.WaveBudget)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("campaign %q: %d switches in %d waves, budget $%.0f/wave\n",
+		spec.Name, len(spec.Switches), len(plan.Waves), plan.WaveBudget)
+	fmt.Printf("catalog: COTS $%.0f/%dp, server $%.0f/%dp, legacy $%.0f/%dp\n\n",
+		catalog.COTSSDNSwitchPrice, catalog.COTSSDNSwitchPorts,
+		catalog.ServerPrice, catalog.ServerPorts,
+		catalog.LegacySwitchPrice, catalog.LegacySwitchPorts)
+	fmt.Print(migrate.FormatCampaignTable(plan))
 }
 
 func fatal(err error) {

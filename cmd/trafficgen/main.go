@@ -47,6 +47,13 @@ func main() {
 	})
 }
 
+const (
+	// ringSize is each worker's RX ring, in frames.
+	ringSize = 4096
+	// mixFrameLen is the size of fabric.NewMixGenerator's frames.
+	mixFrameLen = 64
+)
+
 type mixConfig struct {
 	flows      int
 	elephants  int
@@ -135,17 +142,25 @@ func runMix(cfg mixConfig) {
 			as.FlowRecords, as.Biflows, as.Samples, as.Messages)
 	}
 
+	// gen.Next returns frames the generator reuses, and the switch owns
+	// every frame it is sent, so each send is a private copy. A slot is
+	// reused only after more copies than can be in flight: one under a
+	// synchronous Receive; with workers, each one's ring plus the burst
+	// it is running, which is no longer than its ring.
+	slots := 1
 	var pool *ssruntime.Pool
 	if cfg.workers > 0 {
-		pool = ssruntime.New(sw, ssruntime.Config{Workers: cfg.workers})
+		pool = ssruntime.New(sw, ssruntime.Config{Workers: cfg.workers, RingSize: ringSize})
 		pool.Start()
+		slots = 2 * ringSize * cfg.workers
 	}
+	arena := fabric.NewArena(slots, mixFrameLen)
 	for time.Now().Before(deadline) {
 		for i := 0; i < 256; i++ {
 			if pool == nil {
-				sw.Receive(1, gen.Next())
+				sw.Receive(1, arena.Copy(gen.Next()))
 				sent++
-			} else if pool.Dispatch(1, gen.Next()) {
+			} else if pool.Dispatch(1, arena.Copy(gen.Next())) {
 				sent++
 			}
 		}

@@ -75,8 +75,8 @@ func TestBinaryCostcalc(t *testing.T) {
 }
 
 // TestBinaryMigrate drives the campaign engine end to end the way the
-// CI smoke job does: plan, then run the example campaign twice and
-// require identical digests and a passing verdict.
+// CI smoke job does: price the plan, then run the example campaign
+// twice and require identical digests and a passing verdict.
 func TestBinaryMigrate(t *testing.T) {
 	bin := buildBinaries(t)
 	mig := filepath.Join(bin, "migrate")
@@ -85,7 +85,8 @@ func TestBinaryMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("migrate -plan: %v\n%s", err, plan)
 	}
-	for _, want := range []string{"3 waves", "cum-spend", "crossover vs rip-and-replace: never"} {
+	for _, want := range []string{"three-rack-pilot", "3 waves", "catalog: COTS", "cum-spend", "cum-rip&repl",
+		"crossover vs rip-and-replace: never"} {
 		if !strings.Contains(string(plan), want) {
 			t.Errorf("plan output missing %q:\n%s", want, plan)
 		}
@@ -115,22 +116,6 @@ func TestBinaryMigrate(t *testing.T) {
 	for _, want := range []string{`"pass": true`, `"rolledBackWaves": 1`, `"lostDatagrams": 0`, `"costConform": true`} {
 		if !strings.Contains(a, want) {
 			t.Errorf("report missing %q:\n%s", want, a)
-		}
-	}
-}
-
-// TestBinaryCostcalcCampaign prices the example campaign through the
-// same planner cmd/migrate executes.
-func TestBinaryCostcalcCampaign(t *testing.T) {
-	bin := buildBinaries(t)
-	out, err := exec.Command(filepath.Join(bin, "costcalc"),
-		"-campaign", "examples/migrate/campaign.json").CombinedOutput()
-	if err != nil {
-		t.Fatalf("costcalc -campaign: %v\n%s", err, out)
-	}
-	for _, want := range []string{"three-rack-pilot", "cum-rip&repl", "crossover"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("campaign table missing %q:\n%s", want, out)
 		}
 	}
 }

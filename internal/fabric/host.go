@@ -66,7 +66,6 @@ func NewHost(name string, mac pkt.MAC, ip pkt.IPv4, port *netem.Port) *Host {
 	}
 	h.tcp = newTCPLite(h)
 	port.SetReceiver(h.receive)
-	port.SetBatchReceiver(h.receiveBatch)
 	return h
 }
 
@@ -98,16 +97,7 @@ func (h *Host) send(frame []byte) {
 	_ = h.port.Send(frame)
 }
 
-// receiveBatch is the host's vectored frame input: the stack itself is
-// per-frame, so a batch is simply unrolled here — what batching buys
-// the host is one port wakeup per vector, not a vectored stack.
-func (h *Host) receiveBatch(frames [][]byte) {
-	for _, f := range frames {
-		h.receive(f)
-	}
-}
-
-// receive is the host's frame input.
+// receive is the host's frame input; the port unrolls a batch into it.
 func (h *Host) receive(frame []byte) {
 	h.mu.Lock()
 	h.rxFrames++

@@ -39,9 +39,9 @@ type ManagerConfig struct {
 	SweepInterval time.Duration
 	// ControlPlane tunes SS_2's controller channels (keepalive,
 	// backoff, logger for dial/liveness diagnostics). Zero = defaults.
+	// Its Clock, when set, is the deployment's one clock: SS_1 and SS_2
+	// run on it too.
 	ControlPlane controlplane.Config
-	// Clock injection for tests.
-	Clock netem.Clock
 }
 
 // NewManager creates a manager driving the device behind driver.
@@ -110,7 +110,7 @@ func (m *Manager) Deploy(trunkPort *netem.Port, controllers []controlplane.Endpo
 	s4, err := BuildS4(plan, S4Config{
 		Name:       facts.Hostname,
 		DatapathID: m.cfg.DatapathID,
-		Clock:      m.cfg.Clock,
+		Clock:      m.cfg.ControlPlane.Clock,
 	})
 	if err != nil {
 		if rbErr := m.rollbackLegacy(plan); rbErr != nil {

@@ -177,7 +177,7 @@ func PlanCampaign(switches []SwitchSpec, catalog cost.Catalog, waveBudget float6
 }
 
 // FormatCampaignTable renders the per-wave cumulative-spend table
-// (shared by `costcalc -campaign` and `migrate -plan`).
+// that `migrate -plan` prints.
 func FormatCampaignTable(p *Plan) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%-5s %-24s %-6s %-11s %-11s %-13s %-13s %-9s\n",

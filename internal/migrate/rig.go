@@ -150,11 +150,10 @@ func (r *switchRig) deploy(clock netem.Clock) error {
 	}
 	r.preConfig = pre
 
-	cpCfg := controlplane.Config{EchoInterval: -1}
+	cpCfg := controlplane.Config{EchoInterval: -1, Clock: clock}
 	r.mgr = harmless.NewManager(r.driver, nil, harmless.ManagerConfig{
 		DatapathID:   0x53340000 + uint64(r.index),
 		ControlPlane: cpCfg,
-		Clock:        clock,
 	})
 	mPipeA, mPipeB := net.Pipe()
 	sPipeA, sPipeB := net.Pipe()

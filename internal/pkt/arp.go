@@ -21,36 +21,25 @@ type ARP struct {
 	SenderIP  IPv4
 	TargetHW  MAC
 	TargetIP  IPv4
-	payload   []byte
 	HWType    uint16 // decoded as-is; 1 on serialize
 	ProtoType uint16 // decoded as-is; 0x0800 on serialize
 }
 
-// LayerType implements Layer.
-func (a *ARP) LayerType() LayerType { return LayerTypeARP }
-
-// LayerPayload implements Layer.
-func (a *ARP) LayerPayload() []byte { return a.payload }
-
-// NextLayerType implements Layer.
-func (a *ARP) NextLayerType() LayerType { return LayerTypeNone }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the packet from the start of data.
 func (a *ARP) DecodeFromBytes(data []byte) error {
 	if len(data) < ARPHeaderLen {
-		return errTruncated(LayerTypeARP)
+		return errTruncated("ARP")
 	}
 	a.HWType = binary.BigEndian.Uint16(data[0:2])
 	a.ProtoType = binary.BigEndian.Uint16(data[2:4])
 	if hlen, plen := data[4], data[5]; hlen != 6 || plen != 4 {
-		return &decodeError{layer: LayerTypeARP, msg: fmt.Sprintf("unsupported hlen/plen %d/%d", hlen, plen)}
+		return &decodeError{header: "ARP", msg: fmt.Sprintf("unsupported hlen/plen %d/%d", hlen, plen)}
 	}
 	a.Op = binary.BigEndian.Uint16(data[6:8])
 	copy(a.SenderHW[:], data[8:14])
 	copy(a.SenderIP[:], data[14:18])
 	copy(a.TargetHW[:], data[18:24])
 	copy(a.TargetIP[:], data[24:28])
-	a.payload = data[ARPHeaderLen:]
 	return nil
 }
 

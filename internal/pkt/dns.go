@@ -54,22 +54,12 @@ type DNS struct {
 	Rcode     uint8
 	Questions []DNSQuestion
 	Answers   []DNSAnswer
-	payload   []byte
 }
 
-// LayerType implements Layer.
-func (d *DNS) LayerType() LayerType { return LayerTypeDNS }
-
-// LayerPayload implements Layer.
-func (d *DNS) LayerPayload() []byte { return d.payload }
-
-// NextLayerType implements Layer.
-func (d *DNS) NextLayerType() LayerType { return LayerTypeNone }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the whole message in data.
 func (d *DNS) DecodeFromBytes(data []byte) error {
 	if len(data) < 12 {
-		return errTruncated(LayerTypeDNS)
+		return errTruncated("DNS")
 	}
 	d.ID = binary.BigEndian.Uint16(data[0:2])
 	flags := binary.BigEndian.Uint16(data[2:4])
@@ -93,7 +83,7 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 		}
 		off += n
 		if off+4 > len(data) {
-			return errTruncated(LayerTypeDNS)
+			return errTruncated("DNS")
 		}
 		d.Questions = append(d.Questions, DNSQuestion{
 			Name:  name,
@@ -109,7 +99,7 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 		}
 		off += n
 		if off+10 > len(data) {
-			return errTruncated(LayerTypeDNS)
+			return errTruncated("DNS")
 		}
 		ans := DNSAnswer{
 			Name:  name,
@@ -120,7 +110,7 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 		rdlen := int(binary.BigEndian.Uint16(data[off+8 : off+10]))
 		off += 10
 		if off+rdlen > len(data) {
-			return errTruncated(LayerTypeDNS)
+			return errTruncated("DNS")
 		}
 		rdata := data[off : off+rdlen]
 		if ans.Type == DNSTypeA && rdlen == 4 {
@@ -131,7 +121,6 @@ func (d *DNS) DecodeFromBytes(data []byte) error {
 		off += rdlen
 		d.Answers = append(d.Answers, ans)
 	}
-	d.payload = nil
 	return nil
 }
 
@@ -145,10 +134,10 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 	pos := off
 	for hops := 0; ; hops++ {
 		if hops > 64 {
-			return "", 0, &decodeError{layer: LayerTypeDNS, msg: "name compression loop"}
+			return "", 0, &decodeError{header: "DNS", msg: "name compression loop"}
 		}
 		if pos >= len(data) {
-			return "", 0, errTruncated(LayerTypeDNS)
+			return "", 0, errTruncated("DNS")
 		}
 		l := int(data[pos])
 		switch {
@@ -159,7 +148,7 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 			return sb.String(), consumed, nil
 		case l&0xc0 == 0xc0: // compression pointer
 			if pos+1 >= len(data) {
-				return "", 0, errTruncated(LayerTypeDNS)
+				return "", 0, errTruncated("DNS")
 			}
 			if !jumped {
 				consumed = pos - off + 2
@@ -168,7 +157,7 @@ func decodeDNSName(data []byte, off int) (string, int, error) {
 			pos = int(data[pos]&0x3f)<<8 | int(data[pos+1])
 		default:
 			if pos+1+l > len(data) {
-				return "", 0, errTruncated(LayerTypeDNS)
+				return "", 0, errTruncated("DNS")
 			}
 			if sb.Len() > 0 {
 				sb.WriteByte('.')

@@ -35,44 +35,17 @@ type Ethernet struct {
 	Dst       MAC
 	Src       MAC
 	EtherType uint16 // the type immediately following this header
-	payload   []byte
 }
 
-// LayerType implements Layer.
-func (e *Ethernet) LayerType() LayerType { return LayerTypeEthernet }
-
-// LayerPayload implements Layer.
-func (e *Ethernet) LayerPayload() []byte { return e.payload }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the header from the start of data.
 func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	if len(data) < EthernetHeaderLen {
-		return errTruncated(LayerTypeEthernet)
+		return errTruncated("Ethernet")
 	}
 	copy(e.Dst[:], data[0:6])
 	copy(e.Src[:], data[6:12])
 	e.EtherType = binary.BigEndian.Uint16(data[12:14])
-	e.payload = data[EthernetHeaderLen:]
 	return nil
-}
-
-// NextLayerType implements Layer.
-func (e *Ethernet) NextLayerType() LayerType {
-	return layerTypeForEtherType(e.EtherType)
-}
-
-func layerTypeForEtherType(et uint16) LayerType {
-	switch et {
-	case EtherTypeIPv4:
-		return LayerTypeIPv4
-	case EtherTypeIPv6:
-		return LayerTypeIPv6
-	case EtherTypeARP:
-		return LayerTypeARP
-	case EtherTypeDot1Q, EtherTypeQinQ:
-		return LayerTypeDot1Q
-	}
-	return LayerTypePayload
 }
 
 // SerializeTo implements SerializableLayer.
@@ -90,40 +63,27 @@ func (e *Ethernet) String() string {
 }
 
 // Dot1Q is one 802.1Q VLAN tag. On the wire the tag sits between the
-// source MAC and the encapsulated EtherType; in the layer model the
-// Ethernet layer's EtherType is 0x8100 and this layer carries the TCI
+// source MAC and the encapsulated EtherType; as decoded, the Ethernet
+// header's EtherType is 0x8100 (or 0x88a8) and the tag carries the TCI
 // plus the real EtherType.
 type Dot1Q struct {
 	Priority     uint8  // PCP, 3 bits
 	DropEligible bool   // DEI, 1 bit
 	VLANID       uint16 // VID, 12 bits
 	EtherType    uint16 // encapsulated protocol
-	payload      []byte
 }
 
-// LayerType implements Layer.
-func (d *Dot1Q) LayerType() LayerType { return LayerTypeDot1Q }
-
-// LayerPayload implements Layer.
-func (d *Dot1Q) LayerPayload() []byte { return d.payload }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the tag from the start of data.
 func (d *Dot1Q) DecodeFromBytes(data []byte) error {
 	if len(data) < Dot1QHeaderLen {
-		return errTruncated(LayerTypeDot1Q)
+		return errTruncated("Dot1Q")
 	}
 	tci := binary.BigEndian.Uint16(data[0:2])
 	d.Priority = uint8(tci >> 13)
 	d.DropEligible = tci&0x1000 != 0
 	d.VLANID = tci & 0x0fff
 	d.EtherType = binary.BigEndian.Uint16(data[2:4])
-	d.payload = data[Dot1QHeaderLen:]
 	return nil
-}
-
-// NextLayerType implements Layer.
-func (d *Dot1Q) NextLayerType() LayerType {
-	return layerTypeForEtherType(d.EtherType)
 }
 
 // SerializeTo implements SerializableLayer.
@@ -146,24 +106,8 @@ func (d *Dot1Q) String() string {
 	return fmt.Sprintf("Dot1Q vid=%d pcp=%d type=0x%04x", d.VLANID, d.Priority, d.EtherType)
 }
 
-// Payload is an opaque application layer: the residue after all known
-// headers have been decoded.
+// Payload is opaque application bytes, serialized after all headers.
 type Payload []byte
-
-// LayerType implements Layer.
-func (p *Payload) LayerType() LayerType { return LayerTypePayload }
-
-// LayerPayload implements Layer.
-func (p *Payload) LayerPayload() []byte { return nil }
-
-// DecodeFromBytes implements Layer.
-func (p *Payload) DecodeFromBytes(data []byte) error {
-	*p = data
-	return nil
-}
-
-// NextLayerType implements Layer.
-func (p *Payload) NextLayerType() LayerType { return LayerTypeNone }
 
 // SerializeTo implements SerializableLayer.
 func (p *Payload) SerializeTo(b *SerializeBuffer) error {

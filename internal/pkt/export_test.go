@@ -32,15 +32,12 @@ func (h *IPv4Header) VerifyChecksum(raw []byte) bool {
 	return Checksum(raw[:hl]) == 0 // sum including stored checksum folds to 0
 }
 
-// Layers returns the decoded layer stack in wire order.
-func (p *Packet) Layers() []Layer { return p.layers }
-
 // VLAN returns the outermost 802.1Q tag, or nil if untagged.
 func (p *Packet) VLAN() *Dot1Q {
-	if l := p.Layer(LayerTypeDot1Q); l != nil {
-		return l.(*Dot1Q)
+	if len(p.tags) == 0 {
+		return nil
 	}
-	return nil
+	return &p.tags[0]
 }
 
 // HeaderLen returns the header length in bytes including options.

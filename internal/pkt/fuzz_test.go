@@ -24,7 +24,7 @@ func FuzzDecodeEthernet(f *testing.F) {
 	f.Add(tagged)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := Decode(data, LayerTypeEthernet)
+		p := DecodeEthernet(data)
 		_ = p.String() // must not panic either
 		var k Key
 		_ = ExtractKey(data, 1, &k)
@@ -185,7 +185,7 @@ func FuzzFlatKey(f *testing.F) {
 
 // FuzzExtractMatchesDecode holds the one parser the datapath trusts to
 // the full decoder: for any bytes, the key ExtractFlat packs is the key
-// read off the layers Decode produces, and ExtractKey unpacks it.
+// read off the headers DecodeEthernet produces, and ExtractKey unpacks it.
 func FuzzExtractMatchesDecode(f *testing.F) {
 	for _, hdr := range keySeeds() {
 		f.Add(hdr)
@@ -193,52 +193,53 @@ func FuzzExtractMatchesDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var got, want FlatKey
 		err := ExtractFlat(data, 7, &got)
-		p := Decode(data, LayerTypeEthernet)
-		k, ok := keyFromLayers(p, 7)
+		p := DecodeEthernet(data)
+		k, ok := keyFromHeaders(p, 7)
 		if ok != (err == nil) {
-			t.Fatalf("%x: ExtractFlat error %v, Decode %v", data, err, p)
+			t.Fatalf("%x: ExtractFlat error %v, DecodeEthernet %v", data, err, p)
 		}
 		if k.FlatInto(&want); got != want {
-			t.Fatalf("%x: ExtractFlat packs %x, Decode's layers %x\ndecoded: %v\nwant %+v", data, got, want, p, k)
+			t.Fatalf("%x: ExtractFlat packs %x, the decoded headers %x\ndecoded: %v\nwant %+v", data, got, want, p, k)
 		}
 		var viaKey Key
 		if _ = ExtractKey(data, 7, &viaKey); viaKey != k {
-			t.Fatalf("%x: ExtractKey %+v, Decode's layers %+v", data, viaKey, k)
+			t.Fatalf("%x: ExtractKey %+v, the decoded headers %+v", data, viaKey, k)
 		}
 	})
 }
 
-// keyFromLayers is the reference key: the matchable fields of the layers
-// Decode produced, ok false when not even Ethernet decoded. The
-// EtherType is the innermost the decoder read; one that names a tag the
-// frame ends inside is unknown (0).
-func keyFromLayers(p *Packet, inPort uint32) (k Key, ok bool) {
+// keyFromHeaders is the reference key: the matchable fields of the
+// headers DecodeEthernet produced, ok false when not even Ethernet
+// decoded. The EtherType is the innermost the decoder read; one that
+// names a tag the frame ends inside is unknown (0).
+func keyFromHeaders(p *Packet, inPort uint32) (k Key, ok bool) {
 	k.InPort = inPort
 	eth := p.Ethernet()
 	if eth == nil {
 		return k, false
 	}
 	k.EthDst, k.EthSrc, k.EthType = eth.Dst, eth.Src, eth.EtherType
-	for _, l := range p.Layers() {
-		switch l := l.(type) {
-		case *Dot1Q:
-			if !k.HasVLAN {
-				k.HasVLAN, k.VLANID, k.VLANPCP = true, l.VLANID, l.Priority
-			}
-			k.EthType = l.EtherType
-		case *IPv4Header:
-			k.HasIPv4, k.IPProto, k.IPSrc, k.IPDst = true, l.Protocol, l.Src, l.Dst
-		case *IPv6Header:
-			k.HasIPv6, k.IPProto = true, l.NextHeader
-		case *ARP:
-			k.HasARP, k.ARPOp, k.ARPSPA, k.ARPTPA = true, l.Op, l.SenderIP, l.TargetIP
-		case *TCP:
-			k.HasL4, k.L4Src, k.L4Dst = true, l.SrcPort, l.DstPort
-		case *UDP:
-			k.HasL4, k.L4Src, k.L4Dst = true, l.SrcPort, l.DstPort
-		case *ICMPv4:
-			k.HasICMP, k.ICMPType, k.ICMPCode = true, l.Type, l.Code
-		}
+	if len(p.tags) > 0 {
+		k.HasVLAN, k.VLANID, k.VLANPCP = true, p.tags[0].VLANID, p.tags[0].Priority
+		k.EthType = p.tags[len(p.tags)-1].EtherType
+	}
+	if l := p.ipv4; l != nil {
+		k.HasIPv4, k.IPProto, k.IPSrc, k.IPDst = true, l.Protocol, l.Src, l.Dst
+	}
+	if l := p.ipv6; l != nil {
+		k.HasIPv6, k.IPProto = true, l.NextHeader
+	}
+	if l := p.arp; l != nil {
+		k.HasARP, k.ARPOp, k.ARPSPA, k.ARPTPA = true, l.Op, l.SenderIP, l.TargetIP
+	}
+	if l := p.tcp; l != nil {
+		k.HasL4, k.L4Src, k.L4Dst = true, l.SrcPort, l.DstPort
+	}
+	if l := p.udp; l != nil {
+		k.HasL4, k.L4Src, k.L4Dst = true, l.SrcPort, l.DstPort
+	}
+	if l := p.icmp; l != nil {
+		k.HasICMP, k.ICMPType, k.ICMPCode = true, l.Type, l.Code
 	}
 	if k.EthType == EtherTypeDot1Q || k.EthType == EtherTypeQinQ {
 		k.EthType = 0

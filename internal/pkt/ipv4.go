@@ -37,41 +37,21 @@ const (
 	IPv4MoreFragments uint8 = 0x1
 )
 
-// LayerType implements Layer.
-func (h *IPv4Header) LayerType() LayerType { return LayerTypeIPv4 }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes after the header, within TotalLen.
 func (h *IPv4Header) LayerPayload() []byte { return h.payload }
 
-// NextLayerType implements Layer.
-func (h *IPv4Header) NextLayerType() LayerType {
-	// Fragments other than the first do not contain an L4 header.
-	if h.FragOffset != 0 {
-		return LayerTypePayload
-	}
-	switch h.Protocol {
-	case IPProtoTCP:
-		return LayerTypeTCP
-	case IPProtoUDP:
-		return LayerTypeUDP
-	case IPProtoICMP:
-		return LayerTypeICMPv4
-	}
-	return LayerTypePayload
-}
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the header from the start of data.
 func (h *IPv4Header) DecodeFromBytes(data []byte) error {
 	if len(data) < IPv4MinHeaderLen {
-		return errTruncated(LayerTypeIPv4)
+		return errTruncated("IPv4")
 	}
 	vihl := data[0]
 	if version := vihl >> 4; version != 4 {
-		return &decodeError{layer: LayerTypeIPv4, msg: fmt.Sprintf("version %d", version)}
+		return &decodeError{header: "IPv4", msg: fmt.Sprintf("version %d", version)}
 	}
 	ihl := int(vihl&0x0f) * 4
 	if ihl < IPv4MinHeaderLen || len(data) < ihl {
-		return &decodeError{layer: LayerTypeIPv4, msg: "bad IHL"}
+		return &decodeError{header: "IPv4", msg: "bad IHL"}
 	}
 	h.TOS = data[1]
 	h.TotalLen = binary.BigEndian.Uint16(data[2:4])
@@ -142,31 +122,14 @@ type IPv6Header struct {
 	payload      []byte
 }
 
-// LayerType implements Layer.
-func (h *IPv6Header) LayerType() LayerType { return LayerTypeIPv6 }
-
-// LayerPayload implements Layer.
-func (h *IPv6Header) LayerPayload() []byte { return h.payload }
-
-// NextLayerType implements Layer.
-func (h *IPv6Header) NextLayerType() LayerType {
-	switch h.NextHeader {
-	case IPProtoTCP:
-		return LayerTypeTCP
-	case IPProtoUDP:
-		return LayerTypeUDP
-	}
-	return LayerTypePayload
-}
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the header from the start of data.
 func (h *IPv6Header) DecodeFromBytes(data []byte) error {
 	if len(data) < IPv6HeaderLen {
-		return errTruncated(LayerTypeIPv6)
+		return errTruncated("IPv6")
 	}
 	vtf := binary.BigEndian.Uint32(data[0:4])
 	if version := vtf >> 28; version != 6 {
-		return &decodeError{layer: LayerTypeIPv6, msg: fmt.Sprintf("version %d", version)}
+		return &decodeError{header: "IPv6", msg: fmt.Sprintf("version %d", version)}
 	}
 	h.TrafficClass = uint8(vtf >> 20)
 	h.FlowLabel = vtf & 0xfffff

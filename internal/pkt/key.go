@@ -67,16 +67,16 @@ const (
 
 // ExtractFlat is the one header parser: it reads frame's headers in one
 // pass straight into the packed key f, without allocating. A field is
-// set exactly when Decode would decode its header: whole headers only,
-// ARP for Ethernet/IPv4 addresses, and an IP packet's transport header
-// within the length the IP header gives, so Ethernet padding is never
-// read as one. It returns an error only for frames too short to carry an
-// Ethernet header (f then holds inPort alone); deeper truncation leaves
-// the affected fields unset.
+// set exactly when DecodeEthernet would decode its header: whole
+// headers only, ARP for Ethernet/IPv4 addresses, and an IP packet's
+// transport header within the length the IP header gives, so Ethernet
+// padding is never read as one. It returns an error only for frames
+// too short to carry an Ethernet header (f then holds inPort alone);
+// deeper truncation leaves the affected fields unset.
 func ExtractFlat(frame []byte, inPort uint32, f *FlatKey) error {
 	*f = FlatKey{uint64(inPort) << 32}
 	if len(frame) < EthernetHeaderLen {
-		return errTruncated(LayerTypeEthernet)
+		return errTruncated("Ethernet")
 	}
 	f[1] = binary.BigEndian.Uint64(frame[0:8]) &^ 0xffff // eth_dst
 	f[2] = binary.BigEndian.Uint64(frame[4:12]) << 16    // eth_src
@@ -122,8 +122,8 @@ func extractIPv4(b []byte, f *FlatKey) {
 	if binary.BigEndian.Uint16(b[6:8])&0x1fff != 0 {
 		return // non-first fragment: no L4 header
 	}
-	// A total length that does not fit what arrived is ignored, as Decode
-	// tolerates it.
+	// A total length that does not fit what arrived is ignored, as
+	// DecodeEthernet tolerates it.
 	if end := int(binary.BigEndian.Uint16(b[2:4])); end >= ihl && end <= len(b) {
 		b = b[:end]
 	}

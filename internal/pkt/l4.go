@@ -17,24 +17,13 @@ type UDP struct {
 	payload  []byte
 }
 
-// LayerType implements Layer.
-func (u *UDP) LayerType() LayerType { return LayerTypeUDP }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes after the header, within Length.
 func (u *UDP) LayerPayload() []byte { return u.payload }
 
-// NextLayerType implements Layer.
-func (u *UDP) NextLayerType() LayerType {
-	if u.SrcPort == 53 || u.DstPort == 53 {
-		return LayerTypeDNS
-	}
-	return LayerTypePayload
-}
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the header from the start of data.
 func (u *UDP) DecodeFromBytes(data []byte) error {
 	if len(data) < UDPHeaderLen {
-		return errTruncated(LayerTypeUDP)
+		return errTruncated("UDP")
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -104,19 +93,13 @@ type TCP struct {
 	payload  []byte
 }
 
-// LayerType implements Layer.
-func (t *TCP) LayerType() LayerType { return LayerTypeTCP }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes after the header and its options.
 func (t *TCP) LayerPayload() []byte { return t.payload }
 
-// NextLayerType implements Layer.
-func (t *TCP) NextLayerType() LayerType { return LayerTypePayload }
-
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the header from the start of data.
 func (t *TCP) DecodeFromBytes(data []byte) error {
 	if len(data) < TCPMinHeaderLen {
-		return errTruncated(LayerTypeTCP)
+		return errTruncated("TCP")
 	}
 	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	t.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -124,7 +107,7 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	t.Ack = binary.BigEndian.Uint32(data[8:12])
 	dataOff := int(data[12]>>4) * 4
 	if dataOff < TCPMinHeaderLen || dataOff > len(data) {
-		return &decodeError{layer: LayerTypeTCP, msg: "bad data offset"}
+		return &decodeError{header: "TCP", msg: "bad data offset"}
 	}
 	t.Flags = data[13] & 0x3f
 	t.Window = binary.BigEndian.Uint16(data[14:16])
@@ -209,14 +192,8 @@ type ICMPv4 struct {
 	payload  []byte
 }
 
-// LayerType implements Layer.
-func (c *ICMPv4) LayerType() LayerType { return LayerTypeICMPv4 }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes after the header.
 func (c *ICMPv4) LayerPayload() []byte { return c.payload }
-
-// NextLayerType implements Layer.
-func (c *ICMPv4) NextLayerType() LayerType { return LayerTypePayload }
 
 // ID returns the echo identifier.
 func (c *ICMPv4) ID() uint16 { return uint16(c.Rest >> 16) }
@@ -227,10 +204,10 @@ func (c *ICMPv4) Seq() uint16 { return uint16(c.Rest) }
 // SetEcho stores identifier and sequence into Rest.
 func (c *ICMPv4) SetEcho(id, seq uint16) { c.Rest = uint32(id)<<16 | uint32(seq) }
 
-// DecodeFromBytes implements Layer.
+// DecodeFromBytes parses the header from the start of data.
 func (c *ICMPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < ICMPv4HeaderLen {
-		return errTruncated(LayerTypeICMPv4)
+		return errTruncated("ICMPv4")
 	}
 	c.Type = data[0]
 	c.Code = data[1]

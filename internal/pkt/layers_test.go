@@ -161,8 +161,12 @@ func TestIPv4Fragments(t *testing.T) {
 	if got.FragOffset != 100 || got.Flags != IPv4MoreFragments {
 		t.Errorf("frag fields: off=%d flags=%d", got.FragOffset, got.Flags)
 	}
-	if got.NextLayerType() != LayerTypePayload {
-		t.Error("non-first fragment must not decode an L4 layer")
+	frame, err := Serialize(&Ethernet{EtherType: EtherTypeIPv4}, ip, &payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := DecodeEthernet(frame); p.UDP() != nil || !bytes.Equal(p.ApplicationPayload(), payload) {
+		t.Errorf("non-first fragment must not decode an L4 header: %s", p)
 	}
 }
 
@@ -321,13 +325,7 @@ func TestQinQDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DecodeEthernet(frame)
-	var vlans []*Dot1Q
-	for _, l := range p.Layers() {
-		if d, ok := l.(*Dot1Q); ok {
-			vlans = append(vlans, d)
-		}
-	}
-	if len(vlans) != 2 || vlans[0].VLANID != 200 || vlans[1].VLANID != 101 {
+	if vlans := p.tags; len(vlans) != 2 || vlans[0].VLANID != 200 || vlans[1].VLANID != 101 {
 		t.Fatalf("QinQ stack wrong: %s", p)
 	}
 }

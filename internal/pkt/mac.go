@@ -2,15 +2,15 @@
 // protocol layers the HARMLESS dataplane needs: Ethernet, 802.1Q VLAN
 // tags, ARP, IPv4, IPv6, TCP, UDP, ICMPv4 and a small DNS codec.
 //
-// The package follows the layering conventions popularized by gopacket:
-// a Packet is decoded into a stack of Layers, each layer knows its own
-// wire format, and serialization prepends layers onto a buffer so a
-// packet is built back-to-front. Decode allocates a full layer stack,
-// convenient for hosts, tests, captures and management tooling.
+// DecodeEthernet walks the one header chain a frame can carry into a
+// Packet with each header in a typed field, convenient for hosts, tests,
+// captures and management tooling. Each header type knows its own wire
+// format, and serialization prepends headers onto a buffer so a packet
+// is built back-to-front, as in gopacket.
 //
 // The datapath uses ExtractFlat (see key.go) instead, which packs
 // all OpenFlow-matchable fields of a frame in a single pass without
-// building layer objects at all, and the in-place mutators in mutate.go
+// building header objects at all, and the in-place mutators in mutate.go
 // that implement OpenFlow set-field/push/pop actions with incremental
 // checksum fixup. The packed key is six words (FlatKey), the form the
 // flow tables' classifier and the softswitch's flow cache mask, compare

@@ -1,5 +1,13 @@
 package pkt
 
+// SerializableLayer is a header (or payload) that can write itself to a
+// SerializeBuffer. SerializeTo PREPENDS the header (and, for headers
+// with length/checksum fields, fixes those up against the bytes already
+// in the buffer, which are treated as this header's payload).
+type SerializableLayer interface {
+	SerializeTo(b *SerializeBuffer) error
+}
+
 // SerializeBuffer builds packets back-to-front: each layer's
 // SerializeTo PREPENDS its header, treating the bytes already present
 // as its payload. This mirrors gopacket's SerializeBuffer and lets

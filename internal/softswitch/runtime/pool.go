@@ -31,15 +31,14 @@
 //
 // # Per-worker statistics
 //
-// Workers tally frames, bytes and bursts into per-worker shards of
-// stats.ShardedCounter — cache-line-padded, written only by their
-// owning worker — so the hot path never touches a contended atomic.
-// The shards are exact, not sampled: every frame is counted on exactly
-// one shard (its worker's), so the aggregate Stats() equals the sum a
-// single contended counter would have seen. These are admission-side
-// counts, what the pool alone knows; what the datapath decided for a
-// frame (cache hit, walk, drop) is the switch's to report
-// (Switch.CacheStats, Switch.Drops).
+// Workers tally frames, bytes and bursts into counters in their own
+// worker struct, on a cache line no producer writes, so the hot path
+// never touches a contended atomic. The counts are exact, not sampled:
+// every frame is counted by exactly one worker, so the aggregate
+// Stats() equals the sum a single contended counter would have seen.
+// These are admission-side counts, what the pool alone knows; what the
+// datapath decided for a frame (cache hit, walk, drop) is the switch's
+// to report (Switch.CacheStats, Switch.Drops).
 //
 // # Telemetry
 //
@@ -72,6 +71,9 @@ import (
 	"github.com/harmless-sdn/harmless/internal/softswitch"
 	"github.com/harmless-sdn/harmless/internal/stats"
 )
+
+// cacheLine pads a group of counters onto its own cache line.
+type cacheLine [64]byte
 
 const (
 	// burst bounds how many frames one worker pops off its ring before
@@ -112,9 +114,9 @@ type PoolStats struct {
 	RxDrops uint64
 }
 
-// worker is one run-to-completion poll loop and the RX ring it owns.
-// frames/ports are the burst being drained: parallel, burst long,
-// reused for every burst.
+// worker is one run-to-completion poll loop, the RX ring it owns and
+// its statistics. frames/ports are the burst being drained: parallel,
+// burst long, reused for every burst.
 type worker struct {
 	id     int
 	ring   *dataplane.Ring
@@ -122,6 +124,18 @@ type worker struct {
 	wake   chan struct{}
 	frames [][]byte
 	ports  []uint32
+
+	// Written by the producers that dispatch to this worker, on a line
+	// of their own, away from the fields every producer reads.
+	_        cacheLine
+	accepted stats.Counter // frames admitted to the ring
+	rxDrops  stats.Counter
+	// Written by the worker alone.
+	_        cacheLine
+	nFrames  stats.Counter
+	nBytes   stats.Counter
+	nBatches stats.Counter
+	_        cacheLine
 }
 
 // Pool runs N poll-mode workers over one switch.
@@ -129,15 +143,6 @@ type Pool struct {
 	sw       *softswitch.Switch
 	observer func(worker int, inPort uint32, frames [][]byte)
 	workers  []*worker
-
-	// Per-worker stats shards; shard i is written by worker i only
-	// (RxDrops and accepted by the producer that dispatched to worker
-	// i, which contends only among producers of one worker's overflow).
-	accepted *stats.ShardedCounter // frames admitted to a ring
-	frames   *stats.ShardedCounter
-	bytes    *stats.ShardedCounter
-	batches  *stats.ShardedCounter
-	rxDrops  *stats.ShardedCounter
 
 	stopping atomic.Bool
 	stopC    chan struct{}
@@ -157,11 +162,6 @@ func New(sw *softswitch.Switch, cfg Config) *Pool {
 	p := &Pool{
 		sw:       sw,
 		observer: cfg.Observer,
-		accepted: stats.NewShardedCounter(cfg.Workers),
-		frames:   stats.NewShardedCounter(cfg.Workers),
-		bytes:    stats.NewShardedCounter(cfg.Workers),
-		batches:  stats.NewShardedCounter(cfg.Workers),
-		rxDrops:  stats.NewShardedCounter(cfg.Workers),
 		stopC:    make(chan struct{}),
 	}
 	for i := 0; i < cfg.Workers; i++ {
@@ -202,15 +202,11 @@ func (p *Pool) workerFor(inPort uint32, frame []byte) *worker {
 // for any number of concurrent producers.
 func (p *Pool) Dispatch(inPort uint32, frame []byte) bool {
 	w := p.workerFor(inPort, frame)
-	if p.stopping.Load() {
-		p.rxDrops.Shard(w.id).Inc()
+	if p.stopping.Load() || !w.ring.PushFrame(frame, inPort) {
+		w.rxDrops.Inc()
 		return false
 	}
-	if !w.ring.PushFrame(frame, inPort) {
-		p.rxDrops.Shard(w.id).Inc()
-		return false
-	}
-	p.accepted.Shard(w.id).Inc()
+	w.accepted.Inc()
 	p.wakeWorker(w)
 	return true
 }
@@ -275,7 +271,7 @@ func (p *Pool) Stop() {
 			// Both checks are needed: a racing Dispatch publishes the
 			// frame (ring non-empty) before it bumps `accepted`, so
 			// either the counters disagree or the ring shows the frame.
-			if p.frames.Load() >= p.accepted.Load() && p.ringsEmpty() {
+			if p.Stats().Frames >= p.accepted() && p.ringsEmpty() {
 				// Every admitted frame has been observed; flush the
 				// remaining telemetry records so exported totals catch
 				// up with the datapath counters before Stop returns.
@@ -303,7 +299,7 @@ func (p *Pool) ringsEmpty() bool {
 // through the switch. Meaningful once the producers have quiesced (a
 // concurrent Dispatch can admit new frames while Drain returns).
 func (p *Pool) Drain() {
-	for p.frames.Load() < p.accepted.Load() {
+	for p.Stats().Frames < p.accepted() {
 		stdruntime.Gosched()
 	}
 }
@@ -359,7 +355,7 @@ func (p *Pool) run(w *worker) {
 // drain pops up to a burst of (frame, in-port) pairs off w's ring,
 // hands each run of equal in-ports to Switch.ReceiveBatch — a burst off
 // one port, which is every burst a deployment produces, keeps the full
-// amortization — and tallies the burst on the worker's stats shards. It
+// amortization — and tallies the burst on the worker's counters. It
 // reports whether the ring held anything.
 func (p *Pool) drain(w *worker) bool {
 	// Size the burst as it is popped: frame ownership (and possibly the
@@ -390,28 +386,41 @@ func (p *Pool) drain(w *worker) bool {
 		lo = hi
 	}
 	clear(frames) // drop frame references: the vector outlives the burst
-	p.frames.Shard(w.id).Add(uint64(n))
-	p.bytes.Shard(w.id).Add(nbytes)
-	p.batches.Shard(w.id).Inc()
+	w.nFrames.Add(uint64(n))
+	w.nBytes.Add(nbytes)
+	w.nBatches.Inc()
 	return true
 }
 
-// WorkerStats snapshots one worker's shard.
+// WorkerStats snapshots one worker's counters.
 func (p *Pool) WorkerStats(i int) PoolStats {
+	w := p.workers[i]
 	return PoolStats{
-		Frames:  p.frames.Shard(i).Load(),
-		Bytes:   p.bytes.Shard(i).Load(),
-		Batches: p.batches.Shard(i).Load(),
-		RxDrops: p.rxDrops.Shard(i).Load(),
+		Frames:  w.nFrames.Load(),
+		Bytes:   w.nBytes.Load(),
+		Batches: w.nBatches.Load(),
+		RxDrops: w.rxDrops.Load(),
 	}
 }
 
 // Stats snapshots the aggregate over all workers.
 func (p *Pool) Stats() PoolStats {
-	return PoolStats{
-		Frames:  p.frames.Load(),
-		Bytes:   p.bytes.Load(),
-		Batches: p.batches.Load(),
-		RxDrops: p.rxDrops.Load(),
+	var s PoolStats
+	for i := range p.workers {
+		ws := p.WorkerStats(i)
+		s.Frames += ws.Frames
+		s.Bytes += ws.Bytes
+		s.Batches += ws.Batches
+		s.RxDrops += ws.RxDrops
 	}
+	return s
+}
+
+// accepted sums the frames admitted to the rings so far.
+func (p *Pool) accepted() uint64 {
+	var n uint64
+	for _, w := range p.workers {
+		n += w.accepted.Load()
+	}
+	return n
 }

@@ -1,8 +1,5 @@
 package stats
 
-// Shards returns the shard count.
-func (s *ShardedCounter) Shards() int { return len(s.shards) }
-
 // Get returns the count for key.
 func (d *Distribution) Get(key string) uint64 {
 	d.mu.Lock()

@@ -29,45 +29,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Load returns the current value.
 func (c *Counter) Load() uint64 { return c.v.Load() }
 
-// ShardedCounter is a counter split across cache-line-padded shards so
-// that N writers, each owning one shard, never contend on a shared
-// cache line — the shape the poll-mode worker runtime uses for its
-// per-worker statistics. Each shard is an ordinary atomic Counter, so
-// Load (which sums the shards) is safe at any time from any goroutine;
-// the value is exact once the writers have quiesced and a consistent
-// point-in-time snapshot otherwise, like any set of independently
-// read atomics.
-type ShardedCounter struct {
-	shards []paddedCounter
-}
-
-// paddedCounter pads a Counter out to its own cache line.
-type paddedCounter struct {
-	Counter
-	_ [56]byte
-}
-
-// NewShardedCounter creates a counter with n shards (at least 1).
-func NewShardedCounter(n int) *ShardedCounter {
-	if n < 1 {
-		n = 1
-	}
-	return &ShardedCounter{shards: make([]paddedCounter, n)}
-}
-
-// Shard returns shard i's counter; the caller adds to it without
-// synchronization against other shards.
-func (s *ShardedCounter) Shard(i int) *Counter { return &s.shards[i].Counter }
-
-// Load returns the sum over all shards.
-func (s *ShardedCounter) Load() uint64 {
-	var t uint64
-	for i := range s.shards {
-		t += s.shards[i].Counter.Load()
-	}
-	return t
-}
-
 // PortCounters aggregates the standard per-port statistics every
 // dataplane element (legacy switch ports, soft switch ports) exposes;
 // the layout mirrors the OpenFlow port-stats body.

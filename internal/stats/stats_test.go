@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -34,46 +33,6 @@ func TestCounterConcurrent(t *testing.T) {
 	wg.Wait()
 	if c.Load() != 8000 {
 		t.Errorf("Load = %d, want 8000", c.Load())
-	}
-}
-
-func TestShardedCounter(t *testing.T) {
-	s := NewShardedCounter(4)
-	if s.Shards() != 4 {
-		t.Fatalf("shards = %d", s.Shards())
-	}
-	s.Shard(0).Add(5)
-	s.Shard(3).Inc()
-	if s.Load() != 6 {
-		t.Errorf("Load = %d, want 6", s.Load())
-	}
-	// Clamped to at least one shard.
-	if NewShardedCounter(0).Shards() != 1 {
-		t.Error("zero-shard counter not clamped")
-	}
-}
-
-func TestShardedCounterConcurrent(t *testing.T) {
-	const writers = 8
-	perWriter := 10000
-	if testing.Short() {
-		perWriter = 1000
-	}
-	s := NewShardedCounter(writers)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := s.Shard(w) // each writer owns one shard, per the contract
-			for i := 0; i < perWriter; i++ {
-				c.Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := s.Load(); got != uint64(writers*perWriter) {
-		t.Errorf("Load = %d, want %d", got, writers*perWriter)
 	}
 }
 
@@ -266,66 +225,6 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Record(int64(i))
-	}
-}
-
-// TestShardedCounterMergeUnderConcurrentAdd reads (merges) the counter
-// while the writers are still adding: every observed value must be
-// monotonically non-decreasing and never exceed the amount already
-// added; the final merge must be exact. This is the contract the
-// telemetry drains rely on when they snapshot per-worker shards while
-// the workers keep counting.
-func TestShardedCounterMergeUnderConcurrentAdd(t *testing.T) {
-	const writers = 4
-	perWriter := 20000
-	if testing.Short() {
-		perWriter = 2000
-	}
-	s := NewShardedCounter(writers)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := s.Shard(w)
-			for i := 0; i < perWriter; i++ {
-				c.Inc()
-			}
-		}(w)
-	}
-	var monoErr error
-	merges := 0
-	go func() {
-		defer close(stop)
-		var last uint64
-		for {
-			got := s.Load()
-			if got < last {
-				monoErr = fmt.Errorf("merge went backwards: %d after %d", got, last)
-				return
-			}
-			if got > uint64(writers*perWriter) {
-				monoErr = fmt.Errorf("merge overshot: %d > %d", got, writers*perWriter)
-				return
-			}
-			last = got
-			merges++
-			if got == uint64(writers*perWriter) {
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-stop
-	if monoErr != nil {
-		t.Fatal(monoErr)
-	}
-	if merges == 0 {
-		t.Fatal("reader never merged mid-add")
-	}
-	if got := s.Load(); got != uint64(writers*perWriter) {
-		t.Fatalf("final merge = %d, want %d", got, writers*perWriter)
 	}
 }
 
